@@ -28,9 +28,12 @@ __all__ = ["FULL_SCENARIOS", "SCENARIOS", "SUITES", "run_scenario"]
 def kernel_event_throughput(quick: bool = False) -> dict:
     """Raw kernel throughput: timeout ping-pong across many processes.
 
-    100 concurrent processes each advance through 2000 timeouts with a
-    shared rendezvous event every 100 steps — the freelist, lazy-cancel,
-    and single-event-yield fast paths all sit on this loop.
+    100 concurrent processes each advance through 2000 timeouts while a
+    canceller schedules and cancels a long timeout every fourth step —
+    the freelist, lazy-cancel, and single-waiter fast paths all sit on
+    this loop.  Bare ``env.run()`` drives the same single dispatch loop
+    as ``run(until=...)``, so this measures the kernel that serving,
+    fleet, and chaos runs use.
     """
     n_procs = 100
     n_steps = 400 if quick else 2000

@@ -525,9 +525,7 @@ class SystemSpec:
     arguments — cluster preset, policy bundle, observability level, and
     chaos attachments — into one value that can be stored, compared,
     and replicated across fleet shards.  This is the canonical
-    constructor path: ``build_system(spec)`` (or ``spec.build(env)``)
-    replaces the old positional ``build_system(name, env, config, ...)``
-    form, which now warns once per call site.
+    constructor path: ``build_system(spec)`` or ``spec.build(env)``.
     """
 
     system: str = "aegaeon"
@@ -705,13 +703,11 @@ def _build_system(
     env: Environment,
     config=None,
     *,
-    policies: Optional[PolicyBundle | str] = None,
     faults=None,
     invariants: bool = False,
 ) -> "ServingSystem":
-    """The factory proper (no deprecation machinery): name + config in,
-    system out.  :meth:`SystemSpec.build` and the legacy keyword shim
-    both land here."""
+    """The factory proper: name + config in, system out.  Reached
+    through :meth:`SystemSpec.build`."""
     key = name.strip().lower()
     key = _ALIASES.get(key, key)
     try:
@@ -720,9 +716,7 @@ def _build_system(
         raise ValueError(
             f"unknown serving system {name!r}; known: {available_systems()}"
         ) from None
-    if policies is None:
-        policies = getattr(config, "policies", None)
-    system = builder(env, config, policies)
+    system = builder(env, config, getattr(config, "policies", None))
     if faults is not None:
         system.attach_faults(faults)
     if invariants:
@@ -731,7 +725,7 @@ def _build_system(
 
 
 def build_system(
-    spec: "SystemSpec | str",
+    spec: SystemSpec,
     env: Optional[Environment] = None,
     config=None,
     *,
@@ -742,41 +736,21 @@ def build_system(
     """Construct a serving system from a :class:`SystemSpec`.
 
     ``build_system(spec)`` (optionally with an ``env`` to share a clock)
-    and ``build_fleet(FleetConfig(...))`` are the two blessed
-    constructor paths — a spec is one storable, comparable value naming
-    the system, config, cluster, policy bundle, observability level,
-    and chaos attachments.
-
-    The loose keyword form ``build_system("aegaeon", env, config,
-    policies=..., faults=..., invariants=...)`` still works but is
-    deprecated: it warns once per call site and will be removed a
-    release after the in-repo callers are gone.  Migrate with::
-
-        build_system(SystemSpec(system="aegaeon", config=config,
-                                policies=..., faults=..., invariants=...),
-                     env)
+    and ``build_fleet(FleetConfig(...))`` are the two constructor paths
+    — a spec is one storable, comparable value naming the system,
+    config, cluster, policy bundle, observability level, and chaos
+    attachments.  The loose ``config``/``policies``/``faults``/
+    ``invariants`` arguments exist only to reject callers that pass
+    them here instead of on the spec.
     """
-    if isinstance(spec, SystemSpec):
-        if config is not None or policies is not None or faults is not None or invariants:
-            raise TypeError(
-                "build_system(spec) takes no loose keywords; put config/"
-                "policies/faults/invariants on the SystemSpec itself"
-            )
-        return spec.build(env)
-    from .._compat import warn_deprecated
-
-    warn_deprecated(
-        "build_system(name, env, config, ...) is deprecated; pass a "
-        "SystemSpec — build_system(SystemSpec(system=name, config=config, "
-        "...), env)"
-    )
-    if env is None:
-        raise TypeError("the legacy build_system(name, ...) form requires env")
-    return _build_system(
-        spec,
-        env,
-        config,
-        policies=policies,
-        faults=faults,
-        invariants=invariants,
-    )
+    if not isinstance(spec, SystemSpec):
+        raise TypeError(
+            f"build_system() takes a SystemSpec, not {type(spec).__name__}; "
+            "use build_system(SystemSpec(system=name, config=config, ...), env)"
+        )
+    if config is not None or policies is not None or faults is not None or invariants:
+        raise TypeError(
+            "build_system(spec) takes no loose keywords; put config/"
+            "policies/faults/invariants on the SystemSpec itself"
+        )
+    return spec.build(env)

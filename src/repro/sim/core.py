@@ -17,16 +17,14 @@ Design notes
 
 Hot-path engineering (see DESIGN.md "Performance notes")
 --------------------------------------------------------
-* **Batched same-timestamp dispatch.**  The run loop drains every heap
-  entry sharing the front timestamp into a FIFO tick batch in one pass,
-  then dispatches from the batch without further heap traffic.  Events
-  scheduled *for the current instant while the batch is live* (zero-delay
-  triggers, process init events, immediate-resume relays) are appended to
-  the batch directly and never touch the heap at all.  Because the batch
-  is drained in heap (``(time, seq)``) order and every in-tick append has
-  a later logical sequence than everything already in the batch, the
-  global firing order is byte-identical to a pure-heap kernel.  See
-  DESIGN.md for the ordering rules new event sources must follow.
+* **One run loop.**  :meth:`Environment.run` is a single loop that pops
+  the heap in ``(time, seq)`` order and dispatches inline.  Nothing
+  bypasses the heap: every trigger, timeout, process init, relay, and
+  ``schedule_call`` is a heap entry with a sequence number assigned at
+  scheduling time, so events at the same instant fire in scheduling
+  order.  ``run(until=...)`` can be split and resumed without changing
+  that order.  See DESIGN.md for the ordering rules new event sources
+  must follow.
 * **Single-waiter fast path.**  The common case — exactly one process
   waiting on an event — stores the waiting process in the event's
   ``_waiter`` slot instead of materializing a callbacks-list entry, and
@@ -71,7 +69,6 @@ Hot-path engineering (see DESIGN.md "Performance notes")
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -248,9 +245,6 @@ class Event:
                 callback(self)
             callbacks.clear()
             self.callbacks = callbacks
-
-    # Backwards-compatible alias (pre-batching name).
-    _run_callbacks = _fire
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
@@ -574,10 +568,7 @@ class Condition(Event):
     ):
         Event.__init__(self, env)
         self._evaluate = evaluate
-        self._attach(env, list(events))
-
-    def _attach(self, env: "Environment", events: list[Event]) -> None:
-        self._events = events
+        self._events = events = list(events)
         self._count = 0
         for event in events:
             if event.env is not env:
@@ -621,21 +612,7 @@ class AllOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        Event.__init__(self, env)
-        self._evaluate = _all_fired
-        self._attach(env, list(events))
-
-    def _check(self, event: Event) -> None:
-        if self._state >= _TRIGGERED:
-            if not event._ok:
-                event._defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._count == len(self._events):
-            self.succeed(self._collect_values())
+        Condition.__init__(self, env, _all_fired, events)
 
 
 class AnyOf(Condition):
@@ -644,21 +621,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        Event.__init__(self, env)
-        self._evaluate = _any_fired
-        self._attach(env, list(events))
-
-    def _check(self, event: Event) -> None:
-        if self._state >= _TRIGGERED:
-            if not event._ok:
-                event._defused = True
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        else:
-            self.succeed(self._collect_values())
+        Condition.__init__(self, env, _any_fired, events)
 
 
 def _make_event_factory(env: "Environment"):
@@ -767,9 +730,8 @@ def _make_schedule_call_factory(env: "Environment"):
         triggered event whose callbacks list carries ``fn`` — no
         generator frame, no waiter hand-off, no process bookkeeping.
         It fires in the same (time, seq) order a Timeout scheduled at
-        the same instant would, drains inside the batched
-        same-timestamp tick like every other event, and is recycled as
-        soon as it has fired (do not keep triggering references to it).
+        the same instant would, and is recycled as soon as it has fired
+        (do not keep triggering references to it).
         """
         if delay < 0:
             raise SimulationError(f"negative schedule_call delay: {delay}")
@@ -796,9 +758,7 @@ class Environment:
     __slots__ = (
         "_now",
         "_queue",
-        "_tick",
         "_sequence",
-        "_reseq",
         "_active_process",
         "steps_executed",
         "events_cancelled",
@@ -816,15 +776,7 @@ class Environment:
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
-        # The live tick batch: all events firing at the current instant,
-        # in (time, seq) order.  Non-empty only inside run(); anything
-        # left over (early exit, surfaced failure) is flushed back to the
-        # heap so external observers never see a half-drained tick.
-        self._tick: deque[Event] = deque()
         self._sequence = 0
-        # Sequence numbers consumed by tick flush-backs (re-scheduling,
-        # not scheduling); discounts the events_scheduled telemetry.
-        self._reseq = 0
         self._active_process: Optional[Process] = None
         # Plain-int telemetry sampled by the observability layer.
         self.steps_executed = 0
@@ -855,11 +807,9 @@ class Environment:
         """Total events ever scheduled (telemetry).
 
         Every schedule consumes one sequence number, so the count is
-        derived instead of maintained on the hot path; the only
-        non-scheduling consumers of the sequence counter are tick
-        flush-backs, discounted via ``_reseq``.
+        derived instead of maintained on the hot path.
         """
-        return self._sequence - self._reseq
+        return self._sequence
 
     # -- factories ---------------------------------------------------------
     # event/timeout/process are instance closures bound in __init__; the
@@ -961,19 +911,19 @@ class Environment:
                     f"until ({stop_time}) lies in the past (now={self._now})"
                 )
 
-        # The tick-drain/dispatch/recycle loop is fully inlined, twice: a
-        # tight variant for run() (no stop conditions — the kernel
-        # benchmark path) and a general variant for run(until=...).  At
+        # One heap-ordered loop: every event, including those scheduled
+        # for the current instant while the loop runs, is popped from
+        # the heap in (time, seq) order, so a run split by ``until`` and
+        # resumed fires exactly what one uninterrupted run would.  Pop,
+        # dispatch, and recycle are inlined with local bindings; at
         # millions of events per run the per-event cost of method calls
-        # and dead stop checks is measurable; keep the two bodies in
-        # sync when touching either.
+        # is measurable.
         #
         # Step accounting is derived, not maintained: every heap push
         # consumes one sequence number, so pops over this run window are
         #   len_before + pushes - len_after
         # and fired steps are pops minus lazily-dropped cancellations.
         queue = self._queue
-        tick = self._tick
         event_pool = self._event_pool
         timeout_pool = self._timeout_pool
         process_pool = self._process_pool
@@ -981,365 +931,181 @@ class Environment:
         refs = getrefcount
         cancelled = 0
         recycled = 0
-        len_before = len(queue) + len(tick)
+        len_before = len(queue)
         seq_before = self._sequence
         try:
-            if stop_event is None and stop_time == float("inf"):
-                # -- tight loop: drain everything ------------------------
-                # No tick batching here: bare run() is the kernel
-                # micro-benchmark path where timestamps are almost all
-                # distinct, and heap (time, seq) order alone already
-                # yields the deterministic firing order.  Same-instant
-                # batching lives in the general loop below, which is
-                # what serving/fleet/chaos drive via run(until=...).
-                while queue:
-                    when, _, event = pop(queue)
-                    self._now = when
-                    # The processed marker (_waiter = _FIRED) is stored
-                    # lazily: before callbacks run, on lazy-cancel drops,
-                    # and on events that survive recycling.  An event
-                    # recycled in this same iteration is unobservable in
-                    # between, so the hot path skips the store entirely.
-                    waiter = event._waiter
-                    if waiter is not None:
-                        # Inline single-waiter resume (the hot path).
-                        if event._ok:
-                            self._active_process = waiter
-                            try:
-                                nxt = waiter._send(event._value)
-                            except StopIteration as stop:
-                                waiter._target = None
-                                waiter.succeed(stop.value)
-                                nxt = _DONE
-                            except BaseException as exc:
-                                waiter._target = None
-                                waiter.fail(exc)
-                                nxt = _DONE
-                        elif event._cancelled:
-                            # Lazy cancellation: dropped, never fired; a
-                            # parked waiter stays parked (its _target ref
-                            # also keeps the event off the freelist).
-                            event._waiter = _FIRED
-                            cancelled += 1
-                            continue
-                        else:
-                            self._active_process = waiter
-                            event._defused = True
-                            try:
-                                nxt = waiter._generator.throw(event._value)
-                            except StopIteration as stop:
-                                waiter._target = None
-                                waiter.succeed(stop.value)
-                                nxt = _DONE
-                            except BaseException as exc:
-                                waiter._target = None
-                                waiter.fail(exc)
-                                nxt = _DONE
-                        if nxt is not _DONE:
-                            try:
-                                wslot = nxt._waiter
-                            except AttributeError:
-                                raise SimulationError(
-                                    f"process yielded a non-event: {nxt!r}"
-                                ) from None
-                            if wslot is None:
-                                if not nxt.callbacks:
-                                    nxt._waiter = waiter
-                                else:
-                                    nxt.callbacks.append(waiter._resume_cb)
-                                waiter._target = nxt
-                            elif wslot is not _FIRED:
-                                nxt.callbacks.append(waiter._resume_cb)
-                                waiter._target = nxt
-                            else:
-                                # Already processed: relay at this instant.
-                                if event_pool:
-                                    relay = event_pool.pop()
-                                else:
-                                    relay = Event(self)
-                                ok = nxt._ok
-                                relay._ok = ok
-                                relay._value = nxt._value
-                                if not ok:
-                                    nxt._defused = True
-                                    relay._defused = True
-                                relay._state = _TRIGGERED
-                                relay._waiter = waiter
-                                heappush(
-                                    queue, (self._now, self._sequence, relay)
-                                )
-                                self._sequence += 1
-                                waiter._target = relay
-                        cbs = event.callbacks
-                        if cbs:
-                            event._waiter = _FIRED
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
-                        # A failed event resumed a waiter above, which
-                        # defused it; no unobserved-failure check needed.
-                    elif event._ok:
-                        event._waiter = _FIRED
-                        cbs = event.callbacks
-                        if cbs:
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
+            while queue:
+                if stop_event is not None and stop_event._waiter is _FIRED:
+                    break
+                if queue[0][0] > stop_time:
+                    self._now = stop_time
+                    return None
+                when, _, event = pop(queue)
+                self._now = when
+                # The processed marker (_waiter = _FIRED) is stored
+                # lazily: before callbacks run, on lazy-cancel drops, and
+                # on events that survive recycling.  An event recycled in
+                # this same iteration is unobservable in between, so the
+                # hot path skips the store entirely.
+                waiter = event._waiter
+                if waiter is not None:
+                    # Inline single-waiter resume (the hot path).
+                    if event._ok:
+                        self._active_process = waiter
+                        try:
+                            nxt = waiter._send(event._value)
+                        except StopIteration as stop:
+                            waiter._target = None
+                            waiter.succeed(stop.value)
+                            nxt = _DONE
+                        except BaseException as exc:
+                            waiter._target = None
+                            waiter.fail(exc)
+                            nxt = _DONE
                     elif event._cancelled:
+                        # Lazy cancellation: dropped, never fired; a parked
+                        # waiter stays parked (its _target ref also keeps
+                        # the event off the freelist).
+                        event._waiter = _FIRED
                         cancelled += 1
-                        if event.__class__ is Timeout and refs(event) == 2:
-                            cbs = event.callbacks
-                            if cbs:
-                                cbs.clear()
-                            event._value = None
-                            event._ok = True
-                            event._cancelled = False
-                            event._waiter = None
-                            timeout_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
                         continue
                     else:
-                        event._waiter = _FIRED
-                        cbs = event.callbacks
-                        if cbs:
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
-                        if not event._defused:
-                            raise event._value
-                    cls = event.__class__
-                    if cls is Timeout:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            timeout_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                    elif cls is Event:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            event_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                    elif cls is Process:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            event._generator = None
-                            event._send = None
-                            event._target = None
-                            process_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                    else:
-                        event._waiter = _FIRED
-            else:
-                # -- general loop: stop on time or event -----------------
-                while True:
-                    if stop_event is not None and stop_event._waiter is _FIRED:
-                        break
-                    if tick:
-                        event = tick.popleft()
-                    elif queue:
-                        if queue[0][0] > stop_time:
-                            self._now = stop_time
-                            return None
-                        when, _, event = pop(queue)
-                        self._now = when
-                        if queue and queue[0][0] == when:
-                            append = tick.append
-                            while queue and queue[0][0] == when:
-                                append(pop(queue)[2])
-                    else:
-                        break
-                    waiter = event._waiter
-                    if waiter is not None:
-                        if event._ok:
-                            self._active_process = waiter
-                            try:
-                                nxt = waiter._send(event._value)
-                            except StopIteration as stop:
-                                waiter._target = None
-                                waiter.succeed(stop.value)
-                                nxt = _DONE
-                            except BaseException as exc:
-                                waiter._target = None
-                                waiter.fail(exc)
-                                nxt = _DONE
-                        elif event._cancelled:
-                            event._waiter = _FIRED
-                            cancelled += 1
-                            continue
-                        else:
-                            self._active_process = waiter
-                            event._defused = True
-                            try:
-                                nxt = waiter._generator.throw(event._value)
-                            except StopIteration as stop:
-                                waiter._target = None
-                                waiter.succeed(stop.value)
-                                nxt = _DONE
-                            except BaseException as exc:
-                                waiter._target = None
-                                waiter.fail(exc)
-                                nxt = _DONE
-                        if nxt is not _DONE:
-                            try:
-                                wslot = nxt._waiter
-                            except AttributeError:
-                                raise SimulationError(
-                                    f"process yielded a non-event: {nxt!r}"
-                                ) from None
-                            if wslot is None:
-                                if not nxt.callbacks:
-                                    nxt._waiter = waiter
-                                else:
-                                    nxt.callbacks.append(waiter._resume_cb)
-                                waiter._target = nxt
-                            elif wslot is not _FIRED:
-                                nxt.callbacks.append(waiter._resume_cb)
-                                waiter._target = nxt
+                        self._active_process = waiter
+                        event._defused = True
+                        try:
+                            nxt = waiter._generator.throw(event._value)
+                        except StopIteration as stop:
+                            waiter._target = None
+                            waiter.succeed(stop.value)
+                            nxt = _DONE
+                        except BaseException as exc:
+                            waiter._target = None
+                            waiter.fail(exc)
+                            nxt = _DONE
+                    if nxt is not _DONE:
+                        try:
+                            wslot = nxt._waiter
+                        except AttributeError:
+                            raise SimulationError(
+                                f"process yielded a non-event: {nxt!r}"
+                            ) from None
+                        if wslot is None:
+                            if not nxt.callbacks:
+                                nxt._waiter = waiter
                             else:
-                                if event_pool:
-                                    relay = event_pool.pop()
-                                else:
-                                    relay = Event(self)
-                                ok = nxt._ok
-                                relay._ok = ok
-                                relay._value = nxt._value
-                                if not ok:
-                                    nxt._defused = True
-                                    relay._defused = True
-                                relay._state = _TRIGGERED
-                                relay._waiter = waiter
-                                heappush(
-                                    queue, (self._now, self._sequence, relay)
-                                )
-                                self._sequence += 1
-                                waiter._target = relay
-                        cbs = event.callbacks
-                        if cbs:
-                            event._waiter = _FIRED
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
-                    elif event._ok:
+                                nxt.callbacks.append(waiter._resume_cb)
+                            waiter._target = nxt
+                        elif wslot is not _FIRED:
+                            nxt.callbacks.append(waiter._resume_cb)
+                            waiter._target = nxt
+                        else:
+                            # Already processed: relay at this instant.
+                            if event_pool:
+                                relay = event_pool.pop()
+                            else:
+                                relay = Event(self)
+                            ok = nxt._ok
+                            relay._ok = ok
+                            relay._value = nxt._value
+                            if not ok:
+                                nxt._defused = True
+                                relay._defused = True
+                            relay._state = _TRIGGERED
+                            relay._waiter = waiter
+                            heappush(
+                                queue, (self._now, self._sequence, relay)
+                            )
+                            self._sequence += 1
+                            waiter._target = relay
+                    cbs = event.callbacks
+                    if cbs:
                         event._waiter = _FIRED
+                        self._active_process = None
+                        event.callbacks = None
+                        for callback in cbs:
+                            callback(event)
+                        cbs.clear()
+                        event.callbacks = cbs
+                    # A failed event resumed a waiter above, which defused
+                    # it; no unobserved-failure check needed.
+                elif event._ok:
+                    event._waiter = _FIRED
+                    cbs = event.callbacks
+                    if cbs:
+                        self._active_process = None
+                        event.callbacks = None
+                        for callback in cbs:
+                            callback(event)
+                        cbs.clear()
+                        event.callbacks = cbs
+                elif event._cancelled:
+                    cancelled += 1
+                    if event.__class__ is Timeout and refs(event) == 2:
                         cbs = event.callbacks
                         if cbs:
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
                             cbs.clear()
-                            event.callbacks = cbs
-                    elif event._cancelled:
-                        cancelled += 1
-                        if event.__class__ is Timeout and refs(event) == 2:
-                            cbs = event.callbacks
-                            if cbs:
-                                cbs.clear()
-                            event._value = None
+                        event._value = None
+                        event._ok = True
+                        event._cancelled = False
+                        event._waiter = None
+                        timeout_pool.append(event)
+                        recycled += 1
+                    else:
+                        event._waiter = _FIRED
+                    continue
+                else:
+                    event._waiter = _FIRED
+                    cbs = event.callbacks
+                    if cbs:
+                        self._active_process = None
+                        event.callbacks = None
+                        for callback in cbs:
+                            callback(event)
+                        cbs.clear()
+                        event.callbacks = cbs
+                    if not event._defused:
+                        raise event._value
+                cls = event.__class__
+                if cls is Timeout:
+                    if refs(event) == 2:
+                        event._value = None
+                        event._waiter = None
+                        if not event._ok:
                             event._ok = True
-                            event._cancelled = False
-                            event._waiter = None
-                            timeout_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                        continue
+                            event._defused = False
+                        timeout_pool.append(event)
+                        recycled += 1
                     else:
                         event._waiter = _FIRED
-                        cbs = event.callbacks
-                        if cbs:
-                            self._active_process = None
-                            event.callbacks = None
-                            for callback in cbs:
-                                callback(event)
-                            cbs.clear()
-                            event.callbacks = cbs
-                        if not event._defused:
-                            raise event._value
-                    cls = event.__class__
-                    if cls is Timeout:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            timeout_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                    elif cls is Event:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            event_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
-                    elif cls is Process:
-                        if refs(event) == 2:
-                            event._value = None
-                            event._waiter = None
-                            if not event._ok:
-                                event._ok = True
-                                event._defused = False
-                            event._generator = None
-                            event._send = None
-                            event._target = None
-                            process_pool.append(event)
-                            recycled += 1
-                        else:
-                            event._waiter = _FIRED
+                elif cls is Event:
+                    if refs(event) == 2:
+                        event._value = None
+                        event._waiter = None
+                        if not event._ok:
+                            event._ok = True
+                            event._defused = False
+                        event_pool.append(event)
+                        recycled += 1
                     else:
                         event._waiter = _FIRED
+                elif cls is Process:
+                    if refs(event) == 2:
+                        event._value = None
+                        event._waiter = None
+                        if not event._ok:
+                            event._ok = True
+                            event._defused = False
+                        event._generator = None
+                        event._send = None
+                        event._target = None
+                        process_pool.append(event)
+                        recycled += 1
+                    else:
+                        event._waiter = _FIRED
+                else:
+                    event._waiter = _FIRED
         finally:
             self._active_process = None
-            # A half-drained tick (early break, surfaced failure) goes
-            # back to the heap in FIFO order; the heap holds nothing at
-            # the current instant with a smaller sequence, so fresh
-            # sequence numbers preserve the original firing order.
-            # Re-scheduling, not scheduling: _reseq discounts these from
-            # the events_scheduled telemetry.  Each flush-back adds one
-            # push and one queue entry, cancelling out of the derived
-            # pop count below.
-            while tick:
-                heappush(queue, (self._now, self._sequence, tick.popleft()))
-                self._sequence += 1
-                self._reseq += 1
             # Pool caps are enforced once per run instead of per recycle
             # in the hot loop; overflow falls back to the GC here.
             del timeout_pool[_POOL_CAP:]

@@ -28,7 +28,7 @@ from repro.sim import ContTask, Environment, Interrupt, Store
 N_STORES = 2
 
 # Delays on a coarse grid: collisions at shared timestamps are the
-# interesting case (same-timestamp batched dispatch), so make them
+# interesting case (same-timestamp (time, seq) ordering), so make them
 # likely; exact float equality across the two runs is trivially safe
 # because both runs do identical arithmetic.
 _delays = st.integers(min_value=0, max_value=12).map(lambda n: n * 0.25)

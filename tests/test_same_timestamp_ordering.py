@@ -1,10 +1,10 @@
 """Same-timestamp event ordering is part of the determinism contract.
 
-The batched dispatch loop (`repro.sim.core`) drains every heap entry
-sharing the front timestamp into one FIFO tick batch and appends
-in-tick schedules directly to that batch.  The ordering guarantee —
-events at one instant fire in scheduling order, byte-identically to a
-pure-heap kernel — is what keeps the chaos and fleet goldens stable.
+The kernel (`repro.sim.core`) has one run loop, and it pops the event
+heap in `(time, seq)` order; nothing bypasses the heap, and a run split
+by `run(until=...)` resumes in the same order.  The resulting guarantee
+— events at one instant fire in scheduling order — is what keeps the
+chaos and fleet goldens stable.
 
 This test deliberately piles *every* event source the serving stack has
 onto a single instant: plain process timeouts, the 1 s watchdog tick,
@@ -74,8 +74,8 @@ def collision_run():
     )
 
     # Plain timeouts at the collision instant, scheduled before the
-    # serve starts — they sit in the same tick batch as the watchdog,
-    # reclaim, and fault events.
+    # serve starts — they share the instant with the watchdog, reclaim,
+    # and fault events, ordered among them by sequence number.
     def sleeper(env):
         yield env.timeout(COLLIDE_AT)
 

@@ -68,28 +68,11 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown cluster preset"):
             resolve_cluster("tpu-pod", Environment())
 
-    def test_legacy_keyword_form_warns_but_builds(self):
-        """The loose build_system(name, env, config) form still works,
-        but as a once-per-site DeprecationWarning shim."""
-        from repro import _compat
-
-        _compat._warned_sites.clear()
-        with pytest.warns(DeprecationWarning, match="pass a SystemSpec"):
-            legacy = build_system("aegaeon", Environment(), small_config("aegaeon"))
-        spec_built = build_system(
-            SystemSpec(config=small_config("aegaeon")), Environment()
-        )
-        assert type(legacy) is type(spec_built)
-        assert legacy.gpu_count == spec_built.gpu_count
-
-    def test_legacy_form_warns_once_per_call_site(self):
-        from repro import _compat
-
-        _compat._warned_sites.clear()
-        with pytest.warns(DeprecationWarning) as caught:
-            for _ in range(3):
-                build_system("aegaeon", Environment(), small_config("aegaeon"))
-        assert len(caught) == 1
+    def test_name_string_is_rejected(self):
+        """The positional build_system(name, env, config) form is gone;
+        a name string fails loudly and points at SystemSpec."""
+        with pytest.raises(TypeError, match="SystemSpec"):
+            build_system("aegaeon", Environment(), small_config("aegaeon"))
 
     def test_spec_form_rejects_loose_keywords(self):
         with pytest.raises(TypeError, match="no loose keywords"):

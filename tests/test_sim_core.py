@@ -322,3 +322,23 @@ class TestRunUntilEvent:
         gate = env.event()
         with pytest.raises(SimulationError):
             env.run(until=gate)
+
+    def test_resumed_run_keeps_heap_order(self, env):
+        # Stopping on an event mid-instant and resuming must fire the
+        # leftover same-instant events in (time, seq) order: T3 was
+        # scheduled (seq 2) before X (seq 3, scheduled while T1 fired).
+        log = []
+        t1 = env.timeout(1.0)
+        t1.callbacks.append(
+            lambda e: (
+                log.append("T1"),
+                env.schedule_call(lambda e: log.append("X")),
+            )
+        )
+        stop = env.timeout(1.0)
+        t3 = env.timeout(1.0)
+        t3.callbacks.append(lambda e: log.append("T3"))
+        env.run(until=stop)
+        log.append("|")
+        env.run()
+        assert log == ["T1", "|", "T3", "X"]

@@ -99,8 +99,7 @@ class TestMarketStreams:
 class TestDeprecations:
     # synthesize_trace() and Dataset.sample() finished the deprecation
     # lifecycle (warn in PR 6, RuntimeError stub after) and are gone
-    # entirely: importing them fails, which needs no test.  What remains
-    # deprecated is the loose build_system(name, env, ...) keyword form.
+    # entirely: importing them fails, which needs no test.
     def test_synthesize_trace_is_gone(self):
         import repro.workload
 
@@ -114,35 +113,8 @@ class TestDeprecations:
             warnings.simplefilter("error", DeprecationWarning)
             materialize_trace(market_mix(2), [0.2, 0.2], sharegpt(), horizon=20.0)
 
-    def test_shims_warn_once_per_call_site(self):
-        # The warn-once-per-site machinery now lives in repro._compat
-        # (the legacy build_system keyword form is its current tenant):
-        # even with an "always" filter, repeated calls from one source
-        # line warn exactly once; a fresh call site warns again.
-        from repro import _compat
-        from repro.core import AegaeonConfig, build_system
-        from repro.sim import Environment
-
-        config = AegaeonConfig(
-            prefill_instances=1, decode_instances=1, cluster="h800-quad"
-        )
-        _compat._warned_sites.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                build_system("aegaeon", Environment(), config)  # one site
-        assert len(caught) == 1
-        # The warning is attributed to this test (the caller), not the
-        # shim body inside repro.core.
-        assert caught[0].filename == __file__
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build_system("aegaeon", Environment(), config)  # a distinct site
-            build_system("aegaeon", Environment(), config)  # and a second one
-        assert len(caught) == 2
-
     def test_in_repo_paths_emit_no_deprecation_warnings(self):
-        # Nothing inside repro calls the deprecated shims: synthesis,
+        # Nothing inside repro emits a DeprecationWarning: synthesis,
         # streaming, and an end-to-end serve all run clean under
         # warnings-as-errors.
         from repro.core import AegaeonConfig, SystemSpec, build_system
