@@ -119,9 +119,11 @@ def check_identities(fleet, result):
             == stats.requests
         )
     in_flight = sum(shard.system.registry.in_flight for shard in fleet.shards)
-    if in_flight == 0:
+    assert result.unaccounted == in_flight
+    if result.drained:
         # Fully drained: folds == pump submissions + spill re-submissions,
         # and the streaming proxies hold nothing back.
+        assert in_flight == 0
         assert total.requests == result.submitted + total.spilled
         assert all(not shard.system.proxy.live for shard in fleet.shards)
     else:

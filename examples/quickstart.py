@@ -94,6 +94,7 @@ def main() -> None:
     # 3. Serve and report.
     result = server.serve(trace)
     registry = server.registry
+    assert result.drained, f"{result.unaccounted} requests still in flight"
     assert registry.finished + registry.failed + registry.rejected == registry.submitted
     print()
     print(

@@ -192,10 +192,11 @@ class MuxServe(BaselineServer):
         self.gpu_count = len(cluster.gpus)
 
     def prepare(self, trace: Trace) -> None:
-        """Run the bundle's placement policy over the trace's model set."""
-        counts = trace.per_model_counts()
+        """Run the bundle's placement policy over the catalog's models,
+        busiest first (by per-model ``rates``; catalog order without)."""
+        rates = dict(zip((spec.name for spec in trace.models), trace.rates or ()))
         models = sorted(
-            trace.models, key=lambda spec: counts.get(spec.name, 0), reverse=True
+            trace.models, key=lambda spec: rates.get(spec.name, 0.0), reverse=True
         )
         slots = len(self.cluster.gpus) // self.tp
         slot_specs = [self.cluster.gpus[index * self.tp].spec for index in range(slots)]

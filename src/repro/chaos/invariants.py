@@ -20,10 +20,16 @@ arrival, and never lie in the simulation's future.
 **I3 — No work on dead instances.**  A failed instance holds no queued
 groups or batches and is absent from every scheduler's dispatch list.
 
-**I4 — SLO-accounting consistency.**  Registry counts reconcile with
-the proxy's request list and the system's finished/failed/rejected
-ledgers; a FINISHED phase implies a complete token stream and a
-finish timestamp.
+**I4 — SLO-accounting consistency.**  The registry saw exactly the
+proxy's admissions, the proxy's in-flight map mirrors the registry's
+in-flight arithmetic, the system's disposal count equals the registry's
+finished + failed + rejected tally, and a request disposed as FINISHED
+has a complete token stream and a finish timestamp.
+
+Per-tick checks walk only the proxy's in-flight requests; each request
+gets a last I2 pass and its I4 finish check in :meth:`vet_terminal` as
+the system disposes of it, so checker cost and memory track concurrency
+whether or not the run retains its requests.
 
 Violations are collected (not raised mid-run) so a test can complete a
 faulted scenario and then :meth:`assert_clean` — the difference between
@@ -72,7 +78,6 @@ class InvariantChecker:
         # were already verified, so each check is O(new tokens) rather
         # than O(all tokens) — cheap enough for every test.
         self._token_cursor: dict[int, int] = {}
-        self._finished_checked = 0
         self._process = self.env.process(self._run())
 
     # -- driver -------------------------------------------------------------
@@ -207,49 +212,53 @@ class InvariantChecker:
     # -- I2: token monotonicity --------------------------------------------
     def _check_tokens(self) -> None:
         now = self.env.now
-        cursors = self._token_cursor
         for request in self._requests():
-            times = request.token_times
-            count = len(times)
-            if count > request.output_tokens:
+            self._check_request_tokens(request, now)
+
+    def _check_request_tokens(self, request, now: float) -> None:
+        """Verify ``request``'s token stream from its cursor onwards."""
+        cursors = self._token_cursor
+        times = request.token_times
+        count = len(times)
+        if count > request.output_tokens:
+            self._flag(
+                "token-monotonicity",
+                f"request {request.request_id} generated {count} "
+                f"tokens of {request.output_tokens}",
+            )
+        if not count:
+            if request.request_id in cursors:
+                # Chaos reset the stream; restart the cursor.
+                cursors[request.request_id] = 0
+            return
+        start = cursors.get(request.request_id, 0)
+        if start > count:  # stream shrank: re-verify from scratch
+            start = 0
+        if start == 0:
+            if times[0] < request.arrival:
                 self._flag(
                     "token-monotonicity",
-                    f"request {request.request_id} generated {count} "
-                    f"tokens of {request.output_tokens}",
+                    f"request {request.request_id} token before arrival",
                 )
-            if not count:
-                if request.request_id in cursors:
-                    # Chaos reset the stream; restart the cursor.
-                    cursors[request.request_id] = 0
-                continue
-            start = cursors.get(request.request_id, 0)
-            if start > count:  # stream shrank: re-verify from scratch
-                start = 0
-            if start == 0:
-                if times[0] < request.arrival:
-                    self._flag(
-                        "token-monotonicity",
-                        f"request {request.request_id} token before arrival",
-                    )
-                start = 1
-            prev = times[start - 1]
-            for index in range(start, count):
-                t = times[index]
-                if t < prev:
-                    self._flag(
-                        "token-monotonicity",
-                        f"request {request.request_id} timestamps decrease "
-                        f"at index {index}",
-                    )
-                    break
-                prev = t
-            if times[-1] > now + 1e-9:
+            start = 1
+        prev = times[start - 1]
+        for index in range(start, count):
+            t = times[index]
+            if t < prev:
                 self._flag(
                     "token-monotonicity",
-                    f"request {request.request_id} token in the future "
-                    f"({times[-1]:.3f} > {now:.3f})",
+                    f"request {request.request_id} timestamps decrease "
+                    f"at index {index}",
                 )
-            cursors[request.request_id] = count
+                break
+            prev = t
+        if times[-1] > now + 1e-9:
+            self._flag(
+                "token-monotonicity",
+                f"request {request.request_id} token in the future "
+                f"({times[-1]:.3f} > {now:.3f})",
+            )
+        cursors[request.request_id] = count
 
     # -- I3: no work on dead instances --------------------------------------
     def _check_dead_instances(self) -> None:
@@ -304,28 +313,20 @@ class InvariantChecker:
                 f"registry saw {registry.submitted} submissions, proxy "
                 f"admitted {proxy.submitted} requests",
             )
-        retaining = getattr(system, "retain_requests", True)
-        finished = getattr(system, "finished", [])
-        failed = getattr(system, "failed", [])
-        rejected = getattr(system, "rejected", [])
-        if retaining:
-            if registry.finished != len(finished):
-                self._flag(
-                    "slo-accounting",
-                    f"registry counts {registry.finished} finished, system "
-                    f"ledger holds {len(finished)}",
-                )
-            accounted = len(finished) + len(failed) + len(rejected)
-        else:
-            accounted = getattr(system, "accounted", 0)
-            # Ledgers stay empty; the live map must mirror the registry's
-            # in-flight arithmetic exactly.
-            if len(proxy.live) != registry.in_flight:
-                self._flag(
-                    "slo-accounting",
-                    f"proxy tracks {len(proxy.live)} live requests, registry "
-                    f"arithmetic says {registry.in_flight} in flight",
-                )
+        if len(proxy.live) != registry.in_flight:
+            self._flag(
+                "slo-accounting",
+                f"proxy tracks {len(proxy.live)} live requests, registry "
+                f"arithmetic says {registry.in_flight} in flight",
+            )
+        accounted = getattr(system, "accounted", 0)
+        terminal = registry.finished + registry.failed + registry.rejected
+        if accounted != terminal:
+            self._flag(
+                "slo-accounting",
+                f"system disposed of {accounted} requests, registry counts "
+                f"{terminal} terminal",
+            )
         if accounted > registry.submitted:
             self._flag(
                 "slo-accounting",
@@ -336,24 +337,16 @@ class InvariantChecker:
             self._flag(
                 "slo-accounting", f"negative in-flight: {registry.in_flight}"
             )
-        if retaining:
-            # Only entries appended since the last pass need vetting.
-            for request in finished[self._finished_checked :]:
-                if not request.finished or request.finish_time is None:
-                    self._flag(
-                        "slo-accounting",
-                        f"request {request.request_id} in the finished ledger "
-                        "with an incomplete token stream",
-                    )
-            self._finished_checked = len(finished)
 
     def vet_terminal(self, request) -> None:
-        """Per-request vetting at disposal time (non-retained runs).
+        """Per-request vetting at disposal time.
 
-        Replaces the finished-ledger sweep: each request is checked once,
-        right before the system drops it, and its token cursor is
-        released so checker memory tracks concurrency too.
+        Each request is checked once, right before the system drops it
+        from the in-flight map: its token stream gets a last I2 pass
+        from the cursor onwards, a FINISHED request must be complete,
+        and the cursor is released so checker memory tracks concurrency.
         """
+        self._check_request_tokens(request, self.env.now)
         if request.phase is Phase.FINISHED and (
             not request.finished or request.finish_time is None
         ):
@@ -371,4 +364,4 @@ class InvariantChecker:
 
     def _requests(self) -> Iterable:
         proxy = getattr(self.system, "proxy", None)
-        return proxy.tracked_requests() if proxy is not None else ()
+        return proxy.live.values() if proxy is not None else ()

@@ -14,7 +14,7 @@ from .prefill_sched import (
     MAX_GPSIZE,
     PrefillGroup,
 )
-from .proxy import ProxyLayer, StatusRegistry
+from .proxy import DrainWatchdog, ProxyLayer, Pump, StatusRegistry
 from .server import AegaeonConfig, AegaeonServer
 from .sessions import SessionCoordinator, SessionStats
 from .serving import (
@@ -42,12 +42,14 @@ __all__ = [
     "DEFAULT_SLO",
     "DecodeBatch",
     "DecodeInstance",
+    "DrainWatchdog",
     "GroupedPrefillScheduler",
     "MAX_GPSIZE",
     "MuxServeConfig",
     "PrefillGroup",
     "PrefillInstance",
     "ProxyLayer",
+    "Pump",
     "QMAX",
     "RunSettings",
     "ServerlessLLMConfig",

@@ -4,19 +4,23 @@ The production system fronts the instance pool with a proxy/load-balancer
 that synchronizes request metadata through a shared in-memory store
 (Redis).  Here the :class:`StatusRegistry` plays that role — a single
 source of truth for request state that instances and the server update —
-and :class:`ProxyLayer` replays a trace into the prefill scheduler.
+and :class:`ProxyLayer` admits each arrival into the serving system.
+
+Every run, single system or fleet, is driven by the same two processes:
+a :class:`Pump` that submits a request stream at its arrival times, and
+a :class:`DrainWatchdog` that ends the run once its caller's ``done``
+predicate holds or the drain deadline passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from ..engine.request import Phase, Request
-from ..sim import Environment, Event
-from ..workload.trace import Trace
+from ..sim import ContTask, Environment, Event
 
-__all__ = ["StatusRegistry", "ProxyLayer"]
+__all__ = ["StatusRegistry", "ProxyLayer", "Pump", "DrainWatchdog"]
 
 
 @dataclass
@@ -52,14 +56,13 @@ class StatusRegistry:
 
 
 class ProxyLayer:
-    """Replays a workload, dispatching each arrival to the serving system.
+    """Admits arriving requests and tracks the ones still in flight.
 
-    In the default *retaining* mode every submitted :class:`Request` is
-    kept in ``requests`` for end-of-run analysis.  Fleet-scale streaming
-    runs set ``retain=False``: only in-flight requests are tracked (in
-    ``live``), and the serving system drops each request as soon as it
-    reaches a terminal disposition — peak memory then scales with
-    concurrency, not trace length.
+    ``live`` maps every in-flight request id to its :class:`Request`;
+    the serving system drops each one at its terminal disposition, so
+    the map — and everything that walks it — scales with concurrency,
+    not trace length.  With ``retain`` on (the default) every admitted
+    request is also kept in ``requests`` for end-of-run analysis.
     """
 
     def __init__(
@@ -74,56 +77,86 @@ class ProxyLayer:
         self.registry = registry if registry is not None else StatusRegistry()
         self.retain = retain
         self.requests: list[Request] = []
-        #: In-flight requests when ``retain`` is off (id -> request).
+        #: In-flight requests (id -> request).
         self.live: dict[int, Request] = {}
         #: Total requests ever admitted (== len(requests) when retaining).
         self.submitted = 0
-        self.all_submitted: Event = env.event()
 
     def admit(self, request: Request) -> None:
         """Record one arriving request and hand it to the dispatcher."""
         if self.retain:
             self.requests.append(request)
-        else:
-            self.live[request.request_id] = request
+        self.live[request.request_id] = request
         self.submitted += 1
         self.registry.update(request)
         self.dispatch(request)
 
     def drop(self, request: Request) -> None:
-        """Forget a terminally disposed request (non-retaining mode)."""
+        """Forget a terminally disposed request."""
         self.live.pop(request.request_id, None)
 
-    def tracked_requests(self):
-        """Every request the proxy still knows about (analysis/invariants)."""
-        return self.requests if self.retain else self.live.values()
 
-    def replay(self, trace: Trace) -> Generator:
-        """Process: submit every trace request at its arrival time."""
-        for trace_request in trace.requests:
-            delay = trace_request.arrival - self.env.now
+class Pump(ContTask):
+    """Calls ``submit(trace_request, spec)`` at each arrival of ``stream``.
+
+    The stream is pulled lazily (bounded lookahead); the task succeeds —
+    ``pump.triggered`` turns true — right after the last submission.
+    ``submit`` runs after the arrival wait, so a fleet resolves the
+    owning shard at submission time (a model may migrate meanwhile).
+    """
+
+    __slots__ = ("_iter", "_pending", "_submit", "_spec_of")
+
+    def __init__(self, env: Environment, stream, submit: Callable) -> None:
+        self._iter = iter(stream)
+        self._pending = None
+        self._submit = submit
+        self._spec_of = stream.spec_of
+        ContTask.__init__(self, env)
+
+    def _start(self, value: object) -> Event:
+        return self._loop()
+
+    def _loop(self) -> Event:
+        env = self.env
+        for trace_request in self._iter:
+            delay = trace_request.arrival - env.now
             if delay > 0:
-                yield self.env.timeout(delay)
-            request = Request(
-                trace=trace_request, spec=trace.spec_of(trace_request.model)
-            )
-            self.admit(request)
-        self.all_submitted.succeed()
+                self._pending = trace_request
+                self._send = self._arrived
+                return env.timeout(delay)
+            self._submit(trace_request, self._spec_of(trace_request.model))
+        raise StopIteration(None)
 
-    def replay_stream(self, stream) -> Generator:
-        """Process: pull a :class:`~repro.workload.stream.RequestStream`.
+    def _arrived(self, value: object) -> Event:
+        trace_request, self._pending = self._pending, None
+        self._submit(trace_request, self._spec_of(trace_request.model))
+        return self._loop()
 
-        Requests are drawn lazily from the stream at simulation time, so
-        lookahead stays bounded by the stream's own contract (one pending
-        request per model).
-        """
-        spec_of = stream.spec_of
-        for trace_request in stream:
-            delay = trace_request.arrival - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            request = Request(
-                trace=trace_request, spec=spec_of(trace_request.model)
-            )
-            self.admit(request)
-        self.all_submitted.succeed()
+
+class DrainWatchdog(ContTask):
+    """Checks ``done()`` once a second; stops when it holds or at ``deadline``.
+
+    ``drained`` records which: True when ``done()`` held, False when
+    the deadline cut the run short.
+    """
+
+    __slots__ = ("_done", "_deadline", "drained")
+
+    def __init__(self, env: Environment, done: Callable[[], bool], deadline: float):
+        self._done = done
+        self._deadline = deadline
+        self.drained = False
+        ContTask.__init__(self, env)
+
+    def _start(self, value: object) -> Event:
+        self._send = self._tick
+        return self._tick(value)
+
+    def _tick(self, value: object) -> Event:
+        if self._done():
+            self.drained = True
+            raise StopIteration(None)
+        if self.env.now >= self._deadline:
+            raise StopIteration(None)
+        return self.env.timeout(1.0)

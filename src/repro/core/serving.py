@@ -28,7 +28,8 @@ from ..policy.tunables import Tunables
 from ..sim import Environment
 from ..transfer.kv_transfer import TransferStats
 from ..workload.trace import Trace
-from .proxy import ProxyLayer, StatusRegistry
+from ..workload.stream import stream_of_trace
+from .proxy import DrainWatchdog, ProxyLayer, Pump, StatusRegistry
 from .slo import DEFAULT_SLO, SloSpec
 
 __all__ = [
@@ -136,10 +137,6 @@ class ServingSystemBase:
         self.fault_injector = None
         self.invariant_checker = None
         self.gpu_count = 0
-        #: When False, terminally disposed requests are dropped instead of
-        #: kept on the ledgers (fleet-scale streaming; see
-        #: :meth:`configure_streaming`).
-        self.retain_requests = True
         #: Optional callback fired on every terminal disposition — the
         #: fleet rollup folds requests into mergeable stats through this.
         self.request_sink: Optional[Callable[[Request], None]] = None
@@ -151,7 +148,7 @@ class ServingSystemBase:
         #: paths/:meth:`register_models` and added to on every submit.
         #: Routing policies resolve variant names through this.
         self.spec_index: dict[str, object] = {}
-        #: Extra drain predicates consulted by the serve watchdogs; a
+        #: Extra drain predicates consulted by the drain watchdog; a
         #: hook returning False keeps the run alive (e.g. a session
         #: coordinator with stage submissions still pending).
         self.drain_hooks: list[Callable[[], bool]] = []
@@ -266,17 +263,17 @@ class ServingSystemBase:
         retain_requests: bool = True,
         request_sink: Optional[Callable[[Request], None]] = None,
     ) -> None:
-        """Choose how terminal requests are kept.
+        """Choose whether terminal requests are kept.
 
-        ``retain_requests=False`` drops each request at its final
-        disposition (after folding it through ``request_sink``), so a
-        long replay's memory scales with in-flight concurrency rather
-        than trace length.  Must be called before any request is
-        submitted.
+        Every disposal folds the request through ``request_sink`` and
+        drops it from the in-flight map.  ``retain_requests=False``
+        also keeps it off ``proxy.requests`` and the finished/failed/
+        rejected ledgers, so a long replay's memory scales with
+        in-flight concurrency rather than trace length.  Must be called
+        before any request is submitted.
         """
         if self.proxy.submitted:
             raise RuntimeError("configure_streaming must precede submission")
-        self.retain_requests = retain_requests
         self.proxy.retain = retain_requests
         self.request_sink = request_sink
 
@@ -292,7 +289,7 @@ class ServingSystemBase:
         coordinator's settle hook is composed *after* any existing
         ``request_sink`` (stats fold first, DAG advance second) and its
         :meth:`~repro.core.sessions.SessionCoordinator.drained`
-        predicate keeps the serve watchdogs alive across think-time
+        predicate keeps the drain watchdog alive across think-time
         gaps.  Must precede submission, like
         :meth:`configure_streaming`.
         """
@@ -315,7 +312,8 @@ class ServingSystemBase:
         return all(hook() for hook in self.drain_hooks)
 
     def submit(self, trace_request, spec) -> Request:
-        """Admit one externally driven request (the fleet-runner path)."""
+        """Admit one request: the pump's entry point, and the session
+        coordinator's for triggered stages."""
         self.spec_index.setdefault(spec.name, spec)
         request = Request(trace=trace_request, spec=spec)
         self.proxy.admit(request)
@@ -326,13 +324,12 @@ class ServingSystemBase:
         self._disposed += 1
         if self.request_sink is not None:
             self.request_sink(request)
-        if self.retain_requests:
+        if self.proxy.retain:
             ledger.append(request)
-        else:
-            if self.invariant_checker is not None:
-                self.invariant_checker.vet_terminal(request)
-            self.proxy.drop(request)
-            self.registry.forget(request.request_id)
+        if self.invariant_checker is not None:
+            self.invariant_checker.vet_terminal(request)
+        self.proxy.drop(request)
+        self.registry.forget(request.request_id)
 
     def note_finished(self, request: Request) -> None:
         """Record a completed request."""
@@ -381,24 +378,7 @@ class ServingSystemBase:
 
     def serve(self, trace: Trace, until: Optional[float] = None) -> "ServingResult":
         """Replay ``trace`` to completion or the drain deadline."""
-        self.register_models(trace.models)
-        self.prepare(trace)
-        self.env.process(self.proxy.replay(trace))
-        deadline = until if until is not None else trace.horizon + self.drain_grace
-
-        def watchdog():
-            while not (
-                self.accounted >= len(trace.requests) and self._drained()
-            ):
-                if self.env.now >= deadline:
-                    return
-                yield self.env.timeout(1.0)
-
-        self.env.run(until=self.env.process(watchdog()))
-        if self.invariant_checker is not None:
-            self.invariant_checker.check_now()
-            self.invariant_checker.assert_clean()
-        return self.collect(trace)
+        return self.serve_stream(stream_of_trace(trace), until=until)
 
     def serve_stream(self, stream, until: Optional[float] = None) -> "ServingResult":
         """Replay a :class:`~repro.workload.stream.RequestStream` lazily.
@@ -406,29 +386,28 @@ class ServingSystemBase:
         The stream is pulled one request at a time (bounded lookahead);
         with ``configure_streaming(retain_requests=False)`` the run's
         memory is bounded by concurrency, not request count.  ``prepare``
-        receives the stream itself, which quacks enough like a trace
-        (``models``, ``horizon``) for cache warming.
+        receives the stream itself as the run's catalog (``models``,
+        ``horizon``, per-model ``rates``).
         """
         self.register_models(stream.models)
         self.prepare(stream)
-        self.env.process(self.proxy.replay_stream(stream))
+        pump = Pump(self.env, stream, self.submit)
+        proxy = self.proxy
+
+        def done() -> bool:
+            drained = self.accounted >= proxy.submitted and self._drained()
+            return pump.triggered and drained
+
         deadline = until if until is not None else stream.horizon + self.drain_grace
-
-        def watchdog():
-            while not (
-                self.proxy.all_submitted.triggered
-                and self.accounted >= self.proxy.submitted
-                and self._drained()
-            ):
-                if self.env.now >= deadline:
-                    return
-                yield self.env.timeout(1.0)
-
-        self.env.run(until=self.env.process(watchdog()))
+        watchdog = DrainWatchdog(self.env, done, deadline)
+        self.env.run(until=watchdog)
         if self.invariant_checker is not None:
             self.invariant_checker.check_now()
             self.invariant_checker.assert_clean()
-        return self.collect(stream)
+        result = self.collect(stream)
+        result.drained = watchdog.drained
+        result.unaccounted = proxy.submitted - self.accounted
+        return result
 
     def collect(self, trace: Trace) -> "ServingResult":
         """Assemble the measurement object."""

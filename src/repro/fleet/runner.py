@@ -24,11 +24,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from ..core.proxy import DrainWatchdog, Pump
 from ..core.serving import SystemSpec
 from ..envkeys import warn_unknown_env_keys
 from ..obs import ObsConfig, Observability
 from ..policy.placement import MARKET_HOURLY_USD
-from ..sim import ContTask, Environment, Event
+from ..sim import Environment
 from .controller import ControllerConfig, FleetController
 from .partition import CatalogPartitioner
 from .rollup import FleetRollup, ShardStats
@@ -139,6 +140,10 @@ class FleetResult:
     #: ``SessionCoordinator.summary()`` when the run mixed agentic
     #: sessions into the stream (per-session conservation rollup).
     sessions: Optional[dict] = None
+    #: False when the drain deadline ended the run before every request
+    #: was disposed; ``unaccounted`` is the number still in flight then.
+    drained: bool = True
+    unaccounted: int = 0
 
     @property
     def slo_attainment(self) -> float:
@@ -168,10 +173,11 @@ class FleetResult:
 
 @dataclass(frozen=True)
 class _ShardCatalog:
-    """The trace-shaped view ``prepare()`` expects: models + horizon."""
+    """The catalog ``prepare()`` expects: models, horizon, per-model rates."""
 
     models: tuple
     horizon: float
+    rates: tuple
 
 
 class FleetRunner:
@@ -187,7 +193,6 @@ class FleetRunner:
         )
         self.obs = Observability(config.obs, clock=lambda: self.env.now)
         self.submitted = 0
-        self._all_submitted = False
         #: Extra drain predicates for the run watchdog (sessions).
         self.drain_hooks: list = []
         #: The attached :class:`~repro.core.sessions.SessionCoordinator`,
@@ -254,14 +259,25 @@ class FleetRunner:
     def _drained(self) -> bool:
         return all(hook() for hook in self.drain_hooks)
 
+    def _unaccounted(self) -> int:
+        """Requests submitted or spilled but not yet disposed.
+
+        Every spill adds one extra terminal disposition beyond the
+        pump's count: the spilling shard folds it as ``spilled`` and
+        the target shard disposes the re-submission.
+        """
+        spills = self.controller.spills if self.controller is not None else 0
+        return self.submitted + spills - self._disposed()
+
     # -- sessions ------------------------------------------------------------
     def submit_routed(self, trace_request, spec) -> None:
-        """Submit one triggered request through the pump's routing rules.
+        """Submit one request to the shard that owns its model now.
 
-        This is the fleet's session-submission channel: a coordinator's
-        triggered stage goes to whichever shard currently owns its model
-        (honoring live migrations) and counts toward the pump total so
-        the drain watchdog's conservation identity still holds.
+        The pump submits every stream arrival through here, and so does
+        an attached session coordinator for its triggered stages: the
+        owner is resolved at submission time (honoring live migrations)
+        and each request counts toward the total the drain watchdog
+        reconciles against.
         """
         shard = self.shards[self.partitioner.shard_of(trace_request.model)]
         shard.system.submit(trace_request, spec)
@@ -299,6 +315,7 @@ class FleetRunner:
     def run(self, stream, until: Optional[float] = None) -> FleetResult:
         """Replay ``stream`` across the fleet to completion or deadline."""
         assignment = self.partitioner.assign(stream.models)
+        rate_of = dict(zip((spec.name for spec in stream.models), stream.rates or ()))
         for shard in self.shards:
             shard.models = tuple(assignment[shard.index])
             # Every shard indexes the whole stream's specs: a routing
@@ -306,24 +323,33 @@ class FleetRunner:
             # to a different shard, and the rewrite needs the spec here.
             shard.system.register_models(stream.models)
             shard.system.prepare(
-                _ShardCatalog(models=shard.models, horizon=stream.horizon)
+                _ShardCatalog(
+                    models=shard.models,
+                    horizon=stream.horizon,
+                    rates=tuple(rate_of.get(spec.name, 0.0) for spec in shard.models),
+                )
             )
         if self.controller is not None:
             self.controller.bind_stream(stream)
             self.controller.start()
-        _PumpTask(self.env, self, stream)
+        pump = Pump(self.env, stream, self.submit_routed)
+
+        def done() -> bool:
+            return pump.triggered and self._unaccounted() <= 0 and self._drained()
+
         deadline = (
             until if until is not None else stream.horizon + self.config.drain_grace
         )
-        self.env.run(until=_WatchdogTask(self.env, self, deadline))
+        watchdog = DrainWatchdog(self.env, done, deadline)
+        self.env.run(until=watchdog)
         for shard in self.shards:
             checker = shard.system.invariant_checker
             if checker is not None:
                 checker.check_now()
                 checker.assert_clean()
-        return self._collect(stream.horizon)
+        return self._collect(stream.horizon, watchdog.drained)
 
-    def _collect(self, horizon: float) -> FleetResult:
+    def _collect(self, horizon: float, drained: bool) -> FleetResult:
         shard_stats = [shard.stats for shard in self.shards]
         rollup = FleetRollup(shard_stats)
         gpu_hours = self.gpu_count * self.env.now / 3600.0
@@ -358,97 +384,9 @@ class FleetRunner:
             sessions=(
                 self.sessions.summary() if self.sessions is not None else None
             ),
+            drained=drained,
+            unaccounted=self._unaccounted(),
         )
-
-
-class _PumpTask(ContTask):
-    """The streaming pump as a continuation state machine.
-
-    Routes the global stream, shard by model ownership.  The owning
-    shard is resolved *after* each arrival wait — a live migration may
-    have moved the model while the pump slept — exactly as the generator
-    pump did.
-    """
-
-    __slots__ = ("_runner", "_iter", "_pending_request", "_shard_of", "_spec_of")
-
-    def __init__(self, env: Environment, runner: FleetRunner, stream) -> None:
-        self._runner = runner
-        self._iter = iter(stream)
-        self._pending_request = None
-        self._shard_of = runner.partitioner.shard_of
-        self._spec_of = stream.spec_of
-        ContTask.__init__(self, env)
-
-    def _start(self, value: object) -> Event:
-        return self._loop()
-
-    def _loop(self) -> Event:
-        env = self.env
-        runner = self._runner
-        stream_iter = self._iter
-        while True:
-            try:
-                trace_request = next(stream_iter)
-            except StopIteration:
-                runner._all_submitted = True
-                raise StopIteration(None) from None
-            delay = trace_request.arrival - env.now
-            if delay > 0:
-                self._pending_request = trace_request
-                self._send = self._arrived
-                return env.timeout(delay)
-            self._submit(trace_request)
-
-    def _arrived(self, value: object) -> Event:
-        trace_request = self._pending_request
-        self._pending_request = None
-        self._submit(trace_request)
-        return self._loop()
-
-    def _submit(self, trace_request) -> None:
-        runner = self._runner
-        shard = runner.shards[self._shard_of(trace_request.model)]
-        shard.system.submit(trace_request, self._spec_of(trace_request.model))
-        runner.submitted += 1
-        if runner.controller is not None:
-            runner.controller.note_arrival(trace_request.model)
-
-
-class _WatchdogTask(ContTask):
-    """The drain watchdog: polls the conservation identity once a second.
-
-    Terminates (firing as an event, ending ``env.run``) when every
-    pumped request plus every controller spill has a terminal
-    disposition and all drain hooks report empty — or at the deadline.
-    """
-
-    __slots__ = ("_runner", "_deadline")
-
-    def __init__(self, env: Environment, runner: FleetRunner, deadline: float) -> None:
-        self._runner = runner
-        self._deadline = deadline
-        ContTask.__init__(self, env)
-
-    def _start(self, value: object) -> Event:
-        self._send = self._tick
-        return self._tick(value)
-
-    def _tick(self, value: object) -> Event:
-        runner = self._runner
-        # Every spill adds one extra terminal disposition beyond the
-        # pump's count: the spilling shard folds it as ``spilled``
-        # and the target shard disposes the re-submission.
-        spills = runner.controller.spills if runner.controller is not None else 0
-        if (
-            runner._all_submitted
-            and runner._disposed() >= runner.submitted + spills
-            and runner._drained()
-        ):
-            raise StopIteration(None)
-        if self.env.now >= self._deadline:
-            raise StopIteration(None)
-        return self.env.timeout(1.0)
 
 
 def build_fleet(

@@ -203,7 +203,9 @@ def merge_streams(*streams: RequestStream, name: str = "merged") -> RequestStrea
 
 
 def stream_of_trace(trace: Trace, name: str = "trace") -> RequestStream:
-    """Wrap a materialized :class:`Trace` in the streaming interface."""
+    """Wrap a materialized :class:`Trace` in the streaming interface
+    (``rates`` are the trace's observed per-model rates)."""
     return RequestStream(
-        trace.models, trace.horizon, lambda: iter(trace.requests), name=name
+        trace.models, trace.horizon, lambda: iter(trace.requests),
+        rates=trace.rates, name=name,
     )

@@ -60,6 +60,12 @@ class Trace:
             counts[request.model] = counts.get(request.model, 0) + 1
         return counts
 
+    @property
+    def rates(self) -> tuple[float, ...]:
+        """Observed per-model arrival rate (count / horizon), ``models``-aligned."""
+        counts = self.per_model_counts()
+        return tuple(counts[spec.name] / self.horizon for spec in self.models)
+
     def spec_of(self, model_name: str) -> ModelSpec:
         """Look up the architecture of a model in this trace."""
         index = self.__dict__.get("_spec_index")

@@ -12,7 +12,7 @@ from repro.baselines import (
 from repro.hardware import Cluster, H800
 from repro.models import get_model, market_mix
 from repro.sim import Environment
-from repro.workload import sharegpt, materialize_trace
+from repro.workload import market_stream, materialize_trace, sharegpt
 
 GiB = 1024**3
 
@@ -69,6 +69,37 @@ class TestMuxServe:
         trace = small_trace(4)
         result = server.serve(trace)
         assert result.scaling_latencies().size == 0
+
+    def test_serve_stream(self):
+        env = Environment()
+        server = MuxServe(env, Cluster.homogeneous(env, H800, 1, 4))
+        result = server.serve_stream(market_stream(4, 60.0, seed=5, total_rate=0.4))
+        assert server.placed_model_count == 4
+        assert result.drained
+        assert result.finished_requests == server.proxy.submitted > 0
+
+    def test_placement_ranks_models_by_trace_counts(self):
+        # serve(trace) ranks models by rate = count / horizon: the same
+        # order as ranking by count, so placements match a count ranking.
+        env = Environment()
+        server = MuxServe(env, Cluster.homogeneous(env, H800, 1, 2))
+        models = market_mix(10)
+        trace = materialize_trace(
+            models, [0.02 * (index + 1) for index in range(10)], sharegpt(),
+            horizon=60.0, seed=2,
+        )
+        counts = trace.per_model_counts()
+        slots = [gpu.spec for gpu in server.cluster.gpus]
+        plan = server.policies.placement.plan
+        by_count = sorted(models, key=lambda spec: counts[spec.name], reverse=True)
+        expected, unplaced = plan(by_count, slots)
+        # Guard: the ranking must matter for this trace.
+        assert plan(models, slots)[1] != unplaced
+        server.serve(trace)
+        assert [sorted(instance.models) for instance in server.instances] == [
+            sorted(spec.name for spec in placed) for placed in expected if placed
+        ]
+        assert server.unplaced == {spec.name for spec in unplaced}
 
 
 class TestDedicated:

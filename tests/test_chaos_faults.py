@@ -20,9 +20,11 @@ from repro.chaos import (
     TransferStall,
 )
 from repro.core import AegaeonConfig, SystemSpec, build_system
-from repro.models import market_mix
+from repro.engine import Phase, Request
+from repro.models import get_model, market_mix
 from repro.sim import Environment
 from repro.workload import sharegpt, materialize_trace
+from repro.workload.trace import TraceRequest
 
 from .strategies import fault_plans
 
@@ -186,6 +188,49 @@ class TestDegradation:
         system, result = run_chaos(plan, rate=0.3, horizon=15.0)
         assert system.registry.failed > 0
         assert_accounted(system, result)
+
+
+class TestVetTerminal:
+    def checked_system(self):
+        env = Environment()
+        system = build_system(
+            SystemSpec(
+                config=AegaeonConfig(
+                    prefill_instances=1, decode_instances=1, cluster="h800-pair"
+                ),
+                invariants=True,
+            ),
+            env,
+        )
+        env.run(until=5.0)
+        return system, system.invariant_checker
+
+    def request(self, token_times):
+        trace = TraceRequest(
+            request_id=7, model="Qwen-7B", arrival=0.0, input_tokens=8,
+            output_tokens=4,
+        )
+        request = Request(trace=trace, spec=get_model("Qwen-7B"))
+        request.record_tokens(token_times)
+        return request
+
+    def test_decreasing_tail_is_flagged_at_disposal(self):
+        # Tokens recorded after the last periodic pass get their only
+        # I2 check when the request is disposed.
+        system, checker = self.checked_system()
+        request = self.request([1.0, 3.0, 2.0])
+        request.phase = Phase.FAILED
+        checker.vet_terminal(request)
+        assert [v.invariant for v in checker.violations] == ["token-monotonicity"]
+        assert "decrease" in checker.violations[0].detail
+        assert request.request_id not in checker._token_cursor
+
+    def test_incomplete_finished_request_is_flagged(self):
+        system, checker = self.checked_system()
+        request = self.request([1.0, 2.0])
+        request.phase = Phase.FINISHED
+        checker.vet_terminal(request)
+        assert [v.invariant for v in checker.violations] == ["slo-accounting"]
 
 
 class TestPlanValidation:

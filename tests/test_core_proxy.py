@@ -2,37 +2,65 @@
 
 import pytest
 
-from repro.core import ProxyLayer, StatusRegistry
+from repro.core import DrainWatchdog, ProxyLayer, Pump, StatusRegistry
 from repro.engine import Phase, Request
 from repro.models import get_model, market_mix
 from repro.sim import Environment
-from repro.workload import sharegpt, materialize_trace
+from repro.workload import materialize_trace, sharegpt, stream_of_trace
 from repro.workload.trace import TraceRequest
 
 
 class TestProxyReplay:
+    """The shared :class:`Pump` feeding a :class:`ProxyLayer`."""
+
+    def pump_into(self, env, proxy, trace):
+        def submit(trace_request, spec):
+            proxy.admit(Request(trace=trace_request, spec=spec))
+
+        return Pump(env, stream_of_trace(trace), submit)
+
     def test_dispatches_at_arrival_times(self):
         env = Environment()
         seen = []
         proxy = ProxyLayer(env, lambda request: seen.append((env.now, request)))
         models = market_mix(2)
         trace = materialize_trace(models, [0.5, 0.5], sharegpt(), horizon=30.0, seed=3)
-        env.process(proxy.replay(trace))
+        self.pump_into(env, proxy, trace)
         env.run()
         assert len(seen) == len(trace)
         for (time, request), trace_request in zip(seen, trace.requests):
             assert time == pytest.approx(trace_request.arrival)
             assert request.request_id == trace_request.request_id
+            assert request.spec is trace.spec_of(trace_request.model)
 
-    def test_all_submitted_event(self):
+    def test_pump_completion_signal(self):
         env = Environment()
         proxy = ProxyLayer(env, lambda request: None)
         models = market_mix(1)
         trace = materialize_trace(models, [0.2], sharegpt(), horizon=20.0, seed=4)
-        env.process(proxy.replay(trace))
-        env.run()
-        assert proxy.all_submitted.triggered
+        pump = self.pump_into(env, proxy, trace)
+        # The pump succeeds right after its last submission, not later.
+        env.run(until=pump)
+        assert pump.triggered
+        assert env.now == pytest.approx(trace.requests[-1].arrival)
         assert len(proxy.requests) == len(trace)
+        assert len(proxy.live) == len(trace)
+
+
+class TestDrainWatchdog:
+    def test_stops_when_done(self):
+        env = Environment()
+        watchdog = DrainWatchdog(env, lambda: env.now >= 3.0, deadline=10.0)
+        env.run(until=watchdog)
+        assert watchdog.drained
+        assert env.now == 3.0
+
+    def test_stops_at_deadline(self):
+        env = Environment()
+        watchdog = DrainWatchdog(env, lambda: False, deadline=4.5)
+        env.run(until=watchdog)
+        assert not watchdog.drained
+        assert env.now == 5.0
 
 
 class TestStatusRegistry:

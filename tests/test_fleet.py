@@ -186,11 +186,38 @@ class TestFleetRuns:
         fleet = build_fleet(FleetConfig(shards=2, spec=small_spec()))
         result = fleet.run(market_stream(12, 60.0, seed=8, total_rate=2.0))
         assert result.submitted > 0
+        assert result.drained and result.unaccounted == 0
         for shard in fleet.shards:
             assert shard.system.finished == []  # nothing retained
             assert shard.system.proxy.live == {}
             assert shard.system.registry.statuses == {}
             assert shard.system.accounted == shard.stats.requests
+
+    def test_muxserve_shards(self):
+        # Each shard places its slice of the catalog ranked by the
+        # stream's per-model rates.
+        fleet = build_fleet(
+            FleetConfig(
+                shards=2, spec=SystemSpec(system="muxserve", cluster="h800-quad")
+            )
+        )
+        result = fleet.run(market_stream(8, 40.0, seed=2, total_rate=1.0))
+        assert result.drained and result.unaccounted == 0
+        assert result.rollup.total.requests == result.submitted > 0
+        for shard in fleet.shards:
+            owned = {spec.name for spec in shard.models}
+            placed = {
+                name for instance in shard.system.instances
+                for name in instance.models
+            }
+            assert placed | shard.system.unplaced == owned
+
+    def test_deadline_cut_reports_unaccounted(self):
+        fleet = build_fleet(FleetConfig(shards=2, spec=small_spec()))
+        result = fleet.run(market_stream(12, 60.0, seed=8, total_rate=2.0), until=30.0)
+        in_flight = sum(len(shard.system.proxy.live) for shard in fleet.shards)
+        assert not result.drained
+        assert result.unaccounted == in_flight > 0
 
     def test_retaining_mode_keeps_ledgers(self):
         fleet = build_fleet(

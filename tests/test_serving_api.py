@@ -144,6 +144,26 @@ class TestConformance:
         assert len(result.obs.tracer) == 0
 
 
+class TestDrain:
+    def test_full_serve_is_drained(self):
+        system = build_system(SystemSpec(config=small_config("aegaeon")))
+        result = system.serve(small_trace())
+        assert result.drained
+        assert result.unaccounted == 0
+        assert system.proxy.live == {}
+
+    def test_cut_short_serve_reports_in_flight(self):
+        system = build_system(SystemSpec(config=small_config("aegaeon")))
+        trace = small_trace(n_models=4, rps=0.5, horizon=60.0)
+        result = system.serve(trace, until=20.0)
+        assert not result.drained
+        assert result.end_time == pytest.approx(20.0)
+        in_flight = len(system.proxy.live)
+        assert 0 < in_flight < system.proxy.submitted < len(trace)
+        assert result.unaccounted == in_flight == system.registry.in_flight
+        assert result.unaccounted == system.proxy.submitted - system.accounted
+
+
 class TestAcceptance:
     def test_full_trace_run_exports_switch_timeline(self):
         """ISSUE acceptance: a full-trace Aegaeon run yields a loadable
