@@ -6,8 +6,9 @@ verifies, *while the run is in flight*, that the system still preserves
 the paper's scheduling semantics:
 
 **I1 — KV-block conservation.**  For every slab allocator, internal
-accounting is exact (per-slab free+used partitions, ``held_bytes``
-matches assigned slabs, peak is monotone, allocated−freed equals live
+accounting is exact (every assigned slab partly or fully used, per-shape
+free blocks reconcile with the kept free total, ``held_bytes`` matches
+assigned slabs, peak is monotone, allocated−freed equals live
 blocks).  Across the system, every live block is owned by exactly one
 party: a request's KV handle, a move list (rule ❸ deferred frees), or an
 in-flight swap-out source.  CPU-cache ownership reconciles exactly;
@@ -123,7 +124,7 @@ class InvariantChecker:
             cpu_caches[id(manager.cpu_cache)] = manager.cpu_cache
             move_lists[id(manager.move_list)] = manager.move_list
             inflight_sources += sum(
-                len(blocks) for blocks in manager.inflight_sources
+                len(extent) for extent in manager.inflight_sources
             )
         cpu_used_total = sum(
             self._check_allocator(cache) for cache in cpu_caches.values()
@@ -138,8 +139,10 @@ class InvariantChecker:
             kv = request.kv
             if kv is None:
                 continue
-            owned_gpu += len(kv.gpu_blocks)
-            owned_cpu += len(kv.cpu_blocks)
+            if kv.gpu_blocks is not None:
+                owned_gpu += len(kv.gpu_blocks)
+            if kv.cpu_blocks is not None:
+                owned_cpu += len(kv.cpu_blocks)
         moving = sum(
             move_list.pending_blocks for move_list in move_lists.values()
         )
@@ -164,24 +167,34 @@ class InvariantChecker:
 
         Only assigned slabs are walked (a mostly-empty multi-thousand
         slab CPU cache would dominate the check otherwise); the free
-        pool is verified by count against the region total.
+        pool is verified by count against the region total.  A slab's
+        free blocks are its capacity less ``used_count``, so per shape
+        they must add up to the incrementally kept ``free_count``.
         """
         used_total = 0
         assigned = 0
         slabs = allocator._slabs
-        for indices in allocator._shape_slabs.values():
-            for index in indices:
+        for shape, rec in allocator._shapes.items():
+            free = 0
+            for index in rec.slabs:
                 slab = slabs[index]
-                assigned += 1
                 used = slab.used_count
-                free = len(slab.free_blocks)
-                if used + free != slab.blocks_per_slab:
+                capacity = slab.blocks_per_slab
+                if not 0 < used <= capacity:
                     self._flag(
                         "kv-conservation",
-                        f"{allocator.name}: slab {slab.index} partitions "
-                        f"{used} used + {free} free != {slab.blocks_per_slab}",
+                        f"{allocator.name}: assigned slab {index} holds "
+                        f"{used} of {capacity} blocks",
                     )
+                free += capacity - used
                 used_total += used
+            assigned += len(rec.slabs)
+            if free != rec.free_count:
+                self._flag(
+                    "kv-conservation",
+                    f"{allocator.name}: shape {shape!r} slabs have {free} "
+                    f"free blocks, free_count says {rec.free_count}",
+                )
         if assigned + len(allocator._free_slabs) != allocator.slab_count:
             self._flag(
                 "kv-conservation",

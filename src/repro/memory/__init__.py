@@ -2,14 +2,14 @@
 
 from .bump import BumpAllocation, BumpAllocator
 from .model_cache import CacheEntry, HostModelCache
-from .slab import KvBlock, ShapeStats, Slab, SlabAllocator
+from .slab import KvExtent, ShapeStats, Slab, SlabAllocator
 
 __all__ = [
     "BumpAllocation",
     "BumpAllocator",
     "CacheEntry",
     "HostModelCache",
-    "KvBlock",
+    "KvExtent",
     "ShapeStats",
     "Slab",
     "SlabAllocator",

@@ -7,61 +7,96 @@ fixed-size *slabs*; a slab is dynamically assigned to one KV shape and
 serves fixed-size blocks of that shape until every block is freed, at
 which point the slab returns to the shared free pool.
 
-This module is a real allocator: every block handed out is a distinct
-:class:`KvBlock` with a stable address, double-free and cross-shape
-accounting is enforced, and the fragmentation statistics behind the
-paper's Figure 16 are measured from live state.
+The simulation never reads which block of a slab a request holds, only
+how many blocks each slab has out, so KV handles are run-length
+*extents*: ``alloc`` returns one :class:`KvExtent` listing
+``(slab_index, n)`` runs in allocation order, and a slab keeps only its
+``used_count``.  ``alloc`` and ``free`` do O(1) work per slab touched,
+not per block, and nothing is minted per block.  Freeing a dead extent
+(already freed, or consumed by :meth:`KvExtent.extend`) or another
+allocator's extent raises ``ValueError``.
 
-Hot-path design (the allocator sits on the per-decode-round path of
-every instance):
+Equivalence with a per-block allocator (``tests/reference_slab.py``,
+checked differentially after every operation): slab choice is the
+same — front of the shape's availability list first, stale entries
+dropped on sight, new slabs popped from the end of the free pool — and
+``free`` walks the runs in allocation order, splitting only where the
+slab changes, which is exactly how a per-block free of the same block
+list applies its per-slab accounting.  Release and relist order, and so
+every later slab choice, is therefore identical.
 
-* **Block arena** — ``KvBlock`` is immutable, so each slab memoizes the
-  blocks it has ever minted (lazily, per index) and hands the same
-  object out on every reuse.  Steady-state allocation does zero tuple
-  construction.
-* **Consolidated per-shape state** — block size, free-block total,
-  availability list, and assigned-slab list live in one ``_ShapeRec``,
-  fetched with a single dict lookup per ``alloc``; the free path
-  reaches it through ``Slab._rec`` with no hashing.  ``capacity_for``
-  reads the incrementally-maintained free total and never scans slabs.
-* **Availability lists** — per-shape lists of slabs that still have
-  free blocks, compacted lazily during allocation, so ``alloc`` never
-  iterates full slabs.  Stale entries (slab released or reassigned) are
-  recognised by ``Slab._avail_shape`` and dropped on sight.
-* **Bitmap occupancy** — per-slab ``bytearray`` occupancy plus an
-  integer count replace the old per-slab ``set``; double-free detection
-  is one index probe.
+Per-shape state (block size, free-block total, availability list,
+assigned slabs) lives in one ``_ShapeRec``, fetched with a single dict
+lookup per ``alloc``; ``free`` reaches it through ``Slab._rec`` with no
+hashing, and ``capacity_for`` reads the incrementally kept free total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, NamedTuple, Optional
+from typing import Hashable, Optional
 
 from ..obs import NULL_OBS, Observability
 
-__all__ = ["KvBlock", "Slab", "SlabAllocator", "ShapeStats"]
+__all__ = ["KvExtent", "Slab", "SlabAllocator", "ShapeStats"]
 
 
-class KvBlock(NamedTuple):
-    """One KV-cache block (a fixed number of tokens of one shape).
+class KvExtent:
+    """One owner's KV blocks of one shape, as runs of blocks per slab.
 
-    A NamedTuple rather than a frozen dataclass: blocks are minted on
-    the allocator's hottest path and tuple construction is several times
-    cheaper than ``object.__setattr__`` per field, with the same
-    immutability, equality, and hashability.  Immutability is also what
-    lets slabs memoize and re-issue the same block object.
+    ``runs`` holds ``(slab_index, n)`` pairs in allocation order;
+    neighbouring runs are always on different slabs.  ``len()`` is the
+    block count.  An extent dies when it is freed or absorbed by
+    :meth:`extend`, and its allocator refuses it from then on.
     """
 
-    slab_index: int
-    block_index: int
-    shape: Hashable
-    nbytes: int
+    __slots__ = ("shape", "runs", "blocks", "live", "owner")
 
-    @property
-    def address(self) -> tuple[int, int]:
-        """Stable identity within the allocator."""
-        return (self.slab_index, self.block_index)
+    def __init__(
+        self,
+        shape: Hashable,
+        runs: list[tuple[int, int]],
+        blocks: int,
+        owner: "SlabAllocator",
+    ):
+        self.shape = shape
+        self.runs = runs
+        self.blocks = blocks
+        self.live = True
+        self.owner = owner
+
+    def __len__(self) -> int:
+        return self.blocks
+
+    def __repr__(self) -> str:
+        state = "live" if self.live else "dead"
+        return f"KvExtent({self.shape!r}, {self.runs}, {state})"
+
+    def extend(self, other: "KvExtent") -> None:
+        """Append ``other``'s blocks to this extent and consume ``other``.
+
+        A first run on the slab this extent ends on merges into its last
+        run.
+        """
+        shape = self.shape
+        if (
+            other.owner is not self.owner
+            or not (self.live and other.live)
+            or (other.shape is not shape and other.shape != shape)
+        ):
+            raise ValueError(f"cannot extend {self!r} with {other!r}")
+        other.live = False
+        runs = self.runs
+        more = other.runs
+        first = more[0]
+        last = runs[-1]
+        if first[0] == last[0]:
+            runs[-1] = (first[0], last[1] + first[1])
+            if len(more) > 1:
+                runs += more[1:]
+        else:
+            runs += more
+        self.blocks += other.blocks
 
 
 @dataclass
@@ -72,21 +107,12 @@ class Slab:
     nbytes: int
     shape: Optional[Hashable] = None
     block_bytes: int = 0
-    free_blocks: list[int] = field(default_factory=list)
     used_count: int = 0
-    # Occupancy bitmap: _used_state[i] is truthy iff block i is live.
-    _used_state: bytearray = field(default_factory=bytearray, repr=False)
     # Shape this slab is listed under in the allocator's availability
     # lists, or None when not listed (full, free, or released).  Lets
     # stale availability entries be recognised without bookkeeping on
     # the release path.
     _avail_shape: Optional[Hashable] = field(default=None, repr=False)
-    # Lazily-minted KvBlock memo for the current shape (index -> block).
-    # One memo list is kept per shape ever hosted (``_block_caches``), so
-    # a slab oscillating between shapes re-issues its old arena instead
-    # of re-minting every block on each rebind.
-    _block_cache: list = field(default_factory=list, repr=False)
-    _block_caches: dict = field(default_factory=dict, repr=False)
     # The allocator's per-shape record this slab is assigned under
     # (set by _acquire_slab); gives the free path its shape bookkeeping
     # without any dict lookups.
@@ -95,14 +121,6 @@ class Slab:
     @property
     def blocks_per_slab(self) -> int:
         return self.nbytes // self.block_bytes if self.block_bytes else 0
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.used_count
-
-    @property
-    def is_full(self) -> bool:
-        return self.shape is not None and not self.free_blocks
 
     def assign(self, shape: Hashable, block_bytes: int) -> None:
         """Bind this (previously free) slab to a shape."""
@@ -114,25 +132,14 @@ class Slab:
             )
         self.shape = shape
         self.block_bytes = block_bytes
-        count = self.nbytes // block_bytes
-        self.free_blocks = list(range(count))
         self.used_count = 0
-        self._used_state = bytearray(count)
-        cache = self._block_caches.get(shape)
-        if cache is None:
-            cache = [None] * count
-            self._block_caches[shape] = cache
-        self._block_cache = cache
 
     def unassign(self) -> None:
         """Return the slab to the shared pool (must be empty)."""
-        if not self.is_empty:
+        if self.used_count:
             raise ValueError(f"slab {self.index} still has used blocks")
         self.shape = None
         self.block_bytes = 0
-        self.free_blocks = []
-        self.used_count = 0
-        self._used_state = bytearray()
         self._avail_shape = None
 
 
@@ -222,8 +229,8 @@ class SlabAllocator:
             scope.gauge("fragmentation").set_fn(self.overall_fragmentation)
 
     # -- allocation ----------------------------------------------------------
-    def alloc(self, shape: Hashable, block_bytes: int, count: int = 1) -> list[KvBlock]:
-        """Allocate ``count`` blocks of ``shape``; all-or-nothing.
+    def alloc(self, shape: Hashable, block_bytes: int, count: int = 1) -> KvExtent:
+        """Allocate ``count`` blocks of ``shape`` as one extent; all-or-nothing.
 
         Raises ``MemoryError`` when the region cannot satisfy the
         request even after acquiring new slabs.
@@ -239,44 +246,18 @@ class SlabAllocator:
                 f"shape {shape!r} registered with block_bytes={rec.block_bytes}, "
                 f"got {block_bytes}"
             )
-        if (rec.free_count + len(self._free_slabs) * rec.per_slab) < count:
+        per_slab = rec.per_slab
+        if (rec.free_count + len(self._free_slabs) * per_slab) < count:
             raise MemoryError(
                 f"unified cache cannot hold {count} blocks of {shape!r}"
             )
-        slabs = self._slabs
-        avail = rec.avail
-        if count == 1:
-            # Decode growth allocates one block per chunk per request —
-            # the allocator's single hottest call shape.  Same slab
-            # choice, block choice, and list states as the general path
-            # (front of the availability list, top of the free list,
-            # stale entries dropped on sight), minus its loop scaffolding.
-            while avail:
-                slab_index = avail[0]
-                slab = slabs[slab_index]
-                if slab._avail_shape is not shape:
-                    del avail[0]  # stale: released or reassigned since listed
-                    continue
-                free_list = slab.free_blocks
-                block_index = free_list.pop()
-                slab._used_state[block_index] = 1
-                cache = slab._block_cache
-                block = cache[block_index]
-                if block is None:
-                    block = KvBlock(slab_index, block_index, shape, block_bytes)
-                    cache[block_index] = block
-                slab.used_count += 1
-                if not free_list:
-                    slab._avail_shape = None
-                    del avail[0]
-                rec.free_count -= 1
-                self.blocks_allocated += 1
-                self._blocks_allocated.inc(1)
-                return [block]
-        blocks: list[KvBlock] = []
-        append = blocks.append
+        runs: list[tuple[int, int]] = []
         remaining = count
+        avail = rec.avail
         if avail:
+            # Take from listed slabs front to back, compacting the list in
+            # place: stale and filled entries are dropped, the rest kept.
+            slabs = self._slabs
             read = write = 0
             n_avail = len(avail)
             while read < n_avail and remaining:
@@ -285,119 +266,60 @@ class SlabAllocator:
                 slab = slabs[slab_index]
                 if slab._avail_shape is not shape:
                     continue  # stale: released or reassigned since listed
-                free_list = slab.free_blocks
-                state = slab._used_state
-                cache = slab._block_cache
-                # Take the tail of the free list in pop() order, as one
-                # slice instead of per-block pops.
-                n_free = len(free_list)
-                taken = n_free if n_free < remaining else remaining
-                cut = n_free - taken
-                indices = free_list[n_free - 1 :: -1] if cut == 0 else free_list[: cut - 1 : -1]
-                del free_list[cut:]
-                for block_index in indices:
-                    state[block_index] = 1
-                    block = cache[block_index]
-                    if block is None:
-                        block = KvBlock(
-                            slab_index, block_index, shape, block_bytes
-                        )
-                        cache[block_index] = block
-                    append(block)
-                remaining -= taken
-                slab.used_count += taken
-                if free_list:
+                free = per_slab - slab.used_count
+                if free > remaining:
+                    slab.used_count += remaining
+                    runs.append((slab_index, remaining))
+                    remaining = 0
                     avail[write] = slab_index
                     write += 1
                 else:
+                    slab.used_count = per_slab
                     slab._avail_shape = None
+                    runs.append((slab_index, free))
+                    remaining -= free
             if write != read:
                 del avail[write:read]
         while remaining:
             slab = self._acquire_slab(shape, block_bytes, rec)
-            free_list = slab.free_blocks
-            state = slab._used_state
-            cache = slab._block_cache
-            slab_index = slab.index
-            n_free = len(free_list)
-            taken = n_free if n_free < remaining else remaining
-            cut = n_free - taken
-            indices = free_list[n_free - 1 :: -1] if cut == 0 else free_list[: cut - 1 : -1]
-            del free_list[cut:]
-            for block_index in indices:
-                state[block_index] = 1
-                block = cache[block_index]
-                if block is None:
-                    block = KvBlock(slab_index, block_index, shape, block_bytes)
-                    cache[block_index] = block
-                append(block)
+            taken = per_slab if per_slab < remaining else remaining
+            slab.used_count = taken
+            runs.append((slab.index, taken))
             remaining -= taken
-            slab.used_count += taken
-            if not free_list:
+            if taken == per_slab:
                 slab._avail_shape = None
         rec.free_count -= count
         self.blocks_allocated += count
         self._blocks_allocated.inc(count)
-        return blocks
+        return KvExtent(shape, runs, count, self)
 
-    def free(self, blocks: list[KvBlock]) -> None:
-        """Release blocks; empty slabs return to the shared pool.
+    def free(self, extent: KvExtent) -> None:
+        """Release an extent's blocks; empty slabs return to the shared pool.
 
-        Blocks from one allocation come in slab-contiguous runs, so the
-        per-slab bookkeeping (``used_count``, the shape's free total, the
-        release/relist decision) is applied once per run instead of once
-        per block; only the occupancy bit and the free-list push remain
-        per-block work.
+        Each run gives back its blocks to one slab in one step; a slab
+        left empty is released, and a slab that was full is listed as
+        available again.
         """
+        if extent.owner is not self:
+            raise ValueError(f"{extent!r} belongs to another allocator")
+        if not extent.live:
+            raise ValueError(f"double free of {extent!r}")
+        extent.live = False
         slabs = self._slabs
-        slab = None
-        slab_index = -1
-        run = 0
-        shape = state = fl_append = None
-        for block in blocks:
-            index = block.slab_index
-            if index != slab_index:
-                if run:
-                    self._finish_free_run(slab, run)
-                slab = slabs[index]
-                slab_index = index
-                run = 0
-                shape = slab.shape
-                state = slab._used_state
-                fl_append = slab.free_blocks.append
-            if shape is not block.shape and shape != block.shape:
-                raise ValueError(
-                    f"block {block.address} shape {block.shape!r} does not "
-                    f"match slab shape {shape!r} (double free?)"
-                )
-            block_index = block.block_index
-            if not state[block_index]:
-                raise ValueError(f"double free of block {block.address}")
-            state[block_index] = 0
-            fl_append(block_index)
-            run += 1
-        if run:
-            self._finish_free_run(slab, run)
-        self.blocks_freed += len(blocks)
-        self._blocks_freed.inc(len(blocks))
-
-    def _finish_free_run(self, slab: Slab, run: int) -> None:
-        """Apply the per-slab accounting for ``run`` just-freed blocks.
-
-        Equivalent to the former per-block updates: nothing can allocate
-        between the blocks of one ``free()`` call, so deferring the
-        counter updates and the release/relist decision to the end of the
-        run is unobservable.
-        """
-        rec = slab._rec
-        slab.used_count -= run
-        rec.free_count += run
-        if not slab.used_count:
-            self._release_slab(slab)
-        elif slab._avail_shape is None:
-            # Was full (or lazily delisted); list it again.
-            slab._avail_shape = slab.shape
-            rec.avail.append(slab.index)
+        for slab_index, n in extent.runs:
+            slab = slabs[slab_index]
+            rec = slab._rec
+            slab.used_count -= n
+            rec.free_count += n
+            if not slab.used_count:
+                self._release_slab(slab)
+            elif slab._avail_shape is None:
+                # Was full (or lazily delisted); list it again.
+                slab._avail_shape = slab.shape
+                rec.avail.append(slab_index)
+        count = extent.blocks
+        self.blocks_freed += count
+        self._blocks_freed.inc(count)
 
     # -- capacity ------------------------------------------------------------
     def capacity_for(self, shape: Hashable, block_bytes: int) -> int:
@@ -412,15 +334,6 @@ class SlabAllocator:
         return len(self._free_slabs)
 
     # -- statistics (Figure 16) ------------------------------------------------
-    @property
-    def _shape_slabs(self) -> dict[Hashable, list[int]]:
-        """shape -> assigned slab indices (view; cold-path introspection)."""
-        return {
-            shape: rec.slabs
-            for shape, rec in self._shapes.items()
-            if rec.slabs
-        }
-
     def shape_stats(self) -> list[ShapeStats]:
         """Occupancy per shape, for shapes currently holding slabs."""
         stats = []
@@ -466,7 +379,7 @@ class SlabAllocator:
         slab._rec = rec
         rec.slabs.append(slab.index)
         rec.avail.append(slab.index)
-        rec.free_count += len(slab.free_blocks)
+        rec.free_count += rec.per_slab
         self._held_bytes += self.slab_bytes
         if self._held_bytes > self.peak_held_bytes:
             self.peak_held_bytes = self._held_bytes
@@ -475,7 +388,7 @@ class SlabAllocator:
     def _release_slab(self, slab: Slab) -> None:
         rec = slab._rec
         rec.slabs.remove(slab.index)
-        rec.free_count -= len(slab.free_blocks)
+        rec.free_count -= rec.per_slab
         slab._rec = None
         slab.unassign()
         self._free_slabs.append(slab.index)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from ..memory.slab import KvBlock, SlabAllocator
+from ..memory.slab import KvExtent, SlabAllocator
 from ..models.kv import DEFAULT_BLOCK_TOKENS, KvShape
 from ..obs import NULL_OBS, Observability
 from ..sim import ContTask, Environment, Event
@@ -45,8 +45,9 @@ class RequestKv:
     tokens: int
     block_tokens: int = DEFAULT_BLOCK_TOKENS
     location: str = "none"  # none | gpu | cpu
-    gpu_blocks: list[KvBlock] = field(default_factory=list)
-    cpu_blocks: list[KvBlock] = field(default_factory=list)
+    # The blocks held in each unified cache, one extent per cache.
+    gpu_blocks: Optional[KvExtent] = None
+    cpu_blocks: Optional[KvExtent] = None
     last_transfer: Optional[CudaEvent] = None
 
     def __post_init__(self) -> None:
@@ -94,9 +95,9 @@ class RequestKv:
 class MoveList:
     """Unsafe sections of the CPU cache: blocks with in-flight transfers."""
 
-    entries: list[tuple[list[KvBlock], CudaEvent]] = field(default_factory=list)
+    entries: list[tuple[KvExtent, CudaEvent]] = field(default_factory=list)
 
-    def add(self, blocks: list[KvBlock], event: CudaEvent) -> None:
+    def add(self, blocks: KvExtent, event: CudaEvent) -> None:
         """Mark blocks unsafe until ``event`` completes."""
         self.entries.append((blocks, event))
 
@@ -169,10 +170,10 @@ class KvTransferManager:
         self.move_list = move_list if move_list is not None else MoveList()
         self.fine_grained = fine_grained
         self.stats = TransferStats()
-        # GPU block lists handed to in-flight swap-outs: no longer owned
+        # GPU extents handed to in-flight swap-outs: no longer owned
         # by a request, not yet returned to the allocator.  The invariant
         # checker sums these when reconciling GPU-cache occupancy.
-        self.inflight_sources: list[list[KvBlock]] = []
+        self.inflight_sources: list[KvExtent] = []
         self.kv_in = CudaStream(env, name=f"{name}.kv_in", obs=obs)
         self.kv_out = CudaStream(env, name=f"{name}.kv_out", obs=obs)
         self._daemon_interval = daemon_interval
@@ -203,9 +204,9 @@ class KvTransferManager:
 
     def free_gpu(self, kv: RequestKv) -> None:
         """Drop a finished request's GPU KV."""
-        if kv.gpu_blocks:
+        if kv.gpu_blocks is not None:
             self.gpu_cache.free(kv.gpu_blocks)
-            kv.gpu_blocks = []
+            kv.gpu_blocks = None
         if kv.location == "gpu":
             kv.location = "none"
 
@@ -220,17 +221,17 @@ class KvTransferManager:
         double-free.  Blocks handed to an in-flight swap-out are not on
         the request anymore and release through their own completion.
         """
-        if kv.gpu_blocks:
+        if kv.gpu_blocks is not None:
             self.gpu_cache.free(kv.gpu_blocks)
-            kv.gpu_blocks = []
-        if kv.cpu_blocks:
+            kv.gpu_blocks = None
+        if kv.cpu_blocks is not None:
             if kv.last_transfer is not None and not kv.last_transfer.query():
                 # Defer to the transfer's completion (rule ❸ discipline).
                 self.move_list.add(kv.cpu_blocks, kv.last_transfer)
                 self._kick_daemon()
             else:
                 self.cpu_cache.free(kv.cpu_blocks)
-            kv.cpu_blocks = []
+            kv.cpu_blocks = None
         kv.location = "none"
         self.stats.charge_control(1)
 
@@ -257,7 +258,7 @@ class KvTransferManager:
             self.stats.charge_control(1)
         event = CudaEvent(self.env, name=f"out.r{kv.request_id}")
         gpu_blocks = kv.gpu_blocks
-        kv.gpu_blocks = []
+        kv.gpu_blocks = None
         self.inflight_sources.append(gpu_blocks)
 
         def release_source() -> None:
@@ -299,7 +300,7 @@ class KvTransferManager:
             self.stats.charge_control(1)
         event = CudaEvent(self.env, name=f"in.r{kv.request_id}")
         cpu_blocks = kv.cpu_blocks
-        kv.cpu_blocks = []
+        kv.cpu_blocks = None
         self.kv_in.copy(self.link.h2d, kv.nbytes)
         self.kv_in.record(event)
         # Rule ❸: source CPU blocks stay unavailable until the copy is done.

@@ -39,6 +39,7 @@ __all__ = [
     "switch_costs",
     "alloc_sizes",
     "slab_operations",
+    "kv_owner_operations",
     "fault_seeds",
     "fault_plans",
     "session_seeds",
@@ -85,11 +86,12 @@ alloc_sizes = st.integers(min_value=1, max_value=2000)
 def slab_operations(
     shapes: int = 4, max_blocks: int = 12, max_size: int = 60
 ) -> st.SearchStrategy:
-    """Sequences of ``(action, shape_id, block_count)`` slab-allocator ops.
+    """Sequences of ``(action, shape_id, count)`` slab-allocator ops.
 
     ``action`` is ``"alloc"`` or ``"free"``; ``shape_id`` indexes one of
-    ``shapes`` distinct KV shapes; ``block_count`` is how many blocks
-    the op touches.  Drives interleaved multi-shape churn against a
+    ``shapes`` distinct KV shapes; ``count`` is how many blocks an alloc
+    takes, or how many of the shape's oldest allocations a free releases
+    whole.  Drives interleaved multi-shape churn against a
     :class:`~repro.memory.SlabAllocator`.
     """
     return st.lists(
@@ -97,6 +99,28 @@ def slab_operations(
             st.sampled_from(["alloc", "free"]),
             st.integers(min_value=0, max_value=shapes - 1),
             st.integers(min_value=1, max_value=max_blocks),
+        ),
+        max_size=max_size,
+    )
+
+
+def kv_owner_operations(
+    shapes: int = 4, max_blocks: int = 40, max_size: int = 80
+) -> st.SearchStrategy:
+    """Sequences of ``(action, shape_id, block_count, owner)`` KV-owner ops.
+
+    Models how serving uses the KV cache: ``"alloc"`` gives a new owner
+    ``block_count`` blocks of shape ``shape_id``; ``"grow"`` appends
+    ``block_count`` blocks to an existing owner, and ``"free"`` releases
+    one owner whole.  ``owner`` picks the existing owner, modulo the
+    number alive.
+    """
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["alloc", "grow", "free"]),
+            st.integers(min_value=0, max_value=shapes - 1),
+            st.integers(min_value=1, max_value=max_blocks),
+            st.integers(min_value=0, max_value=1000),
         ),
         max_size=max_size,
     )

@@ -21,12 +21,13 @@ from repro.chaos import (
 )
 from repro.core import AegaeonConfig, SystemSpec, build_system
 from repro.engine import Phase, Request
+from repro.memory import SlabAllocator
 from repro.models import get_model, market_mix
 from repro.sim import Environment
 from repro.workload import sharegpt, materialize_trace
 from repro.workload.trace import TraceRequest
 
-from .strategies import fault_plans
+from .strategies import MiB, fault_plans
 
 
 def run_chaos(
@@ -231,6 +232,20 @@ class TestVetTerminal:
         request.phase = Phase.FINISHED
         checker.vet_terminal(request)
         assert [v.invariant for v in checker.violations] == ["slo-accounting"]
+
+
+class TestAllocatorReconciliation:
+    def test_corrupted_free_count_is_flagged(self):
+        system, checker = TestVetTerminal().checked_system()
+        allocator = SlabAllocator(region_bytes=64 * MiB, slab_bytes=4 * MiB)
+        held = [allocator.alloc("a", 1 * MiB, 6), allocator.alloc("b", 2 * MiB, 1)]
+        assert checker._check_allocator(allocator) == 7
+        assert checker.violations == []
+        allocator._shapes["a"].free_count += 1
+        checker._check_allocator(allocator)
+        assert [v.invariant for v in checker.violations] == ["kv-conservation"]
+        assert "free_count" in checker.violations[0].detail
+        assert held
 
 
 class TestPlanValidation:

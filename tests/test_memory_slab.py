@@ -1,12 +1,16 @@
 """Tests for the slab-allocated unified KV cache (§5.2, Figure 16)."""
 
+from collections import Counter
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory import SlabAllocator
 from repro.models import get_model, kv_shape
 
-from .strategies import MiB, slab_operations
+from . import reference_slab
+from .strategies import MiB, kv_owner_operations, slab_operations
 
 
 @pytest.fixture
@@ -17,15 +21,22 @@ def allocator():
 
 class TestSlabBasics:
     def test_alloc_returns_distinct_blocks(self, allocator):
-        blocks = allocator.alloc("shape-a", block_bytes=1 * MiB, count=20)
-        assert len({b.address for b in blocks}) == 20
-        assert all(b.shape == "shape-a" for b in blocks)
+        # Distinct blocks: the runs add up to the count asked for, and no
+        # slab gives out more blocks than it holds.
+        extent = allocator.alloc("shape-a", block_bytes=1 * MiB, count=20)
+        assert extent.shape == "shape-a"
+        assert len(extent) == sum(n for _, n in extent.runs) == 20
+        per_slab = Counter()
+        for slab_index, n in extent.runs:
+            per_slab[slab_index] += n
+        assert all(n <= 16 for n in per_slab.values())
+        assert len(per_slab) == 2
 
     def test_blocks_fill_slab_before_acquiring_new(self, allocator):
         blocks = allocator.alloc("a", block_bytes=1 * MiB, count=16)
-        assert len({b.slab_index for b in blocks}) == 1
+        assert blocks.runs == [(blocks.runs[0][0], 16)]
         more = allocator.alloc("a", block_bytes=1 * MiB, count=1)
-        assert more[0].slab_index != blocks[0].slab_index
+        assert [index for index, _ in more.runs] != [blocks.runs[0][0]]
 
     def test_free_returns_slab_to_pool(self, allocator):
         initial_free = allocator.free_slab_count
@@ -46,6 +57,41 @@ class TestSlabBasics:
         allocator.free(blocks)
         with pytest.raises(ValueError):
             allocator.free(blocks)
+
+    def test_stale_double_free_detected(self, allocator):
+        # The freed blocks are re-issued before the second free: freeing
+        # the old handle again must not hand the new owner's blocks back.
+        first = allocator.alloc("a", block_bytes=1 * MiB, count=1)
+        allocator.free(first)
+        second = allocator.alloc("a", block_bytes=1 * MiB, count=1)
+        with pytest.raises(ValueError):
+            allocator.free(first)
+        assert allocator.shape_stats()[0].used_blocks == 1
+        allocator.free(second)
+        assert allocator.free_slab_count == allocator.slab_count
+
+    def test_free_of_extent_consumed_by_extend_rejected(self, allocator):
+        head = allocator.alloc("a", block_bytes=1 * MiB, count=2)
+        tail = allocator.alloc("a", block_bytes=1 * MiB, count=3)
+        head.extend(tail)
+        assert len(head) == 5 and not tail.live
+        with pytest.raises(ValueError):
+            allocator.free(tail)
+        with pytest.raises(ValueError):
+            head.extend(tail)
+        allocator.free(head)
+        assert allocator.free_slab_count == allocator.slab_count
+
+    def test_free_of_other_allocators_extent_rejected(self, allocator):
+        other = SlabAllocator(region_bytes=1024 * MiB, slab_bytes=16 * MiB)
+        foreign = other.alloc("a", block_bytes=1 * MiB, count=1)
+        mine = allocator.alloc("a", block_bytes=1 * MiB, count=1)
+        with pytest.raises(ValueError):
+            allocator.free(foreign)
+        with pytest.raises(ValueError):
+            mine.extend(foreign)
+        assert foreign.live and mine.live
+        assert allocator.shape_stats()[0].used_blocks == 1
 
     def test_conflicting_block_bytes_rejected(self, allocator):
         allocator.alloc("a", block_bytes=1 * MiB, count=1)
@@ -102,23 +148,35 @@ class TestSlabProperties:
         for action, shape_id, count in operations:
             if action == "alloc":
                 try:
-                    blocks = allocator.alloc(shape_id, block_bytes[shape_id], count)
+                    extent = allocator.alloc(shape_id, block_bytes[shape_id], count)
                 except MemoryError:
                     continue
-                live[shape_id].extend(blocks)
+                live[shape_id].append(extent)
             elif live[shape_id]:
                 taken = live[shape_id][:count]
                 del live[shape_id][:count]
-                allocator.free(taken)
-            # Invariants after every step:
-            addresses = [b.address for group in live.values() for b in group]
-            assert len(addresses) == len(set(addresses)), "double allocation"
+                for extent in taken:
+                    allocator.free(extent)
+            # Invariants after every step.  No double allocation: the
+            # live runs on each slab add up to exactly what the slab
+            # holds, never more than its capacity.
+            held = Counter()
+            for group in live.values():
+                for extent in group:
+                    assert len(extent) == sum(n for _, n in extent.runs)
+                    for slab_index, n in extent.runs:
+                        held[slab_index] += n
+            for slab in allocator._slabs:
+                assert held[slab.index] == slab.used_count
+                assert slab.used_count <= slab.blocks_per_slab
             live_bytes = sum(
-                b.nbytes for group in live.values() for b in group
+                len(extent) * block_bytes[shape_id]
+                for shape_id, group in live.items()
+                for extent in group
             )
             assert live_bytes <= allocator.held_bytes <= allocator.region_bytes
             for stats in allocator.shape_stats():
-                assert stats.used_blocks == len(live[stats.shape])
+                assert stats.used_blocks == sum(map(len, live[stats.shape]))
                 assert 0.0 <= stats.fragmentation <= 1.0
 
     @settings(max_examples=30, deadline=None)
@@ -132,3 +190,74 @@ class TestSlabProperties:
         allocator.free(blocks)
         assert allocator.free_slab_count == allocator.slab_count
         assert allocator.overall_fragmentation() == 0.0
+
+
+def _runs_of(blocks):
+    """Run-length encode a per-block list by slab, in order."""
+    runs = []
+    for block in blocks:
+        if runs and runs[-1][0] == block.slab_index:
+            runs[-1][1] += 1
+        else:
+            runs.append([block.slab_index, 1])
+    return [tuple(run) for run in runs]
+
+
+def _allocator_state(allocator, block_bytes):
+    return (
+        [allocator.capacity_for(shape, size) for shape, size in block_bytes.items()],
+        allocator.free_slab_count,
+        allocator.held_bytes,
+        allocator.peak_held_bytes,
+        allocator.blocks_allocated,
+        allocator.blocks_freed,
+        [astuple(stats) for stats in allocator.shape_stats()],
+        [(slab.shape, slab.used_count) for slab in allocator._slabs],
+    )
+
+
+class TestReferenceDifferential:
+    """The extent allocator against the per-block oracle in
+    ``reference_slab``: same operations, same state after every one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(operations=kv_owner_operations())
+    def test_matches_per_block_reference(self, operations):
+        # 12 slabs of 4 MiB; two block sizes leave a slab tail unused.
+        block_bytes = {0: 256 * 1024, 1: 768 * 1024, 2: 1536 * 1024, 3: 4 * MiB}
+        extents = SlabAllocator(region_bytes=50 * MiB, slab_bytes=4 * MiB)
+        blocks = reference_slab.SlabAllocator(region_bytes=50 * MiB, slab_bytes=4 * MiB)
+        owners: list[tuple[int, object, list]] = []
+
+        def both_alloc(shape_id, count):
+            outcomes = []
+            for allocator in (extents, blocks):
+                try:
+                    outcomes.append(
+                        allocator.alloc(shape_id, block_bytes[shape_id], count)
+                    )
+                except MemoryError:
+                    outcomes.append(None)
+            assert (outcomes[0] is None) == (outcomes[1] is None)
+            return outcomes
+
+        for action, shape_id, count, pick in operations:
+            if action == "alloc":
+                extent, block_list = both_alloc(shape_id, count)
+                if extent is not None:
+                    owners.append((shape_id, extent, block_list))
+            elif owners and action == "grow":
+                shape_id, extent, block_list = owners[pick % len(owners)]
+                more, more_blocks = both_alloc(shape_id, count)
+                if more is not None:
+                    extent.extend(more)
+                    block_list.extend(more_blocks)
+            elif owners:
+                _, extent, block_list = owners.pop(pick % len(owners))
+                extents.free(extent)
+                blocks.free(block_list)
+            assert _allocator_state(extents, block_bytes) == _allocator_state(
+                blocks, block_bytes
+            )
+            for _, extent, block_list in owners:
+                assert extent.runs == _runs_of(block_list)
