@@ -7,13 +7,17 @@ Measure and write a fresh report::
 Gate against the committed baseline (used by the CI perf-smoke job)::
 
     PYTHONPATH=src python -m benchmarks.perf.run --check \
-        --baseline BENCH_kernel.json --max-drop 0.30 --quick
+        --baseline BENCH_kernel.json --max-drop 0.30
 
-``--check`` compares each scenario's ``ops_per_sec`` against the
+``--check`` compares each scenario's gated throughput against the
 baseline and exits non-zero when any scenario drops by more than
-``--max-drop`` (a fraction, default 0.30).  ``--quick`` runs reduced
-problem sizes; quick throughput is compared against the baseline's
-recorded quick numbers when present, else full-size numbers.
+``--max-drop`` (a fraction, default 0.30).  Scenarios that replay
+requests are gated on ``requests_per_sec``, the work they do; only
+``kernel_event_throughput`` is gated on kernel ``ops_per_sec``, so a
+change that serves the same requests in fewer kernel steps never reads
+as a regression.  ``--quick`` runs reduced problem sizes.  Requests
+per second depends on problem size, so ``--check`` refuses a baseline
+recorded at the other size.
 
 ``--full`` adds the suite's opt-in full-size scenarios (currently
 ``fleet_replay_1m``: 10^6 streamed requests with the process RSS
@@ -47,6 +51,7 @@ from benchmarks.perf.scenarios import (  # noqa: E402
     FULL_SCENARIOS,
     SCENARIOS,
     SUITES,
+    gate_metric,
     run_scenario,
 )
 
@@ -87,8 +92,13 @@ def measure(
             if "rss_peak_mb" in result
             else ""
         )
+        served = (
+            f"{result['requests_per_sec']:,.1f} requests/s, "
+            if "requests_per_sec" in result
+            else ""
+        )
         print(
-            f"[perf] {name}: {result['ops_per_sec']:,.0f} events/s "
+            f"[perf] {name}: {served}{result['ops_per_sec']:,.0f} events/s "
             f"({result['wall_s']:.3f}s wall, {result['sim_steps']} steps"
             f"{extra})",
             flush=True,
@@ -133,8 +143,8 @@ def profile_suite(suite: str, quick: bool, out_dir: Path) -> list[Path]:
 def render_summary(report: dict, baseline_path: Path) -> str:
     """A GitHub-flavored markdown before/after table for the job summary.
 
-    One row per measured scenario: the committed baseline throughput,
-    this run's throughput, and the ratio — the same comparison
+    One row per measured scenario: the gated metric, its committed
+    baseline, this run's value, and the ratio — the same comparison
     :func:`check` gates on, rendered for humans.  Scenarios without a
     baseline entry (e.g. a newly added one) show a dash.
     """
@@ -150,31 +160,39 @@ def render_summary(report: dict, baseline_path: Path) -> str:
     lines = [
         f"### Perf: `{suite}` suite{' (quick)' if quick else ''}",
         "",
-        "| scenario | baseline events/s | current events/s | ratio | wall "
+        "| scenario | gated on | baseline | current | ratio | wall "
         + ("| RSS peak " if has_rss else "")
         + "|",
-        "|---|---:|---:|---:|---:" + ("|---:" if has_rss else "") + "|",
+        "|---|---|---:|---:|---:|---:" + ("|---:" if has_rss else "") + "|",
     ]
     for name, result in report["scenarios"].items():
+        metric = gate_metric(result)
         base = baseline.get(name)
-        if base is not None:
-            base_ops = f"{base['ops_per_sec']:,.0f}"
-            ratio = f"{result['ops_per_sec'] / base['ops_per_sec']:.2f}x"
+        if base is not None and metric in base:
+            base_value = f"{base[metric]:,.1f}"
+            ratio = f"{result[metric] / base[metric]:.2f}x"
         else:
-            base_ops = ratio = "—"
+            base_value = ratio = "—"
         rss = (
             f" {result['rss_peak_mb']:,.0f} MB |"
             if has_rss and "rss_peak_mb" in result
             else (" — |" if has_rss else "")
         )
         lines.append(
-            f"| {name} | {base_ops} | {result['ops_per_sec']:,.0f} "
+            f"| {name} | `{metric}` | {base_value} | {result[metric]:,.1f} "
             f"| {ratio} | {result['wall_s']:.3f}s |{rss}"
         )
     return "\n".join(lines) + "\n"
 
 
 def check(report: dict, baseline_path: Path, max_drop: float) -> int:
+    """Gate each scenario's :func:`gate_metric` against the baseline.
+
+    Returns 1 when any scenario falls more than ``max_drop`` below its
+    baseline value, or when the baseline lacks the gated metric (an
+    older report: re-record it); 2 when the baseline was recorded at the
+    other problem size (``--quick`` or not); else 0.
+    """
     with baseline_path.open() as fh:
         baseline = json.load(fh)
     base_scenarios = baseline.get("scenarios", {})
@@ -182,25 +200,30 @@ def check(report: dict, baseline_path: Path, max_drop: float) -> int:
     now_quick = bool(report.get("meta", {}).get("quick", False))
     if base_quick != now_quick:
         print(
-            f"[perf] note: baseline quick={base_quick} vs current "
-            f"quick={now_quick}; comparing throughput anyway "
-            "(events/s is size-independent to first order)"
+            f"[perf] baseline quick={base_quick} vs current "
+            f"quick={now_quick}: requests per second depends on problem "
+            "size; gate against a baseline recorded at the same size"
         )
+        return 2
     failures = []
     for name, result in report["scenarios"].items():
         base = base_scenarios.get(name)
         if base is None:
             print(f"[perf] {name}: no baseline entry, skipping")
             continue
-        floor = base["ops_per_sec"] * (1.0 - max_drop)
-        ratio = result["ops_per_sec"] / base["ops_per_sec"]
-        status = "ok" if result["ops_per_sec"] >= floor else "FAIL"
+        metric = gate_metric(result)
+        if metric not in base:
+            print(f"[perf] {name}: baseline has no {metric} FAIL")
+            failures.append(name)
+            continue
+        floor = base[metric] * (1.0 - max_drop)
+        ratio = result[metric] / base[metric]
+        status = "ok" if result[metric] >= floor else "FAIL"
         print(
-            f"[perf] {name}: {result['ops_per_sec']:,.0f} vs baseline "
-            f"{base['ops_per_sec']:,.0f} events/s ({ratio:.2f}x, "
-            f"floor {floor:,.0f}) {status}"
+            f"[perf] {name}: {metric} {result[metric]:,.1f} vs baseline "
+            f"{base[metric]:,.1f} ({ratio:.2f}x, floor {floor:,.1f}) {status}"
         )
-        if result["ops_per_sec"] < floor:
+        if result[metric] < floor:
             failures.append(name)
     if failures:
         print(
@@ -233,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-drop", type=float, default=0.30,
-        help="max tolerated fractional ops/sec drop per scenario (default 0.30)",
+        help="max tolerated fractional drop in each scenario's gated "
+        "throughput (default 0.30)",
     )
     parser.add_argument(
         "--quick", action="store_true",

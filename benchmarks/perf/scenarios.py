@@ -3,11 +3,18 @@
 Each scenario function takes ``quick`` (smaller problem for CI smoke
 runs) and returns a flat result dict with at least:
 
-* ``ops_per_sec`` — the tracked throughput figure (higher is better)
+* ``ops_per_sec`` — kernel events dispatched per wall second
 * ``wall_s``      — wall-clock seconds of the timed section
 * ``sim_steps``   — kernel events dispatched inside the timed section
 * fingerprint fields (``sim_end``, ``requests`` where applicable) so a
   perf regression can be told apart from a behavior change.
+
+Scenarios that replay requests also report ``requests_per_sec``, and
+that is the figure the gate tracks for them (see :func:`gate_metric`):
+a change that stops scheduling events nobody waits on serves the same
+requests in fewer steps, which ``ops_per_sec`` would read as a drop.
+Only ``kernel_event_throughput``, where events are the work, is gated
+on ``ops_per_sec``.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from repro.models import market_mix
 from repro.sim import Environment
 from repro.workload import sharegpt, materialize_trace
 
-__all__ = ["FULL_SCENARIOS", "SCENARIOS", "SUITES", "run_scenario"]
+__all__ = ["FULL_SCENARIOS", "SCENARIOS", "SUITES", "gate_metric", "run_scenario"]
 
 
 def kernel_event_throughput(quick: bool = False) -> dict:
@@ -87,12 +94,14 @@ def end_to_end_serving(quick: bool = False) -> dict:
     result = server.serve(trace)
     wall = time.perf_counter() - start
     steps = env.steps_executed
+    requests = len(result.requests)
     return {
         "ops_per_sec": steps / wall if wall > 0 else 0.0,
+        "requests_per_sec": requests / wall if wall > 0 else 0.0,
         "wall_s": wall,
         "sim_steps": steps,
         "sim_end": env.now,
-        "requests": len(result.requests),
+        "requests": requests,
         "events_recycled": env.events_recycled,
     }
 
@@ -120,12 +129,14 @@ def switch_storm(quick: bool = False) -> dict:
     result = server.serve(trace)
     wall = time.perf_counter() - start
     steps = env.steps_executed
+    requests = len(result.requests)
     return {
         "ops_per_sec": steps / wall if wall > 0 else 0.0,
+        "requests_per_sec": requests / wall if wall > 0 else 0.0,
         "wall_s": wall,
         "sim_steps": steps,
         "sim_end": env.now,
-        "requests": len(result.requests),
+        "requests": requests,
         "events_recycled": env.events_recycled,
     }
 
@@ -162,6 +173,7 @@ def fleet_replay(quick: bool = False) -> dict:
     steps = env.steps_executed
     return {
         "ops_per_sec": steps / wall if wall > 0 else 0.0,
+        "requests_per_sec": result.submitted / wall if wall > 0 else 0.0,
         "wall_s": wall,
         "sim_steps": steps,
         "sim_end": env.now,
@@ -209,6 +221,7 @@ def fleet_controller_replay(quick: bool = False) -> dict:
     steps = env.steps_executed
     return {
         "ops_per_sec": steps / wall if wall > 0 else 0.0,
+        "requests_per_sec": result.submitted / wall if wall > 0 else 0.0,
         "wall_s": wall,
         "sim_steps": steps,
         "sim_end": env.now,
@@ -257,6 +270,7 @@ def fleet_replay_1m(quick: bool = False) -> dict:
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
         "ops_per_sec": steps / wall if wall > 0 else 0.0,
+        "requests_per_sec": result.submitted / wall if wall > 0 else 0.0,
         "wall_s": wall,
         "sim_steps": steps,
         "sim_end": env.now,
@@ -295,6 +309,12 @@ SUITES: dict[str, tuple[str, ...]] = {
 }
 
 
+def gate_metric(result: dict) -> str:
+    """The throughput field a scenario is gated on: requests served per
+    wall second when it replays requests, else kernel events per second."""
+    return "requests_per_sec" if "requests_per_sec" in result else "ops_per_sec"
+
+
 def run_scenario(name: str, quick: bool = False, repeat: int = 3) -> dict:
     """Run one scenario ``repeat`` times and keep the fastest trial.
 
@@ -305,6 +325,6 @@ def run_scenario(name: str, quick: bool = False, repeat: int = 3) -> dict:
     best: dict = {}
     for _ in range(max(1, repeat)):
         result = SCENARIOS[name](quick)
-        if not best or result["ops_per_sec"] > best["ops_per_sec"]:
+        if not best or result["wall_s"] < best["wall_s"]:
             best = result
     return best

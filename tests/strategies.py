@@ -40,6 +40,7 @@ __all__ = [
     "alloc_sizes",
     "slab_operations",
     "kv_owner_operations",
+    "stream_programs",
     "fault_seeds",
     "fault_plans",
     "session_seeds",
@@ -124,6 +125,45 @@ def kv_owner_operations(
         ),
         max_size=max_size,
     )
+
+
+# -- CUDA stream programs -----------------------------------------------------
+def stream_programs(
+    streams: int = 3, events: int = 3, max_size: int = 40
+) -> st.SearchStrategy:
+    """Host programs for the stream differential test, one op per tuple.
+
+    ``("copy", stream, direction, units, then)`` moves ``units`` quarter-
+    seconds of bytes over one direction of a shared duplex link, so
+    streams contend for a copy engine; ``("compute", stream, units,
+    then)`` runs a kernel of ``units`` quarter-seconds (zero allowed).
+    ``then`` is a stream index, or ``-1``: its ``on_done`` callback
+    enqueues a short compute on that stream.  ``("record" | "wait_event",
+    stream, event)``, ``("sync", stream)``, ``("sync_all", streams)``,
+    ``("host_wait", event)``, ``("query", event)`` and ``("sleep",
+    units)`` complete the mix.  Quarter-second units keep every time an
+    exact binary fraction, so completions on different streams collide
+    at one instant.
+    """
+    stream = st.integers(min_value=0, max_value=streams - 1)
+    event = st.integers(min_value=0, max_value=events - 1)
+    units = st.integers(min_value=0, max_value=4)
+    then = st.integers(min_value=-1, max_value=streams - 1)
+    op = st.one_of(
+        st.tuples(st.just("copy"), stream, st.integers(0, 1), units, then),
+        st.tuples(st.just("compute"), stream, units, then),
+        st.tuples(st.just("record"), stream, event),
+        st.tuples(st.just("wait_event"), stream, event),
+        st.tuples(st.just("sync"), stream),
+        st.tuples(
+            st.just("sync_all"),
+            st.lists(stream, min_size=1, max_size=streams, unique=True),
+        ),
+        st.tuples(st.just("host_wait"), event),
+        st.tuples(st.just("query"), event),
+        st.tuples(st.just("sleep"), st.integers(min_value=0, max_value=3)),
+    )
+    return st.lists(op, max_size=max_size)
 
 
 # -- chaos --------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Tests for simulated CUDA streams and events (§5.3, Table 2)."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.hardware import Link, pcie_pair
 from repro.sim import Environment
-from repro.transfer import CudaEvent, CudaStream, synchronize_all
+from repro.transfer import CudaEvent, CudaStream, streams, synchronize_all
+
+from . import reference_stream
+from .strategies import stream_programs
 
 
 @pytest.fixture
@@ -142,3 +146,170 @@ class TestSynchronize:
         env.run(until=5.0)
         assert stream.pending_ops == 0
         assert stream.ops_executed == 2
+
+
+class TestLazyCompletion:
+    """``CudaEvent`` schedules its completion only once someone waits."""
+
+    def _recorded(self, env, link):
+        stream = CudaStream(env)
+        event = CudaEvent(env)
+        stream.copy(link, int(1e9))  # finishes at t=1
+        stream.record(event)
+        return event
+
+    def test_wait_before_completion_resumes_at_completion(self, env, link):
+        event = self._recorded(env, link)
+        log = []
+
+        def host():
+            yield event.wait()
+            log.append(env.now)
+
+        env.process(host())
+        env.run()
+        assert event.completed_at == pytest.approx(1.0)
+        assert log == [event.completed_at]
+
+    def test_two_waiters_share_one_completion(self, env, link):
+        event = self._recorded(env, link)
+        assert event.wait() is event.wait()
+        log = []
+
+        def host(label):
+            yield event.wait()
+            log.append((label, env.now))
+
+        env.process(host("first"))
+        env.process(host("second"))
+        env.run()
+        assert log == [("first", pytest.approx(1.0)), ("second", pytest.approx(1.0))]
+
+    def test_wait_after_completion_fires_immediately(self, env, link):
+        event = self._recorded(env, link)
+        env.run(until=2.0)
+        assert event.query()
+        done = event.wait()
+        assert done.triggered
+        log = []
+
+        def host():
+            yield done
+            log.append(env.now)
+
+        env.process(host())
+        env.run(until=3.0)
+        assert log == [2.0]
+
+    def test_unwaited_record_schedules_no_completion(self, link):
+        def steps(record: bool, wait: bool) -> int:
+            env = Environment()
+            stream = CudaStream(env)
+            stream.compute(1.0)
+            if record:
+                event = stream.record(CudaEvent(env))
+                if wait:
+                    event.wait()
+            env.run()
+            return env.steps_executed
+
+        bare = steps(record=False, wait=False)
+        # The record op costs its own dispatch step and nothing more;
+        # only a requested wait adds the completion event.
+        assert steps(record=True, wait=False) == bare + 1
+        assert steps(record=True, wait=True) == bare + 2
+
+
+def _run_program(impl, program, n_streams=3, n_events=3):
+    """Drive ``program`` through one stream implementation.
+
+    Returns the environment, the streams, the events and the log of
+    every ``on_done`` callback, host-wait resume, query and per-op
+    ``pending_ops`` snapshot, each with its simulated time.
+    """
+    quarter = 0.25
+    env = Environment()
+    duplex = pcie_pair(env, bandwidth=1e9)
+    links = (duplex.h2d, duplex.d2h)
+    for link in links:
+        link.latency = 0.0  # keep copy times on the quarter-second grid
+    lanes = [impl.CudaStream(env, name=f"s{i}") for i in range(n_streams)]
+    events = [impl.CudaEvent(env, name=f"e{i}") for i in range(n_events)]
+    log = []
+
+    def resume(label, waitable):
+        yield waitable
+        log.append(("resume", label, env.now))
+
+    def on_done(label, then):
+        def callback():
+            log.append(("done", label, env.now))
+            if then >= 0:
+                lanes[then].compute(
+                    quarter, on_done=lambda: log.append(("chained", label, env.now))
+                )
+        return callback
+
+    def driver():
+        for index, op in enumerate(program):
+            kind = op[0]
+            if kind == "copy":
+                _, lane, direction, units, then = op
+                lanes[lane].copy(
+                    links[direction], int(units * quarter * 1e9), on_done(index, then)
+                )
+            elif kind == "compute":
+                _, lane, units, then = op
+                lanes[lane].compute(units * quarter, on_done(index, then))
+            elif kind == "record":
+                lanes[op[1]].record(events[op[2]])
+            elif kind == "wait_event":
+                lanes[op[1]].wait_event(events[op[2]])
+            elif kind == "sync":
+                env.process(resume(index, lanes[op[1]].synchronize()))
+            elif kind == "sync_all":
+                chosen = [lanes[i] for i in op[1]]
+                env.process(resume(index, impl.synchronize_all(env, chosen)))
+            elif kind == "host_wait":
+                env.process(resume(index, events[op[1]].wait()))
+            elif kind == "query":
+                log.append(("query", index, env.now, events[op[1]].query()))
+            else:
+                yield env.timeout(op[1] * quarter)
+            log.append(("pending", index, tuple(lane.pending_ops for lane in lanes)))
+
+    env.process(driver())
+    env.run()
+    # Host waits issued after everything drained fire immediately.
+    for e, event in enumerate(events):
+        env.process(resume(("after", e), event.wait()))
+    env.run()
+    log.extend(("event", e, event.completed_at) for e, event in enumerate(events))
+    return env, lanes, events, log
+
+
+class TestReferenceDifferential:
+    """The deque lane against the Store-backed oracle in
+    ``reference_stream``: same program, same observable log."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(program=stream_programs())
+    def test_lane_matches_store_backed_reference(self, program):
+        ref_env, ref_lanes, _, ref_log = _run_program(reference_stream, program)
+        env, lanes, events, log = _run_program(streams, program)
+        assert log == ref_log
+        assert [(s.ops_executed, s.pending_ops) for s in lanes] == [
+            (s.ops_executed, s.pending_ops) for s in ref_lanes
+        ]
+        assert env.now == ref_env.now
+        # The only kernel steps saved are the events nobody waits on:
+        # one put per enqueued op, one completion per event completed
+        # before anyone waited, and the reference's ``_idle`` event per
+        # stream.
+        enqueued = sum(s.ops_executed + s.pending_ops for s in lanes)
+        unwaited = sum(
+            1 for e in events if e.completed_at is not None and e._completion is None
+        )
+        assert ref_env.steps_executed - env.steps_executed == (
+            enqueued + unwaited + len(lanes)
+        )
