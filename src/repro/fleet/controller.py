@@ -187,9 +187,6 @@ class SpillLedger:
         """Forget a request that reached a terminal disposition."""
         self._hops.pop(request_id, None)
 
-    def hops_of(self, request_id: int) -> int:
-        return self._hops.get(request_id, 0)
-
     def __len__(self) -> int:
         return len(self._hops)
 

@@ -7,8 +7,6 @@ one PCIe link per GPU.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim import Environment
 from .gpu import Gpu, GpuSpec
 from .interconnect import DuplexLink, pcie_pair
@@ -66,13 +64,6 @@ class Node:
         if nbytes > self.dram_used:
             raise ValueError("release exceeds claimed DRAM")
         self.dram_used -= nbytes
-
-    def gpu_by_key(self, key: str) -> Optional[Gpu]:
-        """Find a GPU on this node by its cluster-wide key."""
-        for gpu in self.gpus:
-            if gpu.key == key:
-                return gpu
-        return None
 
     def __repr__(self) -> str:
         spec = self.gpus[0].spec

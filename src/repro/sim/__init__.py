@@ -2,7 +2,7 @@
 
 The kernel is the substrate on which every simulated hardware and software
 component of the Aegaeon reproduction runs.  See :mod:`repro.sim.core` for
-the event loop and :mod:`repro.sim.resources` for queued resources.
+the event loop, processes and conditions.
 """
 
 from .core import (
@@ -17,23 +17,16 @@ from .core import (
     SimulationError,
     Timeout,
 )
-from .resources import Container, PriorityResource, Resource, Store
-from .resources import Request as ResourceRequest
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
     "ContTask",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
-    "Resource",
-    "ResourceRequest",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -20,11 +20,13 @@ Hot-path engineering (see DESIGN.md "Performance notes")
 * **One run loop.**  :meth:`Environment.run` is a single loop that pops
   the heap in ``(time, seq)`` order and dispatches inline.  Nothing
   bypasses the heap: every trigger, timeout, process init, relay, and
-  ``schedule_call`` is a heap entry with a sequence number assigned at
+  interrupt is a heap entry with a sequence number assigned at
   scheduling time, so events at the same instant fire in scheduling
   order.  ``run(until=...)`` can be split and resumed without changing
   that order.  See DESIGN.md for the ordering rules new event sources
-  must follow.
+  must follow.  The plain reference kernel in
+  ``tests/reference_kernel.py`` (generic dispatch, no recycling, plus
+  the single-step ``step``/``peek`` API) checks this loop.
 * **Single-waiter fast path.**  The common case — exactly one process
   waiting on an event — stores the waiting process in the event's
   ``_waiter`` slot instead of materializing a callbacks-list entry, and
@@ -32,13 +34,10 @@ Hot-path engineering (see DESIGN.md "Performance notes")
   The callbacks list is still there for multi-waiter events, conditions,
   and external subscribers; the waiter always fires first because it is
   only installed when the callbacks list is empty (earliest attachment).
-* **Callback continuations.**  Two first-class alternatives to
-  generator coroutines for the highest-frequency lifecycles:
-  :meth:`Environment.schedule_call` fires a plain function through the
-  existing callbacks dispatch with zero generator/heap-entry overhead
-  beyond the one scheduled event, and :class:`ContTask` is a process
+* **Continuation tasks.**  :class:`ContTask` is the alternative to
+  generator coroutines for the highest-frequency lifecycles: a process
   whose resume target is a plain bound method (a *state function*)
-  instead of ``generator.send`` — it rides the single-waiter protocol
+  instead of ``generator.send``.  It rides the single-waiter protocol
   unchanged, so a converted lifecycle consumes exactly the same events,
   sequence numbers, and firing order as the generator it replaces.
   Generator processes remain fully supported (chaos injection,
@@ -222,29 +221,6 @@ class Event:
         else:
             self._defused = True
             self.fail(event._value)
-
-    # -- internal --------------------------------------------------------
-    def _fire(self) -> None:
-        """Mark processed and run the waiter plus any listed callbacks.
-
-        Generic (non-inlined) dispatch, used by :meth:`Environment.step`
-        and anything else outside the run loop.  The ``_waiter`` process
-        resumes first — it is only ever installed when the callbacks list
-        is empty, so waiter-then-list is exactly attachment order.
-        """
-        waiter = self._waiter
-        self._waiter = _FIRED
-        if waiter is not None:
-            waiter._resume(self)
-        callbacks = self.callbacks
-        if callbacks:
-            # Detach while running so re-entrant attachment attempts fail
-            # loudly instead of mutating the list under iteration.
-            self.callbacks = None
-            for callback in callbacks:
-                callback(self)
-            callbacks.clear()
-            self.callbacks = callbacks
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
@@ -712,46 +688,6 @@ def _make_process_factory(env: "Environment"):
     return process
 
 
-def _make_schedule_call_factory(env: "Environment"):
-    """Build the bound ``env.schedule_call`` closure."""
-
-    def schedule_call(
-        fn: Callable[[Event], None],
-        delay: float = 0.0,
-        value: Any = None,
-        _env=env,
-        _pool=env._event_pool,
-        _queue=env._queue,
-        _push=heappush,
-    ) -> Event:
-        """Schedule plain function ``fn(event)`` to fire after ``delay``.
-
-        The cheapest event source in the kernel: one pooled, already-
-        triggered event whose callbacks list carries ``fn`` — no
-        generator frame, no waiter hand-off, no process bookkeeping.
-        It fires in the same (time, seq) order a Timeout scheduled at
-        the same instant would, and is recycled as soon as it has fired
-        (do not keep triggering references to it).
-        """
-        if delay < 0:
-            raise SimulationError(f"negative schedule_call delay: {delay}")
-        if _pool:
-            # Pooled events keep _state == _TRIGGERED and _ok == True.
-            event = _pool.pop()
-        else:
-            event = Event(_env)
-            event._state = _TRIGGERED
-        if value is not None:
-            event._value = value
-        event.callbacks.append(fn)
-        seq = _env._sequence
-        _push(_queue, (_env._now + delay, seq, event))
-        _env._sequence = seq + 1
-        return event
-
-    return schedule_call
-
-
 class Environment:
     """The simulation environment: clock plus event queue."""
 
@@ -770,7 +706,6 @@ class Environment:
         "event",
         "timeout",
         "process",
-        "schedule_call",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -790,7 +725,6 @@ class Environment:
         self.event = _make_event_factory(self)
         self.timeout = _make_timeout_factory(self)
         self.process = _make_process_factory(self)
-        self.schedule_call = _make_schedule_call_factory(self)
 
     @property
     def now(self) -> float:
@@ -837,61 +771,6 @@ class Environment:
         init._waiter = process
         heappush(self._queue, (self._now, self._sequence, init))
         self._sequence += 1
-
-    def _recycle(self, event: Event) -> None:
-        """Return ``event`` to its freelist if nothing else references it.
-
-        The caller's local is expected to be the only remaining reference
-        (``getrefcount == 2``: the local plus getrefcount's argument).
-        Failed events reach this only once defused; the reset clears the
-        value so pooled objects never pin exceptions or payloads alive.
-        """
-        cls = event.__class__
-        if cls is Timeout:
-            pool = self._timeout_pool
-        elif cls is Event:
-            pool = self._event_pool
-        elif cls is Process:
-            pool = self._process_pool
-        else:
-            return
-        if getrefcount(event) == 3 and len(pool) < _POOL_CAP:
-            cbs = event.callbacks
-            if cbs is None:
-                event.callbacks = []
-            elif cbs:
-                cbs.clear()
-            event._value = None
-            event._ok = True
-            event._defused = False
-            event._cancelled = False
-            event._waiter = None
-            if cls is Process:
-                event._generator = None
-                event._send = None
-                event._target = None
-            pool.append(event)
-            self.events_recycled += 1
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the next scheduled event (cancelled entries are dropped)."""
-        if not self._queue:
-            raise SimulationError("step() on an empty schedule")
-        self._now, _, event = heappop(self._queue)
-        if event._cancelled:
-            event._waiter = _FIRED
-            self.events_cancelled += 1
-            self._recycle(event)
-            return
-        self.steps_executed += 1
-        event._fire()
-        if not event._ok and not event._defused:
-            raise event._value
-        self._recycle(event)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -942,14 +821,13 @@ class Environment:
                     return None
                 when, _, event = pop(queue)
                 self._now = when
-                # The processed marker (_waiter = _FIRED) is stored
-                # lazily: before callbacks run, on lazy-cancel drops, and
-                # on events that survive recycling.  An event recycled in
-                # this same iteration is unobservable in between, so the
-                # hot path skips the store entirely.
+                # The processed marker (_waiter = _FIRED) is stored before
+                # anything runs, so a waiter that yields or conditions on
+                # the event it woke from sees it processed and relays.
                 waiter = event._waiter
                 if waiter is not None:
                     # Inline single-waiter resume (the hot path).
+                    event._waiter = _FIRED
                     if event._ok:
                         self._active_process = waiter
                         try:
@@ -966,7 +844,6 @@ class Environment:
                         # Lazy cancellation: dropped, never fired; a parked
                         # waiter stays parked (its _target ref also keeps
                         # the event off the freelist).
-                        event._waiter = _FIRED
                         cancelled += 1
                         continue
                     else:
@@ -1019,7 +896,6 @@ class Environment:
                             waiter._target = relay
                     cbs = event.callbacks
                     if cbs:
-                        event._waiter = _FIRED
                         self._active_process = None
                         event.callbacks = None
                         for callback in cbs:
@@ -1075,8 +951,6 @@ class Environment:
                             event._defused = False
                         timeout_pool.append(event)
                         recycled += 1
-                    else:
-                        event._waiter = _FIRED
                 elif cls is Event:
                     if refs(event) == 2:
                         event._value = None
@@ -1086,8 +960,6 @@ class Environment:
                             event._defused = False
                         event_pool.append(event)
                         recycled += 1
-                    else:
-                        event._waiter = _FIRED
                 elif cls is Process:
                     if refs(event) == 2:
                         event._value = None
@@ -1100,10 +972,6 @@ class Environment:
                         event._target = None
                         process_pool.append(event)
                         recycled += 1
-                    else:
-                        event._waiter = _FIRED
-                else:
-                    event._waiter = _FIRED
         finally:
             self._active_process = None
             # Pool caps are enforced once per run instead of per recycle

@@ -2,12 +2,14 @@
 
 This is the stream lane as it stood before the queue became a deque with
 one parked wake event and ``CudaEvent`` completions became lazy, kept
-verbatim apart from this paragraph and absolute imports.  Every enqueue
-here schedules a put event and every completed event schedules its
-completion, waited on or not, so the differential test in
-``test_transfer_streams.py`` can check that the production lane
-drops only events nobody observes: every callback and host-wait resume
-must land at the same time and in the same order.
+verbatim apart from this paragraph, absolute imports, and the copy
+path, which claims links through ``Link.acquire`` / ``Link.release``
+now that ``Link`` owns its channel claim.  The Store lane is unchanged.
+Every enqueue here schedules a put event and every completed event
+schedules its completion, waited on or not, so the differential test in
+``test_transfer_streams.py`` can check that the production lane drops
+only events nobody observes: every callback and host-wait resume must
+land at the same time and in the same order.
 
 Original description — simulated CUDA streams and events (§5.3, Table 2).
 
@@ -36,7 +38,9 @@ from typing import Callable, Optional
 
 from repro.hardware.interconnect import Link
 from repro.obs import NULL_OBS, Observability
-from repro.sim import ContTask, Environment, Event, Store
+from repro.sim import ContTask, Environment, Event
+
+from .reference_resources import Store
 
 __all__ = ["CudaEvent", "CudaStream", "synchronize_all"]
 
@@ -165,15 +169,14 @@ class _StreamWorker(ContTask):
     next state function directly from the kernel's single-waiter slot.
     The copy path also inlines :meth:`Link.transfer` (the worker is a
     dedicated lane, so FIFO semantics are preserved), keeping the exact
-    event sequence of the delegated generator: uncontended copies hold
-    the channel with a plain token and yield only the timeout; contended
-    copies queue a :class:`~repro.sim.resources.Request` and sample the
-    transfer duration *after* the grant (throttle semantics).
+    event sequence of the delegated generator: a copy that finds the
+    channel free yields only the timeout; a contended copy waits on the
+    :meth:`Link.acquire` grant and samples the transfer duration *after*
+    it (throttle semantics).
     """
 
     __slots__ = (
-        "_stream", "_link", "_nbytes", "_on_done",
-        "_op_start", "_token", "_claim", "_duration",
+        "_stream", "_link", "_nbytes", "_on_done", "_op_start", "_duration",
     )
 
     def __init__(self, env: Environment, stream: "CudaStream") -> None:
@@ -182,8 +185,6 @@ class _StreamWorker(ContTask):
         self._nbytes = 0
         self._on_done = None
         self._op_start = 0.0
-        self._token = None
-        self._claim = None
         self._duration = 0.0
         ContTask.__init__(self, env)
 
@@ -204,19 +205,11 @@ class _StreamWorker(ContTask):
             self._nbytes = nbytes
             self._on_done = on_done
             self._op_start = self.env.now
-            channel = link._channel
-            users = channel.users
-            if not users and not channel.queue:
-                # Uncontended fast path: immediate grant, plain token.
-                token = object()
-                users.append(token)
-                self._token = token
-                self._duration = link.transfer_time(nbytes)
-                self._send = self._copy_finish
-                return self.env.timeout(self._duration)
-            self._claim = channel.request()
-            self._send = self._copy_granted
-            return self._claim
+            grant = link.acquire()
+            if grant is not None:
+                self._send = self._copy_granted
+                return grant
+            return self._copy_granted(None)
         if kind == "compute":
             _, duration, on_done = op
             self._on_done = on_done
@@ -244,16 +237,7 @@ class _StreamWorker(ContTask):
         link = self._link
         link.bytes_moved += self._nbytes
         link.busy_time += self._duration
-        channel = link._channel
-        token = self._token
-        if token is not None:
-            channel.users.remove(token)
-            self._token = None
-            channel._grant_next()
-        else:
-            claim = self._claim
-            self._claim = None
-            claim.cancel()
+        link.release()
         stream = self._stream
         if stream._tracer.enabled:
             stream._tracer.complete(

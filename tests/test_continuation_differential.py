@@ -6,12 +6,12 @@ converted lifecycle is *indistinguishable* from its generator form —
 same events, same firing order, same clocks, same consumed sequence
 numbers.  This property test checks the contract at the kernel level:
 hypothesis draws a random multi-actor schedule of timeouts, store
-puts/gets, ``all_of``/``any_of`` composites, and cross-actor
-interrupts, runs it once with every actor as a generator process and
-once with every actor as a hand-flattened ``ContTask``, and requires
-the two executions to be identical — op-completion log (time, actor,
-op, kind, value), final clock, dispatched step count, and scheduled
-event count all byte-equal.
+puts/gets, ``all_of``/``any_of`` composites, joins on other actors'
+processes, and cross-actor interrupts, runs it once with every actor
+as a generator process and once with every actor as a hand-flattened
+``ContTask``, and requires the two executions to be identical —
+op-completion log (time, actor, op, kind, value), final clock,
+dispatched step count, and scheduled event count all byte-equal.
 
 Any divergence — a continuation consuming an extra event, firing in a
 different order at a shared timestamp, or surfacing an interrupt to a
@@ -23,7 +23,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import ContTask, Environment, Interrupt, Store
+from repro.sim import ContTask, Environment, Interrupt
+
+from .reference_resources import Store
 
 N_STORES = 2
 
@@ -44,6 +46,11 @@ def _ops(n_actors: int) -> st.SearchStrategy:
         st.tuples(st.just("all_of"), st.lists(_delays, min_size=1, max_size=3)),
         st.tuples(st.just("any_of"), st.lists(_delays, min_size=1, max_size=3)),
         st.tuples(st.just("interrupt"), actor_ids),
+        # Joins share one process event among several waiters and
+        # conditions, and a join on a finished actor takes the relay
+        # path.  A self-join never fires, like any wait on itself.
+        st.tuples(st.just("join"), actor_ids),
+        st.tuples(st.just("join_any"), st.lists(actor_ids, min_size=1, max_size=3)),
     )
 
 
@@ -97,6 +104,12 @@ def _gen_actor(env, aid, ops, stores, log, procs):
             elif kind == "any_of":
                 yield env.any_of([env.timeout(d) for d in op[1]])
                 log.append((env.now, aid, i, kind, None))
+            elif kind == "join":
+                yield procs[op[1]]
+                log.append((env.now, aid, i, kind, None))
+            elif kind == "join_any":
+                yield env.any_of([procs[t] for t in op[1]])
+                log.append((env.now, aid, i, kind, None))
             else:  # interrupt: synchronous, no yield
                 target = _interrupt_target(procs, aid, op[1])
                 if target is not None:
@@ -144,6 +157,12 @@ class _TaskActor(ContTask):
             if kind == "any_of":
                 self._send = self._done
                 return env.any_of([env.timeout(d) for d in op[1]])
+            if kind == "join":
+                self._send = self._done
+                return self._procs[op[1]]
+            if kind == "join_any":
+                self._send = self._done
+                return env.any_of([self._procs[t] for t in op[1]])
             # interrupt: synchronous, no wait
             target = _interrupt_target(self._procs, self._aid, op[1])
             if target is not None:

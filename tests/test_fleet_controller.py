@@ -44,6 +44,7 @@ from repro.policy import (
     get_fleet_policy,
     register_fleet_policy,
 )
+from repro.sim import Environment
 from repro.workload import market_stream
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "fleet_controller_digest.json")
@@ -64,6 +65,7 @@ def controller_fleet(
     skew=True,
     seed=2025,
     kill_prefill0=False,
+    kernel=Environment,
     **ctrl,
 ):
     """A controller-enabled fleet over a load-skewed market stream.
@@ -77,7 +79,7 @@ def controller_fleet(
         spec=small_spec(),
         controller=ControllerConfig(policy=policy, **ctrl),
     )
-    fleet = build_fleet(config)
+    fleet = build_fleet(config, env=kernel())
     stream = market_stream(24, 120.0, seed=seed, total_rate=10.0)
     if skew:
         # Hot-spot the whole catalog onto shard 0: the worst case the

@@ -47,9 +47,9 @@ HORIZON = 30.0
 TRACE_SEED = 11
 
 
-def collision_run():
+def collision_run(kernel=Environment):
     """One serve with every event source colliding at ``COLLIDE_AT``."""
-    env = Environment()
+    env = kernel()
     plan = FaultPlan.of(
         LatencySpike(at=COLLIDE_AT, factor=2.0, duration=1.0),
         TransferStall(at=COLLIDE_AT, direction="in", duration=0.4),
@@ -86,9 +86,9 @@ def collision_run():
     return env, system, result
 
 
-def run_digest():
+def run_digest(kernel=Environment):
     """sha256 over the canonical full observable surface of one run."""
-    env, system, result = collision_run()
+    env, system, result = collision_run(kernel)
     snapshot = {
         "metrics": _canonical(result.metrics),
         "end_time": result.end_time,

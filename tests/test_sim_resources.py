@@ -1,16 +1,10 @@
-"""Tests for simulation resources: Resource, Container, Store."""
+"""Tests for the reference queues: Resource, Container, Store."""
 
 import pytest
 
-from repro.sim import (
-    Container,
-    Environment,
-    Interrupt,
-    PriorityResource,
-    Resource,
-    SimulationError,
-    Store,
-)
+from repro.sim import Environment, Interrupt, SimulationError
+
+from .reference_resources import Container, PriorityResource, Resource, Store
 
 
 @pytest.fixture
