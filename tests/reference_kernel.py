@@ -4,11 +4,13 @@
 scheduling, and replaces only the run loop with the plainest one that
 honours the same contract: pop the heap in ``(time, seq)`` order and
 :func:`fire` each event generically.  A waiting process resumes through
-``Process._resume`` (the path the production loop inlines), and nothing
-is ever recycled, so every factory call allocates a fresh object.  A
-scenario that gives the same log, clock and step counts on both kernels
-is therefore independent of the production loop's inlining and its
-refcount-gated freelists.
+``Process._resume`` (the path the production loop inlines), nothing
+is ever recycled, so every factory call allocates a fresh object, and
+:meth:`~ReferenceEnvironment.claim_inline` always refuses, so every
+continuation fires from its own event.  A scenario that gives the same
+log and clock on both kernels, with step counts that differ by exactly
+the production kernel's ``steps_inlined``, is therefore independent of
+the production loop's inlining and its refcount-gated freelists.
 
 The single-step API (``step``/``peek``) lives here because only tests
 use it.
@@ -47,6 +49,10 @@ def fire(event: Event) -> None:
 
 class ReferenceEnvironment(Environment):
     """An :class:`Environment` whose run loop is ``step()`` in a loop."""
+
+    def claim_inline(self) -> bool:
+        """Never inline: every continuation fires from its own event."""
+        return False
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

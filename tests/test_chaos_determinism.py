@@ -26,6 +26,7 @@ from repro.sim import Environment
 from repro.workload import sharegpt, materialize_trace
 
 from .test_determinism import _canonical
+from .test_same_timestamp_ordering import snapshot_of
 
 GOLDEN = Path(__file__).parent / "golden" / "chaos_divergence.json"
 
@@ -34,9 +35,9 @@ TRACE_SEED = 7
 HORIZON = 40.0
 
 
-def faulted_run(fault_seed=None):
+def faulted_run(fault_seed=None, kernel=Environment):
     """One chaos serve; ``fault_seed=None`` runs fault-free."""
-    env = Environment()
+    env = kernel()
     plan = (
         FaultPlan.seeded(
             fault_seed, horizon=HORIZON, count=4,
@@ -67,18 +68,7 @@ def faulted_run(fault_seed=None):
 
 def full_snapshot(fault_seed):
     """Everything observable about a run, for bitwise comparison."""
-    env, system, result = faulted_run(fault_seed)
-    return {
-        "metrics": _canonical(result.metrics),
-        "end_time": result.end_time,
-        "sim_now": env.now,
-        "steps": env.steps_executed,
-        "requests": [
-            (r.request_id, r.prefill_start, r.finish_time, tuple(r.token_times))
-            for r in result.requests
-        ],
-        "violations": len(system.invariant_checker.violations),
-    }
+    return snapshot_of(*faulted_run(fault_seed))
 
 
 def divergence_summary(fault_seed):

@@ -42,8 +42,8 @@ def outcome(env, requests, end_time):
     return rows, end_time, env.steps_executed
 
 
-def via_serve(spec, kernel=Environment):
-    env = kernel()
+def via_serve(spec, env=None):
+    env = Environment() if env is None else env
     result = spec.build(env).serve(trace())
     return outcome(env, result.requests, result.end_time)
 

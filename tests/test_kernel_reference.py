@@ -14,10 +14,14 @@ Two layers check it:
   drawn ``run(until=t)`` stop.  All four runs must give the same log,
   clock, step count and scheduled-event count.  One fixed program
   also pins attachment order on an event several actors wait on.
-* three full scenarios (the same-timestamp collision serve, the
-  ingestion-equivalence trace for two systems, and the controller fleet
-  with a prefill kill) must give the same digest and step count on both
-  kernels.
+* full scenarios (the same-timestamp collision serve, the
+  ingestion-equivalence trace for two systems, the cost-routed agentic
+  golden replay, a seeded chaos sweep, and the controller fleet with a
+  prefill kill) must give the same request rows, dispositions and
+  digests on both kernels.  Their step counts differ by exactly the
+  continuations the production kernel ran inline
+  (``Environment.claim_inline``, which the reference kernel refuses);
+  the random actor programs never ask, so their counts stay equal.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from hypothesis import strategies as st
 
 from repro.sim import Environment
 
-from . import test_fleet_controller, test_ingestion_equivalence
-from . import test_same_timestamp_ordering
+from . import test_chaos_determinism, test_fleet_controller
+from . import test_ingestion_equivalence, test_same_timestamp_ordering
+from . import test_workload_agentic
 from .reference_kernel import ReferenceEnvironment
 from .reference_resources import Store
 from .test_continuation_differential import (
@@ -106,32 +111,120 @@ class TestRandomPrograms:
         ]
 
 
+#: Counters that legitimately differ between the kernels: the
+#: production loop runs ``steps_inlined`` continuations directly, each
+#: one a step and a scheduled event the reference kernel pays for.
+STEP_COUNTERS = ("steps", "sim/steps_executed", "sim/events_scheduled")
+
+
+def _unstepped(snapshot):
+    """``snapshot`` without its step counters."""
+    seen = {k: v for k, v in snapshot.items() if k not in STEP_COUNTERS}
+    seen["metrics"] = {
+        k: v for k, v in snapshot["metrics"].items() if k not in STEP_COUNTERS
+    }
+    return seen
+
+
+def _rows(requests):
+    """Every request's id, disposition, token count and token times."""
+    return [
+        (r.request_id, r.phase.value, len(r.token_times), tuple(r.token_times))
+        for r in sorted(requests, key=lambda r: r.request_id)
+    ]
+
+
+def _dispositions(registry):
+    return (registry.submitted, registry.finished, registry.failed, registry.rejected)
+
+
+def _serve_outcome(env, system, result):
+    """Observable surface of one ``serve``, step counters left out."""
+    return (
+        _unstepped(test_same_timestamp_ordering.snapshot_of(env, system, result)),
+        _rows(result.requests),
+        _dispositions(system.registry),
+    )
+
+
+def _collision(kernel):
+    env, system, result = test_same_timestamp_ordering.collision_run(kernel)
+    return _serve_outcome(env, system, result), env
+
+
+def _chaos(fault_seed):
+    def run(kernel):
+        env, system, result = test_chaos_determinism.faulted_run(fault_seed, kernel)
+        return _serve_outcome(env, system, result), env
+
+    return run
+
+
+def _ingestion(name):
+    spec = test_ingestion_equivalence.SPECS[name]
+
+    def run(kernel):
+        env = kernel()
+        rows, end_time, _ = test_ingestion_equivalence.via_serve(spec, env)
+        return (rows, end_time), env
+
+    return run
+
+
+def _agentic(kernel):
+    env = kernel()
+    system, coordinator, stats = test_workload_agentic.replay(
+        test_workload_agentic.golden_stream(),
+        bundle="aegaeon-cost-router",
+        retain=True,
+        env=env,
+    )
+    seen = (
+        test_workload_agentic.digest_of(stats, coordinator.summary()),
+        _rows(system.proxy.requests),
+        _dispositions(system.registry),
+    )
+    return seen, env
+
+
+def _controller_fleet(kernel):
+    fleet, stream = test_fleet_controller.controller_fleet(
+        kill_prefill0=True, kernel=kernel
+    )
+    result = fleet.run(stream)
+    assert result.drained and result.unaccounted == 0
+    seen = (test_fleet_controller.digest(result), result.controller)
+    return seen, fleet.env
+
+
+def _assert_kernels_agree(scenario, inlines=True):
+    """Same outcome on both kernels; steps differ by the inlined ones."""
+    production, prod = scenario(Environment)
+    reference, ref = scenario(ReferenceEnvironment)
+    assert reference == production
+    assert ref.now == prod.now
+    assert ref.steps_inlined == 0
+    assert (prod.steps_inlined > 0) == inlines
+    assert ref.steps_executed == prod.steps_executed + prod.steps_inlined
+    assert ref.events_scheduled == prod.events_scheduled + prod.steps_inlined
+
+
 class TestScenarios:
     def test_same_timestamp_collision(self):
-        production = test_same_timestamp_ordering.run_digest()
-        reference = test_same_timestamp_ordering.run_digest(ReferenceEnvironment)
-        assert reference == production
+        _assert_kernels_agree(_collision)
 
     @pytest.mark.parametrize("name", sorted(test_ingestion_equivalence.SPECS))
     def test_ingestion_trace(self, name):
-        spec = test_ingestion_equivalence.SPECS[name]
-        production = test_ingestion_equivalence.via_serve(spec)
-        reference = test_ingestion_equivalence.via_serve(spec, ReferenceEnvironment)
-        assert reference == production
+        # MuxServe keeps its models resident: no stream lane ever runs.
+        _assert_kernels_agree(_ingestion(name), inlines=name != "muxserve")
+
+    def test_agentic_cost_router(self):
+        _assert_kernels_agree(_agentic)
+
+    # The fault seeds of the chaos golden.
+    @pytest.mark.parametrize("fault_seed", [1, 2, 3])
+    def test_chaos_sweep(self, fault_seed):
+        _assert_kernels_agree(_chaos(fault_seed))
 
     def test_controller_fleet_with_prefill_kill(self):
-        outcomes = []
-        for kernel in KERNELS.values():
-            fleet, stream = test_fleet_controller.controller_fleet(
-                kill_prefill0=True, kernel=kernel
-            )
-            result = fleet.run(stream)
-            outcomes.append(
-                (
-                    test_fleet_controller.digest(result),
-                    fleet.env.steps_executed,
-                    fleet.env.events_scheduled,
-                    result.controller,
-                )
-            )
-        assert outcomes[0] == outcomes[1]
+        _assert_kernels_agree(_controller_fleet)

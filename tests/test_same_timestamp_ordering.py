@@ -86,10 +86,9 @@ def collision_run(kernel=Environment):
     return env, system, result
 
 
-def run_digest(kernel=Environment):
-    """sha256 over the canonical full observable surface of one run."""
-    env, system, result = collision_run(kernel)
-    snapshot = {
+def snapshot_of(env, system, result):
+    """The canonical full observable surface of one ``serve``."""
+    return {
         "metrics": _canonical(result.metrics),
         "end_time": result.end_time,
         "sim_now": env.now,
@@ -100,6 +99,11 @@ def run_digest(kernel=Environment):
         ],
         "violations": len(system.invariant_checker.violations),
     }
+
+
+def run_digest(kernel=Environment):
+    """sha256 over the canonical full observable surface of one run."""
+    snapshot = snapshot_of(*collision_run(kernel))
     payload = json.dumps(snapshot, sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     return digest, snapshot

@@ -55,19 +55,19 @@ def small_stream(seed=7, rate=1.0, horizon=30.0, agents=2, **overrides):
     return agentic_stream(config, groups=agent_variant_groups(agents))
 
 
-def build_pool(bundle="aegaeon"):
+def build_pool(bundle="aegaeon", env=None):
     """One 4-GPU pool, same shape as examples/agentic_replay.py."""
     return SystemSpec(
         config=AegaeonConfig(
             prefill_instances=1, decode_instances=3, cluster="h800-quad"
         ),
         policies=bundle,
-    ).build()
+    ).build(env)
 
 
-def replay(stream, bundle="aegaeon", retain=False):
+def replay(stream, bundle="aegaeon", retain=False, env=None):
     """Run one coordinated replay; returns (system, coordinator, stats)."""
-    system = build_pool(bundle)
+    system = build_pool(bundle, env)
     stats = ShardStats(shard=0, slo=system.slo)
     system.configure_streaming(retain_requests=retain, request_sink=stats.fold)
     coordinator = SessionCoordinator(system.env, stream.spec_of, obs=system.obs)
@@ -346,13 +346,19 @@ class TestFleetMix:
         assert result.summary()["sessions"]["stats"] == s.as_dict()
 
 
-def golden_scenario():
-    """The pinned replay: cost-routed DAG traffic on one pool."""
-    stream = agentic_stream(
+def golden_stream():
+    """The pinned replay's DAG traffic."""
+    return agentic_stream(
         AgenticConfig(session_rate=1.5, horizon=40.0, seed=11, agents=2),
         groups=agent_variant_groups(2),
     )
-    system, coordinator, stats = replay(stream, bundle="aegaeon-cost-router")
+
+
+def golden_scenario():
+    """The pinned replay: cost-routed DAG traffic on one pool."""
+    system, coordinator, stats = replay(
+        golden_stream(), bundle="aegaeon-cost-router"
+    )
     assert_conserved(system, coordinator, stats)
     return digest_of(stats, coordinator.summary())
 
