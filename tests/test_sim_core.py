@@ -346,3 +346,61 @@ class TestRunUntilEvent:
         log.append("|")
         env.run()
         assert log == ["T1", "|", "T3", "X"]
+
+
+class TestClaimInline:
+    """``claim_inline`` says yes only when a skipped event would be next."""
+
+    def test_first_turn_with_nothing_due(self, env):
+        answers = []
+
+        def proc():
+            answers.append(env.claim_inline())
+            yield env.timeout(1.0)
+            answers.append(env.claim_inline())
+
+        env.process(proc())
+        env.run()
+        assert answers == [True, True]
+        assert env.steps_inlined == 2
+
+    def test_refused_while_other_work_is_due_now(self, env):
+        answers = []
+
+        def proc():
+            env.timeout(0)
+            answers.append(env.claim_inline())
+            yield env.timeout(1.0)
+
+        env.process(proc())
+        env.run()
+        assert answers == [False]
+        assert env.steps_inlined == 0
+
+    def test_refused_in_a_plain_callback(self, env):
+        answers = []
+        env.timeout(1.0).callbacks.append(
+            lambda e: answers.append(env.claim_inline())
+        )
+        env.run()
+        assert answers == [False]
+
+    def test_refused_while_the_waking_event_has_callbacks(self, env):
+        gate = env.timeout(1.0)
+        answers = []
+
+        def waiter(name):
+            yield gate
+            answers.append((name, env.claim_inline()))
+            # Scheduled after the answer, and not due now either way.
+            yield env.timeout(1.0)
+
+        # The first waiter takes the single slot; the second and the
+        # plain callback are still to run when it resumes.
+        env.process(waiter("slot"))
+        env.process(waiter("listed"))
+        env.run(until=0.5)
+        gate.callbacks.append(lambda e: None)
+        env.run()
+        assert answers == [("slot", False), ("listed", False)]
+        assert env.steps_inlined == 0
