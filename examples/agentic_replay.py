@@ -25,16 +25,14 @@ Run:  python examples/agentic_replay.py             (single replay)
 """
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 
 from repro.core import AegaeonConfig, SessionCoordinator, SystemSpec
 from repro.core.serving import ServerlessLLMConfig
-from repro.fleet.rollup import FleetRollup, ShardStats
+from repro.fleet import FleetConfig, build_fleet
 from repro.policy import CostConstrainedRouter, get_bundle, stage_cost_usd
-from repro.policy.placement import MARKET_HOURLY_USD
 from repro.workload import AgenticConfig, agent_variant_groups, agentic_stream
 
 #: The serving pool every bundle gets: one 4-GPU H800 node.
@@ -103,37 +101,33 @@ def build_spec(bundle: str) -> SystemSpec:
 def run_bundle(args, bundle: str):
     """One replay of the shared trace under ``bundle``; returns a report."""
     stream = make_stream(args)
-    system = build_spec(bundle).build()
-    stats = ShardStats(shard=0, slo=system.slo)
-    system.configure_streaming(retain_requests=False, request_sink=stats.fold)
-    coordinator = SessionCoordinator(system.env, stream.spec_of, obs=system.obs)
-    system.attach_sessions(coordinator)
+    fleet = build_fleet(FleetConfig(shards=1, spec=build_spec(bundle)))
+    system = fleet.shards[0].system
+    coordinator = SessionCoordinator(fleet.env, stream.spec_of, obs=system.obs)
+    fleet.attach_sessions(coordinator)
     start = time.perf_counter()
-    system.serve_stream(coordinator.wrap_stream(stream))
+    result = fleet.run(coordinator.wrap_stream(stream))
     wall = time.perf_counter() - start
 
-    sessions = coordinator.summary()
+    (stats,) = result.shard_stats
     check_identities(system, coordinator, stats)
-    rollup = FleetRollup([stats])
-    hourly = system.gpu_count * MARKET_HOURLY_USD["H800"]
-    cost_usd = hourly * system.env.now / 3600.0
     spend = CostConstrainedRouter.spend_of(system)
     tunables = system.policies.tunables
     return {
         "bundle": bundle,
         "wall": wall,
-        "end_time": system.env.now,
+        "end_time": result.end_time,
         "stats": stats.as_dict(),
-        "sessions": sessions,
+        "sessions": result.sessions,
         "slo_attainment": stats.slo_attainment,
-        "cost_usd": cost_usd,
-        "cost_per_token": rollup.cost_per_token(cost_usd),
+        "cost_usd": result.cost_usd,
+        "cost_per_token": result.cost_per_token,
         "tokens_generated": stats.tokens_generated,
         "routed_spend_usd": sum(spend.values()),
         "max_session_spend_usd": max(spend.values()) if spend else 0.0,
         "budget_usd": tunables.router_session_budget_usd,
         "router_counts": dict(CostConstrainedRouter.counts_of(system)),
-        "digest": digest(stats, sessions),
+        "digest": result.digest(),
     }
 
 
@@ -167,12 +161,6 @@ def always_largest_spend(args) -> tuple[float, int]:
             )
             tokens += stage.input_tokens + stage.output_tokens
     return total, tokens
-
-
-def digest(stats, sessions):
-    """Order-stable hash over the rollup and the session conservation rows."""
-    payload = json.dumps([stats.as_dict(), sessions], sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def print_report(report):

@@ -28,7 +28,6 @@ Run:  python examples/fleet_market_replay.py            (~2-4 min)
 """
 
 import argparse
-import hashlib
 import json
 import resource
 import sys
@@ -73,14 +72,6 @@ def parse_args():
         args.shards, args.models, args.horizon = 2, 64, 180.0
         args.total_rate = 6.0
     return args
-
-
-def digest(result):
-    """Order-stable hash over every shard's complete stats."""
-    payload = json.dumps(
-        [stats.as_dict() for stats in result.shard_stats], sort_keys=True
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def build_and_run(args, *, policy, spec, skewed):
@@ -163,7 +154,7 @@ def print_summary(result, wall):
             f"{ctrl['migrations']} migrations, {ctrl['spills']} spills"
         )
     print(f"  peak RSS        {peak_rss_mb:.0f} MB")
-    print(f"  digest          {digest(result)}")
+    print(f"  digest          {result.digest()}")
     return summary
 
 
@@ -172,7 +163,7 @@ def write_rollup(path, result):
         "summary": result.summary(),
         "shards": [stats.as_dict() for stats in result.shard_stats],
         "controller": result.controller,
-        "digest": digest(result),
+        "digest": result.digest(),
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True, default=str)

@@ -58,11 +58,7 @@ def quad_config(system: str, obs: ObsConfig):
     if system == "muxserve":
         return MuxServeConfig(cluster="h800-quad", obs=obs)
     if system.startswith("unified-"):
-        return UnifiedConfig(
-            policy=system.removeprefix("unified-").replace("-", "_"),
-            cluster="h800-quad",
-            obs=obs,
-        )
+        return UnifiedConfig(cluster="h800-quad", obs=obs)
     raise ValueError(f"no quickstart config for system {system!r}")
 
 

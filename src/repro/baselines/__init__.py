@@ -1,6 +1,7 @@
 """Baseline serving systems: ServerlessLLM(+), MuxServe, dedicated."""
 
-from .base import BaselineServer, BatcherInstanceBase
+from ..core.batcher import BatcherInstanceBase
+from ..core.serving import BaselineServer
 from .muxserve import DedicatedServing, MuxServe, SharedGpuInstance, plan_placement
 from .serverless_llm import ServerlessLLM, ServerlessLLMPlus
 

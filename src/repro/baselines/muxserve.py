@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from ..core.batcher import BatcherInstanceBase
+from ..core.serving import BaselineServer
 from ..core.slo import DEFAULT_SLO, SloSpec
 from ..engine.batching import BatchingPolicy, ContinuousBatcher
 from ..engine.block_manager import BlockManager
@@ -35,7 +37,6 @@ from ..obs import ObsConfig, Observability
 from ..policy.placement import MIN_KV_BYTES, MemoryConstrainedPlacement
 from ..sim import Environment
 from ..workload.trace import Trace
-from .base import BaselineServer, BatcherInstanceBase
 
 __all__ = ["MuxServe", "DedicatedServing", "SharedGpuInstance", "plan_placement"]
 

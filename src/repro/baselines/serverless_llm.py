@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
+from ..core.batcher import BatcherInstanceBase
+from ..core.serving import BaselineServer
 from ..core.slo import DEFAULT_SLO, SloSpec
 from ..engine.batching import BatchingPolicy, ContinuousBatcher
 from ..engine.block_manager import BlockManager
@@ -32,7 +34,6 @@ from ..models.catalog import ModelSpec
 from ..obs import ObsConfig, Observability
 from ..sim import Environment
 from ..workload.trace import Trace
-from .base import BaselineServer, BatcherInstanceBase
 
 __all__ = ["ServerlessLLM", "ServerlessLLMPlus"]
 

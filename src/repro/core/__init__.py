@@ -14,7 +14,7 @@ from .prefill_sched import (
     MAX_GPSIZE,
     PrefillGroup,
 )
-from .proxy import DrainWatchdog, ProxyLayer, Pump, StatusRegistry
+from .proxy import DrainWatchdog, ProxyLayer, Pump, StatusRegistry, replay
 from .server import AegaeonConfig, AegaeonServer
 from .sessions import SessionCoordinator, SessionStats
 from .serving import (
@@ -71,6 +71,7 @@ __all__ = [
     "compute_quotas",
     "estimate_round_attainment",
     "reorder_work_list",
+    "replay",
     "resolve_cluster",
     "token_deadlines",
     "tokens_met",

@@ -1,25 +1,23 @@
-"""Shared machinery for baseline serving systems.
+"""The wake/sleep instance driver shared by every non-disaggregated pool.
 
-:class:`BaselineServer` (the serving-side base) lives in
-:mod:`repro.core.serving` and is re-exported here as the baselines'
-stable import path.  :class:`BatcherInstanceBase` is the instance-side
-counterpart: the wake/sleep driver loop and the request-lifecycle
-accounting that ServerlessLLM's and MuxServe's instances used to carry
-as copy-pasted blocks — prefill timestamping, decode-chunk token
-recording with vLLM-style preemption on KV exhaustion, and retirement of
-finished requests.
+:class:`BatcherInstanceBase` is the instance-side counterpart of
+:class:`~repro.core.serving.BaselineServer`: one wake/sleep driver loop
+for ServerlessLLM's, MuxServe's and the unified foils' instances, plus
+the :class:`~repro.engine.batching.ContinuousBatcher` request-lifecycle
+accounting the two baselines share — prefill timestamping, decode-chunk
+token recording with vLLM-style preemption on KV exhaustion, and
+retirement of finished requests.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Generator, Optional, Sequence
 
-from ..core.serving import BaselineServer
 from ..engine.batching import ContinuousBatcher
 from ..engine.request import Phase, Request
 from ..sim import ContTask, Environment, Event
 
-__all__ = ["BaselineServer", "BatcherInstanceBase"]
+__all__ = ["BatcherInstanceBase"]
 
 
 class BatcherInstanceBase:

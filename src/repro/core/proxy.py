@@ -6,21 +6,21 @@ that synchronizes request metadata through a shared in-memory store
 source of truth for request state that instances and the server update —
 and :class:`ProxyLayer` admits each arrival into the serving system.
 
-Every run, single system or fleet, is driven by the same two processes:
-a :class:`Pump` that submits a request stream at its arrival times, and
-a :class:`DrainWatchdog` that ends the run once its caller's ``done``
-predicate holds or the drain deadline passes.
+Every run, single system or fleet, goes through :func:`replay`: a
+:class:`Pump` submits a request stream at its arrival times, and a
+:class:`DrainWatchdog` ends the run once the pump is done and the
+caller's ``settled`` predicate holds, or the drain deadline passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..engine.request import Phase, Request
 from ..sim import ContTask, Environment, Event
 
-__all__ = ["StatusRegistry", "ProxyLayer", "Pump", "DrainWatchdog"]
+__all__ = ["StatusRegistry", "ProxyLayer", "Pump", "DrainWatchdog", "replay"]
 
 
 @dataclass
@@ -160,3 +160,29 @@ class DrainWatchdog(ContTask):
         if self.env.now >= self._deadline:
             raise StopIteration(None)
         return self.env.timeout(1.0)
+
+
+def replay(
+    env: Environment,
+    stream,
+    submit: Callable,
+    settled: Callable[[], bool],
+    deadline: float,
+    checkers: Iterable,
+) -> bool:
+    """Run ``stream`` through ``submit`` until it drains or ``deadline``.
+
+    The run drains once every arrival is submitted and ``settled()``
+    holds.  Afterwards each attached invariant checker (``None`` entries
+    are skipped) runs a final check and raises on any recorded
+    violation.  Returns True when the run drained, False when the
+    deadline cut it short.
+    """
+    pump = Pump(env, stream, submit)
+    watchdog = DrainWatchdog(env, lambda: pump.triggered and settled(), deadline)
+    env.run(until=watchdog)
+    for checker in checkers:
+        if checker is not None:
+            checker.check_now()
+            checker.assert_clean()
+    return watchdog.drained

@@ -29,7 +29,7 @@ from ..sim import Environment
 from ..transfer.kv_transfer import TransferStats
 from ..workload.trace import Trace
 from ..workload.stream import stream_of_trace
-from .proxy import DrainWatchdog, ProxyLayer, Pump, StatusRegistry
+from .proxy import ProxyLayer, StatusRegistry, replay
 from .slo import DEFAULT_SLO, SloSpec
 
 __all__ = [
@@ -148,13 +148,6 @@ class ServingSystemBase:
         #: paths/:meth:`register_models` and added to on every submit.
         #: Routing policies resolve variant names through this.
         self.spec_index: dict[str, object] = {}
-        #: Extra drain predicates consulted by the drain watchdog; a
-        #: hook returning False keeps the run alive (e.g. a session
-        #: coordinator with stage submissions still pending).
-        self.drain_hooks: list[Callable[[], bool]] = []
-        #: The attached :class:`~repro.core.sessions.SessionCoordinator`,
-        #: if any (see :meth:`attach_sessions`).
-        self.sessions = None
         self._disposed = 0
         scope = self.obs.scoped("serving")
         self._failed_counter = scope.counter("requests_failed")
@@ -282,38 +275,8 @@ class ServingSystemBase:
         for spec in models:
             self.spec_index.setdefault(spec.name, spec)
 
-    def attach_sessions(self, coordinator) -> None:
-        """Wire a :class:`~repro.core.sessions.SessionCoordinator` in.
-
-        Triggered stages submit through :meth:`submit`; the
-        coordinator's settle hook is composed *after* any existing
-        ``request_sink`` (stats fold first, DAG advance second) and its
-        :meth:`~repro.core.sessions.SessionCoordinator.drained`
-        predicate keeps the drain watchdog alive across think-time
-        gaps.  Must precede submission, like
-        :meth:`configure_streaming`.
-        """
-        if self.proxy.submitted:
-            raise RuntimeError("attach_sessions must precede submission")
-        self.sessions = coordinator
-        coordinator.bind(self.submit)
-        inner = self.request_sink
-
-        def sink(request: Request) -> None:
-            if inner is not None:
-                inner(request)
-            coordinator.on_settled(request)
-
-        self.request_sink = sink
-        self.drain_hooks.append(coordinator.drained)
-
-    def _drained(self) -> bool:
-        """True when every attached drain hook agrees the run is idle."""
-        return all(hook() for hook in self.drain_hooks)
-
     def submit(self, trace_request, spec) -> Request:
-        """Admit one request: the pump's entry point, and the session
-        coordinator's for triggered stages."""
+        """Admit one request: the pump's entry point."""
         self.spec_index.setdefault(spec.name, spec)
         request = Request(trace=trace_request, spec=spec)
         self.proxy.admit(request)
@@ -391,21 +354,17 @@ class ServingSystemBase:
         """
         self.register_models(stream.models)
         self.prepare(stream)
-        pump = Pump(self.env, stream, self.submit)
         proxy = self.proxy
-
-        def done() -> bool:
-            drained = self.accounted >= proxy.submitted and self._drained()
-            return pump.triggered and drained
-
-        deadline = until if until is not None else stream.horizon + self.drain_grace
-        watchdog = DrainWatchdog(self.env, done, deadline)
-        self.env.run(until=watchdog)
-        if self.invariant_checker is not None:
-            self.invariant_checker.check_now()
-            self.invariant_checker.assert_clean()
+        drained = replay(
+            self.env,
+            stream,
+            self.submit,
+            lambda: self.accounted >= proxy.submitted,
+            until if until is not None else stream.horizon + self.drain_grace,
+            (self.invariant_checker,),
+        )
         result = self.collect(stream)
-        result.drained = watchdog.drained
+        result.drained = drained
         result.unaccounted = proxy.submitted - self.accounted
         return result
 
@@ -468,9 +427,12 @@ class MuxServeConfig(SystemConfig):
 
 @dataclass(frozen=True)
 class UnifiedConfig(SystemConfig):
-    """Deployment shape for the unified token-level scheduling foils."""
+    """Deployment shape for the unified token-level scheduling foils.
 
-    policy: str = "prefill_first"  # or "decode_first"
+    The system name picks the scheduling policy: ``unified-prefill-first``
+    or ``unified-decode-first``.
+    """
+
     model_cache_bytes: int = 640 * GiB
 
 
@@ -487,10 +449,8 @@ def _default_config(name: str):
         return ServerlessLLMConfig(sjf=True)
     if key == "muxserve":
         return MuxServeConfig()
-    if key == "unified-prefill-first":
-        return UnifiedConfig(policy="prefill_first")
-    if key == "unified-decode-first":
-        return UnifiedConfig(policy="decode_first")
+    if key in ("unified-prefill-first", "unified-decode-first"):
+        return UnifiedConfig()
     raise ValueError(
         f"unknown serving system {name!r}; known: {available_systems()}"
     )
@@ -643,11 +603,11 @@ def _build_unified(policy: str):
     def build(env: Environment, config, policies):
         from .unified import UnifiedServer
 
-        config = config if config is not None else UnifiedConfig(policy=policy)
+        config = config if config is not None else UnifiedConfig()
         return UnifiedServer(
             env,
             resolve_cluster(config.cluster, env),
-            policy=config.policy if config.policy else policy,
+            policy=policy,
             slo=config.slo,
             model_cache_bytes=config.model_cache_bytes,
             obs=config.obs,

@@ -15,8 +15,8 @@ session, ``stages_submitted == stages_finished + stages_failed +
 stages_rejected`` once the run drains.  A failed or rejected stage
 aborts its *downstream* — successors of a stage that never finished are
 never submitted — so sessions complete iff every stage finished.  The
-coordinator's :meth:`drained` hook keeps serve watchdogs alive across
-think-time gaps where the system itself looks idle but a stage
+coordinator's :meth:`drained` predicate keeps the fleet run from
+draining across think-time gaps where the shards look idle but a stage
 submission is still pending.
 """
 
@@ -84,18 +84,17 @@ class SessionStats:
 class SessionCoordinator:
     """Drives session DAGs to completion over any submission channel.
 
-    One coordinator serves one run.  ``spec_of`` resolves a model name
-    to its :class:`~repro.models.catalog.ModelSpec` (usually the
-    stream's ``spec_of``); the submission channel is bound late via
-    :meth:`bind` because a single-system run submits through
-    ``system.submit`` while a fleet run routes through the pump
-    (``FleetRunner.submit_routed``).
+    One coordinator serves one fleet run; a single system runs as a
+    one-shard fleet.  ``spec_of`` resolves a model name to its
+    :class:`~repro.models.catalog.ModelSpec` (usually the stream's
+    ``spec_of``); the submission channel is bound late via :meth:`bind`
+    to ``FleetRunner.submit_routed``, the pump's own channel.
 
-    Wiring order matters and is enforced by the attach points:
-    ``system.attach_sessions(coordinator)`` composes the coordinator's
-    :meth:`on_settled` *after* any stats-folding sink, then the stream
-    is wrapped with :meth:`wrap_stream` so root submissions are counted
-    as they leave the pump.
+    Wiring: ``fleet.attach_sessions(coordinator)`` binds the channel,
+    and every shard's sink calls :meth:`on_settled` *after* folding the
+    request into the shard's stats; then the stream is wrapped with
+    :meth:`wrap_stream` so root submissions are counted as they leave
+    the pump.
     """
 
     def __init__(
@@ -131,7 +130,7 @@ class SessionCoordinator:
         """A stream that notifies this coordinator of each pumped root.
 
         The wrapper is **single-use**: iterating it twice would count
-        root submissions twice.  Wrap immediately before the serve call.
+        root submissions twice.  Wrap immediately before the run.
         """
 
         def _iterate():

@@ -27,9 +27,10 @@ from ..memory.slab import SlabAllocator
 from ..models.catalog import ModelSpec
 from ..models.kv import kv_shape
 from ..obs import ObsConfig, Observability
-from ..sim import Environment, Event
+from ..sim import Environment
 from ..transfer.kv_transfer import RequestKv
 from ..workload.trace import Trace
+from .batcher import BatcherInstanceBase
 from .serving import BaselineServer
 from .slo import DEFAULT_SLO, SloSpec
 
@@ -43,7 +44,7 @@ DECODE_FIRST = "decode_first"
 _CHUNK_STEPS = 8
 
 
-class UnifiedInstance:
+class UnifiedInstance(BatcherInstanceBase):
     """One engine running prefill and decoding for many models."""
 
     def __init__(
@@ -56,22 +57,18 @@ class UnifiedInstance:
     ):
         if policy not in (PREFILL_FIRST, DECODE_FIRST):
             raise ValueError(f"unknown unified policy {policy!r}")
-        self.env = env
+        super().__init__(env, name, on_finished)
         self.engine = engine
         self.policy = policy
-        self.on_finished = on_finished
-        self.name = name
         self.waiting: list[Request] = []  # prefill queue, FCFS
         self.decoding: list[Request] = []  # running decodes, mixed models
-        self._wake: Optional[Event] = None
-        self.process = env.process(self._run())
+        self._start()
 
     # -- dispatch ----------------------------------------------------------
     def enqueue(self, request: Request) -> None:
         """Queue one request for prefill on this instance."""
         self.waiting.append(request)
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+        self._kick()
 
     @property
     def active(self) -> bool:
@@ -82,24 +79,15 @@ class UnifiedInstance:
         return len(self.waiting) + len(self.decoding)
 
     # -- main loop ------------------------------------------------------------
-    def _run(self) -> Generator:
-        while True:
-            if not self.active:
-                self._wake = self.env.event()
-                if not self.active:
-                    yield self._wake
-                self._wake = None
-                continue
-            if self.policy == PREFILL_FIRST:
-                if self.waiting:
-                    yield from self._prefill_next()
-                else:
-                    yield from self._decode_some()
-            else:  # decode-first
-                if self.decoding:
-                    yield from self._decode_some()
-                else:
-                    yield from self._prefill_next()
+    def _step(self) -> Generator:
+        if self.policy == PREFILL_FIRST:
+            prefill = bool(self.waiting)
+        else:  # decode-first
+            prefill = not self.decoding
+        if prefill:
+            yield from self._prefill_next()
+        else:
+            yield from self._decode_some()
 
     # -- phases -----------------------------------------------------------------
     def _ensure_model(self, spec: ModelSpec) -> Generator:

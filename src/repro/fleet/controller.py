@@ -206,10 +206,6 @@ class FleetController:
         #: Rejections that stood because the hop bound was exhausted.
         self.spill_bound_hits = 0
         self._arrivals: dict[str, int] = {}
-        #: Callbacks fired on every *genuine* terminal disposition (not
-        #: on spills, which re-submit and settle elsewhere) — the
-        #: session coordinator advances DAGs through this.
-        self.settle_hooks: list = []
         #: Per-shard (tokens_met, tokens_expected) at the last tick, for
         #: windowed attainment.
         self._window = [(0, 0) for _ in runner.shards]
@@ -233,10 +229,13 @@ class FleetController:
         """Pump hook: count one arrival toward this tick's forecasts."""
         self._arrivals[model] = self._arrivals.get(model, 0) + 1
 
-    def make_sink(self, shard):
-        """The disposition sink installed on ``shard`` — classifies each
-        terminal request as a genuine disposition or a spill."""
-        fold = shard.stats.fold
+    def make_sink(self, shard, settled):
+        """The spill filter in front of ``shard``'s sink ``settled``.
+
+        A rejection the controller can spill is folded as ``spilled``
+        and re-submitted elsewhere; every other terminal request is a
+        genuine disposition and goes on to ``settled``.
+        """
         fold_spilled = shard.stats.fold_spilled
         settle = self.ledger.settle
 
@@ -245,9 +244,7 @@ class FleetController:
                 fold_spilled(request)
             else:
                 settle(request.request_id)
-                fold(request)
-                for hook in self.settle_hooks:
-                    hook(request)
+                settled(request)
 
         return sink
 

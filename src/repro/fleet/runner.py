@@ -20,11 +20,13 @@ each shard's own metric snapshot.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from ..core.proxy import DrainWatchdog, Pump
+from ..core.proxy import replay
 from ..core.serving import SystemSpec
 from ..envkeys import warn_unknown_env_keys
 from ..obs import ObsConfig, Observability
@@ -153,6 +155,15 @@ class FleetResult:
     def cost_per_token(self) -> Optional[float]:
         return self.rollup.cost_per_token(self.cost_usd)
 
+    def digest(self) -> str:
+        """Order-stable hash of the run's outcome: every shard's stats
+        row, then the session rollup when the run had sessions."""
+        rows: list = [stats.as_dict() for stats in self.shard_stats]
+        if self.sessions is not None:
+            rows.append(self.sessions)
+        payload = json.dumps(rows, sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
     def summary(self) -> dict[str, object]:
         """Fleet rollup plus the run's cost accounting."""
         out = self.rollup.summary()
@@ -193,8 +204,6 @@ class FleetRunner:
         )
         self.obs = Observability(config.obs, clock=lambda: self.env.now)
         self.submitted = 0
-        #: Extra drain predicates for the run watchdog (sessions).
-        self.drain_hooks: list = []
         #: The attached :class:`~repro.core.sessions.SessionCoordinator`,
         #: if any (see :meth:`attach_sessions`).
         self.sessions = None
@@ -202,10 +211,6 @@ class FleetRunner:
         for index in range(config.shards):
             system = config.spec.build(self.env)
             stats = ShardStats(shard=index, slo=system.slo)
-            system.configure_streaming(
-                retain_requests=config.retain_requests,
-                request_sink=stats.fold,
-            )
             shard = FleetShard(
                 index=index, name=f"shard-{index}", system=system, stats=stats
             )
@@ -218,15 +223,11 @@ class FleetRunner:
         self.controller: Optional[FleetController] = None
         if config.controller is not None:
             self.controller = FleetController(self, config.controller)
-            for shard in self.shards:
-                # Re-route each shard's disposition sink through the
-                # controller so admission rejections can spill before
-                # they are folded as terminal.  Nothing has been
-                # submitted yet, so the swap is safe.
-                shard.system.configure_streaming(
-                    retain_requests=config.retain_requests,
-                    request_sink=self.controller.make_sink(shard),
-                )
+        for shard in self.shards:
+            shard.system.configure_streaming(
+                retain_requests=config.retain_requests,
+                request_sink=self._make_sink(shard),
+            )
         if self.obs.enabled:
             metrics = self.obs.metrics
             metrics.gauge("shards", scope="fleet").set(config.shards)
@@ -256,8 +257,20 @@ class FleetRunner:
                 total += shard.system.gpu_count * MARKET_HOURLY_USD["H800"]
         return total
 
-    def _drained(self) -> bool:
-        return all(hook() for hook in self.drain_hooks)
+    def _make_sink(self, shard: FleetShard):
+        """The shard's terminal-disposition sink: fold into its stats,
+        then advance any attached session's DAG.  With a controller, its
+        spill filter runs first and re-routes rejections it can spill."""
+        fold = shard.stats.fold
+
+        def settled(request) -> None:
+            fold(request)
+            if self.sessions is not None:
+                self.sessions.on_settled(request)
+
+        if self.controller is not None:
+            return self.controller.make_sink(shard, settled)
+        return settled
 
     def _unaccounted(self) -> int:
         """Requests submitted or spilled but not yet disposed.
@@ -268,6 +281,12 @@ class FleetRunner:
         """
         spills = self.controller.spills if self.controller is not None else 0
         return self.submitted + spills - self._disposed()
+
+    def _settled(self) -> bool:
+        """Every submission and spill disposed, no session stage pending."""
+        return self._unaccounted() <= 0 and (
+            self.sessions is None or self.sessions.drained()
+        )
 
     # -- sessions ------------------------------------------------------------
     def submit_routed(self, trace_request, spec) -> None:
@@ -288,29 +307,16 @@ class FleetRunner:
     def attach_sessions(self, coordinator) -> None:
         """Wire a :class:`~repro.core.sessions.SessionCoordinator` in.
 
-        Triggered stages route through :meth:`submit_routed`; the
-        coordinator's settle hook fires on every genuine terminal
-        disposition (spills re-submit elsewhere and settle there), and
-        its drain predicate keeps the run watchdog alive across
-        think-time gaps.  Must precede :meth:`run`.
+        Triggered stages route through :meth:`submit_routed`; every
+        shard's sink settles each genuine terminal disposition with the
+        coordinator (spills re-submit elsewhere and settle there), and
+        the run does not drain while a stage submission is pending, so
+        think-time gaps keep it alive.  Must precede :meth:`run`.
         """
         if self.submitted:
             raise RuntimeError("attach_sessions must precede run()")
         self.sessions = coordinator
         coordinator.bind(self.submit_routed)
-        self.drain_hooks.append(coordinator.drained)
-        if self.controller is not None:
-            self.controller.settle_hooks.append(coordinator.on_settled)
-        else:
-            for shard in self.shards:
-                inner = shard.system.request_sink
-
-                def sink(request, inner=inner) -> None:
-                    if inner is not None:
-                        inner(request)
-                    coordinator.on_settled(request)
-
-                shard.system.request_sink = sink
 
     def run(self, stream, until: Optional[float] = None) -> FleetResult:
         """Replay ``stream`` across the fleet to completion or deadline."""
@@ -332,22 +338,15 @@ class FleetRunner:
         if self.controller is not None:
             self.controller.bind_stream(stream)
             self.controller.start()
-        pump = Pump(self.env, stream, self.submit_routed)
-
-        def done() -> bool:
-            return pump.triggered and self._unaccounted() <= 0 and self._drained()
-
-        deadline = (
-            until if until is not None else stream.horizon + self.config.drain_grace
+        drained = replay(
+            self.env,
+            stream,
+            self.submit_routed,
+            self._settled,
+            until if until is not None else stream.horizon + self.config.drain_grace,
+            [shard.system.invariant_checker for shard in self.shards],
         )
-        watchdog = DrainWatchdog(self.env, done, deadline)
-        self.env.run(until=watchdog)
-        for shard in self.shards:
-            checker = shard.system.invariant_checker
-            if checker is not None:
-                checker.check_now()
-                checker.assert_clean()
-        return self._collect(stream.horizon, watchdog.drained)
+        return self._collect(stream.horizon, drained)
 
     def _collect(self, horizon: float, drained: bool) -> FleetResult:
         shard_stats = [shard.stats for shard in self.shards]

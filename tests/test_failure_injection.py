@@ -58,8 +58,10 @@ class TestColdCheckpoints:
 
 class TestMemoryPressure:
     def test_small_cpu_kv_cache_still_completes(self):
-        # A CPU KV cache barely larger than one batch forces constant
-        # retry/reclaim cycles; throughput drops but nothing deadlocks.
+        # A 4 GiB CPU KV cache in 64 MiB slabs still completes this light
+        # trace.  It is not small enough to reach the swap-out retry
+        # states (_swap_retry, _swap_out_retry): every size that does
+        # reach them wedges the run (see ROADMAP, failure states).
         env = Environment()
         config = AegaeonConfig(
             prefill_instances=1,

@@ -18,7 +18,6 @@ Four contracts pin the control loop down:
   routes around it and every invariant stays green.
 """
 
-import hashlib
 import json
 import os
 import warnings
@@ -93,19 +92,12 @@ def controller_fleet(
     return fleet, stream
 
 
-def digest(result) -> str:
-    payload = json.dumps(
-        [stats.as_dict() for stats in result.shard_stats], sort_keys=True
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 class TestDeterminism:
     def test_same_seed_is_byte_identical(self):
         digests = []
         for _ in range(2):
             fleet, stream = controller_fleet()
-            digests.append(digest(fleet.run(stream)))
+            digests.append(fleet.run(stream).digest())
         assert digests[0] == digests[1]
 
     def test_digest_matches_golden(self):
@@ -115,7 +107,7 @@ class TestDeterminism:
             golden = json.load(handle)
         fleet, stream = controller_fleet(kill_prefill0=True)
         result = fleet.run(stream)
-        assert digest(result) == golden["digest"], (
+        assert result.digest() == golden["digest"], (
             "controller-enabled replay drifted from the committed golden; "
             "if the change is intentional, regenerate "
             "tests/golden/fleet_controller_digest.json"
@@ -126,7 +118,7 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         fleet_a, stream_a = controller_fleet(seed=2025)
         fleet_b, stream_b = controller_fleet(seed=2026)
-        assert digest(fleet_a.run(stream_a)) != digest(fleet_b.run(stream_b))
+        assert fleet_a.run(stream_a).digest() != fleet_b.run(stream_b).digest()
 
     def test_static_controller_leaves_data_path_untouched(self):
         """An observe-only controller must not perturb a single byte of
@@ -144,7 +136,7 @@ class TestDeterminism:
         for fleet in (fleet_none, fleet_static):
             stream = market_stream(24, 120.0, seed=2025, total_rate=10.0)
             results.append(fleet.run(stream))
-        assert digest(results[0]) == digest(results[1])
+        assert results[0].digest() == results[1].digest()
 
 
 class TestConservation:
@@ -248,7 +240,7 @@ class TestChaos:
         digests = []
         for _ in range(2):
             fleet, stream = controller_fleet(kill_prefill0=True)
-            digests.append(digest(fleet.run(stream)))
+            digests.append(fleet.run(stream).digest())
         assert digests[0] == digests[1]
 
 

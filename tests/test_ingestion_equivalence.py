@@ -2,29 +2,30 @@
 
 ``serve(trace)``, ``serve_stream(stream_of_trace(trace))`` and a
 retained one-shard fleet all drive the system through the same
-:class:`~repro.core.proxy.Pump` and :class:`~repro.core.proxy.DrainWatchdog`,
+:func:`~repro.core.proxy.replay` driver (one Pump, one DrainWatchdog),
 so on one trace they must agree on every request's outcome, on the end
-time, and on the exact number of kernel steps.
+time, and on the exact number of kernel steps — for every policy bundle.
 """
 
 import pytest
 
-from repro.core import AegaeonConfig, MuxServeConfig, SystemSpec
+from repro.core import SystemSpec
 from repro.fleet import FleetConfig, build_fleet
 from repro.models import market_mix
+from repro.policy import available_bundles, get_bundle
 from repro.sim import Environment
 from repro.workload import materialize_trace, sharegpt, stream_of_trace
 
-SPECS = {
-    "aegaeon": SystemSpec(
-        config=AegaeonConfig(
-            prefill_instances=1, decode_instances=2, cluster="h800-quad"
-        )
-    ),
-    "muxserve": SystemSpec(
-        system="muxserve", config=MuxServeConfig(cluster="h800-pair")
-    ),
-}
+from .test_serving_api import small_config
+
+
+def bundle_spec(name):
+    """The smallest deployment of the system ``name``'s bundle steers."""
+    system = get_bundle(name).system
+    return SystemSpec(system=system, config=small_config(system), policies=name)
+
+
+SPECS = {name: bundle_spec(name) for name in available_bundles()}
 
 
 def trace():

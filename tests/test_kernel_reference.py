@@ -173,14 +173,14 @@ def _ingestion(name):
 
 def _agentic(kernel):
     env = kernel()
-    system, coordinator, stats = test_workload_agentic.replay(
+    system, coordinator, result = test_workload_agentic.replay(
         test_workload_agentic.golden_stream(),
         bundle="aegaeon-cost-router",
         retain=True,
         env=env,
     )
     seen = (
-        test_workload_agentic.digest_of(stats, coordinator.summary()),
+        result.digest(),
         _rows(system.proxy.requests),
         _dispositions(system.registry),
     )
@@ -193,7 +193,7 @@ def _controller_fleet(kernel):
     )
     result = fleet.run(stream)
     assert result.drained and result.unaccounted == 0
-    seen = (test_fleet_controller.digest(result), result.controller)
+    seen = (result.digest(), result.controller)
     return seen, fleet.env
 
 
@@ -213,7 +213,7 @@ class TestScenarios:
     def test_same_timestamp_collision(self):
         _assert_kernels_agree(_collision)
 
-    @pytest.mark.parametrize("name", sorted(test_ingestion_equivalence.SPECS))
+    @pytest.mark.parametrize("name", ["aegaeon", "muxserve"])
     def test_ingestion_trace(self, name):
         # MuxServe keeps its models resident: no stream lane ever runs.
         _assert_kernels_agree(_ingestion(name), inlines=name != "muxserve")

@@ -20,6 +20,7 @@ from repro.core import (
     SystemSpec,
     build_system,
 )
+from repro.fleet import FleetConfig, build_fleet
 from repro.policy import (
     AdmissionPolicy,
     CostConstrainedRouter,
@@ -169,16 +170,17 @@ class TestCostRouter:
     def routed_replay(bundle, seed=17):
         """One coordinated agentic replay under ``bundle`` (name or object)."""
         stream = small_stream(seed=seed, rate=1.5, horizon=12.0)
-        system = SystemSpec(
+        spec = SystemSpec(
             config=AegaeonConfig(
                 prefill_instances=1, decode_instances=3, cluster="h800-quad"
             ),
             policies=bundle,
-        ).build()
-        coordinator = SessionCoordinator(system.env, stream.spec_of)
-        system.attach_sessions(coordinator)
-        system.serve_stream(coordinator.wrap_stream(stream))
-        return system, coordinator
+        )
+        fleet = build_fleet(FleetConfig(shards=1, spec=spec))
+        coordinator = SessionCoordinator(fleet.env, stream.spec_of)
+        fleet.attach_sessions(coordinator)
+        fleet.run(coordinator.wrap_stream(stream))
+        return fleet.shards[0].system, coordinator
 
     def test_router_downgrades_on_agentic_traffic(self):
         system, coordinator = self.routed_replay("aegaeon-cost-router")

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from repro.core import (
+    DECODE_FIRST,
+    PREFILL_FIRST,
     AegaeonConfig,
     MuxServeConfig,
     RunSettings,
@@ -63,6 +65,19 @@ class TestFactory:
             env,
         )
         assert system.label == "ServerlessLLM+"
+
+    @pytest.mark.parametrize(
+        "name, policy",
+        [
+            ("unified-prefill-first", PREFILL_FIRST),
+            ("unified-decode-first", DECODE_FIRST),
+        ],
+    )
+    def test_unified_name_picks_policy(self, name, policy):
+        """A UnifiedConfig carries no policy: the system name picks it."""
+        system = SystemSpec(system=name, config=small_config(name)).build()
+        assert system.label == f"unified-{policy}"
+        assert all(instance.policy == policy for instance in system.instances)
 
     def test_unknown_cluster_preset_raises(self):
         with pytest.raises(ValueError, match="unknown cluster preset"):

@@ -17,7 +17,6 @@ Four contracts pin the layer down:
   its parents finished (checked on the retained request ledger).
 """
 
-import hashlib
 import json
 import os
 
@@ -27,7 +26,6 @@ from hypothesis import given, settings
 from repro.core import AegaeonConfig, SessionCoordinator, SystemSpec
 from repro.envkeys import known_env_keys, suggest_env_key
 from repro.fleet import ControllerConfig, FleetConfig, build_fleet
-from repro.fleet.rollup import ShardStats
 from repro.workload import (
     AgenticConfig,
     SessionPlan,
@@ -55,31 +53,24 @@ def small_stream(seed=7, rate=1.0, horizon=30.0, agents=2, **overrides):
     return agentic_stream(config, groups=agent_variant_groups(agents))
 
 
-def build_pool(bundle="aegaeon", env=None):
-    """One 4-GPU pool, same shape as examples/agentic_replay.py."""
-    return SystemSpec(
+def replay(stream, bundle="aegaeon", retain=False, env=None):
+    """One coordinated replay on a one-shard fleet; returns (system,
+    coordinator, result).  The pool is one 4-GPU node, the same shape
+    as examples/agentic_replay.py."""
+    spec = SystemSpec(
         config=AegaeonConfig(
             prefill_instances=1, decode_instances=3, cluster="h800-quad"
         ),
         policies=bundle,
-    ).build(env)
-
-
-def replay(stream, bundle="aegaeon", retain=False, env=None):
-    """Run one coordinated replay; returns (system, coordinator, stats)."""
-    system = build_pool(bundle, env)
-    stats = ShardStats(shard=0, slo=system.slo)
-    system.configure_streaming(retain_requests=retain, request_sink=stats.fold)
-    coordinator = SessionCoordinator(system.env, stream.spec_of, obs=system.obs)
-    system.attach_sessions(coordinator)
-    system.serve_stream(coordinator.wrap_stream(stream))
-    return system, coordinator, stats
-
-
-def digest_of(stats, sessions) -> str:
-    """Same digest the example prints: rollup + session conservation rows."""
-    payload = json.dumps([stats.as_dict(), sessions], sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    )
+    fleet = build_fleet(
+        FleetConfig(shards=1, spec=spec, retain_requests=retain), env=env
+    )
+    system = fleet.shards[0].system
+    coordinator = SessionCoordinator(fleet.env, stream.spec_of, obs=system.obs)
+    fleet.attach_sessions(coordinator)
+    result = fleet.run(coordinator.wrap_stream(stream))
+    return system, coordinator, result
 
 
 class TestPlanStructure:
@@ -243,8 +234,9 @@ class TestEnvSurface:
         )
 
 
-def assert_conserved(system, coordinator, stats):
+def assert_conserved(system, coordinator, result):
     """The conservation identity every coordinated replay must close."""
+    (stats,) = result.shard_stats
     s = coordinator.stats
     assert s.stages_submitted == (
         s.stages_finished + s.stages_failed + s.stages_rejected
@@ -264,21 +256,21 @@ def assert_conserved(system, coordinator, stats):
 
 class TestReplayConservation:
     def test_single_pool_conservation(self):
-        system, coordinator, stats = replay(small_stream(seed=13))
+        system, coordinator, result = replay(small_stream(seed=13))
         assert coordinator.stats.sessions_started > 0
         assert coordinator.stats.stages_finished > 0
-        assert_conserved(system, coordinator, stats)
+        assert_conserved(system, coordinator, result)
 
     @settings(max_examples=8, deadline=None)
     @given(seed=session_seeds)
     def test_conservation_for_any_seed(self, seed):
         stream = small_stream(seed=seed, rate=1.5, horizon=10.0)
-        system, coordinator, stats = replay(stream)
-        assert_conserved(system, coordinator, stats)
+        system, coordinator, result = replay(stream)
+        assert_conserved(system, coordinator, result)
 
     def test_stage_ordering_respects_dag_edges(self):
-        system, coordinator, stats = replay(small_stream(seed=21), retain=True)
-        assert_conserved(system, coordinator, stats)
+        system, coordinator, result = replay(small_stream(seed=21), retain=True)
+        assert_conserved(system, coordinator, result)
         settled = system.finished + system.failed + system.rejected
         by_id = {request.request_id: request for request in settled}
         finished = {request.request_id for request in system.finished}
@@ -356,11 +348,11 @@ def golden_stream():
 
 def golden_scenario():
     """The pinned replay: cost-routed DAG traffic on one pool."""
-    system, coordinator, stats = replay(
+    system, coordinator, result = replay(
         golden_stream(), bundle="aegaeon-cost-router"
     )
-    assert_conserved(system, coordinator, stats)
-    return digest_of(stats, coordinator.summary())
+    assert_conserved(system, coordinator, result)
+    return result.digest()
 
 
 class TestGoldenDigest:
