@@ -766,19 +766,28 @@ class _DecodeTask(ContTask):
         steps = self._chunk_steps
         step = self._chunk_step
         chunk_start = self._chunk_start
-        # One timestamp list shared across the batch: record_tokens
-        # copies via extend(), so the shared list is never aliased.
+        # One timestamp list shared across the batch: ``+=`` copies it
+        # into each request, so the shared list is never aliased.
         times = [chunk_start + (i + 1) * step for i in range(steps)]
         chunk_time = steps * step
         gpu_cache = engine.gpu_kv_cache
+        # Commit the chunk inline (Request.record_tokens, plus
+        # RequestKv.grow only when a block boundary is crossed): steps
+        # never exceed any ready request's remaining tokens.
         for request in self._ready:
-            request.record_tokens(times)
+            request.token_times += times
+            request.generated_tokens += steps
             request.decode_exec_time += chunk_time
+            kv = request.kv
+            tokens = kv.tokens + steps
+            if tokens <= kv.capacity_tokens:
+                kv.tokens = tokens
+                continue
             try:
-                request.kv.grow(steps, gpu_cache)
+                kv.grow(steps, gpu_cache)
             except MemoryError:
                 # Cache pressure: demote this request until space frees.
-                engine.kv.swap_out(request.kv)
+                engine.kv.swap_out(kv)
         self._ready = None
         inst._retire_finished(self._batch)
         return self._chunk_loop()

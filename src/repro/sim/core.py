@@ -755,6 +755,28 @@ class Environment:
     # pooled objects they hand out are reset at recycle time (callbacks
     # == [], value/ok/defused/cancelled/waiter cleared), so the factories
     # only set what differs per use.
+    def timeout_at(self, when: float) -> Timeout:
+        """A timeout that fires at the absolute time ``when``.
+
+        ``timeout(when - now)`` fires at ``now + (when - now)``, which
+        can round off ``when`` while ``now`` is under half of it; a tick
+        replayed onto a grid must land on the grid exactly.
+        """
+        now = self._now
+        if when < now:
+            raise SimulationError(f"timeout_at({when}) lies in the past (now={now})")
+        pool = self._timeout_pool
+        if pool:
+            timeout = pool.pop()  # still _TRIGGERED from its last life
+        else:
+            timeout = Timeout.__new__(Timeout)
+            Event.__init__(timeout, self)
+            timeout._state = _TRIGGERED
+        timeout.delay = when - now
+        heappush(self._queue, (when, self._sequence, timeout))
+        self._sequence += 1
+        return timeout
+
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires when every event in ``events`` has fired."""
         return AllOf(self, events)

@@ -39,9 +39,10 @@ class CudaEvent:
 
     The simulation event behind :meth:`wait` is created lazily, by the
     first wait issued while the work is still pending.  Many KV transfer
-    events are only polled with :meth:`query` (the reclaim daemon's move
-    list), and a completion nobody waits on would still cost the kernel
-    one heap entry.
+    events are never waited on: a swap-in's event only guards its source
+    blocks on a move list, which completion notifies with a plain call,
+    and a completion nobody waits on would still cost the kernel one
+    heap entry.
     """
 
     def __init__(self, env: Environment, name: str = ""):
@@ -50,6 +51,9 @@ class CudaEvent:
         self._completion: Optional[Event] = None
         self.recorded = False
         self.completed_at: Optional[float] = None
+        # The move list whose blocks this event guards (set by
+        # MoveList.add), told when the work completes.
+        self._move_list = None
 
     # -- Table 2 API ------------------------------------------------------
     def query(self) -> bool:
@@ -95,6 +99,8 @@ class CudaEvent:
             self.completed_at = self.env.now
             if self._completion is not None:
                 self._completion.succeed()
+            if self._move_list is not None:
+                self._move_list._completed(self)
 
     def __repr__(self) -> str:
         state = "done" if self.query() else "pending"

@@ -68,6 +68,27 @@ class TestTimeout:
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
 
+    @pytest.mark.parametrize("kernel", [Environment, ReferenceEnvironment])
+    def test_timeout_at_fires_exactly_at_its_instant(self, kernel):
+        # 0.0005 + (0.005 - 0.0005) rounds to 0.005000000000000001.
+        env = kernel()
+        times = []
+
+        def proc():
+            yield env.timeout(0.0005)
+            assert env.now + (0.005 - env.now) != 0.005
+            yield env.timeout_at(0.005)
+            times.append(env.now)
+            for _ in range(3):  # pooled timeouts too
+                yield env.timeout_at(env.now + 1.0)
+                times.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert times == [0.005, 1.005, 2.005, 3.005]
+        with pytest.raises(SimulationError):
+            env.timeout_at(env.now - 1.0)
+
     def test_sequential_timeouts_accumulate(self, env):
         def proc():
             yield env.timeout(1.0)
