@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 from ..engine.engine import AegaeonEngine
 from ..engine.request import Phase, Request
+from ..memory.slab import KvTooLargeError, SlabAllocator
 from ..models.catalog import ModelSpec
 from ..models.kv import kv_shape
 from ..obs import NULL_OBS, Observability
@@ -45,9 +46,6 @@ __all__ = ["PrefillInstance", "DecodeInstance"]
 # arithmetically; the chunk size bounds how stale the batch composition
 # can get (finished/grown requests are reconciled at chunk boundaries).
 DECODE_CHUNK_STEPS = 16
-# Retry pacing for transient KV-cache pressure.  Canonically
-# ``Tunables.alloc_retry_delay``; alias kept for old imports.
-ALLOC_RETRY_DELAY = DEFAULT_TUNABLES.alloc_retry_delay
 
 
 class PrefillInstance:
@@ -62,18 +60,18 @@ class PrefillInstance:
         on_failed: Optional[Callable[[Request], None]] = None,
         obs: Observability = NULL_OBS,
         scaling: Optional[ScalingPolicy] = None,
-        tunables: Tunables = DEFAULT_TUNABLES,
     ):
         self.env = env
         self.engine = engine
         self.on_prefilled = on_prefilled
         self.on_failed = on_failed
         self.fetch_aborts = 0
+        # Times the task parked for KV space (a full GPU or CPU cache).
+        self.kv_waits = 0
         self.name = name
         self.groups: list[PrefillGroup] = []
         self.dead = False
         self.scaling: ScalingPolicy = scaling if scaling is not None else TokenLevelScaling()
-        self._alloc_retry_delay = tunables.alloc_retry_delay
         self._inflight: Optional[Request] = None
         self._wake: Optional[Event] = None
         self._tracer = obs.tracer
@@ -152,13 +150,12 @@ class PrefillInstance:
 class _PrefillTask(ContTask):
     """Algorithm 1's execution loop as a continuation state machine.
 
-    Event-for-event identical to the generator loop it replaces: the
-    sleep park, scale/prefill/drain sub-generators (driven through the
-    :class:`~repro.sim.ContTask` bridge), and the alloc/swap retry
-    timeouts all consume the same kernel events in the same order.  The
-    single-timeout prefill execution is inlined when the tracer is off,
-    so the hottest wake pays one state-function call instead of a
-    ``generator.send`` through two frames.
+    A job whose KV allocation or swap-out finds its cache full parks
+    on that cache's next ``free`` (never on a timer) and retries at that
+    instant; a KV larger than the whole empty region fails its request,
+    like an unreachable checkpoint.  The single-timeout prefill is
+    inlined when the tracer is off, so the hottest wake pays one state
+    call instead of a ``generator.send`` through two frames.
     """
 
     __slots__ = ("_inst", "_spec", "_request", "_span", "_duration")
@@ -222,27 +219,33 @@ class _PrefillTask(ContTask):
         inst = self._inst
         request = self._request
         inst._prefetch_next(self._spec)
-        # KV for the prompt; retried under transient cache pressure
-        # (swap-outs free blocks asynchronously).
+        # KV for the prompt; under cache pressure the task waits for
+        # swap-outs to release blocks (they do so asynchronously).
         request.kv = RequestKv(
             request_id=request.request_id,
             shape=kv_shape(request.spec, inst.engine.config.tp),
             tokens=request.input_tokens,
             block_tokens=inst.engine.config.block_tokens,
         )
-        return self._alloc_kv()
+        return self._alloc_kv(None)
 
-    def _alloc_kv(self) -> Event:
-        inst = self._inst
+    def _alloc_kv(self, value: object) -> Event:
+        manager = self._inst.engine.kv
         try:
-            inst.engine.kv.alloc_gpu(self._request.kv)
+            manager.alloc_gpu(self._request.kv)
+        except KvTooLargeError:
+            return self._fail_job()
         except MemoryError:
-            self._send = self._alloc_retry
-            return self.env.timeout(inst._alloc_retry_delay)
+            return self._wait_for_free(manager.gpu_cache, self._alloc_kv)
         return self._start_prefill()
 
-    def _alloc_retry(self, value: object) -> Event:
-        return self._alloc_kv()
+    def _wait_for_free(self, cache: SlabAllocator, state: Callable) -> Event:
+        """Park until ``cache`` frees blocks, then re-enter ``state``."""
+        self._inst.kv_waits += 1
+        event = self.env.event()
+        cache.wake_on_free(event)
+        self._send = state
+        return event
 
     def _start_prefill(self) -> Event:
         inst = self._inst
@@ -275,24 +278,23 @@ class _PrefillTask(ContTask):
         now = self.env.now
         request.prefill_end = now
         request.record_tokens([now])  # the first output token
-        return self._swap_out()
+        return self._swap_out(None)
 
-    def _swap_out(self) -> Event:
+    def _swap_out(self, value: object) -> Event:
         # Offload the prompt KV to the unified CPU cache.  Under
         # fine-grained sync this overlaps with the next prefill; the
         # unoptimized path must drain before proceeding.
         inst = self._inst
+        manager = inst.engine.kv
         try:
-            inst.engine.kv.swap_out(self._request.kv)
+            manager.swap_out(self._request.kv)
+        except KvTooLargeError:
+            return self._fail_job()
         except MemoryError:
-            self._send = self._swap_retry
-            return self.env.timeout(inst._alloc_retry_delay)
+            return self._wait_for_free(manager.cpu_cache, self._swap_out)
         if not inst.engine.config.fine_grained_sync:
-            return self._run_gen(inst.engine.kv.drain(), self._job_done)
+            return self._run_gen(manager.drain(), self._job_done)
         return self._job_done(None)
-
-    def _swap_retry(self, value: object) -> Event:
-        return self._swap_out()
 
     def _job_done(self, value: object) -> Event:
         inst = self._inst
@@ -301,6 +303,22 @@ class _PrefillTask(ContTask):
         request.decode_enqueue = self.env.now
         inst.on_prefilled(request)
         self._close_span()
+        self._request = None
+        self._spec = None
+        inst._inflight = None
+        return self._main()
+
+    def _fail_job(self) -> Event:
+        """Fail the in-flight request instead of wedging the queue behind it."""
+        inst = self._inst
+        request = self._request
+        self._close_span()
+        if request.kv is not None:
+            inst.engine.kv.abort_request(request.kv)
+            request.kv = None
+        request.reset_progress()
+        if inst.on_failed is not None:
+            inst.on_failed(request)
         self._request = None
         self._spec = None
         inst._inflight = None
@@ -321,21 +339,9 @@ class _PrefillTask(ContTask):
             raise StopIteration(None)
         if isinstance(exc, CheckpointFetchError):
             # Retry budget exhausted: the registry is persistently
-            # unreachable for this model.  Fail the request rather
-            # than wedging the whole queue behind it.
-            inst = self._inst
-            request = self._request
-            inst.fetch_aborts += 1
-            if request.kv is not None:
-                inst.engine.kv.abort_request(request.kv)
-                request.kv = None
-            request.reset_progress()
-            if inst.on_failed is not None:
-                inst.on_failed(request)
-            self._request = None
-            self._spec = None
-            inst._inflight = None
-            return self._main()
+            # unreachable for this model.
+            self._inst.fetch_aborts += 1
+            return self._fail_job()
         raise exc
 
 
@@ -372,10 +378,12 @@ class DecodeInstance:
             turn_policy if turn_policy is not None else WeightedRoundPolicy(tunables)
         )
         self.scaling: ScalingPolicy = scaling if scaling is not None else TokenLevelScaling()
-        self._alloc_retry_delay = tunables.alloc_retry_delay
         self.work_list: list[DecodeBatch] = []
         self.dead = False
         self.fetch_aborts = 0
+        # Swap-ins with no GPU room, swap-outs with no CPU room.
+        self.left_on_cpu = 0
+        self.kept_resident = 0
         self._wake: Optional[Event] = None
         self.rounds = 0
         self.turns = 0
@@ -481,12 +489,16 @@ class DecodeInstance:
     def _abort_batch(self, batch: DecodeBatch) -> None:
         """Fail every request in ``batch`` (checkpoint unreachable)."""
         for request in list(batch.requests):
-            if request.kv is not None:
-                self.engine.kv.abort_request(request.kv)
-                request.kv = None
-            if self.on_failed is not None:
-                self.on_failed(request)
+            self._fail(request)
         batch.requests.clear()
+
+    def _fail(self, request: Request) -> None:
+        """Drop ``request``'s KV and report it failed (caller unbatches it)."""
+        if request.kv is not None:
+            self.engine.kv.abort_request(request.kv)
+            request.kv = None
+        if self.on_failed is not None:
+            self.on_failed(request)
 
     def _retire_finished(self, batch: DecodeBatch) -> None:
         finished = None
@@ -516,18 +528,22 @@ class _DecodeTask(ContTask):
     state functions; the per-chunk decode timeout — the single hottest
     wake in the whole simulation — resumes directly into
     :meth:`_chunk_done` instead of unwinding four generator frames.
-    Swap-in scans snapshot ``batch.requests`` while swap-out scans the
-    live list by position, exactly like the ``for`` loops they replace
-    (a Python list iterator is itself position-based), and each retry
-    re-attempts the same request without re-checking its location.
+
+    The task never waits for KV space: its own other batches hold it.
+    A swap-in with no GPU room leaves the request on the CPU for the
+    turn, which decodes what is resident, and a turn with nothing
+    resident or in transit ends at once.  A swap-out the CPU cache
+    cannot take leaves the KV on the GPU.  A request that can neither
+    grow on the GPU nor move to the CPU, or whose KV exceeds the whole
+    GPU region, fails.  A round that ends with the clock unmoved parks
+    until the GPU cache frees blocks or new work arrives.
     """
 
     __slots__ = (
         "_inst", "_batches", "_quotas", "_turn_index", "_cur_index",
-        "_batch", "_quota", "_turn_start", "_round_span", "_turn_span",
-        "_ready", "_chunk_steps", "_chunk_step", "_chunk_start",
-        "_duration", "_stall_start", "_swap_list", "_swap_pos",
-        "_swap_req", "_swap_cont",
+        "_batch", "_quota", "_turn_start", "_round_start", "_round_span",
+        "_turn_span", "_ready", "_chunk_steps", "_chunk_step",
+        "_chunk_start", "_duration", "_stall_start", "_left_on_cpu",
     )
 
     def __init__(self, env: Environment, inst: "DecodeInstance") -> None:
@@ -539,6 +555,7 @@ class _DecodeTask(ContTask):
         self._batch = None
         self._quota = 0.0
         self._turn_start = 0.0
+        self._round_start = 0.0
         self._round_span = None
         self._turn_span = None
         self._ready = None
@@ -547,10 +564,8 @@ class _DecodeTask(ContTask):
         self._chunk_start = 0.0
         self._duration = 0.0
         self._stall_start = 0.0
-        self._swap_list = None
-        self._swap_pos = 0
-        self._swap_req = None
-        self._swap_cont = None
+        # Request ids whose swap-in found no room this turn.
+        self._left_on_cpu: Optional[set[int]] = None
         ContTask.__init__(self, env)
 
     def _start(self, value: object) -> Event:
@@ -613,6 +628,7 @@ class _DecodeTask(ContTask):
         self._batches = batches
         self._quotas = quotas
         self._turn_index = 0
+        self._round_start = self.env.now
         return self._next_turn()
 
     def _next_turn(self) -> Event:
@@ -645,6 +661,14 @@ class _DecodeTask(ContTask):
         self._batches = None
         self._quotas = None
         inst._prune()
+        if self.env.now == self._round_start and inst.work_list:
+            # Every turn ended at once: nothing can change until the GPU
+            # cache frees blocks (an in-flight swap-out source whose
+            # request left the work list) or new work arrives.
+            wake = inst._wake = self.env.event()
+            inst.engine.kv.gpu_cache.wake_on_free(wake)
+            self._send = self._woken
+            return wake
         return self._main()
 
     # -- one weighted turn: scale, swap in, decode, swap out ---------------
@@ -677,7 +701,7 @@ class _DecodeTask(ContTask):
     def _after_scale(self, value: object) -> Event:
         inst = self._inst
         inst._prefetch_after(self._batch)
-        return self._swap_in_start(self._after_swap_in)
+        return self._swap_in(self._after_swap_in)
 
     def _after_swap_in(self, value: object) -> Event:
         # Figure 10's overlap: while this turn decodes, the *next*
@@ -713,7 +737,10 @@ class _DecodeTask(ContTask):
                     continue
                 location = kv.location
                 if location == "cpu":
-                    return self._swap_in_start(self._chunk_resume)
+                    left = self._left_on_cpu
+                    if left is None or r.request_id not in left:
+                        return self._swap_in(self._chunk_resume)
+                    continue
                 if location == "gpu":
                     transfer = kv.last_transfer
                     if (
@@ -786,27 +813,36 @@ class _DecodeTask(ContTask):
             try:
                 kv.grow(steps, gpu_cache)
             except MemoryError:
-                # Cache pressure: demote this request until space frees.
-                engine.kv.swap_out(kv)
+                if request.generated_tokens >= request.output_tokens:
+                    continue  # retires below with the blocks it holds
+                # Cache pressure: demote this request until space frees,
+                # or fail it when the CPU cache cannot take it either.
+                try:
+                    engine.kv.swap_out(kv)
+                except MemoryError:
+                    self._batch.requests.remove(request)
+                    inst._fail(request)
         self._ready = None
         inst._retire_finished(self._batch)
         return self._chunk_loop()
 
     def _stall_begin(self) -> Event:
-        """Rule ❶ stall: no request's KV is usable yet."""
-        inst = self._inst
-        batch = self._batch
+        """Rule ❶ stall: no request's KV is usable yet.
+
+        With nothing in transit either, waiting cannot help this turn:
+        it ends, and the batches holding the GPU decode.
+        """
         pending = [
             r.kv.last_transfer.wait()
-            for r in batch.requests
+            for r in self._batch.requests
             if r.kv is not None and r.kv.last_transfer is not None
             and not r.kv.last_transfer.query()
         ]
+        if not pending:
+            return self._end_turn()
         self._stall_start = self.env.now
         self._send = self._stall_done
-        if pending:
-            return self.env.any_of(pending)
-        return self.env.timeout(inst._alloc_retry_delay)
+        return self.env.any_of(pending)
 
     def _stall_done(self, value: object) -> Event:
         inst = self._inst
@@ -820,7 +856,17 @@ class _DecodeTask(ContTask):
     def _after_decode(self) -> Event:
         inst = self._inst
         if inst._distinct_models() > 1:
-            return self._swap_out_start(self._end_turn_cb)
+            # Swap the batch out; KV the CPU cache cannot take stays.
+            manager = inst.engine.kv
+            for request in self._batch.requests:
+                kv = request.kv
+                if kv is not None and kv.location == "gpu":
+                    try:
+                        manager.swap_out(kv)
+                    except MemoryError:
+                        inst.kept_resident += 1
+            if not inst.engine.config.fine_grained_sync:
+                return self._run_gen(manager.drain(), self._end_turn_cb)
         return self._end_turn()
 
     def _end_turn_cb(self, value: object) -> Event:
@@ -829,89 +875,39 @@ class _DecodeTask(ContTask):
     def _end_turn(self) -> Event:
         self._close_turn_span()
         self._batch = None
+        self._left_on_cpu = None
         return self._next_turn()
 
     # -- swap-in over a snapshot of batch.requests -------------------------
-    def _swap_in_start(self, cont: Callable[[object], Event]) -> Event:
-        self._swap_list = list(self._batch.requests)
-        self._swap_pos = 0
-        self._swap_cont = cont
-        return self._swap_in_step()
+    def _swap_in(self, cont: Callable[[object], Event]) -> Event:
+        """Swap in the batch's CPU-resident KV, then run ``cont``.
 
-    def _swap_in_step(self) -> Event:
+        A request with no GPU room is left on the CPU for this turn; one
+        whose KV exceeds the whole GPU region fails.
+        """
         inst = self._inst
-        lst = self._swap_list
-        pos = self._swap_pos
-        while pos < len(lst):
-            request = lst[pos]
+        batch = self._batch
+        manager = inst.engine.kv
+        left = self._left_on_cpu
+        for request in list(batch.requests):
             kv = request.kv
-            if kv is not None and kv.location == "cpu":
-                try:
-                    inst.engine.kv.swap_in(kv)
-                except MemoryError:
-                    self._swap_pos = pos
-                    self._swap_req = request
-                    self._send = self._swap_in_retry
-                    return self.env.timeout(inst._alloc_retry_delay)
-            pos += 1
-        self._swap_list = None
+            if kv is None or kv.location != "cpu" or (
+                left and request.request_id in left
+            ):
+                continue
+            try:
+                manager.swap_in(kv)
+            except KvTooLargeError:
+                batch.requests.remove(request)
+                inst._fail(request)
+            except MemoryError:
+                inst.left_on_cpu += 1
+                if left is None:
+                    left = self._left_on_cpu = set()
+                left.add(request.request_id)
         if not inst.engine.config.fine_grained_sync:
-            cont = self._swap_cont
-            self._swap_cont = None
-            return self._run_gen(inst.engine.kv.drain(), cont)
-        cont = self._swap_cont
-        self._swap_cont = None
+            return self._run_gen(manager.drain(), cont)
         return cont(None)
-
-    def _swap_in_retry(self, value: object) -> Event:
-        inst = self._inst
-        try:
-            inst.engine.kv.swap_in(self._swap_req.kv)
-        except MemoryError:
-            return self.env.timeout(inst._alloc_retry_delay)
-        self._swap_req = None
-        self._swap_pos += 1
-        return self._swap_in_step()
-
-    # -- swap-out over the live batch.requests list ------------------------
-    def _swap_out_start(self, cont: Callable[[object], Event]) -> Event:
-        self._swap_pos = 0
-        self._swap_cont = cont
-        return self._swap_out_step()
-
-    def _swap_out_step(self) -> Event:
-        inst = self._inst
-        lst = self._batch.requests
-        pos = self._swap_pos
-        while pos < len(lst):
-            request = lst[pos]
-            kv = request.kv
-            if kv is not None and kv.location == "gpu":
-                try:
-                    inst.engine.kv.swap_out(kv)
-                except MemoryError:
-                    self._swap_pos = pos
-                    self._swap_req = request
-                    self._send = self._swap_out_retry
-                    return self.env.timeout(inst._alloc_retry_delay)
-            pos += 1
-        if not inst.engine.config.fine_grained_sync:
-            cont = self._swap_cont
-            self._swap_cont = None
-            return self._run_gen(inst.engine.kv.drain(), cont)
-        cont = self._swap_cont
-        self._swap_cont = None
-        return cont(None)
-
-    def _swap_out_retry(self, value: object) -> Event:
-        inst = self._inst
-        try:
-            inst.engine.kv.swap_out(self._swap_req.kv)
-        except MemoryError:
-            return self.env.timeout(inst._alloc_retry_delay)
-        self._swap_req = None
-        self._swap_pos += 1
-        return self._swap_out_step()
 
     # -- unwinding ---------------------------------------------------------
     def _close_turn_span(self) -> None:

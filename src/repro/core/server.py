@@ -134,7 +134,7 @@ class AegaeonServer(ServingSystemBase):
                 PrefillInstance(
                     env, engine, self._on_prefilled, name=f"prefill{index}",
                     on_failed=self.note_failed, obs=self.obs,
-                    scaling=bundle.scaling, tunables=tunables,
+                    scaling=bundle.scaling,
                 )
             )
         for index, group in enumerate(decode_groups):

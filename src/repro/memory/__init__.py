@@ -2,7 +2,7 @@
 
 from .bump import BumpAllocation, BumpAllocator
 from .model_cache import CacheEntry, HostModelCache
-from .slab import KvExtent, ShapeStats, Slab, SlabAllocator
+from .slab import KvExtent, KvTooLargeError, ShapeStats, Slab, SlabAllocator
 
 __all__ = [
     "BumpAllocation",
@@ -10,6 +10,7 @@ __all__ = [
     "CacheEntry",
     "HostModelCache",
     "KvExtent",
+    "KvTooLargeError",
     "ShapeStats",
     "Slab",
     "SlabAllocator",

@@ -29,6 +29,10 @@ Per-shape state (block size, free-block total, availability list,
 assigned slabs) lives in one ``_ShapeRec``, fetched with a single dict
 lookup per ``alloc``; ``free`` reaches it through ``Slab._rec`` with no
 hashing, and ``capacity_for`` reads the incrementally kept free total.
+
+An allocation that does not fit raises ``MemoryError``, or its subclass
+:class:`KvTooLargeError` when no free could ever make room.  A caller
+waiting for space parks an event with :meth:`SlabAllocator.wake_on_free`.
 """
 
 from __future__ import annotations
@@ -37,8 +41,13 @@ from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
 from ..obs import NULL_OBS, Observability
+from ..sim import Event
 
-__all__ = ["KvExtent", "Slab", "SlabAllocator", "ShapeStats"]
+__all__ = ["KvExtent", "KvTooLargeError", "Slab", "SlabAllocator", "ShapeStats"]
+
+
+class KvTooLargeError(MemoryError):
+    """The allocation exceeds the whole region, so no free can make room."""
 
 
 class KvExtent:
@@ -194,6 +203,8 @@ class SlabAllocator:
         # reconciles allocated - freed against live blocks every tick.
         self.blocks_allocated = 0
         self.blocks_freed = 0
+        # Events parked by callers waiting for space (wake_on_free).
+        self._free_waiters: list[Event] = []
         self.name = name
         scope = obs.scoped(name)
         self._blocks_allocated = scope.counter("blocks_allocated")
@@ -207,7 +218,8 @@ class SlabAllocator:
         """Allocate ``count`` blocks of ``shape`` as one extent; all-or-nothing.
 
         Raises ``MemoryError`` when the region cannot satisfy the
-        request even after acquiring new slabs.
+        request even after acquiring new slabs, and
+        :class:`KvTooLargeError` when even the empty region could not.
         """
         if count <= 0:
             raise ValueError("count must be positive")
@@ -251,9 +263,10 @@ class SlabAllocator:
         """
         per_slab = rec.per_slab
         if (rec.free_count + len(self._free_slabs) * per_slab) < count:
-            raise MemoryError(
-                f"unified cache cannot hold {count} blocks of {shape!r}"
+            error = (
+                KvTooLargeError if count > self.slab_count * per_slab else MemoryError
             )
+            raise error(f"unified cache cannot hold {count} blocks of {shape!r}")
         start = len(runs)
         remaining = count
         avail = rec.avail
@@ -325,6 +338,19 @@ class SlabAllocator:
         count = extent.blocks
         self.blocks_freed += count
         self._blocks_freed.inc(count)
+        if self._free_waiters:
+            waiters = self._free_waiters
+            self._free_waiters = []
+            for event in waiters:
+                if not event.triggered:
+                    event.succeed()
+
+    def wake_on_free(self, event: Event) -> None:
+        """Succeed ``event`` at the next :meth:`free`, in parking order.
+
+        An event already triggered elsewhere by then is skipped.
+        """
+        self._free_waiters.append(event)
 
     # -- capacity ------------------------------------------------------------
     def capacity_for(self, shape: Hashable, block_bytes: int) -> int:

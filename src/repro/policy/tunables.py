@@ -3,9 +3,10 @@
 Before the policy layer these lived as module-level magic numbers
 scattered across the codebase: ``QMAX = 4.0`` and the 0.5 alpha floor in
 ``core/decode_sched.py``, ``MAX_GPSIZE`` in ``core/prefill_sched.py``,
-the orphan-requeue grace period in ``core/server.py``, the allocation
-retry pacing in ``core/instance.py``, and the checkpoint-fetch
-retry/backoff parameters in ``transfer/loader.py``.  They are now fields
+the orphan-requeue grace period in ``core/server.py``, and the
+checkpoint-fetch retry/backoff parameters in ``transfer/loader.py``.
+(KV-cache pressure has no pacing knob: instances wait for an allocator
+free, never on a timer.)  They are now fields
 of one frozen :class:`Tunables` dataclass carried by every
 :class:`~repro.policy.PolicyBundle` and resolvable from the environment
 through :meth:`Tunables.from_env` (wired into
@@ -40,8 +41,6 @@ class Tunables:
     #: Grace period before a failed instance's orphans are requeued —
     #: the timeout half of timeout-and-requeue.
     orphan_requeue_delay: float = 0.01
-    #: Retry pacing for transient KV-cache pressure (alloc/swap retries).
-    alloc_retry_delay: float = 0.005
     #: Max retries after a failed remote checkpoint fetch before the
     #: loader raises ``CheckpointFetchError``.
     fetch_max_retries: int = 4
@@ -64,8 +63,8 @@ class Tunables:
             raise ValueError("alpha_floor must be positive")
         if self.max_prefill_group <= 0:
             raise ValueError("max_prefill_group must be positive")
-        if self.orphan_requeue_delay < 0 or self.alloc_retry_delay < 0:
-            raise ValueError("grace/retry delays must be non-negative")
+        if self.orphan_requeue_delay < 0:
+            raise ValueError("orphan_requeue_delay must be non-negative")
         if self.fetch_max_retries < 0 or self.fetch_backoff_base < 0:
             raise ValueError("fetch retry parameters must be non-negative")
         if self.router_session_budget_usd <= 0:

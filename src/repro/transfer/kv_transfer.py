@@ -89,7 +89,7 @@ class RequestKv:
         caller may add tokens that stay within it without calling this;
         the decode loops do, and call here only when a block boundary is
         crossed.  On ``MemoryError`` the tokens stay counted (the
-        caller swaps the request out at its new size).
+        caller swaps the request out at its new size, or fails it).
         """
         if self.location != "gpu":
             raise ValueError("can only grow KV resident on the GPU")
