@@ -6,7 +6,8 @@ shell.  It owns:
 * a self-managed VRAM weight buffer (bump allocation, §5.2);
 * a unified GPU KV cache (slab allocation) behind a
   :class:`~repro.transfer.kv_transfer.KvTransferManager`;
-* the quick/naive loaders and an optional prefetch stream;
+* the quick/naive loaders and a prefetch stream, onto which a prefetch
+  enqueues its chunk copies with a plain call (no process);
 * the preemptive scale-down/scale-up state machine, recording a
   per-stage latency breakdown for every switch (Figures 7/8/15).
 
@@ -211,7 +212,9 @@ class AegaeonEngine:
         Returns True if the prefetch was started (or is already in
         flight).  Requires the prefetch flag, spare weight-buffer space,
         and a host-cached checkpoint (remote fetches are not worth
-        racing against a decode turn).
+        racing against a decode turn).  Starting one is a plain enqueue
+        on the prefetch stream, with no process: the engine keeps the
+        :class:`CudaEvent` that completes when the last chunk lands.
         """
         if not (self.config.prefetch and self.config.explicit_memory):
             return False
@@ -225,27 +228,15 @@ class AegaeonEngine:
         if not self.quick_loader.model_cache.contains(spec.name):
             return False
         allocation = self.weights.alloc(nbytes, tag=f"prefetch:{spec.name}")
-
-        def start() -> Generator:
-            done = yield from self.quick_loader.load(
-                spec.name, nbytes, stream=self.prefetch_stream
-            )
-            return done
-
-        # load() with a stream enqueues synchronously and returns the
-        # CudaEvent immediately; drive the generator to completion now.
-        process = self.env.process(start())
-        self._prefetched = (spec, allocation, process)
+        done = self.quick_loader.prefetch(spec.name, nbytes, self.prefetch_stream)
+        self._prefetched = (spec, allocation, done)
         return True
 
     def _prefetch_ready(self, spec: ModelSpec) -> bool:
-        if self._prefetched is None or self._prefetched[0].name != spec.name:
+        prefetched = self._prefetched
+        if prefetched is None or prefetched[0].name != spec.name:
             return False
-        process = self._prefetched[2]
-        if not process.triggered:
-            return False
-        event: CudaEvent = process.value
-        return event.query()
+        return prefetched[2].query()
 
     def _drop_prefetch(self) -> None:
         if self._prefetched is not None:
@@ -325,11 +316,8 @@ class AegaeonEngine:
             ):
                 # The right model is mid-prefetch: finishing the in-flight
                 # copy is cheaper than starting over.
-                process = self._prefetched[2]
                 with tracer.span("prefetch_wait", cat="switch.stage", track=self.name):
-                    if not process.triggered:
-                        yield process
-                    yield process.value.wait()
+                    yield self._prefetched[2].wait()
                 record.stages["prefetch_wait"] = self.env.now - start
             if self._prefetch_ready(spec):
                 # Promote the prefetched weights with a cheap on-device copy

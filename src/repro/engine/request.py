@@ -30,9 +30,14 @@ class Phase(enum.Enum):
     REJECTED = "rejected"  # turned away at admission (no live capacity)
 
 
-@dataclass
+@dataclass(eq=False)
 class Request:
-    """One in-flight request."""
+    """One in-flight request.
+
+    Requests compare and hash by identity: two requests built from
+    equal traces are still two requests, and list ``remove``/``in``
+    must find the very object, without comparing field by field.
+    """
 
     trace: TraceRequest
     spec: ModelSpec
@@ -46,25 +51,25 @@ class Request:
     # Time this request's batch actually spent decoding while the
     # request was in it (feeds the Figure 14 latency breakdown).
     decode_exec_time: float = 0.0
-    # Flattened hot fields.  ``input_tokens``/``output_tokens`` are copied
-    # out of the trace and ``generated_tokens`` is maintained by
-    # ``record_tokens`` so the per-step scheduler loops read plain slots
-    # instead of chasing trace delegation / ``len(token_times)`` through
-    # properties millions of times per run.
+    # Flattened hot fields.  ``request_id``, ``input_tokens`` and
+    # ``output_tokens`` are copied out of the trace and
+    # ``generated_tokens`` is maintained by ``record_tokens`` so the
+    # per-step scheduler loops read plain slots instead of chasing trace
+    # delegation / ``len(token_times)`` through properties millions of
+    # times per run.
+    request_id: int = field(init=False, repr=False)
     input_tokens: int = field(init=False, repr=False)
     output_tokens: int = field(init=False, repr=False)
     generated_tokens: int = field(init=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
-        self.input_tokens = self.trace.input_tokens
-        self.output_tokens = self.trace.output_tokens
+        trace = self.trace
+        self.request_id = trace.request_id
+        self.input_tokens = trace.input_tokens
+        self.output_tokens = trace.output_tokens
         self.generated_tokens = len(self.token_times)
 
     # -- identity ----------------------------------------------------------
-    @property
-    def request_id(self) -> int:
-        return self.trace.request_id
-
     @property
     def model(self) -> str:
         return self.trace.model

@@ -198,18 +198,19 @@ class SlabAllocator:
         self._shapes: dict[Hashable, _ShapeRec] = {}
         self._held_bytes = 0
         self.peak_held_bytes = 0
-        # Plain-int lifetime totals, always live (unlike the obs
-        # counters below, inert under NULL_OBS) — the invariant checker
-        # reconciles allocated - freed against live blocks every tick.
+        # Plain-int lifetime totals — the invariant checker reconciles
+        # allocated - freed against live blocks every tick.  The metrics
+        # below read them at snapshot time, so the per-block paths pay
+        # nothing for observability.
         self.blocks_allocated = 0
         self.blocks_freed = 0
         # Events parked by callers waiting for space (wake_on_free).
         self._free_waiters: list[Event] = []
         self.name = name
-        scope = obs.scoped(name)
-        self._blocks_allocated = scope.counter("blocks_allocated")
-        self._blocks_freed = scope.counter("blocks_freed")
         if obs.enabled:
+            scope = obs.scoped(name)
+            scope.gauge("blocks_allocated").set_fn(lambda: self.blocks_allocated)
+            scope.gauge("blocks_freed").set_fn(lambda: self.blocks_freed)
             scope.gauge("held_bytes").set_fn(lambda: self.held_bytes)
             scope.gauge("fragmentation").set_fn(self.overall_fragmentation)
 
@@ -249,9 +250,34 @@ class SlabAllocator:
         if extent.owner is not self or not extent.live:
             raise ValueError(f"cannot grow {extent!r}")
         runs = extent.runs
+        slabs = self._slabs
         # The extent holds blocks on its last slab, so that slab is
         # assigned under the extent's shape record.
-        self._take(extent.shape, self._slabs[runs[-1][0]]._rec, count, runs)
+        last_index, last_n = runs[-1]
+        rec = slabs[last_index]._rec
+        avail = rec.avail
+        if avail:
+            # The common decode step: the front listed slab is live and
+            # keeps a free block after this grow, so _take would take
+            # every block from it and leave the list as it is.  Do that
+            # here; anything else (a stale front, a slab this grow
+            # fills, a grow that spans slabs) goes through _take.
+            slab_index = avail[0]
+            slab = slabs[slab_index]
+            if (
+                slab._avail_shape is extent.shape
+                and rec.per_slab - slab.used_count > count
+            ):
+                slab.used_count += count
+                if slab_index == last_index:
+                    runs[-1] = (slab_index, last_n + count)
+                else:
+                    runs.append((slab_index, count))
+                rec.free_count -= count
+                self.blocks_allocated += count
+                extent.blocks += count
+                return
+        self._take(extent.shape, rec, count, runs)
         extent.blocks += count
 
     def _take(
@@ -309,7 +335,6 @@ class SlabAllocator:
             del runs[start]
         rec.free_count -= count
         self.blocks_allocated += count
-        self._blocks_allocated.inc(count)
 
     def free(self, extent: KvExtent) -> None:
         """Release an extent's blocks; empty slabs return to the shared pool.
@@ -337,7 +362,6 @@ class SlabAllocator:
                 rec.avail.append(slab_index)
         count = extent.blocks
         self.blocks_freed += count
-        self._blocks_freed.inc(count)
         if self._free_waiters:
             waiters = self._free_waiters
             self._free_waiters = []

@@ -194,7 +194,7 @@ class Event:
         self._value = value
         self._state = _TRIGGERED
         env = self.env
-        heappush(env._queue, (env._now, env._sequence, self))
+        heappush(env._queue, (env.now, env._sequence, self))
         env._sequence += 1
         return self
 
@@ -213,7 +213,7 @@ class Event:
         self._value = exception
         self._state = _TRIGGERED
         env = self.env
-        heappush(env._queue, (env._now, env._sequence, self))
+        heappush(env._queue, (env.now, env._sequence, self))
         env._sequence += 1
         return self
 
@@ -242,7 +242,7 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        heappush(env._queue, (env._now + delay, env._sequence, self))
+        heappush(env._queue, (env.now + delay, env._sequence, self))
         env._sequence += 1
 
     def cancel(self) -> bool:
@@ -388,7 +388,7 @@ class Process(Event):
             resume._defused = True
         resume._state = _TRIGGERED
         resume._waiter = self
-        heappush(env._queue, (env._now, env._sequence, resume))
+        heappush(env._queue, (env.now, env._sequence, resume))
         env._sequence += 1
         self._target = resume
 
@@ -645,7 +645,7 @@ def _make_timeout_factory(env: "Environment"):
             if value is not None:
                 timeout._value = value
             seq = _env._sequence
-            _push(_queue, (_env._now + delay, seq, timeout))
+            _push(_queue, (_env.now + delay, seq, timeout))
             _env._sequence = seq + 1
             return timeout
         return Timeout(_env, delay, value)
@@ -683,7 +683,7 @@ def _make_process_factory(env: "Environment"):
                 init._state = _TRIGGERED
             init._waiter = process
             seq = _env._sequence
-            _push(_queue, (_env._now, seq, init))
+            _push(_queue, (_env.now, seq, init))
             _env._sequence = seq + 1
             return process
         return Process(_env, generator)
@@ -695,7 +695,7 @@ class Environment:
     """The simulation environment: clock plus event queue."""
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_sequence",
         "_active_process",
@@ -713,7 +713,10 @@ class Environment:
     )
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        # Current simulated time in seconds.  A plain slot, not a
+        # property: every hot path reads it, and only the run loop
+        # writes it.
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None
@@ -730,11 +733,6 @@ class Environment:
         self.event = _make_event_factory(self)
         self.timeout = _make_timeout_factory(self)
         self.process = _make_process_factory(self)
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -762,7 +760,7 @@ class Environment:
         can round off ``when`` while ``now`` is under half of it; a tick
         replayed onto a grid must land on the grid exactly.
         """
-        now = self._now
+        now = self.now
         if when < now:
             raise SimulationError(f"timeout_at({when}) lies in the past (now={now})")
         pool = self._timeout_pool
@@ -787,7 +785,7 @@ class Environment:
 
     # -- scheduling ----------------------------------------------------------
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        heappush(self._queue, (self._now + delay, self._sequence, event))
+        heappush(self._queue, (self.now + delay, self._sequence, event))
         self._sequence += 1
 
     def claim_inline(self) -> bool:
@@ -813,7 +811,7 @@ class Environment:
         always answers False.
         """
         queue = self._queue
-        if queue and queue[0][0] <= self._now:
+        if queue and queue[0][0] <= self.now:
             return False
         waiter = self._active_process
         if waiter is None:
@@ -835,7 +833,7 @@ class Environment:
         init._ok = True
         init._state = _TRIGGERED
         init._waiter = process
-        heappush(self._queue, (self._now, self._sequence, init))
+        heappush(self._queue, (self.now, self._sequence, init))
         self._sequence += 1
 
     def run(self, until: Optional[float | Event] = None) -> Any:
@@ -851,9 +849,9 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if stop_time < self.now:
                 raise SimulationError(
-                    f"until ({stop_time}) lies in the past (now={self._now})"
+                    f"until ({stop_time}) lies in the past (now={self.now})"
                 )
 
         # One heap-ordered loop: every event, including those scheduled
@@ -883,10 +881,10 @@ class Environment:
                 if stop_event is not None and stop_event._waiter is _FIRED:
                     break
                 if queue[0][0] > stop_time:
-                    self._now = stop_time
+                    self.now = stop_time
                     return None
                 when, _, event = pop(queue)
-                self._now = when
+                self.now = when
                 # The processed marker (_waiter = _FIRED) is stored before
                 # anything runs, so a waiter that yields or conditions on
                 # the event it woke from sees it processed and relays.
@@ -956,7 +954,7 @@ class Environment:
                             relay._state = _TRIGGERED
                             relay._waiter = waiter
                             heappush(
-                                queue, (self._now, self._sequence, relay)
+                                queue, (self.now, self._sequence, relay)
                             )
                             self._sequence += 1
                             waiter._target = relay
@@ -1063,5 +1061,5 @@ class Environment:
                 raise stop_event._value
             return stop_event._value
         if stop_time != float("inf"):
-            self._now = stop_time
+            self.now = stop_time
         return None

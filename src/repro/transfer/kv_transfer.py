@@ -329,12 +329,15 @@ class KvTransferManager:
         self.name = name
         self._tracer = obs.tracer
         scope = obs.scoped(f"kv.{name}")
-        self._swap_in_counter = scope.counter("swap_in")
-        self._swap_out_counter = scope.counter("swap_out")
-        self._bytes_in_counter = scope.counter("bytes_in")
-        self._bytes_out_counter = scope.counter("bytes_out")
         self._wait_hist = scope.histogram("wait_ready_s")
         if obs.enabled:
+            # Swap totals are read from the plain ints in ``stats`` at
+            # snapshot time, so a swap pays nothing for them.
+            stats = self.stats
+            scope.gauge("swap_in").set_fn(lambda: stats.swap_in_count)
+            scope.gauge("swap_out").set_fn(lambda: stats.swap_out_count)
+            scope.gauge("bytes_in").set_fn(lambda: stats.bytes_in)
+            scope.gauge("bytes_out").set_fn(lambda: stats.bytes_out)
             scope.gauge("move_list_blocks").set_fn(
                 lambda: self.move_list.pending_blocks
             )
@@ -419,8 +422,6 @@ class KvTransferManager:
         self.stats.swap_out_count += 1
         self.stats.bytes_out += kv.nbytes
         self.stats.charge_control(2)
-        self._swap_out_counter.inc()
-        self._bytes_out_counter.inc(kv.nbytes)
         if self._tracer.enabled:
             self._tracer.instant(
                 "swap_out", cat="kv", track=self.name,
@@ -457,8 +458,6 @@ class KvTransferManager:
         self.stats.swap_in_count += 1
         self.stats.bytes_in += kv.nbytes
         self.stats.charge_control(3)
-        self._swap_in_counter.inc()
-        self._bytes_in_counter.inc(kv.nbytes)
         if self._tracer.enabled:
             self._tracer.instant(
                 "swap_in", cat="kv", track=self.name,

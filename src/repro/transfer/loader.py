@@ -15,7 +15,11 @@ Two loaders are modelled:
   for the same shard).
 
 Both issue their device copies through the GPU's h2d link, so loading
-contends with KV swap-ins exactly as it would on real hardware.
+contends with KV swap-ins exactly as it would on real hardware.  A
+synchronous load drives its chunks from the calling process; a prefetch
+(:meth:`QuickLoader.prefetch`) is a plain call that queues the same
+chunks on a stream and returns the :class:`CudaEvent` behind them, with
+no process of its own.
 """
 
 from __future__ import annotations
@@ -117,88 +121,95 @@ class QuickLoader:
             attempt += 1
             self.fetch_retries += 1
 
-    def load(
-        self,
-        model: str,
-        nbytes: int,
-        stream: Optional[CudaStream] = None,
-    ) -> Generator:
+    def load(self, model: str, nbytes: int) -> Generator:
         """Process: load ``nbytes`` of weights onto the device.
 
-        Returns (via the process value) the :class:`CudaEvent` that
-        completes when the last chunk lands.  With ``stream`` given the
-        copies are enqueued asynchronously (the prefetch path); without
-        it, the process itself drives the chunks and returns after the
-        copy finishes.
+        The calling process drives the chunks itself and returns once
+        the last one lands; a cache miss first fetches the checkpoint.
         """
         yield from self.ensure_cached(model, nbytes)
         self.model_cache.pin(model)
         self.loads += 1
-        # Per-chunk pipeline stall: the pageable->pinned staging memcpy
-        # overlaps the previous chunk's DMA, but only partially; the
-        # profiled beta captures the resulting efficiency.
-        chunk_count = max(1, -(-nbytes // self.chunk_bytes))
-        stall_per_chunk = (
-            self.chunk_bytes / (self.link.bandwidth * self.beta)
-            - self.chunk_bytes / self.link.bandwidth
-        )
-        done = CudaEvent(self.env, name=f"load.{model}")
-        if stream is not None:
-            for _ in range(chunk_count):
-                stream.compute(stall_per_chunk)
-                stream.copy(self.link.h2d, min(self.chunk_bytes, nbytes))
-            stream.record(done)
-
-            def unpin_when_done() -> Generator:
-                yield done.wait()
-                self.model_cache.unpin(model)
-
-            self.env.process(unpin_when_done())
-            return done
+        stall_per_chunk = self._stall_per_chunk()
         remaining = nbytes
         while remaining > 0:
             chunk = min(self.chunk_bytes, remaining)
             yield self.env.timeout(stall_per_chunk * chunk / self.chunk_bytes)
-            yield from self._copy_chunk(chunk)
+            yield from _copy(self.link.h2d, chunk)
             remaining -= chunk
         self.model_cache.unpin(model)
-        done.recorded = True
-        done._complete()
-        return done
 
-    def _copy_chunk(self, nbytes: int) -> Generator:
-        """Move one chunk over the h2d link, driven inline by the loader.
+    def prefetch(self, model: str, nbytes: int, stream: CudaStream) -> CudaEvent:
+        """Enqueue a load of a host-cached checkpoint on ``stream``.
 
-        Once claimed, the link is released and the chunk's bytes counted
-        by callbacks on the loader's own waits, so a loader interrupted
-        mid-chunk (its instance failed) still leaves the issued DMA
-        holding the link until it ends, exactly like a
-        :meth:`Link.transfer` child process would, without one.
+        A plain call, not a process: the chunks' stalls and copies are
+        queued on ``stream`` and the returned :class:`CudaEvent`
+        completes when the last chunk lands.  The checkpoint stays
+        pinned until then; the last copy's ``on_done`` unpins it.
+        Raises ``LookupError`` if the checkpoint is not in the host
+        cache (a prefetch never races a remote fetch).
         """
-        link = self.link.h2d
-        grant = link.acquire()
-        if grant is not None:
-            try:
-                yield grant
-            except BaseException:
-                # Whatever unwinds the loader (an interrupt, or closing
-                # its generator), the claim stands and the chunk copies.
-                grant.callbacks.append(lambda _: self._start_copy(link, nbytes))
-                raise
-        yield self._start_copy(link, nbytes)
+        cache = self.model_cache
+        if not cache.lookup(model):
+            raise LookupError(f"cannot prefetch {model!r}: not in the host cache")
+        cache.pin(model)
+        self.loads += 1
+        stall_per_chunk = self._stall_per_chunk()
+        h2d = self.link.h2d
+        chunk = min(self.chunk_bytes, nbytes)
+        for _ in range(max(1, -(-nbytes // self.chunk_bytes)) - 1):
+            stream.compute(stall_per_chunk)
+            stream.copy(h2d, chunk)
+        stream.compute(stall_per_chunk)
+        stream.copy(h2d, chunk, on_done=lambda: cache.unpin(model))
+        return stream.record(CudaEvent(self.env, name=f"load.{model}"))
 
-    def _start_copy(self, link: Link, nbytes: int) -> Event:
-        """Occupy the held ``link`` for one copy; returns its end event."""
-        duration = link.transfer_time(nbytes)
+    def _stall_per_chunk(self) -> float:
+        """Per-chunk pipeline stall of a full chunk.
 
-        def settle(_: Event) -> None:
-            link.bytes_moved += nbytes
-            link.busy_time += duration
-            link.release()
+        The pageable->pinned staging memcpy overlaps the previous
+        chunk's DMA, but only partially; the profiled beta captures the
+        resulting efficiency.
+        """
+        return (
+            self.chunk_bytes / (self.link.bandwidth * self.beta)
+            - self.chunk_bytes / self.link.bandwidth
+        )
 
-        end = self.env.timeout(duration)
-        end.callbacks.append(settle)
-        return end
+
+def _copy(link: Link, nbytes: int) -> Generator:
+    """Move ``nbytes`` over ``link``, driven inline by the calling process.
+
+    Once claimed, the link is released and the bytes counted by
+    callbacks on the caller's own waits, so a loader interrupted
+    mid-copy (its instance failed) still leaves the issued DMA holding
+    the link until it ends, exactly like a :meth:`Link.transfer` child
+    process would, without one.
+    """
+    grant = link.acquire()
+    if grant is not None:
+        try:
+            yield grant
+        except BaseException:
+            # Whatever unwinds the loader (an interrupt, or closing its
+            # generator), the claim stands and the copy goes ahead.
+            grant.callbacks.append(lambda _: _start_copy(link, nbytes))
+            raise
+    yield _start_copy(link, nbytes)
+
+
+def _start_copy(link: Link, nbytes: int) -> Event:
+    """Occupy the held ``link`` for one copy; returns its end event."""
+    duration = link.transfer_time(nbytes)
+
+    def settle(_: Event) -> None:
+        link.bytes_moved += nbytes
+        link.busy_time += duration
+        link.release()
+
+    end = link.env.timeout(duration)
+    end.callbacks.append(settle)
+    return end
 
 
 class NaiveLoader:
@@ -224,7 +235,7 @@ class NaiveLoader:
         self.loads += 1
         # The device copy itself occupies the link at raw speed; the rest
         # of the time is host-side deserialization stalling the pipeline.
-        yield self.env.process(self.link.h2d.transfer(nbytes))
+        yield from _copy(self.link.h2d, nbytes)
         host_stall = self.load_time(nbytes) - nbytes / self.link.bandwidth
         if host_stall > 0:
             yield self.env.timeout(host_stall)

@@ -62,7 +62,7 @@ class ReferenceEnvironment(Environment):
         """Process the next scheduled event (cancelled entries are dropped)."""
         if not self._queue:
             raise SimulationError("step() on an empty schedule")
-        self._now, _, event = heappop(self._queue)
+        self.now, _, event = heappop(self._queue)
         if event._cancelled:
             event._waiter = _FIRED
             self.events_cancelled += 1
@@ -80,15 +80,15 @@ class ReferenceEnvironment(Environment):
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if stop_time < self.now:
                 raise SimulationError(
-                    f"until ({stop_time}) lies in the past (now={self._now})"
+                    f"until ({stop_time}) lies in the past (now={self.now})"
                 )
         while self._queue:
             if stop_event is not None and stop_event._waiter is _FIRED:
                 break
             if self.peek() > stop_time:
-                self._now = stop_time
+                self.now = stop_time
                 return None
             self.step()
         if stop_event is not None:
@@ -102,5 +102,5 @@ class ReferenceEnvironment(Environment):
                 raise stop_event._value
             return stop_event._value
         if stop_time != float("inf"):
-            self._now = stop_time
+            self.now = stop_time
         return None

@@ -1,5 +1,7 @@
 """Tests for the paged block manager and continuous batcher."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine import BatchingPolicy, BlockManager, ContinuousBatcher, Phase, Request
@@ -145,3 +147,20 @@ class TestContinuousBatcher:
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):
             BatchingPolicy(max_batch_size=0)
+
+
+class TestRequestIdentity:
+    def test_equal_traces_make_distinct_requests(self):
+        first, second = make_request(request_id=7), make_request(request_id=7)
+        assert first.trace == second.trace
+        assert first != second
+        batch = [first, second]
+        batch.remove(second)
+        assert batch == [first] and batch[0] is first
+        assert second not in batch
+        assert len({first, second}) == 2  # hashable, by identity
+
+    def test_request_id_is_copied_from_the_trace(self):
+        request = make_request(request_id=42)
+        assert request.request_id == 42
+        assert "request_id" in {f.name for f in dataclasses.fields(request)}

@@ -11,6 +11,7 @@ from repro.hardware import H800, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import get_model
 from repro.sim import Environment
+from repro.transfer import CudaEvent
 
 GiB = 1024**3
 MiB = 1024**2
@@ -137,6 +138,23 @@ class TestPrefetch:
         record = run_scale(env, engine, "Yi-6B")
         assert record.prefetch_hit
         assert record.total < 0.2
+
+    def test_switch_waits_for_an_in_flight_prefetch(self):
+        env = Environment()
+        engine = make_engine(env, warm_models=["Qwen-7B", "Yi-6B"])
+        run_scale(env, engine, "Qwen-7B")
+        yi = get_model("Yi-6B")
+        assert engine.prefetch(yi)
+        assert engine.prefetch(yi)  # already in flight
+        done = engine._prefetched[2]
+        assert isinstance(done, CudaEvent) and not done.query()
+        record = run_scale(env, engine, "Yi-6B")
+        assert record.prefetch_hit
+        assert record.stages["prefetch_wait"] > 0
+        assert record.ended >= done.completed_at
+        assert engine._prefetched is None
+        # The checkpoint's pin went with the last chunk.
+        assert engine.quick_loader.model_cache._entries["Yi-6B"].pins == 0
 
     def test_prefetch_requires_cached_checkpoint(self):
         env = Environment()

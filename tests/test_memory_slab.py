@@ -277,3 +277,97 @@ class TestReferenceDifferential:
             )
             for _, extent, block_list in owners:
                 assert extent.runs == _runs_of(block_list)
+
+
+class TestGrowDifferential:
+    """``grow`` against the per-block oracle, one case per path.
+
+    ``grow`` takes the blocks itself when the front of the shape's
+    availability list is a live slab that keeps a free block after the
+    grow, and defers to ``_take`` otherwise; both must make the slab
+    choices a per-block ``alloc`` of the same count makes.  Slabs hold
+    four 1 MiB blocks, and new slabs come off the end of the pool.
+    """
+
+    BLOCK = {0: MiB}
+
+    def _pair(self):
+        extents = SlabAllocator(region_bytes=24 * MiB, slab_bytes=4 * MiB)
+        takes = []
+        take = extents._take
+
+        def counted_take(*args):
+            takes.append(args[2])
+            take(*args)
+
+        extents._take = counted_take
+        blocks = reference_slab.SlabAllocator(region_bytes=24 * MiB, slab_bytes=4 * MiB)
+        return extents, blocks, takes
+
+    def _alloc(self, pair, count):
+        extents, blocks, _ = pair
+        return extents.alloc(0, MiB, count), blocks.alloc(0, MiB, count)
+
+    def _grow(self, pair, owner, count):
+        extents, blocks, takes = pair
+        before = len(takes)
+        extents.grow(owner[0], count)
+        owner[1].extend(blocks.alloc(0, MiB, count))
+        self._check(pair, owner)
+        return len(takes) > before  # True: the grow went through _take
+
+    def _free(self, pair, owner):
+        pair[0].free(owner[0])
+        pair[1].free(owner[1])
+
+    def _check(self, pair, *owners):
+        extents, blocks, _ = pair
+        assert _allocator_state(extents, self.BLOCK) == _allocator_state(
+            blocks, self.BLOCK
+        )
+        for extent, block_list in owners:
+            assert extent.runs == _runs_of(block_list)
+            assert len(extent) == len(block_list)
+
+    def test_front_slab_is_the_extents_last_slab(self):
+        pair = self._pair()
+        owner = self._alloc(pair, 1)
+        assert not self._grow(pair, owner, 2)
+        assert owner[0].runs == [(5, 3)]
+
+    def test_front_slab_is_another_slab(self):
+        pair = self._pair()
+        a = self._alloc(pair, 3)  # slab 5
+        b = self._alloc(pair, 2)  # fills slab 5, then slab 4
+        assert pair[0]._slabs[5]._rec.avail == [4]
+        assert not self._grow(pair, a, 1)
+        assert a[0].runs == [(5, 3), (4, 1)]
+        self._check(pair, a, b)
+
+    def test_stale_front_entry_falls_back(self):
+        pair = self._pair()
+        d = self._alloc(pair, 1)  # slab 5
+        b = self._alloc(pair, 3)  # fills slab 5
+        e = self._alloc(pair, 2)  # slab 4
+        self._free(pair, e)  # slab 4 released, its entry left stale
+        self._free(pair, b)  # slab 5 listed again, behind it
+        assert pair[0]._slabs[5]._rec.avail == [4, 5]
+        assert self._grow(pair, d, 1)
+        assert d[0].runs == [(5, 2)]
+        assert pair[0]._slabs[5]._rec.avail == [5]
+
+    def test_grow_that_fills_the_front_slab_falls_back(self):
+        pair = self._pair()
+        owner = self._alloc(pair, 1)
+        assert self._grow(pair, owner, 3)  # exactly the slab's free blocks
+        assert owner[0].runs == [(5, 4)]
+        assert pair[0]._slabs[5]._avail_shape is None  # full: delisted
+        assert pair[0]._slabs[5]._rec.avail == []
+
+    def test_grow_across_a_slab_boundary_falls_back(self):
+        pair = self._pair()
+        owner = self._alloc(pair, 3)
+        assert self._grow(pair, owner, 3)
+        assert owner[0].runs == [(5, 4), (4, 2)]
+        self._free(pair, owner)
+        self._check(pair)

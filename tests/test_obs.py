@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core import AegaeonConfig, SystemSpec
+from repro.fleet import FleetConfig, build_fleet
 from repro.obs import (
     NULL_OBS,
     MetricsRegistry,
@@ -18,6 +23,9 @@ from repro.obs import (
     switch_breakdown,
     write_chrome_trace,
 )
+from repro.obs.metrics import _NullCounter
+from repro.sim import Environment
+from repro.workload import market_stream
 
 
 class FakeClock:
@@ -291,3 +299,65 @@ class TestDisabledPathAllocationFree:
         histogram = NULL_OBS.scoped("s").histogram("h")
         histogram.observe(0.5)
         assert len(NULL_OBS.metrics) == 0
+
+
+class TestPerUnitMetricsAreGauges:
+    """Metrics updated per block or per swap read plain ints at snapshot
+    time, so the allocator and the swap paths call no null instrument
+    when observability is off."""
+
+    @staticmethod
+    def _shard_spec(obs):
+        return SystemSpec(config=AegaeonConfig(
+            prefill_instances=1, decode_instances=3, cluster="h800-quad", obs=obs,
+        ))
+
+    def test_fleet_replay_off_makes_no_null_counter_calls(self, monkeypatch):
+        callers = Counter()
+
+        def inc(self, amount=1.0):
+            callers[sys._getframe(1).f_code.co_filename] += 1
+
+        monkeypatch.setattr(_NullCounter, "inc", inc)
+        fleet = build_fleet(FleetConfig(
+            shards=2, spec=self._shard_spec(ObsConfig.off()), obs=ObsConfig.off(),
+        ))
+        result = fleet.run(market_stream(12, 40.0, seed=2, total_rate=2.0))
+        assert result.drained
+        systems = [shard.system for shard in fleet.shards]
+        assert sum(s.cpu_kv_cache.blocks_allocated for s in systems) > 0
+        assert sum(
+            i.engine.kv.stats.swap_out_count
+            for s in systems for i in s.prefill_instances
+        ) > 0
+        assert callers  # the patch sees the disabled path
+        hot = [
+            path for path in callers
+            if path.endswith((
+                os.path.join("memory", "slab.py"),
+                os.path.join("transfer", "kv_transfer.py"),
+            ))
+        ]
+        assert hot == []
+
+    def test_full_snapshot_reads_the_plain_ints(self):
+        env = Environment()
+        system = self._shard_spec(ObsConfig.full()).build(env)
+        result = system.serve_stream(market_stream(8, 40.0, seed=2, total_rate=1.0))
+        metrics = result.metrics
+        caches = [system.cpu_kv_cache]
+        managers = []
+        for instance in system.prefill_instances + system.decode_instances:
+            caches.append(instance.engine.gpu_kv_cache)
+            managers.append(instance.engine.kv)
+        for cache in caches:
+            assert metrics[f"{cache.name}/blocks_allocated"] == cache.blocks_allocated
+            assert metrics[f"{cache.name}/blocks_freed"] == cache.blocks_freed
+        assert system.cpu_kv_cache.blocks_allocated > 0
+        for manager in managers:
+            stats, scope = manager.stats, f"kv.{manager.name}"
+            assert metrics[f"{scope}/swap_in"] == stats.swap_in_count
+            assert metrics[f"{scope}/swap_out"] == stats.swap_out_count
+            assert metrics[f"{scope}/bytes_in"] == stats.bytes_in
+            assert metrics[f"{scope}/bytes_out"] == stats.bytes_out
+        assert sum(m.stats.swap_in_count for m in managers) > 0

@@ -72,17 +72,58 @@ class TestQuickLoader:
         cache.insert("m", nbytes)
         stream = CudaStream(env)
 
-        def run():
-            event = yield from loader.load("m", nbytes, stream=stream)
-            return event
-
-        event = env.run(until=env.process(run()))
+        event = loader.prefetch("m", nbytes, stream)
+        # A plain call: every stall, copy and the record are queued
+        # before the clock moves.
+        chunks = -(-nbytes // loader.chunk_bytes)
+        assert stream.pending_ops == 2 * chunks + 1
         assert not event.query()  # copies still queued on the stream
         env.run(until=60.0)
         assert event.query()
         assert event.completed_at == pytest.approx(
             loader.load_time(nbytes), rel=0.1
         )
+
+    def test_prefetch_pins_until_the_last_chunk_lands(self, env, link, cache):
+        loader = QuickLoader(env, link, cache)
+        nbytes = 3 * GiB
+        cache.insert("m", nbytes)
+        unpinned_at = []
+        unpin = cache.unpin
+
+        def timed_unpin(model):
+            unpinned_at.append(env.now)
+            unpin(model)
+
+        cache.unpin = timed_unpin
+        event = loader.prefetch("m", nbytes, CudaStream(env))
+        assert cache._entries["m"].pins == 1
+        landed = loader.load_time(nbytes)
+        env.run(until=landed * 0.9)  # the last chunk is still queued
+        assert cache._entries["m"].pins == 1 and not unpinned_at
+        env.run()
+        assert cache._entries["m"].pins == 0
+        assert unpinned_at == [event.completed_at]
+        assert link.h2d.bytes_moved == nbytes
+
+    def test_prefetch_costs_two_events_per_chunk(self, env, link, cache):
+        # A stall and a copy timeout per chunk on the lane, no process:
+        # nothing waits on the completion, so it schedules nothing.
+        cache.insert("m", 3 * GiB)
+        loader = QuickLoader(env, link, cache)
+        stream = CudaStream(env)  # its lane's start event is one step
+        event = loader.prefetch("m", 3 * GiB, stream)
+        env.run()
+        assert event.query()
+        assert env.steps_executed == 1 + 2 * 3
+
+    def test_prefetch_of_an_uncached_model_raises(self, env, link, cache):
+        loader = QuickLoader(env, link, cache)
+        stream = CudaStream(env)
+        with pytest.raises(LookupError):
+            loader.prefetch("cold-model", GiB, stream)
+        assert stream.pending_ops == 0
+        assert loader.remote_fetches == 0
 
     def test_pin_released_after_load(self, env, link, cache):
         loader = QuickLoader(env, link, cache)
@@ -109,8 +150,7 @@ class TestQuickLoader:
         loader = QuickLoader(env, link, cache)
 
         def prefetch():
-            event = yield from loader.load("m", nbytes, stream=CudaStream(env))
-            yield event.wait()
+            yield loader.prefetch("m", nbytes, CudaStream(env)).wait()
             return env.now
 
         prefetched_at = env.run(until=env.process(prefetch()))
