@@ -94,9 +94,17 @@ def aegaeon_factory(slo: SloSpec = DEFAULT_SLO, engine: EngineConfig = EngineCon
     return build
 
 
+# Request-level scaling at the overload points (Fig 11c, Fig 12d at 32
+# models) leaves a backlog that drains 300-370 s after the last arrival;
+# the default 300 s grace would cut those runs short.
+SLLM_DRAIN_GRACE = 450.0
+
+
 def sllm_factory(slo: SloSpec = DEFAULT_SLO):
     def build(env: Environment):
-        config = ServerlessLLMConfig(slo=slo, obs=bench_settings().obs)
+        config = ServerlessLLMConfig(
+            slo=slo, obs=bench_settings().obs, drain_grace=SLLM_DRAIN_GRACE
+        )
         return build_system(SystemSpec(system="serverless-llm", config=config), env)
 
     return build
@@ -104,7 +112,9 @@ def sllm_factory(slo: SloSpec = DEFAULT_SLO):
 
 def sllm_plus_factory(slo: SloSpec = DEFAULT_SLO):
     def build(env: Environment):
-        config = ServerlessLLMConfig(slo=slo, obs=bench_settings().obs)
+        config = ServerlessLLMConfig(
+            slo=slo, obs=bench_settings().obs, drain_grace=SLLM_DRAIN_GRACE
+        )
         return build_system(SystemSpec(system="serverless-llm+", config=config), env)
 
     return build

@@ -183,8 +183,9 @@ class MuxServe(BaselineServer):
         max_batch_size: int = 32,
         obs: Optional[ObsConfig | Observability] = None,
         policies=None,
+        drain_grace: float = 300.0,
     ):
-        super().__init__(env, slo, obs=obs, policies=policies)
+        super().__init__(env, slo, drain_grace, obs=obs, policies=policies)
         self.cluster = cluster
         self.tp = tp
         self.max_batch_size = max_batch_size

@@ -74,59 +74,24 @@ class _ServerlessInstance(BatcherInstanceBase):
     def estimated_backlog(self) -> float:
         """Rough seconds of queued work (for least-loaded routing).
 
-        Vectorized per model (Eqs. 5-6 in one numpy pass per spec), with
-        the per-request contributions scattered back into queue order and
-        accumulated in Python so the total is byte-identical to the
-        per-request scalar loop it replaces.
+        Each waiting request's estimated service time (Eqs. 5-6) plus
+        each running request's remaining tokens at the current batch's
+        decode step time (Eq. 6), summed in queue order.
         """
         backlog = 0.0
-        waiting = self.waiting
-        if waiting:
-            if len(waiting) >= 8:
-                estimates = [0.0] * len(waiting)
-                by_spec: dict[str, list[int]] = {}
-                for index, request in enumerate(waiting):
-                    by_spec.setdefault(request.spec.name, []).append(index)
-                for indices in by_spec.values():
-                    latency = self.engine.latency_model(waiting[indices[0]].spec)
-                    values = latency.estimate_service_time_batch(
-                        [waiting[i].input_tokens for i in indices],
-                        [waiting[i].output_tokens for i in indices],
-                    ).tolist()
-                    for i, value in zip(indices, values):
-                        estimates[i] = value
-                for value in estimates:
-                    backlog += value
-            else:
-                for request in waiting:
-                    latency = self.engine.latency_model(request.spec)
-                    backlog += latency.estimate_service_time(
-                        request.input_tokens, request.output_tokens
-                    )
+        for request in self.waiting:
+            latency = self.engine.latency_model(request.spec)
+            backlog += latency.estimate_service_time(
+                request.input_tokens, request.output_tokens
+            )
         if self.batcher is not None and self.batcher.running:
             running = self.batcher.running
-            size = max(1, len(running))
-            if len(running) >= 8:
-                estimates = [0.0] * len(running)
-                by_spec = {}
-                for index, request in enumerate(running):
-                    by_spec.setdefault(request.spec.name, []).append(index)
-                for indices in by_spec.values():
-                    latency = self.engine.latency_model(running[indices[0]].spec)
-                    steps = latency.decode_time_batch(
-                        [size] * len(indices),
-                        [running[i].context_tokens for i in indices],
-                    ).tolist()
-                    for i, step in zip(indices, steps):
-                        estimates[i] = running[i].remaining_tokens * step
-                for value in estimates:
-                    backlog += value
-            else:
-                for request in running:
-                    latency = self.engine.latency_model(request.spec)
-                    backlog += request.remaining_tokens * latency.decode_step_time(
-                        size, request.context_tokens
-                    )
+            size = len(running)
+            for request in running:
+                latency = self.engine.latency_model(request.spec)
+                backlog += request.remaining_tokens * latency.decode_step_time(
+                    size, request.context_tokens
+                )
         return backlog
 
     def enqueue(self, request: Request) -> None:
@@ -221,8 +186,9 @@ class ServerlessLLM(BaselineServer):
         model_cache_bytes: int = 1280 * GiB,
         obs: Optional[ObsConfig | Observability] = None,
         policies=None,
+        drain_grace: float = 300.0,
     ):
-        super().__init__(env, slo, obs=obs, policies=policies)
+        super().__init__(env, slo, drain_grace, obs=obs, policies=policies)
         self.max_batch_size = max_batch_size
         available = len(cluster.gpus) // tp
         count = available if instance_count is None else instance_count

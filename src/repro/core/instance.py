@@ -91,20 +91,10 @@ class PrefillInstance:
     ) -> float:
         """Execution + auto-scaling estimate for one queued group."""
         latency = self.engine.latency_model(group.spec)
-        requests = group.requests
-        if len(requests) >= 8:
-            # One vectorized Eq. 5 pass; accumulate in Python order so the
-            # total is byte-identical to the scalar sum it replaces.
-            execution = 0.0
-            for value in latency.prefill_time_batch(
-                [request.input_tokens for request in requests]
-            ).tolist():
-                execution += value
-        else:
-            execution = sum(
-                latency.prefill_time_single(request.input_tokens)
-                for request in requests
-            )
+        execution = sum(
+            latency.prefill_time_single(request.input_tokens)
+            for request in group.requests
+        )
         switch = 0.0
         if previous is None or previous.name != group.spec.name:
             switch = self.engine.estimate_switch_time(group.spec)
@@ -594,29 +584,12 @@ class _DecodeTask(ContTask):
             inst.work_list[:] = reordered
         batches = list(inst.work_list)
         engine = inst.engine
-        if len(batches) >= 4:
-            # Vectorized Eq. 6 for the whole round: one numpy pass per
-            # distinct model, scattered back into work-list order.
-            step_times = [0.0] * len(batches)
-            by_spec: dict[str, list[int]] = {}
-            for index, batch in enumerate(batches):
-                by_spec.setdefault(batch.spec.name, []).append(index)
-            for indices in by_spec.values():
-                spec = batches[indices[0]].spec
-                times = engine.decode_time_batch(
-                    spec,
-                    [batches[i].size or 1 for i in indices],
-                    [batches[i].context_tokens or 1 for i in indices],
-                ).tolist()
-                for i, value in zip(indices, times):
-                    step_times[i] = value
-        else:
-            step_times = [
-                engine.decode_step_time(
-                    batch.spec, batch.size or 1, batch.context_tokens or 1
-                )
-                for batch in batches
-            ]
+        step_times = [
+            engine.decode_step_time(
+                batch.spec, batch.size or 1, batch.context_tokens or 1
+            )
+            for batch in batches
+        ]
         switch_cost = inst._round_switch_cost(batches)
         quotas = inst.turn_policy.quotas(batches, step_times, switch_cost, inst.slo)
         tracer = inst._tracer

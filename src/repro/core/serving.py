@@ -576,6 +576,7 @@ def _build_serverless(env: Environment, config, policies):
         model_cache_bytes=config.model_cache_bytes,
         obs=config.obs,
         policies=policies,
+        drain_grace=config.drain_grace,
     )
 
 
@@ -596,6 +597,7 @@ def _build_muxserve(env: Environment, config, policies):
         max_batch_size=config.max_batch_size,
         obs=config.obs,
         policies=policies,
+        drain_grace=config.drain_grace,
     )
 
 
@@ -612,6 +614,7 @@ def _build_unified(policy: str):
             model_cache_bytes=config.model_cache_bytes,
             obs=config.obs,
             policies=policies,
+            drain_grace=config.drain_grace,
         )
 
     return build

@@ -185,11 +185,12 @@ class UnifiedServer(BaselineServer):
         model_cache_bytes: int = 640 * GiB,
         obs: Optional[ObsConfig | Observability] = None,
         policies=None,
+        drain_grace: float = 300.0,
     ):
         # Instance attr shadows the class default before the base class
         # resolves the bundle.
         self.default_policies = f"unified-{policy.replace('_', '-')}"
-        super().__init__(env, slo, obs=obs, policies=policies)
+        super().__init__(env, slo, drain_grace, obs=obs, policies=policies)
         self.label = f"unified-{policy}"
         self.model_cache = HostModelCache(
             model_cache_bytes, name="model_cache", obs=self.obs

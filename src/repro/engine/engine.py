@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
+import numpy as np
+
 from ..hardware.gpu import Gpu
 from ..hardware.node import Node
 from ..memory.bump import BumpAllocation, BumpAllocator
@@ -390,23 +392,19 @@ class AegaeonEngine:
         """Predicted duration of one decode step (Eq. 6)."""
         return self.latency_model(spec).decode_step_time(batch, context) * self.perf_factor
 
+    # The two batch methods are loops over the scalar predictions; no
+    # simulation path calls them, they stay as simbench span targets.
     def decode_time_batch(self, spec: ModelSpec, batch_sizes, context_tokens):
-        """Vectorized Eq. 6 over a whole decode round (one numpy pass).
-
-        Element-wise identical to ``decode_step_time`` — the perf factor
-        is applied per element exactly as the scalar path does.
-        """
-        return (
-            self.latency_model(spec).decode_time_batch(batch_sizes, context_tokens)
-            * self.perf_factor
-        )
+        """``decode_step_time`` for each ``(batch size, context)`` pair."""
+        pairs = zip(batch_sizes, context_tokens)
+        times = [self.decode_step_time(spec, b, c) for b, c in pairs]
+        return np.array(times, dtype=float)
 
     def prefill_time_batch(self, spec: ModelSpec, input_lengths):
-        """Vectorized Eq. 5 across many single-prompt prefills."""
-        return (
-            self.latency_model(spec).prefill_time_batch(input_lengths)
-            * self.perf_factor
-        )
+        """Eq. 5 for each prompt as its own batch, with the perf factor."""
+        model = self.latency_model(spec)
+        times = [model.prefill_time_single(n) * self.perf_factor for n in input_lengths]
+        return np.array(times, dtype=float)
 
     def decode_for(self, spec: ModelSpec, duration: float) -> Generator:
         """Process: occupy the default stream decoding for ``duration``."""

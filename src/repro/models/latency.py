@@ -74,7 +74,12 @@ def switch_time(
 
 @dataclass
 class LatencyModel:
-    """Token-generation latency for one (model, GPU, TP) combination."""
+    """Token-generation latency for one (model, GPU, TP) combination.
+
+    Each equation is written once: Eq. 5 in ``_prefill_uncached`` and
+    Eq. 6 in ``_decode_uncached``, both behind a per-instance LRU.
+    Every prediction, single or many, goes through them.
+    """
 
     model: ModelSpec
     gpu: GpuSpec
@@ -144,18 +149,11 @@ class LatencyModel:
 
     # -- predictions --------------------------------------------------------
     def _prefill_uncached(self, lengths: tuple[int, ...]) -> float:
-        if len(lengths) >= 16:
-            # Integer sums are exact in int64, so the vectorized reduction
-            # produces the same t/t2 (and thus the same float) as the loop.
-            arr = np.asarray(lengths, dtype=np.int64)
-            t = int(arr.sum())
-            t2 = int((arr * arr).sum())
-        else:
-            t = 0
-            t2 = 0
-            for length in lengths:
-                t += length
-                t2 += length * length
+        t = 0
+        t2 = 0
+        for length in lengths:
+            t += length
+            t2 += length * length
         return self._prefill_per_token * t + self._prefill_per_sq_token * t2 + self._c3
 
     def prefill_time(self, input_lengths: Sequence[int]) -> float:
@@ -188,25 +186,13 @@ class LatencyModel:
             return 0.0
         return self._decode_cached(batch_size, context_tokens)
 
-    # -- vectorized evaluation ----------------------------------------------
-    # The batch variants evaluate the same constant-folded closed forms
-    # with numpy, element-wise, in float64 — bit-identical to the scalar
-    # path (integer inputs are exact in int64, and every operation maps
-    # one-to-one onto the scalar expression; no reductions are performed
-    # here, so no summation-order drift is possible).  Callers that need
-    # a total must accumulate in Python order over ``.tolist()`` to stay
-    # byte-identical with the loops they replace.
+    # -- many predictions at once -------------------------------------------
+    # Loops over the scalar methods; no simulation path calls them, they
+    # stay as simbench span targets.
     def prefill_time_batch(self, input_lengths: Sequence[int]) -> np.ndarray:
-        """Eq. 5 for many single-prompt prefills at once.
-
-        Returns the per-prompt wall times (each prompt its own batch of
-        one), matching ``prefill_time_single`` element-wise.
-        """
-        lengths = np.asarray(input_lengths, dtype=np.int64)
-        return (
-            self._prefill_per_token * lengths
-            + self._prefill_per_sq_token * (lengths * lengths)
-            + self._c3
+        """``prefill_time_single`` for each prompt (each its own batch)."""
+        return np.array(
+            [self.prefill_time_single(n) for n in input_lengths], dtype=float
         )
 
     def decode_time_batch(
@@ -214,18 +200,9 @@ class LatencyModel:
         batch_sizes: Sequence[int],
         context_tokens: Sequence[int],
     ) -> np.ndarray:
-        """Eq. 6 across a whole decode round.
-
-        ``batch_sizes[i]`` and ``context_tokens[i]`` describe one decode
-        step; the result matches ``decode_step_time`` element-wise
-        (non-positive batch sizes yield 0.0, as in the scalar guard).
-        """
-        sizes = np.asarray(batch_sizes, dtype=np.int64)
-        ctx = np.asarray(context_tokens, dtype=np.int64)
-        memory = self._decode_weights_time + self._decode_per_context_token * ctx
-        compute = self._decode_flops_per_token * sizes
-        step = np.maximum(memory, compute) + self.decode_overhead
-        return np.where(sizes > 0, step, 0.0)
+        """``decode_step_time`` for each ``(batch size, context)`` pair."""
+        pairs = zip(batch_sizes, context_tokens)
+        return np.array([self.decode_step_time(b, c) for b, c in pairs], dtype=float)
 
     def estimate_service_time_batch(
         self,
@@ -233,14 +210,14 @@ class LatencyModel:
         output_lengths: Sequence[int],
         decode_batch: int = 4,
     ) -> np.ndarray:
-        """Vectorized ``estimate_service_time`` over many requests."""
-        in_arr = np.asarray(input_lengths, dtype=np.int64)
-        out_arr = np.asarray(output_lengths, dtype=np.int64)
-        avg_context = in_arr + out_arr / 2.0
-        ctx = (avg_context * decode_batch).astype(np.int64)
-        sizes = np.full(len(ctx), decode_batch, dtype=np.int64)
-        per_step = self.decode_time_batch(sizes, ctx)
-        return self.prefill_time_batch(in_arr) + out_arr * per_step
+        """``estimate_service_time`` for each request."""
+        return np.array(
+            [
+                self.estimate_service_time(n, out, decode_batch)
+                for n, out in zip(input_lengths, output_lengths)
+            ],
+            dtype=float,
+        )
 
     def cache_info(self) -> dict[str, object]:
         """LRU hit/miss statistics for the memoized predictions."""

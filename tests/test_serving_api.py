@@ -2,6 +2,7 @@
 same :class:`ServingSystem` protocol and is measured identically."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.core import (
 from repro.models import market_mix
 from repro.obs import ObsConfig, chrome_trace
 from repro.sim import Environment
-from repro.workload import sharegpt, materialize_trace
+from repro.workload import materialize_trace, sharegpt, sharegpt_ox2
 
 
 def small_trace(n_models=3, rps=0.08, horizon=50.0, seed=11):
@@ -177,6 +178,26 @@ class TestDrain:
         assert 0 < in_flight < system.proxy.submitted < len(trace)
         assert result.unaccounted == in_flight == system.registry.in_flight
         assert result.unaccounted == system.proxy.submitted - system.accounted
+
+    @pytest.mark.parametrize("name", available_systems())
+    def test_config_drain_grace_reaches_the_system(self, name):
+        config = replace(small_config(name), drain_grace=7.0)
+        system = build_system(SystemSpec(system=name, config=config))
+        assert system.drain_grace == 7.0
+
+    def test_fig12d_serverless_plus_drains_within_a_450s_grace(self):
+        # Fig 12(d)'s ShareGPT-ox2 / 32-model ServerlessLLM+ point (trace
+        # seed 3057): its request-level backlog runs past the 450 s
+        # deadline a 300 s grace sets (28 in flight there).
+        trace = materialize_trace(
+            market_mix(32), [0.5] * 32, sharegpt_ox2(), 150.0, seed=3057
+        )
+        config = ServerlessLLMConfig(sjf=True, drain_grace=450.0)
+        system = build_system(SystemSpec(system="serverless-llm+", config=config))
+        result = system.serve(trace)
+        assert result.drained and result.unaccounted == 0
+        assert result.finished_requests == len(trace) == 2401
+        assert result.end_time == pytest.approx(498.0)
 
 
 class TestAcceptance:
