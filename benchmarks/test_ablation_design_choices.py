@@ -16,24 +16,18 @@ optimizations, each ablated here:
 
 from _common import bench_scale, make_trace
 from repro.analysis import format_table
-from repro.core import AegaeonConfig, AegaeonServer, DEFAULT_SLO
-from repro.core.prefill_sched import GroupedPrefillScheduler
+from repro.core import AegaeonConfig, AegaeonServer
 from repro.engine import EngineConfig
 from repro.hardware import Cluster
+from repro.policy import Tunables, get_bundle
 from repro.sim import Environment
 
 
-def _run(trace, max_group_size=None, qmax=None, engine=None):
+def _run(trace, tunables=Tunables(), engine=None):
     env = Environment()
     config = AegaeonConfig(engine=engine if engine is not None else EngineConfig())
-    server = AegaeonServer(env, Cluster.testbed(env), config)
-    if max_group_size is not None:
-        server.prefill_scheduler = GroupedPrefillScheduler(
-            server.prefill_instances, max_group_size=max_group_size
-        )
-    if qmax is not None:
-        for instance in server.decode_instances:
-            instance.qmax = qmax
+    policies = get_bundle("aegaeon").with_tunables(tunables)
+    server = AegaeonServer(env, Cluster.testbed(env), config, policies=policies)
     return server.serve(trace)
 
 
@@ -42,7 +36,10 @@ def test_ablation_max_gpsize(benchmark):
     trace = make_trace(48, 0.25, seed=11025)
 
     def run():
-        return {size: _run(trace, max_group_size=size).slo_attainment() for size in sizes}
+        return {
+            size: _run(trace, Tunables(max_prefill_group=size)).slo_attainment()
+            for size in sizes
+        }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
@@ -64,7 +61,7 @@ def test_ablation_qmax(benchmark):
     trace = make_trace(48, 0.1, seed=11125)
 
     def run():
-        return {q: _run(trace, qmax=q).slo_attainment() for q in qmaxes}
+        return {q: _run(trace, Tunables(qmax=q)).slo_attainment() for q in qmaxes}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -2,7 +2,7 @@
 
 from ..core.batcher import BatcherInstanceBase
 from ..core.serving import BaselineServer
-from .muxserve import DedicatedServing, MuxServe, SharedGpuInstance, plan_placement
+from .muxserve import DedicatedServing, MuxServe, SharedGpuInstance
 from .serverless_llm import ServerlessLLM, ServerlessLLMPlus
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "ServerlessLLM",
     "ServerlessLLMPlus",
     "SharedGpuInstance",
-    "plan_placement",
 ]

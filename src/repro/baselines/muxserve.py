@@ -34,38 +34,16 @@ from ..hardware.gpu import GpuSpec
 from ..models.catalog import ModelSpec
 from ..models.latency import LatencyModel
 from ..obs import ObsConfig, Observability
-from ..policy.placement import MIN_KV_BYTES, MemoryConstrainedPlacement
 from ..sim import Environment
 from ..workload.trace import Trace
 
-__all__ = ["MuxServe", "DedicatedServing", "SharedGpuInstance", "plan_placement"]
+__all__ = ["MuxServe", "DedicatedServing", "SharedGpuInstance"]
 
 GiB = 1024**3
 
 # Interleave granularity between colocated models (fine-grained
 # temporal multiplexing: a few decode steps per turn, no switch cost).
 MUX_CHUNK_STEPS = 4
-
-
-def plan_placement(
-    models: list[ModelSpec],
-    gpu_count: int,
-    gpu_spec: GpuSpec,
-    min_kv_bytes: int = MIN_KV_BYTES,
-    usable_fraction: float = 0.9,
-) -> tuple[list[list[ModelSpec]], list[ModelSpec]]:
-    """Greedy memory-constrained placement over a homogeneous pool.
-
-    Returns (per-GPU model lists, unplaced models).  Models are placed
-    first-fit in popularity order (callers pass them most-popular first,
-    matching how an optimizer would prioritize).  Kept as a thin wrapper
-    over :class:`~repro.policy.MemoryConstrainedPlacement` for callers
-    that predate the policy layer.
-    """
-    policy = MemoryConstrainedPlacement(
-        min_kv_bytes=min_kv_bytes, usable_fraction=usable_fraction
-    )
-    return policy.plan(models, [gpu_spec] * gpu_count)
 
 
 class SharedGpuInstance(BatcherInstanceBase):

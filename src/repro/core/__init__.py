@@ -1,19 +1,8 @@
 """Aegaeon core: token-level scheduling, instances, and the serving API."""
 
-from .decode_sched import (
-    BatchedDecodeScheduler,
-    DecodeBatch,
-    QMAX,
-    compute_quotas,
-    estimate_round_attainment,
-    reorder_work_list,
-)
+from .decode_sched import BatchedDecodeScheduler, DecodeBatch
 from .instance import DecodeInstance, PrefillInstance
-from .prefill_sched import (
-    GroupedPrefillScheduler,
-    MAX_GPSIZE,
-    PrefillGroup,
-)
+from .prefill_sched import GroupedPrefillScheduler, PrefillGroup
 from .proxy import DrainWatchdog, ProxyLayer, Pump, StatusRegistry, replay
 from .server import AegaeonConfig, AegaeonServer
 from .sessions import SessionCoordinator, SessionStats
@@ -44,13 +33,11 @@ __all__ = [
     "DecodeInstance",
     "DrainWatchdog",
     "GroupedPrefillScheduler",
-    "MAX_GPSIZE",
     "MuxServeConfig",
     "PrefillGroup",
     "PrefillInstance",
     "ProxyLayer",
     "Pump",
-    "QMAX",
     "RunSettings",
     "ServerlessLLMConfig",
     "ServingSystem",
@@ -68,9 +55,6 @@ __all__ = [
     "UnifiedServer",
     "available_systems",
     "build_system",
-    "compute_quotas",
-    "estimate_round_attainment",
-    "reorder_work_list",
     "replay",
     "resolve_cluster",
     "token_deadlines",

@@ -16,8 +16,8 @@ comfortably met.
 
 The quota mathematics and the placement rule live in
 :mod:`repro.policy` (``WeightedRoundPolicy`` / ``BatchedDecodeDispatch``
-are the defaults); this module keeps the executing scheduler plus
-compatibility re-exports of the math under their historical names.
+are the defaults; ``QMAX`` is ``Tunables.qmax``); this module keeps the
+executing scheduler.
 """
 
 from __future__ import annotations
@@ -28,29 +28,13 @@ from typing import Optional, Protocol
 from ..engine.request import Request
 from ..models.catalog import ModelSpec
 from ..obs import NULL_OBS, Observability
-from ..policy.decode_turn import (
-    compute_quotas,
-    estimate_round_attainment,
-    reorder_work_list,
-)
 from ..policy.dispatch import BatchedDecodeDispatch
-from ..policy.tunables import DEFAULT_TUNABLES
-from .slo import SloSpec
 
 __all__ = [
-    "QMAX",
     "BatchedDecodeScheduler",
     "DecodeBatch",
     "DecodeInstanceLike",
-    "compute_quotas",
-    "estimate_round_attainment",
-    "reorder_work_list",
 ]
-
-# Maximum per-turn quota, seconds; the paper sets 4 s empirically and
-# reports robustness to alternative settings.  Canonically a field of
-# :class:`repro.policy.Tunables`; this alias keeps old imports working.
-QMAX = DEFAULT_TUNABLES.qmax
 
 
 @dataclass

@@ -20,7 +20,6 @@ pre-policy-layer behaviour exactly.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Optional
 
 from ..engine.engine import AegaeonEngine
@@ -32,7 +31,6 @@ from ..obs import NULL_OBS, Observability
 from ..policy.base import DecodeTurnPolicy, ScalingPolicy, policy_event
 from ..policy.decode_turn import WeightedRoundPolicy
 from ..policy.scaling import TokenLevelScaling
-from ..policy.tunables import DEFAULT_TUNABLES, Tunables
 from ..sim import ContTask, Environment, Event, Interrupt
 from ..transfer.kv_transfer import RequestKv
 from ..transfer.loader import CheckpointFetchError
@@ -346,12 +344,10 @@ class DecodeInstance:
         on_finished: Callable[[Request], None],
         name: str = "decode",
         max_batch_size: int = 32,
-        qmax: Optional[float] = None,
         on_failed: Optional[Callable[[Request], None]] = None,
         obs: Observability = NULL_OBS,
         turn_policy: Optional[DecodeTurnPolicy] = None,
         scaling: Optional[ScalingPolicy] = None,
-        tunables: Tunables = DEFAULT_TUNABLES,
     ):
         self.env = env
         self.engine = engine
@@ -360,12 +356,8 @@ class DecodeInstance:
         self.on_failed = on_failed
         self.name = name
         self.max_batch_size = max_batch_size
-        if qmax is not None and qmax != tunables.qmax:
-            # The explicit ctor arg wins (ablation harness compatibility).
-            tunables = replace(tunables, qmax=qmax)
-        self._tunables = tunables
         self.turn_policy: DecodeTurnPolicy = (
-            turn_policy if turn_policy is not None else WeightedRoundPolicy(tunables)
+            turn_policy if turn_policy is not None else WeightedRoundPolicy()
         )
         self.scaling: ScalingPolicy = scaling if scaling is not None else TokenLevelScaling()
         self.work_list: list[DecodeBatch] = []
@@ -387,18 +379,6 @@ class DecodeInstance:
                 lambda: sum(batch.size for batch in self.work_list)
             )
         self.process = _DecodeTask(env, self)
-
-    @property
-    def qmax(self) -> float:
-        """The per-turn quota cap the turn policy currently applies."""
-        return getattr(self.turn_policy, "qmax", self._tunables.qmax)
-
-    @qmax.setter
-    def qmax(self, value: float) -> None:
-        # Ablation hook: rebuild the default turn policy around the new
-        # cap (a custom policy set via the ctor is replaced on purpose).
-        self._tunables = replace(self._tunables, qmax=value)
-        self.turn_policy = WeightedRoundPolicy(self._tunables)
 
     # -- scheduler interface (DecodeInstanceLike) ---------------------------
     def batch_capacity(self, spec: ModelSpec) -> int:

@@ -6,6 +6,9 @@ pool) provided the group's *accumulative* size is below ``MAX_GPSIZE``;
 otherwise it opens a new group on the least-loaded prefill instance,
 where load is the estimated time to finish every pending group —
 execution plus the auto-scaling between groups (Appendix A.2).
+``MAX_GPSIZE`` is ``Tunables.max_prefill_group``, grid-searched to 8 in
+the paper: larger values behave identically because groups seldom grow
+past 8, smaller ones re-scale too often under load.
 
 Batch size on prefill instances is one: prefill time grows ~linearly
 with tokens, so smaller batches cut waiting time without hurting
@@ -29,12 +32,7 @@ from ..obs import NULL_OBS, Observability
 from ..policy.dispatch import GroupedPrefillDispatch
 from ..policy.tunables import DEFAULT_TUNABLES
 
-__all__ = ["MAX_GPSIZE", "PrefillGroup", "PrefillInstanceLike", "GroupedPrefillScheduler"]
-
-# Grid-searched in the paper; larger values behave identically because
-# groups seldom grow past 8, smaller ones re-scale too often under load.
-# Canonically ``Tunables.max_prefill_group``; alias for old imports.
-MAX_GPSIZE = DEFAULT_TUNABLES.max_prefill_group
+__all__ = ["PrefillGroup", "PrefillInstanceLike", "GroupedPrefillScheduler"]
 
 
 @dataclass
@@ -78,7 +76,7 @@ class GroupedPrefillScheduler:
     def __init__(
         self,
         instances: list[PrefillInstanceLike],
-        max_group_size: int = MAX_GPSIZE,
+        max_group_size: int = DEFAULT_TUNABLES.max_prefill_group,
         obs: Observability = NULL_OBS,
         policy: Optional[GroupedPrefillDispatch] = None,
     ):

@@ -29,7 +29,6 @@ from typing import Optional
 from ..models.catalog import ModelSpec
 from ..obs import ObsConfig
 from ..policy.base import PolicyBundle
-from ..policy.tunables import DEFAULT_TUNABLES
 from ..sim import Environment
 from ..transfer.kv_transfer import MoveList
 from ..workload.trace import Trace
@@ -42,12 +41,6 @@ from .slo import DEFAULT_SLO, SloSpec
 __all__ = ["AegaeonConfig", "AegaeonServer"]
 
 GiB = 1024**3
-
-# Grace period before a failed instance's orphans are requeued — the
-# timeout half of timeout-and-requeue (the proxy tier would take this
-# long to notice the instance stopped heartbeating).  Canonically
-# ``Tunables.orphan_requeue_delay``; alias kept for old imports.
-ORPHAN_REQUEUE_DELAY = DEFAULT_TUNABLES.orphan_requeue_delay
 
 
 @dataclass(frozen=True)
@@ -162,7 +155,6 @@ class AegaeonServer(ServingSystemBase):
                     obs=self.obs,
                     turn_policy=bundle.decode_turn,
                     scaling=bundle.scaling,
-                    tunables=tunables,
                 )
             )
         # The schedulers copy the pool lists into their own dispatch

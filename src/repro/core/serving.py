@@ -24,7 +24,6 @@ from ..hardware.gpu import H800
 from ..obs import NULL_OBS, ObsConfig, Observability
 from ..policy.base import PolicyBundle, policy_event
 from ..policy.registry import resolve_bundle
-from ..policy.tunables import Tunables
 from ..sim import Environment
 from ..transfer.kv_transfer import TransferStats
 from ..workload.trace import Trace
@@ -521,19 +520,16 @@ class RunSettings:
     #: Policy bundle name (``REPRO_POLICIES``); None picks each system's
     #: default bundle.
     policies: Optional[str] = None
-    #: Shared tuning constants (``REPRO_TUNE_*`` overrides).
-    tunables: Tunables = field(default_factory=Tunables)
 
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "RunSettings":
         """Resolve settings from ``REPRO_BENCH_{HORIZON,SCALE,SEED}``,
-        ``REPRO_OBS``, ``REPRO_POLICIES``, and ``REPRO_TUNE_*``.
+        ``REPRO_OBS`` and ``REPRO_POLICIES``.
 
-        The full ``REPRO_*`` surface lives in :mod:`repro.envkeys` (one
-        registry shared with ``FleetConfig.from_env``, which consumes
-        the ``REPRO_FLEET_*`` family); any unrecognized ``REPRO_*`` key
-        draws a :class:`RuntimeWarning` naming the nearest valid key — a
-        typo'd knob silently doing nothing is worse than noise.
+        The full ``REPRO_*`` surface lives in :mod:`repro.envkeys`; any
+        unrecognized ``REPRO_*`` key draws a :class:`RuntimeWarning`
+        naming the nearest valid key — a typo'd knob silently doing
+        nothing is worse than noise.
         """
         from ..envkeys import warn_unknown_env_keys
 
@@ -547,7 +543,6 @@ class RunSettings:
             seed=int(environ.get("REPRO_BENCH_SEED", defaults.seed)),
             obs=ObsConfig.from_env(environ),
             policies=policies,
-            tunables=Tunables.from_env(environ),
         )
 
 

@@ -77,27 +77,6 @@ class ContinuousBatcher:
         """The current decode batch (all running requests)."""
         return list(self.running)
 
-    def grow_tables(self, requests: list[Request]) -> list[Request]:
-        """Extend block tables by one token; preempt on pool exhaustion.
-
-        Returns any requests that had to be evicted (vLLM recompute-style
-        preemption: their blocks are released and they rejoin the waiting
-        queue head).
-        """
-        evicted: list[Request] = []
-        for request in reversed(requests):  # evict newest first
-            try:
-                self.block_manager.append_tokens(
-                    request.request_id, request.context_tokens, 1
-                )
-            except MemoryError:
-                self.block_manager.release(request.request_id)
-                self.running.remove(request)
-                request.phase = Phase.QUEUED
-                evicted.append(request)
-                self.waiting.insert(0, request)
-        return evicted
-
     def retire(self, request: Request) -> None:
         """Release a finished request."""
         self.block_manager.release(request.request_id)

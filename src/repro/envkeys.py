@@ -1,27 +1,23 @@
 """The unified ``REPRO_*`` environment-variable surface.
 
-Every knob the harness reads from the environment is declared here —
-one registry consulted by :meth:`repro.core.RunSettings.from_env` and
-:meth:`repro.fleet.FleetConfig.from_env` — so an unrecognized
-``REPRO_*`` key can be flagged with the *nearest* valid key (a typo'd
-knob silently doing nothing is worse than noise), and the README's key
-table is generated rather than hand-maintained::
+Every knob read from the environment is declared here — one registry
+consulted by :meth:`repro.core.RunSettings.from_env` — so an
+unrecognized ``REPRO_*`` key can be flagged with the *nearest* valid key
+(a typo'd knob silently doing nothing is worse than noise), and the
+README's key table is generated rather than hand-maintained::
 
     PYTHONPATH=src python -m repro.envkeys   # prints the markdown table
 
-The ``REPRO_TUNE_<FIELD>`` family is derived from the fields of
-:class:`repro.policy.tunables.Tunables`, so new tunables are covered
-automatically.
+A key belongs here only if some run reads it.  Tuning constants have no
+keys: a run changes them through
+:meth:`repro.policy.PolicyBundle.with_tunables`.
 """
 
 from __future__ import annotations
 
 import difflib
 import warnings
-from dataclasses import fields
 from typing import Mapping, Optional
-
-from .policy.tunables import Tunables
 
 __all__ = [
     "ENV_KEYS",
@@ -31,8 +27,8 @@ __all__ = [
     "format_env_table",
 ]
 
-#: Every exact REPRO_* key the harness understands, with the one-line
-#: description the generated README table carries.
+#: Every REPRO_* key something reads, with the one-line description the
+#: generated README table carries.
 ENV_KEYS: dict[str, str] = {
     "REPRO_BENCH_HORIZON": "Simulated seconds of trace per bench run (default 150).",
     "REPRO_BENCH_SCALE": "Multiplier on benchmark parameter grids (default 1.0).",
@@ -40,32 +36,12 @@ ENV_KEYS: dict[str, str] = {
     "REPRO_OBS": "Observability level: `off`, `metrics`, or `full`.",
     "REPRO_POLICIES": "Policy bundle name steering builds (e.g. `aegaeon-slo-admission`).",
     "REPRO_INVARIANTS": "Set to `1` to arm the runtime InvariantChecker in every build.",
-    "REPRO_FLEET_SHARDS": "Shard count for `FleetConfig.from_env` (default 4).",
-    "REPRO_FLEET_VIRTUAL_NODES": "Consistent-hash vnodes per shard (default 64).",
-    "REPRO_FLEET_CONTROLLER": "Fleet control policy: `static`, `forecast`, or empty/`off`.",
-    "REPRO_FLEET_TICK": "Fleet controller tick interval in simulated seconds (default 5).",
-    "REPRO_FLEET_SPILL_HOPS": "Max cross-shard spillover hops per rejected request (default 2).",
-    "REPRO_WORKLOAD_SESSION_RATE": "Agentic session arrivals per second (default 0.2).",
-    "REPRO_WORKLOAD_HORIZON": "Seconds of agentic session arrivals (default 120).",
-    "REPRO_WORKLOAD_SEED": "Seed of the agentic DAG generator (default 0).",
-    "REPRO_WORKLOAD_AGENTS": "Distinct agent variant groups in the workload (default 4).",
-    "REPRO_WORKLOAD_MAX_STAGES": "Max stages per agentic session DAG (default 5).",
-    "REPRO_WORKLOAD_MAX_FANOUT": "Max direct children of any DAG stage (default 2).",
-    "REPRO_WORKLOAD_THINK_TIME": "Mean think time between dependent stages, seconds (default 0.2).",
 }
-
-_TUNE_DESCRIPTION = (
-    "Override one `Tunables` field (e.g. `REPRO_TUNE_QMAX=2.0`); "
-    "one key per field of `repro.policy.Tunables`."
-)
 
 
 def known_env_keys() -> dict[str, str]:
-    """All recognized keys: the exact registry plus ``REPRO_TUNE_*``."""
-    keys = dict(ENV_KEYS)
-    for spec in fields(Tunables):
-        keys[f"REPRO_TUNE_{spec.name.upper()}"] = _TUNE_DESCRIPTION
-    return keys
+    """All recognized keys."""
+    return dict(ENV_KEYS)
 
 
 def suggest_env_key(key: str) -> Optional[str]:
@@ -98,15 +74,13 @@ def warn_unknown_env_keys(
 
 def format_env_table() -> str:
     """The README's markdown table of every ``REPRO_*`` key."""
-    rows = dict(ENV_KEYS)
-    rows["REPRO_TUNE_<FIELD>"] = _TUNE_DESCRIPTION
-    width = max(len(key) for key in rows)
+    width = max(len(key) for key in ENV_KEYS) + 2  # the backticks
     lines = [
         f"| {'Variable'.ljust(width)} | Meaning |",
         f"| {'-' * width} | ------- |",
     ]
-    for key, description in rows.items():
-        lines.append(f"| `{key}`".ljust(width + 4) + f" | {description} |")
+    for key, description in ENV_KEYS.items():
+        lines.append(f"| {f'`{key}`'.ljust(width)} | {description} |")
     return "\n".join(lines)
 
 

@@ -57,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Knobs of the fleet control loop (``REPRO_FLEET_*`` surface)."""
+    """Knobs of the fleet control loop."""
 
     #: Registered fleet-control policy name (``"static"``,
     #: ``"forecast"``) or a :class:`FleetControlPolicy` object.

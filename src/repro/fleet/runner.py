@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 from ..core.proxy import replay
 from ..core.serving import SystemSpec
-from ..envkeys import warn_unknown_env_keys
 from ..obs import ObsConfig, Observability
 from ..policy.placement import MARKET_HOURLY_USD
 from ..sim import Environment
@@ -71,41 +69,6 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-
-    @classmethod
-    def from_env(
-        cls,
-        environ: Optional[Mapping[str, str]] = None,
-        **overrides,
-    ) -> "FleetConfig":
-        """A config shaped by ``REPRO_FLEET_*`` (see ``repro.envkeys``).
-
-        Recognized keys: ``REPRO_FLEET_SHARDS``,
-        ``REPRO_FLEET_VIRTUAL_NODES``, ``REPRO_FLEET_CONTROLLER``
-        (``static``/``forecast``/``off``), ``REPRO_FLEET_TICK``,
-        ``REPRO_FLEET_SPILL_HOPS``.  Explicit ``overrides`` win over the
-        environment; unrecognized ``REPRO_*`` keys warn with the nearest
-        valid key.
-        """
-        environ = os.environ if environ is None else environ
-        warn_unknown_env_keys(environ)
-        kwargs: dict[str, object] = {}
-        if "REPRO_FLEET_SHARDS" in environ:
-            kwargs["shards"] = int(environ["REPRO_FLEET_SHARDS"])
-        if "REPRO_FLEET_VIRTUAL_NODES" in environ:
-            kwargs["virtual_nodes"] = int(environ["REPRO_FLEET_VIRTUAL_NODES"])
-        policy = environ.get("REPRO_FLEET_CONTROLLER", "").strip().lower()
-        if policy and policy != "off":
-            controller_kwargs: dict[str, object] = {"policy": policy}
-            if "REPRO_FLEET_TICK" in environ:
-                controller_kwargs["tick"] = float(environ["REPRO_FLEET_TICK"])
-            if "REPRO_FLEET_SPILL_HOPS" in environ:
-                controller_kwargs["max_spill_hops"] = int(
-                    environ["REPRO_FLEET_SPILL_HOPS"]
-                )
-            kwargs["controller"] = ControllerConfig(**controller_kwargs)
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
 
 @dataclass

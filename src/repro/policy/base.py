@@ -190,7 +190,8 @@ class PolicyBundle:
     description: str = ""
 
     def with_tunables(self, tunables: Tunables) -> "PolicyBundle":
-        """This bundle with a different tunables set (for env overrides)."""
+        """This bundle with a different tunables set: the one way a run
+        changes a tuning constant."""
         from .decode_turn import WeightedRoundPolicy
 
         if tunables == self.tunables:

@@ -14,7 +14,7 @@ environment variable via :meth:`repro.core.RunSettings.from_env`.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .admission import AlwaysAdmit, PlacedModelsAdmission, SloAwareAdmission
 from .base import PolicyBundle
@@ -27,7 +27,6 @@ from .dispatch import (
 from .placement import CostAwarePlacement, MemoryConstrainedPlacement
 from .routing import CostConstrainedRouter, SessionAffinityDispatch
 from .scaling import RequestLevelScaling, TokenLevelScaling
-from .tunables import Tunables
 
 __all__ = [
     "register_bundle",
@@ -62,26 +61,19 @@ def get_bundle(name: str) -> PolicyBundle:
 
 
 def resolve_bundle(
-    policies: Union[PolicyBundle, str, None],
-    default: str,
-    tunables: Optional[Tunables] = None,
+    policies: Union[PolicyBundle, str, None], default: str
 ) -> PolicyBundle:
     """Turn a config's ``policies`` value into a concrete bundle.
 
     ``None`` resolves to the system's ``default`` bundle name; a string
     is looked up in the registry; a :class:`PolicyBundle` passes
-    through.  ``tunables`` (from ``RunSettings``/env) overrides the
-    bundle's tunables when given.
+    through.
     """
     if policies is None:
-        bundle = get_bundle(default)
-    elif isinstance(policies, str):
-        bundle = get_bundle(policies)
-    else:
-        bundle = policies
-    if tunables is not None:
-        bundle = bundle.with_tunables(tunables)
-    return bundle
+        return get_bundle(default)
+    if isinstance(policies, str):
+        return get_bundle(policies)
+    return policies
 
 
 # -- the default bundles (behaviour-preserving) -------------------------------

@@ -63,7 +63,8 @@ class CostConstrainedRouter:
     :class:`~repro.policy.tunables.Tunables` fields
     (``router_session_budget_usd``, ``router_difficulty_threshold``,
     ``router_usd_per_mtok_b``) when given; the default reads them from
-    ``system.policies.tunables`` so ``REPRO_TUNE_*`` works.
+    ``system.policies.tunables``, so a bundle built with
+    :meth:`~repro.policy.PolicyBundle.with_tunables` reaches them.
     """
 
     def __init__(

@@ -8,20 +8,16 @@ checkpoint-fetch retry/backoff parameters in ``transfer/loader.py``.
 (KV-cache pressure has no pacing knob: instances wait for an allocator
 free, never on a timer.)  They are now fields
 of one frozen :class:`Tunables` dataclass carried by every
-:class:`~repro.policy.PolicyBundle` and resolvable from the environment
-through :meth:`Tunables.from_env` (wired into
-:meth:`repro.core.RunSettings.from_env`).
+:class:`~repro.policy.PolicyBundle`.  A run changes one through
+:meth:`~repro.policy.PolicyBundle.with_tunables`, e.g.
+``get_bundle("aegaeon").with_tunables(Tunables(qmax=2.0))``.
 
-The defaults reproduce the paper's published settings exactly; the old
-module-level names survive as aliases of these fields so existing
-imports keep working.
+The defaults reproduce the paper's published settings exactly.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from dataclasses import dataclass
 
 __all__ = ["Tunables", "DEFAULT_TUNABLES"]
 
@@ -39,7 +35,8 @@ class Tunables:
     #: Algorithm 1's MAX_GPSIZE: accumulative cap on a prefill group.
     max_prefill_group: int = 8
     #: Grace period before a failed instance's orphans are requeued —
-    #: the timeout half of timeout-and-requeue.
+    #: the timeout half of timeout-and-requeue (the proxy tier would
+    #: take this long to notice the instance stopped heartbeating).
     orphan_requeue_delay: float = 0.01
     #: Max retries after a failed remote checkpoint fetch before the
     #: loader raises ``CheckpointFetchError``.
@@ -73,22 +70,6 @@ class Tunables:
             raise ValueError("router_difficulty_threshold must be in [0, 1]")
         if self.router_usd_per_mtok_b <= 0:
             raise ValueError("router_usd_per_mtok_b must be positive")
-
-    @classmethod
-    def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "Tunables":
-        """Resolve tunables from ``REPRO_TUNE_<FIELD>`` variables.
-
-        Example: ``REPRO_TUNE_QMAX=2.0 REPRO_TUNE_MAX_PREFILL_GROUP=4``.
-        Unset fields keep their paper defaults.
-        """
-        environ = os.environ if environ is None else environ
-        overrides = {}
-        for spec in fields(cls):
-            raw = environ.get(f"REPRO_TUNE_{spec.name.upper()}")
-            if raw is not None:
-                cast = int if spec.type in (int, "int") else float
-                overrides[spec.name] = cast(raw)
-        return cls(**overrides)
 
 
 DEFAULT_TUNABLES = Tunables()

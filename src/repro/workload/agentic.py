@@ -41,9 +41,8 @@ identical plans byte for byte.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -185,7 +184,7 @@ class AgenticRequest(TraceRequest):
 
 @dataclass(frozen=True)
 class AgenticConfig:
-    """Shape of an agentic workload (the ``REPRO_WORKLOAD_*`` surface)."""
+    """Shape of an agentic workload."""
 
     #: Session arrivals per second (a Poisson process over the horizon).
     session_rate: float = 0.2
@@ -222,35 +221,6 @@ class AgenticConfig:
             raise ValueError("think_time must be non-negative")
         if not 0.0 <= self.join_probability <= 1.0:
             raise ValueError("join_probability must be in [0, 1]")
-
-    @classmethod
-    def from_env(
-        cls, environ: Optional[Mapping[str, str]] = None, **overrides
-    ) -> "AgenticConfig":
-        """A config shaped by ``REPRO_WORKLOAD_*`` (see ``repro.envkeys``).
-
-        Explicit ``overrides`` win over the environment; unrecognized
-        ``REPRO_*`` keys warn with the nearest valid key.
-        """
-        from ..envkeys import warn_unknown_env_keys
-
-        environ = os.environ if environ is None else environ
-        warn_unknown_env_keys(environ)
-        kwargs: dict[str, object] = {}
-        mapping = {
-            "REPRO_WORKLOAD_SESSION_RATE": ("session_rate", float),
-            "REPRO_WORKLOAD_HORIZON": ("horizon", float),
-            "REPRO_WORKLOAD_SEED": ("seed", int),
-            "REPRO_WORKLOAD_AGENTS": ("agents", int),
-            "REPRO_WORKLOAD_MAX_STAGES": ("max_stages", int),
-            "REPRO_WORKLOAD_MAX_FANOUT": ("max_fanout", int),
-            "REPRO_WORKLOAD_THINK_TIME": ("think_time", float),
-        }
-        for key, (name, cast) in mapping.items():
-            if key in environ:
-                kwargs[name] = cast(environ[key])
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
 
 def agent_variant_groups(

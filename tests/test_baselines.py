@@ -7,10 +7,10 @@ from repro.baselines import (
     MuxServe,
     ServerlessLLM,
     ServerlessLLMPlus,
-    plan_placement,
 )
 from repro.hardware import Cluster, H800
 from repro.models import get_model, market_mix
+from repro.policy import MemoryConstrainedPlacement
 from repro.sim import Environment
 from repro.workload import market_stream, materialize_trace, sharegpt
 
@@ -25,7 +25,7 @@ def small_trace(n_models, rps=0.1, horizon=60.0, seed=1):
 class TestPlacement:
     def test_two_large_models_per_gpu(self):
         models = [get_model("Llama-13B"), get_model("Qwen-14B"), get_model("Llama-13B")]
-        placements, unplaced = plan_placement(models, gpu_count=1, gpu_spec=H800)
+        placements, unplaced = MemoryConstrainedPlacement().plan(models, [H800])
         # 26 + 28 GB weights + 2x16 GB reservations = 86 GB > 72 GB
         # budget: only one 13B-class model fits with another small one.
         assert len(placements[0]) == 1
@@ -33,14 +33,14 @@ class TestPlacement:
 
     def test_cap_roughly_two_per_gpu(self):
         models = market_mix(48)
-        placements, unplaced = plan_placement(models, gpu_count=16, gpu_spec=H800)
+        placements, unplaced = MemoryConstrainedPlacement().plan(models, [H800] * 16)
         placed = sum(len(p) for p in placements)
         assert placed <= 34  # the paper's "at most 32" with slack
         assert placed + len(unplaced) == 48
 
     def test_everything_fits_when_few_models(self):
         models = market_mix(8)
-        placements, unplaced = plan_placement(models, gpu_count=16, gpu_spec=H800)
+        placements, unplaced = MemoryConstrainedPlacement().plan(models, [H800] * 16)
         assert not unplaced
 
 

@@ -9,17 +9,18 @@ from repro.core import (
     DecodeBatch,
     BatchedDecodeScheduler,
     GroupedPrefillScheduler,
-    MAX_GPSIZE,
     PrefillGroup,
-    QMAX,
     SloSpec,
-    compute_quotas,
-    estimate_round_attainment,
-    reorder_work_list,
 )
 from repro.core.decode_sched import DecodeInstanceLike
 from repro.engine.request import Request
 from repro.models import get_model
+from repro.policy import (
+    DEFAULT_TUNABLES,
+    compute_quotas,
+    estimate_round_attainment,
+    reorder_work_list,
+)
 from repro.workload.trace import TraceRequest
 
 
@@ -101,7 +102,7 @@ class TestGroupedPrefillScheduler:
         assert instance.kicks == 1
 
     def test_default_max_group_size_is_paper_value(self):
-        assert MAX_GPSIZE == 8
+        assert DEFAULT_TUNABLES.max_prefill_group == 8
 
     def test_load_includes_switches(self):
         instance = FakePrefillInstance(current=get_model("Qwen-7B"))
@@ -210,13 +211,13 @@ class TestQuotaEquations:
         quotas = compute_quotas(
             self._batches(2), [0.02, 0.02], total_switch_cost=0.0, slo=DEFAULT_SLO
         )
-        assert quotas == [QMAX, QMAX]
+        assert quotas == [DEFAULT_TUNABLES.qmax, DEFAULT_TUNABLES.qmax]
 
     def test_single_batch_uses_qmax(self):
         quotas = compute_quotas(
             self._batches(1), [0.02], total_switch_cost=5.0, slo=DEFAULT_SLO
         )
-        assert quotas == [QMAX]
+        assert quotas == [DEFAULT_TUNABLES.qmax]
 
     def test_quotas_positive_and_capped(self):
         for batch_count in [2, 4, 8]:
@@ -226,7 +227,7 @@ class TestQuotaEquations:
                 total_switch_cost=batch_count * 0.8,
                 slo=DEFAULT_SLO,
             )
-            assert all(0 < q <= QMAX for q in quotas)
+            assert all(0 < q <= DEFAULT_TUNABLES.qmax for q in quotas)
 
     def test_slower_batches_get_larger_quota(self):
         # n_i = d/t_i: slower steps (smaller n) earn more time per turn.

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import ServingResult, format_table, percentiles
-from repro.core import DEFAULT_SLO, SloSpec, estimate_round_attainment
+from repro.core import DEFAULT_SLO, SloSpec
 from repro.engine import AegaeonEngine, EngineConfig
 from repro.hardware import H800, Link, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import get_model
+from repro.policy import estimate_round_attainment
 from repro.sim import Environment
 from repro.workload import rate_series
 

@@ -4,8 +4,10 @@ import dataclasses
 
 import pytest
 
+from repro.core.batcher import BatcherInstanceBase
 from repro.engine import BatchingPolicy, BlockManager, ContinuousBatcher, Phase, Request
 from repro.models import get_model, kv_block_bytes
+from repro.sim import Environment
 from repro.workload.trace import TraceRequest
 
 GiB = 1024**3
@@ -126,7 +128,7 @@ class TestContinuousBatcher:
         assert not batcher.has_work
         assert batcher.block_manager.free_blocks == batcher.block_manager.total_blocks
 
-    def test_grow_tables_preempts_newest_on_pressure(self):
+    def test_decode_chunk_preempts_on_pressure(self):
         spec = get_model("Qwen-7B")
         manager = BlockManager(kv_block_bytes(spec) * 6, spec, block_tokens=16)
         batcher = ContinuousBatcher(manager, BatchingPolicy())
@@ -137,12 +139,14 @@ class TestContinuousBatcher:
         batcher.start_decoding(batcher.admit_prefills())
         # Fill remaining blocks so any growth must preempt.
         manager.allocate(99, tokens=16 * 2)
-        old.record_tokens([1.0] * 16)  # next grow crosses a block boundary
-        new.record_tokens([1.0] * 16)
-        evicted = batcher.grow_tables([old, new])
-        assert evicted  # someone was preempted
-        assert evicted[0].phase is Phase.QUEUED
-        assert batcher.waiting[0] is evicted[0]
+        instance = BatcherInstanceBase(Environment(), "batcher", lambda r: None)
+        # A 17-step chunk grows each context past a block boundary: the
+        # first request fails to grow and frees its blocks for the next.
+        instance._account_decode_chunk(batcher, [old, new], 0.0, 0.01, 17)
+        assert old.phase is Phase.QUEUED
+        assert batcher.waiting == [old]
+        assert batcher.running == [new]
+        assert not manager.holds(0) and manager.holds(1)
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):

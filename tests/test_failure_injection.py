@@ -8,11 +8,13 @@ drain deadlines with unfinished work.
 
 import pytest
 
+from repro.chaos import ArmedFetchFailures
 from repro.core import AegaeonConfig, AegaeonServer
-from repro.engine import AegaeonEngine, EngineConfig
+from repro.engine import AegaeonEngine, EngineConfig, Phase
 from repro.hardware import Cluster, H800, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import get_model, market_mix
+from repro.policy import Tunables, get_bundle
 from repro.sim import Environment
 from repro.workload import sharegpt, materialize_trace
 
@@ -54,6 +56,49 @@ class TestColdCheckpoints:
         result = server.serve(trace, warm=False)
         assert result.finished_requests == len(trace)
         assert server.model_cache.evictions > 0
+
+    def test_unreachable_checkpoint_aborts_the_decode_batch(self):
+        # The decode node keeps its own (empty) host cache, so its first
+        # switch fetches from the registry; with no retries, one failed
+        # fetch fails the turn's batch instead of wedging the rotation.
+        env = Environment()
+        server = AegaeonServer(
+            env,
+            Cluster.homogeneous(env, H800, 1, 2),
+            AegaeonConfig(prefill_instances=1, decode_instances=1),
+            policies=get_bundle("aegaeon").with_tunables(
+                Tunables(fetch_max_retries=0)
+            ),
+        )
+        (decode,) = server.decode_instances
+        loader = decode.engine.quick_loader
+        loader.model_cache = HostModelCache(server.config.model_cache_bytes)
+        loader.fetch_disruptor = ArmedFetchFailures()
+        loader.fetch_disruptor.arm(count=1, wasted=0.1)
+        failed = []
+
+        def on_failed(request, forward=decode.on_failed):
+            failed.append(request)
+            forward(request)
+
+        decode.on_failed = on_failed
+        trace = materialize_trace(
+            market_mix(1), [0.5], sharegpt(), horizon=20.0, seed=5
+        )
+        result = server.serve(trace)
+
+        assert decode.fetch_aborts == 1
+        assert loader.fetch_disruptor.tripped == 1
+        assert failed and all(request.phase is Phase.FAILED for request in failed)
+        registry = server.registry
+        assert registry.failed == len(failed)
+        assert registry.finished > 0  # later batches fetch cleanly
+        assert (
+            registry.finished + registry.failed + registry.rejected
+            == registry.submitted
+            == len(trace)
+        )
+        assert result.drained and result.unaccounted == 0
 
 
 class TestMemoryPressure:

@@ -20,7 +20,6 @@ Four contracts pin the control loop down:
 
 import json
 import os
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -333,49 +332,6 @@ class TestForecasts:
         assert controller.ticks > 0
         assert controller.forecasts, "no models were forecast"
         assert set(controller.forecasts) <= {m.name for m in stream.models}
-
-
-class TestFleetConfigFromEnv:
-    def test_defaults_have_no_controller(self):
-        config = FleetConfig.from_env({})
-        assert config.controller is None
-        assert config.shards == 4
-
-    def test_fleet_keys_resolve(self):
-        config = FleetConfig.from_env(
-            {
-                "REPRO_FLEET_SHARDS": "6",
-                "REPRO_FLEET_VIRTUAL_NODES": "32",
-                "REPRO_FLEET_CONTROLLER": "forecast",
-                "REPRO_FLEET_TICK": "2.5",
-                "REPRO_FLEET_SPILL_HOPS": "3",
-            }
-        )
-        assert config.shards == 6
-        assert config.virtual_nodes == 32
-        assert config.controller is not None
-        assert config.controller.policy == "forecast"
-        assert config.controller.tick == 2.5
-        assert config.controller.max_spill_hops == 3
-
-    def test_controller_off_values(self):
-        for value in ("", "off", "OFF"):
-            assert FleetConfig.from_env({"REPRO_FLEET_CONTROLLER": value}).controller is None
-
-    def test_overrides_beat_environment(self):
-        config = FleetConfig.from_env({"REPRO_FLEET_SHARDS": "6"}, shards=2)
-        assert config.shards == 2
-
-    def test_typoed_fleet_key_suggests_fix(self):
-        with pytest.warns(RuntimeWarning, match="did you mean 'REPRO_FLEET_SHARDS'"):
-            FleetConfig.from_env({"REPRO_FLEET_SHARD": "6"})
-
-    def test_known_keys_are_quiet(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            FleetConfig.from_env(
-                {"REPRO_FLEET_CONTROLLER": "static", "REPRO_OBS": "metrics"}
-            )
 
 
 class TestControllerConfigValidation:

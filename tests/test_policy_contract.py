@@ -72,9 +72,9 @@ class TestRegistry:
         assert resolve_bundle(default, "muxserve") is default
         assert resolve_bundle("muxserve", "aegaeon") is get_bundle("muxserve")
 
-    def test_resolve_tunables_override_reaches_decode_turn(self):
+    def test_with_tunables_rebuilds_stock_turn_policy(self):
         tuned = Tunables(qmax=2.5)
-        bundle = resolve_bundle(None, "aegaeon", tunables=tuned)
+        bundle = get_bundle("aegaeon").with_tunables(tuned)
         assert bundle.tunables.qmax == 2.5
         # The stock turn policy is rebuilt so quota math sees the new cap.
         assert bundle.decode_turn.qmax == 2.5

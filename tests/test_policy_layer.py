@@ -2,7 +2,7 @@
 
 Covers the two new non-default policies (SLO-aware admission,
 cost-per-token placement), the ``policy.*`` trace events they emit, the
-``REPRO_TUNE_*`` / ``REPRO_POLICIES`` env surface, and the regression
+``REPRO_POLICIES`` env surface, and the regression
 that :meth:`fail_instance` mutates only the scheduler's own dispatch
 view — never the server's pool lists or a caller's list.
 """
@@ -26,7 +26,6 @@ from repro.policy import (
     CostAwarePlacement,
     MemoryConstrainedPlacement,
     SloAwareAdmission,
-    Tunables,
     get_bundle,
 )
 from repro.sim import Environment
@@ -198,28 +197,11 @@ class TestCostAwarePlacement:
 
 
 class TestEnvSurface:
-    def test_tunables_from_env(self):
-        tuned = Tunables.from_env(
-            {"REPRO_TUNE_QMAX": "2.5", "REPRO_TUNE_MAX_PREFILL_GROUP": "4"}
-        )
-        assert tuned.qmax == 2.5
-        assert tuned.max_prefill_group == 4
-        assert isinstance(tuned.max_prefill_group, int)
-        # Untouched fields keep their defaults.
-        assert tuned.alpha_floor == 0.5
-
-    def test_tunables_from_empty_env_is_default(self):
-        assert Tunables.from_env({}) == Tunables()
-
     def test_run_settings_read_policies(self):
         settings = RunSettings.from_env({"REPRO_POLICIES": "aegaeon-slo-admission"})
         assert settings.policies == "aegaeon-slo-admission"
         assert RunSettings.from_env({"REPRO_POLICIES": "  "}).policies is None
         assert RunSettings.from_env({}).policies is None
-
-    def test_run_settings_carry_tunables(self):
-        settings = RunSettings.from_env({"REPRO_TUNE_QMAX": "1.5"})
-        assert settings.tunables.qmax == 1.5
 
 
 class TestSchedulerViewIsolation:

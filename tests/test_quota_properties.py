@@ -2,10 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    DecodeBatch,
-    QMAX,
-    SloSpec,
+from repro.core import DecodeBatch, SloSpec
+from repro.policy import (
+    DEFAULT_TUNABLES,
     compute_quotas,
     estimate_round_attainment,
 )
@@ -25,7 +24,7 @@ class TestQuotaProperties:
         quotas = compute_quotas(
             batches(len(times)), times, cost, SloSpec(ttft=10.0, tbt=0.1)
         )
-        assert all(0 < q <= QMAX for q in quotas)
+        assert all(0 < q <= DEFAULT_TUNABLES.qmax for q in quotas)
 
     @settings(max_examples=100, deadline=None)
     @given(times=step_times, cost=switch_costs)

@@ -265,14 +265,12 @@ class TestRunSettings:
         with pytest.warns(RuntimeWarning, match="did you mean 'REPRO_BENCH_HORIZON'"):
             RunSettings.from_env({"REPRO_BENCH_HORIZN": "60"})
 
-    def test_fleet_keys_are_recognized(self):
-        """REPRO_FLEET_* belongs to FleetConfig.from_env but shares the
-        one envkeys registry — RunSettings must not flag it as a typo."""
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", RuntimeWarning)
-            RunSettings.from_env({"REPRO_FLEET_CONTROLLER": "forecast"})
+    def test_removed_keys_warn(self):
+        """Tuning constants, fleet shape and agentic workload shape have
+        no environment keys; setting one must not pass silently."""
+        for key in ("REPRO_TUNE_QMAX", "REPRO_FLEET_SHARDS", "REPRO_WORKLOAD_SEED"):
+            with pytest.warns(RuntimeWarning, match=f"unrecognized environment variable '{key}'"):
+                RunSettings.from_env({key: "1"})
 
     def test_known_keys_are_quiet(self):
         import warnings as _warnings
@@ -284,7 +282,6 @@ class TestRunSettings:
                     "REPRO_BENCH_HORIZON": "60",
                     "REPRO_OBS": "metrics",
                     "REPRO_INVARIANTS": "",
-                    "REPRO_TUNE_QMAX": "8",
                     "OTHER_PREFIX": "ignored",
                 }
             )

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import AegaeonConfig, SessionCoordinator, SystemSpec
-from repro.envkeys import known_env_keys, suggest_env_key
 from repro.fleet import ControllerConfig, FleetConfig, build_fleet
 from repro.workload import (
     AgenticConfig,
@@ -176,62 +175,6 @@ class TestMergeStreams:
         assert {spec.name for spec in market.models} <= names
         assert {spec.name for spec in agentic.models} <= names
         assert merged.horizon == max(market.horizon, agentic.horizon)
-
-
-class TestEnvSurface:
-    """Satellite: the REPRO_WORKLOAD_* / router tunable key registry."""
-
-    WORKLOAD_KEYS = (
-        "REPRO_WORKLOAD_SESSION_RATE",
-        "REPRO_WORKLOAD_HORIZON",
-        "REPRO_WORKLOAD_SEED",
-        "REPRO_WORKLOAD_AGENTS",
-        "REPRO_WORKLOAD_MAX_STAGES",
-        "REPRO_WORKLOAD_MAX_FANOUT",
-        "REPRO_WORKLOAD_THINK_TIME",
-    )
-
-    def test_workload_keys_registered(self):
-        known = known_env_keys()
-        for key in self.WORKLOAD_KEYS:
-            assert key in known and known[key]
-
-    def test_router_tunables_auto_derive_keys(self):
-        known = known_env_keys()
-        assert "REPRO_TUNE_ROUTER_SESSION_BUDGET_USD" in known
-        assert "REPRO_TUNE_ROUTER_DIFFICULTY_THRESHOLD" in known
-        assert "REPRO_TUNE_ROUTER_USD_PER_MTOK_B" in known
-
-    def test_from_env_parses_and_overrides(self):
-        environ = {
-            "REPRO_WORKLOAD_SESSION_RATE": "0.5",
-            "REPRO_WORKLOAD_HORIZON": "45",
-            "REPRO_WORKLOAD_SEED": "9",
-            "REPRO_WORKLOAD_AGENTS": "3",
-            "REPRO_WORKLOAD_MAX_STAGES": "4",
-            "REPRO_WORKLOAD_MAX_FANOUT": "1",
-            "REPRO_WORKLOAD_THINK_TIME": "0.1",
-        }
-        config = AgenticConfig.from_env(environ)
-        assert config.session_rate == 0.5
-        assert config.horizon == 45.0
-        assert config.seed == 9
-        assert config.agents == 3
-        assert config.max_stages == 4
-        assert config.max_fanout == 1
-        assert config.think_time == 0.1
-        # Explicit overrides win over the environment.
-        assert AgenticConfig.from_env(environ, seed=77).seed == 77
-
-    def test_typo_warns_with_nearest_key(self):
-        environ = {"REPRO_WORKLOAD_SESION_RATE": "1.0"}
-        with pytest.warns(RuntimeWarning, match="REPRO_WORKLOAD_SESSION_RATE"):
-            config = AgenticConfig.from_env(environ)
-        assert config.session_rate == AgenticConfig().session_rate
-        assert (
-            suggest_env_key("REPRO_WORKLOAD_SESION_RATE")
-            == "REPRO_WORKLOAD_SESSION_RATE"
-        )
 
 
 def assert_conserved(system, coordinator, result):
