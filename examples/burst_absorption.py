@@ -80,6 +80,7 @@ def main() -> None:
         env, cluster, AegaeonConfig(prefill_instances=2, decode_instances=3)
     )
     result = server.serve(trace)
+    assert result.drained, f"{result.unaccounted} requests still in flight"
 
     # Split attainment by model class.
     per_request = result.per_request_attainment()

@@ -30,6 +30,11 @@ def main() -> None:
         if plan is None:
             rows.append((label, f"{rate} req/s", "-", "not satisfiable", "-"))
             continue
+        # The planner discards the results of the candidates it rejects;
+        # the plan it returns must come from a run that drained.
+        assert plan.result.drained, (
+            f"{plan.result.unaccounted} requests still in flight"
+        )
         rows.append(
             (
                 label,

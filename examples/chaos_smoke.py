@@ -46,6 +46,7 @@ def run_once(fault_seed: int):
     )
     # warm=False so checkpoint fetches hit the disruptable remote path.
     result = system.serve(trace, warm=False)
+    assert result.drained, f"{result.unaccounted} requests still in flight"
     registry = system.registry
     assert (
         registry.finished + registry.failed + registry.rejected

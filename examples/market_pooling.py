@@ -44,6 +44,7 @@ def size_aegaeon(trace):
             env, cluster, AegaeonConfig(prefill_instances=prefill, decode_instances=decode)
         )
         result = server.serve(trace)
+        assert result.drained, f"{result.unaccounted} requests still in flight"
         if result.slo_attainment() >= 0.90:
             return prefill + decode, result
     return None, None
@@ -55,6 +56,7 @@ def size_serverless(trace):
         env = Environment()
         cluster = Cluster.homogeneous(env, H800, 1, count)
         result = ServerlessLLM(env, cluster).serve(trace)
+        assert result.drained, f"{result.unaccounted} requests still in flight"
         if result.slo_attainment() >= 0.90:
             return count, result
     return MODEL_COUNT, None
@@ -77,6 +79,9 @@ def main() -> None:
     env = Environment()
     dedicated = DedicatedServing(env, H800)
     result_dedicated = dedicated.serve(trace)
+    assert result_dedicated.drained, (
+        f"{result_dedicated.unaccounted} requests still in flight"
+    )
 
     sllm_gpus, _ = size_serverless(trace)
     aegaeon_gpus, aegaeon_result = size_aegaeon(trace)

@@ -35,7 +35,7 @@ from ..models.catalog import ModelSpec
 from ..models.latency import LatencyModel
 from ..obs import ObsConfig, Observability
 from ..sim import Environment
-from ..workload.trace import Trace
+from ..workload.stream import RequestStream
 
 __all__ = ["MuxServe", "DedicatedServing", "SharedGpuInstance"]
 
@@ -171,12 +171,12 @@ class MuxServe(BaselineServer):
         self.unplaced: set[str] = set()
         self.gpu_count = len(cluster.gpus)
 
-    def prepare(self, trace: Trace) -> None:
+    def prepare(self, workload: RequestStream) -> None:
         """Run the bundle's placement policy over the catalog's models,
         busiest first (by per-model ``rates``; catalog order without)."""
-        rates = dict(zip((spec.name for spec in trace.models), trace.rates or ()))
+        rates = dict(zip((spec.name for spec in workload.models), workload.rates or ()))
         models = sorted(
-            trace.models, key=lambda spec: rates.get(spec.name, 0.0), reverse=True
+            workload.models, key=lambda spec: rates.get(spec.name, 0.0), reverse=True
         )
         slots = len(self.cluster.gpus) // self.tp
         slot_specs = [self.cluster.gpus[index * self.tp].spec for index in range(slots)]
@@ -234,8 +234,8 @@ class DedicatedServing(BaselineServer):
         self.max_batch_size = max_batch_size
         self.instances: dict[str, SharedGpuInstance] = {}
 
-    def prepare(self, trace: Trace) -> None:
-        for spec in trace.models:
+    def prepare(self, workload: RequestStream) -> None:
+        for spec in workload.models:
             self.instances[spec.name] = SharedGpuInstance(
                 self.env,
                 self.gpu_spec,

@@ -33,7 +33,7 @@ from ..memory.slab import SlabAllocator
 from ..models.catalog import ModelSpec
 from ..obs import ObsConfig, Observability
 from ..sim import Environment
-from ..workload.trace import Trace
+from ..workload.stream import RequestStream
 
 __all__ = ["ServerlessLLM", "ServerlessLLMPlus"]
 
@@ -250,8 +250,8 @@ class ServerlessLLM(BaselineServer):
         target = self.policies.dispatch.place(self, request)
         target.enqueue(request)
 
-    def prepare(self, trace: Trace) -> None:
-        for spec in trace.models:
+    def prepare(self, workload: RequestStream) -> None:
+        for spec in workload.models:
             self.model_cache.insert(
                 spec.name, spec.weight_bytes // max(1, self.instances[0].engine.config.tp)
             )

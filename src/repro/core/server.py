@@ -4,7 +4,7 @@
 cluster: per-node host caches, prefill/decoding engines and instances,
 the two token-level schedulers, and the proxy layer.  It speaks the same
 :class:`~repro.core.serving.ServingSystem` protocol as every baseline —
-``serve(trace)`` replays a workload and returns a
+``serve(workload)`` replays a workload and returns a
 :class:`~repro.analysis.metrics.ServingResult` — and threads one
 :class:`~repro.obs.Observability` through every component it builds.
 
@@ -31,7 +31,7 @@ from ..obs import ObsConfig
 from ..policy.base import PolicyBundle
 from ..sim import Environment
 from ..transfer.kv_transfer import MoveList
-from ..workload.trace import Trace
+from ..workload.stream import RequestStream
 from .decode_sched import BatchedDecodeScheduler
 from .instance import DecodeInstance, PrefillInstance
 from .prefill_sched import GroupedPrefillScheduler
@@ -304,15 +304,17 @@ class AegaeonServer(ServingSystemBase):
         for spec in models:
             self.model_cache.insert(spec.name, spec.weight_bytes // tp)
 
-    def prepare(self, trace: Trace) -> None:
+    def prepare(self, workload: RequestStream) -> None:
         """Warm the model cache unless ``serve(..., warm=False)`` asked not to."""
         if self._warm_on_prepare:
-            self.warm(list(trace.models))
+            self.warm(list(workload.models))
 
-    def serve(self, trace: Trace, warm: bool = True, until: float | None = None) -> "ServingResult":
-        """Replay ``trace`` to completion (or the drain deadline)."""
+    def serve(
+        self, workload: RequestStream, warm: bool = True, until: float | None = None
+    ) -> "ServingResult":
+        """Replay ``workload`` to completion (or the drain deadline)."""
         self._warm_on_prepare = warm
-        return super().serve(trace, until=until)
+        return super().serve(workload, until=until)
 
     # -- variants -----------------------------------------------------------
     @classmethod

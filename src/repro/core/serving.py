@@ -4,7 +4,7 @@ Every serving system in this reproduction — Aegaeon itself, the
 ServerlessLLM/MuxServe baselines, and the unified-scheduling foils —
 speaks the same :class:`ServingSystem` protocol: ``prepare`` /
 ``dispatch`` / ``serve`` / ``collect`` / ``scale_records``.  The shared
-plumbing (trace replay through the proxy layer, completion tracking,
+plumbing (workload replay through the proxy layer, completion tracking,
 drain watchdog, result collection, observability attachment) lives in
 :class:`ServingSystemBase`; :func:`build_system` constructs any
 registered system by name from its config dataclass, so benchmarks,
@@ -26,8 +26,7 @@ from ..policy.base import PolicyBundle, policy_event
 from ..policy.registry import resolve_bundle
 from ..sim import Environment
 from ..transfer.kv_transfer import TransferStats
-from ..workload.trace import Trace
-from ..workload.stream import stream_of_trace
+from ..workload.stream import RequestStream
 from .proxy import ProxyLayer, StatusRegistry, replay
 from .slo import DEFAULT_SLO, SloSpec
 
@@ -79,16 +78,16 @@ class ServingSystem(Protocol):
     label: str
     obs: Observability
 
-    def prepare(self, trace: Trace) -> None:
+    def prepare(self, workload: RequestStream) -> None:
         """Pre-trace setup (placement, cache warming)."""
 
     def dispatch(self, request: Request) -> None:
         """Route one arriving request."""
 
-    def serve(self, trace: Trace, until: Optional[float] = None) -> "ServingResult":
-        """Replay ``trace`` to completion or the drain deadline."""
+    def serve(self, workload: RequestStream, until: Optional[float] = None) -> "ServingResult":
+        """Replay ``workload`` to completion or the drain deadline."""
 
-    def collect(self, trace: Trace) -> "ServingResult":
+    def collect(self, workload: RequestStream) -> "ServingResult":
         """Assemble the measurement object from current state."""
 
     def scale_records(self) -> list[ScaleRecord]:
@@ -97,7 +96,7 @@ class ServingSystem(Protocol):
 
 # -- shared plumbing ---------------------------------------------------------
 class ServingSystemBase:
-    """Trace replay, completion tracking, result collection, observability.
+    """Workload replay, completion tracking, result collection, observability.
 
     Subclasses implement :meth:`dispatch` and usually :meth:`prepare` and
     :meth:`engines`; everything else — the proxy layer, the drain
@@ -211,7 +210,7 @@ class ServingSystemBase:
         """Route one arriving request (subclasses implement)."""
         raise NotImplementedError
 
-    def prepare(self, trace: Trace) -> None:
+    def prepare(self, workload: RequestStream) -> None:
         """Pre-trace setup (placement, cache warming); optional."""
 
     def engines(self) -> list[AegaeonEngine]:
@@ -338,36 +337,33 @@ class ServingSystemBase:
         """Requests with a final disposition: finished, failed, rejected."""
         return self._disposed
 
-    def serve(self, trace: Trace, until: Optional[float] = None) -> "ServingResult":
-        """Replay ``trace`` to completion or the drain deadline."""
-        return self.serve_stream(stream_of_trace(trace), until=until)
+    def serve(self, workload: RequestStream, until: Optional[float] = None) -> "ServingResult":
+        """Replay ``workload`` to completion or the drain deadline.
 
-    def serve_stream(self, stream, until: Optional[float] = None) -> "ServingResult":
-        """Replay a :class:`~repro.workload.stream.RequestStream` lazily.
-
-        The stream is pulled one request at a time (bounded lookahead);
-        with ``configure_streaming(retain_requests=False)`` the run's
-        memory is bounded by concurrency, not request count.  ``prepare``
-        receives the stream itself as the run's catalog (``models``,
+        The workload is pulled one request at a time, so a generated
+        stream keeps its bounded lookahead; with
+        ``configure_streaming(retain_requests=False)`` the run's memory
+        is bounded by concurrency, not request count.  ``prepare``
+        receives the workload itself as the run's catalog (``models``,
         ``horizon``, per-model ``rates``).
         """
-        self.register_models(stream.models)
-        self.prepare(stream)
+        self.register_models(workload.models)
+        self.prepare(workload)
         proxy = self.proxy
         drained = replay(
             self.env,
-            stream,
+            workload,
             self.submit,
             lambda: self.accounted >= proxy.submitted,
-            until if until is not None else stream.horizon + self.drain_grace,
+            until if until is not None else workload.horizon + self.drain_grace,
             (self.invariant_checker,),
         )
-        result = self.collect(stream)
+        result = self.collect(workload)
         result.drained = drained
         result.unaccounted = proxy.submitted - self.accounted
         return result
 
-    def collect(self, trace: Trace) -> "ServingResult":
+    def collect(self, workload: RequestStream) -> "ServingResult":
         """Assemble the measurement object."""
         # Imported here to avoid a core <-> analysis import cycle.
         from ..analysis.metrics import ServingResult
@@ -375,7 +371,7 @@ class ServingSystemBase:
         return ServingResult(
             requests=list(self.proxy.requests),
             slo=self.slo,
-            horizon=trace.horizon,
+            horizon=workload.horizon,
             end_time=self.env.now,
             scale_records=self.scale_records(),
             transfer_stats=self.transfer_stats(),
@@ -661,33 +657,18 @@ def _build_system(
     return system
 
 
-def build_system(
-    spec: SystemSpec,
-    env: Optional[Environment] = None,
-    config=None,
-    *,
-    policies: Optional[PolicyBundle | str] = None,
-    faults=None,
-    invariants: bool = False,
-) -> "ServingSystem":
+def build_system(spec: SystemSpec, env: Optional[Environment] = None) -> "ServingSystem":
     """Construct a serving system from a :class:`SystemSpec`.
 
     ``build_system(spec)`` (optionally with an ``env`` to share a clock)
     and ``build_fleet(FleetConfig(...))`` are the two constructor paths
     — a spec is one storable, comparable value naming the system,
     config, cluster, policy bundle, observability level, and chaos
-    attachments.  The loose ``config``/``policies``/``faults``/
-    ``invariants`` arguments exist only to reject callers that pass
-    them here instead of on the spec.
+    attachments.
     """
     if not isinstance(spec, SystemSpec):
         raise TypeError(
             f"build_system() takes a SystemSpec, not {type(spec).__name__}; "
             "use build_system(SystemSpec(system=name, config=config, ...), env)"
-        )
-    if config is not None or policies is not None or faults is not None or invariants:
-        raise TypeError(
-            "build_system(spec) takes no loose keywords; put config/"
-            "policies/faults/invariants on the SystemSpec itself"
         )
     return spec.build(env)

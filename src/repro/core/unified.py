@@ -29,7 +29,7 @@ from ..models.kv import kv_shape
 from ..obs import ObsConfig, Observability
 from ..sim import Environment
 from ..transfer.kv_transfer import RequestKv
-from ..workload.trace import Trace
+from ..workload.stream import RequestStream
 from .batcher import BatcherInstanceBase
 from .serving import BaselineServer
 from .slo import DEFAULT_SLO, SloSpec
@@ -216,8 +216,8 @@ class UnifiedServer(BaselineServer):
             )
         self.gpu_count = len(cluster.gpus)
 
-    def prepare(self, trace: Trace) -> None:
-        for spec in trace.models:
+    def prepare(self, workload: RequestStream) -> None:
+        for spec in workload.models:
             self.model_cache.insert(spec.name, spec.weight_bytes)
 
     def dispatch(self, request: Request) -> None:

@@ -1,6 +1,6 @@
 """Runtime request lifecycle.
 
-A :class:`Request` wraps a :class:`~repro.workload.trace.TraceRequest`
+A :class:`Request` wraps a :class:`~repro.workload.stream.TraceRequest`
 with everything the serving systems mutate: phase state, per-token
 completion timestamps (the raw data behind per-token SLO attainment,
 Figure 3), and the request's KV-cache handle.
@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..models.catalog import ModelSpec
 from ..transfer.kv_transfer import RequestKv
-from ..workload.trace import TraceRequest
+from ..workload.stream import TraceRequest
 
 __all__ = ["Phase", "Request"]
 

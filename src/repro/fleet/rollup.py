@@ -225,18 +225,8 @@ class FleetRollup:
 
     # Aggregate views -------------------------------------------------------
     @property
-    def requests(self) -> int:
-        return self.total.requests
-
-    @property
     def slo_attainment(self) -> float:
         return self.total.slo_attainment
-
-    def ttft_quantile(self, q: float) -> float:
-        return self.total.ttft.quantile(q)
-
-    def tbt_quantile(self, q: float) -> float:
-        return self.total.tbt.quantile(q)
 
     def cost_per_token(self, cost_usd: float) -> Optional[float]:
         """USD per generated output token, given the run's GPU bill."""

@@ -2,7 +2,7 @@
 
 from .cluster import Cluster
 from .gpu import A10, A100, GPU_PRESETS, H20, H800, Gpu, GpuSpec
-from .interconnect import DuplexLink, Link, nvlink, pcie_pair
+from .interconnect import DuplexLink, Link, pcie_pair
 from .node import Node
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "H800",
     "Link",
     "Node",
-    "nvlink",
     "pcie_pair",
 ]

@@ -15,8 +15,6 @@ from .node import Node
 
 __all__ = ["Cluster"]
 
-GiB = 1024**3
-
 
 class Cluster:
     """A collection of nodes managed as one GPU pool."""
@@ -35,26 +33,20 @@ class Cluster:
         gpu_spec: GpuSpec,
         node_count: int,
         gpus_per_node: int,
-        dram_bytes: int = 2048 * GiB,
     ) -> "Cluster":
         """Build ``node_count`` identical nodes."""
-        nodes = [
-            Node(env, gpu_spec, gpus_per_node, dram_bytes=dram_bytes, index=i)
-            for i in range(node_count)
-        ]
+        nodes = [Node(env, gpu_spec, gpus_per_node, index=i) for i in range(node_count)]
         return cls(env, nodes)
 
     @classmethod
     def testbed(cls, env: Environment) -> "Cluster":
-        """The paper's main testbed: 2 nodes x 8 H800, 2 TB DRAM each."""
+        """The paper's main testbed: 2 nodes x 8 H800."""
         return cls.homogeneous(env, H800, node_count=2, gpus_per_node=8)
 
     @classmethod
     def a10_node(cls, env: Environment) -> "Cluster":
         """The §7.4 low-end setup: one node with 4 A10 GPUs."""
-        return cls.homogeneous(
-            env, A10, node_count=1, gpus_per_node=4, dram_bytes=512 * GiB
-        )
+        return cls.homogeneous(env, A10, node_count=1, gpus_per_node=4)
 
     @classmethod
     def h800_node(cls, env: Environment) -> "Cluster":

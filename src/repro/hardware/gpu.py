@@ -88,41 +88,15 @@ GPU_PRESETS: dict[str, GpuSpec] = {
 
 @dataclass
 class Gpu:
-    """One simulated GPU device.
-
-    Tracks coarse VRAM occupancy (fine-grained allocation lives in
-    :mod:`repro.memory`); the ``reserved_bytes`` counter is what the
-    placement optimizers (e.g. MuxServe's) consult.
-    """
+    """One simulated GPU device (VRAM allocation lives in :mod:`repro.memory`)."""
 
     spec: GpuSpec
     index: int = 0
     node_index: int = 0
-    reserved_bytes: int = 0
     labels: dict[str, str] = field(default_factory=dict)
     # Cleared when chaos takes the device offline; schedulers and the
     # invariant checker treat an unhealthy GPU's instance as dead.
     healthy: bool = True
-
-    @property
-    def free_bytes(self) -> int:
-        """VRAM not yet reserved."""
-        return self.spec.vram_bytes - self.reserved_bytes
-
-    def reserve(self, nbytes: int) -> None:
-        """Reserve ``nbytes`` of VRAM; raises ``MemoryError`` if short."""
-        if nbytes > self.free_bytes:
-            raise MemoryError(
-                f"GPU {self.key}: requested {nbytes} bytes, "
-                f"only {self.free_bytes} free"
-            )
-        self.reserved_bytes += nbytes
-
-    def unreserve(self, nbytes: int) -> None:
-        """Return ``nbytes`` of VRAM."""
-        if nbytes > self.reserved_bytes:
-            raise ValueError("unreserve exceeds reservation")
-        self.reserved_bytes -= nbytes
 
     @property
     def key(self) -> str:

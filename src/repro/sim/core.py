@@ -172,13 +172,6 @@ class Event:
         return self._waiter is _FIRED
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded.  Only valid once triggered."""
-        if self._state < _TRIGGERED:
-            raise SimulationError("event value not yet available")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The event's value (or exception, if it failed)."""
         if self._state < _TRIGGERED:
@@ -216,14 +209,6 @@ class Event:
         heappush(env._queue, (env.now, env._sequence, self))
         env._sequence += 1
         return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event."""
-        if event._ok or event._cancelled:
-            self.succeed(event._value)
-        else:
-            self._defused = True
-            self.fail(event._value)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"

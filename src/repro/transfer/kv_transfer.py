@@ -385,10 +385,6 @@ class KvTransferManager:
         kv.location = "none"
         self.stats.charge_control(1)
 
-    def gpu_capacity_blocks(self, shape: KvShape, block_tokens: int) -> int:
-        """How many more blocks of ``shape`` the GPU cache can hold."""
-        return self.gpu_cache.capacity_for(shape, shape.block_bytes(block_tokens))
-
     # -- swap-out ---------------------------------------------------------------
     def swap_out(self, kv: RequestKv) -> CudaEvent:
         """Offload a request's KV to the unified CPU cache (async).

@@ -1,14 +1,15 @@
 """Workload synthesis: arrivals, datasets, market skew, traces, streams.
 
-Two request APIs coexist:
+One workload interface: every serving system's ``serve`` and the
+fleet's ``run`` take a :class:`RequestStream`, an arrival-ordered,
+replayable iterable of :class:`TraceRequest` records.
 
-* **Streaming** (:class:`RequestStream`, :func:`stream_trace`,
-  :func:`market_stream`, :func:`deployment_stream`) — arrival-ordered
-  iterables with bounded lookahead, the fleet-scale path.
-* **Materialized** (:class:`Trace`, :func:`materialize_trace`) — the
-  classic full-list format, still used by figure-scale benchmarks.
-  ``RequestStream.materialize()`` bridges streaming → materialized and
-  :func:`stream_of_trace` bridges the other way.
+* Generated streams (:func:`stream_trace`, :func:`market_stream`,
+  :func:`agentic_stream`, :func:`merge_streams`) hold bounded
+  lookahead, the fleet-scale path.
+* A :class:`Trace` (built by :func:`materialize_trace`, or as
+  ``Trace(tuple(stream), stream.models, stream.horizon)``) is a stream
+  whose requests are already in memory, for figure-scale runs.
 """
 
 from .agentic import (
@@ -25,7 +26,6 @@ from .market import (
     MarketShape,
     PRODUCTION_SHAPE,
     deployment_rates,
-    deployment_stream,
     market_rates,
     market_stream,
     request_share_cdf,
@@ -38,8 +38,8 @@ from .sharegpt import (
     sharegpt_ix2,
     sharegpt_ox2,
 )
-from .stream import RequestStream, merge_streams, stream_of_trace, stream_trace
-from .trace import Trace, TraceRequest, materialize_trace
+from .stream import RequestStream, TraceRequest, merge_streams, stream_trace
+from .trace import Trace, materialize_trace
 
 __all__ = [
     "AgenticConfig",
@@ -59,7 +59,6 @@ __all__ = [
     "agentic_stream",
     "bursty_arrivals",
     "deployment_rates",
-    "deployment_stream",
     "draw_session_plan",
     "market_rates",
     "market_stream",
@@ -71,6 +70,5 @@ __all__ = [
     "sharegpt",
     "sharegpt_ix2",
     "sharegpt_ox2",
-    "stream_of_trace",
     "stream_trace",
 ]

@@ -19,7 +19,7 @@ The vocabulary here is three frozen values plus one generator:
   contiguous request-id block ``base_id .. base_id + len(stages) - 1``
   the stages will occupy, so agentic ids never collide with a market
   stream's ids when the two are merged.
-* :class:`AgenticRequest` — a :class:`~repro.workload.trace.TraceRequest`
+* :class:`AgenticRequest` — a :class:`~repro.workload.stream.TraceRequest`
   subclass carrying the session id, stage index, dependency edges, the
   KV-affinity tag, difficulty, and variants.  Everything downstream
   (admission, dispatch, the fleet pump) treats it as an ordinary trace
@@ -48,8 +48,7 @@ import numpy as np
 
 from ..models.catalog import ModelSpec, get_model
 from .sharegpt import Dataset, sharegpt
-from .stream import RequestStream
-from .trace import TraceRequest
+from .stream import RequestStream, TraceRequest
 
 __all__ = [
     "StagePlan",

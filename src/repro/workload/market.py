@@ -24,7 +24,6 @@ __all__ = [
     "deployment_rates",
     "request_share_cdf",
     "market_stream",
-    "deployment_stream",
 ]
 
 
@@ -146,36 +145,6 @@ def market_stream(
         total_rate=shape.total_rate if total_rate is None else float(total_rate),
     )
     rates = market_rates(scaled)
-    models = market_mix(model_count, min_b, max_b)
-    return stream_trace(
-        models, rates, dataset, horizon, seed=seed, name=name
-    )
-
-
-def deployment_stream(
-    model_count: int,
-    horizon: float,
-    *,
-    seed: int,
-    dataset=None,
-    low: float = 0.01,
-    high: float = 1.13,
-    mean: float = 0.037,
-    min_b: float = 6.0,
-    max_b: float = 14.5,
-    name: str = "deployment",
-):
-    """The §7.5 deployment scenario as a bounded-memory request stream.
-
-    Per-model rates follow the published deployment profile (skewed in
-    [low, high] with the given mean); lengths come from ``dataset``
-    (ShareGPT by default).
-    """
-    from ..models.catalog import market_mix
-    from .stream import stream_trace
-
-    rng = np.random.default_rng(seed)
-    rates = deployment_rates(model_count, rng, low=low, high=high, mean=mean)
     models = market_mix(model_count, min_b, max_b)
     return stream_trace(
         models, rates, dataset, horizon, seed=seed, name=name

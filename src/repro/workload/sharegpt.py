@@ -14,7 +14,6 @@ evaluation treats ShareGPT purely as an (input_len, output_len) sampler.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -80,11 +79,6 @@ class Dataset:
         i = min(max(round(i * self.input_scale), self.min_tokens), self.max_input)
         o = min(max(round(o * self.output_scale), self.min_tokens), self.max_output)
         return LengthSample(int(i), int(o))
-
-    def stream(self, rng: np.random.Generator) -> Iterator[LengthSample]:
-        """An endless iterator of length pairs (bounded memory)."""
-        while True:
-            yield self.draw(rng)
 
     def sample_one(self, rng: np.random.Generator) -> LengthSample:
         """Draw a single length pair."""

@@ -1,12 +1,13 @@
-"""Streaming workload generation: the fleet-scale request API.
+"""The workload interface: :class:`RequestStream` and its generators.
 
-The materialized :class:`~repro.workload.trace.Trace` carried every
-request of a run in memory — fine for a few hundred requests on one
-pool, hopeless for a 10^5–10^6-request market replay across a sharded
-fleet.  A :class:`RequestStream` is the streaming replacement: an
-*iterable* of :class:`~repro.workload.trace.TraceRequest` records in
-arrival order with **bounded lookahead** — at any moment the generator
-holds at most one pending arrival per model (a k-way merge over
+Every serving system and the fleet consume one interface: a
+:class:`RequestStream` is a replayable *iterable* of
+:class:`TraceRequest` records in arrival order, plus the metadata a run
+needs up front (``models``, ``horizon``, per-model ``rates``).  A
+:class:`~repro.workload.trace.Trace` is the stream whose requests are
+already in memory; the generators here (:func:`stream_trace`,
+:func:`merge_streams`) hold **bounded lookahead** instead — at any
+moment at most one pending arrival per model (a k-way merge over
 per-model Poisson processes), so peak memory is O(models), independent
 of the request count.
 
@@ -17,33 +18,44 @@ A stream is a *recipe*, not a buffer: iterating the same
 because every model draws from its own :class:`numpy.random.Generator`
 seeded by ``SeedSequence(seed).spawn(model_count)``.  Two processes
 constructing the same stream therefore agree byte for byte — the
-property the fleet's reproducibility tests pin.
-
-Compatibility
--------------
-:meth:`RequestStream.materialize` drains a stream into a classic
-:class:`Trace` for code that still wants the full list (small runs,
-figure benchmarks).  The reverse shim, :func:`stream_of_trace`, wraps an
-existing materialized trace in the streaming interface so every consumer
-can be written against :class:`RequestStream` alone.
+property the fleet's reproducibility tests pin.  To hold a generated
+stream in memory, write ``Trace(tuple(stream), stream.models,
+stream.horizon)``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..models.catalog import ModelSpec
 from .sharegpt import Dataset, sharegpt
-from .trace import Trace, TraceRequest
 
-__all__ = ["RequestStream", "merge_streams", "stream_trace", "stream_of_trace"]
+__all__ = ["TraceRequest", "RequestStream", "merge_streams", "stream_trace"]
+
+
+@dataclass(frozen=True)
+class TraceRequest:
+    """One request in a workload."""
+
+    request_id: int
+    model: str
+    arrival: float
+    input_tokens: int
+    output_tokens: int
+
+    def __post_init__(self) -> None:
+        if self.input_tokens <= 0 or self.output_tokens <= 0:
+            raise ValueError("token counts must be positive")
+        if self.arrival < 0:
+            raise ValueError("arrival must be non-negative")
 
 
 class RequestStream:
-    """A replayable, arrival-ordered request source with bounded lookahead.
+    """A replayable, arrival-ordered request source: the workload interface.
 
     ``factory`` builds a fresh iterator of :class:`TraceRequest` records
     each time the stream is iterated; ``models`` and ``horizon`` carry
@@ -85,19 +97,9 @@ class RequestStream:
             return None
         return float(sum(self.rates)) * self.horizon
 
-    def materialize(self) -> Trace:
-        """Compatibility shim: drain the stream into a classic :class:`Trace`.
-
-        This intentionally defeats the bounded-memory property — use it
-        only for workloads small enough to hold in memory.
-        """
-        return Trace(
-            requests=tuple(self), models=self.models, horizon=self.horizon
-        )
-
     def __repr__(self) -> str:
         return (
-            f"<RequestStream {self.name!r} models={len(self.models)} "
+            f"<{type(self).__name__} {self.name!r} models={len(self.models)} "
             f"horizon={self.horizon:g}s>"
         )
 
@@ -200,12 +202,3 @@ def merge_streams(*streams: RequestStream, name: str = "merged") -> RequestStrea
         )
 
     return RequestStream(tuple(specs.values()), horizon, _iterate, name=name)
-
-
-def stream_of_trace(trace: Trace, name: str = "trace") -> RequestStream:
-    """Wrap a materialized :class:`Trace` in the streaming interface
-    (``rates`` are the trace's observed per-model rates)."""
-    return RequestStream(
-        trace.models, trace.horizon, lambda: iter(trace.requests),
-        rates=trace.rates, name=name,
-    )

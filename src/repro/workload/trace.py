@@ -1,49 +1,46 @@
-"""Trace synthesis and replay.
+"""In-memory workloads: :class:`Trace` and the §7.1 trace synthesis.
 
-A trace is a time-ordered list of :class:`TraceRequest` records — the
-common input format every serving system in this reproduction consumes.
-Materialized traces suit figure-scale runs; fleet-scale runs stream
-requests instead (see :mod:`repro.workload.stream`), and
-``RequestStream.materialize()`` bridges the two.
+A :class:`Trace` is a :class:`~repro.workload.stream.RequestStream`
+whose requests are already in memory, so every serving system and the
+fleet take one or the other through the same ``serve(workload)`` /
+``fleet.run(workload)`` call.  Materialized traces suit figure-scale
+runs, which inspect or re-serve the full list; fleet-scale runs
+generate requests lazily instead (see :mod:`repro.workload.stream`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..models.catalog import ModelSpec
 from .arrivals import poisson_arrivals
 from .sharegpt import Dataset
+from .stream import RequestStream, TraceRequest
 
-__all__ = ["TraceRequest", "Trace", "materialize_trace"]
-
-
-@dataclass(frozen=True)
-class TraceRequest:
-    """One request in a workload trace."""
-
-    request_id: int
-    model: str
-    arrival: float
-    input_tokens: int
-    output_tokens: int
-
-    def __post_init__(self) -> None:
-        if self.input_tokens <= 0 or self.output_tokens <= 0:
-            raise ValueError("token counts must be positive")
-        if self.arrival < 0:
-            raise ValueError("arrival must be non-negative")
+__all__ = ["Trace", "materialize_trace"]
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A full workload: requests plus the model list they target."""
+class Trace(RequestStream):
+    """A workload whose requests are held in memory, in arrival order.
 
-    requests: tuple[TraceRequest, ...]
-    models: tuple[ModelSpec, ...]
-    horizon: float
+    ``rates`` are the observed per-model arrival rates (count / horizon),
+    aligned with ``models``.
+    """
+
+    def __init__(
+        self,
+        requests: Iterable[TraceRequest],
+        models: Sequence[ModelSpec],
+        horizon: float,
+        name: str = "trace",
+    ):
+        requests = tuple(requests)
+        super().__init__(models, horizon, requests.__iter__, name=name)
+        self.requests = requests
+        counts = self.per_model_counts()
+        self.rates = tuple(counts[spec.name] / self.horizon for spec in self.models)
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -51,7 +48,7 @@ class Trace:
     @property
     def total_rate(self) -> float:
         """Aggregate arrival rate over the horizon."""
-        return len(self.requests) / self.horizon if self.horizon > 0 else 0.0
+        return len(self.requests) / self.horizon
 
     def per_model_counts(self) -> dict[str, int]:
         """Request count per model name."""
@@ -59,25 +56,6 @@ class Trace:
         for request in self.requests:
             counts[request.model] = counts.get(request.model, 0) + 1
         return counts
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        """Observed per-model arrival rate (count / horizon), ``models``-aligned."""
-        counts = self.per_model_counts()
-        return tuple(counts[spec.name] / self.horizon for spec in self.models)
-
-    def spec_of(self, model_name: str) -> ModelSpec:
-        """Look up the architecture of a model in this trace."""
-        index = self.__dict__.get("_spec_index")
-        if index is None:
-            # Lazily built dict lookup (the linear scan this replaces was
-            # O(models) per request — ruinous at fleet scale).
-            index = {spec.name: spec for spec in self.models}
-            object.__setattr__(self, "_spec_index", index)
-        try:
-            return index[model_name]
-        except KeyError:
-            raise KeyError(f"model {model_name!r} not in trace") from None
 
 
 def materialize_trace(

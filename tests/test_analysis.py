@@ -18,7 +18,7 @@ from repro.analysis import (
 from repro.core import DEFAULT_SLO
 from repro.engine.request import Request
 from repro.models import get_model
-from repro.workload.trace import TraceRequest
+from repro.workload import TraceRequest
 
 
 def make_request(request_id=0, arrival=0.0, out=10, token_times=None, model="Qwen-7B"):

@@ -70,10 +70,10 @@ class TestMuxServe:
         result = server.serve(trace)
         assert result.scaling_latencies().size == 0
 
-    def test_serve_stream(self):
+    def test_serve_generated_stream(self):
         env = Environment()
         server = MuxServe(env, Cluster.homogeneous(env, H800, 1, 4))
-        result = server.serve_stream(market_stream(4, 60.0, seed=5, total_rate=0.4))
+        result = server.serve(market_stream(4, 60.0, seed=5, total_rate=0.4))
         assert server.placed_model_count == 4
         assert result.drained
         assert result.finished_requests == server.proxy.submitted > 0

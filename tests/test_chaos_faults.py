@@ -25,7 +25,7 @@ from repro.memory import SlabAllocator
 from repro.models import get_model, market_mix
 from repro.sim import Environment
 from repro.workload import sharegpt, materialize_trace
-from repro.workload.trace import TraceRequest
+from repro.workload import TraceRequest
 
 from .strategies import MiB, fault_plans
 

@@ -10,7 +10,7 @@ from repro.hardware import H800, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import get_model
 from repro.sim import Environment
-from repro.workload.trace import TraceRequest
+from repro.workload import TraceRequest
 
 GiB = 1024**3
 MiB = 1024**2

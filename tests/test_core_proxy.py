@@ -6,8 +6,7 @@ from repro.core import DrainWatchdog, ProxyLayer, Pump, StatusRegistry
 from repro.engine import Phase, Request
 from repro.models import get_model, market_mix
 from repro.sim import Environment
-from repro.workload import materialize_trace, sharegpt, stream_of_trace
-from repro.workload.trace import TraceRequest
+from repro.workload import TraceRequest, materialize_trace, sharegpt
 
 
 class TestProxyReplay:
@@ -17,7 +16,7 @@ class TestProxyReplay:
         def submit(trace_request, spec):
             proxy.admit(Request(trace=trace_request, spec=spec))
 
-        return Pump(env, stream_of_trace(trace), submit)
+        return Pump(env, trace, submit)
 
     def test_dispatches_at_arrival_times(self):
         env = Environment()

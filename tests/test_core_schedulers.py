@@ -21,7 +21,7 @@ from repro.policy import (
     estimate_round_attainment,
     reorder_work_list,
 )
-from repro.workload.trace import TraceRequest
+from repro.workload import TraceRequest
 
 
 def make_request(request_id=0, model="Qwen-7B", arrival=0.0, inp=128, out=64):

@@ -118,7 +118,7 @@ class TestBlockingSyncPaths:
 class TestServingResultEdges:
     def test_summary_with_unserved_requests(self):
         from repro.engine.request import Request
-        from repro.workload.trace import TraceRequest
+        from repro.workload import TraceRequest
 
         trace = TraceRequest(
             request_id=0, model="Qwen-7B", arrival=0.0, input_tokens=8, output_tokens=4

@@ -8,7 +8,7 @@ from repro.core.batcher import BatcherInstanceBase
 from repro.engine import BatchingPolicy, BlockManager, ContinuousBatcher, Phase, Request
 from repro.models import get_model, kv_block_bytes
 from repro.sim import Environment
-from repro.workload.trace import TraceRequest
+from repro.workload import TraceRequest
 
 GiB = 1024**3
 

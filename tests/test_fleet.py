@@ -148,7 +148,7 @@ class TestRollupConsistency:
             direct.merge(stats)
         rollup = FleetRollup(result.shard_stats)
         assert rollup.total.tokens_met == direct.tokens_met
-        assert rollup.ttft_quantile(0.99) == direct.ttft.quantile(0.99)
+        assert rollup.total.ttft.quantile(0.99) == direct.ttft.quantile(0.99)
         assert rollup.slo_attainment == direct.slo_attainment
 
     def test_attainment_counts_missing_tokens_as_missed(self):

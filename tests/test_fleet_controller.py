@@ -9,7 +9,7 @@ Four contracts pin the control loop down:
 * **Conservation** — spillover moves rejections between shards but
   never invents or loses a request: per shard
   ``finished + failed + rejected + spilled == submissions``, fleet-wide
-  ``rollup.requests == pump submissions + spills``.
+  ``rollup.total.requests == pump submissions + spills``.
 * **Bounded hops** — no request is ever re-submitted more than
   ``max_spill_hops`` times (hypothesis-checked on the ledger, then
   end-to-end).

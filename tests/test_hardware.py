@@ -6,7 +6,6 @@ from repro.hardware import (
     A10,
     Cluster,
     GPU_PRESETS,
-    Gpu,
     H800,
     Link,
     Node,
@@ -44,23 +43,6 @@ class TestGpuSpec:
 
 
 class TestGpu:
-    def test_reserve_and_free(self):
-        gpu = Gpu(spec=H800)
-        gpu.reserve(10 * GiB)
-        assert gpu.free_bytes == 70 * GiB
-        gpu.unreserve(10 * GiB)
-        assert gpu.free_bytes == 80 * GiB
-
-    def test_over_reserve_raises(self):
-        gpu = Gpu(spec=A10)
-        with pytest.raises(MemoryError):
-            gpu.reserve(25 * GiB)
-
-    def test_over_unreserve_raises(self):
-        gpu = Gpu(spec=H800)
-        with pytest.raises(ValueError):
-            gpu.unreserve(1)
-
     def test_key_is_unique_within_cluster(self, env):
         cluster = Cluster.testbed(env)
         keys = [gpu.key for gpu in cluster.gpus]
@@ -137,15 +119,6 @@ class TestNode:
         assert len(node.links) == 8
         for gpu in node.gpus:
             assert node.link(gpu).bandwidth == H800.pcie_bandwidth
-
-    def test_dram_claims(self, env):
-        node = Node(env, H800, gpu_count=1, dram_bytes=100 * GiB)
-        node.claim_dram(60 * GiB)
-        assert node.dram_free == 40 * GiB
-        with pytest.raises(MemoryError):
-            node.claim_dram(50 * GiB)
-        node.release_dram(60 * GiB)
-        assert node.dram_free == 100 * GiB
 
     def test_zero_gpus_rejected(self, env):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """One ingestion path: a single system is a one-shard fleet.
 
-``serve(trace)``, ``serve_stream(stream_of_trace(trace))`` and a
-retained one-shard fleet all drive the system through the same
-:func:`~repro.core.proxy.replay` driver (one Pump, one DrainWatchdog),
-so on one trace they must agree on every request's outcome, on the end
-time, and on the exact number of kernel steps — for every policy bundle.
+A :class:`~repro.workload.Trace` is a
+:class:`~repro.workload.RequestStream`, so ``serve(trace)`` and a
+retained one-shard fleet's ``run(trace)`` take it as it is and drive
+the system through the same :func:`~repro.core.proxy.replay` driver
+(one Pump, one DrainWatchdog).  On one trace they must agree on every
+request's outcome, on the end time, and on the exact number of kernel
+steps — for every policy bundle.
 """
 
 import pytest
@@ -14,7 +16,7 @@ from repro.fleet import FleetConfig, build_fleet
 from repro.models import market_mix
 from repro.policy import available_bundles, get_bundle
 from repro.sim import Environment
-from repro.workload import materialize_trace, sharegpt, stream_of_trace
+from repro.workload import materialize_trace, sharegpt
 
 from .test_serving_api import small_config
 
@@ -49,18 +51,12 @@ def via_serve(spec, env=None):
     return outcome(env, result.requests, result.end_time)
 
 
-def via_serve_stream(spec):
-    env = Environment()
-    result = spec.build(env).serve_stream(stream_of_trace(trace()))
-    return outcome(env, result.requests, result.end_time)
-
-
 def via_fleet(spec):
     env = Environment()
     fleet = build_fleet(
         FleetConfig(shards=1, spec=spec, retain_requests=True), env=env
     )
-    result = fleet.run(stream_of_trace(trace()))
+    result = fleet.run(trace())
     assert result.drained and result.unaccounted == 0
     return outcome(env, fleet.shards[0].system.proxy.requests, result.end_time)
 
@@ -72,5 +68,4 @@ def test_serve_paths_are_identical(name):
     rows, _, steps = served
     assert rows and steps > 0
     assert any(phase == "finished" for _, phase, _ in rows)
-    assert via_serve_stream(spec) == served
     assert via_fleet(spec) == served

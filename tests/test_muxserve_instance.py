@@ -7,7 +7,7 @@ from repro.engine import Phase, Request
 from repro.hardware import H800
 from repro.models import get_model
 from repro.sim import Environment
-from repro.workload.trace import TraceRequest
+from repro.workload import TraceRequest
 
 GiB = 1024**3
 

@@ -343,7 +343,7 @@ class TestPerUnitMetricsAreGauges:
     def test_full_snapshot_reads_the_plain_ints(self):
         env = Environment()
         system = self._shard_spec(ObsConfig.full()).build(env)
-        result = system.serve_stream(market_stream(8, 40.0, seed=2, total_rate=1.0))
+        result = system.serve(market_stream(8, 40.0, seed=2, total_rate=1.0))
         metrics = result.metrics
         caches = [system.cpu_kv_cache]
         managers = []

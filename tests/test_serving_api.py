@@ -85,13 +85,13 @@ class TestFactory:
             resolve_cluster("tpu-pod", Environment())
 
     def test_name_string_is_rejected(self):
-        """The positional build_system(name, env, config) form is gone;
-        a name string fails loudly and points at SystemSpec."""
+        """build_system takes a SystemSpec, never a system name; a name
+        string fails loudly and points at SystemSpec."""
         with pytest.raises(TypeError, match="SystemSpec"):
-            build_system("aegaeon", Environment(), small_config("aegaeon"))
+            build_system("aegaeon", Environment())
 
     def test_spec_form_rejects_loose_keywords(self):
-        with pytest.raises(TypeError, match="no loose keywords"):
+        with pytest.raises(TypeError, match="positional argument"):
             build_system(
                 SystemSpec(config=small_config("aegaeon")),
                 Environment(),

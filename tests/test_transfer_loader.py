@@ -243,7 +243,7 @@ class TestInterruptedLoad:
         from repro.engine import AegaeonEngine, Request
         from repro.hardware import H800, Node
         from repro.memory import SlabAllocator
-        from repro.workload.trace import TraceRequest
+        from repro.workload import TraceRequest
 
         env = Environment()
         node = Node(env, H800, gpu_count=1)

@@ -8,11 +8,10 @@ import pytest
 from repro.models import market_mix
 from repro.workload import (
     RequestStream,
-    deployment_stream,
+    Trace,
     market_stream,
     materialize_trace,
     sharegpt,
-    stream_of_trace,
     stream_trace,
 )
 
@@ -59,19 +58,26 @@ class TestStreamTrace:
 
     def test_materialize_matches_iteration(self):
         stream = stream_trace(market_mix(3), [0.3] * 3, horizon=80.0, seed=8)
-        trace = stream.materialize()
-        assert list(trace.requests) == list(stream)
+        trace = Trace(tuple(stream), stream.models, stream.horizon)
+        assert tuple(trace) == trace.requests == tuple(stream)
         assert trace.models == stream.models
         assert trace.horizon == stream.horizon
 
-    def test_stream_of_trace_round_trip(self):
+    def test_trace_is_a_request_stream(self):
         trace = materialize_trace(
             market_mix(2), [0.4, 0.4], sharegpt(), horizon=60.0, seed=6
         )
-        stream = stream_of_trace(trace)
-        assert isinstance(stream, RequestStream)
-        assert list(stream) == list(trace.requests)
-        assert stream.materialize().requests == trace.requests
+        assert isinstance(trace, RequestStream)
+        assert tuple(trace) == tuple(trace) == trace.requests
+        counts = trace.per_model_counts()
+        assert trace.rates == tuple(counts[spec.name] / 60.0 for spec in trace.models)
+        assert trace.expected_requests == pytest.approx(len(trace))
+
+    def test_non_positive_horizon_rejected(self):
+        # A Trace is built through RequestStream.__init__, which checks
+        # the horizon before the observed rates divide by it.
+        with pytest.raises(ValueError, match="horizon"):
+            Trace((), market_mix(1), horizon=0)
 
 
 class TestMarketStreams:
@@ -88,12 +94,6 @@ class TestMarketStreams:
             counts[request.model] = counts.get(request.model, 0) + 1
         head = stream.models[0].name
         assert counts[head] == max(counts.values())
-
-    def test_deployment_stream_runs(self):
-        stream = deployment_stream(12, 120.0, seed=13)
-        requests = list(stream)
-        assert requests == list(stream)
-        assert all(r.arrival < 120.0 for r in requests)
 
 
 class TestDeprecations:
