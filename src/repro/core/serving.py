@@ -260,8 +260,11 @@ class ServingSystemBase:
         drops it from the in-flight map.  ``retain_requests=False``
         also keeps it off ``proxy.requests`` and the finished/failed/
         rejected ledgers, so a long replay's memory scales with
-        in-flight concurrency rather than trace length.  Must be called
-        before any request is submitted.
+        in-flight concurrency rather than trace length.  That is the
+        fleet shard's mode, where ``request_sink`` is the
+        :class:`~repro.fleet.rollup.ShardStats` fold; :meth:`serve`
+        refuses it, since its result is built from the retained
+        requests.  Must be called before any request is submitted.
         """
         if self.proxy.submitted:
             raise RuntimeError("configure_streaming must precede submission")
@@ -341,12 +344,22 @@ class ServingSystemBase:
         """Replay ``workload`` to completion or the drain deadline.
 
         The workload is pulled one request at a time, so a generated
-        stream keeps its bounded lookahead; with
-        ``configure_streaming(retain_requests=False)`` the run's memory
-        is bounded by concurrency, not request count.  ``prepare``
-        receives the workload itself as the run's catalog (``models``,
-        ``horizon``, per-model ``rates``).
+        stream keeps its bounded lookahead.  ``prepare`` receives the
+        workload itself as the run's catalog (``models``, ``horizon``,
+        per-model ``rates``).  The result is built from the retained
+        requests, so a system configured with
+        ``configure_streaming(retain_requests=False)`` raises
+        :class:`RuntimeError`: replay a streaming run as a one-shard
+        fleet instead, whose ``ShardStats`` fold is its result.
         """
+        if not self.proxy.retain:
+            raise RuntimeError(
+                "serve() builds its result from retained requests, and this "
+                "system drops them (configure_streaming(retain_requests=False)); "
+                "for a streaming replay run a one-shard fleet, "
+                "build_fleet(FleetConfig(shards=1, spec=...)), whose ShardStats "
+                "fold is the streaming result"
+            )
         self.register_models(workload.models)
         self.prepare(workload)
         proxy = self.proxy

@@ -17,8 +17,12 @@ Design notes
 
 Hot-path engineering (see DESIGN.md "Performance notes")
 --------------------------------------------------------
-* **One run loop.**  :meth:`Environment.run` is a single loop that pops
-  the heap in ``(time, seq)`` order and dispatches inline.  Nothing
+* **One run loop, one dispatch.**  :meth:`Environment.run` is a single
+  loop that pops the heap in ``(time, seq)`` order and fires each event
+  the way the plain reference kernel in ``tests/reference_kernel.py``
+  does: mark it processed, resume its waiter through
+  :meth:`Process._resume`, run its callbacks.  The production loop adds
+  only the lazy-cancel drop, recycling and step accounting.  Nothing
   bypasses the heap: every trigger, timeout, process init, relay, and
   interrupt is a heap entry with a sequence number assigned at
   scheduling time, so events at the same instant fire in scheduling
@@ -26,14 +30,10 @@ Hot-path engineering (see DESIGN.md "Performance notes")
   that order.  The one skip is :meth:`Environment.claim_inline`: a
   continuation may run work directly instead of scheduling it for
   ``now`` only when that event would be the very next pop.  See
-  DESIGN.md for the ordering rules new event sources must follow.  The
-  plain reference kernel in
-  ``tests/reference_kernel.py`` (generic dispatch, no recycling, plus
-  the single-step ``step``/``peek`` API) checks this loop.
+  DESIGN.md for the ordering rules new event sources must follow.
 * **Single-waiter fast path.**  The common case — exactly one process
   waiting on an event — stores the waiting process in the event's
-  ``_waiter`` slot instead of materializing a callbacks-list entry, and
-  the run loop resumes the generator inline (no bound-method dispatch).
+  ``_waiter`` slot instead of materializing a callbacks-list entry.
   The callbacks list is still there for multi-waiter events, conditions,
   and external subscribers; the waiter always fires first because it is
   only installed when the callbacks list is empty (earliest attachment).
@@ -58,8 +58,10 @@ Hot-path engineering (see DESIGN.md "Performance notes")
   is never reused out from under it.  Pooled objects are reset at
   *recycle* time (restoring the emptied callbacks list in place instead
   of allocating a fresh one), so the factories only touch the fields that
-  differ per use.  Failed events are recycled only after their failure
-  has been defused (observed); an unobserved failure still surfaces at
+  differ per use.  Every fired event goes through one recycle block that
+  serves all three pools; the lazy-cancel drop pools an orphaned timeout
+  itself.  Failed events are recycled only after their failure has been
+  defused (observed); an unobserved failure still surfaces at
   :meth:`Environment.run` with its exception intact.
 * Timeouts support *lazy cancellation*: :meth:`Timeout.cancel` (and
   :meth:`Process.interrupt` orphaning a timeout) marks the heap entry
@@ -113,10 +115,6 @@ _PROCESSED = 2  # callbacks have run
 # Per-class freelist size cap; beyond this, objects fall back to the GC.
 _POOL_CAP = 4096
 
-# Sentinel distinguishing "generator terminated" from a yielded None
-# (which must surface as a SimulationError) in the inlined resume path.
-_DONE = object()
-
 # Processed marker, stored in the ``_waiter`` slot when an event is
 # dispatched.  Folding "has been processed" into the slot the dispatcher
 # must touch anyway saves a per-event state store on the hot path; the
@@ -156,8 +154,8 @@ class Event:
         # Lazy cancellation: dead heap entries are dropped at pop time.
         self._cancelled = False
         # Single-waiter fast path: the first process to wait on a
-        # callback-free event parks here and is resumed inline by the
-        # run loop.  Always fires before the callbacks list.
+        # callback-free event parks here and is resumed by the run loop
+        # without a callbacks-list entry.  Always fires before the list.
         self._waiter: Optional[Process] = None
 
     # -- state inspection ------------------------------------------------
@@ -217,14 +215,12 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         Event.__init__(self, env)
-        self.delay = delay
-        self._ok = True
         self._value = value
         self._state = _TRIGGERED
         heappush(env._queue, (env.now + delay, env._sequence, self))
@@ -247,9 +243,6 @@ class Timeout(Event):
         self._cancelled = True
         return True
 
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay}>"
-
 
 class Process(Event):
     """A running generator; also an event that fires when it terminates.
@@ -258,22 +251,23 @@ class Process(Event):
     raises, waiting processes observe the exception.
     """
 
-    __slots__ = ("_generator", "_send", "_target", "_resume_cb")
+    __slots__ = ("_generator", "_send", "_target")
 
     def __init__(self, env: "Environment", generator: Generator):
+        Event.__init__(self, env)
+        self._target: Optional[Event] = None
+        self._launch(generator)
+
+    def _launch(self, generator: Generator) -> None:
+        """Bind ``generator`` and schedule its first turn (also on reuse)."""
         if not hasattr(generator, "throw"):
             raise SimulationError(
                 f"process() requires a generator, got {generator!r}"
             )
-        Event.__init__(self, env)
         self._generator = generator
         # Bound-method cache: one attribute load per resume instead of two.
         self._send = generator.send
-        self._target: Optional[Event] = None
-        # Bind the resume callback once; every wait reuses it instead of
-        # materializing a fresh bound method per yield.
-        self._resume_cb = self._resume
-        env._schedule_init(self)
+        self.env._schedule_init(self)
 
     @property
     def is_alive(self) -> bool:
@@ -308,23 +302,22 @@ class Process(Event):
         target = self._target
         if target._waiter is self:
             target._waiter = None
-            if not target.callbacks and type(target) is Timeout:
-                target._ok = False
-                target._cancelled = True
         else:
             callbacks = target.callbacks
-            if callbacks is not None and self._resume_cb in callbacks:
-                callbacks.remove(self._resume_cb)
-                if (
-                    not callbacks
-                    and target._waiter is None
-                    and type(target) is Timeout
-                ):
-                    target._ok = False
-                    target._cancelled = True
+            if callbacks is not None and self._resume in callbacks:
+                callbacks.remove(self._resume)
+        # A timeout left with no waiter and no callbacks is an orphan.
+        if (
+            type(target) is Timeout
+            and target._waiter is None
+            and not target.callbacks
+        ):
+            target._ok = False
+            target._cancelled = True
         self._target = None
         interrupt_event._waiter = self
-        env._enqueue(interrupt_event)
+        heappush(env._queue, (env.now, env._sequence, interrupt_event))
+        env._sequence += 1
 
     # -- internal --------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -359,7 +352,10 @@ class Process(Event):
             self._target = next_event
             return
         if waiter_slot is not _FIRED:
-            next_event.callbacks.append(self._resume_cb)
+            # A bound method made per attach, not cached on the process:
+            # a cached one would reference its own process, and the run
+            # loop's refcount gate would never pool it.
+            next_event.callbacks.append(self._resume)
             self._target = next_event
             return
         # Already processed: resume immediately with its value, via a
@@ -390,14 +386,14 @@ class ContTask(Process):
     * raise :class:`StopIteration` (optionally with a value) to
       terminate the task, succeeding it like a returning generator.
 
-    The run loop cannot tell a ContTask from a generator process: the
-    ``_send`` slot it dispatches through is simply a bound state method,
-    and the ``_generator`` slot points back at the task so failed waits
-    arrive via :meth:`throw`.  Construction schedules the same init
-    event as ``env.process``, termination consumes the same ``succeed``
-    schedule, and every wait maps 1:1 onto an event — so converting a
-    lifecycle from a generator to a ContTask is invisible to event
-    counts, sequence numbers, and firing order.  The payoff is the
+    :meth:`Process._resume` cannot tell a ContTask from a generator
+    process: the ``_send`` slot it dispatches through is simply a bound
+    state method, and the ``_generator`` slot points back at the task so
+    failed waits arrive via :meth:`throw`.  Construction schedules the
+    same init event as ``env.process``, termination consumes the same
+    ``succeed`` schedule, and every wait maps 1:1 onto an event — so
+    converting a lifecycle from a generator to a ContTask is invisible
+    to event counts, sequence numbers, and firing order.  The payoff is the
     resume itself: one plain method call instead of a ``send`` that
     re-enters an N-deep ``yield from`` chain.
 
@@ -414,7 +410,6 @@ class ContTask(Process):
         self._generator = self
         self._send = self._start
         self._target: Optional[Event] = None
-        self._resume_cb = self._resume
         # Bridged sub-generator state (see _run_gen).
         self._gen: Optional[Generator] = None
         self._gen_done: Optional[Callable[[Any], Event]] = None
@@ -626,7 +621,6 @@ def _make_timeout_factory(env: "Environment"):
             # from its previous life (dispatch never downgrades it), so
             # the factory does not re-store it.
             timeout = _pool.pop()
-            timeout.delay = delay
             if value is not None:
                 timeout._value = value
             seq = _env._sequence
@@ -636,44 +630,6 @@ def _make_timeout_factory(env: "Environment"):
         return Timeout(_env, delay, value)
 
     return timeout
-
-
-def _make_process_factory(env: "Environment"):
-    """Build the bound ``env.process`` closure."""
-
-    def process(
-        generator: Generator,
-        _env=env,
-        _pool=env._process_pool,
-        _event_pool=env._event_pool,
-        _queue=env._queue,
-        _push=heappush,
-    ) -> Process:
-        """Start a new process from a generator."""
-        if _pool:
-            if not hasattr(generator, "throw"):
-                raise SimulationError(
-                    f"process() requires a generator, got {generator!r}"
-                )
-            process = _pool.pop()
-            process._state = _PENDING
-            process._generator = generator
-            process._send = generator.send
-            if _event_pool:
-                # Pooled events keep _state == _TRIGGERED and _ok == True
-                # from recycling; only fresh ones need the stores.
-                init = _event_pool.pop()
-            else:
-                init = Event(_env)
-                init._state = _TRIGGERED
-            init._waiter = process
-            seq = _env._sequence
-            _push(_queue, (_env.now, seq, init))
-            _env._sequence = seq + 1
-            return process
-        return Process(_env, generator)
-
-    return process
 
 
 class Environment:
@@ -694,7 +650,6 @@ class Environment:
         # Bound factory closures (see _make_*_factory).
         "event",
         "timeout",
-        "process",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -717,7 +672,6 @@ class Environment:
         # Factories are per-instance closures over the pools and heap.
         self.event = _make_event_factory(self)
         self.timeout = _make_timeout_factory(self)
-        self.process = _make_process_factory(self)
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -734,10 +688,10 @@ class Environment:
         return self._sequence
 
     # -- factories ---------------------------------------------------------
-    # event/timeout/process are instance closures bound in __init__; the
-    # pooled objects they hand out are reset at recycle time (callbacks
-    # == [], value/ok/defused/cancelled/waiter cleared), so the factories
-    # only set what differs per use.
+    # event/timeout are instance closures bound in __init__; they, process
+    # and timeout_at hand out pooled objects reset at recycle time
+    # (callbacks == [], value/ok/defused/cancelled/waiter cleared), so
+    # they only set what differs per use.
     def timeout_at(self, when: float) -> Timeout:
         """A timeout that fires at the absolute time ``when``.
 
@@ -755,7 +709,6 @@ class Environment:
             timeout = Timeout.__new__(Timeout)
             Event.__init__(timeout, self)
             timeout._state = _TRIGGERED
-        timeout.delay = when - now
         heappush(self._queue, (when, self._sequence, timeout))
         self._sequence += 1
         return timeout
@@ -768,11 +721,17 @@ class Environment:
         """Event that fires when any event in ``events`` has fired."""
         return AnyOf(self, events)
 
-    # -- scheduling ----------------------------------------------------------
-    def _enqueue(self, event: Event, delay: float = 0.0) -> None:
-        heappush(self._queue, (self.now + delay, self._sequence, event))
-        self._sequence += 1
+    def process(self, generator: Generator) -> Process:
+        """Start a new process from a generator (recycled when possible)."""
+        pool = self._process_pool
+        if not pool:
+            return Process(self, generator)
+        process = pool.pop()
+        process._state = _PENDING
+        process._launch(generator)
+        return process
 
+    # -- scheduling ----------------------------------------------------------
     def claim_inline(self) -> bool:
         """May the running continuation skip an event due at ``now``?
 
@@ -842,10 +801,9 @@ class Environment:
         # One heap-ordered loop: every event, including those scheduled
         # for the current instant while the loop runs, is popped from
         # the heap in (time, seq) order, so a run split by ``until`` and
-        # resumed fires exactly what one uninterrupted run would.  Pop,
-        # dispatch, and recycle are inlined with local bindings; at
-        # millions of events per run the per-event cost of method calls
-        # is measurable.
+        # resumed fires exactly what one uninterrupted run would.  Each
+        # pop fires as the reference kernel's ``fire()`` does, plus the
+        # lazy-cancel drop and recycling.
         #
         # Step accounting is derived, not maintained: every heap push
         # consumes one sequence number, so pops over this run window are
@@ -870,105 +828,16 @@ class Environment:
                     return None
                 when, _, event = pop(queue)
                 self.now = when
-                # The processed marker (_waiter = _FIRED) is stored before
-                # anything runs, so a waiter that yields or conditions on
-                # the event it woke from sees it processed and relays.
-                waiter = event._waiter
-                if waiter is not None:
-                    # Inline single-waiter resume (the hot path).
-                    event._waiter = _FIRED
-                    if event._ok:
-                        self._active_process = waiter
-                        try:
-                            nxt = waiter._send(event._value)
-                        except StopIteration as stop:
-                            waiter._target = None
-                            waiter.succeed(stop.value)
-                            nxt = _DONE
-                        except BaseException as exc:
-                            waiter._target = None
-                            waiter.fail(exc)
-                            nxt = _DONE
-                    elif event._cancelled:
-                        # Lazy cancellation: dropped, never fired; a parked
-                        # waiter stays parked (its _target ref also keeps
-                        # the event off the freelist).
-                        cancelled += 1
-                        continue
-                    else:
-                        self._active_process = waiter
-                        event._defused = True
-                        try:
-                            nxt = waiter._generator.throw(event._value)
-                        except StopIteration as stop:
-                            waiter._target = None
-                            waiter.succeed(stop.value)
-                            nxt = _DONE
-                        except BaseException as exc:
-                            waiter._target = None
-                            waiter.fail(exc)
-                            nxt = _DONE
-                    if nxt is not _DONE:
-                        try:
-                            wslot = nxt._waiter
-                        except AttributeError:
-                            raise SimulationError(
-                                f"process yielded a non-event: {nxt!r}"
-                            ) from None
-                        if wslot is None:
-                            if not nxt.callbacks:
-                                nxt._waiter = waiter
-                            else:
-                                nxt.callbacks.append(waiter._resume_cb)
-                            waiter._target = nxt
-                        elif wslot is not _FIRED:
-                            nxt.callbacks.append(waiter._resume_cb)
-                            waiter._target = nxt
-                        else:
-                            # Already processed: relay at this instant.
-                            if event_pool:
-                                relay = event_pool.pop()
-                            else:
-                                relay = Event(self)
-                            ok = nxt._ok
-                            relay._ok = ok
-                            relay._value = nxt._value
-                            if not ok:
-                                nxt._defused = True
-                                relay._defused = True
-                            relay._state = _TRIGGERED
-                            relay._waiter = waiter
-                            heappush(
-                                queue, (self.now, self._sequence, relay)
-                            )
-                            self._sequence += 1
-                            waiter._target = relay
-                    cbs = event.callbacks
-                    if cbs:
-                        self._active_process = None
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                        cbs.clear()
-                        event.callbacks = cbs
-                    # A failed event resumed a waiter above, which defused
-                    # it; no unobserved-failure check needed.
-                elif event._ok:
-                    event._waiter = _FIRED
-                    cbs = event.callbacks
-                    if cbs:
-                        self._active_process = None
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                        cbs.clear()
-                        event.callbacks = cbs
-                elif event._cancelled:
+                ok = event._ok
+                if not ok and event._cancelled:
+                    # Lazy cancellation: dropped, never fired.  A parked
+                    # waiter stays parked (its _target ref also keeps the
+                    # event off the freelist); an orphaned timeout is pooled
+                    # here, since only a dropped entry still holds unrun
+                    # callbacks and the _cancelled mark to reset.
                     cancelled += 1
                     if event.__class__ is Timeout and refs(event) == 2:
-                        cbs = event.callbacks
-                        if cbs:
-                            cbs.clear()
+                        event.callbacks.clear()
                         event._value = None
                         event._ok = True
                         event._cancelled = False
@@ -978,49 +847,45 @@ class Environment:
                     else:
                         event._waiter = _FIRED
                     continue
-                else:
-                    event._waiter = _FIRED
-                    cbs = event.callbacks
-                    if cbs:
-                        self._active_process = None
-                        event.callbacks = None
-                        for callback in cbs:
-                            callback(event)
-                        cbs.clear()
-                        event.callbacks = cbs
-                    if not event._defused:
-                        raise event._value
+                # The processed marker is stored before anything runs, so a
+                # waiter that yields or conditions on the event it woke from
+                # sees it processed and relays.  The waiter fires first: it
+                # is only installed while the callbacks list is empty, so
+                # this is attachment order.
+                waiter = event._waiter
+                event._waiter = _FIRED
+                if waiter is not None:
+                    waiter._resume(event)
+                cbs = event.callbacks
+                if cbs:
+                    event.callbacks = None
+                    for callback in cbs:
+                        callback(event)
+                    cbs.clear()
+                    event.callbacks = cbs
+                if not ok and not event._defused:
+                    raise event._value
                 cls = event.__class__
                 if cls is Timeout:
-                    if refs(event) == 2:
-                        event._value = None
-                        event._waiter = None
-                        if not event._ok:
-                            event._ok = True
-                            event._defused = False
-                        timeout_pool.append(event)
-                        recycled += 1
+                    pool = timeout_pool
                 elif cls is Event:
-                    if refs(event) == 2:
-                        event._value = None
-                        event._waiter = None
-                        if not event._ok:
-                            event._ok = True
-                            event._defused = False
-                        event_pool.append(event)
-                        recycled += 1
+                    pool = event_pool
                 elif cls is Process:
-                    if refs(event) == 2:
-                        event._value = None
-                        event._waiter = None
-                        if not event._ok:
-                            event._ok = True
-                            event._defused = False
+                    pool = process_pool
+                else:
+                    continue
+                if refs(event) == 2:
+                    event._value = None
+                    event._waiter = None
+                    if not ok:
+                        event._ok = True
+                        event._defused = False
+                    if cls is Process:
                         event._generator = None
                         event._send = None
                         event._target = None
-                        process_pool.append(event)
-                        recycled += 1
+                    pool.append(event)
+                    recycled += 1
         finally:
             self._active_process = None
             # Pool caps are enforced once per run instead of per recycle

@@ -4,13 +4,15 @@
 scheduling, and replaces only the run loop with the plainest one that
 honours the same contract: pop the heap in ``(time, seq)`` order and
 :func:`fire` each event generically.  A waiting process resumes through
-``Process._resume`` (the path the production loop inlines), nothing
-is ever recycled, so every factory call allocates a fresh object, and
-:meth:`~ReferenceEnvironment.claim_inline` always refuses, so every
-continuation fires from its own event.  A scenario that gives the same
-log and clock on both kernels, with step counts that differ by exactly
-the production kernel's ``steps_inlined``, is therefore independent of
-the production loop's inlining and its refcount-gated freelists.
+``Process._resume``, the one resume the production loop calls too.
+What the production loop adds around the same firing is absent here:
+nothing is ever recycled, so every factory call allocates a fresh
+object, and :meth:`~ReferenceEnvironment.claim_inline` always refuses,
+so every continuation fires from its own event.  A scenario that gives
+the same log and clock on both kernels, with step counts that differ by
+exactly the production kernel's ``steps_inlined``, is therefore
+independent of the production loop's inlining and its refcount-gated
+freelists.
 
 The single-step API (``step``/``peek``) lives here because only tests
 use it.

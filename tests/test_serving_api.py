@@ -179,6 +179,15 @@ class TestDrain:
         assert result.unaccounted == in_flight == system.registry.in_flight
         assert result.unaccounted == system.proxy.submitted - system.accounted
 
+    def test_streaming_serve_is_refused(self):
+        # Without retained requests serve() would collect an empty result
+        # that reads as a perfect, drained run.
+        system = build_system(SystemSpec(config=small_config("aegaeon")))
+        system.configure_streaming(retain_requests=False)
+        with pytest.raises(RuntimeError, match=r"FleetConfig\(shards=1"):
+            system.serve(small_trace())
+        assert system.proxy.submitted == 0
+
     @pytest.mark.parametrize("name", available_systems())
     def test_config_drain_grace_reaches_the_system(self, name):
         config = replace(small_config(name), drain_grace=7.0)

@@ -94,14 +94,50 @@ class TestFreelistSafety:
         env.run()
         assert [event.value for event in held] == list(range(50))
 
+    def test_held_failed_event_stays_failed_for_a_late_waiter(self, env):
+        """A failed event something still holds keeps its failure after
+        dispatch: a process that yields it later must get the exception
+        thrown in, not a success carrying the exception as its value."""
+        event = env.event()
+        caught = []
+
+        def observe(env, delay):
+            if delay:
+                yield env.timeout(delay)
+            try:
+                yield event
+            except ValueError as exc:
+                caught.append((env.now, str(exc)))
+
+        env.process(observe(env, 0.0))
+        env.process(observe(env, 1.0))
+        event.fail(ValueError("held"))
+        env.run()
+        assert caught == [(0.0, "held"), (1.0, "held")]
+        assert event.processed
+        assert event._ok is False
+        assert isinstance(event.value, ValueError)
+
     def test_recycling_happens_and_pool_is_bounded(self, env):
+        """Every pool receives objects.  Short-lived children that nothing
+        holds end with only the run loop referencing their init events,
+        timeouts and termination events, so all three are pooled; a stray
+        reference (a loop local, a self-referencing cache) would stop
+        pooling silently, with no result changed."""
+
+        def child(env):
+            yield env.timeout(0.001)
+
         def proc(env):
             for _ in range(500):
+                env.process(child(env))
                 yield env.timeout(0.01)
 
         env.process(proc(env))
         env.run()
-        assert env.events_recycled > 0
+        # The last child's objects are never popped again.
+        assert env._event_pool and env._timeout_pool and env._process_pool
+        assert env.events_recycled > 1000
         assert len(env._timeout_pool) <= 4096
 
     def test_ping_pong_deterministic_with_recycling(self):
