@@ -23,10 +23,9 @@ from typing import Callable, Sequence
 from repro.core import (
     AegaeonConfig,
     DEFAULT_SLO,
-    MuxServeConfig,
     RunSettings,
-    ServerlessLLMConfig,
     SloSpec,
+    SystemConfig,
     SystemSpec,
     build_system,
 )
@@ -102,7 +101,7 @@ SLLM_DRAIN_GRACE = 450.0
 
 def sllm_factory(slo: SloSpec = DEFAULT_SLO):
     def build(env: Environment):
-        config = ServerlessLLMConfig(
+        config = SystemConfig(
             slo=slo, obs=bench_settings().obs, drain_grace=SLLM_DRAIN_GRACE
         )
         return build_system(SystemSpec(system="serverless-llm", config=config), env)
@@ -112,7 +111,7 @@ def sllm_factory(slo: SloSpec = DEFAULT_SLO):
 
 def sllm_plus_factory(slo: SloSpec = DEFAULT_SLO):
     def build(env: Environment):
-        config = ServerlessLLMConfig(
+        config = SystemConfig(
             slo=slo, obs=bench_settings().obs, drain_grace=SLLM_DRAIN_GRACE
         )
         return build_system(SystemSpec(system="serverless-llm+", config=config), env)
@@ -122,7 +121,7 @@ def sllm_plus_factory(slo: SloSpec = DEFAULT_SLO):
 
 def muxserve_factory(slo: SloSpec = DEFAULT_SLO):
     def build(env: Environment):
-        config = MuxServeConfig(slo=slo, obs=bench_settings().obs)
+        config = SystemConfig(slo=slo, obs=bench_settings().obs)
         return build_system(SystemSpec(system="muxserve", config=config), env)
 
     return build

@@ -110,7 +110,7 @@ def _figure6_trace():
 
 def test_fig06_unified_vs_disaggregated(benchmark):
     """Run the three Figure 6 policies as real systems on one trace."""
-    from repro.core import DECODE_FIRST, PREFILL_FIRST, UnifiedServer
+    from repro.core import DECODE_FIRST, PREFILL_FIRST, SystemConfig, UnifiedServer
 
     trace = _figure6_trace()
     slo = SloSpec(ttft=2.0, tbt=0.1)
@@ -120,7 +120,8 @@ def test_fig06_unified_vs_disaggregated(benchmark):
         for policy in (PREFILL_FIRST, DECODE_FIRST):
             env = Environment()
             server = UnifiedServer(
-                env, Cluster.homogeneous(env, H800, 1, 2), policy, slo=slo
+                env, Cluster.homogeneous(env, H800, 1, 2), SystemConfig(slo=slo),
+                policy=policy,
             )
             results[policy] = server.serve(trace)
         env = Environment()

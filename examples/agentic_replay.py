@@ -29,8 +29,7 @@ import json
 import sys
 import time
 
-from repro.core import AegaeonConfig, SessionCoordinator, SystemSpec
-from repro.core.serving import ServerlessLLMConfig
+from repro.core import AegaeonConfig, SessionCoordinator, SystemConfig, SystemSpec
 from repro.fleet import FleetConfig, build_fleet
 from repro.policy import CostConstrainedRouter, get_bundle, stage_cost_usd
 from repro.workload import AgenticConfig, agent_variant_groups, agentic_stream
@@ -86,7 +85,7 @@ def build_spec(bundle: str) -> SystemSpec:
     if bundle.startswith("serverless-llm"):
         return SystemSpec(
             system=bundle,
-            config=ServerlessLLMConfig(cluster="h800-quad"),
+            config=SystemConfig(cluster="h800-quad"),
             policies=bundle,
         )
     return SystemSpec(

@@ -24,11 +24,9 @@ import numpy as np
 from repro.analysis import format_table
 from repro.core import (
     AegaeonConfig,
-    MuxServeConfig,
     RunSettings,
-    ServerlessLLMConfig,
+    SystemConfig,
     SystemSpec,
-    UnifiedConfig,
     build_system,
 )
 from repro.engine import EngineConfig
@@ -53,13 +51,8 @@ def quad_config(system: str, obs: ObsConfig):
             cluster="h800-quad",
             obs=obs,
         )
-    if system in ("serverless-llm", "serverless-llm+"):
-        return ServerlessLLMConfig(cluster="h800-quad", obs=obs)
-    if system == "muxserve":
-        return MuxServeConfig(cluster="h800-quad", obs=obs)
-    if system.startswith("unified-"):
-        return UnifiedConfig(cluster="h800-quad", obs=obs)
-    raise ValueError(f"no quickstart config for system {system!r}")
+    # Every other system runs one instance per GPU.
+    return SystemConfig(cluster="h800-quad", obs=obs)
 
 
 def main() -> None:

@@ -24,22 +24,19 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..core.batcher import BatcherInstanceBase
-from ..core.serving import BaselineServer
-from ..core.slo import DEFAULT_SLO, SloSpec
-from ..engine.batching import BatchingPolicy, ContinuousBatcher
+from ..core.serving import ServingSystemBase, SystemConfig
+from ..engine.batching import MAX_BATCH_SIZE, BatchingPolicy, ContinuousBatcher
 from ..engine.block_manager import BlockManager
 from ..engine.request import Request
 from ..hardware.cluster import Cluster
 from ..hardware.gpu import GpuSpec
 from ..models.catalog import ModelSpec
 from ..models.latency import LatencyModel
-from ..obs import ObsConfig, Observability
+from ..policy.base import PolicyBundle
 from ..sim import Environment
 from ..workload.stream import RequestStream
 
 __all__ = ["MuxServe", "DedicatedServing", "SharedGpuInstance"]
-
-GiB = 1024**3
 
 # Interleave granularity between colocated models (fine-grained
 # temporal multiplexing: a few decode steps per turn, no switch cost).
@@ -60,26 +57,23 @@ class SharedGpuInstance(BatcherInstanceBase):
         gpu_spec: GpuSpec,
         models: list[ModelSpec],
         on_finished,
-        tp: int = 1,
-        max_batch_size: int = 32,
         name: str = "mux",
     ):
         super().__init__(env, name, on_finished)
         self.gpu_spec = gpu_spec
-        self.tp = tp
         self.models = {spec.name: spec for spec in models}
         self._latency = {
-            spec.name: LatencyModel(spec, gpu_spec, tp=tp) for spec in models
+            spec.name: LatencyModel(spec, gpu_spec) for spec in models
         }
-        weight_total = sum(spec.weight_bytes // tp for spec in models)
+        weight_total = sum(spec.weight_bytes for spec in models)
         kv_total = int(gpu_spec.vram_bytes * 0.9) - weight_total
         if kv_total <= 0 and models:
             raise MemoryError(f"{name}: colocated weights exceed VRAM")
         per_model_kv = kv_total // max(1, len(models))
         self.batchers = {
             spec.name: ContinuousBatcher(
-                BlockManager(per_model_kv, spec, tp=tp),
-                BatchingPolicy(max_batch_size=max_batch_size),
+                BlockManager(per_model_kv, spec),
+                BatchingPolicy(max_batch_size=MAX_BATCH_SIZE),
             )
             for spec in models
         }
@@ -146,8 +140,8 @@ class SharedGpuInstance(BatcherInstanceBase):
         return 0.0 if elapsed <= 0 else min(1.0, self.busy_time / elapsed)
 
 
-class MuxServe(BaselineServer):
-    """Static multiplexing across a GPU pool."""
+class MuxServe(ServingSystemBase):
+    """Static multiplexing across a GPU pool, one instance per GPU."""
 
     label = "MuxServe"
     default_policies = "muxserve"
@@ -156,17 +150,10 @@ class MuxServe(BaselineServer):
         self,
         env: Environment,
         cluster: Cluster,
-        tp: int = 1,
-        slo: SloSpec = DEFAULT_SLO,
-        max_batch_size: int = 32,
-        obs: Optional[ObsConfig | Observability] = None,
-        policies=None,
-        drain_grace: float = 300.0,
+        config: SystemConfig = SystemConfig(),
+        policies: Optional[PolicyBundle | str] = None,
     ):
-        super().__init__(env, slo, drain_grace, obs=obs, policies=policies)
-        self.cluster = cluster
-        self.tp = tp
-        self.max_batch_size = max_batch_size
+        super().__init__(env, cluster, config, policies)
         self.instances: list[SharedGpuInstance] = []
         self.unplaced: set[str] = set()
         self.gpu_count = len(cluster.gpus)
@@ -178,8 +165,7 @@ class MuxServe(BaselineServer):
         models = sorted(
             workload.models, key=lambda spec: rates.get(spec.name, 0.0), reverse=True
         )
-        slots = len(self.cluster.gpus) // self.tp
-        slot_specs = [self.cluster.gpus[index * self.tp].spec for index in range(slots)]
+        slot_specs = [gpu.spec for gpu in self.cluster.gpus]
         placements, unplaced = self.policies.placement.plan(
             models, slot_specs, tracer=self.obs.tracer
         )
@@ -190,8 +176,6 @@ class MuxServe(BaselineServer):
                 slot_specs[index],
                 placed,
                 self.note_finished,
-                tp=self.tp,
-                max_batch_size=self.max_batch_size,
                 name=f"mux{index}",
             )
             for index, placed in enumerate(placements)
@@ -212,26 +196,16 @@ class MuxServe(BaselineServer):
         target.enqueue(request)
 
 
-class DedicatedServing(BaselineServer):
-    """The §3 strawman: one dedicated instance per model, no sharing."""
+class DedicatedServing(ServingSystemBase):
+    """The §3 strawman: one dedicated GPU per model, no sharing."""
 
     label = "Dedicated"
     default_policies = "muxserve"
 
-    def __init__(
-        self,
-        env: Environment,
-        gpu_spec: GpuSpec,
-        tp: int = 1,
-        slo: SloSpec = DEFAULT_SLO,
-        max_batch_size: int = 32,
-        obs: Optional[ObsConfig | Observability] = None,
-        policies=None,
-    ):
-        super().__init__(env, slo, obs=obs, policies=policies)
+    def __init__(self, env: Environment, gpu_spec: GpuSpec):
+        # No pool to build from: prepare() sizes one GPU per model.
+        super().__init__(env, None, SystemConfig())
         self.gpu_spec = gpu_spec
-        self.tp = tp
-        self.max_batch_size = max_batch_size
         self.instances: dict[str, SharedGpuInstance] = {}
 
     def prepare(self, workload: RequestStream) -> None:
@@ -241,11 +215,9 @@ class DedicatedServing(BaselineServer):
                 self.gpu_spec,
                 [spec],
                 self.note_finished,
-                tp=self.tp,
-                max_batch_size=self.max_batch_size,
                 name=f"dedicated:{spec.name}",
             )
-        self.gpu_count = len(self.instances) * self.tp
+        self.gpu_count = len(self.instances)
 
     def dispatch(self, request: Request) -> None:
         self.instances[request.model].enqueue(request)

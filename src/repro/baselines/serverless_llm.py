@@ -21,9 +21,8 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..core.batcher import BatcherInstanceBase
-from ..core.serving import BaselineServer
-from ..core.slo import DEFAULT_SLO, SloSpec
-from ..engine.batching import BatchingPolicy, ContinuousBatcher
+from ..core.serving import ServingSystemBase, SystemConfig
+from ..engine.batching import MAX_BATCH_SIZE, BatchingPolicy, ContinuousBatcher
 from ..engine.block_manager import BlockManager
 from ..engine.engine import AegaeonEngine, EngineConfig
 from ..engine.request import Request
@@ -31,7 +30,7 @@ from ..hardware.cluster import Cluster
 from ..memory.model_cache import HostModelCache
 from ..memory.slab import SlabAllocator
 from ..models.catalog import ModelSpec
-from ..obs import ObsConfig, Observability
+from ..policy.base import PolicyBundle
 from ..sim import Environment
 from ..workload.stream import RequestStream
 
@@ -41,6 +40,8 @@ GiB = 1024**3
 
 # Decode chunking, mirroring the Aegaeon instances.
 DECODE_CHUNK_STEPS = 16
+# Host checkpoint cache: two nodes x 640 GB, as Aegaeon's.
+MODEL_CACHE_BYTES = 1280 * GiB
 
 
 class _ServerlessInstance(BatcherInstanceBase):
@@ -118,12 +119,9 @@ class _ServerlessInstance(BatcherInstanceBase):
     def _switch_to(self, spec: ModelSpec) -> Generator:
         yield from self.engine.scale_to(spec)
         pool_bytes = self.engine.gpu_kv_cache.region_bytes
-        block_manager = BlockManager(
-            pool_bytes, spec, tp=self.engine.config.tp,
-            block_tokens=self.engine.config.block_tokens,
-        )
         self.batcher = ContinuousBatcher(
-            block_manager, BatchingPolicy(max_batch_size=self.server.max_batch_size)
+            BlockManager(pool_bytes, spec),
+            BatchingPolicy(max_batch_size=MAX_BATCH_SIZE),
         )
         self._drain_matching(spec)
 
@@ -169,8 +167,8 @@ class _ServerlessInstance(BatcherInstanceBase):
         self._account_decode_chunk(self.batcher, running, chunk_start, step, steps)
 
 
-class ServerlessLLM(BaselineServer):
-    """Request-level auto-scaling across a GPU pool."""
+class ServerlessLLM(ServingSystemBase):
+    """Request-level auto-scaling across a GPU pool, one instance per GPU."""
 
     label = "ServerlessLLM"
     default_policies = "serverless-llm"
@@ -179,23 +177,12 @@ class ServerlessLLM(BaselineServer):
         self,
         env: Environment,
         cluster: Cluster,
-        instance_count: Optional[int] = None,
-        tp: int = 1,
-        slo: SloSpec = DEFAULT_SLO,
-        max_batch_size: int = 32,
-        model_cache_bytes: int = 1280 * GiB,
-        obs: Optional[ObsConfig | Observability] = None,
-        policies=None,
-        drain_grace: float = 300.0,
+        config: SystemConfig = SystemConfig(),
+        policies: Optional[PolicyBundle | str] = None,
     ):
-        super().__init__(env, slo, drain_grace, obs=obs, policies=policies)
-        self.max_batch_size = max_batch_size
-        available = len(cluster.gpus) // tp
-        count = available if instance_count is None else instance_count
-        if count > available:
-            raise ValueError(f"cluster supports {available} TP={tp} instances")
+        super().__init__(env, cluster, config, policies)
         self.model_cache = HostModelCache(
-            model_cache_bytes, name="model_cache", obs=self.obs
+            MODEL_CACHE_BYTES, name="model_cache", obs=self.obs
         )
         # ServerlessLLM holds no cross-model unified KV cache; engines
         # get a token-sized CPU pool purely to satisfy the engine API.
@@ -207,18 +194,15 @@ class ServerlessLLM(BaselineServer):
         engine_config = EngineConfig(
             prefetch=False,
             fine_grained_sync=False,
-            tp=tp,
             weight_buffer_bytes=weight_buffer,
         )
         tunables = self.policies.tunables
         self.instances = []
-        gpus = cluster.gpus
-        for index in range(count):
-            group = gpus[index * tp : (index + 1) * tp]
+        for index, gpu in enumerate(cluster.gpus):
             engine = AegaeonEngine(
                 env,
-                cluster.node_of(group[0]),
-                group,
+                cluster.node_of(gpu),
+                [gpu],
                 self.model_cache,
                 cpu_kv,
                 config=engine_config,
@@ -231,7 +215,7 @@ class ServerlessLLM(BaselineServer):
             self.instances.append(
                 _ServerlessInstance(env, engine, self, name=f"sllm{index}")
             )
-        self.gpu_count = count * tp
+        self.gpu_count = len(cluster.gpus)
 
     # -- policy hooks ------------------------------------------------------
     def order_queue(self, waiting: list[Request], engine: AegaeonEngine) -> None:
@@ -252,9 +236,7 @@ class ServerlessLLM(BaselineServer):
 
     def prepare(self, workload: RequestStream) -> None:
         for spec in workload.models:
-            self.model_cache.insert(
-                spec.name, spec.weight_bytes // max(1, self.instances[0].engine.config.tp)
-            )
+            self.model_cache.insert(spec.name, spec.weight_bytes)
 
     def engines(self) -> list[AegaeonEngine]:
         """Every per-instance engine (for scaling/transfer stats)."""

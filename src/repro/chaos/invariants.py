@@ -46,6 +46,11 @@ from ..engine.request import Phase
 
 __all__ = ["InvariantChecker", "InvariantViolation", "Violation"]
 
+#: Simulated seconds between periodic checks.
+CHECK_INTERVAL_S = 0.5
+#: Violations kept; the periodic checks stop once this many are recorded.
+MAX_VIOLATIONS = 100
+
 
 class InvariantViolation(AssertionError):
     """Raised by :meth:`InvariantChecker.assert_clean` on any violation."""
@@ -66,13 +71,9 @@ class Violation:
 class InvariantChecker:
     """Periodic, attachable runtime verifier for one serving system."""
 
-    def __init__(self, system, interval: float = 0.5, max_violations: int = 100):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+    def __init__(self, system):
         self.system = system
         self.env = system.env
-        self.interval = interval
-        self.max_violations = max_violations
         self.violations: list[Violation] = []
         self.checks_run = 0
         # Per-request token-stream cursor: timestamps before the cursor
@@ -83,8 +84,8 @@ class InvariantChecker:
 
     # -- driver -------------------------------------------------------------
     def _run(self) -> Generator:
-        while len(self.violations) < self.max_violations:
-            yield self.env.timeout(self.interval)
+        while len(self.violations) < MAX_VIOLATIONS:
+            yield self.env.timeout(CHECK_INTERVAL_S)
             self.check_now()
 
     def check_now(self) -> list[Violation]:
@@ -106,7 +107,7 @@ class InvariantChecker:
             )
 
     def _flag(self, invariant: str, detail: str) -> None:
-        if len(self.violations) < self.max_violations:
+        if len(self.violations) < MAX_VIOLATIONS:
             self.violations.append(Violation(self.env.now, invariant, detail))
 
     # -- I1: KV-block conservation -----------------------------------------

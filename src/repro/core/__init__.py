@@ -7,15 +7,11 @@ from .proxy import DrainWatchdog, ProxyLayer, Pump, StatusRegistry, replay
 from .server import AegaeonConfig, AegaeonServer
 from .sessions import SessionCoordinator, SessionStats
 from .serving import (
-    BaselineServer,
-    MuxServeConfig,
     RunSettings,
-    ServerlessLLMConfig,
     ServingSystem,
     ServingSystemBase,
     SystemConfig,
     SystemSpec,
-    UnifiedConfig,
     available_systems,
     build_system,
     resolve_cluster,
@@ -26,20 +22,17 @@ from .unified import DECODE_FIRST, PREFILL_FIRST, UnifiedInstance, UnifiedServer
 __all__ = [
     "AegaeonConfig",
     "AegaeonServer",
-    "BaselineServer",
     "BatchedDecodeScheduler",
     "DEFAULT_SLO",
     "DecodeBatch",
     "DecodeInstance",
     "DrainWatchdog",
     "GroupedPrefillScheduler",
-    "MuxServeConfig",
     "PrefillGroup",
     "PrefillInstance",
     "ProxyLayer",
     "Pump",
     "RunSettings",
-    "ServerlessLLMConfig",
     "ServingSystem",
     "ServingSystemBase",
     "SessionCoordinator",
@@ -48,7 +41,6 @@ __all__ = [
     "StatusRegistry",
     "SystemConfig",
     "SystemSpec",
-    "UnifiedConfig",
     "DECODE_FIRST",
     "PREFILL_FIRST",
     "UnifiedInstance",

@@ -1,8 +1,7 @@
 """The wake/sleep instance driver shared by every non-disaggregated pool.
 
-:class:`BatcherInstanceBase` is the instance-side counterpart of
-:class:`~repro.core.serving.BaselineServer`: one wake/sleep driver loop
-for ServerlessLLM's, MuxServe's and the unified foils' instances, plus
+:class:`BatcherInstanceBase` is the one wake/sleep driver loop of
+ServerlessLLM's, MuxServe's and the unified foils' instances, plus
 the :class:`~repro.engine.batching.ContinuousBatcher` request-lifecycle
 accounting the two baselines share — prefill timestamping, decode-chunk
 token recording with vLLM-style preemption on KV exhaustion, and

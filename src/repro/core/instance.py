@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..engine.batching import MAX_BATCH_SIZE
 from ..engine.engine import AegaeonEngine
 from ..engine.request import Phase, Request
 from ..memory.slab import KvTooLargeError, SlabAllocator
@@ -213,7 +214,6 @@ class _PrefillTask(ContTask):
             request_id=request.request_id,
             shape=kv_shape(request.spec, inst.engine.config.tp),
             tokens=request.input_tokens,
-            block_tokens=inst.engine.config.block_tokens,
         )
         return self._alloc_kv(None)
 
@@ -343,7 +343,6 @@ class DecodeInstance:
         slo: SloSpec,
         on_finished: Callable[[Request], None],
         name: str = "decode",
-        max_batch_size: int = 32,
         on_failed: Optional[Callable[[Request], None]] = None,
         obs: Observability = NULL_OBS,
         turn_policy: Optional[DecodeTurnPolicy] = None,
@@ -355,7 +354,6 @@ class DecodeInstance:
         self.on_finished = on_finished
         self.on_failed = on_failed
         self.name = name
-        self.max_batch_size = max_batch_size
         self.turn_policy: DecodeTurnPolicy = (
             turn_policy if turn_policy is not None else WeightedRoundPolicy()
         )
@@ -390,7 +388,7 @@ class DecodeInstance:
         # Leave headroom for context growth and a second batch in
         # flight; ShareGPT-like requests average ~1k context tokens.
         typical_context = 1024
-        return max(1, min(self.max_batch_size, capacity_tokens // (2 * typical_context)))
+        return max(1, min(MAX_BATCH_SIZE, capacity_tokens // (2 * typical_context)))
 
     def kick(self) -> None:
         """Wake the instance loop after new work arrives."""

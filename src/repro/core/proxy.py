@@ -70,12 +70,13 @@ class ProxyLayer:
         env: Environment,
         dispatch: Callable[[Request], None],
         registry: Optional[StatusRegistry] = None,
-        retain: bool = True,
     ):
         self.env = env
         self.dispatch = dispatch
         self.registry = registry if registry is not None else StatusRegistry()
-        self.retain = retain
+        #: Keep every admitted request in ``requests``; a serving
+        #: system's ``configure_streaming`` turns it off.
+        self.retain = True
         self.requests: list[Request] = []
         #: In-flight requests (id -> request).
         self.live: dict[int, Request] = {}

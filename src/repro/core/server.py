@@ -54,7 +54,6 @@ class AegaeonConfig:
     model_cache_bytes: int = 1280 * GiB  # two nodes x 640 GB
     cpu_kv_cache_bytes: int = 640 * GiB  # two nodes x 320 GB
     cpu_slab_bytes: int = 256 * 1024**2
-    max_batch_size: int = 32
     drain_grace: float = 300.0  # extra sim time after the last arrival
     cluster: str = "testbed"  # preset used by build_system()
     obs: ObsConfig = field(default_factory=ObsConfig)
@@ -83,12 +82,7 @@ class AegaeonServer(ServingSystemBase):
             raise ValueError(
                 f"config needs {config.gpus_needed} GPUs, cluster has {len(cluster.gpus)}"
             )
-        super().__init__(
-            env, slo=config.slo, drain_grace=config.drain_grace, obs=config.obs,
-            policies=policies if policies is not None else config.policies,
-        )
-        self.cluster = cluster
-        self.config = config
+        super().__init__(env, cluster, config, policies)
         self.gpu_count = config.gpus_needed
         self._warm_on_prepare = True
         self.model_cache = HostModelCache(
@@ -150,7 +144,6 @@ class AegaeonServer(ServingSystemBase):
                     config.slo,
                     self.note_finished,
                     name=f"decode{index}",
-                    max_batch_size=config.max_batch_size,
                     on_failed=self.note_failed,
                     obs=self.obs,
                     turn_policy=bundle.decode_turn,
@@ -318,19 +311,9 @@ class AegaeonServer(ServingSystemBase):
 
     # -- variants -----------------------------------------------------------
     @classmethod
-    def paper_testbed(
-        cls,
-        env: Environment,
-        slo: SloSpec = DEFAULT_SLO,
-        engine: EngineConfig = EngineConfig(),
-        obs: ObsConfig = ObsConfig(),
-    ) -> "AegaeonServer":
+    def paper_testbed(cls, env: Environment) -> "AegaeonServer":
         """The §7.2 configuration: 16 H800s, 6 prefill + 10 decode."""
-        cluster = Cluster.testbed(env)
-        config = AegaeonConfig(
-            prefill_instances=6, decode_instances=10, engine=engine, slo=slo, obs=obs
-        )
-        return cls(env, cluster, config)
+        return cls(env, Cluster.testbed(env), AegaeonConfig())
 
     @classmethod
     def a10_testbed(cls, env: Environment, slo: SloSpec = DEFAULT_SLO) -> "AegaeonServer":

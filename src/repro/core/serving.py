@@ -6,22 +6,26 @@ speaks the same :class:`ServingSystem` protocol: ``prepare`` /
 ``dispatch`` / ``serve`` / ``collect`` / ``scale_records``.  The shared
 plumbing (workload replay through the proxy layer, completion tracking,
 drain watchdog, result collection, observability attachment) lives in
-:class:`ServingSystemBase`; :func:`build_system` constructs any
-registered system by name from its config dataclass, so benchmarks,
-examples, and the observability layer attach to all of them uniformly.
+:class:`ServingSystemBase`.  Every system is constructed the same way,
+``cls(env, cluster, config, policies)``: Aegaeon from an
+:class:`~repro.core.server.AegaeonConfig`, every other system from a
+:class:`SystemConfig`.  :func:`build_system` builds any registered
+system by name from its :class:`SystemSpec`, so benchmarks, examples,
+and the observability layer attach to all of them uniformly.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Mapping, Optional, Protocol, runtime_checkable
 
 from ..engine.engine import AegaeonEngine, ScaleRecord
 from ..engine.request import Phase, Request
 from ..hardware.cluster import Cluster
 from ..hardware.gpu import H800
-from ..obs import NULL_OBS, ObsConfig, Observability
+from ..obs import ObsConfig, Observability
 from ..policy.base import PolicyBundle, policy_event
 from ..policy.registry import resolve_bundle
 from ..sim import Environment
@@ -33,20 +37,13 @@ from .slo import DEFAULT_SLO, SloSpec
 __all__ = [
     "ServingSystem",
     "ServingSystemBase",
-    "BaselineServer",
     "SystemConfig",
     "SystemSpec",
-    "ServerlessLLMConfig",
-    "MuxServeConfig",
-    "UnifiedConfig",
     "RunSettings",
     "build_system",
     "available_systems",
     "resolve_cluster",
 ]
-
-GiB = 1024**3
-
 
 # -- cluster presets ---------------------------------------------------------
 _CLUSTER_PRESETS: dict[str, Callable[[Environment], Cluster]] = {
@@ -102,7 +99,11 @@ class ServingSystemBase:
     :meth:`engines`; everything else — the proxy layer, the drain
     watchdog, :class:`~repro.analysis.metrics.ServingResult` assembly,
     and metric attachment — is inherited, so every system is measured
-    identically.
+    identically.  Every system is constructed
+    ``cls(env, cluster, config, policies)``: the base keeps ``cluster``
+    and ``config``, takes ``slo``, ``drain_grace`` and the observability
+    level from the config, and runs ``policies``, else the config's
+    ``policies``, else :attr:`default_policies`.
     """
 
     label = "system"
@@ -112,20 +113,18 @@ class ServingSystemBase:
     def __init__(
         self,
         env: Environment,
-        slo: SloSpec = DEFAULT_SLO,
-        drain_grace: float = 300.0,
-        obs: Optional[ObsConfig | Observability] = None,
+        cluster: Optional[Cluster],
+        config: "SystemConfig",
         policies: Optional[PolicyBundle | str] = None,
     ):
         self.env = env
-        self.slo = slo
-        self.drain_grace = drain_grace
-        if isinstance(obs, Observability):
-            self.obs = obs
-        else:
-            self.obs = Observability(
-                obs if obs is not None else ObsConfig(), clock=lambda: env.now
-            )
+        self.cluster = cluster
+        self.config = config
+        self.slo = config.slo
+        self.drain_grace = config.drain_grace
+        self.obs = Observability(config.obs, clock=lambda: env.now)
+        if policies is None:
+            policies = config.policies
         self.policies = resolve_bundle(policies, self.default_policies)
         self.registry = StatusRegistry()
         self.proxy = ProxyLayer(env, self._ingress, self.registry)
@@ -235,7 +234,7 @@ class ServingSystemBase:
         self.fault_injector = FaultInjector(self, plan, obs=self.obs)
         return self.fault_injector
 
-    def attach_invariants(self, interval: float = 0.5) -> "object":
+    def attach_invariants(self) -> "object":
         """Attach a runtime :class:`~repro.chaos.InvariantChecker`.
 
         Idempotent; :meth:`serve` runs a final check and raises on any
@@ -244,7 +243,7 @@ class ServingSystemBase:
         from ..chaos.invariants import InvariantChecker
 
         if self.invariant_checker is None:
-            self.invariant_checker = InvariantChecker(self, interval=interval)
+            self.invariant_checker = InvariantChecker(self)
         return self.invariant_checker
 
     # -- common plumbing ----------------------------------------------------
@@ -395,16 +394,14 @@ class ServingSystemBase:
         )
 
 
-class BaselineServer(ServingSystemBase):
-    """Base for the baseline systems (kept as their import point)."""
-
-    label = "baseline"
-
-
 # -- config surface ----------------------------------------------------------
 @dataclass(frozen=True)
 class SystemConfig:
-    """Deployment knobs shared by every baseline serving system."""
+    """Deployment knobs of every serving system but Aegaeon.
+
+    The system name picks the rest: ``serverless-llm+`` its SJF bundle,
+    ``unified-prefill-first`` / ``unified-decode-first`` their policy.
+    """
 
     slo: SloSpec = DEFAULT_SLO
     cluster: str = "testbed"
@@ -414,54 +411,13 @@ class SystemConfig:
     policies: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ServerlessLLMConfig(SystemConfig):
-    """Deployment shape for ServerlessLLM (``sjf=True`` for the + variant)."""
-
-    tp: int = 1
-    instance_count: Optional[int] = None
-    max_batch_size: int = 32
-    model_cache_bytes: int = 1280 * GiB
-    sjf: bool = False
-
-
-@dataclass(frozen=True)
-class MuxServeConfig(SystemConfig):
-    """Deployment shape for the MuxServe static-multiplexing baseline."""
-
-    tp: int = 1
-    max_batch_size: int = 32
-
-
-@dataclass(frozen=True)
-class UnifiedConfig(SystemConfig):
-    """Deployment shape for the unified token-level scheduling foils.
-
-    The system name picks the scheduling policy: ``unified-prefill-first``
-    or ``unified-decode-first``.
-    """
-
-    model_cache_bytes: int = 640 * GiB
-
-
 def _default_config(name: str):
-    """The config dataclass a system gets when none is supplied."""
-    key = _ALIASES.get(name.strip().lower(), name.strip().lower())
-    if key == "aegaeon":
+    """The config a system gets when its spec names none."""
+    if _system_key(name) == "aegaeon":
         from .server import AegaeonConfig
 
         return AegaeonConfig()
-    if key == "serverless-llm":
-        return ServerlessLLMConfig()
-    if key == "serverless-llm+":
-        return ServerlessLLMConfig(sjf=True)
-    if key == "muxserve":
-        return MuxServeConfig()
-    if key in ("unified-prefill-first", "unified-decode-first"):
-        return UnifiedConfig()
-    raise ValueError(
-        f"unknown serving system {name!r}; known: {available_systems()}"
-    )
+    return SystemConfig()
 
 
 @dataclass(frozen=True)
@@ -476,7 +432,8 @@ class SystemSpec:
     """
 
     system: str = "aegaeon"
-    #: Full config dataclass; None uses the system's defaults as the base.
+    #: The system's config (:class:`~repro.core.server.AegaeonConfig` or
+    #: :class:`SystemConfig`); None uses the system's defaults as the base.
     config: Optional[object] = None
     #: Override the config's cluster preset (e.g. ``"h800-quad"``).
     cluster: Optional[str] = None
@@ -556,82 +513,23 @@ class RunSettings:
 
 
 # -- factory -----------------------------------------------------------------
-def _build_aegaeon(env: Environment, config, policies):
-    from .server import AegaeonConfig, AegaeonServer
-
-    config = config if config is not None else AegaeonConfig()
-    return AegaeonServer(
-        env, resolve_cluster(config.cluster, env), config, policies=policies
-    )
-
-
-def _build_serverless(env: Environment, config, policies):
-    from ..baselines.serverless_llm import ServerlessLLM, ServerlessLLMPlus
-
-    config = config if config is not None else ServerlessLLMConfig()
-    cls = ServerlessLLMPlus if config.sjf else ServerlessLLM
-    return cls(
-        env,
-        resolve_cluster(config.cluster, env),
-        instance_count=config.instance_count,
-        tp=config.tp,
-        slo=config.slo,
-        max_batch_size=config.max_batch_size,
-        model_cache_bytes=config.model_cache_bytes,
-        obs=config.obs,
-        policies=policies,
-        drain_grace=config.drain_grace,
-    )
-
-
-def _build_serverless_plus(env: Environment, config, policies):
-    config = config if config is not None else ServerlessLLMConfig()
-    return _build_serverless(env, replace(config, sjf=True), policies)
-
-
-def _build_muxserve(env: Environment, config, policies):
+def _system_classes() -> dict[str, Callable[..., "ServingSystem"]]:
+    """Every registered system by name; each is called
+    ``(env, cluster, config)``.  Imported here: they import this module."""
     from ..baselines.muxserve import MuxServe
+    from ..baselines.serverless_llm import ServerlessLLM, ServerlessLLMPlus
+    from .server import AegaeonServer
+    from .unified import DECODE_FIRST, PREFILL_FIRST, UnifiedServer
 
-    config = config if config is not None else MuxServeConfig()
-    return MuxServe(
-        env,
-        resolve_cluster(config.cluster, env),
-        tp=config.tp,
-        slo=config.slo,
-        max_batch_size=config.max_batch_size,
-        obs=config.obs,
-        policies=policies,
-        drain_grace=config.drain_grace,
-    )
+    return {
+        "aegaeon": AegaeonServer,
+        "serverless-llm": ServerlessLLM,
+        "serverless-llm+": ServerlessLLMPlus,
+        "muxserve": MuxServe,
+        "unified-prefill-first": partial(UnifiedServer, policy=PREFILL_FIRST),
+        "unified-decode-first": partial(UnifiedServer, policy=DECODE_FIRST),
+    }
 
-
-def _build_unified(policy: str):
-    def build(env: Environment, config, policies):
-        from .unified import UnifiedServer
-
-        config = config if config is not None else UnifiedConfig()
-        return UnifiedServer(
-            env,
-            resolve_cluster(config.cluster, env),
-            policy=policy,
-            slo=config.slo,
-            model_cache_bytes=config.model_cache_bytes,
-            obs=config.obs,
-            policies=policies,
-            drain_grace=config.drain_grace,
-        )
-
-    return build
-
-
-_BUILDERS: dict[str, Callable[[Environment, object, object], "ServingSystem"]] = {
-    "aegaeon": _build_aegaeon,
-    "serverless-llm": _build_serverless,
-    "serverless-llm+": _build_serverless_plus,
-    "muxserve": _build_muxserve,
-    "unified-prefill-first": _build_unified("prefill_first"),
-    "unified-decode-first": _build_unified("decode_first"),
-}
 
 _ALIASES = {
     "serverlessllm": "serverless-llm",
@@ -639,30 +537,34 @@ _ALIASES = {
 }
 
 
+def _system_key(name: str) -> str:
+    """The registry key ``name`` denotes (case and aliases folded)."""
+    key = name.strip().lower()
+    key = _ALIASES.get(key, key)
+    if key not in _system_classes():
+        raise ValueError(
+            f"unknown serving system {name!r}; known: {available_systems()}"
+        )
+    return key
+
+
 def available_systems() -> list[str]:
     """Names accepted by :func:`build_system`."""
-    return sorted(_BUILDERS)
+    return sorted(_system_classes())
 
 
 def _build_system(
     name: str,
     env: Environment,
-    config=None,
+    config,
     *,
     faults=None,
     invariants: bool = False,
 ) -> "ServingSystem":
     """The factory proper: name + config in, system out.  Reached
     through :meth:`SystemSpec.build`."""
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
-    try:
-        builder = _BUILDERS[key]
-    except KeyError:
-        raise ValueError(
-            f"unknown serving system {name!r}; known: {available_systems()}"
-        ) from None
-    system = builder(env, config, getattr(config, "policies", None))
+    cls = _system_classes()[_system_key(name)]
+    system = cls(env, resolve_cluster(config.cluster, env), config)
     if faults is not None:
         system.attach_faults(faults)
     if invariants:

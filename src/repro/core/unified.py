@@ -26,13 +26,12 @@ from ..memory.model_cache import HostModelCache
 from ..memory.slab import SlabAllocator
 from ..models.catalog import ModelSpec
 from ..models.kv import kv_shape
-from ..obs import ObsConfig, Observability
+from ..policy.base import PolicyBundle
 from ..sim import Environment
 from ..transfer.kv_transfer import RequestKv
 from ..workload.stream import RequestStream
 from .batcher import BatcherInstanceBase
-from .serving import BaselineServer
-from .slo import DEFAULT_SLO, SloSpec
+from .serving import ServingSystemBase, SystemConfig
 
 __all__ = ["UnifiedInstance", "UnifiedServer", "PREFILL_FIRST", "DECODE_FIRST"]
 
@@ -42,6 +41,8 @@ PREFILL_FIRST = "prefill_first"
 DECODE_FIRST = "decode_first"
 
 _CHUNK_STEPS = 8
+# Host checkpoint cache of the pool.
+MODEL_CACHE_BYTES = 640 * GiB
 
 
 class UnifiedInstance(BatcherInstanceBase):
@@ -104,7 +105,6 @@ class UnifiedInstance(BatcherInstanceBase):
             request_id=request.request_id,
             shape=kv_shape(request.spec, self.engine.config.tp),
             tokens=request.input_tokens,
-            block_tokens=self.engine.config.block_tokens,
         )
         self.engine.kv.alloc_gpu(request.kv)
         request.phase = Phase.PREFILLING
@@ -173,27 +173,29 @@ class UnifiedInstance(BatcherInstanceBase):
         self.on_finished(request)
 
 
-class UnifiedServer(BaselineServer):
-    """A pool of unified token-level instances (the Figure 6 foils)."""
+class UnifiedServer(ServingSystemBase):
+    """A pool of unified token-level instances (the Figure 6 foils).
+
+    ``policy`` (:data:`PREFILL_FIRST` or :data:`DECODE_FIRST`) is fixed
+    by the system name, ``unified-prefill-first`` or
+    ``unified-decode-first``, and picks the default bundle.
+    """
 
     def __init__(
         self,
         env: Environment,
         cluster: Cluster,
-        policy: str,
-        slo: SloSpec = DEFAULT_SLO,
-        model_cache_bytes: int = 640 * GiB,
-        obs: Optional[ObsConfig | Observability] = None,
-        policies=None,
-        drain_grace: float = 300.0,
+        config: SystemConfig = SystemConfig(),
+        policies: Optional[PolicyBundle | str] = None,
+        policy: str = PREFILL_FIRST,
     ):
         # Instance attr shadows the class default before the base class
         # resolves the bundle.
         self.default_policies = f"unified-{policy.replace('_', '-')}"
-        super().__init__(env, slo, drain_grace, obs=obs, policies=policies)
+        super().__init__(env, cluster, config, policies)
         self.label = f"unified-{policy}"
         self.model_cache = HostModelCache(
-            model_cache_bytes, name="model_cache", obs=self.obs
+            MODEL_CACHE_BYTES, name="model_cache", obs=self.obs
         )
         cpu_kv = SlabAllocator(
             64 * GiB, 256 * 1024**2, name="cpu_kv", obs=self.obs

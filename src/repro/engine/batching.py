@@ -13,7 +13,11 @@ from dataclasses import dataclass
 from .block_manager import BlockManager
 from .request import Phase, Request
 
-__all__ = ["BatchingPolicy", "ContinuousBatcher"]
+__all__ = ["MAX_BATCH_SIZE", "BatchingPolicy", "ContinuousBatcher"]
+
+#: Largest decode batch of every serving system's instances, Aegaeon's
+#: and the baselines' alike.
+MAX_BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)

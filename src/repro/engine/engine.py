@@ -50,6 +50,10 @@ from .init_stages import DEFAULT_INIT_COSTS, InitStageCosts
 __all__ = ["EngineConfig", "ScaleRecord", "AegaeonEngine"]
 
 GiB = 1024**3
+# Slab size of the GPU KV cache.
+GPU_SLAB_BYTES = 256 * 1024**2
+# Share of VRAM left to the tensor library's activations.
+ACTIVATION_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
@@ -65,9 +69,6 @@ class EngineConfig:
     # the paper's 6-14B model band, while leaving the KV cache enough
     # VRAM for full decode batches (the 13B/14B pair does not prefetch).
     weight_buffer_bytes: int = 44 * GiB
-    slab_bytes: int = 256 * 1024**2
-    block_tokens: int = 16
-    activation_fraction: float = 0.10  # VRAM left to the tensor library
 
     @classmethod
     def unoptimized(cls, **overrides) -> "EngineConfig":
@@ -131,7 +132,7 @@ class AegaeonEngine:
         self.link = node.link(gpus[0])
         spec = gpus[0].spec
         kv_region = int(
-            spec.vram_bytes * (1 - config.activation_fraction)
+            spec.vram_bytes * (1 - ACTIVATION_FRACTION)
             - config.weight_buffer_bytes
         )
         if kv_region <= 0:
@@ -140,7 +141,7 @@ class AegaeonEngine:
             )
         self.weights = BumpAllocator(capacity=config.weight_buffer_bytes)
         self.gpu_kv_cache = SlabAllocator(
-            kv_region, config.slab_bytes, name=f"{name}.gpu_kv", obs=obs
+            kv_region, GPU_SLAB_BYTES, name=f"{name}.gpu_kv", obs=obs
         )
         self.kv = KvTransferManager(
             env,

@@ -9,9 +9,10 @@ forecast-style signals "Taming the Chaos" argues for instead of
 point-in-time queue depths:
 
 * A :class:`FleetController` runs as a periodic simulation process
-  (configurable ``tick``).  Each tick it snapshots per-shard telemetry
-  (admission pressure, in-flight concurrency, the streaming rollup's
-  SLO attainment over the window) into a :class:`FleetView`, updates
+  (every :data:`TICK_S` simulated seconds).  Each tick it snapshots
+  per-shard telemetry (admission pressure, in-flight concurrency, the
+  streaming rollup's SLO attainment over the window) into a
+  :class:`FleetView`, updates
   per-model EWMA/slope arrival-rate forecasts (:class:`ModelForecast`),
   and asks its :class:`~repro.policy.base.FleetControlPolicy` for
   decisions.
@@ -39,8 +40,7 @@ same-seed replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ..engine.request import Phase
 from ..policy.fleet_control import get_fleet_policy
@@ -54,6 +54,12 @@ __all__ = [
     "FleetController",
 ]
 
+#: Control-loop period in simulated seconds (a fixed grid: the tick
+#: process always re-arms with the same delay).
+TICK_S = 5.0
+#: EWMA smoothing factor for per-model arrival-rate forecasts.
+EWMA_ALPHA = 0.3
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -62,27 +68,13 @@ class ControllerConfig:
     #: Registered fleet-control policy name (``"static"``,
     #: ``"forecast"``) or a :class:`FleetControlPolicy` object.
     policy: object = "forecast"
-    #: Control-loop period in simulated seconds (a fixed grid: the tick
-    #: process always re-arms with the same delay).
-    tick: float = 5.0
-    #: EWMA smoothing factor for per-model arrival-rate forecasts.
-    ewma_alpha: float = 0.3
     #: Max cross-shard re-submissions per rejected request; 0 disables
     #: spillover entirely.
     max_spill_hops: int = 2
-    #: Simulated delay of one spill re-submission (cross-shard RPC); 0
-    #: re-submits later within the same timestamp's event batch.
-    spill_delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.tick <= 0:
-            raise ValueError("tick must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.max_spill_hops < 0:
             raise ValueError("max_spill_hops must be non-negative")
-        if self.spill_delay < 0:
-            raise ValueError("spill_delay must be non-negative")
 
     def resolve_policy(self) -> object:
         """The policy object this config names (or carries directly)."""
@@ -104,7 +96,7 @@ class ModelForecast:
         """Rate projected one tick ahead (clamped at zero)."""
         return max(0.0, self.rate + self.slope)
 
-    def update(self, observed: float, alpha: float, tick: float) -> None:
+    def update(self, observed: float, alpha: float) -> None:
         if self.observations == 0:
             self.rate = observed
             self.slope = 0.0
@@ -135,7 +127,6 @@ class FleetView:
     """What a :class:`FleetControlPolicy` sees when asked to decide."""
 
     now: float
-    tick: float
     shards: list[ShardTelemetry]
     forecasts: dict[str, ModelForecast]
     partitioner: object
@@ -290,7 +281,9 @@ class FleetController:
         return True
 
     def _respill(self, trace_request, spec, target: int):
-        yield self.runner.env.timeout(self.config.spill_delay)
+        # No cross-shard delay: the re-submission lands later within
+        # this timestamp's event batch.
+        yield self.runner.env.timeout(0.0)
         self.runner.shards[target].system.submit(trace_request, spec)
 
     # -- the control loop ----------------------------------------------------
@@ -300,12 +293,11 @@ class FleetController:
 
     def _loop(self):
         env = self.runner.env
-        tick = self.config.tick
         while True:
             # Fixed grid (DESIGN.md ordering rule 4): the delay never
             # varies, so the controller's wakeups stay aligned across
             # runs regardless of what the data path is doing.
-            yield env.timeout(tick)
+            yield env.timeout(TICK_S)
             self._tick()
 
     def _tick(self) -> None:
@@ -336,14 +328,12 @@ class FleetController:
             )
 
     def _update_forecasts(self) -> None:
-        alpha = self.config.ewma_alpha
-        tick = self.config.tick
         for model in sorted(set(self.forecasts) | set(self._arrivals)):
-            observed = self._arrivals.get(model, 0) / tick
+            observed = self._arrivals.get(model, 0) / TICK_S
             forecast = self.forecasts.get(model)
             if forecast is None:
                 forecast = self.forecasts[model] = ModelForecast()
-            forecast.update(observed, alpha, tick)
+            forecast.update(observed, EWMA_ALPHA)
         self._arrivals.clear()
 
     # -- telemetry -----------------------------------------------------------
@@ -377,7 +367,6 @@ class FleetController:
     def _tick_view(self) -> FleetView:
         return FleetView(
             now=self.runner.env.now,
-            tick=self.config.tick,
             shards=self._telemetry(windowed=True),
             forecasts=self.forecasts,
             partitioner=self.runner.partitioner,
@@ -387,7 +376,6 @@ class FleetController:
         """A fresh (non-window-consuming) view for spill decisions."""
         return FleetView(
             now=self.runner.env.now,
-            tick=self.config.tick,
             shards=self._telemetry(windowed=False),
             forecasts=self.forecasts,
             partitioner=self.runner.partitioner,
@@ -439,7 +427,7 @@ class FleetController:
         policy = self.policy
         return {
             "policy": getattr(policy, "name", type(policy).__name__),
-            "tick": self.config.tick,
+            "tick": TICK_S,
             "ticks": self.ticks,
             "migrations": len(self.migrations),
             "moves": list(self.migrations),

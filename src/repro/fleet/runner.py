@@ -50,9 +50,6 @@ class FleetConfig:
     shards: int = 4
     #: Recipe applied to every shard (cluster preset, policies, chaos).
     spec: SystemSpec = SystemSpec()
-    #: Consistent-hash ring resolution (vnodes per shard).
-    virtual_nodes: int = 64
-    salt: str = "aegaeon-fleet"
     #: False (default) drops requests at disposal — the bounded-memory
     #: mode; True keeps per-shard ledgers for post-hoc inspection.
     retain_requests: bool = False
@@ -60,7 +57,6 @@ class FleetConfig:
     #: Defaults to metrics-on: the fleet registry is a handful of gauges,
     #: and the rollup export is the control plane's main product.
     obs: ObsConfig = field(default_factory=ObsConfig.metrics_only)
-    drain_grace: float = 300.0
     #: None (default) runs the PR-6 static fleet; a
     #: :class:`~repro.fleet.controller.ControllerConfig` arms the live
     #: control loop (rebalance / spillover / scaling hints).
@@ -160,11 +156,7 @@ class FleetRunner:
     def __init__(self, config: FleetConfig, env: Optional[Environment] = None):
         self.config = config
         self.env = env if env is not None else Environment()
-        self.partitioner = CatalogPartitioner(
-            config.shards,
-            virtual_nodes=config.virtual_nodes,
-            salt=config.salt,
-        )
+        self.partitioner = CatalogPartitioner(config.shards)
         self.obs = Observability(config.obs, clock=lambda: self.env.now)
         self.submitted = 0
         #: The attached :class:`~repro.core.sessions.SessionCoordinator`,
@@ -209,16 +201,11 @@ class FleetRunner:
 
     def _hourly_usd(self) -> float:
         """The fleet's combined market rate, from each shard's cluster."""
-        total = 0.0
-        for shard in self.shards:
-            cluster = getattr(shard.system, "cluster", None)
-            if cluster is not None:
-                for gpu in cluster.gpus:
-                    total += MARKET_HOURLY_USD.get(gpu.spec.name, 0.0)
-            else:
-                # No cluster handle (some baselines): price as H800s.
-                total += shard.system.gpu_count * MARKET_HOURLY_USD["H800"]
-        return total
+        return sum(
+            MARKET_HOURLY_USD.get(gpu.spec.name, 0.0)
+            for shard in self.shards
+            for gpu in shard.system.cluster.gpus
+        )
 
     def _make_sink(self, shard: FleetShard):
         """The shard's terminal-disposition sink: fold into its stats,
@@ -301,12 +288,15 @@ class FleetRunner:
         if self.controller is not None:
             self.controller.bind_stream(stream)
             self.controller.start()
+        if until is None:
+            # The deadline serve() sets for the same spec.
+            until = stream.horizon + self.config.spec.resolve_config().drain_grace
         drained = replay(
             self.env,
             stream,
             self.submit_routed,
             self._settled,
-            until if until is not None else stream.horizon + self.config.drain_grace,
+            until,
             [shard.system.invariant_checker for shard in self.shards],
         )
         return self._collect(stream.horizon, drained)

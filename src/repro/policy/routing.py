@@ -59,37 +59,13 @@ def stage_cost_usd(
 class CostConstrainedRouter:
     """Route each agentic stage across its variants under a session budget.
 
-    Constructor arguments override the bundle's
+    Its knobs are the bundle's
     :class:`~repro.policy.tunables.Tunables` fields
     (``router_session_budget_usd``, ``router_difficulty_threshold``,
-    ``router_usd_per_mtok_b``) when given; the default reads them from
-    ``system.policies.tunables``, so a bundle built with
-    :meth:`~repro.policy.PolicyBundle.with_tunables` reaches them.
+    ``router_usd_per_mtok_b``), read from ``system.policies.tunables``,
+    so a bundle built with :meth:`~repro.policy.PolicyBundle.with_tunables`
+    reaches them.
     """
-
-    def __init__(
-        self,
-        budget_usd: Optional[float] = None,
-        difficulty_threshold: Optional[float] = None,
-        usd_per_mtok_b: Optional[float] = None,
-    ):
-        self.budget_usd = budget_usd
-        self.difficulty_threshold = difficulty_threshold
-        self.usd_per_mtok_b = usd_per_mtok_b
-
-    def _knobs(self, system: Any) -> tuple[float, float, float]:
-        tun = system.policies.tunables
-        return (
-            self.budget_usd
-            if self.budget_usd is not None
-            else tun.router_session_budget_usd,
-            self.difficulty_threshold
-            if self.difficulty_threshold is not None
-            else tun.router_difficulty_threshold,
-            self.usd_per_mtok_b
-            if self.usd_per_mtok_b is not None
-            else tun.router_usd_per_mtok_b,
-        )
 
     @staticmethod
     def spend_of(system: Any) -> dict[int, float]:
@@ -116,7 +92,10 @@ class CostConstrainedRouter:
         if len(specs) < 2:
             return None  # variants unknown to this run; don't guess
         specs.sort(key=lambda spec: (spec.params, spec.name))
-        budget, threshold, rate = self._knobs(system)
+        tunables = system.policies.tunables
+        budget = tunables.router_session_budget_usd
+        threshold = tunables.router_difficulty_threshold
+        rate = tunables.router_usd_per_mtok_b
         spend = self.spend_of(system)
         counts = self.counts_of(system)
         session = getattr(trace, "session", 0)

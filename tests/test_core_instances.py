@@ -6,6 +6,7 @@ from repro.core import DEFAULT_SLO, DecodeBatch
 from repro.core.instance import DecodeInstance, PrefillInstance
 from repro.core.prefill_sched import PrefillGroup
 from repro.engine import AegaeonEngine, EngineConfig, Phase, Request
+from repro.engine.batching import MAX_BATCH_SIZE
 from repro.hardware import H800, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import get_model
@@ -194,7 +195,7 @@ class TestDecodeInstance:
         instance = DecodeInstance(env, engine, DEFAULT_SLO, lambda r: None)
         for name in ["Qwen-7B", "Qwen-72B"]:
             capacity = instance.batch_capacity(get_model(name))
-            assert 1 <= capacity <= instance.max_batch_size
+            assert 1 <= capacity <= MAX_BATCH_SIZE
         # The big-KV model admits fewer requests per batch.
         assert instance.batch_capacity(get_model("Qwen-72B")) <= instance.batch_capacity(
             get_model("Qwen-7B")

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import DECODE_FIRST, PREFILL_FIRST, SloSpec, UnifiedServer
+from repro.core import DECODE_FIRST, PREFILL_FIRST, SloSpec, SystemConfig, UnifiedServer
 from repro.hardware import Cluster, H800
 from repro.models import get_model
 from repro.sim import Environment
@@ -32,7 +32,9 @@ def make_trace(pattern, inp=1024, out=128):
 
 def run_policy(policy, trace, gpus=1, slo=SloSpec(ttft=2.0, tbt=0.1)):
     env = Environment()
-    server = UnifiedServer(env, Cluster.homogeneous(env, H800, 1, gpus), policy, slo=slo)
+    server = UnifiedServer(
+        env, Cluster.homogeneous(env, H800, 1, gpus), SystemConfig(slo=slo), policy=policy
+    )
     return server.serve(trace)
 
 
@@ -40,7 +42,7 @@ class TestUnifiedPolicies:
     def test_invalid_policy_rejected(self):
         env = Environment()
         with pytest.raises(ValueError):
-            UnifiedServer(env, Cluster.homogeneous(env, H800, 1, 1), "both_first")
+            UnifiedServer(env, Cluster.homogeneous(env, H800, 1, 1), policy="both_first")
 
     def test_completes_all_requests(self):
         trace = make_trace([("A", 0.0), ("B", 0.5), ("A", 1.0)])
@@ -79,5 +81,5 @@ class TestUnifiedPolicies:
 
     def test_label_reflects_policy(self):
         env = Environment()
-        server = UnifiedServer(env, Cluster.homogeneous(env, H800, 1, 1), PREFILL_FIRST)
+        server = UnifiedServer(env, Cluster.homogeneous(env, H800, 1, 1), policy=PREFILL_FIRST)
         assert "prefill_first" in server.label

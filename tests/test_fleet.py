@@ -15,8 +15,8 @@ from repro.fleet import (
     ShardStats,
     build_fleet,
 )
-from repro.models import market_mix
-from repro.workload import market_stream
+from repro.models import get_model, market_mix
+from repro.workload import market_stream, materialize_trace, sharegpt
 
 
 def small_spec(**overrides):
@@ -236,6 +236,16 @@ class TestFleetRuns:
         assert result.cost_per_token == pytest.approx(
             expected / result.rollup.total.tokens_generated
         )
+
+    def test_baseline_fleet_bills_its_own_gpus(self):
+        # A ServerlessLLM shard on the a10 preset: 4 A10s at $0.75/hr,
+        # not the H800 rate.
+        spec = SystemSpec(system="serverless-llm", cluster="a10")
+        fleet = build_fleet(FleetConfig(shards=1, spec=spec))
+        trace = materialize_trace([get_model("Yi-6B")], [0.2], sharegpt(), 30.0, seed=4)
+        result = fleet.run(trace)
+        assert result.drained and result.end_time > 0
+        assert result.cost_usd == pytest.approx(4 * 0.75 * result.end_time / 3600.0)
 
     def test_fleet_metrics_exported_through_obs(self):
         fleet = build_fleet(FleetConfig(shards=2, spec=small_spec()))

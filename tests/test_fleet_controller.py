@@ -315,14 +315,14 @@ class TestForecasts:
     def test_ewma_converges_to_constant_rate(self):
         forecast = ModelForecast()
         for _ in range(50):
-            forecast.update(4.0, alpha=0.3, tick=5.0)
+            forecast.update(4.0, alpha=0.3)
         assert forecast.rate == pytest.approx(4.0, rel=1e-6)
         assert forecast.predicted == pytest.approx(4.0, rel=1e-4)
 
     def test_prediction_clamped_at_zero(self):
         forecast = ModelForecast()
-        forecast.update(10.0, alpha=1.0, tick=5.0)
-        forecast.update(0.0, alpha=1.0, tick=5.0)
+        forecast.update(10.0, alpha=1.0)
+        forecast.update(0.0, alpha=1.0)
         assert forecast.predicted == 0.0
 
     def test_controller_tracks_arrivals(self):
@@ -337,10 +337,4 @@ class TestForecasts:
 class TestControllerConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            ControllerConfig(tick=0.0)
-        with pytest.raises(ValueError):
-            ControllerConfig(ewma_alpha=0.0)
-        with pytest.raises(ValueError):
             ControllerConfig(max_spill_hops=-1)
-        with pytest.raises(ValueError):
-            ControllerConfig(spill_delay=-0.1)

@@ -11,7 +11,7 @@ steps — for every policy bundle.
 
 import pytest
 
-from repro.core import SystemSpec
+from repro.core import AegaeonConfig, SystemSpec
 from repro.fleet import FleetConfig, build_fleet
 from repro.models import market_mix
 from repro.policy import available_bundles, get_bundle
@@ -69,3 +69,26 @@ def test_serve_paths_are_identical(name):
     assert rows and steps > 0
     assert any(phase == "finished" for _, phase, _ in rows)
     assert via_fleet(spec) == served
+
+
+def test_one_shard_fleet_keeps_the_spec_drain_grace():
+    # The fleet's drain deadline is the one serve() sets from the spec's
+    # config: a 2 s grace cuts both runs at the same instant, undrained.
+    spec = SystemSpec(
+        config=AegaeonConfig(
+            prefill_instances=1, decode_instances=1, cluster="h800-pair",
+            drain_grace=2.0,
+        )
+    )
+
+    def load():
+        return materialize_trace(
+            market_mix(6), [0.5] * 6, sharegpt(), horizon=30.0, seed=3
+        )
+
+    served = spec.build().serve(load())
+    fleeted = build_fleet(FleetConfig(shards=1, spec=spec)).run(load())
+    assert not served.drained and served.unaccounted > 0
+    assert (fleeted.end_time, fleeted.drained, fleeted.unaccounted) == (
+        served.end_time, served.drained, served.unaccounted
+    )

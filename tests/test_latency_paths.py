@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from repro.baselines.serverless_llm import _ServerlessInstance
-from repro.core import AegaeonConfig, ServerlessLLMConfig, SystemSpec, build_system
+from repro.core import AegaeonConfig, SystemConfig, SystemSpec, build_system
 from repro.core.instance import PrefillInstance, _DecodeTask
 from repro.engine import AegaeonEngine, EngineConfig
 from repro.hardware import A10, H20, H800, Node
@@ -68,7 +68,7 @@ class TestServesAtThresholdSizes:
 
         tally(_ServerlessInstance, "estimated_backlog", count)
         env = Environment()
-        config = ServerlessLLMConfig(cluster="h800-pair")
+        config = SystemConfig(cluster="h800-pair")
         spec = SystemSpec(system="serverless-llm", config=config, invariants=True)
         system = build_system(spec, env)
         trace = materialize_trace(market_mix(6), [0.5] * 6, sharegpt(), 30.0, seed=5)

@@ -10,16 +10,16 @@ from repro.core import (
     DECODE_FIRST,
     PREFILL_FIRST,
     AegaeonConfig,
-    MuxServeConfig,
     RunSettings,
-    ServerlessLLMConfig,
     ServingSystem,
+    SloSpec,
+    SystemConfig,
     SystemSpec,
-    UnifiedConfig,
     available_systems,
     build_system,
     resolve_cluster,
 )
+from repro.hardware import H800
 from repro.models import market_mix
 from repro.obs import ObsConfig, chrome_trace
 from repro.sim import Environment
@@ -39,13 +39,7 @@ def small_config(name, obs=ObsConfig.metrics_only()):
         return AegaeonConfig(
             prefill_instances=1, decode_instances=1, cluster="h800-pair", obs=obs
         )
-    if name in ("serverless-llm", "serverless-llm+"):
-        return ServerlessLLMConfig(cluster="h800-pair", obs=obs)
-    if name == "muxserve":
-        return MuxServeConfig(cluster="h800-pair", obs=obs)
-    if name.startswith("unified-"):
-        return UnifiedConfig(cluster="h800-pair", obs=obs)
-    raise AssertionError(f"no small config for {name}")
+    return SystemConfig(cluster="h800-pair", obs=obs)
 
 
 class TestFactory:
@@ -75,7 +69,7 @@ class TestFactory:
         ],
     )
     def test_unified_name_picks_policy(self, name, policy):
-        """A UnifiedConfig carries no policy: the system name picks it."""
+        """A SystemConfig carries no policy: the system name picks it."""
         system = SystemSpec(system=name, config=small_config(name)).build()
         assert system.label == f"unified-{policy}"
         assert all(instance.policy == policy for instance in system.instances)
@@ -190,9 +184,18 @@ class TestDrain:
 
     @pytest.mark.parametrize("name", available_systems())
     def test_config_drain_grace_reaches_the_system(self, name):
-        config = replace(small_config(name), drain_grace=7.0)
+        # Every deployment knob of the config reaches the built system,
+        # the cluster's GPUs included (a fleet bills them by type).
+        slo = SloSpec(ttft=4.0, tbt=0.2)
+        obs = ObsConfig.full()
+        config = replace(
+            small_config(name), drain_grace=7.0, slo=slo, obs=obs, cluster="h800-quad"
+        )
         system = build_system(SystemSpec(system=name, config=config))
         assert system.drain_grace == 7.0
+        assert system.slo == slo
+        assert system.obs.config == obs
+        assert [gpu.spec for gpu in system.cluster.gpus] == [H800] * 4
 
     def test_fig12d_serverless_plus_drains_within_a_450s_grace(self):
         # Fig 12(d)'s ShareGPT-ox2 / 32-model ServerlessLLM+ point (trace
@@ -201,7 +204,7 @@ class TestDrain:
         trace = materialize_trace(
             market_mix(32), [0.5] * 32, sharegpt_ox2(), 150.0, seed=3057
         )
-        config = ServerlessLLMConfig(sjf=True, drain_grace=450.0)
+        config = SystemConfig(drain_grace=450.0)
         system = build_system(SystemSpec(system="serverless-llm+", config=config))
         result = system.serve(trace)
         assert result.drained and result.unaccounted == 0

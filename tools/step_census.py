@@ -27,27 +27,11 @@ run by hand::
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
-import os
 import sys
 from collections import Counter
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")
-SIMBENCH = os.path.join(ROOT, "simbench")
-WORKLOADS = ("fleet_market", "pool_sweep", "fleet_control")
-
-
-def _simbench_workloads():
-    name = "simbench_workloads"
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(SIMBENCH, "workloads.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+from simbench_replay import SRC, WORKLOADS, built  # sys.path[0] is tools/
 
 
 def _generator_name(gen) -> str:
@@ -93,10 +77,6 @@ def census(name: str, seed: int, scale: float) -> dict:
         sys.path.insert(0, SRC)
     import repro.sim.core as core
 
-    workloads = _simbench_workloads()
-    workload = workloads.WORKLOADS[name]
-    dispositions = workloads.Dispositions()
-    undo = workloads.install_fold_tap(dispositions) if workload.fleet else None
     envs: list = []
     init = core.Environment.__init__
 
@@ -120,13 +100,11 @@ def census(name: str, seed: int, scale: float) -> dict:
     core.Environment.__init__ = tracked_init
     core.heappop = counting_pop
     try:
-        replay = workload.build(seed, scale, dispositions)
-        replay.replay()
+        with built(name, seed, scale) as replay:
+            replay.replay()
     finally:
         core.heappop = pop
         core.Environment.__init__ = init
-        if undo is not None:
-            undo()
     steps = sum(env.steps_executed for env in envs)
     counted = sum(rows.values())
     if counted != steps:

@@ -26,7 +26,6 @@ only; run by hand::
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import signal
@@ -34,21 +33,7 @@ import sys
 import time
 from collections import Counter
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")
-SIMBENCH = os.path.join(ROOT, "simbench")
-WORKLOADS = ("fleet_market", "pool_sweep", "fleet_control")
-
-
-def _simbench_workloads():
-    name = "simbench_workloads"
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(SIMBENCH, "workloads.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+from simbench_replay import ROOT, SRC, WORKLOADS, built  # sys.path[0] is tools/
 
 
 def _label(code) -> str:
@@ -65,10 +50,6 @@ def _label(code) -> str:
 
 def census(name: str, seed: int, scale: float, interval: float, reps: int = 1) -> dict:
     """Replay one workload ``reps`` times under the sampler; pool the samples."""
-    if SRC not in sys.path:
-        sys.path.insert(0, SRC)
-    workloads = _simbench_workloads()
-    workload = workloads.WORKLOADS[name]
     self_counts: Counter = Counter()
     inclusive: Counter = Counter()
     # This module's frames sit under every sample; leave them out.
@@ -88,10 +69,7 @@ def census(name: str, seed: int, scale: float, interval: float, reps: int = 1) -
 
     wall = cpu = 0.0
     for _ in range(reps):
-        dispositions = workloads.Dispositions()
-        undo = workloads.install_fold_tap(dispositions) if workload.fleet else None
-        try:
-            replay = workload.build(seed, scale, dispositions)
+        with built(name, seed, scale) as replay:
             previous = signal.signal(signal.SIGPROF, sample)
             start, cpu_start = time.perf_counter(), time.process_time()
             signal.setitimer(signal.ITIMER_PROF, interval, interval)
@@ -102,9 +80,6 @@ def census(name: str, seed: int, scale: float, interval: float, reps: int = 1) -
                 wall += time.perf_counter() - start
                 cpu += time.process_time() - cpu_start
                 signal.signal(signal.SIGPROF, previous)
-        finally:
-            if undo is not None:
-                undo()
     samples = sum(self_counts.values())
 
     def shares(counts: Counter) -> dict:
