@@ -24,8 +24,10 @@ groups or batches and is absent from every scheduler's dispatch list.
 **I4 — SLO-accounting consistency.**  The registry saw exactly the
 proxy's admissions, the proxy's in-flight map mirrors the registry's
 in-flight arithmetic, the system's disposal count equals the registry's
-finished + failed + rejected tally, and a request disposed as FINISHED
-has a complete token stream and a finish timestamp.
+finished + failed + rejected tally, a request disposed as FINISHED
+has a complete token stream and a finish timestamp, and every disposed
+request's committed met-token count (``Request.met_tokens``) equals the
+I2 walk's recount of its token stream against the system's SLO.
 
 Per-tick checks walk only the proxy's in-flight requests; each request
 gets a last I2 pass and its I4 finish check in :meth:`vet_terminal` as
@@ -78,8 +80,11 @@ class InvariantChecker:
         self.checks_run = 0
         # Per-request token-stream cursor: timestamps before the cursor
         # were already verified, so each check is O(new tokens) rather
-        # than O(all tokens) — cheap enough for every test.
-        self._token_cursor: dict[int, int] = {}
+        # than O(all tokens) — cheap enough for every test.  Next to
+        # each cursor: the met-token recount up to it, and the first
+        # token's time, which tells a restarted stream from a grown one.
+        self._token_cursor: dict[int, tuple[int, int, float]] = {}
+        self._slo = system.slo
         self._process = self.env.process(self._run())
 
     # -- driver -------------------------------------------------------------
@@ -229,8 +234,9 @@ class InvariantChecker:
         for request in self._requests():
             self._check_request_tokens(request, now)
 
-    def _check_request_tokens(self, request, now: float) -> None:
-        """Verify ``request``'s token stream from its cursor onwards."""
+    def _check_request_tokens(self, request, now: float) -> int:
+        """Verify ``request``'s token stream from its cursor onwards;
+        returns how many of its tokens met their deadlines."""
         cursors = self._token_cursor
         times = request.token_times
         count = len(times)
@@ -241,38 +247,46 @@ class InvariantChecker:
                 f"tokens of {request.output_tokens}",
             )
         if not count:
-            if request.request_id in cursors:
-                # Chaos reset the stream; restart the cursor.
-                cursors[request.request_id] = 0
-            return
-        start = cursors.get(request.request_id, 0)
-        if start > count:  # stream shrank: re-verify from scratch
-            start = 0
+            # Chaos reset the stream (or it never started).
+            cursors.pop(request.request_id, None)
+            return 0
+        start, met, first = cursors.get(request.request_id, (0, 0, times[0]))
+        if start > count or first != times[0]:
+            start = met = 0  # the stream restarted: re-verify from scratch
         if start == 0:
             if times[0] < request.arrival:
                 self._flag(
                     "token-monotonicity",
                     f"request {request.request_id} token before arrival",
                 )
-            start = 1
-        prev = times[start - 1]
+            prev = times[0]
+        else:
+            prev = times[start - 1]
+        # Token k is due at arrival + TTFT + k * TBT, the system's SLO
+        # (the same float expression as ``core.slo.tokens_met``).
+        base = request.arrival + self._slo.ttft
+        tbt = self._slo.tbt
+        decreasing = False
         for index in range(start, count):
             t = times[index]
-            if t < prev:
+            if t < prev and not decreasing:
+                decreasing = True
                 self._flag(
                     "token-monotonicity",
                     f"request {request.request_id} timestamps decrease "
                     f"at index {index}",
                 )
-                break
             prev = t
+            if t <= base + tbt * index:
+                met += 1
         if times[-1] > now + 1e-9:
             self._flag(
                 "token-monotonicity",
                 f"request {request.request_id} token in the future "
                 f"({times[-1]:.3f} > {now:.3f})",
             )
-        cursors[request.request_id] = count
+        cursors[request.request_id] = (count, met, times[0])
+        return met
 
     # -- I3: no work on dead instances --------------------------------------
     def _check_dead_instances(self) -> None:
@@ -358,9 +372,11 @@ class InvariantChecker:
         Each request is checked once, right before the system drops it
         from the in-flight map: its token stream gets a last I2 pass
         from the cursor onwards, a FINISHED request must be complete,
-        and the cursor is released so checker memory tracks concurrency.
+        the request's committed met-token count must equal the walk's
+        recount, and the cursor is released so checker memory tracks
+        concurrency.
         """
-        self._check_request_tokens(request, self.env.now)
+        met = self._check_request_tokens(request, self.env.now)
         if request.phase is Phase.FINISHED and (
             not request.finished or request.finish_time is None
         ):
@@ -368,6 +384,12 @@ class InvariantChecker:
                 "slo-accounting",
                 f"request {request.request_id} disposed as finished with an "
                 "incomplete token stream",
+            )
+        if request.met_tokens != met:
+            self._flag(
+                "slo-accounting",
+                f"request {request.request_id} counts {request.met_tokens} "
+                f"met tokens, its token stream has {met}",
             )
         self._token_cursor.pop(request.request_id, None)
 

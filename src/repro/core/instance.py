@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from ..engine.batching import MAX_BATCH_SIZE
 from ..engine.engine import AegaeonEngine
-from ..engine.request import Phase, Request
+from ..engine.request import Phase, Request, commit_chunk
 from ..memory.slab import KvTooLargeError, SlabAllocator
 from ..models.catalog import ModelSpec
 from ..models.kv import kv_shape
@@ -742,20 +742,13 @@ class _DecodeTask(ContTask):
         inst = self._inst
         engine = inst.engine
         steps = self._chunk_steps
-        step = self._chunk_step
-        chunk_start = self._chunk_start
-        # One timestamp list shared across the batch: ``+=`` copies it
-        # into each request, so the shared list is never aliased.
-        times = [chunk_start + (i + 1) * step for i in range(steps)]
-        chunk_time = steps * step
+        ready = self._ready
+        commit_chunk(ready, self._chunk_start, self._chunk_step, steps)
         gpu_cache = engine.gpu_kv_cache
-        # Commit the chunk inline (Request.record_tokens, plus
-        # RequestKv.grow only when a block boundary is crossed): steps
-        # never exceed any ready request's remaining tokens.
-        for request in self._ready:
-            request.token_times += times
-            request.generated_tokens += steps
-            request.decode_exec_time += chunk_time
+        # Grow each request's KV (RequestKv.grow only when a block
+        # boundary is crossed): steps never exceed any ready request's
+        # remaining tokens.
+        for request in ready:
             kv = request.kv
             tokens = kv.tokens + steps
             if tokens <= kv.capacity_tokens:

@@ -278,7 +278,7 @@ class ServingSystemBase:
     def submit(self, trace_request, spec) -> Request:
         """Admit one request: the pump's entry point."""
         self.spec_index.setdefault(spec.name, spec)
-        request = Request(trace=trace_request, spec=spec)
+        request = Request(trace=trace_request, spec=spec, slo=self.slo)
         self.proxy.admit(request)
         return request
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..engine.engine import AegaeonEngine, EngineConfig
-from ..engine.request import Phase, Request
+from ..engine.request import Phase, Request, commit_chunk
 from ..hardware.cluster import Cluster
 from ..memory.model_cache import HostModelCache
 from ..memory.slab import SlabAllocator
@@ -132,16 +132,11 @@ class UnifiedInstance(BatcherInstanceBase):
         steps = max(1, min(_CHUNK_STEPS, min(r.remaining_tokens for r in batch)))
         chunk_start = self.env.now
         yield from self.engine.decode_for(spec, steps * step)
-        # Commit the chunk inline, as _DecodeTask._chunk_done does: the
-        # batch shares one timestamp list (``+=`` copies it), and
+        commit_chunk(batch, chunk_start, step, steps)
+        # Grow each request's KV, as _DecodeTask._chunk_done does:
         # RequestKv.grow runs only when a block boundary is crossed.
-        times = [chunk_start + (i + 1) * step for i in range(steps)]
-        chunk_time = steps * step
         gpu_cache = self.engine.gpu_kv_cache
         for request in batch:
-            request.token_times += times
-            request.generated_tokens += steps
-            request.decode_exec_time += chunk_time
             kv = request.kv
             tokens = kv.tokens + steps
             if tokens <= kv.capacity_tokens:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core.slo import DEFAULT_SLO, SloSpec, tokens_met
 from ..engine.request import Phase, Request
 
 __all__ = ["LatencyHistogram", "ShardStats", "FleetRollup"]
@@ -113,7 +112,6 @@ class ShardStats:
     """Streaming per-shard accounting, folded one request at a time."""
 
     shard: int = 0
-    slo: SloSpec = DEFAULT_SLO
     requests: int = 0
     finished: int = 0
     failed: int = 0
@@ -145,11 +143,8 @@ class ShardStats:
             self.failed += 1
         elif request.finished:
             self.finished += 1
-        met, generated = tokens_met(
-            request.arrival, request.token_times, self.slo
-        )
-        self.tokens_met += met
-        self.tokens_generated += generated
+        self.tokens_met += request.met_tokens
+        self.tokens_generated += request.generated_tokens
         self.tokens_expected += request.output_tokens
         self.input_tokens += request.input_tokens
         times = request.token_times
@@ -219,7 +214,7 @@ class FleetRollup:
 
     def __init__(self, shards: list[ShardStats]):
         self.shards = list(shards)
-        self.total = ShardStats(shard=-1, slo=shards[0].slo if shards else DEFAULT_SLO)
+        self.total = ShardStats(shard=-1)
         for stats in self.shards:
             self.total.merge(stats)
 

@@ -165,7 +165,7 @@ class FleetRunner:
         self.shards: list[FleetShard] = []
         for index in range(config.shards):
             system = config.spec.build(self.env)
-            stats = ShardStats(shard=index, slo=system.slo)
+            stats = ShardStats(shard=index)
             shard = FleetShard(
                 index=index, name=f"shard-{index}", system=system, stats=stats
             )

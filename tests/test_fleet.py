@@ -143,7 +143,7 @@ class TestRollupConsistency:
     def test_fleet_rollup_matches_direct_merge(self):
         fleet = build_fleet(FleetConfig(shards=2, spec=small_spec()))
         result = fleet.run(market_stream(12, 60.0, seed=3, total_rate=2.0))
-        direct = ShardStats(slo=result.shard_stats[0].slo)
+        direct = ShardStats()
         for stats in result.shard_stats:
             direct.merge(stats)
         rollup = FleetRollup(result.shard_stats)
@@ -161,6 +161,8 @@ class TestRollupConsistency:
             token_times = []
             output_tokens = 100
             input_tokens = 10
+            met_tokens = 0
+            generated_tokens = 0
 
         from repro.engine.request import Phase
 
