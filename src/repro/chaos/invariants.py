@@ -78,12 +78,13 @@ class InvariantChecker:
         self.env = system.env
         self.violations: list[Violation] = []
         self.checks_run = 0
-        # Per-request token-stream cursor: timestamps before the cursor
-        # were already verified, so each check is O(new tokens) rather
-        # than O(all tokens) — cheap enough for every test.  Next to
-        # each cursor: the met-token recount up to it, and the first
-        # token's time, which tells a restarted stream from a grown one.
-        self._token_cursor: dict[int, tuple[int, int, float]] = {}
+        # Per-request token-run cursor: runs before the cursor were
+        # already verified, so each check walks only the runs appended
+        # since — cheap enough for every test.  Next to each cursor: the
+        # token index it stands at, the met-token recount up to it, and
+        # the first run object, which tells a restarted stream from a
+        # grown one.
+        self._token_cursor: dict[int, tuple[int, int, int, tuple]] = {}
         self._slo = system.slo
         self._process = self.env.process(self._run())
 
@@ -235,57 +236,71 @@ class InvariantChecker:
             self._check_request_tokens(request, now)
 
     def _check_request_tokens(self, request, now: float) -> int:
-        """Verify ``request``'s token stream from its cursor onwards;
+        """Verify ``request``'s token runs from its cursor onwards;
         returns how many of its tokens met their deadlines."""
         cursors = self._token_cursor
-        times = request.token_times
-        count = len(times)
+        runs = request.runs
+        count = request.generated_tokens
         if count > request.output_tokens:
             self._flag(
                 "token-monotonicity",
                 f"request {request.request_id} generated {count} "
                 f"tokens of {request.output_tokens}",
             )
-        if not count:
+        if not runs:
             # Chaos reset the stream (or it never started).
             cursors.pop(request.request_id, None)
             return 0
-        start, met, first = cursors.get(request.request_id, (0, 0, times[0]))
-        if start > count or first != times[0]:
-            start = met = 0  # the stream restarted: re-verify from scratch
-        if start == 0:
-            if times[0] < request.arrival:
+        first_run = runs[0]
+        cursor = cursors.get(request.request_id)
+        if cursor is None or cursor[3] is not first_run or cursor[0] > len(runs):
+            # New, or the stream restarted: verify from scratch.
+            position = index = met = 0
+            prev = request.first_token_time
+            if prev < request.arrival:
                 self._flag(
                     "token-monotonicity",
                     f"request {request.request_id} token before arrival",
                 )
-            prev = times[0]
         else:
-            prev = times[start - 1]
+            position, index, met, _ = cursor
+            start, step, n = runs[position - 1]
+            prev = start + n * step
         # Token k is due at arrival + TTFT + k * TBT, the system's SLO
-        # (the same float expression as ``core.slo.tokens_met``).
+        # (the same float expression as ``core.slo.tokens_met``).  A run
+        # with ``step >= 0`` whose first token is not before the previous
+        # run's last is non-decreasing throughout (float rounding is
+        # monotone); the met recount still walks every token.
         base = request.arrival + self._slo.ttft
         tbt = self._slo.tbt
         decreasing = False
-        for index in range(start, count):
-            t = times[index]
-            if t < prev and not decreasing:
+        for position in range(position, len(runs)):
+            start, step, n = runs[position]
+            if not decreasing and (step < 0 or start + step < prev):
                 decreasing = True
                 self._flag(
                     "token-monotonicity",
                     f"request {request.request_id} timestamps decrease "
-                    f"at index {index}",
+                    f"in the run from index {index}",
                 )
-            prev = t
-            if t <= base + tbt * index:
-                met += 1
-        if times[-1] > now + 1e-9:
+            for i in range(1, n + 1):
+                if start + i * step <= base + tbt * index:
+                    met += 1
+                index += 1
+            prev = start + n * step
+        if index != count:
+            self._flag(
+                "token-monotonicity",
+                f"request {request.request_id} runs hold {index} tokens, "
+                f"generated_tokens says {count}",
+            )
+        if prev > now + 1e-9:
             self._flag(
                 "token-monotonicity",
                 f"request {request.request_id} token in the future "
-                f"({times[-1]:.3f} > {now:.3f})",
+                f"({prev:.3f} > {now:.3f})",
             )
-        cursors[request.request_id] = (count, met, times[0])
+        cursors[request.request_id] = (len(runs), index, met, first_run)
         return met
 
     # -- I3: no work on dead instances --------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional, Sequence
 
 from ..engine.batching import ContinuousBatcher
-from ..engine.request import Phase, Request
+from ..engine.request import Phase, Request, commit_chunk
 from ..sim import ContTask, Environment, Event
 
 __all__ = ["BatcherInstanceBase"]
@@ -90,14 +90,11 @@ class BatcherInstanceBase:
         vLLM-style: blocks released, moved to the head of the waiting
         queue for recomputation.
         """
-        times = [chunk_start + (i + 1) * step for i in range(steps)]
+        commit_chunk(running, chunk_start, step, steps)
         for request in running:
-            context_before = request.context_tokens
-            request.record_tokens(times)
-            request.decode_exec_time += steps * step
             try:
                 batcher.block_manager.append_tokens(
-                    request.request_id, context_before, steps
+                    request.request_id, request.context_tokens - steps, steps
                 )
             except MemoryError:
                 batcher.block_manager.release(request.request_id)

@@ -5,13 +5,21 @@ with everything the serving systems mutate: phase state, per-token
 completion timestamps, the count of those tokens that met their
 deadlines (per-token SLO attainment, §2.1 and Figure 3), and the
 request's KV-cache handle.
+
+Token times are kept as runs, not one float per token: a run
+``(start, step, n)`` holds ``n`` tokens, token ``i`` of it done at
+``start + (i + 1) * step``.  A decode chunk is one run object shared by
+every request of its batch; a first token at ``t`` is ``(t, 0.0, 1)``.
+:class:`TokenTimes` reads them back as a sequence of floats.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..models.catalog import ModelSpec
 from ..transfer.kv_transfer import RequestKv
@@ -20,7 +28,7 @@ from ..workload.stream import TraceRequest
 if TYPE_CHECKING:
     from ..core.slo import SloSpec
 
-__all__ = ["Phase", "Request", "commit_chunk"]
+__all__ = ["Phase", "Request", "TokenTimes", "commit_chunk"]
 
 
 class Phase(enum.Enum):
@@ -46,7 +54,6 @@ class Request:
     trace: TraceRequest
     spec: ModelSpec
     phase: Phase = Phase.QUEUED
-    token_times: list[float] = field(default_factory=list)
     kv: Optional[RequestKv] = None
     prefill_start: Optional[float] = None
     prefill_end: Optional[float] = None
@@ -57,7 +64,7 @@ class Request:
     decode_exec_time: float = 0.0
     # Flattened hot fields.  ``request_id``, ``input_tokens`` and
     # ``output_tokens`` are copied out of the trace and
-    # ``generated_tokens`` is maintained by ``record_tokens`` so the
+    # ``generated_tokens`` is maintained as tokens are committed so the
     # per-step scheduler loops read plain slots instead of chasing trace
     # delegation / ``len(token_times)`` through properties millions of
     # times per run.
@@ -65,6 +72,12 @@ class Request:
     input_tokens: int = field(init=False, repr=False)
     output_tokens: int = field(init=False, repr=False)
     generated_tokens: int = field(init=False, repr=False, default=0)
+    # Token completion times as ``(start, step, n)`` runs (see the
+    # module docstring); ``token_times`` views them.  A decode chunk's
+    # run is shared with its batch-mates and never mutated.
+    runs: list[tuple[float, float, int]] = field(
+        init=False, repr=False, default_factory=list
+    )
     # Per-token SLO accounting, kept as tokens are committed: token k
     # meets its deadline iff ``token_times[k] <= slo_base + slo_tbt * k``
     # (exactly ``core.slo.tokens_met``'s float expression).
@@ -88,10 +101,6 @@ class Request:
             slo = DEFAULT_SLO
         self.slo_base = self.met_until = trace.arrival + slo.ttft
         self.slo_tbt = slo.tbt
-        self.generated_tokens = len(self.token_times)
-        self.met_tokens = count_met(
-            self.token_times, self.slo_base, self.slo_tbt, 0
-        )
 
     # -- identity ----------------------------------------------------------
     @property
@@ -117,12 +126,30 @@ class Request:
         return self.input_tokens + self.generated_tokens
 
     @property
+    def token_times(self) -> "TokenTimes":
+        """Each generated token's completion time, read from the runs."""
+        return TokenTimes(self)
+
+    @property
     def first_token_time(self) -> Optional[float]:
-        return self.token_times[0] if self.token_times else None
+        runs = self.runs
+        if not runs:
+            return None
+        start, step, _ = runs[0]
+        return start + step
+
+    @property
+    def last_token_time(self) -> Optional[float]:
+        runs = self.runs
+        if not runs:
+            return None
+        start, step, n = runs[-1]
+        return start + n * step
 
     # -- mutation ----------------------------------------------------------
-    def record_tokens(self, times: list[float]) -> None:
-        """Append completion timestamps for newly generated tokens."""
+    def record_tokens(self, times: Sequence[float]) -> None:
+        """Append completion timestamps for newly generated tokens, a run
+        of one each."""
         first = self.generated_tokens
         generated = first + len(times)
         if generated > self.output_tokens:
@@ -130,12 +157,12 @@ class Request:
                 f"request {self.request_id}: generated past output length"
             )
         self.met_tokens += count_met(times, self.slo_base, self.slo_tbt, first)
-        self.token_times.extend(times)
+        self.runs.extend([(t, 0.0, 1) for t in times])
         self.generated_tokens = generated
 
     def reset_progress(self) -> None:
         """Restart from prefill: discard generated tokens and their times."""
-        self.token_times.clear()
+        self.runs.clear()
         self.generated_tokens = 0
         self.met_tokens = 0
         self.met_until = self.slo_base
@@ -159,8 +186,9 @@ def commit_chunk(
 ) -> None:
     """Commit one decode chunk to every request of a batch: ``steps``
     tokens, ``step`` seconds apart, the first done at ``chunk_start +
-    step`` (the inline :meth:`Request.record_tokens` of the decode
-    loops; ``steps`` never exceeds a request's remaining tokens).
+    step``, appended to each request as the one shared run ``(chunk_start,
+    step, steps)`` (``steps`` never exceeds a request's remaining
+    tokens).
 
     Met tokens are bracketed by the chunk's ends.  A chunk's times are
     non-decreasing and so are a request's deadlines (float rounding is
@@ -172,12 +200,14 @@ def commit_chunk(
     is brought up to the first token's deadline only when the chunk
     ends after it.
     """
-    # One timestamp list shared across the batch: ``+=`` copies it into
-    # each request, so the shared list is never aliased.
-    times = [chunk_start + (i + 1) * step for i in range(steps)]
-    first_time = times[0]
-    last_time = times[-1]
+    # One run object shared across the batch: token i of the chunk is
+    # ``chunk_start + (i + 1) * step``.  The per-token list is built only
+    # for a straddling chunk, at most once.
+    run = (chunk_start, step, steps)
+    first_time = chunk_start + step
     chunk_time = steps * step
+    last_time = chunk_start + chunk_time
+    times = None
     for request in requests:
         generated = request.generated_tokens
         if last_time <= request.met_until:
@@ -189,8 +219,10 @@ def commit_chunk(
             if last_time <= due:
                 request.met_tokens += steps
             elif first_time <= base + tbt * (generated + steps - 1):
+                if times is None:
+                    times = [chunk_start + (i + 1) * step for i in range(steps)]
                 request.met_tokens += count_met(times, base, tbt, generated)
-        request.token_times += times
+        request.runs.append(run)
         request.generated_tokens = generated + steps
         request.decode_exec_time += chunk_time
 
@@ -205,3 +237,56 @@ def count_met(times: Sequence[float], base: float, tbt: float, first: int) -> in
             met += 1
         first += 1
     return met
+
+
+class TokenTimes(Sequence):
+    """A read-only view of a request's token completion times.
+
+    Nothing is copied: every value is computed from the request's runs
+    with the expression the decode loops commit, so it is bit-identical
+    to a per-token list.  ``len``, ``[0]`` and ``[-1]`` are O(1); any
+    other index walks the runs; a slice is a new list.  It compares
+    equal to a list (or another view) holding the same floats.
+    """
+
+    __slots__ = ("_request",)
+
+    def __init__(self, request: Request) -> None:
+        self._request = request
+
+    def __len__(self) -> int:
+        return self._request.generated_tokens
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        index = operator.index(index)
+        count = self._request.generated_tokens
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("token index out of range")
+        runs = self._request.runs
+        if index == count - 1:
+            start, step, n = runs[-1]
+            return start + n * step
+        for start, step, n in runs:
+            if index < n:
+                return start + (index + 1) * step
+            index -= n
+        raise AssertionError("runs hold fewer tokens than generated_tokens")
+
+    def __iter__(self) -> Iterator[float]:
+        for start, step, n in self._request.runs:
+            for i in range(1, n + 1):
+                yield start + i * step
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TokenTimes):
+            other = list(other)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TokenTimes({list(self)!r})"

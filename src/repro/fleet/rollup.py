@@ -147,11 +147,12 @@ class ShardStats:
         self.tokens_generated += request.generated_tokens
         self.tokens_expected += request.output_tokens
         self.input_tokens += request.input_tokens
-        times = request.token_times
-        if times:
-            self.ttft.observe(times[0] - request.arrival)
-            if len(times) >= 2:
-                self.tbt.observe((times[-1] - times[0]) / (len(times) - 1))
+        count = request.generated_tokens
+        if count:
+            first = request.first_token_time
+            self.ttft.observe(first - request.arrival)
+            if count >= 2:
+                self.tbt.observe((request.last_token_time - first) / (count - 1))
         else:
             self.no_first_token += 1
 

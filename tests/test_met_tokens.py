@@ -203,4 +203,5 @@ class TestChunkCommit:
             assert request.met_tokens == recount(request, slo)
             assert request.generated_tokens == request.output_tokens
             assert request.token_times[-steps:] == times
-        assert len({id(request.token_times) for request in batch}) == len(batch)
+        assert len({id(request.runs) for request in batch}) == len(batch)
+        assert all(request.runs[-1] is anchor.runs[-1] for request in batch)
