@@ -103,24 +103,23 @@ def build_and_run(args, *, policy, spec, skewed):
 def check_identities(fleet, result):
     """The identities every run must close: nothing lost, nothing retained."""
     total = result.rollup.total
-    # Every fold is exactly one disposition, shard by shard.
-    for stats in result.shard_stats:
+    # Every request is folded exactly once, shard by shard: at its
+    # disposition, or at the deadline if it is still in flight then.
+    for shard in fleet.shards:
+        stats = shard.stats
         assert (
             stats.finished + stats.failed + stats.rejected + stats.spilled
+            + shard.system.registry.in_flight
             == stats.requests
         )
     in_flight = sum(shard.system.registry.in_flight for shard in fleet.shards)
     assert result.unaccounted == in_flight
+    # Folds == pump submissions + spill re-submissions.
+    assert total.requests == result.submitted + total.spilled
     if result.drained:
-        # Fully drained: folds == pump submissions + spill re-submissions,
-        # and the streaming proxies hold nothing back.
+        # Fully drained: the streaming proxies hold nothing back.
         assert in_flight == 0
-        assert total.requests == result.submitted + total.spilled
         assert all(not shard.system.proxy.live for shard in fleet.shards)
-    else:
-        # Deadline-capped overload runs may strand in-flight work; it
-        # must be exactly the gap between submissions and folds.
-        assert total.requests + in_flight == result.submitted + total.spilled
     assert all(not shard.system.finished for shard in fleet.shards)
 
 

@@ -9,7 +9,6 @@ from .metrics import LatencyBreakdown, ServingResult, goodput_frontier
 from .planner import DEFAULT_CANDIDATES, PoolPlan, plan_pool
 from .reporting import (
     format_cdf,
-    format_run_summary,
     format_series,
     format_table,
     percentiles,
@@ -22,7 +21,6 @@ __all__ = [
     "ServingResult",
     "expected_active_models",
     "format_cdf",
-    "format_run_summary",
     "format_series",
     "format_table",
     "goodput_frontier",

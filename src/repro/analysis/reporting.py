@@ -6,18 +6,14 @@ report; these helpers keep that output consistent and readable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .metrics import ServingResult
 
 __all__ = [
     "format_table",
     "format_cdf",
     "format_series",
-    "format_run_summary",
     "percentiles",
 ]
 
@@ -79,38 +75,3 @@ def format_series(
     """Render an (x, y) series as the rows behind a line plot."""
     rows = [(x, y) for x, y in zip(xs, ys)]
     return format_table([x_label, y_label], rows)
-
-
-def format_run_summary(result: "ServingResult") -> str:
-    """Human-readable end-of-run summary of one serving run.
-
-    Combines the headline serving numbers with the observability
-    attachments when the run recorded them: the collected metric
-    snapshot and, under full tracing, the per-stage model-switch
-    breakdown rebuilt from the trace.
-    """
-    lines = [f"=== {result.label or 'run'} ==="]
-    lines.append(
-        format_table(
-            ["metric", "value"],
-            sorted(result.summary().items()),
-        )
-    )
-    if result.metrics:
-        rows = []
-        for key, value in sorted(result.metrics.items()):
-            if isinstance(value, dict):  # histogram summary
-                rendered = ", ".join(
-                    f"{stat}={stat_value:g}" for stat, stat_value in value.items()
-                )
-                rows.append((key, rendered))
-            else:
-                rows.append((key, value))
-        lines.append("")
-        lines.append(format_table(["collected metric", "value"], rows))
-    if result.obs is not None and result.obs.tracer.enabled:
-        from ..obs import format_switch_breakdown
-
-        lines.append("")
-        lines.append(format_switch_breakdown(result.obs.tracer))
-    return "\n".join(lines)

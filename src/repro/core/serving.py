@@ -33,6 +33,7 @@ from ..transfer.kv_transfer import TransferStats
 from ..workload.stream import RequestStream
 from .proxy import ProxyLayer, StatusRegistry, replay
 from .slo import DEFAULT_SLO, SloSpec
+from .stats import ShardStats
 
 __all__ = [
     "ServingSystem",
@@ -134,9 +135,18 @@ class ServingSystemBase:
         self.fault_injector = None
         self.invariant_checker = None
         self.gpu_count = 0
-        #: Optional callback fired on every terminal disposition — the
-        #: fleet rollup folds requests into mergeable stats through this.
+        #: The run's one accounting: :meth:`_dispose` folds every
+        #: terminal disposition into it once, :meth:`fold_in_flight`
+        #: what is still in flight when the run ends.  Both results read
+        #: it: ``serve``'s and, per shard, a fleet's.
+        self.stats = ShardStats()
+        #: Optional observer fired after the fold on every genuine
+        #: terminal disposition (a fleet's session settle, a recorder).
         self.request_sink: Optional[Callable[[Request], None]] = None
+        #: A fleet controller's spill check, run first at every
+        #: disposition: True when it re-routed a rejection to another
+        #: shard, which this system then folds as ``spilled``.
+        self.spill_filter: Optional[Callable[[Request], bool]] = None
         #: The fleet controller's latest load hint for this shard
         #: (forecast load / fleet mean; 1.0 == fair share).  See
         #: :meth:`apply_scaling_hint`.
@@ -255,14 +265,13 @@ class ServingSystemBase:
     ) -> None:
         """Choose whether terminal requests are kept.
 
-        Every disposal folds the request through ``request_sink`` and
-        drops it from the in-flight map.  ``retain_requests=False``
-        also keeps it off ``proxy.requests`` and the finished/failed/
-        rejected ledgers, so a long replay's memory scales with
-        in-flight concurrency rather than trace length.  That is the
-        fleet shard's mode, where ``request_sink`` is the
-        :class:`~repro.fleet.rollup.ShardStats` fold; :meth:`serve`
-        refuses it, since its result is built from the retained
+        Every disposal folds the request into :attr:`stats`, passes it
+        to ``request_sink`` and drops it from the in-flight map.
+        ``retain_requests=False`` also keeps it off ``proxy.requests``
+        and the finished/failed/rejected ledgers, so a long replay's
+        memory scales with in-flight concurrency rather than trace
+        length.  That is the fleet shard's mode; :meth:`serve` refuses
+        it, since its figure arrays are built from the retained
         requests.  Must be called before any request is submitted.
         """
         if self.proxy.submitted:
@@ -285,8 +294,12 @@ class ServingSystemBase:
     def _dispose(self, request: Request, ledger: list[Request]) -> None:
         """Final accounting shared by every terminal disposition."""
         self._disposed += 1
-        if self.request_sink is not None:
-            self.request_sink(request)
+        if self.spill_filter is not None and self.spill_filter(request):
+            self.stats.fold_spilled(request)
+        else:
+            self.stats.fold(request)
+            if self.request_sink is not None:
+                self.request_sink(request)
         if self.proxy.retain:
             ledger.append(request)
         if self.invariant_checker is not None:
@@ -339,25 +352,37 @@ class ServingSystemBase:
         """Requests with a final disposition: finished, failed, rejected."""
         return self._disposed
 
+    def fold_in_flight(self) -> None:
+        """Fold every request still in flight into :attr:`stats`.
+
+        Called once when a run ends, by :meth:`serve` and by the fleet
+        runner alike: a request the drain deadline cut off counts its
+        tokens never generated as missed (§2.1).  A drained run has
+        nothing in flight.
+        """
+        fold = self.stats.fold
+        for request in self.proxy.live.values():
+            fold(request)
+
     def serve(self, workload: RequestStream, until: Optional[float] = None) -> "ServingResult":
         """Replay ``workload`` to completion or the drain deadline.
 
         The workload is pulled one request at a time, so a generated
         stream keeps its bounded lookahead.  ``prepare`` receives the
         workload itself as the run's catalog (``models``, ``horizon``,
-        per-model ``rates``).  The result is built from the retained
-        requests, so a system configured with
-        ``configure_streaming(retain_requests=False)`` raises
-        :class:`RuntimeError`: replay a streaming run as a one-shard
-        fleet instead, whose ``ShardStats`` fold is its result.
+        per-model ``rates``).  The result reads :attr:`stats`, with
+        the requests still in flight at the deadline folded in; its
+        figure arrays need the retained requests, so a system
+        configured with ``configure_streaming(retain_requests=False)``
+        raises :class:`RuntimeError`: replay a streaming run as a
+        one-shard fleet instead.
         """
         if not self.proxy.retain:
             raise RuntimeError(
-                "serve() builds its result from retained requests, and this "
+                "serve() builds its figure arrays from retained requests, and this "
                 "system drops them (configure_streaming(retain_requests=False)); "
                 "for a streaming replay run a one-shard fleet, "
-                "build_fleet(FleetConfig(shards=1, spec=...)), whose ShardStats "
-                "fold is the streaming result"
+                "build_fleet(FleetConfig(shards=1, spec=...))"
             )
         self.register_models(workload.models)
         self.prepare(workload)
@@ -370,6 +395,7 @@ class ServingSystemBase:
             until if until is not None else workload.horizon + self.drain_grace,
             (self.invariant_checker,),
         )
+        self.fold_in_flight()
         result = self.collect(workload)
         result.drained = drained
         result.unaccounted = proxy.submitted - self.accounted
@@ -382,6 +408,7 @@ class ServingSystemBase:
 
         return ServingResult(
             requests=list(self.proxy.requests),
+            stats=self.stats,
             slo=self.slo,
             horizon=workload.horizon,
             end_time=self.env.now,

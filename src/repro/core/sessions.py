@@ -5,8 +5,9 @@ stages on the wire; every dependent stage must be submitted when its
 dependencies finish, after the stage's think time.  The
 :class:`SessionCoordinator` is that trigger loop, and it is deliberately
 an ordinary simulation actor: stage submissions are ``env.process``
-events on the shared clock, scheduled from the same terminal-disposition
-hook (``request_sink``) the rollup already folds through.  Nothing here
+events on the shared clock, scheduled from each shard's
+terminal-disposition observer (``request_sink``), which runs right after
+the shard folds the request into its stats.  Nothing here
 consults wall time or private RNG state, so an agentic replay is exactly
 as byte-reproducible as the stream that seeds it.
 
@@ -91,8 +92,9 @@ class SessionCoordinator:
     to ``FleetRunner.submit_routed``, the pump's own channel.
 
     Wiring: ``fleet.attach_sessions(coordinator)`` binds the channel,
-    and every shard's sink calls :meth:`on_settled` *after* folding the
-    request into the shard's stats; then the stream is wrapped with
+    and makes :meth:`on_settled` every shard's ``request_sink``, which
+    the shard calls *after* folding the request into its stats; then
+    the stream is wrapped with
     :meth:`wrap_stream` so root submissions are counted as they leave
     the pump.
     """
@@ -169,8 +171,8 @@ class SessionCoordinator:
     def on_settled(self, request) -> None:
         """Terminal-disposition hook: advance the session's DAG.
 
-        Composed after the rollup sink, so stats folding sees the
-        request first.  Called with the live :class:`Request`; market
+        Runs after the shard's stats fold, so the fold sees the request
+        first.  Called with the live :class:`Request`; market
         requests (no ``plan`` on their trace) pass through untouched.
         """
         trace = request.trace

@@ -12,6 +12,8 @@ scaling hints.  See ``DESIGN.md`` ("Fleet architecture" and "The fleet
 controller").
 """
 
+from ..core.stats import ShardStats
+from ..obs.metrics import LatencyHistogram
 from .controller import (
     ControllerConfig,
     FleetController,
@@ -21,7 +23,7 @@ from .controller import (
     SpillLedger,
 )
 from .partition import CatalogPartitioner
-from .rollup import FleetRollup, LatencyHistogram, ShardStats
+from .rollup import FleetRollup
 from .runner import FleetConfig, FleetResult, FleetRunner, FleetShard, build_fleet
 
 __all__ = [

@@ -220,24 +220,24 @@ class FleetController:
         """Pump hook: count one arrival toward this tick's forecasts."""
         self._arrivals[model] = self._arrivals.get(model, 0) + 1
 
-    def make_sink(self, shard, settled):
-        """The spill filter in front of ``shard``'s sink ``settled``.
+    def spill_filter(self, shard):
+        """``shard``'s spill check, run first at each of its dispositions.
 
-        A rejection the controller can spill is folded as ``spilled``
-        and re-submitted elsewhere; every other terminal request is a
-        genuine disposition and goes on to ``settled``.
+        A rejection the controller can spill is re-submitted elsewhere
+        and the filter returns True, so the shard folds it as
+        ``spilled``; every other terminal request is a genuine
+        disposition: its spill-ledger entry is settled and the filter
+        returns False.
         """
-        fold_spilled = shard.stats.fold_spilled
         settle = self.ledger.settle
 
-        def sink(request) -> None:
+        def spilled(request) -> bool:
             if request.phase is Phase.REJECTED and self._try_spill(shard, request):
-                fold_spilled(request)
-            else:
-                settle(request.request_id)
-                settled(request)
+                return True
+            settle(request.request_id)
+            return False
 
-        return sink
+        return spilled
 
     # -- spillover -----------------------------------------------------------
     def _try_spill(self, shard, request) -> bool:

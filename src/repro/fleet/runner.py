@@ -9,8 +9,8 @@ process pulls the global :class:`~repro.workload.stream.RequestStream`
 lazily and submits each request to the shard owning its model.
 
 Shards run in streaming mode (``retain_requests=False``): every terminal
-request is folded into that shard's
-:class:`~repro.fleet.rollup.ShardStats` and dropped, so a 10^5-request
+request is folded into that shard's system's
+:class:`~repro.core.stats.ShardStats` and dropped, so a 10^5-request
 replay peaks at in-flight concurrency, not trace length.  The per-shard
 stats merge into a :class:`~repro.fleet.rollup.FleetRollup` — fleet
 p50/p99 TTFT/TBT, per-token SLO attainment, and $/token from the
@@ -20,19 +20,18 @@ each shard's own metric snapshot.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core.proxy import replay
 from ..core.serving import SystemSpec
+from ..core.stats import ShardStats, stats_digest
 from ..obs import ObsConfig, Observability
 from ..policy.placement import MARKET_HOURLY_USD
 from ..sim import Environment
 from .controller import ControllerConfig, FleetController
 from .partition import CatalogPartitioner
-from .rollup import FleetRollup, ShardStats
+from .rollup import FleetRollup
 
 __all__ = [
     "FleetConfig",
@@ -69,14 +68,18 @@ class FleetConfig:
 
 @dataclass
 class FleetShard:
-    """One shard: a full serving system plus its streaming stats."""
+    """One shard: a full serving system, whose stats are the shard's."""
 
     index: int
     name: str
     system: object
-    stats: ShardStats
     #: Model specs assigned to this shard for the current run.
     models: tuple = ()
+
+    @property
+    def stats(self) -> ShardStats:
+        """The shard's accounting: its system's fold."""
+        return self.system.stats
 
 
 @dataclass
@@ -117,11 +120,7 @@ class FleetResult:
     def digest(self) -> str:
         """Order-stable hash of the run's outcome: every shard's stats
         row, then the session rollup when the run had sessions."""
-        rows: list = [stats.as_dict() for stats in self.shard_stats]
-        if self.sessions is not None:
-            rows.append(self.sessions)
-        payload = json.dumps(rows, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return stats_digest(self.shard_stats, self.sessions)
 
     def summary(self) -> dict[str, object]:
         """Fleet rollup plus the run's cost accounting."""
@@ -165,10 +164,8 @@ class FleetRunner:
         self.shards: list[FleetShard] = []
         for index in range(config.shards):
             system = config.spec.build(self.env)
-            stats = ShardStats(shard=index)
-            shard = FleetShard(
-                index=index, name=f"shard-{index}", system=system, stats=stats
-            )
+            system.stats.shard = index
+            shard = FleetShard(index=index, name=f"shard-{index}", system=system)
             self.shards.append(shard)
             if self.obs.enabled:
                 registry = system.registry
@@ -179,10 +176,9 @@ class FleetRunner:
         if config.controller is not None:
             self.controller = FleetController(self, config.controller)
         for shard in self.shards:
-            shard.system.configure_streaming(
-                retain_requests=config.retain_requests,
-                request_sink=self._make_sink(shard),
-            )
+            shard.system.configure_streaming(retain_requests=config.retain_requests)
+            if self.controller is not None:
+                shard.system.spill_filter = self.controller.spill_filter(shard)
         if self.obs.enabled:
             metrics = self.obs.metrics
             metrics.gauge("shards", scope="fleet").set(config.shards)
@@ -206,21 +202,6 @@ class FleetRunner:
             for shard in self.shards
             for gpu in shard.system.cluster.gpus
         )
-
-    def _make_sink(self, shard: FleetShard):
-        """The shard's terminal-disposition sink: fold into its stats,
-        then advance any attached session's DAG.  With a controller, its
-        spill filter runs first and re-routes rejections it can spill."""
-        fold = shard.stats.fold
-
-        def settled(request) -> None:
-            fold(request)
-            if self.sessions is not None:
-                self.sessions.on_settled(request)
-
-        if self.controller is not None:
-            return self.controller.make_sink(shard, settled)
-        return settled
 
     def _unaccounted(self) -> int:
         """Requests submitted or spilled but not yet disposed.
@@ -258,15 +239,18 @@ class FleetRunner:
         """Wire a :class:`~repro.core.sessions.SessionCoordinator` in.
 
         Triggered stages route through :meth:`submit_routed`; every
-        shard's sink settles each genuine terminal disposition with the
-        coordinator (spills re-submit elsewhere and settle there), and
-        the run does not drain while a stage submission is pending, so
-        think-time gaps keep it alive.  Must precede :meth:`run`.
+        shard's ``request_sink`` settles each genuine terminal
+        disposition with the coordinator (spills re-submit elsewhere and
+        settle there), and the run does not drain while a stage
+        submission is pending, so think-time gaps keep it alive.  Must
+        precede :meth:`run`.
         """
         if self.submitted:
             raise RuntimeError("attach_sessions must precede run()")
         self.sessions = coordinator
         coordinator.bind(self.submit_routed)
+        for shard in self.shards:
+            shard.system.request_sink = coordinator.on_settled
 
     def run(self, stream, until: Optional[float] = None) -> FleetResult:
         """Replay ``stream`` across the fleet to completion or deadline."""
@@ -302,6 +286,8 @@ class FleetRunner:
         return self._collect(stream.horizon, drained)
 
     def _collect(self, horizon: float, drained: bool) -> FleetResult:
+        for shard in self.shards:
+            shard.system.fold_in_flight()
         shard_stats = [shard.stats for shard in self.shards]
         rollup = FleetRollup(shard_stats)
         gpu_hours = self.gpu_count * self.env.now / 3600.0

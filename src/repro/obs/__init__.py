@@ -15,7 +15,6 @@ from .exporters import (
     chrome_trace,
     format_switch_breakdown,
     metrics_to_csv,
-    metrics_to_json,
     switch_breakdown,
     write_chrome_trace,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "chrome_trace",
     "format_switch_breakdown",
     "metrics_to_csv",
-    "metrics_to_json",
     "switch_breakdown",
     "write_chrome_trace",
 ]

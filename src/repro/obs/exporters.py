@@ -1,4 +1,4 @@
-"""Exporters: Chrome timeline, CSV/JSON metric dumps, switch breakdowns.
+"""Exporters: Chrome timeline, CSV metric dumps, switch breakdowns.
 
 The Chrome exporter emits the ``trace_event`` JSON format loadable in
 ``chrome://tracing`` / Perfetto: each tracer track becomes a named
@@ -22,7 +22,6 @@ from .tracer import SpanRecord, Tracer
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "metrics_to_json",
     "metrics_to_csv",
     "switch_breakdown",
     "format_switch_breakdown",
@@ -112,11 +111,6 @@ def write_chrome_trace(tracer: Tracer, destination: Union[str, IO[str]]) -> None
 
 
 # -- metrics dumps -----------------------------------------------------------
-def metrics_to_json(registry: MetricsRegistry) -> dict[str, object]:
-    """The registry snapshot as a JSON-serializable mapping."""
-    return registry.snapshot()
-
-
 def metrics_to_csv(registry: MetricsRegistry) -> str:
     """The registry snapshot as ``metric,value`` CSV rows.
 

@@ -20,6 +20,8 @@ from repro.engine.request import Request
 from repro.models import get_model
 from repro.workload import TraceRequest
 
+from .outcomes import folded
+
 
 def make_request(request_id=0, arrival=0.0, out=10, token_times=None, model="Qwen-7B"):
     trace = TraceRequest(
@@ -37,7 +39,11 @@ def make_request(request_id=0, arrival=0.0, out=10, token_times=None, model="Qwe
 
 def make_result(requests, end_time=100.0):
     return ServingResult(
-        requests=requests, slo=DEFAULT_SLO, horizon=60.0, end_time=end_time
+        requests=requests,
+        stats=folded(requests),
+        slo=DEFAULT_SLO,
+        horizon=60.0,
+        end_time=end_time,
     )
 
 

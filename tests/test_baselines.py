@@ -134,7 +134,7 @@ class TestServerlessLLM:
         server = ServerlessLLM(env, Cluster.homogeneous(env, H800, 1, 3))
         trace = small_trace(5)
         result = server.serve(trace)
-        assert result.completion_rate > 0.95
+        assert result.finished_requests > 0.95 * len(result.requests)
 
     def test_request_level_switches_recorded(self):
         env = Environment()
@@ -171,7 +171,7 @@ class TestServerlessLLMPlus:
         server = ServerlessLLMPlus(env, Cluster.homogeneous(env, H800, 1, 2))
         trace = small_trace(4)
         result = server.serve(trace)
-        assert result.completion_rate > 0.95
+        assert result.finished_requests > 0.95 * len(result.requests)
         assert server.label == "ServerlessLLM+"
 
     def test_plus_differs_from_base_under_load(self):

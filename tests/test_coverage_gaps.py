@@ -13,6 +13,8 @@ from repro.policy import estimate_round_attainment
 from repro.sim import Environment
 from repro.workload import rate_series
 
+from .outcomes import folded
+
 GiB = 1024**3
 MiB = 1024**2
 
@@ -125,7 +127,11 @@ class TestServingResultEdges:
         )
         request = Request(trace=trace, spec=get_model("Qwen-7B"))
         result = ServingResult(
-            requests=[request], slo=DEFAULT_SLO, horizon=10.0, end_time=10.0
+            requests=[request],
+            stats=folded([request]),
+            slo=DEFAULT_SLO,
+            horizon=10.0,
+            end_time=10.0,
         )
         summary = result.summary()
         assert summary["finished"] == 0
@@ -134,7 +140,7 @@ class TestServingResultEdges:
 
     def test_kv_sync_overheads_default_zero(self):
         result = ServingResult(
-            requests=[], slo=DEFAULT_SLO, horizon=1.0, end_time=1.0
+            requests=[], stats=folded([]), slo=DEFAULT_SLO, horizon=1.0, end_time=1.0
         )
         assert result.kv_sync_overheads().size == 0
 
@@ -145,6 +151,7 @@ class TestServingResultEdges:
         switch = ScaleRecord(model_from="a", model_to="b", started=21.0, ended=22.0)
         result = ServingResult(
             requests=[],
+            stats=folded([]),
             slo=DEFAULT_SLO,
             horizon=1.0,
             end_time=1.0,

@@ -13,6 +13,8 @@ from repro.obs import ObsConfig
 from repro.sim import Environment
 from repro.workload import sharegpt, materialize_trace
 
+from .outcomes import request_rows
+
 
 def run_aegaeon(seed):
     env = Environment()
@@ -24,10 +26,7 @@ def run_aegaeon(seed):
     models = market_mix(8)
     trace = materialize_trace(models, [0.1] * 8, sharegpt(), horizon=60.0, seed=seed)
     result = server.serve(trace)
-    return [
-        (r.request_id, r.prefill_start, r.finish_time, tuple(r.token_times))
-        for r in result.requests
-    ]
+    return request_rows(result.requests)
 
 
 class TestDeterminism:
@@ -44,7 +43,7 @@ class TestDeterminism:
             models = market_mix(4)
             trace = materialize_trace(models, [0.1] * 4, sharegpt(), horizon=40.0, seed=5)
             result = server.serve(trace)
-            return [(r.request_id, tuple(r.token_times)) for r in result.requests]
+            return request_rows(result.requests)
 
         assert run() == run()
 
@@ -84,10 +83,7 @@ def run_unified_with_metrics(seed):
         "end_time": result.end_time,
         "sim_now": env.now,
         "steps": env.steps_executed,
-        "requests": [
-            (r.request_id, r.prefill_start, r.finish_time, tuple(r.token_times))
-            for r in result.requests
-        ],
+        "requests": request_rows(result.requests),
     }
 
 

@@ -175,5 +175,5 @@ class TestDrainDeadline:
         trace = materialize_trace(models, [0.5] * 20, sharegpt(), horizon=30.0, seed=6)
         result = server.serve(trace)
         assert env.now <= trace.horizon + config.drain_grace + 2.0
-        assert result.completion_rate < 1.0
+        assert result.finished_requests < len(result.requests)
         assert result.slo_attainment() < 0.9

@@ -16,6 +16,7 @@ from repro.fleet import (
     build_fleet,
 )
 from repro.models import get_model, market_mix
+from repro.obs import MetricsRegistry
 from repro.workload import market_stream, materialize_trace, sharegpt
 
 
@@ -108,15 +109,20 @@ class TestLatencyHistogram:
             assert left.quantile(q) == union.quantile(q)
 
     def test_quantiles_track_exact_within_bucket_error(self):
+        # The rollup's histogram and the obs registry's are one class.
         rng = np.random.default_rng(9)
         values = rng.lognormal(-2.0, 1.2, 20000)
-        hist = LatencyHistogram()
-        for v in values:
-            hist.observe(v)
-        for q in (0.50, 0.99):
-            exact = float(np.quantile(values, q))
-            # Geometric buckets: 32/decade => <= ~7.5% relative error.
-            assert hist.quantile(q) == pytest.approx(exact, rel=0.08)
+        for hist in (LatencyHistogram(), MetricsRegistry().histogram("latency")):
+            for v in values:
+                hist.observe(v)
+            for q in (0.50, 0.99):
+                exact = float(np.quantile(values, q))
+                # Geometric buckets: 32/decade => <= ~7.5% relative error.
+                assert hist.quantile(q) == pytest.approx(exact, rel=0.08)
+            summary = hist.summary()
+            for p in (50, 90, 99):
+                exact = float(np.percentile(values, p))
+                assert summary[f"p{p}"] == pytest.approx(exact, rel=0.08)
 
     def test_empty_histogram(self):
         hist = LatencyHistogram()

@@ -18,6 +18,7 @@ from repro.policy import available_bundles, get_bundle
 from repro.sim import Environment
 from repro.workload import materialize_trace, sharegpt
 
+from .outcomes import request_rows
 from .test_serving_api import small_config
 
 
@@ -37,18 +38,14 @@ def trace():
     )
 
 
-def outcome(env, requests, end_time):
-    rows = [
-        (r.request_id, r.phase.value, tuple(r.token_times))
-        for r in sorted(requests, key=lambda r: r.request_id)
-    ]
-    return rows, end_time, env.steps_executed
+def outcome(env, requests, end_time, digest):
+    return request_rows(requests), end_time, env.steps_executed, digest
 
 
 def via_serve(spec, env=None):
     env = Environment() if env is None else env
     result = spec.build(env).serve(trace())
-    return outcome(env, result.requests, result.end_time)
+    return outcome(env, result.requests, result.end_time, result.digest())
 
 
 def via_fleet(spec):
@@ -58,16 +55,19 @@ def via_fleet(spec):
     )
     result = fleet.run(trace())
     assert result.drained and result.unaccounted == 0
-    return outcome(env, fleet.shards[0].system.proxy.requests, result.end_time)
+    return outcome(
+        env, fleet.shards[0].system.proxy.requests, result.end_time, result.digest()
+    )
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_serve_paths_are_identical(name):
     spec = SPECS[name]
     served = via_serve(spec)
-    rows, _, steps = served
+    rows, _, steps, _ = served
     assert rows and steps > 0
-    assert any(phase == "finished" for _, phase, _ in rows)
+    assert any(row[1] == "FINISHED" for row in rows)
+    # The rows, end time, steps and the one stats digest all agree.
     assert via_fleet(spec) == served
 
 
@@ -92,3 +92,8 @@ def test_one_shard_fleet_keeps_the_spec_drain_grace():
     assert (fleeted.end_time, fleeted.drained, fleeted.unaccounted) == (
         served.end_time, served.drained, served.unaccounted
     )
+    # Both paths fold the requests still in flight at the deadline, so
+    # their missing tokens count as missed on both (§2.1).
+    assert fleeted.slo_attainment == served.slo_attainment()
+    assert fleeted.digest() == served.digest()
+    assert fleeted.rollup.total.requests == fleeted.submitted == len(served.requests)

@@ -35,6 +35,7 @@ from repro.sim import Environment
 from . import test_chaos_determinism, test_fleet_controller
 from . import test_ingestion_equivalence, test_same_timestamp_ordering
 from . import test_workload_agentic
+from .outcomes import request_rows
 from .reference_kernel import ReferenceEnvironment
 from .reference_resources import Store
 from .test_continuation_differential import (
@@ -126,14 +127,6 @@ def _unstepped(snapshot):
     return seen
 
 
-def _rows(requests):
-    """Every request's id, disposition, token count and token times."""
-    return [
-        (r.request_id, r.phase.value, len(r.token_times), tuple(r.token_times))
-        for r in sorted(requests, key=lambda r: r.request_id)
-    ]
-
-
 def _dispositions(registry):
     return (registry.submitted, registry.finished, registry.failed, registry.rejected)
 
@@ -142,7 +135,7 @@ def _serve_outcome(env, system, result):
     """Observable surface of one ``serve``, step counters left out."""
     return (
         _unstepped(test_same_timestamp_ordering.snapshot_of(env, system, result)),
-        _rows(result.requests),
+        request_rows(result.requests),
         _dispositions(system.registry),
     )
 
@@ -165,8 +158,8 @@ def _ingestion(name):
 
     def run(kernel):
         env = kernel()
-        rows, end_time, _ = test_ingestion_equivalence.via_serve(spec, env)
-        return (rows, end_time), env
+        rows, end_time, _, digest = test_ingestion_equivalence.via_serve(spec, env)
+        return (rows, end_time, digest), env
 
     return run
 
@@ -181,7 +174,7 @@ def _agentic(kernel):
     )
     seen = (
         result.digest(),
-        _rows(system.proxy.requests),
+        request_rows(system.proxy.requests),
         _dispositions(system.registry),
     )
     return seen, env

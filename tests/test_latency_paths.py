@@ -25,18 +25,16 @@ from repro.models import LatencyModel, get_model, market_mix
 from repro.sim import Environment
 from repro.workload import materialize_trace, sharegpt
 
+from .outcomes import request_rows
+
 GiB = 1024**3
 
 
 def disposition_digest(result) -> str:
     """Every request's phase, prefill start, finish and token times."""
     h = hashlib.sha256()
-    for r in sorted(result.requests, key=lambda r: r.request_id):
-        times = [t.hex() for t in r.token_times]
-        h.update(
-            repr((r.request_id, r.phase.name, r.prefill_start, r.finish_time, times))
-            .encode()
-        )
+    for row in request_rows(result.requests):
+        h.update(repr(row).encode())
     return h.hexdigest()[:16]
 
 

@@ -128,26 +128,24 @@ class TestMetrics:
         assert gauge.value == 9.0
 
     def test_histogram_percentiles_match_numpy(self):
+        # Count and mean are exact; the geometric quantiles' error bound
+        # is checked in tests/test_fleet.py::TestLatencyHistogram.
         registry = MetricsRegistry()
         hist = registry.histogram("latency")
         rng = np.random.default_rng(7)
         samples = rng.exponential(1.0, size=200)
         for sample in samples:
             hist.observe(float(sample))
-        for p in (50, 90, 99):
-            assert hist.percentile(p) == pytest.approx(
-                float(np.percentile(samples, p))
-            )
         assert hist.mean == pytest.approx(float(samples.mean()))
         assert hist.count == 200
 
     def test_histogram_empty_and_bad_percentile(self):
         hist = MetricsRegistry().histogram("empty")
-        assert np.isnan(hist.percentile(50))
+        assert np.isnan(hist.quantile(0.5))
         assert np.isnan(hist.mean)
         hist.observe(1.0)
         with pytest.raises(ValueError):
-            hist.percentile(101)
+            hist.quantile(1.01)
 
     def test_same_key_returns_same_instrument(self):
         registry = MetricsRegistry()

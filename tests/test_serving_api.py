@@ -25,6 +25,8 @@ from repro.obs import ObsConfig, chrome_trace
 from repro.sim import Environment
 from repro.workload import materialize_trace, sharegpt, sharegpt_ox2
 
+from .outcomes import request_rows
+
 
 def small_trace(n_models=3, rps=0.08, horizon=50.0, seed=11):
     models = market_mix(n_models)
@@ -132,17 +134,15 @@ class TestConformance:
     def test_obs_level_does_not_change_results(self):
         """Tracing stamps simulated time; enabling it must not perturb
         any scheduling decision or token time."""
-        token_times = {}
+        rows = {}
         for obs in (ObsConfig.off(), ObsConfig.full()):
             env = Environment()
             system = build_system(
                 SystemSpec(config=small_config("aegaeon", obs=obs)), env
             )
             result = system.serve(small_trace())
-            token_times[obs.full_trace] = {
-                r.request_id: list(r.token_times) for r in result.requests
-            }
-        assert token_times[False] == token_times[True]
+            rows[obs.full_trace] = request_rows(result.requests)
+        assert rows[False] == rows[True]
 
     def test_obs_off_records_nothing(self):
         env = Environment()
