@@ -320,6 +320,25 @@ class Process(Event):
         env._sequence += 1
 
     # -- internal --------------------------------------------------------
+    def _wait_instead(self, event: Event) -> None:
+        """Park on ``event`` in place of the timeout this process waits on.
+
+        The current target must be a :class:`Timeout` in whose waiter
+        slot this process sits; it is detached and lazily cancelled, and
+        ``event`` is attached exactly as if the last resume had yielded
+        it.  A component that retires several waits with one timeout
+        (``transfer.loader``'s load runs) uses this to hand the process
+        the wait it would have had when something cuts the run short.
+        """
+        target = self._target
+        target._waiter = None
+        target.cancel()
+        if event._waiter is None and not event.callbacks:
+            event._waiter = self
+        else:
+            event.callbacks.append(self._resume)
+        self._target = event
+
     def _resume(self, event: Event) -> None:
         env = self.env
         env._active_process = self

@@ -106,16 +106,44 @@ class TestQuickLoader:
         assert unpinned_at == [event.completed_at]
         assert link.h2d.bytes_moved == nbytes
 
-    def test_prefetch_costs_two_events_per_chunk(self, env, link, cache):
-        # A stall and a copy timeout per chunk on the lane, no process:
-        # nothing waits on the completion, so it schedules nothing.
+    def test_uncontended_prefetch_costs_one_step(self, env, link, cache):
+        # Nothing else claims the link, so the lane retires all three
+        # chunks' stalls and copies with one run timeout; nothing waits
+        # on the completion, so it schedules nothing.
         cache.insert("m", 3 * GiB)
         loader = QuickLoader(env, link, cache)
         stream = CudaStream(env)  # its lane's start event is one step
         event = loader.prefetch("m", 3 * GiB, stream)
         env.run()
         assert event.query()
-        assert env.steps_executed == 1 + 2 * 3
+        assert env.steps_executed == 1 + 1
+        assert stream.ops_executed == 2 * 3 + 1 and stream.pending_ops == 0
+        assert link.h2d.bytes_moved == 3 * GiB
+
+    def test_a_claim_splits_a_prefetch_run(self, env, link, cache):
+        # A claim in chunk 1's stall splits the run there: the stall
+        # keeps its own timeout, chunk 1's copy goes op by op (its
+        # dispatch inlines, its copy timeout is a step), and chunk 2's
+        # stall finds the link free again and forms a second run.  The
+        # split costs the handed stall and the copy over the one run
+        # timeout it cancels: two steps.
+        cache.insert("m", 3 * GiB)
+        loader = QuickLoader(env, link, cache)
+        h2d = link.h2d
+        stall = loader._stall_per_chunk()
+        chunk_end = stall + h2d.transfer_time(loader.chunk_bytes)
+
+        def claim():
+            yield env.timeout(chunk_end + stall / 2)
+            yield from h2d.transfer(1024)
+
+        env.process(claim())
+        claimer_steps = 4  # init, its timeout, its copy, its end
+        event = loader.prefetch("m", 3 * GiB, CudaStream(env))
+        env.run()
+        assert event.completed_at == pytest.approx(3 * chunk_end)
+        assert env.steps_executed == claimer_steps + 1 + 1 + 2
+        assert h2d.bytes_moved == 3 * GiB + 1024
 
     def test_prefetch_of_an_uncached_model_raises(self, env, link, cache):
         loader = QuickLoader(env, link, cache)
@@ -167,8 +195,8 @@ class TestQuickLoader:
 
         assert prefetched_at == pytest.approx(sync_env.run(until=sync_env.process(load())))
 
-    def test_synchronous_chunks_cost_two_events_each(self, env, link, cache):
-        # A stall timeout and a copy timeout per chunk, no child process.
+    def test_uncontended_synchronous_load_costs_one_step(self, env, link, cache):
+        # One run timeout for all three chunks, no child process.
         cache.insert("m", 3 * GiB)
         loader = QuickLoader(env, link, cache)
 
@@ -176,10 +204,61 @@ class TestQuickLoader:
             yield from loader.load("m", 3 * GiB)
 
         env.run(until=env.process(run()))
-        chunks = 3 * GiB // loader.chunk_bytes
-        assert chunks == 3
-        assert env.steps_executed == 2 + 2 * chunks  # plus init and end
+        assert 3 * GiB // loader.chunk_bytes == 3
+        assert env.steps_executed == 2 + 1  # plus init and end
         assert link.h2d.bytes_moved == 3 * GiB
+
+    def test_a_claim_splits_a_synchronous_run(self, env, link, cache):
+        # A claim in chunk 1's copy splits the run there: the copy keeps
+        # the link until its own end (one step), and chunk 2's stall,
+        # starting while the claim holds the link, goes op by op: a
+        # stall timeout, then its copy.  Three steps where the run had
+        # one.
+        cache.insert("m", 3 * GiB)
+        loader = QuickLoader(env, link, cache)
+        h2d = link.h2d
+        stall = loader._stall_per_chunk()
+        copy = h2d.transfer_time(loader.chunk_bytes)
+        claimed = []
+
+        def claim():
+            yield env.timeout(stall + copy + stall + copy / 2)
+            yield from h2d.transfer(1024)
+            claimed.append(env.now)
+
+        def run():
+            yield from loader.load("m", 3 * GiB)
+            return env.now
+
+        env.process(claim())
+        claimer_steps = 5  # init, its timeout, its grant, its copy, its end
+        end = env.run(until=env.process(run()))
+        assert claimed == [pytest.approx(2 * (stall + copy) + h2d.transfer_time(1024))]
+        assert end == pytest.approx(3 * (stall + copy))
+        assert env.steps_executed == claimer_steps + 2 + 3
+        assert h2d.bytes_moved == 3 * GiB + 1024
+
+    def test_a_split_synchronous_load_forms_a_new_run(self, env, link, cache):
+        # A claim in chunk 0's stall splits the run there, and its copy
+        # ends before the stall does: the stall keeps its own timeout,
+        # chunk 0's copy goes op by op, and chunk 1's stall finds the
+        # link free and forms a run for chunks 1 and 2.
+        cache.insert("m", 3 * GiB)
+        loader = QuickLoader(env, link, cache)
+        h2d = link.h2d
+
+        def claim():
+            yield env.timeout(loader._stall_per_chunk() / 2)
+            yield from h2d.transfer(1024)
+
+        def run():
+            yield from loader.load("m", 3 * GiB)
+
+        env.process(claim())
+        claimer_steps = 4  # init, its timeout, its copy, its end
+        env.run(until=env.process(run()))
+        assert env.steps_executed == claimer_steps + 2 + 3
+        assert h2d.bytes_moved == 3 * GiB + 1024
 
     def test_invalid_beta_rejected(self, env, link, cache):
         with pytest.raises(ValueError):
@@ -256,18 +335,24 @@ class TestInterruptedLoad:
         )
         loader = engine.quick_loader
         h2d = loader.link.h2d
-        starts, releases = [], []
+        pinned, sampled, releases = [], [], []
         transfer_time = h2d.transfer_time
         release = h2d.release
+        pin = cache.pin
+
+        def timed_pin(model):
+            pinned.append(env.now)  # the chunks start here
+            pin(model)
 
         def timed_transfer(nbytes):
-            starts.append(env.now)
+            sampled.append(env.now)
             return transfer_time(nbytes)
 
         def timed_release():
             releases.append(env.now)
             release()
 
+        cache.pin = timed_pin
         h2d.transfer_time = timed_transfer
         h2d.release = timed_release
         instance = PrefillInstance(env, engine, lambda request: None)
@@ -279,16 +364,24 @@ class TestInterruptedLoad:
         ))
         instance.groups.append(group)
         instance.kick()
-        while len(starts) < 3:
+        while not pinned:
             env.run(until=env.now + 0.01)
         chunk = loader.chunk_bytes
         duration = transfer_time(chunk)
-        start = starts[-1]
-        env.run(until=start + duration / 2)
-        assert h2d.bytes_moved == 2 * chunk
+        stall = loader._stall_per_chunk()
+        # Chunk 3's copy starts where the chunk chain puts it.
+        start = pinned[0]
+        for _ in range(2):
+            start = start + stall + duration
+        start += stall
+        assert start + duration < pinned[0] + loader.load_time(spec.weight_bytes)
+        failed_at = start + duration / 2
+        env.run(until=failed_at)
         instance.fail()
+        env.run(until=failed_at)  # the interrupt is delivered
+        assert h2d.bytes_moved == 2 * chunk
         env.run(until=start + 10 * duration)
-        assert starts == starts[:3]  # no later chunk was issued
+        assert all(at < failed_at for at in sampled)  # no later chunk was issued
         assert h2d.bytes_moved == 3 * chunk
         assert h2d.busy_time == 3 * duration
         assert releases[-1] == start + duration

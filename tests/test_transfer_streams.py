@@ -149,6 +149,30 @@ class TestSynchronize:
         assert stream.ops_executed == 2
 
 
+class TestMalformedOps:
+    """A malformed op raises in the caller's frame, before it is queued,
+    and the lane goes on running what comes after."""
+
+    @pytest.mark.parametrize("enqueue", [
+        lambda stream, link: stream.copy(link, -5),
+        lambda stream, link: stream.compute(-1.0),
+        lambda stream, link: stream.load(link, 1024, 0, 0.5),
+        lambda stream, link: stream.load(link, -1, 2, 0.5),
+        lambda stream, link: stream.load(link, 1024, 2, -0.5),
+    ], ids=["copy-bytes", "compute-duration", "load-chunks", "load-bytes", "load-stall"])
+    def test_raises_at_the_call_and_the_lane_lives(self, env, link, enqueue):
+        stream = CudaStream(env)
+        stream.compute(1.0)
+        with pytest.raises(ValueError):
+            enqueue(stream, link)
+        assert stream.pending_ops == 1
+        done = []
+        stream.compute(2.0, on_done=lambda: done.append(env.now))
+        env.run()
+        assert done == [3.0]
+        assert stream.pending_ops == 0 and stream.ops_executed == 2
+
+
 class TestLazyCompletion:
     """``CudaEvent`` schedules its completion only once someone waits."""
 
