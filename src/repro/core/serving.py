@@ -364,6 +364,17 @@ class ServingSystemBase:
         for request in self.proxy.live.values():
             fold(request)
 
+    def settle_links(self) -> None:
+        """Land the chunks every live weight load has finished by now.
+
+        Called with :meth:`fold_in_flight` when a run ends: a load run
+        retires its chunks only when it ends or splits, so without this
+        a run the deadline cut short would lose the link counters and
+        stream spans of its chunks that had already landed.
+        """
+        for engine in self.engines():
+            engine.link.h2d.settle()
+
     def serve(self, workload: RequestStream, until: Optional[float] = None) -> "ServingResult":
         """Replay ``workload`` to completion or the drain deadline.
 
@@ -396,6 +407,7 @@ class ServingSystemBase:
             (self.invariant_checker,),
         )
         self.fold_in_flight()
+        self.settle_links()
         result = self.collect(workload)
         result.drained = drained
         result.unaccounted = proxy.submitted - self.accounted

@@ -288,6 +288,7 @@ class FleetRunner:
     def _collect(self, horizon: float, drained: bool) -> FleetResult:
         for shard in self.shards:
             shard.system.fold_in_flight()
+            shard.system.settle_links()
         shard_stats = [shard.stats for shard in self.shards]
         rollup = FleetRollup(shard_stats)
         gpu_hours = self.gpu_count * self.env.now / 3600.0
