@@ -12,7 +12,8 @@ assigned slabs, peak is monotone, allocated−freed equals live
 blocks).  Across the system, every live block is owned by exactly one
 party: a request's KV handle, a move list (rule ❸ deferred frees), or an
 in-flight swap-out source.  CPU-cache ownership reconciles exactly;
-GPU-cache ownership reconciles as a sum across engines.
+GPU-cache ownership reconciles as a sum across engines.  A request's
+KV handle holds no live extent by the time the system disposes of it.
 
 **I2 — Token monotonicity.**  Per request: token timestamps are
 non-decreasing, never exceed the requested output length, never precede
@@ -202,12 +203,12 @@ class InvariantChecker:
                     f"{allocator.name}: shape {shape!r} slabs have {free} "
                     f"free blocks, free_count says {rec.free_count}",
                 )
-        if assigned + len(allocator._free_slabs) != allocator.slab_count:
+        free_slabs = allocator.free_slab_count
+        if assigned + free_slabs != allocator.slab_count:
             self._flag(
                 "kv-conservation",
-                f"{allocator.name}: {assigned} assigned + "
-                f"{len(allocator._free_slabs)} free slabs != "
-                f"{allocator.slab_count} in the region",
+                f"{allocator.name}: {assigned} assigned + {free_slabs} free "
+                f"slabs != {allocator.slab_count} in the region",
             )
         if allocator.held_bytes != assigned * allocator.slab_bytes:
             self._flag(
@@ -388,9 +389,21 @@ class InvariantChecker:
         from the in-flight map: its token stream gets a last I2 pass
         from the cursor onwards, a FINISHED request must be complete,
         the request's committed met-token count must equal the walk's
-        recount, and the cursor is released so checker memory tracks
+        recount, the request's KV handle must hold no live extent (I1:
+        its blocks went back to their cache or a move list before
+        disposal, so a leak is named at the request that caused it),
+        and the cursor is released so checker memory tracks
         concurrency.
         """
+        kv = request.kv
+        if kv is not None:
+            for extent in (kv.gpu_blocks, kv.cpu_blocks):
+                if extent is not None and extent.live:
+                    self._flag(
+                        "kv-conservation",
+                        f"request {request.request_id} disposed still "
+                        f"holding {extent!r}",
+                    )
         met = self._check_request_tokens(request, self.env.now)
         if request.phase is Phase.FINISHED and (
             not request.finished or request.finish_time is None

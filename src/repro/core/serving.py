@@ -304,6 +304,9 @@ class ServingSystemBase:
             ledger.append(request)
         if self.invariant_checker is not None:
             self.invariant_checker.vet_terminal(request)
+        # Every block is back in its cache (or a move list) by now; a
+        # retained request must not pin its handle and last transfer.
+        request.kv = None
         self.proxy.drop(request)
         self.registry.forget(request.request_id)
 

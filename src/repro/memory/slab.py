@@ -25,6 +25,13 @@ slab changes, which is exactly how a per-block free of the same block
 list applies its per-slab accounting.  Release and relist order, and so
 every later slab choice, is therefore identical.
 
+The free pool is lazy: a :class:`Slab` is built the first time an
+allocation takes its index, so a multi-thousand-slab region that a run
+barely touches costs a list of ``None`` and not one object per slab.
+Indices never used are a count below the stack of released slabs, and
+a pop takes the last-released slab first, then the highest never-used
+index — the order an eager ``list(range(slab_count))`` pool pops in.
+
 Per-shape state (block size, free-block total, availability list,
 assigned slabs) lives in one ``_ShapeRec``, fetched with a single dict
 lookup per ``alloc``; ``free`` reaches it through ``Slab._rec`` with no
@@ -191,8 +198,12 @@ class SlabAllocator:
         self.slab_bytes = slab_bytes
         self.slab_count = region_bytes // slab_bytes
         self.region_bytes = self.slab_count * slab_bytes
-        self._slabs = [Slab(index=i, nbytes=slab_bytes) for i in range(self.slab_count)]
-        self._free_slabs: list[int] = list(range(self.slab_count))
+        # Slabs are built on first use (_acquire_slab); None until then.
+        self._slabs: list[Optional[Slab]] = [None] * self.slab_count
+        # The free pool: indices [0, _unused) were never used, and the
+        # released slabs stack above them, last released on top.
+        self._unused = self.slab_count
+        self._free_slabs: list[int] = []
         # shape -> consolidated per-shape state (block size, free-block
         # total, availability list, assigned slabs); one hash per alloc.
         self._shapes: dict[Hashable, _ShapeRec] = {}
@@ -288,7 +299,8 @@ class SlabAllocator:
         A first run on the slab ``runs`` ends on merges into its last run.
         """
         per_slab = rec.per_slab
-        if (rec.free_count + len(self._free_slabs) * per_slab) < count:
+        free_slabs = len(self._free_slabs) + self._unused
+        if rec.free_count + free_slabs * per_slab < count:
             error = (
                 KvTooLargeError if count > self.slab_count * per_slab else MemoryError
             )
@@ -380,13 +392,15 @@ class SlabAllocator:
     def capacity_for(self, shape: Hashable, block_bytes: int) -> int:
         """Blocks of ``shape`` allocatable right now (free + reclaimable)."""
         rec = self._shapes.get(shape)
+        free_slabs = len(self._free_slabs) + self._unused
         if rec is None:
-            return len(self._free_slabs) * (self.slab_bytes // block_bytes)
-        return rec.free_count + len(self._free_slabs) * rec.per_slab
+            return free_slabs * (self.slab_bytes // block_bytes)
+        return rec.free_count + free_slabs * rec.per_slab
 
     @property
     def free_slab_count(self) -> int:
-        return len(self._free_slabs)
+        """Slabs in the shared pool: released ones plus never-used ones."""
+        return len(self._free_slabs) + self._unused
 
     # -- statistics (Figure 16) ------------------------------------------------
     def shape_stats(self) -> list[ShapeStats]:
@@ -426,9 +440,14 @@ class SlabAllocator:
     def _acquire_slab(
         self, shape: Hashable, block_bytes: int, rec: _ShapeRec
     ) -> Slab:
-        if not self._free_slabs:
+        if self._free_slabs:
+            slab = self._slabs[self._free_slabs.pop()]
+        elif self._unused:
+            self._unused -= 1
+            index = self._unused
+            slab = self._slabs[index] = Slab(index=index, nbytes=self.slab_bytes)
+        else:
             raise MemoryError("no free slabs")
-        slab = self._slabs[self._free_slabs.pop()]
         slab.assign(shape, block_bytes)
         slab._avail_shape = shape
         slab._rec = rec

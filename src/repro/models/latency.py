@@ -51,9 +51,10 @@ NAIVE_LOAD_BANDWIDTH = 2.83e9
 # FlashAttention kernel block size (Table 1 of the appendix).
 FLASH_ATTENTION_BLOCK = 128
 
-# Per-model LRU size for memoized prefill/decode predictions.  Steady-state
-# decoding revisits the same (batch, context) keys every scheduler round,
-# so even a small cache skips nearly all re-derivation of the Eq. 5-6 terms.
+# Per-model LRU size for memoized prefill predictions.  Schedulers estimate
+# queue loads from one-prompt batches whose lengths recur, so most Eq. 5
+# calls are hits.  Eq. 6 is not memoized: its (batch, context) keys
+# rarely repeat, and computing it is cheaper than holding the entries.
 LATENCY_CACHE_SIZE = 4096
 
 
@@ -76,8 +77,8 @@ def switch_time(
 class LatencyModel:
     """Token-generation latency for one (model, GPU, TP) combination.
 
-    Each equation is written once: Eq. 5 in ``_prefill_uncached`` and
-    Eq. 6 in ``_decode_uncached``, both behind a per-instance LRU.
+    Each equation is written once: Eq. 5 in ``_prefill_uncached``,
+    behind a per-instance LRU, and Eq. 6 in ``decode_step_time``.
     Every prediction, single or many, goes through them.
     """
 
@@ -125,14 +126,10 @@ class LatencyModel:
         self._prefill_per_sq_token = self._c2 * (3.0 * h) / FLASH_ATTENTION_BLOCK
         self._decode_weights_time = self._c4 * (4.0 * h * h + 2.0 * h * m)
         self._decode_per_context_token = self._c5 * 3.0 * h
-        # Memoization (true LRU): keyed on the exact batch signature /
-        # (batch size, context) pair, so cached and uncached predictions
-        # are bit-identical.
+        # Memoization (true LRU): keyed on the exact batch signature, so
+        # cached and uncached predictions are bit-identical.
         self._prefill_cached = lru_cache(maxsize=LATENCY_CACHE_SIZE)(
             self._prefill_uncached
-        )
-        self._decode_cached = lru_cache(maxsize=LATENCY_CACHE_SIZE)(
-            self._decode_uncached
         )
 
     # -- constants (exposed for tests and reporting) -----------------------
@@ -171,11 +168,6 @@ class LatencyModel:
         """
         return self._prefill_cached((input_length,))
 
-    def _decode_uncached(self, batch_size: int, context_tokens: int) -> float:
-        memory = self._decode_weights_time + self._decode_per_context_token * context_tokens
-        compute = self._decode_flops_per_token * batch_size
-        return (memory if memory >= compute else compute) + self.decode_overhead
-
     def decode_step_time(self, batch_size: int, context_tokens: int) -> float:
         """Eq. 6: wall time of one decoding step for the whole batch.
 
@@ -184,7 +176,9 @@ class LatencyModel:
         """
         if batch_size <= 0:
             return 0.0
-        return self._decode_cached(batch_size, context_tokens)
+        memory = self._decode_weights_time + self._decode_per_context_token * context_tokens
+        compute = self._decode_flops_per_token * batch_size
+        return (memory if memory >= compute else compute) + self.decode_overhead
 
     # -- many predictions at once -------------------------------------------
     # Loops over the scalar methods; no simulation path calls them, they
@@ -220,11 +214,8 @@ class LatencyModel:
         )
 
     def cache_info(self) -> dict[str, object]:
-        """LRU hit/miss statistics for the memoized predictions."""
-        return {
-            "prefill": self._prefill_cached.cache_info(),
-            "decode": self._decode_cached.cache_info(),
-        }
+        """LRU hit/miss statistics for the memoized (prefill) predictions."""
+        return {"prefill": self._prefill_cached.cache_info()}
 
     def switch_time(self, beta: float = PCIE_BETA) -> float:
         """Eq. 4 for this binding's model/GPU/TP."""

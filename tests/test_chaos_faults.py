@@ -22,8 +22,9 @@ from repro.chaos import (
 from repro.core import AegaeonConfig, SystemSpec, build_system
 from repro.engine import Phase, Request
 from repro.memory import SlabAllocator
-from repro.models import get_model, market_mix
+from repro.models import get_model, kv_shape, market_mix
 from repro.sim import Environment
+from repro.transfer import RequestKv
 from repro.workload import sharegpt, materialize_trace
 from repro.workload import TraceRequest
 
@@ -234,6 +235,27 @@ class TestVetTerminal:
         assert [v.invariant for v in checker.violations] == ["slo-accounting"]
 
 
+    def test_live_kv_extent_is_flagged_at_disposal(self):
+        # I1 per request: a disposed request whose handle still holds a
+        # live extent leaked those blocks; a freed one is clean.
+        system, checker = self.checked_system()
+        request = self.request([1.0, 2.0, 3.0, 4.0])
+        request.phase = Phase.FINISHED
+        request.finish_time = 4.0
+        cache = SlabAllocator(region_bytes=64 * MiB, slab_bytes=16 * MiB)
+        request.kv = RequestKv(request.request_id, kv_shape(request.spec), 12)
+        request.kv.gpu_blocks = cache.alloc(
+            request.kv.shape, request.kv.block_bytes, request.kv.block_count
+        )
+        checker.vet_terminal(request)
+        assert [v.invariant for v in checker.violations] == ["kv-conservation"]
+        assert "request 7" in checker.violations[0].detail
+        cache.free(request.kv.gpu_blocks)
+        checker.violations.clear()
+        checker.vet_terminal(request)
+        assert checker.violations == []
+
+
 class TestAllocatorReconciliation:
     def test_corrupted_free_count_is_flagged(self):
         system, checker = TestVetTerminal().checked_system()
@@ -245,6 +267,21 @@ class TestAllocatorReconciliation:
         checker._check_allocator(allocator)
         assert [v.invariant for v in checker.violations] == ["kv-conservation"]
         assert "free_count" in checker.violations[0].detail
+        assert held
+
+    def test_corrupted_free_pool_is_flagged(self):
+        # The free pool is counted through free_slab_count: released
+        # slabs plus never-used ones must make up the unassigned rest.
+        system, checker = TestVetTerminal().checked_system()
+        allocator = SlabAllocator(region_bytes=64 * MiB, slab_bytes=4 * MiB)
+        held = allocator.alloc("a", 1 * MiB, 6)
+        allocator.free(allocator.alloc("b", 4 * MiB, 1))
+        checker._check_allocator(allocator)
+        assert checker.violations == []
+        allocator._unused += 1
+        checker._check_allocator(allocator)
+        assert [v.invariant for v in checker.violations] == ["kv-conservation"]
+        assert "free slabs" in checker.violations[0].detail
         assert held
 
 

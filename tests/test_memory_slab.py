@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory import SlabAllocator
+from repro.memory.slab import KvExtent
 from repro.models import get_model, kv_shape
 
 from . import reference_slab
@@ -177,9 +178,11 @@ class TestSlabProperties:
                     assert len(extent) == sum(n for _, n in extent.runs)
                     for slab_index, n in extent.runs:
                         held[slab_index] += n
-            for slab in allocator._slabs:
-                assert held[slab.index] == slab.used_count
-                assert slab.used_count <= slab.blocks_per_slab
+            # Every slab index, built or not: one never built holds nothing.
+            for index, slab in enumerate(allocator._slabs):
+                _, used = _slab_state(slab)
+                assert held[index] == used
+                assert slab is None or used <= slab.blocks_per_slab
             live_bytes = sum(
                 len(extent) * block_bytes[shape_id]
                 for shape_id, group in live.items()
@@ -214,6 +217,16 @@ def _runs_of(blocks):
     return [tuple(run) for run in runs]
 
 
+def _slab_state(slab):
+    """``(shape, used_count)``; a slab never built reads ``(None, 0)``."""
+    return (None, 0) if slab is None else (slab.shape, slab.used_count)
+
+
+def _built(allocator):
+    """How many ``Slab`` objects the allocator has built so far."""
+    return sum(slab is not None for slab in allocator._slabs)
+
+
 def _allocator_state(allocator, block_bytes):
     return (
         [allocator.capacity_for(shape, size) for shape, size in block_bytes.items()],
@@ -223,7 +236,7 @@ def _allocator_state(allocator, block_bytes):
         allocator.blocks_allocated,
         allocator.blocks_freed,
         [astuple(stats) for stats in allocator.shape_stats()],
-        [(slab.shape, slab.used_count) for slab in allocator._slabs],
+        [_slab_state(slab) for slab in allocator._slabs],
     )
 
 
@@ -277,6 +290,7 @@ class TestReferenceDifferential:
             )
             for _, extent, block_list in owners:
                 assert extent.runs == _runs_of(block_list)
+            assert _built(extents) == extents.peak_held_bytes // extents.slab_bytes
 
 
 class TestGrowDifferential:
@@ -371,3 +385,115 @@ class TestGrowDifferential:
         assert owner[0].runs == [(5, 4), (4, 2)]
         self._free(pair, owner)
         self._check(pair)
+
+
+class TestLazyFreePool:
+    """Slabs are built on first use, and the lazy pool pops in the
+    eager pool's order: the last-released slab first, then the highest
+    never-used index.  Slabs hold four 1 MiB blocks, checked against
+    the eager per-block oracle after every step."""
+
+    BLOCK = {0: MiB}
+
+    def _pair(self, slabs):
+        region = slabs * 4 * MiB
+        return (
+            SlabAllocator(region_bytes=region, slab_bytes=4 * MiB),
+            reference_slab.SlabAllocator(region_bytes=region, slab_bytes=4 * MiB),
+        )
+
+    def _alloc(self, pair, count):
+        extents, blocks = pair
+        try:
+            extent = extents.alloc(0, MiB, count)
+        except MemoryError:
+            with pytest.raises(MemoryError):
+                blocks.alloc(0, MiB, count)
+            self._check(pair)
+            return None
+        block_list = blocks.alloc(0, MiB, count)
+        assert extent.runs == _runs_of(block_list)
+        self._check(pair)
+        return extent, block_list
+
+    def _free(self, pair, owner):
+        pair[0].free(owner[0])
+        pair[1].free(owner[1])
+        self._check(pair)
+
+    def _check(self, pair):
+        extents, blocks = pair
+        assert _allocator_state(extents, self.BLOCK) == _allocator_state(
+            blocks, self.BLOCK
+        )
+        assert _built(extents) == extents.peak_held_bytes // extents.slab_bytes
+
+    def test_fresh_region_builds_no_slab(self):
+        # 4096 slabs of 4 MiB: a 16 GiB host cache, as a run sees it.
+        allocator = SlabAllocator(region_bytes=16 * 1024 * MiB, slab_bytes=4 * MiB)
+        assert allocator.slab_count == 4096
+        assert _built(allocator) == 0
+        assert allocator.free_slab_count == 4096
+        assert allocator.capacity_for("a", MiB) == 4096 * 4
+        extent = allocator.alloc("a", MiB, 6)
+        assert extent.runs == [(4095, 4), (4094, 2)]
+        assert _built(allocator) == 2
+        allocator.free(extent)
+        assert _built(allocator) == 2
+        assert allocator.free_slab_count == 4096
+
+    def test_released_slabs_pop_before_never_used_ones(self):
+        pair = self._pair(4)
+        a = self._alloc(pair, 4)  # slab 3
+        b = self._alloc(pair, 4)  # slab 2
+        self._free(pair, a)  # released: [3]; never used: 0, 1
+        c = self._alloc(pair, 4)
+        assert c[0].runs == [(3, 4)]
+        self._free(pair, b)
+        self._free(pair, c)  # released: [2, 3]
+        d = self._alloc(pair, 12)
+        assert d[0].runs == [(3, 4), (2, 4), (1, 4)]
+        assert _built(pair[0]) == 3
+
+    def test_never_used_slabs_run_out_while_released_ones_remain(self):
+        pair = self._pair(4)
+        a = self._alloc(pair, 4)  # slab 3
+        b = self._alloc(pair, 8)  # slabs 2, 1
+        self._free(pair, a)  # released: [3]; never used: 0
+        c = self._alloc(pair, 2)  # the released slab, not slab 0
+        assert c[0].runs == [(3, 2)]
+        self._free(pair, b)  # released: [2, 1]
+        d = self._alloc(pair, 14)  # 2 on slab 3, then 1, 2, then slab 0
+        assert d[0].runs == [(3, 2), (1, 4), (2, 4), (0, 4)]
+        assert pair[0].free_slab_count == 0 and pair[0]._unused == 0
+        assert self._alloc(pair, 1) is None
+        self._free(pair, c)
+        self._free(pair, d)  # released: [3, 1, 2, 0]; never used: none
+        e = self._alloc(pair, 9)
+        assert e[0].runs == [(0, 4), (2, 4), (1, 1)]
+        assert _built(pair[0]) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(operations=kv_owner_operations())
+    def test_slabs_built_equal_peak_held(self, operations):
+        # 2048 slabs of 4 MiB; whole-slab blocks touch many slabs.
+        block_bytes = {0: 256 * 1024, 1: 768 * 1024, 2: 1536 * 1024, 3: 4 * MiB}
+        allocator = SlabAllocator(region_bytes=8 * 1024 * MiB, slab_bytes=4 * MiB)
+        assert _built(allocator) == 0
+        owners: list[KvExtent] = []
+        for action, shape_id, count, pick in operations:
+            try:
+                if action == "alloc":
+                    owners.append(
+                        allocator.alloc(shape_id, block_bytes[shape_id], count)
+                    )
+                elif owners and action == "grow":
+                    allocator.grow(owners[pick % len(owners)], count)
+                elif owners:
+                    allocator.free(owners.pop(pick % len(owners)))
+            except MemoryError:
+                pass
+            built = _built(allocator)
+            assert built == allocator.peak_held_bytes // allocator.slab_bytes
+            held = allocator.held_bytes // allocator.slab_bytes
+            assert allocator.free_slab_count == allocator.slab_count - held

@@ -22,6 +22,7 @@ from repro.core import (
 from repro.hardware import H800
 from repro.models import market_mix
 from repro.obs import ObsConfig, chrome_trace
+from repro.policy import get_bundle
 from repro.sim import Environment
 from repro.workload import materialize_trace, sharegpt, sharegpt_ox2
 
@@ -161,6 +162,20 @@ class TestDrain:
         assert result.drained
         assert result.unaccounted == 0
         assert system.proxy.live == {}
+
+    @pytest.mark.parametrize("bundle", ["aegaeon", "unified-prefill-first"])
+    def test_disposed_requests_hold_no_kv_handle(self, bundle):
+        # A retained request pins none of its KV state once disposed:
+        # not its handle, last transfer event or dead extents.  The
+        # invariant checker's disposal vetting runs before the handle
+        # is dropped, and finds no live extent on it.
+        name = get_bundle(bundle).system
+        spec = SystemSpec(
+            system=name, config=small_config(name), policies=bundle, invariants=True
+        )
+        result = spec.build().serve(small_trace(n_models=4, rps=0.2))
+        assert result.drained and result.finished_requests > 0
+        assert all(request.kv is None for request in result.requests)
 
     def test_cut_short_serve_reports_in_flight(self):
         system = build_system(SystemSpec(config=small_config("aegaeon")))
