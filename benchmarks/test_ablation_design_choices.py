@@ -37,7 +37,7 @@ def test_ablation_max_gpsize(benchmark):
 
     def run():
         return {
-            size: _run(trace, Tunables(max_prefill_group=size)).slo_attainment()
+            size: _run(trace, Tunables(max_prefill_group=size)).slo_attainment
             for size in sizes
         }
 
@@ -61,7 +61,7 @@ def test_ablation_qmax(benchmark):
     trace = make_trace(48, 0.1, seed=11125)
 
     def run():
-        return {q: _run(trace, Tunables(qmax=q)).slo_attainment() for q in qmaxes}
+        return {q: _run(trace, Tunables(qmax=q)).slo_attainment for q in qmaxes}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
@@ -90,7 +90,7 @@ def test_ablation_engine_features_end_to_end(benchmark):
 
     def run():
         return {
-            label: _run(trace, engine=config).slo_attainment()
+            label: _run(trace, engine=config).slo_attainment
             for label, config in variants.items()
         }
 

@@ -136,7 +136,7 @@ def test_fig06_unified_vs_disaggregated(benchmark):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = [
-        (label, f"{result.slo_attainment():.1%}", f"{result.ttfts().max():.2f} s")
+        (label, f"{result.slo_attainment:.1%}", f"{result.ttfts().max():.2f} s")
         for label, result in results.items()
     ]
     print()
@@ -151,7 +151,7 @@ def test_fig06_unified_vs_disaggregated(benchmark):
 
     disaggregated = results["disaggregated"]
     # The Figure 6 ordering: disaggregated > prefill-first > decode-first.
-    assert disaggregated.slo_attainment() > results[PF].slo_attainment()
-    assert results[PF].slo_attainment() > results[DF].slo_attainment()
+    assert disaggregated.slo_attainment > results[PF].slo_attainment
+    assert results[PF].slo_attainment > results[DF].slo_attainment
     # Decode-first specifically blows TTFTs (Figure 6(b)).
     assert results[DF].ttfts().max() > 3 * disaggregated.ttfts().max()

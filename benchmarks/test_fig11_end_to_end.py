@@ -21,7 +21,7 @@ def _sweep(setups, rps_of, models_of, seed_offset=0):
         trace = make_trace(models_of(setup), rps_of(setup), seed=2025 + seed_offset + index)
         for name, factory in SYSTEMS.items():
             result = run_system(factory(DEFAULT_SLO), trace)
-            results[name].append((setup, result.slo_attainment()))
+            results[name].append((setup, result.slo_attainment))
     return results
 
 

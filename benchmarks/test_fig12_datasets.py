@@ -20,7 +20,7 @@ def _sweep(dataset, model_counts, rps, seed_offset):
         trace = make_trace(count, rps, dataset=dataset, seed=3025 + seed_offset + index)
         for name in COMPARED:
             result = run_system(SYSTEMS[name](DEFAULT_SLO), trace)
-            results[name].append((count, result.slo_attainment()))
+            results[name].append((count, result.slo_attainment))
     return results
 
 

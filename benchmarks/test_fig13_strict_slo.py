@@ -22,7 +22,7 @@ def _sweep(factor, model_counts, seed_offset):
         trace = make_trace(count, 0.1, seed=4025 + seed_offset + index)
         for name in COMPARED:
             result = run_system(SYSTEMS[name](slo), trace)
-            results[name].append((count, result.slo_attainment()))
+            results[name].append((count, result.slo_attainment))
     return results
 
 

@@ -25,7 +25,7 @@ def test_fig14_latency_breakdown(benchmark):
             result = run_system(SYSTEMS["Aegaeon"](DEFAULT_SLO), trace)
             breakdowns[(models, rps)] = (
                 result.latency_breakdown(),
-                result.slo_attainment(),
+                result.slo_attainment,
             )
         return breakdowns
 

@@ -32,7 +32,7 @@ def test_fig17_left_a10_node(benchmark):
                 )
                 env = Environment()
                 server = AegaeonServer.a10_testbed(env, slo=slo)
-                grid[(label, count)] = server.serve(trace).slo_attainment()
+                grid[(label, count)] = server.serve(trace).slo_attainment
         return grid
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -77,7 +77,7 @@ def test_fig17_right_72b_tp4(benchmark):
                 )
                 env = Environment()
                 server = AegaeonServer.tp4_testbed(env, slo=slo)
-                grid[(label, rate)] = server.serve(trace).slo_attainment()
+                grid[(label, rate)] = server.serve(trace).slo_attainment
         return grid
 
     grid = benchmark.pedantic(run, rounds=1, iterations=1)

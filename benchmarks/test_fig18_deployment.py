@@ -109,7 +109,7 @@ def test_fig18_deployment_utilization_and_savings(benchmark):
 
             env.process(sample_aegaeon())
             result_after = server.serve(trace)
-            attainment = result_after.slo_attainment()
+            attainment = result_after.slo_attainment
             utilization = float(
                 np.mean(
                     [

@@ -55,7 +55,7 @@ def parse_args():
     )
     parser.add_argument(
         "--out", metavar="FILE",
-        help="write per-bundle rollups (stats + sessions) as JSON",
+        help="write per-bundle rollups (summary + stats) as JSON",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -115,13 +115,9 @@ def run_bundle(args, bundle: str):
     return {
         "bundle": bundle,
         "wall": wall,
-        "end_time": result.end_time,
+        # Attainment, cost, drain state and the session rollup.
+        "summary": result.summary(),
         "stats": stats.as_dict(),
-        "sessions": result.sessions,
-        "slo_attainment": stats.slo_attainment,
-        "cost_usd": result.cost_usd,
-        "cost_per_token": result.cost_per_token,
-        "tokens_generated": stats.tokens_generated,
         "routed_spend_usd": sum(spend.values()),
         "max_session_spend_usd": max(spend.values()) if spend else 0.0,
         "budget_usd": tunables.router_session_budget_usd,
@@ -163,19 +159,20 @@ def always_largest_spend(args) -> tuple[float, int]:
 
 
 def print_report(report):
-    s = report["sessions"]["stats"]
+    summary = report["summary"]
+    s = summary["sessions"]["stats"]
     print(
         f"  sessions {s['sessions_started']:>4} "
         f"(completed {s['sessions_completed']}, aborted {s['sessions_aborted']})"
         f"  stages {s['stages_submitted']}"
     )
     print(
-        f"  SLO attainment  {report['slo_attainment']:.4f}   "
-        f"tokens {report['tokens_generated']:,}"
+        f"  SLO attainment  {summary['slo_attainment']:.4f}   "
+        f"tokens {summary['tokens_generated']:,}"
     )
-    cpt = report["cost_per_token"]
+    cpt = summary["cost_per_token"]
     print(
-        f"  market cost     ${report['cost_usd']:.2f} "
+        f"  market cost     ${summary['cost_usd']:.2f} "
         f"(${1e6 * cpt:.2f}/Mtok serving)" if cpt else "  market cost     n/a"
     )
     counts = report["router_counts"]
@@ -214,8 +211,8 @@ def run_compare(args):
         write_rollup(args.out, reports)
 
     failures = []
-    aeg = reports["aegaeon"]["slo_attainment"]
-    sll = reports["serverless-llm"]["slo_attainment"]
+    aeg = reports["aegaeon"]["summary"]["slo_attainment"]
+    sll = reports["serverless-llm"]["summary"]["slo_attainment"]
     print(
         f"\nper-token SLO attainment: serverless-llm {sll:.4f} "
         f"vs aegaeon {aeg:.4f} ({aeg - sll:+.4f})"

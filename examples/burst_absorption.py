@@ -94,7 +94,7 @@ def main() -> None:
     rows = [
         ("hot model (with bursts)", f"{group_attainment(hot_mask):.1%}"),
         ("cold tail models", f"{group_attainment(~hot_mask):.1%}"),
-        ("overall", f"{result.slo_attainment():.1%}"),
+        ("overall", f"{result.slo_attainment:.1%}"),
     ]
     print()
     print(format_table(["traffic class", "SLO attainment"], rows, title="Burst absorption"))

@@ -75,7 +75,8 @@ def parse_args():
 
 
 def build_and_run(args, *, policy, spec, skewed):
-    """One replay; returns the FleetResult (stream is rebuilt per run)."""
+    """One replay; returns the fleet and its ServingResult (stream is
+    rebuilt per run)."""
     stream = market_stream(
         args.models, args.horizon, seed=args.seed, total_rate=args.total_rate
     )

@@ -45,7 +45,7 @@ def size_aegaeon(trace):
         )
         result = server.serve(trace)
         assert result.drained, f"{result.unaccounted} requests still in flight"
-        if result.slo_attainment() >= 0.90:
+        if result.slo_attainment >= 0.90:
             return prefill + decode, result
     return None, None
 
@@ -57,7 +57,7 @@ def size_serverless(trace):
         cluster = Cluster.homogeneous(env, H800, 1, count)
         result = ServerlessLLM(env, cluster).serve(trace)
         assert result.drained, f"{result.unaccounted} requests still in flight"
-        if result.slo_attainment() >= 0.90:
+        if result.slo_attainment >= 0.90:
             return count, result
     return MODEL_COUNT, None
 
@@ -90,7 +90,7 @@ def main() -> None:
         (
             "Dedicated (1 GPU/model)",
             MODEL_COUNT,
-            f"{result_dedicated.slo_attainment():.1%}",
+            f"{result_dedicated.slo_attainment:.1%}",
             "0%",
         ),
         (
@@ -102,7 +102,7 @@ def main() -> None:
         (
             "Aegaeon (token-level)",
             aegaeon_gpus,
-            f"{aegaeon_result.slo_attainment():.1%}",
+            f"{aegaeon_result.slo_attainment:.1%}",
             f"{1 - aegaeon_gpus / MODEL_COUNT:.0%}",
         ),
     ]

@@ -92,7 +92,7 @@ def main() -> None:
             [
                 ("requests finished", f"{result.finished_requests}/{len(trace)}"),
                 ("requests rejected", f"{registry.rejected}"),
-                ("SLO attainment", f"{result.slo_attainment():.1%}"),
+                ("SLO attainment", f"{result.slo_attainment:.1%}"),
                 ("mean TTFT", f"{result.summary()['mean_ttft']:.2f} s"),
                 ("models per GPU", f"{len(models) / server.gpu_count:.1f}"),
             ],

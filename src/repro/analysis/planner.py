@@ -97,7 +97,7 @@ def plan_pool(
             ),
         )
         result = server.serve(trace)
-        attainment = result.slo_attainment()
+        attainment = result.slo_attainment
         if attainment >= threshold:
             return PoolPlan(
                 prefill_instances=prefill,

@@ -33,6 +33,7 @@ from ..hardware.gpu import GpuSpec
 from ..models.catalog import ModelSpec
 from ..models.latency import LatencyModel
 from ..policy.base import PolicyBundle
+from ..policy.placement import MARKET_HOURLY_USD
 from ..sim import Environment
 from ..workload.stream import RequestStream
 
@@ -221,3 +222,7 @@ class DedicatedServing(ServingSystemBase):
 
     def dispatch(self, request: Request) -> None:
         self.instances[request.model].enqueue(request)
+
+    def hourly_usd(self) -> float:
+        """One dedicated GPU per model at the market rate."""
+        return MARKET_HOURLY_USD[self.gpu_spec.name] * self.gpu_count

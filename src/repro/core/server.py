@@ -4,8 +4,9 @@
 cluster: per-node host caches, prefill/decoding engines and instances,
 the two token-level schedulers, and the proxy layer.  It speaks the same
 :class:`~repro.core.serving.ServingSystem` protocol as every baseline —
-``serve(workload)`` replays a workload and returns a
-:class:`~repro.analysis.metrics.ServingResult` — and threads one
+``serve(workload)`` replays a workload and returns the
+:class:`~repro.analysis.metrics.ServingResult` a fleet run returns too,
+billed at the market rate of its cluster — and threads one
 :class:`~repro.obs.Observability` through every component it builds.
 
 One simplification versus the production deployment: the unified CPU KV

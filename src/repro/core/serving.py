@@ -3,11 +3,12 @@
 Every serving system in this reproduction — Aegaeon itself, the
 ServerlessLLM/MuxServe baselines, and the unified-scheduling foils —
 speaks the same :class:`ServingSystem` protocol: ``prepare`` /
-``dispatch`` / ``serve`` / ``collect`` / ``scale_records``.  The shared
-plumbing (workload replay through the proxy layer, completion tracking,
-drain watchdog, result collection, observability attachment) lives in
-:class:`ServingSystemBase`.  Every system is constructed the same way,
-``cls(env, cluster, config, policies)``: Aegaeon from an
+``dispatch`` / ``serve`` / ``scale_records``.  The shared plumbing
+(workload replay through the proxy layer, completion tracking, drain
+watchdog, observability attachment) lives in :class:`ServingSystemBase`;
+``serve`` ends in :func:`~repro.analysis.metrics.collect_result`, the
+one collector a fleet run ends in too.  Every system is constructed the
+same way, ``cls(env, cluster, config, policies)``: Aegaeon from an
 :class:`~repro.core.server.AegaeonConfig`, every other system from a
 :class:`SystemConfig`.  :func:`build_system` builds any registered
 system by name from its :class:`SystemSpec`, so benchmarks, examples,
@@ -27,6 +28,7 @@ from ..hardware.cluster import Cluster
 from ..hardware.gpu import H800
 from ..obs import ObsConfig, Observability
 from ..policy.base import PolicyBundle, policy_event
+from ..policy.placement import MARKET_HOURLY_USD
 from ..policy.registry import resolve_bundle
 from ..sim import Environment
 from ..transfer.kv_transfer import TransferStats
@@ -85,26 +87,22 @@ class ServingSystem(Protocol):
     def serve(self, workload: RequestStream, until: Optional[float] = None) -> "ServingResult":
         """Replay ``workload`` to completion or the drain deadline."""
 
-    def collect(self, workload: RequestStream) -> "ServingResult":
-        """Assemble the measurement object from current state."""
-
     def scale_records(self) -> list[ScaleRecord]:
         """Auto-scaling history across the system's engines."""
 
 
 # -- shared plumbing ---------------------------------------------------------
 class ServingSystemBase:
-    """Workload replay, completion tracking, result collection, observability.
+    """Workload replay, completion tracking, accounting, observability.
 
     Subclasses implement :meth:`dispatch` and usually :meth:`prepare` and
     :meth:`engines`; everything else — the proxy layer, the drain
-    watchdog, :class:`~repro.analysis.metrics.ServingResult` assembly,
-    and metric attachment — is inherited, so every system is measured
-    identically.  Every system is constructed
-    ``cls(env, cluster, config, policies)``: the base keeps ``cluster``
-    and ``config``, takes ``slo``, ``drain_grace`` and the observability
-    level from the config, and runs ``policies``, else the config's
-    ``policies``, else :attr:`default_policies`.
+    watchdog, the accounting the result reads, and metric attachment —
+    is inherited, so every system is measured identically.  Every system
+    is constructed ``cls(env, cluster, config, policies)``: the base
+    keeps ``cluster`` and ``config``, takes ``slo``, ``drain_grace`` and
+    the observability level from the config, and runs ``policies``, else
+    the config's ``policies``, else :attr:`default_policies`.
     """
 
     label = "system"
@@ -137,7 +135,7 @@ class ServingSystemBase:
         self.gpu_count = 0
         #: The run's one accounting: :meth:`_dispose` folds every
         #: terminal disposition into it once, :meth:`fold_in_flight`
-        #: what is still in flight when the run ends.  Both results read
+        #: what is still in flight when the run ends.  The result reads
         #: it: ``serve``'s and, per shard, a fleet's.
         self.stats = ShardStats()
         #: Optional observer fired after the fold on every genuine
@@ -235,6 +233,10 @@ class ServingSystemBase:
     def transfer_stats(self) -> list[TransferStats]:
         """KV transfer statistics, aggregated across :meth:`engines`."""
         return [engine.kv.stats for engine in self.engines()]
+
+    def hourly_usd(self) -> float:
+        """Market rate of the system's GPUs; an unpriced GPU raises."""
+        return sum(MARKET_HOURLY_USD[gpu.spec.name] for gpu in self.cluster.gpus)
 
     # -- chaos attachment ----------------------------------------------------
     def attach_faults(self, plan) -> "object":
@@ -358,9 +360,9 @@ class ServingSystemBase:
     def fold_in_flight(self) -> None:
         """Fold every request still in flight into :attr:`stats`.
 
-        Called once when a run ends, by :meth:`serve` and by the fleet
-        runner alike: a request the drain deadline cut off counts its
-        tokens never generated as missed (§2.1).  A drained run has
+        Called once when a run ends, by the collector of ``serve`` and
+        of a fleet run alike: a request the drain deadline cut off counts
+        its tokens never generated as missed (§2.1).  A drained run has
         nothing in flight.
         """
         fold = self.stats.fold
@@ -409,30 +411,16 @@ class ServingSystemBase:
             until if until is not None else workload.horizon + self.drain_grace,
             (self.invariant_checker,),
         )
-        self.fold_in_flight()
-        self.settle_links()
-        result = self.collect(workload)
-        result.drained = drained
-        result.unaccounted = proxy.submitted - self.accounted
-        return result
-
-    def collect(self, workload: RequestStream) -> "ServingResult":
-        """Assemble the measurement object."""
         # Imported here to avoid a core <-> analysis import cycle.
-        from ..analysis.metrics import ServingResult
+        from ..analysis.metrics import collect_result
 
-        return ServingResult(
-            requests=list(self.proxy.requests),
-            stats=self.stats,
-            slo=self.slo,
-            horizon=workload.horizon,
-            end_time=self.env.now,
-            scale_records=self.scale_records(),
-            transfer_stats=self.transfer_stats(),
-            gpu_count=self.gpu_count,
-            label=self.label,
-            metrics=self.obs.metrics.snapshot(),
-            obs=self.obs,
+        return collect_result(
+            [self],
+            self.env,
+            workload.horizon,
+            drained,
+            proxy.submitted - self.accounted,
+            proxy.submitted,
         )
 
 

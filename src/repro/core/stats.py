@@ -3,13 +3,12 @@
 Every :class:`~repro.core.serving.ServingSystemBase` owns a
 :class:`ShardStats` and folds each terminal disposition into it exactly
 once; what is still in flight when a run ends is folded at collection,
-so tokens never generated count as missed (paper §2.1).  Both results
-read this fold: a single system's
-:class:`~repro.analysis.metrics.ServingResult` and a fleet's
-:class:`~repro.fleet.runner.FleetResult`, whose
-:class:`~repro.fleet.rollup.FleetRollup` merges one per shard.  The
-state is counters and geometric :class:`~repro.obs.metrics.Histogram`
-buckets, so it is mergeable and never holds a request list.
+so tokens never generated count as missed (paper §2.1).  The one
+result, :class:`~repro.analysis.metrics.ServingResult`, reads this fold
+through a :class:`FleetRollup` of the run's systems: one for ``serve``,
+one per shard for a fleet.  The state is counters and geometric
+:class:`~repro.obs.metrics.Histogram` buckets (quantiles within ~7.5%
+relative error), so it is mergeable and never holds a request list.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Optional
 from ..engine.request import Phase, Request
 from ..obs.metrics import Histogram, record
 
-__all__ = ["ShardStats", "stats_digest"]
+__all__ = ["FleetRollup", "ShardStats", "stats_digest"]
 
 
 @dataclass
@@ -127,6 +126,45 @@ class ShardStats:
             "slo_attainment": self.slo_attainment,
             "ttft": self.ttft.as_dict(),
             "tbt": self.tbt.as_dict(),
+        }
+
+
+class FleetRollup:
+    """Run-wide aggregate of per-system (per-shard) :class:`ShardStats`."""
+
+    def __init__(self, shards: list[ShardStats]):
+        self.shards = list(shards)
+        self.total = ShardStats(shard=-1)
+        for stats in self.shards:
+            self.total.merge(stats)
+
+    @property
+    def slo_attainment(self) -> float:
+        return self.total.slo_attainment
+
+    def cost_per_token(self, cost_usd: float) -> Optional[float]:
+        """USD per generated output token, given the run's GPU bill."""
+        if not self.total.tokens_generated:
+            return None
+        return cost_usd / self.total.tokens_generated
+
+    def summary(self) -> dict[str, object]:
+        """Run-level metric rollup (what the demos and CI print)."""
+        total = self.total
+        return {
+            "shards": len(self.shards),
+            "requests": total.requests,
+            "finished": total.finished,
+            "failed": total.failed,
+            "rejected": total.rejected,
+            "spilled": total.spilled,
+            "migrations": total.migrations_out,
+            "slo_attainment": total.slo_attainment,
+            "tokens_generated": total.tokens_generated,
+            "ttft_p50": total.ttft.quantile(0.50),
+            "ttft_p99": total.ttft.quantile(0.99),
+            "tbt_p50": total.tbt.quantile(0.50),
+            "tbt_p99": total.tbt.quantile(0.99),
         }
 
 

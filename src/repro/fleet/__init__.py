@@ -12,7 +12,7 @@ scaling hints.  See ``DESIGN.md`` ("Fleet architecture" and "The fleet
 controller").
 """
 
-from ..core.stats import ShardStats
+from ..core.stats import FleetRollup, ShardStats
 from ..obs.metrics import LatencyHistogram
 from .controller import (
     ControllerConfig,
@@ -23,15 +23,13 @@ from .controller import (
     SpillLedger,
 )
 from .partition import CatalogPartitioner
-from .rollup import FleetRollup
-from .runner import FleetConfig, FleetResult, FleetRunner, FleetShard, build_fleet
+from .runner import FleetConfig, FleetRunner, FleetShard, build_fleet
 
 __all__ = [
     "CatalogPartitioner",
     "ControllerConfig",
     "FleetConfig",
     "FleetController",
-    "FleetResult",
     "FleetRollup",
     "FleetRunner",
     "FleetShard",

@@ -423,7 +423,7 @@ class FleetController:
 
     # -- results -------------------------------------------------------------
     def summary(self) -> dict[str, object]:
-        """Controller accounting for :class:`FleetResult`."""
+        """Controller accounting for the run's :class:`ServingResult`."""
         policy = self.policy
         return {
             "policy": getattr(policy, "name", type(policy).__name__),

@@ -11,11 +11,14 @@ lazily and submits each request to the shard owning its model.
 Shards run in streaming mode (``retain_requests=False``): every terminal
 request is folded into that shard's system's
 :class:`~repro.core.stats.ShardStats` and dropped, so a 10^5-request
-replay peaks at in-flight concurrency, not trace length.  The per-shard
-stats merge into a :class:`~repro.fleet.rollup.FleetRollup` — fleet
-p50/p99 TTFT/TBT, per-token SLO attainment, and $/token from the
-market's hourly GPU prices — exported through ``repro.obs`` alongside
-each shard's own metric snapshot.
+replay peaks at in-flight concurrency, not trace length.  A run ends in
+:func:`~repro.analysis.metrics.collect_result`, the collector ``serve``
+ends in too, so a fleet returns the same
+:class:`~repro.analysis.metrics.ServingResult`: the per-shard stats
+merged into a :class:`~repro.core.stats.FleetRollup` (fleet p50/p99
+TTFT/TBT, per-token SLO attainment, and $/token from the market's
+hourly GPU prices), the fleet registry's rollup gauges, and each
+shard's own metric snapshot.
 """
 
 from __future__ import annotations
@@ -23,20 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..analysis.metrics import ServingResult, collect_result
 from ..core.proxy import replay
 from ..core.serving import SystemSpec
-from ..core.stats import ShardStats, stats_digest
+from ..core.stats import ShardStats
 from ..obs import ObsConfig, Observability
-from ..policy.placement import MARKET_HOURLY_USD
 from ..sim import Environment
 from .controller import ControllerConfig, FleetController
 from .partition import CatalogPartitioner
-from .rollup import FleetRollup
 
 __all__ = [
     "FleetConfig",
     "FleetShard",
-    "FleetResult",
     "FleetRunner",
     "build_fleet",
 ]
@@ -80,64 +81,6 @@ class FleetShard:
     def stats(self) -> ShardStats:
         """The shard's accounting: its system's fold."""
         return self.system.stats
-
-
-@dataclass
-class FleetResult:
-    """Everything measured from one fleet run."""
-
-    rollup: FleetRollup
-    shard_stats: list[ShardStats]
-    submitted: int
-    end_time: float
-    horizon: float
-    gpu_count: int
-    #: GPU-hours at simulated time and the market-rate bill for them.
-    gpu_hours: float
-    cost_usd: float
-    #: Fleet-level metric snapshot (repro.obs registry).
-    metrics: dict = field(default_factory=dict)
-    #: Per-shard repro.obs metric snapshots, index-aligned with shards.
-    shard_metrics: list = field(default_factory=list)
-    #: ``FleetController.summary()`` when the run had a controller.
-    controller: Optional[dict] = None
-    #: ``SessionCoordinator.summary()`` when the run mixed agentic
-    #: sessions into the stream (per-session conservation rollup).
-    sessions: Optional[dict] = None
-    #: False when the drain deadline ended the run before every request
-    #: was disposed; ``unaccounted`` is the number still in flight then.
-    drained: bool = True
-    unaccounted: int = 0
-
-    @property
-    def slo_attainment(self) -> float:
-        return self.rollup.slo_attainment
-
-    @property
-    def cost_per_token(self) -> Optional[float]:
-        return self.rollup.cost_per_token(self.cost_usd)
-
-    def digest(self) -> str:
-        """Order-stable hash of the run's outcome: every shard's stats
-        row, then the session rollup when the run had sessions."""
-        return stats_digest(self.shard_stats, self.sessions)
-
-    def summary(self) -> dict[str, object]:
-        """Fleet rollup plus the run's cost accounting."""
-        out = self.rollup.summary()
-        out.update(
-            submitted=self.submitted,
-            end_time=self.end_time,
-            gpu_count=self.gpu_count,
-            gpu_hours=self.gpu_hours,
-            cost_usd=self.cost_usd,
-            cost_per_token=self.cost_per_token,
-        )
-        if self.controller is not None:
-            out["controller"] = dict(self.controller)
-        if self.sessions is not None:
-            out["sessions"] = dict(self.sessions)
-        return out
 
 
 @dataclass(frozen=True)
@@ -195,14 +138,6 @@ class FleetRunner:
     def gpu_count(self) -> int:
         return sum(shard.system.gpu_count for shard in self.shards)
 
-    def _hourly_usd(self) -> float:
-        """The fleet's combined market rate, from each shard's cluster."""
-        return sum(
-            MARKET_HOURLY_USD.get(gpu.spec.name, 0.0)
-            for shard in self.shards
-            for gpu in shard.system.cluster.gpus
-        )
-
     def _unaccounted(self) -> int:
         """Requests submitted or spilled but not yet disposed.
 
@@ -252,7 +187,7 @@ class FleetRunner:
         for shard in self.shards:
             shard.system.request_sink = coordinator.on_settled
 
-    def run(self, stream, until: Optional[float] = None) -> FleetResult:
+    def run(self, stream, until: Optional[float] = None) -> ServingResult:
         """Replay ``stream`` across the fleet to completion or deadline."""
         assignment = self.partitioner.assign(stream.models)
         rate_of = dict(zip((spec.name for spec in stream.models), stream.rates or ()))
@@ -283,48 +218,16 @@ class FleetRunner:
             until,
             [shard.system.invariant_checker for shard in self.shards],
         )
-        return self._collect(stream.horizon, drained)
-
-    def _collect(self, horizon: float, drained: bool) -> FleetResult:
-        for shard in self.shards:
-            shard.system.fold_in_flight()
-            shard.system.settle_links()
-        shard_stats = [shard.stats for shard in self.shards]
-        rollup = FleetRollup(shard_stats)
-        gpu_hours = self.gpu_count * self.env.now / 3600.0
-        cost_usd = self._hourly_usd() * self.env.now / 3600.0
-        if self.obs.enabled:
-            summary = rollup.summary()
-            metrics = self.obs.metrics
-            for key in (
-                "slo_attainment",
-                "ttft_p50",
-                "ttft_p99",
-                "tbt_p50",
-                "tbt_p99",
-            ):
-                metrics.gauge(key, scope="fleet").set(float(summary[key]))
-        return FleetResult(
-            rollup=rollup,
-            shard_stats=shard_stats,
-            submitted=self.submitted,
-            end_time=self.env.now,
-            horizon=horizon,
-            gpu_count=self.gpu_count,
-            gpu_hours=gpu_hours,
-            cost_usd=cost_usd,
-            metrics=self.obs.metrics.snapshot(),
-            shard_metrics=[
-                shard.system.obs.metrics.snapshot() for shard in self.shards
-            ],
-            controller=(
-                self.controller.summary() if self.controller is not None else None
-            ),
-            sessions=(
-                self.sessions.summary() if self.sessions is not None else None
-            ),
-            drained=drained,
-            unaccounted=self._unaccounted(),
+        return collect_result(
+            [shard.system for shard in self.shards],
+            self.env,
+            stream.horizon,
+            drained,
+            self._unaccounted(),
+            self.submitted,
+            obs=self.obs,
+            controller=self.controller,
+            sessions=self.sessions,
         )
 
 

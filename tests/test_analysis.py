@@ -39,8 +39,8 @@ def make_request(request_id=0, arrival=0.0, out=10, token_times=None, model="Qwe
 
 def make_result(requests, end_time=100.0):
     return ServingResult(
+        shard_stats=[folded(requests)],
         requests=requests,
-        stats=folded(requests),
         slo=DEFAULT_SLO,
         horizon=60.0,
         end_time=end_time,
@@ -91,19 +91,19 @@ class TestTheorem31:
 class TestAttainment:
     def test_perfect_run(self):
         request = make_request(out=3, token_times=[1.0, 1.1, 1.2])
-        assert make_result([request]).slo_attainment() == 1.0
+        assert make_result([request]).slo_attainment == 1.0
 
     def test_missing_tokens_count_as_missed(self):
         # 10 expected, only 2 generated (on time): attainment 0.2.
         request = make_request(out=10, token_times=[1.0, 1.05])
-        assert make_result([request]).slo_attainment() == pytest.approx(0.2)
+        assert make_result([request]).slo_attainment == pytest.approx(0.2)
 
     def test_late_tokens_counted(self):
         request = make_request(out=2, token_times=[50.0, 50.1])  # deadline 10.0
-        assert make_result([request]).slo_attainment() == 0.0
+        assert make_result([request]).slo_attainment == 0.0
 
     def test_empty_result(self):
-        assert make_result([]).slo_attainment() == 1.0
+        assert make_result([]).slo_attainment == 1.0
 
     def test_per_request_attainment_shape(self):
         requests = [

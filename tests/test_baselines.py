@@ -51,7 +51,7 @@ class TestMuxServe:
         trace = small_trace(4)
         result = server.serve(trace)
         assert result.finished_requests == len(trace)
-        assert result.slo_attainment() > 0.9
+        assert result.slo_attainment > 0.9
 
     def test_rejects_unplaced_models(self):
         env = Environment()
@@ -61,7 +61,7 @@ class TestMuxServe:
         assert server.placed_model_count <= 4
         assert len(server.rejected) > 0
         # Rejected requests pull attainment down.
-        assert result.slo_attainment() < 1.0
+        assert result.slo_attainment < 1.0
 
     def test_no_switch_cost(self):
         env = Environment()
@@ -116,7 +116,7 @@ class TestDedicated:
         server = DedicatedServing(env, H800)
         trace = small_trace(3, rps=0.1)
         result = server.serve(trace)
-        assert result.slo_attainment() > 0.99
+        assert result.slo_attainment > 0.99
 
     def test_utilization_is_low_for_sporadic_load(self):
         # The §1 motivation: dedicated GPUs for sporadic models idle.
@@ -180,5 +180,5 @@ class TestServerlessLLMPlus:
             env = Environment()
             server = cls(env, Cluster.homogeneous(env, H800, 1, 2))
             trace = small_trace(8, rps=0.15, horizon=90.0, seed=9)
-            attainments[cls.__name__] = server.serve(trace).slo_attainment()
+            attainments[cls.__name__] = server.serve(trace).slo_attainment
         assert attainments["ServerlessLLM"] != attainments["ServerlessLLMPlus"]

@@ -43,14 +43,14 @@ class TestEndToEnd:
         trace = small_trace(3, seed=2)
         result = server.serve(trace)
         expected = sum(r.output_tokens for r in trace.requests)
-        assert result.tokens_generated() == expected
+        assert result.rollup.total.tokens_generated == expected
 
     def test_light_load_meets_slo(self):
         env = Environment()
         server = small_server(env)
         trace = small_trace(4, rps=0.05, horizon=80.0)
         result = server.serve(trace)
-        assert result.slo_attainment() > 0.9
+        assert result.slo_attainment > 0.9
 
     def test_token_times_monotone_per_request(self):
         env = Environment()
@@ -164,7 +164,7 @@ class TestStricterSlo:
             )
             server = AegaeonServer(env, cluster, config)
             trace = small_trace(8, rps=0.1, horizon=60.0, seed=4)
-            results[factor] = server.serve(trace).slo_attainment()
+            results[factor] = server.serve(trace).slo_attainment
         assert results[0.2] < results[1.0]
 
 

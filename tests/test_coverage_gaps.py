@@ -127,8 +127,8 @@ class TestServingResultEdges:
         )
         request = Request(trace=trace, spec=get_model("Qwen-7B"))
         result = ServingResult(
+            shard_stats=[folded([request])],
             requests=[request],
-            stats=folded([request]),
             slo=DEFAULT_SLO,
             horizon=10.0,
             end_time=10.0,
@@ -136,13 +136,43 @@ class TestServingResultEdges:
         summary = result.summary()
         assert summary["finished"] == 0
         assert np.isnan(summary["mean_ttft"])
-        assert result.slo_attainment() == 0.0
+        assert result.slo_attainment == 0.0
 
     def test_kv_sync_overheads_default_zero(self):
         result = ServingResult(
-            requests=[], stats=folded([]), slo=DEFAULT_SLO, horizon=1.0, end_time=1.0
+            shard_stats=[folded([])], requests=[], slo=DEFAULT_SLO, horizon=1.0,
+            end_time=1.0,
         )
         assert result.kv_sync_overheads().size == 0
+
+    @staticmethod
+    def figures(result):
+        return (
+            result.ttfts,
+            result.latency_breakdown,
+            result.scaling_latencies,
+            result.kv_sync_overheads,
+            result.per_request_attainment,
+        )
+
+    def test_figure_arrays_refuse_a_streaming_run(self):
+        # A fleet run with retain_requests=False keeps no requests.
+        result = ServingResult(
+            shard_stats=[folded([])], requests=None, slo=DEFAULT_SLO, horizon=1.0,
+            end_time=1.0,
+        )
+        for figure in self.figures(result):
+            with pytest.raises(RuntimeError, match=r"retain_requests=True"):
+                figure()
+
+    def test_figure_arrays_of_a_retained_run_without_requests(self):
+        result = ServingResult(
+            shard_stats=[folded([])], requests=[], slo=DEFAULT_SLO, horizon=1.0,
+            end_time=1.0,
+        )
+        ttfts, breakdown, scaling, sync, attainment = self.figures(result)
+        assert ttfts().size == scaling().size == sync().size == attainment().size == 0
+        assert set(breakdown().as_dict().values()) == {0}
 
     def test_scaling_latencies_filters_first_boot(self):
         from repro.engine.engine import ScaleRecord
@@ -150,8 +180,8 @@ class TestServingResultEdges:
         boot = ScaleRecord(model_from=None, model_to="a", started=0.0, ended=20.0)
         switch = ScaleRecord(model_from="a", model_to="b", started=21.0, ended=22.0)
         result = ServingResult(
+            shard_stats=[folded([])],
             requests=[],
-            stats=folded([]),
             slo=DEFAULT_SLO,
             horizon=1.0,
             end_time=1.0,

@@ -41,7 +41,7 @@ class TestColdCheckpoints:
         )
         assert fetches > 0
         # Cold starts cost seconds, visibly worse than the warm path.
-        assert result.slo_attainment() < 1.0
+        assert result.slo_attainment < 1.0
 
     def test_tiny_model_cache_thrashes_but_serves(self):
         env = Environment()
@@ -176,4 +176,4 @@ class TestDrainDeadline:
         result = server.serve(trace)
         assert env.now <= trace.horizon + config.drain_grace + 2.0
         assert result.finished_requests < len(result.requests)
-        assert result.slo_attainment() < 0.9
+        assert result.slo_attainment < 0.9

@@ -17,6 +17,7 @@ from repro.fleet import (
 )
 from repro.models import get_model, market_mix
 from repro.obs import MetricsRegistry
+from repro.policy import MARKET_HOURLY_USD
 from repro.workload import market_stream, materialize_trace, sharegpt
 
 
@@ -200,6 +201,9 @@ class TestFleetRuns:
             assert shard.system.proxy.live == {}
             assert shard.system.registry.statuses == {}
             assert shard.system.accounted == shard.stats.requests
+        assert result.requests is None
+        with pytest.raises(RuntimeError, match=r"retain_requests=True"):
+            result.ttfts()
 
     def test_muxserve_shards(self):
         # Each shard places its slice of the catalog ranked by the
@@ -234,6 +238,12 @@ class TestFleetRuns:
         result = fleet.run(market_stream(12, 60.0, seed=8, total_rate=2.0))
         kept = sum(len(s.system.finished) for s in fleet.shards)
         assert kept == result.rollup.total.finished > 0
+        # The result's figure inputs are every shard's ledger, in order.
+        assert result.requests == [
+            r for shard in fleet.shards for r in shard.system.proxy.requests
+        ]
+        assert len(result.ttfts()) == result.submitted
+        assert result.finished_requests == kept
 
     def test_cost_accounting_uses_market_rates(self):
         fleet = build_fleet(FleetConfig(shards=2, spec=small_spec()))
@@ -254,6 +264,26 @@ class TestFleetRuns:
         result = fleet.run(trace)
         assert result.drained and result.end_time > 0
         assert result.cost_usd == pytest.approx(4 * 0.75 * result.end_time / 3600.0)
+
+    def test_serve_bills_its_pool_at_market_rates(self):
+        # The one collector bills serve() too: an h800-quad pool is 4
+        # H800s at $12/hr, the bill simbench's pool_sweep works by hand.
+        system = small_spec().build()
+        trace = materialize_trace([get_model("Yi-6B")], [0.2], sharegpt(), 30.0, seed=4)
+        result = system.serve(trace)
+        assert result.drained and result.end_time > 0
+        assert result.cost_usd == pytest.approx(4 * 12.00 * result.end_time / 3600.0)
+        assert result.gpu_hours == pytest.approx(
+            system.gpu_count * result.end_time / 3600.0
+        )
+
+    def test_unpriced_gpu_fails_loudly(self, monkeypatch):
+        # A GPU missing from the market table is never billed at $0.
+        monkeypatch.delitem(MARKET_HOURLY_USD, "H800")
+        fleet = build_fleet(FleetConfig(shards=1, spec=small_spec()))
+        trace = materialize_trace([get_model("Yi-6B")], [0.2], sharegpt(), 10.0, seed=4)
+        with pytest.raises(KeyError, match="H800"):
+            fleet.run(trace)
 
     def test_fleet_metrics_exported_through_obs(self):
         fleet = build_fleet(FleetConfig(shards=2, spec=small_spec()))

@@ -38,14 +38,25 @@ def trace():
     )
 
 
-def outcome(env, requests, end_time, digest):
-    return request_rows(requests), end_time, env.steps_executed, digest
+def outcome(env, result):
+    """Everything a run reports, plus its kernel step count."""
+    return (
+        request_rows(result.requests),
+        env.steps_executed,
+        result.summary(),
+        result.digest(),
+        result.end_time,
+        result.cost_usd,
+        result.gpu_hours,
+        result.drained,
+        result.unaccounted,
+        len(result.scale_records),
+    )
 
 
 def via_serve(spec, env=None):
     env = Environment() if env is None else env
-    result = spec.build(env).serve(trace())
-    return outcome(env, result.requests, result.end_time, result.digest())
+    return outcome(env, spec.build(env).serve(trace()))
 
 
 def via_fleet(spec):
@@ -55,19 +66,18 @@ def via_fleet(spec):
     )
     result = fleet.run(trace())
     assert result.drained and result.unaccounted == 0
-    return outcome(
-        env, fleet.shards[0].system.proxy.requests, result.end_time, result.digest()
-    )
+    return outcome(env, result)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_serve_paths_are_identical(name):
     spec = SPECS[name]
     served = via_serve(spec)
-    rows, _, steps, _ = served
+    rows, steps = served[:2]
     assert rows and steps > 0
     assert any(row[1] == "FINISHED" for row in rows)
-    # The rows, end time, steps and the one stats digest all agree.
+    # The rows, steps, summary, digest, end time, bill, drain state and
+    # scale history all agree.
     assert via_fleet(spec) == served
 
 
@@ -89,11 +99,16 @@ def test_one_shard_fleet_keeps_the_spec_drain_grace():
     served = spec.build().serve(load())
     fleeted = build_fleet(FleetConfig(shards=1, spec=spec)).run(load())
     assert not served.drained and served.unaccounted > 0
+    # Both summaries record the cut, so a rollup JSON does too.
+    for result in (served, fleeted):
+        summary = result.summary()
+        assert summary["drained"] is False
+        assert summary["unaccounted"] > 0
     assert (fleeted.end_time, fleeted.drained, fleeted.unaccounted) == (
         served.end_time, served.drained, served.unaccounted
     )
     # Both paths fold the requests still in flight at the deadline, so
     # their missing tokens count as missed on both (§2.1).
-    assert fleeted.slo_attainment == served.slo_attainment()
+    assert fleeted.slo_attainment == served.slo_attainment
     assert fleeted.digest() == served.digest()
     assert fleeted.rollup.total.requests == fleeted.submitted == len(served.requests)

@@ -75,7 +75,7 @@ def test_every_system_counts_what_the_fold_recomputes(name):
     met, _ = assert_counts_match(result.requests, stats)
     expected = sum(r.output_tokens for r in result.requests)
     assert 0 < met < expected  # some tokens met, some missed
-    assert result.slo_attainment() == met / expected
+    assert result.slo_attainment == met / expected
     assert result.per_request_attainment().tolist() == [
         recount(r) / r.output_tokens for r in result.requests
     ]
