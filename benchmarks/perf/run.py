@@ -11,7 +11,9 @@ Gate against the committed baseline (used by the CI perf-smoke job)::
 
 ``--check`` compares each scenario's gated throughput against the
 baseline and exits non-zero when any scenario drops by more than
-``--max-drop`` (a fraction, default 0.30).  Scenarios that replay
+``--max-drop`` (a fraction, default 0.30), or when one of its
+host-independent counters (``sim_steps``, ``sim_end``, ``requests``)
+differs from the baseline's at all.  Scenarios that replay
 requests are gated on ``requests_per_sec``, the work they do; only
 ``kernel_event_throughput`` is gated on kernel ``ops_per_sec``, so a
 change that serves the same requests in fewer kernel steps never reads
@@ -185,13 +187,22 @@ def render_summary(report: dict, baseline_path: Path) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Host-independent counters a scenario's report must repeat exactly.
+#: ``events_recycled`` is left out: refcounts gate recycling, and they
+#: differ across Python versions.
+COUNTERS = ("sim_steps", "sim_end", "requests")
+
+
 def check(report: dict, baseline_path: Path, max_drop: float) -> int:
-    """Gate each scenario's :func:`gate_metric` against the baseline.
+    """Gate each scenario's :func:`gate_metric` and counters against the
+    baseline.
 
     Returns 1 when any scenario falls more than ``max_drop`` below its
-    baseline value, or when the baseline lacks the gated metric (an
-    older report: re-record it); 2 when the baseline was recorded at the
-    other problem size (``--quick`` or not); else 0.
+    baseline value, when one of its :data:`COUNTERS` differs from the
+    baseline's (a change that moves a counter re-pins it and says why),
+    or when the baseline lacks the gated metric or a reported counter
+    (an older report: re-record it); 2 when the baseline was recorded at
+    the other problem size (``--quick`` or not); else 0.
     """
     with baseline_path.open() as fh:
         baseline = json.load(fh)
@@ -225,10 +236,18 @@ def check(report: dict, baseline_path: Path, max_drop: float) -> int:
         )
         if result[metric] < floor:
             failures.append(name)
+        for counter in COUNTERS:
+            if counter in result and result[counter] != base.get(counter):
+                print(
+                    f"[perf] {name}: {counter} {result[counter]} vs baseline "
+                    f"{base.get(counter)} FAIL (re-pin it if the change is meant)"
+                )
+                if name not in failures:
+                    failures.append(name)
     if failures:
         print(
             f"[perf] FAIL: {', '.join(failures)} dropped more than "
-            f"{max_drop:.0%} below the committed baseline"
+            f"{max_drop:.0%} below the committed baseline, or moved a counter"
         )
         return 1
     print("[perf] all scenarios within budget")

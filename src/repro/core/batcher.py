@@ -6,6 +6,11 @@ the :class:`~repro.engine.batching.ContinuousBatcher` request-lifecycle
 accounting the two baselines share — prefill timestamping, decode-chunk
 token recording with vLLM-style preemption on KV exhaustion, and
 retirement of finished requests.
+
+The driver is one generator process: it parks on a wake event while
+the instance is idle and runs each ``_step()`` scheduling iteration in
+its own frame through ``yield from``, so a step's events fire as if
+the driver had yielded them itself.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable, Generator, Optional, Sequence
 
 from ..engine.batching import ContinuousBatcher
 from ..engine.request import Phase, Request, commit_chunk
-from ..sim import ContTask, Environment, Event
+from ..sim import Environment, Event
 
 __all__ = ["BatcherInstanceBase"]
 
@@ -48,8 +53,19 @@ class BatcherInstanceBase:
 
     # -- driver loop ---------------------------------------------------------
     def _start(self) -> None:
-        """Launch the driver task (call at the end of subclass ctors)."""
-        self.process = _DriverTask(self.env, self)
+        """Launch the driver process (call at the end of subclass ctors)."""
+        self.process = self.env.process(self._drive())
+
+    def _drive(self) -> Generator:
+        """Sleep until woken while idle; otherwise run one ``_step()``."""
+        env = self.env
+        while True:
+            if self.active:
+                yield from self._step()
+            else:
+                self._wake = env.event()
+                yield self._wake
+                self._wake = None
 
     def _kick(self) -> None:
         """Wake the driver loop after new work arrives."""
@@ -109,37 +125,3 @@ class BatcherInstanceBase:
             batcher.retire(request)
             request.complete(self.env.now)
             self.on_finished(request)
-
-
-class _DriverTask(ContTask):
-    """The wake/sleep driver loop as a continuation state machine.
-
-    Each ``_step()`` scheduling iteration (a subclass generator) runs
-    through the :class:`~repro.sim.ContTask` bridge, so its events fire
-    exactly as the old ``yield from`` did; only the outer ``while True``
-    generator frame is gone.
-    """
-
-    __slots__ = ("_inst",)
-
-    def __init__(self, env: Environment, inst: BatcherInstanceBase) -> None:
-        self._inst = inst
-        ContTask.__init__(self, env)
-
-    def _start(self, value: object) -> Event:
-        return self._main()
-
-    def _main(self) -> Event:
-        inst = self._inst
-        if not inst.active:
-            inst._wake = self.env.event()
-            self._send = self._woken
-            return inst._wake
-        return self._run_gen(inst._step(), self._step_done)
-
-    def _woken(self, value: object) -> Event:
-        self._inst._wake = None
-        return self._main()
-
-    def _step_done(self, value: object) -> Event:
-        return self._main()

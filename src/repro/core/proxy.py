@@ -10,6 +10,9 @@ Every run, single system or fleet, goes through :func:`replay`: a
 :class:`Pump` submits a request stream at its arrival times, and a
 :class:`DrainWatchdog` ends the run once the pump is done and the
 caller's ``settled`` predicate holds, or the drain deadline passes.
+Both are :class:`~repro.sim.Process` subclasses over a generator, so
+``pump.triggered`` says the stream is exhausted and the watchdog is the
+event ``env.run(until=...)`` stops at.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from ..engine.request import Phase, Request
-from ..sim import ContTask, Environment, Event
+from ..sim import Environment, Process
 
 __all__ = ["StatusRegistry", "ProxyLayer", "Pump", "DrainWatchdog", "replay"]
 
@@ -97,70 +100,50 @@ class ProxyLayer:
         self.live.pop(request.request_id, None)
 
 
-class Pump(ContTask):
+class Pump(Process):
     """Calls ``submit(trace_request, spec)`` at each arrival of ``stream``.
 
-    The stream is pulled lazily (bounded lookahead); the task succeeds —
-    ``pump.triggered`` turns true — right after the last submission.
-    ``submit`` runs after the arrival wait, so a fleet resolves the
-    owning shard at submission time (a model may migrate meanwhile).
+    The stream is pulled lazily (bounded lookahead); the process
+    succeeds — ``pump.triggered`` turns true — right after the last
+    submission.  ``submit`` runs after the arrival wait, so a fleet
+    resolves the owning shard at submission time (a model may migrate
+    meanwhile).
     """
 
-    __slots__ = ("_iter", "_pending", "_submit", "_spec_of")
+    __slots__ = ()
 
     def __init__(self, env: Environment, stream, submit: Callable) -> None:
-        self._iter = iter(stream)
-        self._pending = None
-        self._submit = submit
-        self._spec_of = stream.spec_of
-        ContTask.__init__(self, env)
-
-    def _start(self, value: object) -> Event:
-        return self._loop()
-
-    def _loop(self) -> Event:
-        env = self.env
-        for trace_request in self._iter:
-            delay = trace_request.arrival - env.now
-            if delay > 0:
-                self._pending = trace_request
-                self._send = self._arrived
-                return env.timeout(delay)
-            self._submit(trace_request, self._spec_of(trace_request.model))
-        raise StopIteration(None)
-
-    def _arrived(self, value: object) -> Event:
-        trace_request, self._pending = self._pending, None
-        self._submit(trace_request, self._spec_of(trace_request.model))
-        return self._loop()
+        Process.__init__(self, env, _pump(env, iter(stream), stream.spec_of, submit))
 
 
-class DrainWatchdog(ContTask):
+def _pump(env: Environment, arrivals, spec_of: Callable, submit: Callable):
+    for trace_request in arrivals:
+        delay = trace_request.arrival - env.now
+        if delay > 0:
+            yield env.timeout(delay)
+        submit(trace_request, spec_of(trace_request.model))
+
+
+class DrainWatchdog(Process):
     """Checks ``done()`` once a second; stops when it holds or at ``deadline``.
 
     ``drained`` records which: True when ``done()`` held, False when
     the deadline cut the run short.
     """
 
-    __slots__ = ("_done", "_deadline", "drained")
+    __slots__ = ("drained",)
 
     def __init__(self, env: Environment, done: Callable[[], bool], deadline: float):
-        self._done = done
-        self._deadline = deadline
         self.drained = False
-        ContTask.__init__(self, env)
+        Process.__init__(self, env, self._watch(done, deadline))
 
-    def _start(self, value: object) -> Event:
-        self._send = self._tick
-        return self._tick(value)
-
-    def _tick(self, value: object) -> Event:
-        if self._done():
-            self.drained = True
-            raise StopIteration(None)
-        if self.env.now >= self._deadline:
-            raise StopIteration(None)
-        return self.env.timeout(1.0)
+    def _watch(self, done: Callable[[], bool], deadline: float):
+        env = self.env
+        while not done():
+            if env.now >= deadline:
+                return
+            yield env.timeout(1.0)
+        self.drained = True
 
 
 def replay(

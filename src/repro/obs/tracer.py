@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-__all__ = ["Tracer", "SpanRecord", "InstantRecord", "CounterSample"]
+__all__ = ["Tracer", "SpanRecord", "InstantRecord", "CounterSample", "NULL_SPAN"]
 
 
 @dataclass
@@ -119,7 +119,9 @@ class _NullSpan:
         return None
 
 
-_NULL_SPAN = _NullSpan()
+#: The no-op span a disabled tracer hands out; a hot loop that checks
+#: ``tracer.enabled`` itself uses it to skip building the span's args.
+NULL_SPAN = _NullSpan()
 
 
 class Tracer:
@@ -138,7 +140,7 @@ class Tracer:
     def span(self, name: str, cat: str = "", track: str = "", **args: Any):
         """Open a span; use as ``with tracer.span(...):`` around the work."""
         if not self.enabled:
-            return _NULL_SPAN
+            return NULL_SPAN
         record = SpanRecord(
             name=name, cat=cat, track=track, start=self._clock(), end=0.0, args=args
         )

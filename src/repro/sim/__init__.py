@@ -9,7 +9,6 @@ from .core import (
     AllOf,
     AnyOf,
     Condition,
-    ContTask,
     Environment,
     Event,
     Interrupt,
@@ -22,7 +21,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "ContTask",
     "Environment",
     "Event",
     "Interrupt",

@@ -37,17 +37,13 @@ Hot-path engineering (see DESIGN.md "Performance notes")
   The callbacks list is still there for multi-waiter events, conditions,
   and external subscribers; the waiter always fires first because it is
   only installed when the callbacks list is empty (earliest attachment).
-* **Continuation tasks.**  :class:`ContTask` is the alternative to
-  generator coroutines for the highest-frequency lifecycles: a process
-  whose resume target is a plain bound method (a *state function*)
-  instead of ``generator.send``.  It rides the single-waiter protocol
-  unchanged, so a converted lifecycle consumes exactly the same events,
-  sequence numbers, and firing order as the generator it replaces.
-  Generator processes remain fully supported (chaos injection,
-  sessions, controller ticks, tests); ContTask's ``_run_gen`` bridge
-  drives a cold sub-generator (e.g. a scale-up) event-for-event without
-  spawning a child process.  See DESIGN.md "Kernel fast paths" for when
-  to use which, and the ordering rules both must obey.
+* **One process form.**  Every simulated lifecycle is a generator
+  :class:`Process`; a multi-wait sub-operation (a model switch, a KV
+  drain) runs in its caller's frame through ``yield from``, never as a
+  nested process.  The hottest lifecycles (the instance loops, the
+  stream lanes) keep their per-event waits in one flat frame, so a
+  resume is one ``generator.send`` into that frame.  See DESIGN.md
+  "Kernel fast paths" and the ordering rules every process obeys.
 * Every kernel object carries ``__slots__``; there are no instance dicts
   on the event path.
 * :class:`Event`, :class:`Timeout`, and :class:`Process` objects are
@@ -82,7 +78,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "ContTask",
     "Condition",
     "AllOf",
     "AnyOf",
@@ -391,136 +386,6 @@ class Process(Event):
         heappush(env._queue, (env.now, env._sequence, resume))
         env._sequence += 1
         self._target = resume
-
-
-class ContTask(Process):
-    """A process driven by continuation *state functions*, not a generator.
-
-    Subclasses override :meth:`_start` and transition by assigning
-    ``self._send`` before returning the next event to wait on.  Each
-    state function receives the fired event's value and must either
-
-    * return the next :class:`Event` to wait on (after pointing
-      ``self._send`` at the state that should receive its value), or
-    * raise :class:`StopIteration` (optionally with a value) to
-      terminate the task, succeeding it like a returning generator.
-
-    :meth:`Process._resume` cannot tell a ContTask from a generator
-    process: the ``_send`` slot it dispatches through is simply a bound
-    state method, and the ``_generator`` slot points back at the task so
-    failed waits arrive via :meth:`throw`.  Construction schedules the
-    same init event as ``env.process``, termination consumes the same
-    ``succeed`` schedule, and every wait maps 1:1 onto an event — so
-    converting a lifecycle from a generator to a ContTask is invisible
-    to event counts, sequence numbers, and firing order.  The payoff is the
-    resume itself: one plain method call instead of a ``send`` that
-    re-enters an N-deep ``yield from`` chain.
-
-    Cold multi-wait sub-operations can stay generators: ``_run_gen``
-    drives one *inline* (no child process, no extra events), delegating
-    resumes straight into the sub-generator's frame exactly like
-    ``yield from`` did.
-    """
-
-    __slots__ = ("_gen", "_gen_done", "_gen_err")
-
-    def __init__(self, env: "Environment"):
-        Event.__init__(self, env)
-        self._generator = self
-        self._send = self._start
-        self._target: Optional[Event] = None
-        # Bridged sub-generator state (see _run_gen).
-        self._gen: Optional[Generator] = None
-        self._gen_done: Optional[Callable[[Any], Event]] = None
-        self._gen_err: Optional[Callable[[BaseException], Event]] = None
-        env._schedule_init(self)
-
-    # -- subclass interface ----------------------------------------------
-    def _start(self, value: Any) -> Event:
-        """First state, fired by the init event (``value`` is ``None``)."""
-        raise NotImplementedError
-
-    def _on_throw(self, exc: BaseException) -> Event:
-        """Handle a failed wait outside a bridge (default: let it fail).
-
-        Mirrors an uncaught exception at a ``yield``: re-raising fails
-        the task.  Subclasses override to implement handlers like the
-        instance loops' ``except Interrupt: return``.
-        """
-        raise exc
-
-    # -- generator bridge -------------------------------------------------
-    def _run_gen(
-        self,
-        gen: Generator,
-        done: Callable[[Any], Event],
-        err: Optional[Callable[[BaseException], Event]] = None,
-    ) -> Event:
-        """Drive ``gen`` inline, event-for-event, as ``yield from`` did.
-
-        ``done(result)`` runs when the sub-generator returns; ``err(exc)``
-        when an exception escapes it (after its ``finally``/``with``
-        blocks ran).  Both are state functions: they must set ``_send``
-        and return the next event (or raise StopIteration).  With no
-        ``err``, escaped exceptions route through :meth:`_on_throw`.
-        """
-        try:
-            first = gen.send(None)
-        except StopIteration as stop:
-            return done(stop.value)
-        except BaseException as exc:
-            if err is not None:
-                return err(exc)
-            return self._on_throw(exc)
-        self._gen = gen
-        self._gen_done = done
-        self._gen_err = err
-        self._send = self._gen_step
-        return first
-
-    def _gen_finish(self, value: Any) -> Event:
-        self._gen = None
-        done = self._gen_done
-        self._gen_done = None
-        self._gen_err = None
-        return done(value)
-
-    def _gen_error(self, exc: BaseException) -> Event:
-        self._gen = None
-        err = self._gen_err
-        self._gen_done = None
-        self._gen_err = None
-        if err is not None:
-            return err(exc)
-        return self._on_throw(exc)
-
-    def _gen_step(self, value: Any) -> Event:
-        try:
-            return self._gen.send(value)
-        except StopIteration as stop:
-            return self._gen_finish(stop.value)
-        except BaseException as exc:
-            return self._gen_error(exc)
-
-    # -- kernel interface --------------------------------------------------
-    def throw(self, exc: BaseException) -> Event:
-        """Dispatch a failed wait (the ``_generator.throw`` protocol).
-
-        While bridging, the exception is thrown into the sub-generator
-        frame first so its cleanup runs — identical to the interrupt
-        unwinding through a ``yield from`` chain; whatever escapes is
-        routed like any other bridge error.  Outside a bridge, plain
-        states delegate to :meth:`_on_throw`.
-        """
-        gen = self._gen
-        if gen is not None:
-            try:
-                return gen.throw(exc)
-            except StopIteration as stop:
-                return self._gen_finish(stop.value)
-            except BaseException as chained:
-                return self._gen_error(chained)
-        return self._on_throw(exc)
 
 
 def _all_fired(events: list[Event], count: int) -> bool:

@@ -219,9 +219,11 @@ class LoadRun:
     which is due at ``now``.  :meth:`settle` lands the same chunks
     without ending the run.
 
-    ``owner`` is the stream lane driving a prefetch (it also counts the
-    lane's ops and traces their spans as they land), or None for a
-    synchronous load driven by :func:`_drive`.
+    ``owner`` is the :class:`CudaStream` whose lane drives a prefetch
+    (it also counts the lane's ops and traces their spans as they
+    land), or None for a synchronous load driven by :func:`_drive`.
+    Either way the process waiting on :attr:`timeout` is moved to the
+    handed op's end, and reads :attr:`handed` when it resumes.
     """
 
     __slots__ = (
@@ -340,10 +342,10 @@ class LoadRun:
         env = link.env
         if owner is not None:
             if in_copy:
-                event = owner._take_copy(self, index, stall_start, stall_end,
-                                         copy_end, nbytes, duration)
+                event = owner._take_copy(stall_start, stall_end, copy_end,
+                                         nbytes, duration)
             else:
-                event = owner._take_stall(index, stall_start, stall_end)
+                event = owner._take_stall(stall_start, stall_end)
         elif in_copy:
             event = _hold(link, nbytes, duration, env.timeout_at(copy_end))
         elif waiter is not None:

@@ -16,17 +16,21 @@ swap-in, KV swap-out, model prefetch, and inference.
 Copies on two streams bound to the *same* link direction serialize on the
 link (one copy engine per direction), which is how real hardware behaves
 and why the prefetch stream can hide, but not accelerate, transfers.
+
+Each stream's ops run on one generator process, its lane, in a single
+frame: the lane yields each op's waits itself, and only a chunked
+weight load goes through ``yield from``.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 from ..hardware.interconnect import Link
 from ..obs import NULL_OBS, Observability
-from ..sim import ContTask, Environment, Event
+from ..sim import Environment, Event
 
 __all__ = ["CudaEvent", "CudaStream", "synchronize_all"]
 
@@ -108,12 +112,15 @@ class CudaEvent:
 
 
 class CudaStream:
-    """An in-order work queue executed by a dedicated continuation task.
+    """An in-order work queue executed by a dedicated lane process.
 
-    The queue is a plain deque plus the one event the worker parks on
+    The queue is a plain deque plus the one event the lane parks on
     while the queue is empty.  Enqueueing onto a busy stream schedules
     nothing; enqueueing onto an idle one succeeds the parked event with
-    the op, so the kernel only ever sees events the worker waits on.
+    the op, so the kernel only ever sees events the lane waits on.  The
+    stream is also the owner of its lane's load runs
+    (:class:`~repro.transfer.loader.LoadRun`): a run counts and traces
+    the ops it lands through the stream.
     """
 
     def __init__(
@@ -126,7 +133,9 @@ class CudaStream:
         self._depth = 0
         self.ops_executed = 0
         self._tracer = obs.tracer
-        _StreamWorker(env, self)
+        #: The op a load run's split handed back: (start, bytes, seconds).
+        self._handed: Optional[tuple] = None
+        env.process(_lane(env, self))
 
     # -- enqueue API --------------------------------------------------------
     def copy(
@@ -195,6 +204,62 @@ class CudaStream:
         return self._depth
 
     # -- internal -------------------------------------------------------------
+    def _finish_op(self) -> None:
+        self._depth -= 1
+        self.ops_executed += 1
+
+    def _copied(self, link: Link, nbytes: int, duration: float, start: float,
+                on_done: Optional[Callable[[], None]]) -> None:
+        """A copy ended: count its bytes, free the link, trace, finish."""
+        link.bytes_moved += nbytes
+        link.busy_time += duration
+        link.release()
+        if self._tracer.enabled:
+            self._tracer.complete(
+                "copy", cat="stream", track=self.name,
+                start=start, end=self.env.now, nbytes=nbytes,
+            )
+        if on_done is not None:
+            on_done()
+        self._finish_op()
+
+    # -- LoadRun owner protocol ------------------------------------------------
+    def _landed(self, stall_start, stall_end, copy_end, nbytes) -> None:
+        """A run landed one chunk: its stall op (unless a settle landed
+        it already, ``stall_start`` None) and its copy op are done."""
+        if stall_start is not None:
+            self._landed_stall(stall_start, stall_end)
+        self._finish_op()
+        if self._tracer.enabled:
+            self._tracer.complete(
+                "copy", cat="stream", track=self.name,
+                start=stall_end, end=copy_end, nbytes=nbytes,
+            )
+
+    def _landed_stall(self, stall_start, stall_end) -> None:
+        """A stall op of a load is done (landed by a run, or run plainly)."""
+        self._finish_op()
+        if self._tracer.enabled:
+            self._tracer.complete(
+                "compute", cat="stream", track=self.name,
+                start=stall_start, end=stall_end,
+            )
+
+    def _take_stall(self, stall_start, stall_end) -> Event:
+        """A split handed over a stall in flight: the lane resumes at its
+        end and finishes it (``run.handed`` names the chunk)."""
+        self._handed = (stall_start, 0, 0.0)
+        return self.env.timeout_at(stall_end)
+
+    def _take_copy(self, stall_start, stall_end, copy_end, nbytes, duration) -> Event:
+        """A split handed over a copy in flight: its stall lands now
+        (unless a settle landed it already), and the lane resumes at the
+        copy's end and finishes it, holding the link until then."""
+        if stall_start is not None:
+            self._landed_stall(stall_start, stall_end)
+        self._handed = (stall_end, nbytes, duration)
+        return self.env.timeout_at(copy_end)
+
     def _enqueue(self, op: tuple, count: int = 1) -> None:
         self._depth += count
         parked = self._parked
@@ -205,237 +270,116 @@ class CudaStream:
             self._ops.append(op)
 
 
-class _StreamWorker(ContTask):
-    """The in-order lane driver, flattened into a continuation machine.
+def _lane(env: Environment, stream: CudaStream) -> Generator:
+    """The stream's in-order lane: one generator process per stream.
 
-    Each loop iteration of the old generator worker paid a
-    ``generator.send`` round-trip per event; the state machine fires the
-    next state function directly from the kernel's single-waiter slot.
-    The copy path also inlines :meth:`Link.transfer` (the worker is a
-    dedicated lane, so FIFO semantics are preserved), keeping the exact
-    event sequence of the delegated generator: a copy that finds the
-    channel free yields only the timeout; a contended copy waits on the
-    :meth:`Link.acquire` grant and samples the transfer duration *after*
-    it (throttle semantics).
+    Plain copies, computes, records and event waits run inline in this
+    frame; only a load op goes through ``yield from`` (:func:`_load`).
+    The next op dispatches directly while nothing else is due at
+    ``now`` (its dispatch event would be the very next pop), and behind
+    everything already scheduled otherwise.  Records complete in the
+    loop, so a run of them never recurses.  The copy path inlines
+    :meth:`Link.transfer` (the lane is a dedicated FIFO): a copy that
+    finds the channel free yields only its timeout; a contended copy
+    waits on the :meth:`Link.acquire` grant and samples the transfer
+    duration *after* it (throttle semantics).
     """
-
-    __slots__ = (
-        "_stream", "_link", "_nbytes", "_on_done", "_op_start", "_duration",
-        "_load", "_load_next", "_run",
-    )
-
-    def __init__(self, env: Environment, stream: "CudaStream") -> None:
-        self._stream = stream
-        self._link = None
-        self._nbytes = 0
-        self._on_done = None
-        self._op_start = 0.0
-        self._duration = 0.0
-        # The load op in progress, the index of its next stall (even)
-        # or copy (odd) op, and the run retiring its chunks, if any.
-        self._load = None
-        self._load_next = 0
-        self._run = None
-        ContTask.__init__(self, env)
-
-    def _start(self, value: object) -> Event:
-        return self._next_op()
-
-    def _next_op(self) -> Event:
-        # The next op dispatches directly while nothing else is due at
-        # ``now`` (its dispatch event would be the very next pop), and
-        # behind everything already scheduled otherwise.  Records
-        # complete in this loop, so a run of them never recurses.
-        stream = self._stream
-        ops = stream._ops
-        env = self.env
-        if self._load is not None:
-            # The next stall or copy of the load in progress.
-            if not env.claim_inline():
-                self._send = self._load_op
-                return env.event().succeed()
-            return self._load_op(None)
-        while ops:
-            if not env.claim_inline():
-                self._send = self._dispatch
-                return env.event().succeed(ops.popleft())
-            op = ops.popleft()
-            if op[0] != "record":
-                return self._dispatch(op)
-            op[1]._complete()
-            stream._depth -= 1
-            stream.ops_executed += 1
-        self._send = self._dispatch
-        event = env.event()
-        stream._parked = event
-        return event
-
-    def _dispatch(self, op: tuple) -> Event:
+    ops = stream._ops
+    tracer = stream._tracer
+    while True:
+        if ops:
+            if env.claim_inline():
+                op = ops.popleft()
+            else:
+                op = yield env.event().succeed(ops.popleft())
+        else:
+            stream._parked = parked = env.event()
+            op = yield parked
         kind = op[0]
         if kind == "copy":
-            return self._copy(op[1], op[2], op[3])
-        if kind == "compute":
+            _, link, nbytes, on_done = op
+            start = env.now
+            grant = link.acquire()
+            if grant is not None:
+                yield grant
+            # Sampled after the grant: a copy that queued behind others
+            # sees the link bandwidth at its actual start time.
+            duration = link.transfer_time(nbytes)
+            yield env.timeout(duration)
+            stream._copied(link, nbytes, duration, start, on_done)
+            continue  # _copied finished the op
+        elif kind == "compute":
             _, duration, on_done = op
-            self._on_done = on_done
-            self._op_start = self.env.now
-            self._send = self._compute_done
-            return self.env.timeout(duration)
-        if kind == "load":
-            self._load = op
-            self._load_next = 0
-            return self._load_op(None)
-        if kind == "record":
+            start = env.now
+            yield env.timeout(duration)
+            if tracer.enabled:
+                tracer.complete(
+                    "compute", cat="stream", track=stream.name, start=start, end=env.now
+                )
+            if on_done is not None:
+                on_done()
+        elif kind == "record":
             op[1]._complete()
-            return self._finish_op()
-        if kind == "wait_event":
-            self._send = self._waited
-            return op[1].wait()
-        raise AssertionError(  # pragma: no cover - construction is internal
-            f"unknown stream op {kind!r}"
-        )
-
-    def _copy(self, link: Link, nbytes: int, on_done) -> Event:
-        self._link = link
-        self._nbytes = nbytes
-        self._on_done = on_done
-        self._op_start = self.env.now
-        grant = link.acquire()
-        if grant is not None:
-            self._send = self._copy_granted
-            return grant
-        return self._copy_granted(None)
-
-    # -- load ops ---------------------------------------------------------------
-    def _load_op(self, value: object) -> Event:
-        """Dispatch the load's next op: a stall start forms a run when the
-        link is free; otherwise the op runs as a plain compute or copy."""
-        _, link, chunks, on_done = self._load
-        index = self._load_next
-        self._load_next = index + 1
-        if not index & 1:
-            if not link._busy:
-                self._run = run = _loader.LoadRun(link, chunks, index >> 1, self)
-                self._send = self._run_done
-                return run.timeout
-            self._on_done = None
-            self._op_start = self.env.now
-            self._send = self._compute_done
-            return self.env.timeout(chunks[2])
-        # A lane's load has equal chunks (``CudaStream.load``).
-        if index + 1 == 2 * chunks[0]:
-            self._load = None
-            return self._copy(link, chunks[1], on_done)
-        return self._copy(link, chunks[1], None)
-
-    def _run_done(self, value: object) -> Event:
-        run = self._run
-        self._run = None
-        run.finish()
-        on_done = self._load[3]
-        self._load = None
-        if on_done is not None:
-            on_done()
-        return self._next_op()
-
-    def _landed(self, stall_start, stall_end, copy_end, nbytes) -> None:
-        """A run landed one chunk: its stall op (unless a settle landed
-        it already, ``stall_start`` None) and its copy op are done."""
-        if stall_start is not None:
-            self._landed_stall(stall_start, stall_end)
-        stream = self._stream
+        elif kind == "wait_event":
+            yield op[1].wait()
+        elif kind == "load":
+            yield from _load(env, stream, op)
+            continue  # its ops were counted as they landed
+        else:  # pragma: no cover - construction is internal
+            raise AssertionError(f"unknown stream op {kind!r}")
         stream._depth -= 1
         stream.ops_executed += 1
-        if stream._tracer.enabled:
-            stream._tracer.complete(
-                "copy", cat="stream", track=stream.name,
-                start=stall_end, end=copy_end, nbytes=nbytes,
-            )
 
-    def _landed_stall(self, stall_start, stall_end) -> None:
-        """A run landed one chunk's stall op."""
-        stream = self._stream
-        stream._depth -= 1
-        stream.ops_executed += 1
-        if stream._tracer.enabled:
-            stream._tracer.complete(
-                "compute", cat="stream", track=stream.name,
-                start=stall_start, end=stall_end,
-            )
 
-    def _take_stall(self, index, stall_start, stall_end) -> Event:
-        """A split handed over chunk ``index``'s stall, in flight."""
-        self._run = None
-        self._load_next = 2 * index + 1
-        self._on_done = None
-        self._op_start = stall_start
-        self._send = self._compute_done
-        return self.env.timeout_at(stall_end)
+def _load(env: Environment, stream: CudaStream, op: tuple) -> Generator:
+    """Run a load op's stalls and copies on the lane.
 
-    def _take_copy(self, run, index, stall_start, stall_end, copy_end,
-                   nbytes, duration) -> Event:
-        """A split handed over chunk ``index``'s copy, in flight (its
-        stall lands now, unless a settle landed it already)."""
-        self._run = None
-        if stall_start is not None:
-            self._landed_stall(stall_start, stall_end)
-        self._load_next = 2 * index + 2
-        self._on_done = None
-        if self._load_next == 2 * run.chunks[0]:
-            self._on_done = self._load[3]
-            self._load = None
-        self._link = run.link
-        self._nbytes = nbytes
-        self._duration = duration
-        self._op_start = stall_end
-        self._send = self._copy_finish
-        return self.env.timeout_at(copy_end)
-
-    def _copy_granted(self, value: object) -> Event:
-        # Duration is sampled after the grant, so a transfer that queued
-        # behind others sees the link bandwidth at its actual start time.
-        self._duration = self._link.transfer_time(self._nbytes)
-        self._send = self._copy_finish
-        return self.env.timeout(self._duration)
-
-    def _copy_finish(self, value: object) -> Event:
-        link = self._link
-        link.bytes_moved += self._nbytes
-        link.busy_time += self._duration
-        link.release()
-        stream = self._stream
-        if stream._tracer.enabled:
-            stream._tracer.complete(
-                "copy", cat="stream", track=stream.name,
-                start=self._op_start, end=self.env.now, nbytes=self._nbytes,
-            )
-        on_done = self._on_done
-        self._on_done = None
-        self._link = None
-        if on_done is not None:
-            on_done()
-        return self._finish_op()
-
-    def _compute_done(self, value: object) -> Event:
-        stream = self._stream
-        if stream._tracer.enabled:
-            stream._tracer.complete(
-                "compute", cat="stream", track=stream.name,
-                start=self._op_start, end=self.env.now,
-            )
-        on_done = self._on_done
-        self._on_done = None
-        if on_done is not None:
-            on_done()
-        return self._finish_op()
-
-    def _waited(self, value: object) -> Event:
-        return self._finish_op()
-
-    def _finish_op(self) -> Event:
-        stream = self._stream
-        stream._depth -= 1
-        stream.ops_executed += 1
-        return self._next_op()
+    Op ``2 * i`` is chunk ``i``'s stall and ``2 * i + 1`` its copy (a
+    lane's load has equal chunks, ``CudaStream.load``).  A stall start
+    that finds the link free forms a :class:`~repro.transfer.loader.LoadRun`
+    with the stream as its owner; the run lands its chunks through the
+    stream, and a split hands back the op in flight (``run.handed``),
+    which the lane finishes before going on op by op.
+    """
+    _, link, chunks, on_done = op
+    last = 2 * chunks[0] - 1
+    index = 0
+    while True:
+        if index & 1:
+            start = env.now
+            grant = link.acquire()
+            if grant is not None:
+                yield grant
+            duration = link.transfer_time(chunks[1])
+            yield env.timeout(duration)
+            stream._copied(link, chunks[1], duration, start,
+                           on_done if index == last else None)
+        elif link._busy:
+            start = env.now
+            yield env.timeout(chunks[2])
+            stream._landed_stall(start, env.now)
+        else:
+            run = _loader.LoadRun(link, chunks, index >> 1, stream)
+            yield run.timeout
+            if run.handed is None:
+                run.finish()
+                if on_done is not None:
+                    on_done()
+                return
+            chunk, in_copy = run.handed
+            start, nbytes, duration = stream._handed
+            if in_copy:
+                index = 2 * chunk + 1
+                stream._copied(link, nbytes, duration, start,
+                               on_done if index == last else None)
+            else:
+                index = 2 * chunk
+                stream._landed_stall(start, env.now)
+        if index == last:
+            return
+        index += 1
+        if not env.claim_inline():
+            yield env.event().succeed()
 
 
 def synchronize_all(env: Environment, streams: list[CudaStream]) -> Event:

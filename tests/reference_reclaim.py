@@ -1,10 +1,12 @@
 """Polling reclaim daemons: the oracle for move-list reclaim in
 ``repro.transfer.kv_transfer``.
 
-``_ReclaimDaemon`` below is the daemon as it stood before a completing
+``_reclaim_daemon`` below is the daemon as it stood before a completing
 ``CudaEvent`` told its move list, kept verbatim apart from this
-paragraph and absolute imports; ``_kick_daemon`` is the manager method
-that woke it, as a function.  Every manager runs one daemon, which ticks
+paragraph, absolute imports, and its form: a generator process now
+that the kernel has one process form, which waits on the same events
+and counts its starts and wake-ups in the :class:`Tally` itself;
+``_kick_daemon`` is the manager method that woke it, as a function.  Every manager runs one daemon, which ticks
 every ``daemon_interval`` while the shared move list holds anything,
 scans the list at every tick, and parks on a wake event when the list is
 empty; the manager's adds kick it awake.  :func:`polling` installs them
@@ -20,13 +22,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.sim import ContTask, Environment, Event
+from repro.sim import Environment
 from repro.transfer.kv_transfer import KvTransferManager, MoveList
 
 __all__ = ["polling"]
 
 
-class _ReclaimDaemon(ContTask):
+def _reclaim_daemon(env: Environment, mgr: "KvTransferManager", tally: "Tally"):
     """Reclaim move-list blocks while any are in flight (Fig. 10, step ⑧).
 
     Reclamation happens on a fixed ``daemon_interval`` tick grid, but the
@@ -36,47 +38,26 @@ class _ReclaimDaemon(ContTask):
     blocks are freed at the same instants the always-polling daemon would
     have freed them.
 
-    Continuation state machine: ``_park_or_tick`` either parks on a fresh
-    wake event (move list empty) or arms a grid timeout; ``_woken``
-    re-aligns to the next grid tick strictly after the add (the add loses
-    same-instant ties to an already-queued timeout, hence "strictly
-    after"); ``_tick`` reclaims and loops.
+    Each pass either parks on a fresh wake event (move list empty) and,
+    woken, re-aligns to the next grid tick strictly after the add (the
+    add loses same-instant ties to an already-queued timeout, hence
+    "strictly after"), or arms a grid timeout; the tick then reclaims.
     """
-
-    __slots__ = ("_mgr",)
-
-    def __init__(self, env: Environment, mgr: "KvTransferManager") -> None:
-        self._mgr = mgr
-        ContTask.__init__(self, env)
-
-    def _start(self, value: object) -> Event:
-        return self._park_or_tick()
-
-    def _park_or_tick(self) -> Event:
-        mgr = self._mgr
+    tally.starts += 1
+    while True:
         if not mgr.move_list.entries:
-            mgr._daemon_wake = self.env.event()
-            self._send = self._woken
-            return mgr._daemon_wake
-        self._send = self._tick
-        return self.env.timeout(mgr._daemon_interval)
-
-    def _woken(self, value: object) -> Event:
-        mgr = self._mgr
-        mgr._daemon_wake = None
-        interval = mgr._daemon_interval
-        remainder = self.env.now % interval
-        self._send = self._tick
-        return self.env.timeout(
-            interval - remainder if remainder > 0.0 else interval
-        )
-
-    def _tick(self, value: object) -> Event:
-        mgr = self._mgr
+            mgr._daemon_wake = env.event()
+            yield mgr._daemon_wake
+            tally.wakeups += 1
+            mgr._daemon_wake = None
+            interval = mgr._daemon_interval
+            remainder = env.now % interval
+            yield env.timeout(interval - remainder if remainder > 0.0 else interval)
+        else:
+            yield env.timeout(mgr._daemon_interval)
         freed = mgr.move_list.reclaim(mgr.cpu_cache)
         if freed:
             mgr.stats.charge_control(1)
-        return self._park_or_tick()
 
 
 def _kick_daemon(self) -> None:
@@ -95,13 +76,6 @@ class Tally:
         self.wakeups = 0
 
 
-def _attach(move_list: MoveList, manager: KvTransferManager) -> KvTransferManager:
-    # The "grid" handed back to add() is the manager, whose daemon it kicks.
-    manager._daemon_wake = None
-    _ReclaimDaemon(manager.env, manager)
-    return manager
-
-
 def _add(move_list: MoveList, blocks, event, manager=None) -> None:
     move_list.entries.append((blocks, event))
     if manager is not None:
@@ -115,27 +89,18 @@ def polling() -> Iterator[Tally]:
     Yields a :class:`Tally` of the events the daemons spent.
     """
     tally = Tally()
-    saved = {
-        (MoveList, "attach"): MoveList.attach,
-        (MoveList, "add"): MoveList.add,
-        (_ReclaimDaemon, "_start"): _ReclaimDaemon._start,
-        (_ReclaimDaemon, "_woken"): _ReclaimDaemon._woken,
-    }
 
-    def start(self, value):
-        tally.starts += 1
-        return saved[_ReclaimDaemon, "_start"](self, value)
+    def attach(move_list: MoveList, manager: KvTransferManager) -> KvTransferManager:
+        # The "grid" handed back to add() is the manager, whose daemon it kicks.
+        manager._daemon_wake = None
+        manager.env.process(_reclaim_daemon(manager.env, manager, tally))
+        return manager
 
-    def woken(self, value):
-        tally.wakeups += 1
-        return saved[_ReclaimDaemon, "_woken"](self, value)
-
-    MoveList.attach = _attach
+    saved = {"attach": MoveList.attach, "add": MoveList.add}
+    MoveList.attach = attach
     MoveList.add = _add
-    _ReclaimDaemon._start = start
-    _ReclaimDaemon._woken = woken
     try:
         yield tally
     finally:
-        for (owner, name), value in saved.items():
-            setattr(owner, name, value)
+        for name, value in saved.items():
+            setattr(MoveList, name, value)

@@ -4,7 +4,9 @@ This is the stream lane as it stood before the queue became a deque with
 one parked wake event and ``CudaEvent`` completions became lazy, kept
 verbatim apart from this paragraph, absolute imports, and the copy
 path, which claims links through ``Link.acquire`` / ``Link.release``
-now that ``Link`` owns its channel claim.  The Store lane is unchanged.
+now that ``Link`` owns its channel claim, and the lane driver, now a
+generator process like every lifecycle (its waits are unchanged).  The
+Store lane is unchanged.
 Every enqueue here schedules a put event and every completed event
 schedules its completion, waited on or not, so the differential test in
 ``test_transfer_streams.py`` can check that the production lane drops
@@ -38,7 +40,7 @@ from typing import Callable, Optional
 
 from repro.hardware.interconnect import Link
 from repro.obs import NULL_OBS, Observability
-from repro.sim import ContTask, Environment, Event
+from repro.sim import Environment, Event
 
 from .reference_resources import Store
 
@@ -105,7 +107,7 @@ class CudaEvent:
 
 
 class CudaStream:
-    """An in-order work queue executed by a dedicated continuation task."""
+    """An in-order work queue executed by a dedicated lane process."""
 
     def __init__(
         self, env: Environment, name: str = "stream", obs: Observability = NULL_OBS
@@ -118,7 +120,7 @@ class CudaStream:
         self._depth = 0
         self.ops_executed = 0
         self._tracer = obs.tracer
-        _StreamWorker(env, self)
+        env.process(_lane(env, self))
 
     # -- enqueue API --------------------------------------------------------
     def copy(
@@ -161,117 +163,59 @@ class CudaStream:
         self._ops.put(op)
 
 
-class _StreamWorker(ContTask):
-    """The in-order lane driver, flattened into a continuation machine.
+def _lane(env: Environment, stream: "CudaStream"):
+    """The in-order lane driver, one generator frame per stream.
 
-    Each loop iteration of the old generator worker paid a
-    ``generator.send`` round-trip per event; the state machine fires the
-    next state function directly from the kernel's single-waiter slot.
-    The copy path also inlines :meth:`Link.transfer` (the worker is a
-    dedicated lane, so FIFO semantics are preserved), keeping the exact
-    event sequence of the delegated generator: a copy that finds the
-    channel free yields only the timeout; a contended copy waits on the
-    :meth:`Link.acquire` grant and samples the transfer duration *after*
-    it (throttle semantics).
+    The copy path inlines :meth:`Link.transfer` (the lane is a
+    dedicated FIFO), keeping the exact event sequence of the delegated
+    generator: a copy that finds the channel free yields only the
+    timeout; a contended copy waits on the :meth:`Link.acquire` grant
+    and samples the transfer duration *after* it (throttle semantics).
     """
-
-    __slots__ = (
-        "_stream", "_link", "_nbytes", "_on_done", "_op_start", "_duration",
-    )
-
-    def __init__(self, env: Environment, stream: "CudaStream") -> None:
-        self._stream = stream
-        self._link = None
-        self._nbytes = 0
-        self._on_done = None
-        self._op_start = 0.0
-        self._duration = 0.0
-        ContTask.__init__(self, env)
-
-    def _start(self, value: object) -> Event:
-        return self._next_op()
-
-    def _next_op(self) -> Event:
-        self._send = self._dispatch
-        return self._stream._ops.get()
-
-    def _dispatch(self, op: tuple) -> Event:
+    while True:
+        op = yield stream._ops.get()
         kind = op[0]
         if kind == "copy":
             _, link, nbytes, on_done = op
             if nbytes < 0:
                 raise ValueError("cannot transfer a negative byte count")
-            self._link = link
-            self._nbytes = nbytes
-            self._on_done = on_done
-            self._op_start = self.env.now
+            start = env.now
             grant = link.acquire()
             if grant is not None:
-                self._send = self._copy_granted
-                return grant
-            return self._copy_granted(None)
-        if kind == "compute":
+                yield grant
+            # Duration is sampled after the grant, so a transfer that queued
+            # behind others sees the link bandwidth at its actual start time.
+            duration = link.transfer_time(nbytes)
+            yield env.timeout(duration)
+            link.bytes_moved += nbytes
+            link.busy_time += duration
+            link.release()
+            if stream._tracer.enabled:
+                stream._tracer.complete(
+                    "copy", cat="stream", track=stream.name,
+                    start=start, end=env.now, nbytes=nbytes,
+                )
+            if on_done is not None:
+                on_done()
+        elif kind == "compute":
             _, duration, on_done = op
-            self._on_done = on_done
-            self._op_start = self.env.now
-            self._send = self._compute_done
-            return self.env.timeout(duration)
-        if kind == "record":
+            start = env.now
+            yield env.timeout(duration)
+            if stream._tracer.enabled:
+                stream._tracer.complete(
+                    "compute", cat="stream", track=stream.name,
+                    start=start, end=env.now,
+                )
+            if on_done is not None:
+                on_done()
+        elif kind == "record":
             op[1]._complete()
-            return self._finish_op()
-        if kind == "wait_event":
-            self._send = self._waited
-            return op[1].wait()
-        raise AssertionError(  # pragma: no cover - construction is internal
-            f"unknown stream op {kind!r}"
-        )
-
-    def _copy_granted(self, value: object) -> Event:
-        # Duration is sampled after the grant, so a transfer that queued
-        # behind others sees the link bandwidth at its actual start time.
-        self._duration = self._link.transfer_time(self._nbytes)
-        self._send = self._copy_finish
-        return self.env.timeout(self._duration)
-
-    def _copy_finish(self, value: object) -> Event:
-        link = self._link
-        link.bytes_moved += self._nbytes
-        link.busy_time += self._duration
-        link.release()
-        stream = self._stream
-        if stream._tracer.enabled:
-            stream._tracer.complete(
-                "copy", cat="stream", track=stream.name,
-                start=self._op_start, end=self.env.now, nbytes=self._nbytes,
-            )
-        on_done = self._on_done
-        self._on_done = None
-        self._link = None
-        if on_done is not None:
-            on_done()
-        return self._finish_op()
-
-    def _compute_done(self, value: object) -> Event:
-        stream = self._stream
-        if stream._tracer.enabled:
-            stream._tracer.complete(
-                "compute", cat="stream", track=stream.name,
-                start=self._op_start, end=self.env.now,
-            )
-        on_done = self._on_done
-        self._on_done = None
-        if on_done is not None:
-            on_done()
-        return self._finish_op()
-
-    def _waited(self, value: object) -> Event:
-        return self._finish_op()
-
-    def _finish_op(self) -> Event:
-        stream = self._stream
+        elif kind == "wait_event":
+            yield op[1].wait()
+        else:  # pragma: no cover - construction is internal
+            raise AssertionError(f"unknown stream op {kind!r}")
         stream._depth -= 1
         stream.ops_executed += 1
-        return self._next_op()
 
 
 def synchronize_all(env: Environment, streams: list[CudaStream]) -> Event:

@@ -8,12 +8,14 @@ simulation does.
 
 Two layers check it:
 
-* hypothesis draws the random actor programs of
-  ``test_continuation_differential.py`` and runs each as generator
-  processes and as ``ContTask`` machines on both kernels, split at a
-  drawn ``run(until=t)`` stop.  All four runs must give the same log,
-  clock, step count and scheduled-event count.  One fixed program
-  also pins attachment order on an event several actors wait on.
+* hypothesis draws random multi-actor programs — timeouts, store
+  puts/gets, ``all_of``/``any_of`` composites, joins on other actors'
+  processes and cross-actor interrupts — and runs each as generator
+  processes on both kernels, split at a drawn ``run(until=t)`` stop.
+  Both runs must give the same op-completion log (time, actor, op,
+  kind, value), clock, step count and scheduled-event count.  Fixed
+  programs pin a readable interleaving of every op kind and the
+  attachment order on an event several actors wait on.
 * full scenarios (the same-timestamp collision serve, the
   ingestion-equivalence trace for two systems, the cost-routed agentic
   golden replay, a seeded chaos sweep, and the controller fleet with a
@@ -30,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment
+from repro.sim import Environment, Interrupt
 
 from . import test_chaos_determinism, test_fleet_controller
 from . import test_ingestion_equivalence, test_same_timestamp_ordering
@@ -38,46 +40,115 @@ from . import test_workload_agentic
 from .outcomes import request_rows
 from .reference_kernel import ReferenceEnvironment
 from .reference_resources import Store
-from .test_continuation_differential import (
-    N_STORES,
-    _gen_actor,
-    _programs,
-    _TaskActor,
-)
 
 KERNELS = {"production": Environment, "reference": ReferenceEnvironment}
 
+N_STORES = 2
 
-def _spawn_generator(env, *args):
-    return env.process(_gen_actor(env, *args))
+# Delays on a coarse grid: collisions at shared timestamps are the
+# interesting case (same-timestamp (time, seq) ordering), so make them
+# likely; exact float equality across the two runs is trivially safe
+# because both runs do identical arithmetic.
+_delays = st.integers(min_value=0, max_value=12).map(lambda n: n * 0.25)
+_store_ids = st.integers(min_value=0, max_value=N_STORES - 1)
 
 
-ACTORS = {"generator": _spawn_generator, "continuation": _TaskActor}
+def _ops(n_actors: int) -> st.SearchStrategy:
+    actor_ids = st.integers(min_value=0, max_value=n_actors - 1)
+    return st.one_of(
+        st.tuples(st.just("timeout"), _delays),
+        st.tuples(st.just("put"), _store_ids),
+        st.tuples(st.just("get"), _store_ids),
+        st.tuples(st.just("all_of"), st.lists(_delays, min_size=1, max_size=3)),
+        st.tuples(st.just("any_of"), st.lists(_delays, min_size=1, max_size=3)),
+        st.tuples(st.just("interrupt"), actor_ids),
+        # Joins share one process event among several waiters and
+        # conditions, and a join on a finished actor takes the relay
+        # path.  A self-join never fires, like any wait on itself.
+        st.tuples(st.just("join"), actor_ids),
+        st.tuples(st.just("join_any"), st.lists(actor_ids, min_size=1, max_size=3)),
+    )
 
 
-def _run_split(kernel, spawn, program, stop):
+@st.composite
+def _programs(draw) -> list[list[tuple]]:
+    """One script (a list of ops) per actor."""
+    n_actors = draw(st.integers(min_value=1, max_value=4))
+    return draw(
+        st.lists(
+            st.lists(_ops(n_actors), max_size=6),
+            min_size=n_actors,
+            max_size=n_actors,
+        )
+    )
+
+
+def _interrupt_target(procs: dict, aid: int, target_id: int):
+    """The interruptible target, or None.
+
+    Only a live actor currently parked on an event can be interrupted.  Self-interrupt is excluded —
+    a running actor's wait target is the event it just woke from, so
+    interrupting it would deliver after the actor already finished.
+    """
+    if target_id == aid:
+        return None
+    target = procs[target_id]
+    if target.is_alive and target.target is not None:
+        return target
+    return None
+
+
+def _gen_actor(env, aid, ops, stores, log, procs):
+    for i, op in enumerate(ops):
+        kind = op[0]
+        try:
+            if kind == "timeout":
+                yield env.timeout(op[1])
+                log.append((env.now, aid, i, kind, None))
+            elif kind == "put":
+                yield stores[op[1]].put((aid, i))
+                log.append((env.now, aid, i, kind, None))
+            elif kind == "get":
+                item = yield stores[op[1]].get()
+                log.append((env.now, aid, i, kind, item))
+            elif kind == "all_of":
+                yield env.all_of([env.timeout(d) for d in op[1]])
+                log.append((env.now, aid, i, kind, None))
+            elif kind == "any_of":
+                yield env.any_of([env.timeout(d) for d in op[1]])
+                log.append((env.now, aid, i, kind, None))
+            elif kind == "join":
+                yield procs[op[1]]
+                log.append((env.now, aid, i, kind, None))
+            elif kind == "join_any":
+                yield env.any_of([procs[t] for t in op[1]])
+                log.append((env.now, aid, i, kind, None))
+            else:  # interrupt: synchronous, no yield
+                target = _interrupt_target(procs, aid, op[1])
+                if target is not None:
+                    target.interrupt((aid, i))
+                log.append((env.now, aid, i, kind, None))
+        except Interrupt as exc:
+            log.append((env.now, aid, i, "interrupted", str(exc.cause)))
+
+
+def _run_split(kernel, program, stop):
     env = kernel()
     stores = [Store(env) for _ in range(N_STORES)]
     log: list = []
     procs: dict = {}
     for aid, ops in enumerate(program):
-        procs[aid] = spawn(env, aid, ops, stores, log, procs)
+        procs[aid] = env.process(_gen_actor(env, aid, ops, stores, log, procs))
     env.run(until=stop)
     log.append(("stop", env.now, env.steps_executed))
     env.run()
     return log, env.now, env.steps_executed, env.events_scheduled
 
 
-def _all_four(program, stop):
-    runs = {
-        (kernel, actor): _run_split(KERNELS[kernel], ACTORS[actor], program, stop)
-        for kernel in KERNELS
-        for actor in ACTORS
-    }
-    expected = runs["production", "generator"]
-    for key, run in runs.items():
-        assert run == expected, key
-    return expected
+def _both_kernels(program, stop):
+    runs = {kernel: _run_split(KERNELS[kernel], program, stop) for kernel in KERNELS}
+    assert runs["reference"] == runs["production"]
+    return runs["production"]
 
 
 class TestRandomPrograms:
@@ -86,8 +157,23 @@ class TestRandomPrograms:
         program=_programs(),
         stop=st.integers(min_value=0, max_value=24).map(lambda n: n * 0.25),
     )
-    def test_all_four_runs_identical(self, program, stop):
-        _all_four(program, stop)
+    def test_both_kernels_identical(self, program, stop):
+        _both_kernels(program, stop)
+
+    def test_known_interleaving(self):
+        # A fixed schedule covering every op kind, as a readable anchor:
+        # actor 1 feeds actor 0's get, actor 2 interrupts actor 0's
+        # long timeout, composites race at a shared timestamp.
+        program = [
+            [("get", 0), ("timeout", 10.0), ("all_of", [0.5, 0.25])],
+            [("timeout", 0.25), ("put", 0), ("any_of", [0.25, 0.25])],
+            [("timeout", 0.5), ("interrupt", 0), ("timeout", 0.0)],
+        ]
+        log = _both_kernels(program, stop=0.0)[0]
+        kinds = [(entry[1], entry[3]) for entry in log if entry[0] != "stop"]
+        assert (0, "get") in kinds
+        assert (0, "interrupted") in kinds
+        assert (2, "interrupt") in kinds
 
     def test_shared_event_resumes_in_attachment_order(self):
         # Actor 0's end is one event with no waiter slot and three
@@ -100,7 +186,7 @@ class TestRandomPrograms:
             [("join", 0), ("timeout", 0.0)],
             [("join", 0), ("timeout", 0.0)],
         ]
-        log = _all_four(program, stop=0.0)[0]
+        log = _both_kernels(program, stop=0.0)[0]
         order = [(aid, kind) for _, aid, _, kind, _ in log[2:]]
         assert order == [
             (2, "join"),

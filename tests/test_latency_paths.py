@@ -17,11 +17,12 @@ import pytest
 
 from repro.baselines.serverless_llm import _ServerlessInstance
 from repro.core import AegaeonConfig, SystemConfig, SystemSpec, build_system
-from repro.core.instance import PrefillInstance, _DecodeTask
+from repro.core.instance import PrefillInstance
 from repro.engine import AegaeonEngine, EngineConfig
 from repro.hardware import A10, H20, H800, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import LatencyModel, get_model, market_mix
+from repro.policy.decode_turn import WeightedRoundPolicy
 from repro.sim import Environment
 from repro.workload import materialize_trace, sharegpt
 
@@ -83,11 +84,11 @@ class TestServesAtThresholdSizes:
         def count_group(instance, group, previous):
             sizes["groups"] += len(group.requests) >= 8
 
-        def count_round(task):
-            sizes["rounds"] += len(task._inst.work_list) >= 4
+        def count_round(policy, batches, step_times, switch_cost, slo):
+            sizes["rounds"] += len(batches) >= 4
 
         tally(PrefillInstance, "estimate_group_time", count_group)
-        tally(_DecodeTask, "_round_begin", count_round)
+        tally(WeightedRoundPolicy, "quotas", count_round)
         env = Environment()
         config = AegaeonConfig(
             prefill_instances=1, decode_instances=1, cluster="h800-pair"

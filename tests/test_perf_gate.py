@@ -2,12 +2,19 @@
 
 Scenarios that replay requests are gated on requests served per wall
 second; only the raw kernel scenario is gated on events per second.
+The host-independent counters (kernel steps, simulated end time,
+requests) must repeat the baseline's exactly.
 """
 
 import json
+from pathlib import Path
 
-from benchmarks.perf.run import check, render_summary
-from benchmarks.perf.scenarios import gate_metric
+import pytest
+
+from benchmarks.perf.run import COUNTERS, check, render_summary
+from benchmarks.perf.scenarios import gate_metric, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _report(**scenarios):
@@ -42,8 +49,8 @@ def test_requests_drop_fails_even_when_events_rise(tmp_path):
         end_to_end_serving={
             "ops_per_sec": 1500.0,
             "requests_per_sec": 60.0,
-            "wall_s": 1.0,
-            "sim_steps": 1500,
+            "wall_s": 0.667,
+            "sim_steps": 1000,
         }
     )
     assert check(current, baseline, max_drop=0.30) == 1
@@ -51,8 +58,14 @@ def test_requests_drop_fails_even_when_events_rise(tmp_path):
 
 def test_fewer_steps_for_the_same_requests_passes(tmp_path):
     # The same requests served faster in 27% fewer kernel steps: events/s
-    # falls, requests/s rises, and the gate passes.
-    baseline = _write(tmp_path, BASELINE)
+    # falls, requests/s rises, and the gate passes once the change has
+    # re-pinned the step count (the recorded throughput stays).
+    repinned = _report(
+        end_to_end_serving=dict(
+            BASELINE["scenarios"]["end_to_end_serving"], sim_steps=730
+        )
+    )
+    baseline = _write(tmp_path, repinned)
     current = _report(
         end_to_end_serving={
             "ops_per_sec": 650.0,
@@ -62,6 +75,49 @@ def test_fewer_steps_for_the_same_requests_passes(tmp_path):
         }
     )
     assert check(current, baseline, max_drop=0.30) == 0
+
+
+def test_a_moved_counter_fails_until_re_pinned(tmp_path, capsys):
+    baseline = _write(tmp_path, _report(
+        end_to_end_serving={
+            "ops_per_sec": 1000.0,
+            "requests_per_sec": 100.0,
+            "wall_s": 1.0,
+            "sim_steps": 1000,
+            "sim_end": 118.0,
+            "requests": 218,
+            "events_recycled": 900,
+        }
+    ))
+    same = {
+        "ops_per_sec": 1100.0,
+        "requests_per_sec": 110.0,
+        "wall_s": 0.9,
+        "sim_steps": 1000,
+        "sim_end": 118.0,
+        "requests": 218,
+        # Refcounts gate recycling: not a pinned counter.
+        "events_recycled": 950,
+    }
+    assert check(_report(end_to_end_serving=same), baseline, max_drop=0.30) == 0
+    for counter, moved in (("sim_steps", 999), ("sim_end", 118.5), ("requests", 217)):
+        current = _report(end_to_end_serving=dict(same, **{counter: moved}))
+        assert check(current, baseline, max_drop=0.30) == 1, counter
+        assert f"end_to_end_serving: {counter} {moved} vs baseline" in capsys.readouterr().out
+
+
+def test_a_counter_the_baseline_lacks_fails(tmp_path):
+    baseline = _write(tmp_path, BASELINE)
+    current = _report(
+        end_to_end_serving={
+            "ops_per_sec": 1000.0,
+            "requests_per_sec": 100.0,
+            "wall_s": 1.0,
+            "sim_steps": 1000,
+            "requests": 100,
+        }
+    )
+    assert check(current, baseline, max_drop=0.30) == 1
 
 
 def test_kernel_scenario_still_gates_on_events(tmp_path):
@@ -85,6 +141,19 @@ def test_baseline_without_the_gated_metric_fails(tmp_path):
         end_to_end_serving={"ops_per_sec": 1000.0, "requests_per_sec": 100.0, "wall_s": 1.0}
     )
     assert check(current, baseline, max_drop=0.30) == 1
+
+
+@pytest.mark.parametrize("scenario", ["end_to_end_serving", "switch_storm"])
+def test_committed_kernel_counters_match_a_fresh_run(scenario, monkeypatch):
+    # Sub-second scenarios: their pinned counters are checked on every
+    # tier-1 run, not only in the perf job.  The baselines are recorded
+    # with the default bundle and no invariant checker, whose ticks
+    # would add steps.
+    monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
+    monkeypatch.delenv("REPRO_POLICIES", raising=False)
+    committed = json.loads((ROOT / "BENCH_kernel.json").read_text())["scenarios"]
+    fresh = run_scenario(scenario, quick=False, repeat=1)
+    assert {c: fresh[c] for c in COUNTERS} == {c: committed[scenario][c] for c in COUNTERS}
 
 
 def test_summary_names_the_gated_metric(tmp_path):

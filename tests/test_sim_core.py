@@ -334,6 +334,91 @@ class TestInterrupt:
         env.run(until=50.0)
         assert resumes == ["interrupt"]
 
+    @pytest.mark.parametrize("kernel", [Environment, ReferenceEnvironment])
+    def test_interrupt_unwinds_a_yield_from_chain_innermost_first(self, kernel):
+        # The instance loops run their multi-wait sub-operations (a model
+        # switch, a KV drain) through ``yield from``; an instance failure
+        # interrupts them there.
+        env = kernel()
+        log = []
+
+        def inner():
+            try:
+                yield env.timeout(10.0)
+            finally:
+                log.append(("inner finally", env.now))
+
+        def middle():
+            try:
+                yield env.timeout(1.0)
+                yield from inner()
+                log.append("middle went on")
+            finally:
+                log.append(("middle finally", env.now))
+
+        def outer():
+            try:
+                yield from middle()
+            except Interrupt as interrupt:
+                log.append(("outer caught", env.now, interrupt.cause))
+            yield env.timeout(1.0)
+            return env.now
+
+        victim = env.process(outer())
+
+        def attacker():
+            yield env.timeout(3.0)
+            victim.interrupt("instance failure")
+
+        env.process(attacker())
+        assert env.run(until=victim) == 4.0
+        assert log == [
+            ("inner finally", 3.0),
+            ("middle finally", 3.0),
+            ("outer caught", 3.0, "instance failure"),
+        ]
+
+    @pytest.mark.parametrize("kernel", [Environment, ReferenceEnvironment])
+    def test_inner_generator_that_swallows_an_interrupt_resumes_its_caller(
+        self, kernel
+    ):
+        env = kernel()
+        log = []
+
+        def inner():
+            try:
+                yield env.timeout(10.0)
+            except Interrupt:
+                log.append(("inner swallowed", env.now))
+                return "cut short"
+            return "ran out"
+
+        def middle():
+            result = yield from inner()
+            log.append(("middle resumed", env.now, result))
+            yield env.timeout(2.0)
+            return result
+
+        def outer():
+            result = yield from middle()
+            log.append(("outer resumed", env.now, result))
+            return result
+
+        victim = env.process(outer())
+
+        def attacker():
+            yield env.timeout(3.0)
+            victim.interrupt()
+
+        env.process(attacker())
+        assert env.run(until=victim) == "cut short"
+        assert log == [
+            ("inner swallowed", 3.0),
+            ("middle resumed", 3.0, "cut short"),
+            ("outer resumed", 5.0, "cut short"),
+        ]
+        assert victim.target is None and not victim.is_alive
+
 
 class TestRunUntilEvent:
     def test_returns_event_value(self, env):

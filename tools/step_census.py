@@ -3,17 +3,21 @@
 Replays simbench workloads (``simbench/workloads.py``) with the kernel's
 ``heappop`` wrapped, and classifies every popped event by what it wakes:
 
-* a process in the event's single-waiter slot, named by the state
-  function it resumes (``_DecodeTask._chunk_done_fast``), or for a
-  generator process by its innermost ``yield from`` frame
-  (``Process>QuickLoader.load``); a ``ContTask`` bridging a generator is
-  named the same way (``_PrefillTask>QuickLoader.load``);
+* a process in the event's single-waiter slot, named by its class and
+  the yield site it resumes: the function and line of the innermost
+  suspended frame of its ``yield from`` chain
+  (``Process>DecodeInstance._loop:<line>`` for a decode chunk's
+  timeout, ``Process>_load:<line>`` for a lane's load run,
+  ``Pump>_pump:<line>``), so the waits of one flat lifecycle (a chunk
+  timeout and a rule-1 stall, a lane's copy end and its dispatch) are
+  rows of their own; a process not yet started is named at its
+  ``def`` line;
 * otherwise the first callback (``cb:MoveList._fire``), with a process
   resumed from a callbacks list named as above;
 * ``(nobody)`` for an event that fires with neither.
 
 Rows are ``event type -> waiter``.  Lazily cancelled timeouts are popped
-but are not steps; they are counted apart.  Continuations the kernel ran
+but are not steps; they are counted apart.  Process steps the kernel ran
 inline (``Environment.claim_inline``) are never popped and are reported
 as ``steps_inlined``.  The wrapped pop slows a replay by about half; a
 full-size workload takes 5-10 s on a 2-vCPU x86-64 host.  Stdlib only;
@@ -53,7 +57,8 @@ from simbench_replay import SRC, WORKLOADS, built  # sys.path[0] is tools/
 
 
 def _generator_name(gen) -> str:
-    """The innermost frame of a ``yield from`` chain."""
+    """``function:line`` of the innermost suspended frame of a
+    ``yield from`` chain: the yield site the event resumes."""
     while getattr(gen, "gi_yieldfrom", None) is not None and hasattr(
         gen.gi_yieldfrom, "gi_code"
     ):
@@ -61,30 +66,26 @@ def _generator_name(gen) -> str:
     code = getattr(gen, "gi_code", None)
     if code is None:
         return type(gen).__name__
-    return getattr(code, "co_qualname", code.co_name)
+    name = getattr(code, "co_qualname", code.co_name)
+    frame = gen.gi_frame
+    return name if frame is None else f"{name}:{frame.f_lineno}"
 
 
-def _process_name(process, core) -> str:
-    send = process._send
-    func = getattr(send, "__func__", None)
-    if func is None:  # generator.send: a generator process
-        return f"Process>{_generator_name(send.__self__)}"
-    if func is core.ContTask._gen_step and process._gen is not None:
-        return f"{type(process).__name__}>{_generator_name(process._gen)}"
-    return func.__qualname__
+def _process_name(process) -> str:
+    return f"{type(process).__name__}>{_generator_name(process._generator)}"
 
 
 def classify(event, core) -> str:
     waiter = event._waiter
     kind = type(event).__name__
     if isinstance(waiter, core.Process):
-        return f"{kind} -> {_process_name(waiter, core)}"
+        return f"{kind} -> {_process_name(waiter)}"
     callbacks = event.callbacks
     if callbacks:
         callback = callbacks[0]
         owner = getattr(callback, "__self__", None)
         if isinstance(owner, core.Process) and callback.__func__ is core.Process._resume:
-            return f"{kind} -> cb:{_process_name(owner, core)}"
+            return f"{kind} -> cb:{_process_name(owner)}"
         return f"{kind} -> cb:{getattr(callback, '__qualname__', repr(callback))}"
     return f"{kind} -> (nobody)"
 
