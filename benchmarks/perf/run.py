@@ -188,8 +188,6 @@ def render_summary(report: dict, baseline_path: Path) -> str:
 
 
 #: Host-independent counters a scenario's report must repeat exactly.
-#: ``events_recycled`` is left out: refcounts gate recycling, and they
-#: differ across Python versions.
 COUNTERS = ("sim_steps", "sim_end", "requests")
 
 

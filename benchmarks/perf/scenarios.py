@@ -38,10 +38,10 @@ def kernel_event_throughput(quick: bool = False) -> dict:
 
     100 concurrent processes each advance through 2000 timeouts while a
     canceller schedules and cancels a long timeout every fourth step —
-    the freelist, lazy-cancel, and single-waiter fast paths all sit on
-    this loop.  Bare ``env.run()`` drives the same single dispatch loop
-    as ``run(until=...)``, so this measures the kernel that serving,
-    fleet, and chaos runs use.
+    the lazy-cancel and single-waiter fast paths both sit on this loop.
+    Bare ``env.run()`` drives the same single dispatch loop as
+    ``run(until=...)``, so this measures the kernel that serving, fleet,
+    and chaos runs use.
     """
     n_procs = 100
     n_steps = 400 if quick else 2000
@@ -73,7 +73,6 @@ def kernel_event_throughput(quick: bool = False) -> dict:
         "wall_s": wall,
         "sim_steps": steps,
         "sim_end": env.now,
-        "events_recycled": env.events_recycled,
         "events_cancelled": env.events_cancelled,
     }
 
@@ -104,7 +103,6 @@ def end_to_end_serving(quick: bool = False) -> dict:
         "sim_steps": steps,
         "sim_end": env.now,
         "requests": requests,
-        "events_recycled": env.events_recycled,
     }
 
 
@@ -140,7 +138,6 @@ def switch_storm(quick: bool = False) -> dict:
         "sim_steps": steps,
         "sim_end": env.now,
         "requests": requests,
-        "events_recycled": env.events_recycled,
     }
 
 
@@ -183,7 +180,6 @@ def fleet_replay(quick: bool = False) -> dict:
         "sim_end": env.now,
         "requests": result.submitted,
         "slo_attainment": round(result.slo_attainment, 6),
-        "events_recycled": env.events_recycled,
     }
 
 
@@ -234,7 +230,6 @@ def fleet_controller_replay(quick: bool = False) -> dict:
         "slo_attainment": round(result.slo_attainment, 6),
         "migrations": result.controller["migrations"],
         "spills": result.controller["spills"],
-        "events_recycled": env.events_recycled,
     }
 
 
@@ -283,7 +278,6 @@ def fleet_replay_1m(quick: bool = False) -> dict:
         "requests": result.submitted,
         "slo_attainment": round(result.slo_attainment, 6),
         "rss_peak_mb": round(rss_mb, 1),
-        "events_recycled": env.events_recycled,
     }
 
 

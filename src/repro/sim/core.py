@@ -22,11 +22,10 @@ Hot-path engineering (see DESIGN.md "Performance notes")
   the way the plain reference kernel in ``tests/reference_kernel.py``
   does: mark it processed, resume its waiter through
   :meth:`Process._resume`, run its callbacks.  The production loop adds
-  only the lazy-cancel drop, recycling and step accounting.  Nothing
-  bypasses the heap: every trigger, timeout, process init, relay, and
-  interrupt is a heap entry with a sequence number assigned at
-  scheduling time, so events at the same instant fire in scheduling
-  order.  ``run(until=...)`` can be split and resumed without changing
+  only the lazy-cancel drop and step accounting.  Nothing bypasses the
+  heap: every trigger, timeout, process init, relay, and interrupt is a
+  heap entry with a sequence number assigned at scheduling time, so
+  events at the same instant fire in scheduling order.  ``run(until=...)`` can be split and resumed without changing
   that order.  The one skip is :meth:`Environment.claim_inline`: a
   continuation may run work directly instead of scheduling it for
   ``now`` only when that event would be the very next pop.  See
@@ -46,19 +45,11 @@ Hot-path engineering (see DESIGN.md "Performance notes")
   "Kernel fast paths" and the ordering rules every process obeys.
 * Every kernel object carries ``__slots__``; there are no instance dicts
   on the event path.
-* :class:`Event`, :class:`Timeout`, and :class:`Process` objects are
-  recycled through per-class freelists.  An object is returned to its
-  pool only when the run loop holds the *sole* remaining reference
-  (checked with ``sys.getrefcount``), so any event a component keeps a
-  handle on — a wake event, a prefetch process, a condition sub-event —
-  is never reused out from under it.  Pooled objects are reset at
-  *recycle* time (restoring the emptied callbacks list in place instead
-  of allocating a fresh one), so the factories only touch the fields that
-  differ per use.  Every fired event goes through one recycle block that
-  serves all three pools; the lazy-cancel drop pools an orphaned timeout
-  itself.  Failed events are recycled only after their failure has been
-  defused (observed); an unobserved failure still surfaces at
-  :meth:`Environment.run` with its exception intact.
+* Nothing is recycled: every ``event``, ``timeout``, ``timeout_at`` and
+  ``process`` call allocates a fresh object, so an event a component
+  keeps a handle on keeps its value and state for as long as it is
+  held.  An unobserved failure surfaces at :meth:`Environment.run` with
+  its exception intact.
 * Timeouts support *lazy cancellation*: :meth:`Timeout.cancel` (and
   :meth:`Process.interrupt` orphaning a timeout) marks the heap entry
   dead, and the run loop drops it at pop time instead of re-heapifying.
@@ -70,7 +61,6 @@ Hot-path engineering (see DESIGN.md "Performance notes")
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -102,13 +92,9 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-# Event lifecycle states.
+# Event lifecycle states; "processed" is the _FIRED marker below.
 _PENDING = 0  # created, not yet triggered
 _TRIGGERED = 1  # value set, scheduled to fire
-_PROCESSED = 2  # callbacks have run
-
-# Per-class freelist size cap; beyond this, objects fall back to the GC.
-_POOL_CAP = 4096
 
 # Processed marker, stored in the ``_waiter`` slot when an event is
 # dispatched.  Folding "has been processed" into the slot the dispatcher
@@ -187,9 +173,8 @@ class Event:
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception.
 
-        The exception is pinned to the event until some waiter observes
-        (defuses) it; undefused failures are never recycled, so the
-        traceback survives to surface at :meth:`Environment.run`.
+        Until some waiter observes (defuses) it, the failure surfaces at
+        :meth:`Environment.run` with its traceback intact.
         """
         if self._state >= _TRIGGERED:
             raise SimulationError(f"{self!r} already triggered")
@@ -213,8 +198,9 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        # Written so that NaN fails too: a NaN key breaks the heap order.
+        if not (delay >= 0):
+            raise SimulationError(f"invalid timeout delay: {delay}")
         Event.__init__(self, env)
         self._value = value
         self._state = _TRIGGERED
@@ -249,20 +235,21 @@ class Process(Event):
     __slots__ = ("_generator", "_send", "_target")
 
     def __init__(self, env: "Environment", generator: Generator):
-        Event.__init__(self, env)
-        self._target: Optional[Event] = None
-        self._launch(generator)
-
-    def _launch(self, generator: Generator) -> None:
-        """Bind ``generator`` and schedule its first turn (also on reuse)."""
         if not hasattr(generator, "throw"):
             raise SimulationError(
                 f"process() requires a generator, got {generator!r}"
             )
+        Event.__init__(self, env)
+        self._target: Optional[Event] = None
         self._generator = generator
         # Bound-method cache: one attribute load per resume instead of two.
         self._send = generator.send
-        self.env._schedule_init(self)
+        # The first turn comes from a private init event.
+        init = Event(env)
+        init._state = _TRIGGERED
+        init._waiter = self
+        heappush(env._queue, (env.now, env._sequence, init))
+        env._sequence += 1
 
     @property
     def is_alive(self) -> bool:
@@ -367,13 +354,13 @@ class Process(Event):
             return
         if waiter_slot is not _FIRED:
             # A bound method made per attach, not cached on the process:
-            # a cached one would reference its own process, and the run
-            # loop's refcount gate would never pool it.
+            # a cached one would reference its own process, a cycle only
+            # the cyclic collector frees.
             next_event.callbacks.append(self._resume)
             self._target = next_event
             return
         # Already processed: resume immediately with its value, via a
-        # pooled relay event so ordering against the queue is kept.
+        # relay event so ordering against the queue is kept.
         resume = env.event()
         ok = next_event._ok
         resume._ok = ok
@@ -467,55 +454,6 @@ class AnyOf(Condition):
         Condition.__init__(self, env, _any_fired, events)
 
 
-def _make_event_factory(env: "Environment"):
-    """Build the bound ``env.event`` closure.
-
-    The factories are closures rather than methods so the hot-path
-    lookups (freelist, heap, heappush) are default-arg locals resolved
-    once at bind time instead of attribute loads on every call.
-    """
-
-    def event(_env=env, _pool=env._event_pool) -> Event:
-        """Create a new, untriggered event (recycled when possible)."""
-        if _pool:
-            ev = _pool.pop()
-            ev._state = _PENDING
-            return ev
-        return Event(_env)
-
-    return event
-
-
-def _make_timeout_factory(env: "Environment"):
-    """Build the bound ``env.timeout`` closure."""
-
-    def timeout(
-        delay: float,
-        value: Any = None,
-        _env=env,
-        _pool=env._timeout_pool,
-        _queue=env._queue,
-        _push=heappush,
-    ) -> Timeout:
-        """Create an event that fires ``delay`` seconds from now."""
-        if _pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
-            # Invariant: a pooled Timeout still holds _state == _TRIGGERED
-            # from its previous life (dispatch never downgrades it), so
-            # the factory does not re-store it.
-            timeout = _pool.pop()
-            if value is not None:
-                timeout._value = value
-            seq = _env._sequence
-            _push(_queue, (_env.now + delay, seq, timeout))
-            _env._sequence = seq + 1
-            return timeout
-        return Timeout(_env, delay, value)
-
-    return timeout
-
-
 class Environment:
     """The simulation environment: clock plus event queue."""
 
@@ -527,14 +465,10 @@ class Environment:
         "steps_executed",
         "steps_inlined",
         "events_cancelled",
-        "events_recycled",
-        "_event_pool",
-        "_timeout_pool",
-        "_process_pool",
-        # Bound factory closures (see _make_*_factory).
-        "event",
-        "timeout",
     )
+
+    # Always 0 (nothing is recycled); simbench reads it.
+    events_recycled = 0
 
     def __init__(self, initial_time: float = 0.0):
         # Current simulated time in seconds.  A plain slot, not a
@@ -548,14 +482,6 @@ class Environment:
         self.steps_executed = 0
         self.steps_inlined = 0
         self.events_cancelled = 0
-        self.events_recycled = 0
-        # Freelists; see the module docstring for the recycling contract.
-        self._event_pool: list[Event] = []
-        self._timeout_pool: list[Timeout] = []
-        self._process_pool: list[Process] = []
-        # Factories are per-instance closures over the pools and heap.
-        self.event = _make_event_factory(self)
-        self.timeout = _make_timeout_factory(self)
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -572,10 +498,14 @@ class Environment:
         return self._sequence
 
     # -- factories ---------------------------------------------------------
-    # event/timeout are instance closures bound in __init__; they, process
-    # and timeout_at hand out pooled objects reset at recycle time
-    # (callbacks == [], value/ok/defused/cancelled/waiter cleared), so
-    # they only set what differs per use.
+    def event(self) -> Event:
+        """Create a new, untriggered event."""
+        return Event(self)
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        """Create an event that fires ``delay`` seconds from now."""
+        return Timeout(self, delay, value)
+
     def timeout_at(self, when: float) -> Timeout:
         """A timeout that fires at the absolute time ``when``.
 
@@ -584,15 +514,11 @@ class Environment:
         replayed onto a grid must land on the grid exactly.
         """
         now = self.now
-        if when < now:
+        if not (when >= now):  # NaN fails too
             raise SimulationError(f"timeout_at({when}) lies in the past (now={now})")
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()  # still _TRIGGERED from its last life
-        else:
-            timeout = Timeout.__new__(Timeout)
-            Event.__init__(timeout, self)
-            timeout._state = _TRIGGERED
+        timeout = Timeout.__new__(Timeout)
+        Event.__init__(timeout, self)
+        timeout._state = _TRIGGERED
         heappush(self._queue, (when, self._sequence, timeout))
         self._sequence += 1
         return timeout
@@ -606,14 +532,8 @@ class Environment:
         return AnyOf(self, events)
 
     def process(self, generator: Generator) -> Process:
-        """Start a new process from a generator (recycled when possible)."""
-        pool = self._process_pool
-        if not pool:
-            return Process(self, generator)
-        process = pool.pop()
-        process._state = _PENDING
-        process._launch(generator)
-        return process
+        """Start a new process from a generator."""
+        return Process(self, generator)
 
     # -- scheduling ----------------------------------------------------------
     def claim_inline(self) -> bool:
@@ -655,15 +575,6 @@ class Environment:
         self.steps_inlined += 1
         return True
 
-    def _schedule_init(self, process: Process) -> None:
-        """Queue the pooled event that gives a new process its first turn."""
-        init = self.event()
-        init._ok = True
-        init._state = _TRIGGERED
-        init._waiter = process
-        heappush(self._queue, (self.now, self._sequence, init))
-        self._sequence += 1
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 
@@ -677,7 +588,7 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self.now:
+            if not (stop_time >= self.now):  # NaN fails too
                 raise SimulationError(
                     f"until ({stop_time}) lies in the past (now={self.now})"
                 )
@@ -687,20 +598,15 @@ class Environment:
         # the heap in (time, seq) order, so a run split by ``until`` and
         # resumed fires exactly what one uninterrupted run would.  Each
         # pop fires as the reference kernel's ``fire()`` does, plus the
-        # lazy-cancel drop and recycling.
+        # lazy-cancel drop.
         #
         # Step accounting is derived, not maintained: every heap push
         # consumes one sequence number, so pops over this run window are
         #   len_before + pushes - len_after
         # and fired steps are pops minus lazily-dropped cancellations.
         queue = self._queue
-        event_pool = self._event_pool
-        timeout_pool = self._timeout_pool
-        process_pool = self._process_pool
         pop = heappop
-        refs = getrefcount
         cancelled = 0
-        recycled = 0
         len_before = len(queue)
         seq_before = self._sequence
         try:
@@ -715,21 +621,9 @@ class Environment:
                 ok = event._ok
                 if not ok and event._cancelled:
                     # Lazy cancellation: dropped, never fired.  A parked
-                    # waiter stays parked (its _target ref also keeps the
-                    # event off the freelist); an orphaned timeout is pooled
-                    # here, since only a dropped entry still holds unrun
-                    # callbacks and the _cancelled mark to reset.
+                    # waiter stays parked.
                     cancelled += 1
-                    if event.__class__ is Timeout and refs(event) == 2:
-                        event.callbacks.clear()
-                        event._value = None
-                        event._ok = True
-                        event._cancelled = False
-                        event._waiter = None
-                        timeout_pool.append(event)
-                        recycled += 1
-                    else:
-                        event._waiter = _FIRED
+                    event._waiter = _FIRED
                     continue
                 # The processed marker is stored before anything runs, so a
                 # waiter that yields or conditions on the event it woke from
@@ -749,38 +643,11 @@ class Environment:
                     event.callbacks = cbs
                 if not ok and not event._defused:
                     raise event._value
-                cls = event.__class__
-                if cls is Timeout:
-                    pool = timeout_pool
-                elif cls is Event:
-                    pool = event_pool
-                elif cls is Process:
-                    pool = process_pool
-                else:
-                    continue
-                if refs(event) == 2:
-                    event._value = None
-                    event._waiter = None
-                    if not ok:
-                        event._ok = True
-                        event._defused = False
-                    if cls is Process:
-                        event._generator = None
-                        event._send = None
-                        event._target = None
-                    pool.append(event)
-                    recycled += 1
         finally:
             self._active_process = None
-            # Pool caps are enforced once per run instead of per recycle
-            # in the hot loop; overflow falls back to the GC here.
-            del timeout_pool[_POOL_CAP:]
-            del event_pool[_POOL_CAP:]
-            del process_pool[_POOL_CAP:]
             pops = len_before + (self._sequence - seq_before) - len(queue)
             self.steps_executed += pops - cancelled
             self.events_cancelled += cancelled
-            self.events_recycled += recycled
 
         if stop_event is not None:
             if stop_event._state < _TRIGGERED:

@@ -6,13 +6,12 @@ honours the same contract: pop the heap in ``(time, seq)`` order and
 :func:`fire` each event generically.  A waiting process resumes through
 ``Process._resume``, the one resume the production loop calls too.
 What the production loop adds around the same firing is absent here:
-nothing is ever recycled, so every factory call allocates a fresh
-object, and :meth:`~ReferenceEnvironment.claim_inline` always refuses,
-so every continuation fires from its own event.  A scenario that gives
-the same log and clock on both kernels, with step counts that differ by
-exactly the production kernel's ``steps_inlined``, is therefore
-independent of the production loop's inlining and its refcount-gated
-freelists.
+:meth:`~ReferenceEnvironment.claim_inline` always refuses, so every
+continuation fires from its own event, and step accounting is one
+counter per pop instead of derived from sequence numbers.  A scenario
+that gives the same log and clock on both kernels, with step counts
+that differ by exactly the production kernel's ``steps_inlined``, is
+therefore independent of the production loop's inlining.
 
 The single-step API (``step``/``peek``) lives here because only tests
 use it.
@@ -82,7 +81,7 @@ class ReferenceEnvironment(Environment):
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self.now:
+            if not (stop_time >= self.now):  # NaN fails too
                 raise SimulationError(
                     f"until ({stop_time}) lies in the past (now={self.now})"
                 )

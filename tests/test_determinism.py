@@ -88,7 +88,7 @@ def run_unified_with_metrics(seed):
 
 
 class TestMetricSnapshotDeterminism:
-    """The kernel freelists/fast paths must not leak into results: two
+    """The kernel fast paths must not leak into results: two
     serves of the same seeded trace give identical metric snapshots."""
 
     def test_snapshots_bitwise_identical(self):

@@ -1,9 +1,10 @@
 """Differential test: the production run loop against the reference kernel.
 
 ``tests/reference_kernel.py`` runs the same events through a plain loop:
-``heappop``, generic dispatch through ``Process._resume``, no inlining
-and no recycling.  The production loop inlines the single-waiter resume
-and recycles events by ``sys.getrefcount``; neither may change what a
+``heappop``, generic dispatch through ``Process._resume``, and no
+inlining.  The production loop lets a continuation run directly when its
+event would be the next pop (``Environment.claim_inline``) and derives
+its step count from sequence numbers; neither may change what a
 simulation does.
 
 Two layers check it:

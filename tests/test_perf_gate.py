@@ -86,7 +86,6 @@ def test_a_moved_counter_fails_until_re_pinned(tmp_path, capsys):
             "sim_steps": 1000,
             "sim_end": 118.0,
             "requests": 218,
-            "events_recycled": 900,
         }
     ))
     same = {
@@ -96,8 +95,6 @@ def test_a_moved_counter_fails_until_re_pinned(tmp_path, capsys):
         "sim_steps": 1000,
         "sim_end": 118.0,
         "requests": 218,
-        # Refcounts gate recycling: not a pinned counter.
-        "events_recycled": 950,
     }
     assert check(_report(end_to_end_serving=same), baseline, max_drop=0.30) == 0
     for counter, moved in (("sim_steps", 999), ("sim_end", 118.5), ("requests", 217)):

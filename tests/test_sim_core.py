@@ -79,7 +79,7 @@ class TestTimeout:
             assert env.now + (0.005 - env.now) != 0.005
             yield env.timeout_at(0.005)
             times.append(env.now)
-            for _ in range(3):  # pooled timeouts too
+            for _ in range(3):
                 yield env.timeout_at(env.now + 1.0)
                 times.append(env.now)
 

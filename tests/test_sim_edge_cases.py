@@ -143,3 +143,26 @@ class TestRunSemantics:
         env.process(make("y")())
         env.run()
         assert order == ["x", "y"] * 3
+
+
+class TestNanTimes:
+    """A NaN time is rejected loudly: as a heap key it breaks the order,
+    firing ahead of earlier events with the clock set to NaN."""
+
+    @pytest.mark.parametrize("kernel", [Environment, ReferenceEnvironment])
+    def test_nan_is_rejected_everywhere_a_time_enters(self, kernel):
+        env = kernel()
+        nan = float("nan")
+        fired = []
+        for delay in (0.5, 1.0):
+            env.timeout(delay).callbacks.append(lambda ev: fired.append(env.now))
+        with pytest.raises(SimulationError):
+            env.timeout(nan)
+        with pytest.raises(SimulationError):
+            env.timeout_at(nan)
+        with pytest.raises(SimulationError):
+            env.run(until=nan)
+        assert env.now == 0.0
+        env.run()
+        assert fired == [0.5, 1.0]
+        assert env.now == 1.0

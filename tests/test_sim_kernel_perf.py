@@ -1,11 +1,13 @@
-"""Kernel freelist, lazy-cancellation, and failure-path semantics.
+"""Kernel object lifetime, lazy-cancellation, and failure-path semantics.
 
-The performance overhaul recycles :class:`Event`/:class:`Timeout`/
-:class:`Process` objects through per-environment freelists and drops
-cancelled timeouts lazily at heap pop.  These tests pin down the safety
-contract: recycling must never corrupt an object something still holds,
-an unobserved failure must survive to ``env.run()`` with its exception
-intact, and none of it may perturb simulation results.
+The kernel allocates a fresh :class:`Event`/:class:`Timeout`/
+:class:`Process` on every factory call and drops cancelled timeouts
+lazily at heap pop.  These tests pin down the contract: an object
+something still holds keeps its value and state after dispatch, a new
+object comes back clean, an unobserved failure survives to
+``env.run()`` with its exception intact, and none of it may perturb
+simulation results.  (The class and test names date from when the
+kernel recycled objects through freelists.)
 """
 
 import pytest
@@ -118,30 +120,8 @@ class TestFreelistSafety:
         assert event._ok is False
         assert isinstance(event.value, ValueError)
 
-    def test_recycling_happens_and_pool_is_bounded(self, env):
-        """Every pool receives objects.  Short-lived children that nothing
-        holds end with only the run loop referencing their init events,
-        timeouts and termination events, so all three are pooled; a stray
-        reference (a loop local, a self-referencing cache) would stop
-        pooling silently, with no result changed."""
-
-        def child(env):
-            yield env.timeout(0.001)
-
-        def proc(env):
-            for _ in range(500):
-                env.process(child(env))
-                yield env.timeout(0.01)
-
-        env.process(proc(env))
-        env.run()
-        # The last child's objects are never popped again.
-        assert env._event_pool and env._timeout_pool and env._process_pool
-        assert env.events_recycled > 1000
-        assert len(env._timeout_pool) <= 4096
-
     def test_ping_pong_deterministic_with_recycling(self):
-        """Heavy freelist churn must not change event ordering."""
+        """Heavy event churn must not change event ordering."""
 
         def run():
             env = Environment()
@@ -160,13 +140,9 @@ class TestFreelistSafety:
             env.process(ping(env))
             env.process(pong(env))
             env.run()
-            return log, env.events_recycled
+            return log
 
-        first_log, first_recycled = run()
-        second_log, second_recycled = run()
-        assert first_log == second_log
-        assert first_recycled == second_recycled
-        assert first_recycled > 0
+        assert run() == run()
 
 
 class TestLazyCancellation:
@@ -230,7 +206,8 @@ class TestLazyCancellation:
 
 class TestPooledEventReuse:
     def test_pool_roundtrip_resets_state(self, env):
-        """Force a pool round trip and verify every reinitialized field."""
+        """An event made after another was fired and dropped comes back
+        with every field fresh."""
 
         def proc(env):
             first = env.event()
@@ -248,7 +225,7 @@ class TestPooledEventReuse:
         env.run()
 
     def test_direct_event_construction_still_works(self, env):
-        """Event(env) bypasses the pool and must behave identically."""
+        """Event(env) behaves like env.event()."""
         event = Event(env)
         event.succeed(42)
         result = []
