@@ -33,7 +33,7 @@ from ..hardware.gpu import GpuSpec
 from ..models.catalog import ModelSpec
 from ..models.latency import LatencyModel
 from ..policy.base import PolicyBundle
-from ..policy.placement import MARKET_HOURLY_USD
+from ..policy.placement import MARKET_HOURLY_USD, USABLE_VRAM_FRACTION
 from ..sim import Environment
 from ..workload.stream import RequestStream
 
@@ -67,7 +67,7 @@ class SharedGpuInstance(BatcherInstanceBase):
             spec.name: LatencyModel(spec, gpu_spec) for spec in models
         }
         weight_total = sum(spec.weight_bytes for spec in models)
-        kv_total = int(gpu_spec.vram_bytes * 0.9) - weight_total
+        kv_total = int(gpu_spec.vram_bytes * USABLE_VRAM_FRACTION) - weight_total
         if kv_total <= 0 and models:
             raise MemoryError(f"{name}: colocated weights exceed VRAM")
         per_model_kv = kv_total // max(1, len(models))

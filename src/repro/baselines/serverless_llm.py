@@ -196,7 +196,6 @@ class ServerlessLLM(ServingSystemBase):
             fine_grained_sync=False,
             weight_buffer_bytes=weight_buffer,
         )
-        tunables = self.policies.tunables
         self.instances = []
         for index, gpu in enumerate(cluster.gpus):
             engine = AegaeonEngine(
@@ -210,8 +209,6 @@ class ServerlessLLM(ServingSystemBase):
                 pre_initialized=True,
                 obs=self.obs,
             )
-            engine.quick_loader.max_fetch_retries = tunables.fetch_max_retries
-            engine.quick_loader.fetch_backoff_base = tunables.fetch_backoff_base
             self.instances.append(
                 _ServerlessInstance(env, engine, self, name=f"sllm{index}")
             )

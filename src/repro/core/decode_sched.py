@@ -14,10 +14,12 @@ auto-scaling cost ``c`` fits inside the earned slack:
 keeps turns short (hence responsive to new batches) when SLOs are
 comfortably met.
 
-The quota mathematics and the placement rule live in
-:mod:`repro.policy` (``WeightedRoundPolicy`` / ``BatchedDecodeDispatch``
-are the defaults; ``QMAX`` is ``Tunables.qmax``); this module keeps the
-executing scheduler.
+The quota mathematics lives in :mod:`repro.policy.decode_turn`:
+each :class:`~repro.core.instance.DecodeInstance` builds a
+``WeightedRoundPolicy`` from its bundle's tunables (``QMAX`` is
+``Tunables.qmax``; the floor is ``ALPHA_FLOOR``).  The placement rule
+is the bundle's dispatch policy (``BatchedDecodeDispatch`` by default).
+This module keeps the executing scheduler.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ multi-wait sub-operations (``AegaeonEngine.scale_to``,
 takes the same path and records the engine's ``prefill`` / ``decode``
 exec spans around the same timeouts.
 
-The *decisions* both loops make — when to preempt the resident model,
-how to order a round, how big each turn's quota is — are delegated to a
-bundle's :class:`~repro.policy.ScalingPolicy` and
-:class:`~repro.policy.DecodeTurnPolicy`; the defaults reproduce the
-pre-policy-layer behaviour exactly.
+Whether to preempt the resident model is the bundle's
+:class:`~repro.policy.ScalingPolicy` decision.  A decode round's order
+and turn quotas (Algorithm 2, Eqs. 2-3) come from the
+:class:`~repro.policy.decode_turn.WeightedRoundPolicy` each decode
+instance builds from its bundle's tunables.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ from ..memory.slab import KvTooLargeError, SlabAllocator
 from ..models.catalog import ModelSpec
 from ..models.kv import kv_shape
 from ..obs import NULL_OBS, Observability
-from ..policy.base import DecodeTurnPolicy, ScalingPolicy, policy_event
+from ..policy.base import ScalingPolicy, policy_event
 from ..policy.decode_turn import WeightedRoundPolicy
 from ..policy.scaling import TokenLevelScaling
+from ..policy.tunables import DEFAULT_TUNABLES, Tunables
 from ..obs.tracer import NULL_SPAN
 from ..sim import Environment, Event, Interrupt
 from ..transfer.kv_transfer import RequestKv
@@ -272,7 +273,7 @@ class DecodeInstance:
         name: str = "decode",
         on_failed: Optional[Callable[[Request], None]] = None,
         obs: Observability = NULL_OBS,
-        turn_policy: Optional[DecodeTurnPolicy] = None,
+        tunables: Tunables = DEFAULT_TUNABLES,
         scaling: Optional[ScalingPolicy] = None,
     ):
         self.env = env
@@ -281,9 +282,7 @@ class DecodeInstance:
         self.on_finished = on_finished
         self.on_failed = on_failed
         self.name = name
-        self.turn_policy: DecodeTurnPolicy = (
-            turn_policy if turn_policy is not None else WeightedRoundPolicy()
-        )
+        self.round_policy = WeightedRoundPolicy(tunables)
         self.scaling: ScalingPolicy = scaling if scaling is not None else TokenLevelScaling()
         self.work_list: list[DecodeBatch] = []
         self.dead = False
@@ -479,7 +478,7 @@ class DecodeInstance:
                 # One full rotation of the work list (Algorithm 2, lines 4-11).
                 self.rounds += 1
                 self._round_counter.inc()
-                reordered = self.turn_policy.order(self.work_list)
+                reordered = self.round_policy.order(self.work_list)
                 if reordered is not self.work_list:
                     self.work_list[:] = reordered
                 batches = list(self.work_list)
@@ -490,7 +489,7 @@ class DecodeInstance:
                     for batch in batches
                 ]
                 switch_cost = self._round_switch_cost(batches)
-                quotas = self.turn_policy.quotas(batches, step_times, switch_cost, self.slo)
+                quotas = self.round_policy.quotas(batches, step_times, switch_cost, self.slo)
                 round_start = env.now
                 with (
                     tracer.span(

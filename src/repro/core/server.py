@@ -43,6 +43,11 @@ __all__ = ["AegaeonConfig", "AegaeonServer"]
 
 GiB = 1024**3
 
+#: Grace period before a failed instance's orphans are requeued: the
+#: timeout half of timeout-and-requeue (the proxy tier would take this
+#: long to notice the instance stopped heartbeating).
+ORPHAN_REQUEUE_DELAY = 0.01
+
 
 @dataclass(frozen=True)
 class AegaeonConfig:
@@ -98,11 +103,14 @@ class AegaeonServer(ServingSystemBase):
         tp = config.engine.tp
         bundle = self.policies
         tunables = bundle.tunables
-        # The placement policy owns the GPU → pool assignment (the
-        # default cursor is contiguous TP groups, prefill first).
-        prefill_groups, decode_groups = bundle.placement.partition(
-            cluster.gpus, tp, config.prefill_instances, config.decode_instances
-        )
+        # GPU → pool assignment: contiguous TP groups, prefill first.
+        gpus = cluster.gpus
+        groups = [
+            gpus[index * tp : (index + 1) * tp]
+            for index in range(config.prefill_instances + config.decode_instances)
+        ]
+        prefill_groups = groups[: config.prefill_instances]
+        decode_groups = groups[config.prefill_instances :]
         self.prefill_instances: list[PrefillInstance] = []
         self.decode_instances: list[DecodeInstance] = []
         for index, group in enumerate(prefill_groups):
@@ -147,7 +155,7 @@ class AegaeonServer(ServingSystemBase):
                     name=f"decode{index}",
                     on_failed=self.note_failed,
                     obs=self.obs,
-                    turn_policy=bundle.decode_turn,
+                    tunables=tunables,
                     scaling=bundle.scaling,
                 )
             )
@@ -163,12 +171,6 @@ class AegaeonServer(ServingSystemBase):
         self.decode_scheduler = BatchedDecodeScheduler(
             self.decode_instances, obs=self.obs, policy=bundle.dispatch
         )
-        # Loader retry/backoff are bundle tunables too.
-        for instance in [*self.prefill_instances, *self.decode_instances]:
-            loader = instance.engine.quick_loader
-            loader.max_fetch_retries = tunables.fetch_max_retries
-            loader.fetch_backoff_base = tunables.fetch_backoff_base
-        self._orphan_requeue_delay = tunables.orphan_requeue_delay
         self.instance_failures = 0
         self.orphans_requeued = 0
         scope = self.obs.scoped("server")
@@ -250,7 +252,7 @@ class AegaeonServer(ServingSystemBase):
 
     def _requeue_orphans(self, instance, orphans: list[Request]):
         """Process: reschedule a dead instance's requests after a grace."""
-        yield self.env.timeout(self._orphan_requeue_delay)
+        yield self.env.timeout(ORPHAN_REQUEUE_DELAY)
         for request in orphans:
             self._reschedule(instance, request)
 

@@ -145,10 +145,6 @@ class ServingSystemBase:
         #: disposition: True when it re-routed a rejection to another
         #: shard, which this system then folds as ``spilled``.
         self.spill_filter: Optional[Callable[[Request], bool]] = None
-        #: The fleet controller's latest load hint for this shard
-        #: (forecast load / fleet mean; 1.0 == fair share).  See
-        #: :meth:`apply_scaling_hint`.
-        self.scaling_hint: float = 1.0
         #: Model specs this run knows by name — populated by serve
         #: paths/:meth:`register_models` and added to on every submit.
         #: Routing policies resolve variant names through this.
@@ -197,21 +193,6 @@ class ServingSystemBase:
         estimators override this so SLO-aware admission can shed.
         """
         return 0.0
-
-    def apply_scaling_hint(self, hint: float) -> None:
-        """Record the fleet controller's load hint for this system.
-
-        The hint is stored on :attr:`scaling_hint` for any policy to
-        read, and forwarded to the bundle's scaling policy when it
-        implements the optional ``observe_fleet_hint(system, hint)``
-        hook.  Bundle policy objects are shared across shards, so
-        policies must key any state they keep off ``system``, not
-        ``self``.
-        """
-        self.scaling_hint = float(hint)
-        observe = getattr(self.policies.scaling, "observe_fleet_hint", None)
-        if observe is not None:
-            observe(self, hint)
 
     def dispatch(self, request: Request) -> None:
         """Route one arriving request (subclasses implement)."""

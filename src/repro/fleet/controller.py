@@ -27,10 +27,6 @@ point-in-time queue depths:
   are bounded by a :class:`SpillLedger`; the spilling shard records the
   disposition as ``spilled`` so per-shard submissions still reconcile
   exactly (``finished + failed + rejected + spilled == submitted``).
-* **Scaling hints** — each shard's forecast-load share is fed into the
-  existing :class:`~repro.policy.base.ScalingPolicy` seam through
-  ``system.apply_scaling_hint`` (policies opt in by implementing
-  ``observe_fleet_hint``).
 
 Every action happens inside ordinary sim events (the tick timeout, the
 spill re-submission process), so controller-enabled runs obey the
@@ -306,10 +302,6 @@ class FleetController:
         view = self._tick_view()
         for move in self.policy.plan_migrations(view):
             self._apply_migration(*move)
-        for telemetry in view.shards:
-            hint = self.policy.scaling_hint(view, telemetry.index)
-            if hint is not None:
-                self.runner.shards[telemetry.index].system.apply_scaling_hint(hint)
         obs = self.runner.obs
         if obs.enabled:
             for load, telemetry in zip(view.forecast_shard_loads(), view.shards):

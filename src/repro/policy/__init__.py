@@ -1,19 +1,18 @@
 """The pluggable policy layer: every control-plane decision, swappable.
 
-Five protocols name the decision points the serving systems share
+Four protocols name the decision points the serving systems share
 (:class:`AdmissionPolicy`, :class:`DispatchPolicy`,
-:class:`DecodeTurnPolicy`, :class:`ScalingPolicy`,
-:class:`PlacementPolicy`); a :class:`PolicyBundle` packages one choice
-per point plus the :class:`Tunables` they share, and the registry's
-named bundles turn Aegaeon, ServerlessLLM(+), MuxServe and the unified
-foils into configurations of one serving core.  See DESIGN.md
+:class:`ScalingPolicy`, :class:`PlacementPolicy`); a
+:class:`PolicyBundle` packages one choice per point plus the
+:class:`Tunables` they share, and the registry's named bundles turn
+Aegaeon, ServerlessLLM(+), MuxServe and the unified foils into
+configurations of one serving core.  See DESIGN.md
 ("The policy layer") for the bundle table and how to add a policy.
 """
 
 from .admission import AlwaysAdmit, PlacedModelsAdmission, SloAwareAdmission
 from .base import (
     AdmissionPolicy,
-    DecodeTurnPolicy,
     DispatchPolicy,
     FleetControlPolicy,
     PlacementPolicy,
@@ -67,7 +66,6 @@ __all__ = [
     "CostAwarePlacement",
     "CostConstrainedRouter",
     "DEFAULT_TUNABLES",
-    "DecodeTurnPolicy",
     "DispatchPolicy",
     "FleetControlPolicy",
     "ForecastFleetControl",

@@ -62,7 +62,6 @@ class SloAwareAdmission:
         if headroom <= 0:
             raise ValueError("headroom must be positive")
         self.headroom = headroom
-        self.shed = 0
 
     def decide(self, system: Any, request: Any) -> Optional[str]:
         pressure_fn = getattr(system, "admission_pressure", None)
@@ -72,7 +71,6 @@ class SloAwareAdmission:
         budget = system.slo.ttft * self.headroom
         if pressure <= budget:
             return None
-        self.shed += 1
         policy_event(
             system.obs.tracer, "admission",
             decision="shed", request_id=request.request_id,

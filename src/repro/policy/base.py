@@ -1,4 +1,4 @@
-"""The five decision points of the serving control plane, as protocols.
+"""The four decision points of the serving control plane, as protocols.
 
 Aegaeon's contribution is a *set of decisions* — token-level preemptive
 scheduling, grouped prefill, weighted decode rounds (§4, Algorithms
@@ -8,17 +8,20 @@ This module names those decision points as narrow, swappable protocols:
 
 * :class:`AdmissionPolicy`  — accept/shed a request at the proxy;
 * :class:`DispatchPolicy`   — request → instance / batch grouping;
-* :class:`DecodeTurnPolicy` — round ordering and per-turn quotas
-  (Eqs. 2-3 live behind this seam);
 * :class:`ScalingPolicy`    — when an engine preempts/switches models,
   and how a round's switch cost is charged;
-* :class:`PlacementPolicy`  — model → GPU and GPU → pool assignment.
+* :class:`PlacementPolicy`  — model → GPU assignment (MuxServe's static
+  placement).
 
 A :class:`PolicyBundle` packages one choice per decision point plus the
 :class:`~repro.policy.tunables.Tunables` they share; the named bundles
 in :mod:`repro.policy.registry` make Aegaeon, ServerlessLLM(+), MuxServe
 and the unified foils *configurations of one serving core* rather than
-divergent control paths.
+divergent control paths.  A seam exists only where some run chooses:
+Algorithm 2's weighted rounds
+(:class:`~repro.policy.decode_turn.WeightedRoundPolicy`) are built by
+every decode instance from the bundle's tunables, and Aegaeon's
+GPU → pool split is a contiguous cursor in ``AegaeonServer``.
 
 Every protocol is duck-typed against the pool objects it steers
 (schedulers, instances, engines, serving systems) so the package imports
@@ -36,7 +39,6 @@ from .tunables import DEFAULT_TUNABLES, Tunables
 __all__ = [
     "AdmissionPolicy",
     "DispatchPolicy",
-    "DecodeTurnPolicy",
     "FleetControlPolicy",
     "ScalingPolicy",
     "PlacementPolicy",
@@ -90,25 +92,6 @@ class DispatchPolicy(Protocol):
 
 
 @runtime_checkable
-class DecodeTurnPolicy(Protocol):
-    """Orders a decode round and sizes its weighted turns (Eqs. 2-3)."""
-
-    def order(self, work_list: list) -> list:
-        """Return the round's batch execution order (may be ``work_list``)."""
-
-    def quotas(
-        self, batches: Sequence, step_times: Sequence[float],
-        switch_cost: float, slo: Any,
-    ) -> list[float]:
-        """Per-batch time quotas for one round."""
-
-    def attainment(
-        self, step_times: Sequence[float], switch_cost: float, slo: Any
-    ) -> float:
-        """The policy's own SLO-attainment estimate for a round."""
-
-
-@runtime_checkable
 class ScalingPolicy(Protocol):
     """Decides when an engine preempts its model and what a switch costs."""
 
@@ -124,7 +107,7 @@ class ScalingPolicy(Protocol):
 
 @runtime_checkable
 class PlacementPolicy(Protocol):
-    """Assigns models to GPUs and GPUs to pool partitions."""
+    """Assigns models to GPUs (consulted by ``MuxServe.prepare``)."""
 
     def plan(
         self, models: Sequence, slots: Sequence
@@ -133,11 +116,6 @@ class PlacementPolicy(Protocol):
 
         Returns ``(per-slot model lists, unplaced models)``.
         """
-
-    def partition(
-        self, gpus: Sequence, tp: int, prefill_instances: int, decode_instances: int
-    ) -> tuple[list[list], list[list]]:
-        """Split a GPU list into prefill / decode TP groups."""
 
 
 @runtime_checkable
@@ -166,16 +144,16 @@ class FleetControlPolicy(Protocol):
         spill hops left; returning ``shard`` itself is treated as
         ``None``."""
 
-    def scaling_hint(self, view: Any, shard: int) -> Optional[float]:
-        """A per-shard load hint (forecast load / fleet mean) fed into
-        the shard's :class:`ScalingPolicy` seam via
-        ``system.apply_scaling_hint``; ``None`` leaves the shard's hint
-        untouched."""
-
 
 @dataclass(frozen=True)
 class PolicyBundle:
-    """One choice per decision point, plus the tunables they share."""
+    """One choice per decision point, plus the tunables they share.
+
+    A bundle's policy objects are shared: every system and fleet shard
+    built from a registered bundle holds the same instances.  So a
+    policy keeps no per-run state on ``self``; whatever it must remember
+    lives on the ``system`` (or scheduler) it is handed, keyed per run.
+    """
 
     name: str
     #: The serving topology this bundle steers by default — a
@@ -183,7 +161,6 @@ class PolicyBundle:
     system: str
     admission: AdmissionPolicy
     dispatch: DispatchPolicy
-    decode_turn: DecodeTurnPolicy
     scaling: ScalingPolicy
     placement: PlacementPolicy
     tunables: Tunables = DEFAULT_TUNABLES
@@ -192,13 +169,4 @@ class PolicyBundle:
     def with_tunables(self, tunables: Tunables) -> "PolicyBundle":
         """This bundle with a different tunables set: the one way a run
         changes a tuning constant."""
-        from .decode_turn import WeightedRoundPolicy
-
-        if tunables == self.tunables:
-            return self
-        decode_turn = self.decode_turn
-        if type(decode_turn) is WeightedRoundPolicy:
-            # The stock turn policy carries its own tunables copy; a
-            # custom policy is kept as configured.
-            decode_turn = WeightedRoundPolicy(tunables)
-        return replace(self, tunables=tunables, decode_turn=decode_turn)
+        return replace(self, tunables=tunables)

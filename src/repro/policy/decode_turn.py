@@ -1,11 +1,11 @@
 """Decode-round ordering and weighted-turn quotas (§4.3, Eqs. 2-3).
 
-The quota mathematics used to live in ``repro.core.decode_sched`` with
-its constants inlined; it is now the reference implementation behind the
-:class:`~repro.policy.DecodeTurnPolicy` seam, parameterized by the
-:class:`~repro.policy.tunables.Tunables` carried on a policy bundle
-(``qmax``, the Eq. 3 ``alpha_floor``).  ``repro.core.decode_sched``
-re-exports the functions, so existing imports keep working.
+Every decode instance builds one :class:`WeightedRoundPolicy` from its
+bundle's :class:`~repro.policy.tunables.Tunables` (``qmax``, the quota
+cap, is the one knob a run sets); the Eq. 3 floor is the module
+constant :data:`ALPHA_FLOOR`.  The rounds run in
+``repro.core.instance``; ``repro.core.decode_sched`` only batches
+requests onto instances.
 
 For target TBT ``d`` and step time ``t``, every ``n = d/t`` decoded
 steps tolerate ``n*(d - t)`` of delay without violating per-token
@@ -26,11 +26,16 @@ from typing import Sequence
 from .tunables import DEFAULT_TUNABLES, Tunables
 
 __all__ = [
+    "ALPHA_FLOOR",
     "reorder_work_list",
     "compute_quotas",
     "estimate_round_attainment",
     "WeightedRoundPolicy",
 ]
+
+#: Floor on Eq. 3's alpha: keeps turns short (hence responsive to new
+#: batches) when SLOs are comfortably met.
+ALPHA_FLOOR = 0.5
 
 
 def reorder_work_list(work_list: list) -> list:
@@ -64,7 +69,6 @@ def compute_quotas(
     total_switch_cost: float,
     slo,
     qmax: float = DEFAULT_TUNABLES.qmax,
-    alpha_floor: float = DEFAULT_TUNABLES.alpha_floor,
 ) -> list[float]:
     """Assign the Eq. 2 time quota to every batch in a round.
 
@@ -85,7 +89,7 @@ def compute_quotas(
         return [qmax] * len(batches)
     alpha = max(
         total_switch_cost / (min(slack_ratios) * qmax) + inverse_sum,
-        alpha_floor,
+        ALPHA_FLOOR,
     )
     quotas = []
     for n in slack_ratios:
@@ -99,7 +103,6 @@ def estimate_round_attainment(
     total_switch_cost: float,
     slo,
     qmax: float = DEFAULT_TUNABLES.qmax,
-    alpha_floor: float = DEFAULT_TUNABLES.alpha_floor,
 ) -> float:
     """The scheduler's own 1/alpha attainment estimate for a round."""
     if not step_times:
@@ -109,7 +112,7 @@ def estimate_round_attainment(
     if total_switch_cost <= 0.0:
         return 1.0
     alpha = max(
-        total_switch_cost / (min(slack_ratios) * qmax) + inverse_sum, alpha_floor
+        total_switch_cost / (min(slack_ratios) * qmax) + inverse_sum, ALPHA_FLOOR
     )
     return min(1.0, 1.0 / alpha)
 
@@ -117,17 +120,12 @@ def estimate_round_attainment(
 class WeightedRoundPolicy:
     """Algorithm 2's round shape: model-grouped order, Eq. 2-3 quotas.
 
-    The default :class:`~repro.policy.DecodeTurnPolicy` of every bundle;
-    byte-for-byte the behaviour the decode instances hard-coded before
-    the policy layer existed.
+    Each :class:`~repro.core.instance.DecodeInstance` builds one from
+    its bundle's tunables, so ``qmax`` is the run's quota cap.
     """
 
     def __init__(self, tunables: Tunables = DEFAULT_TUNABLES):
         self.tunables = tunables
-
-    @property
-    def qmax(self) -> float:
-        return self.tunables.qmax
 
     def order(self, work_list: list) -> list:
         return reorder_work_list(work_list)
@@ -137,14 +135,5 @@ class WeightedRoundPolicy:
         switch_cost: float, slo,
     ) -> list[float]:
         return compute_quotas(
-            batches, step_times, switch_cost, slo,
-            qmax=self.tunables.qmax, alpha_floor=self.tunables.alpha_floor,
-        )
-
-    def attainment(
-        self, step_times: Sequence[float], switch_cost: float, slo
-    ) -> float:
-        return estimate_round_attainment(
-            step_times, switch_cost, slo,
-            qmax=self.tunables.qmax, alpha_floor=self.tunables.alpha_floor,
+            batches, step_times, switch_cost, slo, qmax=self.tunables.qmax
         )

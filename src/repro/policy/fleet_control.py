@@ -4,7 +4,7 @@ Two registered policies bracket the design space the way the serving
 bundles do:
 
 * :class:`StaticFleetControl` (``"static"``) — the no-op foil: never
-  migrates, never spills, never hints.  A controller running this
+  migrates, never spills.  A controller running this
   policy observes telemetry (and emits ``fleet.controller.tick``
   events) but leaves the data path byte-identical to a controller-less
   run — the baseline every forecast-driven improvement is measured
@@ -12,10 +12,9 @@ bundles do:
 * :class:`ForecastFleetControl` (``"forecast"``) — the DeepServe-style
   active loop: feeds the per-model EWMA/slope arrival forecasts into
   the partitioner's load-aware ``rebalance()`` to migrate hot models
-  off overloaded shards live, redirects admission-rejected requests to
-  the currently least-pressured shard (bounded hops enforced by the
-  controller), and publishes each shard's forecast-load share as its
-  scaling hint.
+  off overloaded shards live, and redirects admission-rejected requests
+  to the currently least-pressured shard (bounded hops enforced by the
+  controller).
 
 Both are plain objects satisfying the duck-typed
 :class:`~repro.policy.base.FleetControlPolicy` protocol; register your
@@ -34,9 +33,19 @@ __all__ = [
     "available_fleet_policies",
 ]
 
+#: Load imbalance (relative to the fleet mean) a shard may carry before
+#: the forecast policy migrates a model off it.
+TOLERANCE = 0.10
+#: Cap on catalog moves per control tick, bounding migration churn the
+#: same way the pre-replay ``rebalance()`` hook does.
+MAX_MOVES_PER_TICK = 2
+#: Forecast rates at or below this drop out of the load map, so a long
+#: tail of idle models cannot mask a hot head.
+MIN_RATE = 1e-6
+
 
 class StaticFleetControl:
-    """Observe-only control: no migrations, no spillover, no hints."""
+    """Observe-only control: no migrations, no spillover."""
 
     name = "static"
 
@@ -46,50 +55,30 @@ class StaticFleetControl:
     def spill_target(self, view: Any, shard: int, request: Any) -> Optional[int]:
         return None
 
-    def scaling_hint(self, view: Any, shard: int) -> Optional[float]:
-        return None
-
 
 class ForecastFleetControl:
-    """Forecast-driven control: live rebalance + spillover + hints.
+    """Forecast-driven control: live rebalance + spillover.
 
-    ``tolerance`` and ``max_moves_per_tick`` bound migration churn the
-    same way the pre-replay ``rebalance()`` hook does; ``min_rate``
-    drops models whose forecast is effectively zero from the load map so
-    a long tail of idle models cannot mask a hot head.
+    Migration churn is bounded by the module's :data:`TOLERANCE`,
+    :data:`MAX_MOVES_PER_TICK` and :data:`MIN_RATE`.
     """
 
     name = "forecast"
-
-    def __init__(
-        self,
-        *,
-        tolerance: float = 0.10,
-        max_moves_per_tick: int = 2,
-        min_rate: float = 1e-6,
-    ):
-        if tolerance < 0:
-            raise ValueError("tolerance must be non-negative")
-        if max_moves_per_tick < 0:
-            raise ValueError("max_moves_per_tick must be non-negative")
-        self.tolerance = tolerance
-        self.max_moves_per_tick = max_moves_per_tick
-        self.min_rate = min_rate
 
     def plan_migrations(self, view: Any) -> list[tuple[str, int, int]]:
         loads = {
             name: forecast.predicted
             for name, forecast in view.forecasts.items()
-            if forecast.predicted > self.min_rate
+            if forecast.predicted > MIN_RATE
         }
-        if not loads or not self.max_moves_per_tick:
+        if not loads or not MAX_MOVES_PER_TICK:
             return []
         # The partitioner's rebalance both *plans* and *pins*: returned
         # moves are already in effect for future pump routing, which is
         # exactly the live-migration semantics (in-flight work drains on
         # the old shard untouched).
         return view.partitioner.rebalance(
-            loads, tolerance=self.tolerance, max_moves=self.max_moves_per_tick
+            loads, tolerance=TOLERANCE, max_moves=MAX_MOVES_PER_TICK
         )
 
     def spill_target(self, view: Any, shard: int, request: Any) -> Optional[int]:
@@ -107,13 +96,6 @@ class ForecastFleetControl:
                 best = telemetry.index
                 best_pressure = pressure
         return best
-
-    def scaling_hint(self, view: Any, shard: int) -> Optional[float]:
-        loads = view.forecast_shard_loads()
-        mean = sum(loads) / len(loads) if loads else 0.0
-        if mean <= 0.0:
-            return None
-        return loads[shard] / mean
 
 
 _FLEET_POLICIES: dict[str, Callable[[], Any]] = {}

@@ -1,10 +1,12 @@
-"""Placement policies: model → GPU and GPU → pool assignment.
+"""Placement policies: model → GPU assignment for static multiplexing.
+
+``MuxServe.prepare`` is the one caller: it runs the bundle's policy
+over the catalog once, before the trace.
 
 * :class:`MemoryConstrainedPlacement` — MuxServe's optimizer rule
   (§2.3, §7.2): first-fit in popularity order, refusing to colocate
-  models whose weights plus a minimum KV reservation exceed VRAM.  Its
-  :meth:`partition` is the contiguous TP-group cursor Aegaeon uses to
-  split a cluster into prefill/decode partitions.
+  models whose weights plus a minimum KV reservation exceed the usable
+  share of VRAM.
 * :class:`CostAwarePlacement` — **new**: heterogeneity-aware variant
   that scores every GPU type by *market cost per generated token*
   (hourly price over sustained decode bandwidth) and fills the
@@ -16,13 +18,14 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from .base import policy_event
 
 __all__ = [
     "MIN_KV_BYTES",
     "MARKET_HOURLY_USD",
+    "USABLE_VRAM_FRACTION",
     "MemoryConstrainedPlacement",
     "CostAwarePlacement",
 ]
@@ -36,10 +39,14 @@ GiB = 1024**3
 # most 32 models on 16 GPUs" observation of §7.2.
 MIN_KV_BYTES = 16 * GiB
 
+# The share of a GPU's VRAM a static placement may plan on; the rest is
+# engine runtime headroom.  MuxServe's per-GPU KV budget uses it too.
+USABLE_VRAM_FRACTION = 0.9
+
 # Representative on-demand market rates (USD/hour) for the paper's
-# device families — the denominator of the cost-per-token score.  A
-# device missing from the table is priced proportionally to its HBM
-# bandwidth so unknown hardware sorts neutrally rather than free.
+# device families — the numerator of the cost-per-token score and the
+# rate billing charges (``ServingSystemBase.hourly_usd``).  A device
+# missing from the table raises ``KeyError`` in both.
 MARKET_HOURLY_USD: dict[str, float] = {
     "H800": 12.00,
     "H20": 6.50,
@@ -49,15 +56,8 @@ MARKET_HOURLY_USD: dict[str, float] = {
 
 
 class MemoryConstrainedPlacement:
-    """Greedy first-fit placement under a hard VRAM cap; contiguous pools."""
+    """Greedy first-fit placement under a hard VRAM cap."""
 
-    def __init__(
-        self, min_kv_bytes: int = MIN_KV_BYTES, usable_fraction: float = 0.9
-    ):
-        self.min_kv_bytes = min_kv_bytes
-        self.usable_fraction = usable_fraction
-
-    # -- model -> GPU slots --------------------------------------------------
     def slot_order(self, slots: Sequence) -> list[int]:
         """The order slots are filled in (first-fit: as given)."""
         return list(range(len(slots)))
@@ -76,9 +76,9 @@ class MemoryConstrainedPlacement:
         used = [0] * len(slots)
         unplaced: list = []
         for spec in models:
-            need = spec.weight_bytes + self.min_kv_bytes
+            need = spec.weight_bytes + MIN_KV_BYTES
             for index in order:
-                budget = int(slots[index].vram_bytes * self.usable_fraction)
+                budget = int(slots[index].vram_bytes * USABLE_VRAM_FRACTION)
                 if used[index] + need <= budget:
                     placements[index].append(spec)
                     used[index] += need
@@ -97,30 +97,9 @@ class MemoryConstrainedPlacement:
             model=spec.name, slot=slot, gpu=gpu_spec.name,
         )
 
-    # -- GPU -> pool partitions ----------------------------------------------
-    def partition(
-        self, gpus: Sequence, tp: int, prefill_instances: int, decode_instances: int
-    ) -> tuple[list[list], list[list]]:
-        """Contiguous TP-group cursor: prefill groups first, then decode."""
-        groups = []
-        cursor = 0
-        for _ in range(prefill_instances + decode_instances):
-            groups.append(list(gpus[cursor : cursor + tp]))
-            cursor += tp
-        return groups[:prefill_instances], groups[prefill_instances:]
-
 
 class CostAwarePlacement(MemoryConstrainedPlacement):
     """Fill the cheapest cost-per-token GPUs first on mixed pools."""
-
-    def __init__(
-        self,
-        hourly_usd: Optional[dict[str, float]] = None,
-        min_kv_bytes: int = MIN_KV_BYTES,
-        usable_fraction: float = 0.9,
-    ):
-        super().__init__(min_kv_bytes=min_kv_bytes, usable_fraction=usable_fraction)
-        self.hourly_usd = dict(MARKET_HOURLY_USD if hourly_usd is None else hourly_usd)
 
     def score(self, gpu_spec: Any) -> float:
         """Market cost per token-throughput unit: USD/h per sustained GB/s.
@@ -131,12 +110,7 @@ class CostAwarePlacement(MemoryConstrainedPlacement):
         generated token actually costs on the market.
         """
         bandwidth_gbs = gpu_spec.effective_hbm_bandwidth / 1e9
-        hourly = self.hourly_usd.get(gpu_spec.name)
-        if hourly is None:
-            # Neutral default: priced like the table's median $/GB/s.
-            reference = sorted(self.hourly_usd.values())
-            hourly = reference[len(reference) // 2] if reference else 1.0
-        return hourly / max(bandwidth_gbs, 1e-9)
+        return MARKET_HOURLY_USD[gpu_spec.name] / max(bandwidth_gbs, 1e-9)
 
     def slot_order(self, slots: Sequence) -> list[int]:
         """Cheapest cost-per-token first; ties keep the input order."""

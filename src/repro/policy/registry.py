@@ -18,7 +18,6 @@ from typing import Union
 
 from .admission import AlwaysAdmit, PlacedModelsAdmission, SloAwareAdmission
 from .base import PolicyBundle
-from .decode_turn import WeightedRoundPolicy
 from .dispatch import (
     AegaeonDispatch,
     AffinityBacklogDispatch,
@@ -83,7 +82,6 @@ register_bundle(
         system="aegaeon",
         admission=AlwaysAdmit(),
         dispatch=AegaeonDispatch(),
-        decode_turn=WeightedRoundPolicy(),
         scaling=TokenLevelScaling(),
         placement=MemoryConstrainedPlacement(),
         description="Token-level preemptive scheduling: grouped prefill "
@@ -97,7 +95,6 @@ register_bundle(
         system="serverless-llm",
         admission=AlwaysAdmit(),
         dispatch=AffinityBacklogDispatch(),
-        decode_turn=WeightedRoundPolicy(),
         scaling=RequestLevelScaling(order="fcfs"),
         placement=MemoryConstrainedPlacement(),
         description="Request-level auto-scaling, FCFS queues (§2.3).",
@@ -110,7 +107,6 @@ register_bundle(
         system="serverless-llm+",
         admission=AlwaysAdmit(),
         dispatch=AffinityBacklogDispatch(),
-        decode_turn=WeightedRoundPolicy(),
         scaling=RequestLevelScaling(order="sjf"),
         placement=MemoryConstrainedPlacement(),
         description="ServerlessLLM with oracle SJF queueing (§7.1).",
@@ -123,7 +119,6 @@ register_bundle(
         system="muxserve",
         admission=PlacedModelsAdmission(),
         dispatch=AffinityLeastLoadedDispatch(hosts_only=True),
-        decode_turn=WeightedRoundPolicy(),
         scaling=TokenLevelScaling(),
         placement=MemoryConstrainedPlacement(),
         description="Static multiplexing: memory-capped placement, "
@@ -138,7 +133,6 @@ for _policy in ("prefill-first", "decode-first"):
             system=f"unified-{_policy}",
             admission=AlwaysAdmit(),
             dispatch=AffinityLeastLoadedDispatch(),
-            decode_turn=WeightedRoundPolicy(),
             scaling=TokenLevelScaling(),
             placement=MemoryConstrainedPlacement(),
             description=f"Unified token-level scheduling, {_policy} (§4.1).",
@@ -152,7 +146,6 @@ register_bundle(
         system="aegaeon",
         admission=SloAwareAdmission(headroom=1.0),
         dispatch=AegaeonDispatch(),
-        decode_turn=WeightedRoundPolicy(),
         scaling=TokenLevelScaling(),
         placement=MemoryConstrainedPlacement(),
         description="Aegaeon with SLO-aware load shedding: rejects at "
@@ -167,7 +160,6 @@ register_bundle(
         system="aegaeon",
         admission=CostConstrainedRouter(),
         dispatch=SessionAffinityDispatch(),
-        decode_turn=WeightedRoundPolicy(),
         scaling=TokenLevelScaling(),
         placement=MemoryConstrainedPlacement(),
         description="Aegaeon with ECCOS-style cost-constrained routing: "
@@ -183,7 +175,6 @@ register_bundle(
         system="muxserve",
         admission=PlacedModelsAdmission(),
         dispatch=AffinityLeastLoadedDispatch(hosts_only=True),
-        decode_turn=WeightedRoundPolicy(),
         scaling=TokenLevelScaling(),
         placement=CostAwarePlacement(),
         description="MuxServe with heterogeneity-aware placement: GPU "

@@ -25,8 +25,7 @@ pass the generic per-bundle conformance suite unchanged.
 
 Policy objects are shared across systems/shards, so all routing state
 lives on the ``system``/``scheduler`` (the rule
-:meth:`~repro.core.serving.ServingSystemBase.apply_scaling_hint`
-documents), keyed per run.
+:class:`~repro.policy.base.PolicyBundle` documents), keyed per run.
 """
 
 from __future__ import annotations

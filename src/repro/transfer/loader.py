@@ -42,6 +42,10 @@ from .streams import CudaEvent, CudaStream
 
 __all__ = ["CheckpointFetchError", "LoadRun", "QuickLoader", "NaiveLoader"]
 
+#: Base of the exponential backoff between remote fetch attempts,
+#: seconds (doubles per retry).
+FETCH_BACKOFF_BASE = 0.05
+
 GiB = 1024**3
 
 
@@ -84,8 +88,8 @@ class QuickLoader:
         # means the attempt succeeds; a float is the seconds wasted
         # before the failure surfaces (a registry timeout).
         self.fetch_disruptor: Optional[Callable[[str], Optional[float]]] = None
+        # Retries after a failed fetch before CheckpointFetchError.
         self.max_fetch_retries = 4
-        self.fetch_backoff_base = 0.05  # doubles per retry
         self.fetch_failures = 0
         self.fetch_retries = 0
 
@@ -125,7 +129,7 @@ class QuickLoader:
                 yield self.env.timeout(wasted)
             if attempt >= self.max_fetch_retries:
                 raise CheckpointFetchError(model, attempt + 1)
-            yield self.env.timeout(self.fetch_backoff_base * (2**attempt))
+            yield self.env.timeout(FETCH_BACKOFF_BASE * (2**attempt))
             attempt += 1
             self.fetch_retries += 1
 

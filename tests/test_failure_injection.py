@@ -14,7 +14,6 @@ from repro.engine import AegaeonEngine, EngineConfig, Phase
 from repro.hardware import Cluster, H800, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import get_model, market_mix
-from repro.policy import Tunables, get_bundle
 from repro.sim import Environment
 from repro.workload import sharegpt, materialize_trace
 
@@ -66,12 +65,10 @@ class TestColdCheckpoints:
             env,
             Cluster.homogeneous(env, H800, 1, 2),
             AegaeonConfig(prefill_instances=1, decode_instances=1),
-            policies=get_bundle("aegaeon").with_tunables(
-                Tunables(fetch_max_retries=0)
-            ),
         )
         (decode,) = server.decode_instances
         loader = decode.engine.quick_loader
+        loader.max_fetch_retries = 0
         loader.model_cache = HostModelCache(server.config.model_cache_bytes)
         loader.fetch_disruptor = ArmedFetchFailures()
         loader.fetch_disruptor.arm(count=1, wasted=0.1)

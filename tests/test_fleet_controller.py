@@ -39,6 +39,7 @@ from repro.policy import (
     ForecastFleetControl,
     StaticFleetControl,
     available_fleet_policies,
+    fleet_control,
     get_fleet_policy,
     register_fleet_policy,
 )
@@ -161,10 +162,9 @@ class TestConservation:
         # And nothing was silently left in flight.
         assert sum(s.system.registry.in_flight for s in fleet.shards) == 0
 
-    def test_migration_conserves_accounting(self):
-        fleet, stream = controller_fleet(
-            policy=ForecastFleetControl(max_moves_per_tick=4)
-        )
+    def test_migration_conserves_accounting(self, monkeypatch):
+        monkeypatch.setattr(fleet_control, "MAX_MOVES_PER_TICK", 4)
+        fleet, stream = controller_fleet(policy=ForecastFleetControl())
         result = fleet.run(stream)
         assert result.controller["migrations"] > 0, "scenario never migrated"
         total = result.rollup.total
@@ -243,49 +243,6 @@ class TestChaos:
         assert digests[0] == digests[1]
 
 
-class TestScalingHints:
-    def test_hints_reach_the_scaling_policy_seam(self):
-        hints = []
-
-        class RecordingScaling:
-            """Stock token-level scaling plus the optional fleet hook."""
-
-            def should_switch(self, engine, spec):
-                return engine.current_model != spec.name
-
-            def round_switch_cost(self, engine, batches):
-                return 0.0
-
-            def order_queue(self, waiting, engine):
-                return None
-
-            def observe_fleet_hint(self, system, hint):
-                hints.append((system, hint))
-
-        import dataclasses
-
-        fleet, stream = controller_fleet()
-        recorder = RecordingScaling()
-        for shard in fleet.shards:
-            shard.system.policies = dataclasses.replace(
-                shard.system.policies, scaling=recorder
-            )
-        fleet.run(stream)
-        assert hints, "no scaling hints were delivered"
-        hinted_systems = {id(system) for system, _ in hints}
-        assert len(hinted_systems) == len(fleet.shards)
-        for shard in fleet.shards:
-            assert isinstance(shard.system.scaling_hint, float)
-
-    def test_hint_stored_on_system_not_policy(self):
-        fleet, stream = controller_fleet()
-        fleet.run(stream)
-        hints = [shard.system.scaling_hint for shard in fleet.shards]
-        assert all(isinstance(h, float) for h in hints)
-        # The skewed scenario must produce asymmetric hints.
-        assert max(hints) != min(hints)
-
-
 class TestPolicyRegistry:
     def test_builtin_policies_registered(self):
         assert {"static", "forecast"} <= set(available_fleet_policies())
@@ -302,12 +259,11 @@ class TestPolicyRegistry:
             config = ControllerConfig(policy="test-noop")
             assert isinstance(config.resolve_policy(), StaticFleetControl)
         finally:
-            from repro.policy import fleet_control
-
             fleet_control._FLEET_POLICIES.pop("test-noop", None)
 
-    def test_policy_object_passes_through(self):
-        policy = ForecastFleetControl(tolerance=0.5)
+    def test_policy_object_passes_through(self, monkeypatch):
+        monkeypatch.setattr(fleet_control, "TOLERANCE", 0.5)
+        policy = ForecastFleetControl()
         assert ControllerConfig(policy=policy).resolve_policy() is policy
 
 

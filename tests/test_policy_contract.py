@@ -7,8 +7,6 @@ overrides; and the stock :class:`~repro.policy.WeightedRoundPolicy` must
 obey the Eq. 2-3 invariants over the shared quota parameter space.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,15 +14,17 @@ from hypothesis import strategies as st
 from repro.core import (
     DEFAULT_SLO,
     AegaeonConfig,
+    AegaeonServer,
     SessionCoordinator,
     SystemSpec,
     build_system,
 )
 from repro.fleet import FleetConfig, build_fleet
+from repro.hardware import H800, Cluster
+from repro.obs import ObsConfig
 from repro.policy import (
     AdmissionPolicy,
     CostConstrainedRouter,
-    DecodeTurnPolicy,
     PlacementPolicy,
     PolicyBundle,
     ScalingPolicy,
@@ -76,19 +76,30 @@ class TestRegistry:
         tuned = Tunables(qmax=2.5)
         bundle = get_bundle("aegaeon").with_tunables(tuned)
         assert bundle.tunables.qmax == 2.5
-        # The stock turn policy is rebuilt so quota math sees the new cap.
-        assert bundle.decode_turn.qmax == 2.5
         # The registered bundle itself is untouched.
-        assert get_bundle("aegaeon").decode_turn.qmax == 4.0
-
-    def test_with_tunables_preserves_custom_turn_policy(self):
-        class CustomTurns(WeightedRoundPolicy):
-            pass
-
-        custom = CustomTurns()
-        bundle = dataclasses.replace(get_bundle("aegaeon"), decode_turn=custom)
-        swapped = bundle.with_tunables(Tunables(qmax=1.5))
-        assert swapped.decode_turn is custom
+        assert get_bundle("aegaeon").tunables.qmax == 4.0
+        env = Environment()
+        server = AegaeonServer(
+            env,
+            Cluster.homogeneous(env, H800, 1, 2),
+            AegaeonConfig(
+                prefill_instances=1, decode_instances=1, obs=ObsConfig.full()
+            ),
+            policies=bundle,
+        )
+        # Every decode instance's rounds are sized with the run's cap.
+        assert server.decode_instances
+        for instance in server.decode_instances:
+            assert instance.round_policy.tunables.qmax == 2.5
+        result = server.serve(small_trace(horizon=20.0))
+        quotas = [
+            span.args["quota"]
+            for span in result.obs.tracer.spans
+            if span.name == "decode_turn"
+        ]
+        # A lone batch is granted the full cap, so the stock 4.0 would
+        # show here if the server ignored the bundle's tunables.
+        assert quotas and max(quotas) == 2.5
 
 
 class TestBundleShape:
@@ -107,7 +118,6 @@ class TestBundleShape:
             assert callable(bundle.dispatch.place_decode)
         else:
             assert callable(bundle.dispatch.place)
-        assert isinstance(bundle.decode_turn, DecodeTurnPolicy)
         assert isinstance(bundle.scaling, ScalingPolicy)
         assert isinstance(bundle.placement, PlacementPolicy)
 
@@ -233,21 +243,21 @@ class TestWeightedRoundProperties:
         policy = WeightedRoundPolicy()
         quotas = policy.quotas(list(range(len(times))), times, cost, DEFAULT_SLO)
         assert len(quotas) == len(times)
-        assert all(0.0 <= quota <= policy.qmax for quota in quotas)
+        assert all(0.0 <= quota <= policy.tunables.qmax for quota in quotas)
 
     @settings(max_examples=100, deadline=None)
     @given(times=step_times, cost=switch_costs)
     def test_attainment_is_a_probability(self, times, cost):
-        attainment = WeightedRoundPolicy().attainment(times, cost, DEFAULT_SLO)
+        attainment = estimate_round_attainment(times, cost, DEFAULT_SLO)
         assert 0.0 < attainment <= 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(times=step_times)
     def test_zero_switch_cost_costs_nothing(self, times):
         policy = WeightedRoundPolicy()
-        assert policy.attainment(times, 0.0, DEFAULT_SLO) == 1.0
+        assert estimate_round_attainment(times, 0.0, DEFAULT_SLO) == 1.0
         quotas = policy.quotas(list(range(len(times))), times, 0.0, DEFAULT_SLO)
-        assert quotas == [policy.qmax] * len(times)
+        assert quotas == [policy.tunables.qmax] * len(times)
 
     @settings(max_examples=100, deadline=None)
     @given(times=step_times, cost=switch_costs)
@@ -257,14 +267,7 @@ class TestWeightedRoundProperties:
         policy = WeightedRoundPolicy(tuned)
         batches = list(range(len(times)))
         assert policy.quotas(batches, times, cost, DEFAULT_SLO) == compute_quotas(
-            batches, times, cost, DEFAULT_SLO,
-            qmax=tuned.qmax, alpha_floor=tuned.alpha_floor,
-        )
-        assert policy.attainment(times, cost, DEFAULT_SLO) == (
-            estimate_round_attainment(
-                times, cost, DEFAULT_SLO,
-                qmax=tuned.qmax, alpha_floor=tuned.alpha_floor,
-            )
+            batches, times, cost, DEFAULT_SLO, qmax=tuned.qmax
         )
 
     @settings(max_examples=100, deadline=None)

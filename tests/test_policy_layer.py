@@ -23,6 +23,7 @@ from repro.core.prefill_sched import GroupedPrefillScheduler
 from repro.hardware import A10, H800
 from repro.obs import ObsConfig, Tracer
 from repro.policy import (
+    MARKET_HOURLY_USD,
     CostAwarePlacement,
     MemoryConstrainedPlacement,
     SloAwareAdmission,
@@ -55,13 +56,11 @@ class TestSloAwareAdmission:
     def test_admits_under_budget(self):
         policy = SloAwareAdmission()
         assert policy.decide(_stub_system(pressure=0.5, ttft=1.0), _request()) is None
-        assert policy.shed == 0
 
     def test_sheds_over_budget(self):
         policy = SloAwareAdmission()
         reason = policy.decide(_stub_system(pressure=2.0, ttft=1.0), _request())
         assert reason == "queue_pressure"
-        assert policy.shed == 1
 
     def test_headroom_scales_the_budget(self):
         system = _stub_system(pressure=2.0, ttft=1.0)
@@ -139,7 +138,7 @@ class TestCostAwarePlacement:
         assert policy.slot_order(slots) == [1, 3, 0, 2]
 
     def test_popular_models_land_on_cheap_slots(self):
-        policy = CostAwarePlacement(min_kv_bytes=16 * GiB)
+        policy = CostAwarePlacement()
         models = [_model("m0", 4), _model("m1", 4), _model("m2", 4)]
         placements, unplaced = policy.plan(models, [H800, A10])
         assert not unplaced
@@ -156,16 +155,26 @@ class TestCostAwarePlacement:
         models = [_model(f"m{i}", 20) for i in range(5)]
         assert cost.plan(models, slots) == first_fit.plan(models, slots)
 
-    def test_unknown_gpu_priced_at_table_median(self):
-        exotic = SimpleNamespace(
-            name="B200", vram_bytes=192 * GiB, effective_hbm_bandwidth=6.0e12
+    def test_unknown_gpu_raises_in_placement_and_billing(self, monkeypatch):
+        # One rule for a GPU the market table does not price: placement
+        # and billing both refuse it rather than guess a rate.
+        monkeypatch.delitem(MARKET_HOURLY_USD, "H800")
+        system = build_system(
+            SystemSpec(
+                system="muxserve",
+                config=small_config("muxserve"),
+                policies="muxserve-cost-placement",
+            ),
+            Environment(),
         )
-        score = CostAwarePlacement().score(exotic)
-        assert 0.0 < score < float("inf")
+        with pytest.raises(KeyError, match="H800"):
+            system.prepare(small_trace())
+        with pytest.raises(KeyError, match="H800"):
+            system.hourly_usd()
 
     def test_placement_emits_policy_events(self):
         tracer = Tracer()
-        policy = CostAwarePlacement(min_kv_bytes=16 * GiB)
+        policy = CostAwarePlacement()
         models = [_model("m0", 4), _model("huge", 500)]
         policy.plan(models, [H800, A10], tracer=tracer)
         events = [i for i in tracer.instants if i.name == "policy.placement"]

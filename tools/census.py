@@ -3,8 +3,11 @@
 Runs each workload below in its own Python process under a
 ``sys.settrace`` hook that records every function entered (``call``
 events only; no line tracing), then sorts the functions of ``src/repro``
-into three groups by line count:
+into four groups by line count:
 
+* **protocol** — a method of a class that subclasses ``typing.Protocol``:
+  a signature stub no workload is meant to enter, so it is left out of
+  the other three groups whether or not anything enters it;
 * **unreached** — no workload enters the function;
 * **test-only** — only the tier-1 suite (``tests/``) enters it;
 * **reached** — some example, bench, simbench worker or entry point does.
@@ -12,9 +15,9 @@ into three groups by line count:
 A function's lines are its source span minus the spans of functions
 defined inside it, so nested functions are counted once.  Module and
 class bodies run at import and are not counted.  The census is
-approximate: protocol stubs and ``__repr__`` methods count as
-unreached, and code that runs only in a subprocess a workload starts
-itself is missed (simbench workers are therefore run directly).
+approximate: ``__repr__`` methods count as unreached, and code that
+runs only in a subprocess a workload starts itself is missed (simbench
+workers are therefore run directly).
 
 Workloads: the tier-1 suite; the eight examples (plus the ``--compare
 --quick`` modes of the two replay examples); quickstart under every
@@ -151,8 +154,9 @@ def child(out: str, target: list[str]) -> int:
 
 
 # -- the function table ----------------------------------------------------------
-def functions() -> dict[tuple[str, int], tuple[str, int]]:
-    """(file, first line) -> (qualified name, own line count) for ``src/repro``.
+def functions() -> dict[tuple[str, int], tuple[str, int, bool]]:
+    """(file, first line) -> (qualified name, own line count, is a
+    protocol method) for ``src/repro``.
 
     The first line is the code object's ``co_firstlineno``: the first
     decorator's line when the function has decorators.
@@ -170,21 +174,36 @@ def functions() -> dict[tuple[str, int], tuple[str, int]]:
     return table
 
 
-def _collect(node, rel: str, scope: str, table: dict) -> int:
+def _collect(
+    node, rel: str, scope: str, table: dict, protocol: bool = False
+) -> int:
     """Record every function under ``node``; return the lines they span."""
     spanned = 0
     for item in ast.iter_child_nodes(node):
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             first = min([item.lineno] + [d.lineno for d in item.decorator_list])
             span = item.end_lineno - first + 1
-            inner = _collect(item, rel, f"{scope}{item.name}.", table)
-            table[(rel, first)] = (f"{scope}{item.name}", span - inner)
+            inner = _collect(item, rel, f"{scope}{item.name}.", table, protocol)
+            table[(rel, first)] = (f"{scope}{item.name}", span - inner, protocol)
             spanned += span
         elif isinstance(item, ast.ClassDef):
-            spanned += _collect(item, rel, f"{scope}{item.name}.", table)
+            spanned += _collect(
+                item, rel, f"{scope}{item.name}.", table, _is_protocol(item)
+            )
         else:
-            spanned += _collect(item, rel, scope, table)
+            spanned += _collect(item, rel, scope, table, protocol)
     return spanned
+
+
+def _is_protocol(node: ast.ClassDef) -> bool:
+    """True when a base is ``Protocol`` / ``typing.Protocol`` (or ``Protocol[T]``)."""
+    for base in node.bases:
+        if isinstance(base, ast.Subscript):
+            base = base.value
+        name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+        if name == "Protocol":
+            return True
+    return False
 
 
 # -- the driver -------------------------------------------------------------------
@@ -211,12 +230,15 @@ def census(only: set[str] | None, log) -> dict:
                 for rel, line in json.load(handle):
                     reached.setdefault((rel, line), set()).add(group)
     table = functions()
-    rows = {"unreached": [], "test-only": [], "reached": []}
-    for key, (name, lines) in sorted(table.items()):
+    rows = {"protocol": [], "unreached": [], "test-only": [], "reached": []}
+    for key, (name, lines, protocol) in sorted(table.items()):
         groups = reached.get(key, set())
-        kind = "unreached" if not groups else (
-            "test-only" if groups == {"tests"} else "reached"
-        )
+        if protocol:
+            kind = "protocol"
+        elif not groups:
+            kind = "unreached"
+        else:
+            kind = "test-only" if groups == {"tests"} else "reached"
         rows[kind].append({"file": key[0], "line": key[1], "name": name, "lines": lines})
     return {
         "src_lines": _count_lines(),
