@@ -4,9 +4,9 @@
 testable surface.  A :class:`FaultPlan` declares *what* goes wrong and
 *when*; a :class:`FaultInjector` delivers each fault through ordinary
 simulation events so faulted runs stay byte-reproducible; an
-:class:`InvariantChecker` rides along and continuously verifies that
-the system preserves the paper's scheduling semantics while the faults
-land.
+:class:`InvariantChecker` rides along and verifies, at every operation
+that could break them, that the system preserves the paper's scheduling
+semantics while the faults land.
 
 Typical use::
 

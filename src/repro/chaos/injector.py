@@ -4,7 +4,9 @@ One :class:`FaultInjector` attaches to a serving system and spawns one
 driver process per fault record.  Every disruption is delivered through
 the same primitives ordinary components use — timeouts, stream ops,
 attribute flips scheduled on the event queue — so a faulted run stays
-byte-reproducible under a fixed seed and fault plan.
+byte-reproducible under a fixed seed and fault plan.  When the system
+has an invariant checker, each delivered fault is followed by one of
+its full sweeps (``check_now``).
 
 The injector never reaches into component internals beyond the
 designated chaos surfaces:
@@ -108,6 +110,9 @@ class FaultInjector:
         if applied:
             self.delivered.append(fault)
             self._delivered_counter.inc()
+            checker = self.system.invariant_checker
+            if checker is not None:
+                checker.check_now()
         else:
             self._skipped_counter.inc()
 

@@ -157,16 +157,19 @@ def replay(
     """Run ``stream`` through ``submit`` until it drains or ``deadline``.
 
     The run drains once every arrival is submitted and ``settled()``
-    holds.  Afterwards each attached invariant checker (``None`` entries
-    are skipped) runs a final check and raises on any recorded
+    holds.  Each attached invariant checker (``None`` entries are
+    skipped) arms its per-transition checks before the clock starts,
+    and afterwards runs a full sweep and raises on any recorded
     violation.  Returns True when the run drained, False when the
     deadline cut it short.
     """
+    checkers = [checker for checker in checkers if checker is not None]
+    for checker in checkers:
+        checker.arm()
     pump = Pump(env, stream, submit)
     watchdog = DrainWatchdog(env, lambda: pump.triggered and settled(), deadline)
     env.run(until=watchdog)
     for checker in checkers:
-        if checker is not None:
-            checker.check_now()
-            checker.assert_clean()
+        checker.check_now()
+        checker.assert_clean()
     return watchdog.drained

@@ -153,7 +153,7 @@ class ServingSystemBase:
         scope = self.obs.scoped("serving")
         self._failed_counter = scope.counter("requests_failed")
         self._rejected_counter = scope.counter("requests_rejected")
-        # REPRO_INVARIANTS=1 turns on continuous invariant checking for
+        # REPRO_INVARIANTS=1 turns on runtime invariant checking for
         # every run without touching call sites (used suite-wide in CI).
         if os.environ.get("REPRO_INVARIANTS"):
             self.attach_invariants()
@@ -230,8 +230,9 @@ class ServingSystemBase:
     def attach_invariants(self) -> "object":
         """Attach a runtime :class:`~repro.chaos.InvariantChecker`.
 
-        Idempotent; :meth:`serve` runs a final check and raises on any
-        recorded violation before collecting results.
+        Idempotent; :meth:`serve` arms its per-transition checks before
+        the clock starts, runs a final sweep and raises on any recorded
+        violation before collecting results.
         """
         from ..chaos.invariants import InvariantChecker
 

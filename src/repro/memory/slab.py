@@ -210,9 +210,9 @@ class SlabAllocator:
         self._held_bytes = 0
         self.peak_held_bytes = 0
         # Plain-int lifetime totals — the invariant checker reconciles
-        # allocated - freed against live blocks every tick.  The metrics
-        # below read them at snapshot time, so the per-block paths pay
-        # nothing for observability.
+        # allocated - freed against live blocks at every operation and
+        # sweep.  The metrics below read them at snapshot time, so the
+        # per-block paths pay nothing for observability.
         self.blocks_allocated = 0
         self.blocks_freed = 0
         # Events parked by callers waiting for space (wake_on_free).

@@ -25,6 +25,7 @@ in a device-wide synchronize, and frees happen inline on the host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Generator, Optional
 
 from ..memory.slab import KvExtent, SlabAllocator
@@ -406,12 +407,10 @@ class KvTransferManager:
         gpu_blocks = kv.gpu_blocks
         kv.gpu_blocks = None
         self.inflight_sources.append(gpu_blocks)
-
-        def release_source() -> None:
-            self.inflight_sources.remove(gpu_blocks)
-            self.gpu_cache.free(gpu_blocks)
-
-        self.kv_out.copy(self.link.d2h, kv.nbytes, on_done=release_source)
+        self.kv_out.copy(
+            self.link.d2h, kv.nbytes,
+            on_done=partial(self._release_source, gpu_blocks),
+        )
         self.kv_out.record(event)
         kv.last_transfer = event
         kv.location = "cpu"
@@ -424,6 +423,11 @@ class KvTransferManager:
                 request_id=kv.request_id, nbytes=kv.nbytes,
             )
         return event
+
+    def _release_source(self, gpu_blocks: KvExtent) -> None:
+        """A swap-out's copy completed: its GPU source blocks are free."""
+        self.inflight_sources.remove(gpu_blocks)
+        self.gpu_cache.free(gpu_blocks)
 
     # -- swap-in ----------------------------------------------------------------
     def swap_in(self, kv: RequestKv) -> CudaEvent:

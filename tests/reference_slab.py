@@ -219,7 +219,8 @@ class SlabAllocator:
         self.peak_held_bytes = 0
         # Plain-int lifetime totals, always live (unlike the obs
         # counters below, inert under NULL_OBS) — the invariant checker
-        # reconciles allocated - freed against live blocks every tick.
+        # reconciles allocated - freed against live blocks at every
+        # operation and sweep.
         self.blocks_allocated = 0
         self.blocks_freed = 0
         self.name = name

@@ -75,7 +75,7 @@ class TestServesAtThresholdSizes:
         assert len(trace) == 108
         assert result.drained and result.finished_requests == 108
         assert sizes == {"calls": 146, "waiting": 104, "running": 4}
-        assert env.steps_executed == 1208
+        assert env.steps_executed == 1061
         assert disposition_digest(result) == "3dd49dd8bad6ae4f"
 
     def test_aegaeon_groups_of_eight_and_rounds_of_four(self, tally):
@@ -100,7 +100,7 @@ class TestServesAtThresholdSizes:
         assert len(trace) == 167
         assert result.drained and result.finished_requests == 167
         assert sizes == {"groups": 19, "rounds": 8}
-        assert env.steps_executed == 4131
+        assert env.steps_executed == 3798
         assert disposition_digest(result) == "eadfe187cc4c6050"
 
 

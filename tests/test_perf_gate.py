@@ -144,8 +144,8 @@ def test_baseline_without_the_gated_metric_fails(tmp_path):
 def test_committed_kernel_counters_match_a_fresh_run(scenario, monkeypatch):
     # Sub-second scenarios: their pinned counters are checked on every
     # tier-1 run, not only in the perf job.  The baselines are recorded
-    # with the default bundle and no invariant checker, whose ticks
-    # would add steps.
+    # with the default bundle; the invariant checker adds no steps, but
+    # it stays off so the scenarios run as recorded.
     monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
     monkeypatch.delenv("REPRO_POLICIES", raising=False)
     committed = json.loads((ROOT / "BENCH_kernel.json").read_text())["scenarios"]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.chaos.invariants import InvariantChecker
+from repro.chaos.invariants import InvariantChecker, _WatchedRuns
 from repro.core import (
     AegaeonConfig,
     SystemConfig,
@@ -188,14 +188,19 @@ class TestI2WalksRuns:
         assert "token-monotonicity" in [v.invariant for v in checker.violations]
         assert any("decrease" in v.detail for v in checker.violations)
 
-    def test_cursor_resumes_at_the_next_run(self):
+    def test_each_commit_checks_its_new_run(self):
+        # An admitted request's runs check each appended run in O(1):
+        # well-formed commits pass, and a run starting before the last
+        # token is flagged at the commit's sim time.
         checker = self.checker()
         request = make_request(8, request_id=7)
+        request.runs = _WatchedRuns(checker, request)
         request.record_tokens([1.0])
         commit_chunk([request], 1.0, 0.25, 3)
-        assert checker._check_request_tokens(request, 5.0) == 4
-        assert checker._token_cursor[7][:2] == (2, 4)
-        commit_chunk([request], 1.5, 0.25, 2)
-        assert checker._check_request_tokens(request, 5.0) == 6
-        assert checker._token_cursor[7][:2] == (3, 6)
+        commit_chunk([request], 2.0, 0.25, 2)
         assert checker.violations == []
+        assert checker._check_request_tokens(request, 5.0) == request.met_tokens
+        commit_chunk([request], 1.0, 0.25, 1)
+        assert [v.invariant for v in checker.violations] == ["token-monotonicity"]
+        assert "decrease" in checker.violations[0].detail
+        assert checker.violations[0].time == checker.env.now == 5.0
