@@ -1,23 +1,22 @@
-"""Tracked performance microbenchmarks for the simulation kernel.
+"""Tracked performance benchmarks for the simulator itself.
 
-Unlike the figure benches (which regenerate paper results), these
-benchmarks time the *simulator itself*: raw event throughput through the
-kernel, an end-to-end Figure-11-style serving run, and a model-switch
-storm that stresses the scheduler and KV-transfer hot paths.
+Unlike the figure benches (which regenerate paper results), these time
+the simulator: raw event throughput through the kernel
+(``kernel_event_throughput``), a model-switch storm that stresses the
+scheduler and KV-transfer hot paths (``switch_storm``), and, opt-in, a
+10^6-request fleet replay with its RSS high-water mark
+(``fleet_replay_1m``).  The serving workloads themselves are simbench's
+(``simbench/``); the pair gate times those too.
 
-Run them with::
+Run each scenario once and check its counters against the committed
+``BENCH_counters.json``::
 
-    PYTHONPATH=src python -m benchmarks.perf.run --out BENCH_kernel.json
+    python -m benchmarks.perf.run
 
-and gate a change against the committed baseline with::
+and gate a change against a checkout of its parent, in same-host pairs
+(CI's perf-smoke job)::
 
-    PYTHONPATH=src python -m benchmarks.perf.run --check \
-        --baseline BENCH_kernel.json --max-drop 0.30
+    python -m benchmarks.perf.run --parent ../parent
 
-``BENCH_kernel.json`` at the repository root is the committed baseline
-the CI perf-smoke job compares against.
+See ``run.py`` for the gate.
 """
-
-from .scenarios import SCENARIOS, run_scenario
-
-__all__ = ["SCENARIOS", "run_scenario"]

@@ -1,47 +1,58 @@
-"""CLI for the tracked perf benchmarks.
+"""One perf harness: time a change against its parent, in pairs, on one host.
 
-Measure and write a fresh report::
+Run each scenario once and check its counters::
 
-    PYTHONPATH=src python -m benchmarks.perf.run --out BENCH_kernel.json
+    python -m benchmarks.perf.run
 
-Gate against the committed baseline (used by the CI perf-smoke job)::
+Gate a change against a checkout of its parent (CI's perf-smoke job)::
 
-    PYTHONPATH=src python -m benchmarks.perf.run --check \
-        --baseline BENCH_kernel.json --max-drop 0.30
+    python -m benchmarks.perf.run --parent ../parent --out perf-pairs.json
 
-``--check`` compares each scenario's gated throughput against the
-baseline and exits non-zero when any scenario drops by more than
-``--max-drop`` (a fraction, default 0.30), or when one of its
-host-independent counters (``sim_steps``, ``sim_end``, ``requests``)
-differs from the baseline's at all.  Scenarios that replay
-requests are gated on ``requests_per_sec``, the work they do; only
-``kernel_event_throughput`` is gated on kernel ``ops_per_sec``, so a
-change that serves the same requests in fewer kernel steps never reads
-as a regression.  ``--quick`` runs reduced problem sizes.  Requests
-per second depends on problem size, so ``--check`` refuses a baseline
-recorded at the other size.
+Without ``--parent`` each scenario in ``scenarios.py`` runs once in this
+process.  Its wall time is printed, never gated: a wall time recorded
+once says nothing about a run on another host or at another time.
 
-``--full`` adds the suite's opt-in full-size scenarios (currently
-``fleet_replay_1m``: 10^6 streamed requests with the process RSS
-high-water recorded in the report) at one trial each.  ``--summary
-FILE`` appends a markdown before/after throughput table to ``FILE`` —
-CI passes ``"$GITHUB_STEP_SUMMARY"`` so every perf job renders its
-comparison against the committed baseline in the job summary.
+``--parent ROOT`` times this tree against ``ROOT`` in pairs.  Each pair
+runs both sides in fresh subprocesses, one after the other, and the side
+that goes first alternates from pair to pair.  A perf scenario runs from
+this tree's benchmark code with ``ROOT/src`` or ``./src`` first on the
+path and reports ``wall_s``.  A simbench workload runs
+``ROOT/simbench/run.py`` or ``./simbench/run.py`` at reduced scale and
+reports ``replay_s``, so both trees must hold the same ``simbench/`` and
+``BENCHMARK.json`` (CI copies this tree's into the parent's worktree).
+A job fails when the median over its pairs of parent time / change time
+— the change's throughput relative to the parent's — is below
+``1 - MAX_DROP``.  A per-pair ratio, not a ratio of two medians, because
+the host's speed drifts between pairs more than between the two halves
+of one pair.
 
-``--profile`` additionally runs each scenario once under ``cProfile``
-and writes a ``<suite>_<scenario>.pstats`` artifact (to ``--profile-dir``,
-default the current directory), so a kernel PR can ship evidence of
-where the time went.  The profiled run is separate from the timed
-trials — profiler overhead never pollutes the recorded throughput.
+Both modes also fail when a scenario's host-independent counters
+(:data:`COUNTERS`) differ from the committed ``BENCH_counters.json``, or
+when it has no entry there.  A change that moves a counter re-pins it
+and says why.
+
+``--full`` adds ``fleet_replay_1m`` (10^6 requests, about ten minutes
+per run on a 2-vCPU host).  Under ``--parent`` it runs one pair, about
+twenty minutes, so it is opt-in and not part of CI; that pair also fails
+when the change's ``rss_peak_mb`` exceeds the parent's by more than
+``MAX_RSS_GROWTH``.
+
+``--out FILE`` writes the JSON report.  ``--summary FILE`` appends a
+markdown table to ``FILE``; CI passes ``"$GITHUB_STEP_SUMMARY"``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
+import subprocess
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 # Standalone bootstrap: make `repro` importable when invoked as a plain
 # script without PYTHONPATH=src.
@@ -49,288 +60,213 @@ _REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(_REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
-from benchmarks.perf.scenarios import (  # noqa: E402
-    FULL_SCENARIOS,
-    SCENARIOS,
-    SUITES,
-    gate_metric,
-    run_scenario,
+from benchmarks.perf.scenarios import FULL_SCENARIOS, SCENARIOS  # noqa: E402
+
+COUNTERS_FILE = _REPO_ROOT / "BENCH_counters.json"
+#: Host-independent counters a scenario must repeat exactly.
+COUNTERS = ("sim_steps", "sim_end", "requests")
+#: A job fails when its median pair shows throughput this far below the parent's.
+MAX_DROP = 0.30
+#: ``rss_peak_mb`` growth over the parent's that fails a pair: simbench's bound.
+MAX_RSS_GROWTH = 0.05
+#: Pairs per job, except the ``--full`` scenarios, which run one.
+PAIRS = 5
+#: simbench at a fifth of its horizons: about 6 s per run.
+SIMBENCH_ARGS = ("--seed", "1", "--scale", "0.2", "--seconds", "4", "--trace", "0")
+
+_CHILD = (
+    "import json, sys\n"
+    "from benchmarks.perf.scenarios import FULL_SCENARIOS, SCENARIOS\n"
+    "print(json.dumps({**SCENARIOS, **FULL_SCENARIOS}[sys.argv[1]]()))\n"
 )
 
-#: Default baseline file per suite ("all" gates against both files via
-#: two explicit invocations instead).
-_SUITE_BASELINES = {
-    "kernel": "BENCH_kernel.json",
-    "fleet": "BENCH_fleet.json",
-}
+
+def _last_json(command: list[str], cwd: Path, env: dict) -> dict:
+    """Run ``command``; the last line it prints is a JSON object."""
+    proc = subprocess.run(command, cwd=cwd, env=env, capture_output=True, text=True)
+    try:
+        return json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        raise RuntimeError(
+            f"{' '.join(command)} exited {proc.returncode} without a result:\n"
+            f"{proc.stderr[-2000:]}"
+        ) from None
 
 
-def measure(
-    quick: bool, repeat: int, suite: str = "kernel", full: bool = False
+def scenario_run(name: str, root: Path) -> dict:
+    """One run of perf scenario ``name`` on ``root/src``, in a fresh process."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join((str(root / "src"), str(_REPO_ROOT)))
+    return _last_json([sys.executable, "-c", _CHILD, name], _REPO_ROOT, env)
+
+
+def simbench_run(workload: str, root: Path) -> dict:
+    """One reduced-scale simbench run of ``workload`` in the tree ``root``."""
+    command = [
+        sys.executable, str(root / "simbench" / "run.py"),
+        "--workload", workload, *SIMBENCH_ARGS,
+    ]
+    result = _last_json(command, root, dict(os.environ))
+    if not result["correct"]:
+        raise RuntimeError(f"simbench {workload} failed its checks in {root}")
+    return {"replay_s": result["metrics"]["replay_s"]["value"]}
+
+
+def run_pairs(
+    name: str, metric: str, sample: Callable[[Path], dict], parent: Path, pairs: int
 ) -> dict:
-    report: dict = {
-        "meta": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "platform": platform.platform(),
-            "quick": quick,
-            "repeat": repeat,
-            "suite": suite,
-        },
-        "scenarios": {},
-    }
-    names = list(SUITES[suite])
-    full_names = FULL_SCENARIOS.get(suite, ()) if full else ()
-    names += [name for name in full_names if name not in names]
-    for name in names:
-        # Full-size opt-in scenarios run minutes per trial; one trial is
-        # the measurement (their size already drowns scheduler noise).
-        trials = 1 if name in full_names else repeat
-        print(f"[perf] {name} ...", flush=True)
-        result = run_scenario(name, quick=quick, repeat=trials)
-        report["scenarios"][name] = result
-        extra = (
-            f", RSS peak {result['rss_peak_mb']:,.0f} MB"
-            if "rss_peak_mb" in result
-            else ""
-        )
-        served = (
-            f"{result['requests_per_sec']:,.1f} requests/s, "
-            if "requests_per_sec" in result
-            else ""
-        )
+    """``pairs`` runs of each side, alternating which side goes first."""
+    job: dict = {"metric": metric, "parent": [], "change": []}
+    sides = (("parent", parent), ("change", _REPO_ROOT))
+    for index in range(pairs):
+        for side, root in sides if index % 2 == 0 else sides[::-1]:
+            job[side].append(sample(root))
         print(
-            f"[perf] {name}: {served}{result['ops_per_sec']:,.0f} events/s "
-            f"({result['wall_s']:.3f}s wall, {result['sim_steps']} steps"
-            f"{extra})",
+            f"[perf] {name} pair {index + 1}/{pairs}: parent "
+            f"{job['parent'][-1][metric]:.3f} s, change {job['change'][-1][metric]:.3f} s",
             flush=True,
         )
-    return report
+    return job
 
 
-def profile_suite(suite: str, quick: bool, out_dir: Path) -> list[Path]:
-    """Run each suite scenario once under cProfile; write ``.pstats`` files.
-
-    Returns the artifact paths.  Kept separate from :func:`measure` so
-    profiler overhead never contaminates the timed trials.
-    """
-    import cProfile
-    import pstats
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths: list[Path] = []
-    for name in SUITES[suite]:
-        print(f"[perf] profiling {name} ...", flush=True)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        SCENARIOS[name](quick=quick)
-        profiler.disable()
-        path = out_dir / f"{suite}_{name}.pstats"
-        profiler.dump_stats(path)
-        paths.append(path)
-        stats = pstats.Stats(profiler)
-        total = stats.total_tt  # type: ignore[attr-defined]
-        rows = sorted(
-            stats.stats.items(),  # type: ignore[attr-defined]
-            key=lambda kv: kv[1][2],
-            reverse=True,
-        )[:5]
-        print(f"[perf] wrote {path} ({total:.3f}s profiled); top self-time:")
-        for (filename, lineno, func), (_, _, tottime, _, _) in rows:
-            where = f"{Path(filename).name}:{lineno}" if lineno else filename
-            print(f"[perf]   {tottime:8.3f}s  {func} ({where})")
-    return paths
+def throughput_ratio(job: dict) -> float | None:
+    """Median over pairs of parent time / change time; None without pairs."""
+    metric = job["metric"]
+    ratios = [p[metric] / c[metric] for p, c in zip(job["parent"], job["change"])]
+    return statistics.median(ratios) if ratios else None
 
 
-def render_summary(report: dict, baseline_path: Path) -> str:
-    """A GitHub-flavored markdown before/after table for the job summary.
+def judge(name: str, job: dict) -> list[str]:
+    """The pair gate's findings for one job (none without a parent)."""
+    problems = []
+    ratio = throughput_ratio(job)
+    if ratio is not None and ratio < 1.0 - MAX_DROP:
+        problems.append(
+            f"{name}: throughput {ratio:.2f}x the parent's (median of "
+            f"{len(job['parent'])} pairs), more than {MAX_DROP:.0%} below"
+        )
+    for parent, change in zip(job["parent"], job["change"]):
+        if "rss_peak_mb" in change and (
+            change["rss_peak_mb"] > parent["rss_peak_mb"] * (1.0 + MAX_RSS_GROWTH)
+        ):
+            problems.append(
+                f"{name}: rss_peak_mb {change['rss_peak_mb']} vs the parent's "
+                f"{parent['rss_peak_mb']}, more than {MAX_RSS_GROWTH:.0%} above"
+            )
+    return problems
 
-    One row per measured scenario: the gated metric, its committed
-    baseline, this run's value, and the ratio — the same comparison
-    :func:`check` gates on, rendered for humans.  Scenarios without a
-    baseline entry (e.g. a newly added one) show a dash.
-    """
-    baseline: dict = {}
-    if baseline_path.exists():
-        with baseline_path.open() as fh:
-            baseline = json.load(fh).get("scenarios", {})
-    suite = report.get("meta", {}).get("suite", "?")
-    quick = report.get("meta", {}).get("quick", False)
-    has_rss = any(
-        "rss_peak_mb" in result for result in report["scenarios"].values()
-    )
+
+def check_counters(runs: dict[str, list[dict]], committed: dict) -> list[str]:
+    """Each scenario's :data:`COUNTERS` in every run against ``committed``."""
+    problems = []
+    for name, results in runs.items():
+        pinned = committed.get(name)
+        if pinned is None:
+            problems.append(
+                f"{name}: no entry in {COUNTERS_FILE.name}; pin its counters"
+            )
+            continue
+        for result in results:
+            for counter in COUNTERS:
+                if counter in result and result[counter] != pinned.get(counter):
+                    problems.append(
+                        f"{name}: {counter} {result[counter]} vs committed "
+                        f"{pinned.get(counter)} (re-pin it if the change is meant)"
+                    )
+    return list(dict.fromkeys(problems))
+
+
+def _median(runs: list[dict], metric: str) -> str:
+    return f"{statistics.median(run[metric] for run in runs):.3f} s" if runs else "—"
+
+
+def render_summary(jobs: dict, problems: list[str]) -> str:
+    """A GitHub-flavored markdown table: one row per job, then the failures."""
     lines = [
-        f"### Perf: `{suite}` suite{' (quick)' if quick else ''}",
+        "### Perf: change vs parent, same host",
         "",
-        "| scenario | gated on | baseline | current | ratio | wall "
-        + ("| RSS peak " if has_rss else "")
-        + "|",
-        "|---|---|---:|---:|---:|---:" + ("|---:" if has_rss else "") + "|",
+        "| job | metric | pairs | parent median | change median "
+        "| throughput ratio | status |",
+        "|---|---|---:|---:|---:|---:|---|",
     ]
-    for name, result in report["scenarios"].items():
-        metric = gate_metric(result)
-        base = baseline.get(name)
-        if base is not None and metric in base:
-            base_value = f"{base[metric]:,.1f}"
-            ratio = f"{result[metric] / base[metric]:.2f}x"
-        else:
-            base_value = ratio = "—"
-        rss = (
-            f" {result['rss_peak_mb']:,.0f} MB |"
-            if has_rss and "rss_peak_mb" in result
-            else (" — |" if has_rss else "")
-        )
+    for name, job in jobs.items():
+        ratio = throughput_ratio(job)
+        failed = any(problem.startswith(f"{name}:") for problem in problems)
         lines.append(
-            f"| {name} | `{metric}` | {base_value} | {result[metric]:,.1f} "
-            f"| {ratio} | {result['wall_s']:.3f}s |{rss}"
+            f"| {name} | `{job['metric']}` | {len(job['parent'])} "
+            f"| {_median(job['parent'], job['metric'])} "
+            f"| {_median(job['change'], job['metric'])} "
+            f"| {'—' if ratio is None else f'{ratio:.2f}x'} "
+            f"| {'FAIL' if failed else 'ok'} |"
         )
+    lines += ["", *(f"- {problem}" for problem in problems)]
     return "\n".join(lines) + "\n"
-
-
-#: Host-independent counters a scenario's report must repeat exactly.
-COUNTERS = ("sim_steps", "sim_end", "requests")
-
-
-def check(report: dict, baseline_path: Path, max_drop: float) -> int:
-    """Gate each scenario's :func:`gate_metric` and counters against the
-    baseline.
-
-    Returns 1 when any scenario falls more than ``max_drop`` below its
-    baseline value, when one of its :data:`COUNTERS` differs from the
-    baseline's (a change that moves a counter re-pins it and says why),
-    or when the baseline lacks the gated metric or a reported counter
-    (an older report: re-record it); 2 when the baseline was recorded at
-    the other problem size (``--quick`` or not); else 0.
-    """
-    with baseline_path.open() as fh:
-        baseline = json.load(fh)
-    base_scenarios = baseline.get("scenarios", {})
-    base_quick = bool(baseline.get("meta", {}).get("quick", False))
-    now_quick = bool(report.get("meta", {}).get("quick", False))
-    if base_quick != now_quick:
-        print(
-            f"[perf] baseline quick={base_quick} vs current "
-            f"quick={now_quick}: requests per second depends on problem "
-            "size; gate against a baseline recorded at the same size"
-        )
-        return 2
-    failures = []
-    for name, result in report["scenarios"].items():
-        base = base_scenarios.get(name)
-        if base is None:
-            print(f"[perf] {name}: no baseline entry, skipping")
-            continue
-        metric = gate_metric(result)
-        if metric not in base:
-            print(f"[perf] {name}: baseline has no {metric} FAIL")
-            failures.append(name)
-            continue
-        floor = base[metric] * (1.0 - max_drop)
-        ratio = result[metric] / base[metric]
-        status = "ok" if result[metric] >= floor else "FAIL"
-        print(
-            f"[perf] {name}: {metric} {result[metric]:,.1f} vs baseline "
-            f"{base[metric]:,.1f} ({ratio:.2f}x, floor {floor:,.1f}) {status}"
-        )
-        if result[metric] < floor:
-            failures.append(name)
-        for counter in COUNTERS:
-            if counter in result and result[counter] != base.get(counter):
-                print(
-                    f"[perf] {name}: {counter} {result[counter]} vs baseline "
-                    f"{base.get(counter)} FAIL (re-pin it if the change is meant)"
-                )
-                if name not in failures:
-                    failures.append(name)
-    if failures:
-        print(
-            f"[perf] FAIL: {', '.join(failures)} dropped more than "
-            f"{max_drop:.0%} below the committed baseline, or moved a counter"
-        )
-        return 1
-    print("[perf] all scenarios within budget")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--out", type=Path, default=None,
-        help="write the JSON report here (e.g. BENCH_kernel.json)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="compare against --baseline and exit 1 on regression",
-    )
-    parser.add_argument(
-        "--suite", choices=sorted(SUITES), default="kernel",
-        help="scenario group to run (default: kernel, the original three)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help="baseline report to compare against (default: the suite's "
-        "committed BENCH_*.json)",
-    )
-    parser.add_argument(
-        "--max-drop", type=float, default=0.30,
-        help="max tolerated fractional drop in each scenario's gated "
-        "throughput (default 0.30)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced problem sizes for CI smoke runs",
+        "--parent", type=Path, default=None,
+        help="checkout of the parent commit to time this tree against, in pairs",
     )
     parser.add_argument(
         "--full", action="store_true",
-        help="also run the suite's opt-in full-size scenarios "
-        "(e.g. fleet_replay_1m: 10^6 requests, minutes of wall time)",
+        help="also run fleet_replay_1m (10^6 requests, ~10 min per run)",
     )
+    parser.add_argument("--out", type=Path, default=None, help="write the JSON report here")
     parser.add_argument(
         "--summary", type=Path, default=None,
-        help="append a markdown before/after throughput table here "
-        "(pass \"$GITHUB_STEP_SUMMARY\" in CI)",
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=3,
-        help="trials per scenario, best kept (default 3)",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="also run each scenario once under cProfile and write "
-        "<suite>_<scenario>.pstats artifacts",
-    )
-    parser.add_argument(
-        "--profile-dir", type=Path, default=Path("."),
-        help="directory for --profile .pstats artifacts (default: cwd)",
+        help="append a markdown table here (pass \"$GITHUB_STEP_SUMMARY\" in CI)",
     )
     args = parser.parse_args(argv)
-    if args.baseline is None:
-        args.baseline = _REPO_ROOT / _SUITE_BASELINES.get(
-            args.suite, "BENCH_kernel.json"
-        )
+    if args.parent is not None and not (args.parent / "src" / "repro").is_dir():
+        parser.error(f"--parent {args.parent} has no src/repro")
 
-    report = measure(
-        quick=args.quick, repeat=args.repeat, suite=args.suite, full=args.full
+    scenarios = {**SCENARIOS, **(FULL_SCENARIOS if args.full else {})}
+    jobs: dict[str, dict] = {}
+    if args.parent is None:
+        for name, scenario in scenarios.items():
+            result = scenario()
+            print(f"[perf] {name}: {result['wall_s']:.3f} s wall", flush=True)
+            jobs[name] = {"metric": "wall_s", "parent": [], "change": [result]}
+    else:
+        for name in scenarios:
+            pairs = 1 if name in FULL_SCENARIOS else PAIRS
+            jobs[name] = run_pairs(
+                name, "wall_s", partial(scenario_run, name), args.parent, pairs
+            )
+        benchmark = json.loads((_REPO_ROOT / "BENCHMARK.json").read_text())
+        for workload in (entry["name"] for entry in benchmark["workloads"]):
+            jobs[workload] = run_pairs(
+                workload, "replay_s", partial(simbench_run, workload), args.parent, PAIRS
+            )
+
+    committed = json.loads(COUNTERS_FILE.read_text())
+    problems = check_counters(
+        {name: jobs[name]["change"] for name in scenarios}, committed
     )
-
-    if args.profile:
-        profile_suite(args.suite, quick=args.quick, out_dir=args.profile_dir)
+    for name, job in jobs.items():
+        problems += judge(name, job)
+    summary = render_summary(jobs, problems)
+    print(summary, end="")
 
     if args.out is not None:
+        report = {
+            "meta": {
+                "python": platform.python_version(),
+                "implementation": platform.python_implementation(),
+                "platform": platform.platform(),
+                "parent": None if args.parent is None else str(args.parent.resolve()),
+            },
+            "jobs": jobs,
+            "problems": problems,
+        }
         args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"[perf] wrote {args.out}")
-
     if args.summary is not None:
         with args.summary.open("a") as fh:
-            fh.write(render_summary(report, args.baseline))
-        print(f"[perf] appended summary table to {args.summary}")
-
-    if args.check:
-        if not args.baseline.exists():
-            print(f"[perf] baseline {args.baseline} not found")
-            return 2
-        return check(report, args.baseline, args.max_drop)
-    return 0
+            fh.write(summary)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -22,8 +22,9 @@ workers are therefore run directly).
 Workloads: the tier-1 suite; the eight examples (plus the ``--compare
 --quick`` modes of the two replay examples); quickstart under every
 policy bundle; the figure benches at ``REPRO_BENCH_HORIZON=40``; one
-small simbench worker per workload; ``benchmarks.perf.run --quick
---suite all``; and ``python -m repro.envkeys``.  A full census takes
+small simbench worker per workload; one in-process run of each
+``benchmarks.perf`` scenario (``python -m benchmarks.perf.run``); and
+``python -m repro.envkeys``.  A full census takes
 about ten minutes on a 2-vCPU x86-64 host.  Stdlib only; run by hand::
 
     python tools/census.py                  # summary
@@ -107,10 +108,7 @@ def workloads() -> list[tuple[str, list[str], dict[str, str]]]:
                 {},
             )
         )
-    runs.append(
-        ("perf", ["-m", "benchmarks.perf.run", "--quick", "--suite", "all",
-                  "--repeat", "1"], {})
-    )
+    runs.append(("perf", ["-m", "benchmarks.perf.run"], {}))
     runs.append(("envkeys", ["-m", "repro.envkeys"], {}))
     return runs
 
