@@ -121,7 +121,7 @@ def check_identities(fleet, result):
         # Fully drained: the streaming proxies hold nothing back.
         assert in_flight == 0
         assert all(not shard.system.proxy.live for shard in fleet.shards)
-    assert all(not shard.system.finished for shard in fleet.shards)
+    assert all(not shard.system.proxy.requests for shard in fleet.shards)
 
 
 def print_summary(result, wall):

@@ -188,8 +188,11 @@ class MuxServe(ServingSystemBase):
         return sum(len(instance.models) for instance in self.instances)
 
     def dispatch(self, request: Request) -> None:
-        # Unplaced models were already shed at admission by the bundle's
-        # PlacedModelsAdmission; route among the hosting instances.
+        """Route among the instances hosting the request's model.
+
+        Unplaced models were already shed at admission by the bundle's
+        PlacedModelsAdmission.
+        """
         target = self.policies.dispatch.place(self, request)
         if target is None:
             self.note_rejected(request)
@@ -210,6 +213,7 @@ class DedicatedServing(ServingSystemBase):
         self.instances: dict[str, SharedGpuInstance] = {}
 
     def prepare(self, workload: RequestStream) -> None:
+        """Give every model of the stream its own GPU."""
         for spec in workload.models:
             self.instances[spec.name] = SharedGpuInstance(
                 self.env,
@@ -221,6 +225,7 @@ class DedicatedServing(ServingSystemBase):
         self.gpu_count = len(self.instances)
 
     def dispatch(self, request: Request) -> None:
+        """Send the request to its model's dedicated GPU."""
         self.instances[request.model].enqueue(request)
 
     def hourly_usd(self) -> float:

@@ -113,7 +113,7 @@ class _ServerlessInstance(BatcherInstanceBase):
         """Next model by queue policy (FCFS base, SJF in the + variant)."""
         if not self.waiting:
             return None
-        self.server.order_queue(self.waiting, self.engine)
+        self.server.policies.scaling.order_queue(self.waiting, self.engine)
         return self.waiting[0].spec
 
     def _switch_to(self, spec: ModelSpec) -> Generator:
@@ -215,10 +215,6 @@ class ServerlessLLM(ServingSystemBase):
         self.gpu_count = len(cluster.gpus)
 
     # -- policy hooks ------------------------------------------------------
-    def order_queue(self, waiting: list[Request], engine: AegaeonEngine) -> None:
-        """Queue order (FCFS here, oracle SJF in the + bundle)."""
-        self.policies.scaling.order_queue(waiting, engine)
-
     def admission_pressure(self) -> float:
         """Least estimated backlog across the pool, in seconds of work."""
         if not self.instances:
@@ -227,11 +223,12 @@ class ServerlessLLM(ServingSystemBase):
 
     # -- dispatch ----------------------------------------------------------
     def dispatch(self, request: Request) -> None:
-        # Affinity → idle → least backlog (the bundle's dispatch policy).
+        """Affinity → idle → least backlog (the bundle's dispatch policy)."""
         target = self.policies.dispatch.place(self, request)
         target.enqueue(request)
 
     def prepare(self, workload: RequestStream) -> None:
+        """Warm the host model cache with every model of the stream."""
         for spec in workload.models:
             self.model_cache.insert(spec.name, spec.weight_bytes)
 

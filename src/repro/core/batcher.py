@@ -27,7 +27,7 @@ __all__ = ["BatcherInstanceBase"]
 class BatcherInstanceBase:
     """One pool member driven by a wake/sleep simulation process.
 
-    Subclasses define the :attr:`active` property (is there work?) and a
+    Subclasses define an ``active`` property (is there work?) and a
     ``_step()`` generator (one scheduling iteration); everything else —
     parking on a wake event when idle, waking on :meth:`_kick`, and the
     :class:`~repro.engine.batching.ContinuousBatcher` request-lifecycle
@@ -40,16 +40,6 @@ class BatcherInstanceBase:
         self.on_finished = on_finished
         self._wake: Optional[Event] = None
         self.process = None
-
-    # -- subclass interface --------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """True while the instance has queued or running work."""
-        raise NotImplementedError
-
-    def _step(self) -> Generator:
-        """One scheduling iteration (only called while :attr:`active`)."""
-        raise NotImplementedError
 
     # -- driver loop ---------------------------------------------------------
     def _start(self) -> None:

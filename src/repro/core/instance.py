@@ -292,7 +292,6 @@ class DecodeInstance:
         self.kept_resident = 0
         self._wake: Optional[Event] = None
         self.rounds = 0
-        self.turns = 0
         self._tracer = obs.tracer
         scope = obs.scoped(name)
         self._round_counter = scope.counter("rounds")
@@ -500,7 +499,6 @@ class DecodeInstance:
                     for index, (batch, quota) in enumerate(zip(batches, quotas)):
                         if batch.exhausted:
                             continue
-                        self.turns += 1
                         self._turn_counter.inc()
                         spec = batch.spec
                         # One weighted turn: scale, swap in, decode, swap out.

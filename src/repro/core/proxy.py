@@ -2,9 +2,9 @@
 
 The production system fronts the instance pool with a proxy/load-balancer
 that synchronizes request metadata through a shared in-memory store
-(Redis).  Here the :class:`StatusRegistry` plays that role — a single
-source of truth for request state that instances and the server update —
-and :class:`ProxyLayer` admits each arrival into the serving system.
+(Redis).  Here the :class:`StatusRegistry` plays that role with four
+counters — requests submitted, finished, failed and rejected — and
+:class:`ProxyLayer` admits each arrival into the serving system.
 
 Every run, single system or fleet, goes through :func:`replay`: a
 :class:`Pump` submits a request stream at its arrival times, and a
@@ -17,10 +17,10 @@ event ``env.run(until=...)`` stops at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..engine.request import Phase, Request
+from ..engine.request import Request
 from ..sim import Environment, Process
 
 __all__ = ["StatusRegistry", "ProxyLayer", "Pump", "DrainWatchdog", "replay"]
@@ -28,30 +28,17 @@ __all__ = ["StatusRegistry", "ProxyLayer", "Pump", "DrainWatchdog", "replay"]
 
 @dataclass
 class StatusRegistry:
-    """Shared request-status store (the paper's Redis role)."""
+    """Shared request-status counters (the paper's Redis role).
 
-    statuses: dict[int, str] = field(default_factory=dict)
+    The proxy counts ``submitted`` at admission and the serving system
+    one terminal counter at each disposal; nothing keeps a per-request
+    entry.
+    """
+
     submitted: int = 0
     finished: int = 0
     failed: int = 0
     rejected: int = 0
-
-    def update(self, request: Request) -> None:
-        """Record a request's current phase."""
-        if request.request_id not in self.statuses:
-            self.submitted += 1
-        previous = self.statuses.get(request.request_id)
-        self.statuses[request.request_id] = request.phase.value
-        if request.phase is Phase.FINISHED and previous != Phase.FINISHED.value:
-            self.finished += 1
-        elif request.phase is Phase.FAILED and previous != Phase.FAILED.value:
-            self.failed += 1
-        elif request.phase is Phase.REJECTED and previous != Phase.REJECTED.value:
-            self.rejected += 1
-
-    def forget(self, request_id: int) -> None:
-        """Purge a terminal request's status entry; counters keep its tally."""
-        self.statuses.pop(request_id, None)
 
     @property
     def in_flight(self) -> int:
@@ -92,7 +79,7 @@ class ProxyLayer:
             self.requests.append(request)
         self.live[request.request_id] = request
         self.submitted += 1
-        self.registry.update(request)
+        self.registry.submitted += 1
         self.dispatch(request)
 
     def drop(self, request: Request) -> None:

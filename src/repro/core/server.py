@@ -202,7 +202,6 @@ class AegaeonServer(ServingSystemBase):
             self.note_rejected(request)
 
     def _on_prefilled(self, request: Request) -> None:
-        self.registry.update(request)
         try:
             self.decode_scheduler.dispatch(request)
         except LookupError:
@@ -284,7 +283,6 @@ class AegaeonServer(ServingSystemBase):
         request.prefill_end = None
         request.decode_enqueue = None
         request.decode_exec_time = 0.0
-        self.registry.update(request)
         try:
             self.prefill_scheduler.dispatch(request)
         except LookupError:

@@ -95,8 +95,8 @@ class ServingSystem(Protocol):
 class ServingSystemBase:
     """Workload replay, completion tracking, accounting, observability.
 
-    Subclasses implement :meth:`dispatch` and usually :meth:`prepare` and
-    :meth:`engines`; everything else — the proxy layer, the drain
+    Subclasses implement the protocol's ``dispatch`` and ``prepare`` and
+    usually :meth:`engines`; everything else — the proxy layer, the drain
     watchdog, the accounting the result reads, and metric attachment —
     is inherited, so every system is measured identically.  Every system
     is constructed ``cls(env, cluster, config, policies)``: the base
@@ -127,9 +127,6 @@ class ServingSystemBase:
         self.policies = resolve_bundle(policies, self.default_policies)
         self.registry = StatusRegistry()
         self.proxy = ProxyLayer(env, self._ingress, self.registry)
-        self.finished: list[Request] = []
-        self.failed: list[Request] = []
-        self.rejected: list[Request] = []
         self.fault_injector = None
         self.invariant_checker = None
         self.gpu_count = 0
@@ -194,13 +191,6 @@ class ServingSystemBase:
         """
         return 0.0
 
-    def dispatch(self, request: Request) -> None:
-        """Route one arriving request (subclasses implement)."""
-        raise NotImplementedError
-
-    def prepare(self, workload: RequestStream) -> None:
-        """Pre-trace setup (placement, cache warming); optional."""
-
     def engines(self) -> list[AegaeonEngine]:
         """The system's engines, for scaling/transfer statistics; optional."""
         return []
@@ -251,12 +241,12 @@ class ServingSystemBase:
 
         Every disposal folds the request into :attr:`stats`, passes it
         to ``request_sink`` and drops it from the in-flight map.
-        ``retain_requests=False`` also keeps it off ``proxy.requests``
-        and the finished/failed/rejected ledgers, so a long replay's
-        memory scales with in-flight concurrency rather than trace
-        length.  That is the fleet shard's mode; :meth:`serve` refuses
-        it, since its figure arrays are built from the retained
-        requests.  Must be called before any request is submitted.
+        ``retain_requests=False`` also keeps it off ``proxy.requests``,
+        the one store of admitted requests, so a long replay's memory
+        scales with in-flight concurrency rather than trace length.
+        That is the fleet shard's mode; :meth:`serve` refuses it, since
+        its figure arrays are built from the retained requests.  Must be
+        called before any request is submitted.
         """
         if self.proxy.submitted:
             raise RuntimeError("configure_streaming must precede submission")
@@ -275,29 +265,33 @@ class ServingSystemBase:
         self.proxy.admit(request)
         return request
 
-    def _dispose(self, request: Request, ledger: list[Request]) -> None:
+    def _dispose(self, request: Request) -> None:
         """Final accounting shared by every terminal disposition."""
         self._disposed += 1
+        registry = self.registry
+        phase = request.phase
+        if phase is Phase.FINISHED:
+            registry.finished += 1
+        elif phase is Phase.FAILED:
+            registry.failed += 1
+        elif phase is Phase.REJECTED:
+            registry.rejected += 1
         if self.spill_filter is not None and self.spill_filter(request):
             self.stats.fold_spilled(request)
         else:
             self.stats.fold(request)
             if self.request_sink is not None:
                 self.request_sink(request)
-        if self.proxy.retain:
-            ledger.append(request)
         if self.invariant_checker is not None:
             self.invariant_checker.vet_terminal(request)
         # Every block is back in its cache (or a move list) by now; a
         # retained request must not pin its handle and last transfer.
         request.kv = None
         self.proxy.drop(request)
-        self.registry.forget(request.request_id)
 
     def note_finished(self, request: Request) -> None:
         """Record a completed request."""
-        self.registry.update(request)
-        self._dispose(request, self.finished)
+        self._dispose(request)
         self.obs.tracer.instant(
             "request_finished",
             cat="lifecycle",
@@ -309,8 +303,7 @@ class ServingSystemBase:
     def note_failed(self, request: Request) -> None:
         """Record a request given up on mid-flight (degraded mode)."""
         request.phase = Phase.FAILED
-        self.registry.update(request)
-        self._dispose(request, self.failed)
+        self._dispose(request)
         self._failed_counter.inc()
         self.obs.tracer.instant(
             "request_failed",
@@ -323,8 +316,7 @@ class ServingSystemBase:
     def note_rejected(self, request: Request) -> None:
         """Record a request turned away at admission (no live capacity)."""
         request.phase = Phase.REJECTED
-        self.registry.update(request)
-        self._dispose(request, self.rejected)
+        self._dispose(request)
         self._rejected_counter.inc()
         self.obs.tracer.instant(
             "request_rejected",

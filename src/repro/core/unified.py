@@ -214,11 +214,12 @@ class UnifiedServer(ServingSystemBase):
         self.gpu_count = len(cluster.gpus)
 
     def prepare(self, workload: RequestStream) -> None:
+        """Warm the host model cache with every model of the stream."""
         for spec in workload.models:
             self.model_cache.insert(spec.name, spec.weight_bytes)
 
     def dispatch(self, request: Request) -> None:
-        # Model affinity, then least loaded (the bundle's dispatch policy).
+        """Model affinity, then least loaded (the bundle's dispatch policy)."""
         target = self.policies.dispatch.place(self, request)
         target.enqueue(request)
 

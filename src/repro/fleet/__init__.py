@@ -13,7 +13,6 @@ controller").
 """
 
 from ..core.stats import FleetRollup, ShardStats
-from ..obs.metrics import LatencyHistogram
 from .controller import (
     ControllerConfig,
     FleetController,
@@ -34,7 +33,6 @@ __all__ = [
     "FleetRunner",
     "FleetShard",
     "FleetView",
-    "LatencyHistogram",
     "ModelForecast",
     "ShardStats",
     "ShardTelemetry",

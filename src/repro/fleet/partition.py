@@ -86,10 +86,6 @@ class CatalogPartitioner:
             )
         self.pins[model_name] = shard
 
-    def unpin(self, model_name: str) -> None:
-        """Return a model to its ring-assigned shard."""
-        self.pins.pop(model_name, None)
-
     def rebalance(
         self,
         model_loads: Mapping[str, float],

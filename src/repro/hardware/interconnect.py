@@ -135,11 +135,6 @@ class Link:
         """Transfers currently waiting for the channel."""
         return len(self._grants)
 
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of wall time the channel was busy."""
-        elapsed = self.env.now if elapsed is None else elapsed
-        return 0.0 if elapsed <= 0 else min(1.0, self.busy_time / elapsed)
-
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.bandwidth / 1e9:.1f} GB/s>"
 

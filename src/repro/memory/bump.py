@@ -85,10 +85,6 @@ class BumpAllocator:
         self._pointer = mark
         return dropped
 
-    def mark(self) -> int:
-        """Current pointer, usable as a later ``reset`` target."""
-        return self._pointer
-
     def retire(self, allocation: BumpAllocation) -> None:
         """Drop one live allocation without moving the pointer.
 

@@ -25,9 +25,9 @@ class KvShape:
     """Per-token KV tensor shape, the unit of slab-pool segregation.
 
     Shapes key the allocator's slab pools and are compared on every
-    block free, so equality short-circuits on identity and hashes are
-    precomputed (``kv_shape`` interns instances, making the identity
-    path the common case).
+    block free.  ``kv_shape`` interns instances, so equality is
+    identity; the hash is precomputed from the fields, since set
+    iteration order depends on it.
     """
 
     n_layers: int
@@ -37,15 +37,7 @@ class KvShape:
 
     def __post_init__(self) -> None:
         key = (self.n_layers, self.n_kv_heads, self.head_dim, self.dtype_bytes)
-        object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is KvShape:
-            return self._key == other._key
-        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash

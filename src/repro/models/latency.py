@@ -132,18 +132,6 @@ class LatencyModel:
             self._prefill_uncached
         )
 
-    # -- constants (exposed for tests and reporting) -----------------------
-    @property
-    def constants(self) -> dict[str, float]:
-        """The fitted constants C1..C5 in the appendix's notation."""
-        return {
-            "C1": self._c1,
-            "C2": self._c2,
-            "C3": self._c3,
-            "C4": self._c4,
-            "C5": self._c5,
-        }
-
     # -- predictions --------------------------------------------------------
     def _prefill_uncached(self, lengths: tuple[int, ...]) -> float:
         t = 0

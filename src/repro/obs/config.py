@@ -22,7 +22,6 @@ _LEVELS = {
     "": (False, False),
     "off": (False, False),
     "metrics": (True, False),
-    "trace": (True, True),
     "full": (True, True),
 }
 
@@ -57,7 +56,7 @@ class ObsConfig:
 
     @classmethod
     def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "ObsConfig":
-        """Resolve the level from ``REPRO_OBS`` (off | metrics | trace)."""
+        """Resolve the level from ``REPRO_OBS`` (off | metrics | full)."""
         environ = os.environ if environ is None else environ
         level = environ.get(OBS_ENV_VAR, "").strip().lower()
         if level not in _LEVELS:

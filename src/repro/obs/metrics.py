@@ -21,7 +21,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LatencyHistogram",
     "MetricsRegistry",
     "MetricsScope",
     "record",
@@ -169,10 +168,6 @@ class Histogram:
         out["min"] = self.min if self.count else math.nan
         out["max"] = self.max if self.count else math.nan
         return out
-
-
-#: The fleet rollup's name for the same class.
-LatencyHistogram = Histogram
 
 
 class _NullCounter(Counter):

@@ -442,7 +442,7 @@ class KvTransferManager:
             kv.shape, kv.block_bytes, kv.block_count
         )
         # Rule ❷: wait for the producing transfer (possibly recorded by a
-        # different instance and shared via IPC).
+        # different instance).
         if kv.last_transfer is not None and not kv.last_transfer.query():
             self.kv_in.wait_event(kv.last_transfer)
             self.stats.charge_control(1)

@@ -11,7 +11,10 @@ swap-in, KV swap-out, model prefetch, and inference.
 * ``record(stream)``      — ``cudaEventRecord``: capture current work
 * ``query()``             — ``cudaEventQuery``: non-blocking completion test
 * ``stream.wait_event``   — ``cudaStreamWaitEvent``: future work waits
-* ``ipc_handle()`` / ``from_ipc_handle()`` — ``cudaIpcGet/OpenEventHandle``
+
+Table 2's IPC calls (``cudaIpcGet/OpenEventHandle``) have no
+counterpart: every simulated process shares one address space, so an
+event is handed over as an object.
 
 Copies on two streams bound to the *same* link direction serialize on the
 link (one copy engine per direction), which is how real hardware behaves
@@ -24,7 +27,6 @@ weight load goes through ``yield from``.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Callable, Generator, Optional
 
@@ -33,10 +35,6 @@ from ..obs import NULL_OBS, Observability
 from ..sim import Environment, Event
 
 __all__ = ["CudaEvent", "CudaStream", "synchronize_all"]
-
-_handle_counter = itertools.count(1)
-_HANDLE_REGISTRY: dict[int, "CudaEvent"] = {}
-
 
 class CudaEvent:
     """A CUDA event: a marker in a stream's work queue.
@@ -82,20 +80,6 @@ class CudaEvent:
         if completion is None:
             completion = self._completion = self.env.event()
         return completion
-
-    def ipc_handle(self) -> int:
-        """``cudaIpcGetEventHandle``: opaque handle for another process."""
-        handle = next(_handle_counter)
-        _HANDLE_REGISTRY[handle] = self
-        return handle
-
-    @classmethod
-    def from_ipc_handle(cls, handle: int) -> "CudaEvent":
-        """``cudaIpcOpenEventHandle``: reconstruct an event from a handle."""
-        try:
-            return _HANDLE_REGISTRY[handle]
-        except KeyError:
-            raise ValueError(f"unknown IPC event handle {handle}") from None
 
     # -- internal ----------------------------------------------------------
     def _complete(self) -> None:
@@ -385,8 +369,9 @@ def _load(env: Environment, stream: CudaStream, op: tuple) -> Generator:
 def synchronize_all(env: Environment, streams: list[CudaStream]) -> Event:
     """Device-wide synchronize: fires when every stream has drained.
 
-    This is the blocking synchronization the *unoptimized* auto-scaling
-    path uses between stages (cudaDeviceSynchronize semantics).
+    ``cudaDeviceSynchronize`` semantics.  No serving path calls it (the
+    unoptimized switch path drains through ``KvTransferManager.drain``);
+    the stream differential drives it against the reference lanes.
     """
     return env.all_of([stream.synchronize() for stream in streams])
 

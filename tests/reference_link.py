@@ -20,7 +20,7 @@ property Aegaeon's fine-grained KV synchronization (§5.3) exploits.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.sim import Environment
 
@@ -111,11 +111,6 @@ class Link:
     def queue_depth(self) -> int:
         """Transfers currently waiting for the channel."""
         return len(self._channel.queue)
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of wall time the channel was busy."""
-        elapsed = self.env.now if elapsed is None else elapsed
-        return 0.0 if elapsed <= 0 else min(1.0, self.busy_time / elapsed)
 
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.bandwidth / 1e9:.1f} GB/s>"

@@ -26,7 +26,6 @@ swap-in, KV swap-out, model prefetch, and inference.
 * ``record(stream)``      — ``cudaEventRecord``: capture current work
 * ``query()``             — ``cudaEventQuery``: non-blocking completion test
 * ``stream.wait_event``   — ``cudaStreamWaitEvent``: future work waits
-* ``ipc_handle()`` / ``from_ipc_handle()`` — ``cudaIpcGet/OpenEventHandle``
 
 Copies on two streams bound to the *same* link direction serialize on the
 link (one copy engine per direction), which is how real hardware behaves
@@ -35,7 +34,6 @@ and why the prefetch stream can hide, but not accelerate, transfers.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional
 
 from repro.hardware.interconnect import Link
@@ -45,10 +43,6 @@ from repro.sim import Environment, Event
 from .reference_resources import Store
 
 __all__ = ["CudaEvent", "CudaStream", "synchronize_all"]
-
-_handle_counter = itertools.count(1)
-_HANDLE_REGISTRY: dict[int, "CudaEvent"] = {}
-
 
 class CudaEvent:
     """A CUDA event: a marker in a stream's work queue."""
@@ -80,20 +74,6 @@ class CudaEvent:
             done.succeed()
             return done
         return self._completion
-
-    def ipc_handle(self) -> int:
-        """``cudaIpcGetEventHandle``: opaque handle for another process."""
-        handle = next(_handle_counter)
-        _HANDLE_REGISTRY[handle] = self
-        return handle
-
-    @classmethod
-    def from_ipc_handle(cls, handle: int) -> "CudaEvent":
-        """``cudaIpcOpenEventHandle``: reconstruct an event from a handle."""
-        try:
-            return _HANDLE_REGISTRY[handle]
-        except KeyError:
-            raise ValueError(f"unknown IPC event handle {handle}") from None
 
     # -- internal ----------------------------------------------------------
     def _complete(self) -> None:

@@ -1,8 +1,10 @@
 """Tests for the proxy layer, status registry, and request lifecycle."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core import DrainWatchdog, ProxyLayer, Pump, StatusRegistry
+from repro.core import DrainWatchdog, ProxyLayer, Pump, StatusRegistry, SystemSpec
 from repro.engine import Phase, Request
 from repro.models import get_model, market_mix
 from repro.sim import Environment
@@ -74,26 +76,27 @@ class TestStatusRegistry:
         return Request(trace=trace, spec=get_model("Qwen-7B"))
 
     def test_counts(self):
+        # The proxy counts a submission at admission...
+        env = Environment()
         registry = StatusRegistry()
-        request = self.make_request()
-        registry.update(request)
+        proxy = ProxyLayer(env, lambda request: None, registry)
+        proxy.admit(self.make_request())
         assert registry.submitted == 1
         assert registry.in_flight == 1
-        request.record_tokens([1.0, 1.1])
-        request.complete(1.1)
-        registry.update(request)
-        assert registry.finished == 1
+        # ...and the system one terminal counter per disposal, by phase.
+        env = Environment()
+        system = SystemSpec(system="muxserve", cluster="h800-pair").build(env)
+        trace = materialize_trace(
+            market_mix(10), [0.1] * 10, sharegpt(), horizon=30.0, seed=2
+        )
+        system.serve(trace)
+        registry = system.registry
+        phases = Counter(request.phase for request in system.proxy.requests)
+        assert registry.submitted == len(trace)
+        assert registry.finished == phases[Phase.FINISHED] > 0
+        assert registry.rejected == phases[Phase.REJECTED] > 0
+        assert registry.failed == phases[Phase.FAILED]
         assert registry.in_flight == 0
-
-    def test_duplicate_finish_not_double_counted(self):
-        registry = StatusRegistry()
-        request = self.make_request()
-        registry.update(request)
-        request.record_tokens([1.0, 1.1])
-        request.complete(1.1)
-        registry.update(request)
-        registry.update(request)
-        assert registry.finished == 1
 
 
 class TestRequestLifecycle:

@@ -11,12 +11,12 @@ from repro.fleet import (
     CatalogPartitioner,
     FleetConfig,
     FleetRollup,
-    LatencyHistogram,
     ShardStats,
     build_fleet,
 )
+from repro.engine import Phase
 from repro.models import get_model, market_mix
-from repro.obs import MetricsRegistry
+from repro.obs import Histogram, MetricsRegistry
 from repro.policy import MARKET_HOURLY_USD
 from repro.workload import market_stream, materialize_trace, sharegpt
 
@@ -59,8 +59,6 @@ class TestPartitioner:
         target = (home + 1) % 4
         partitioner.pin("hot-model", target)
         assert partitioner.shard_of("hot-model") == target
-        partitioner.unpin("hot-model")
-        assert partitioner.shard_of("hot-model") == home
 
     def test_pin_validates_range(self):
         with pytest.raises(ValueError):
@@ -93,9 +91,9 @@ class TestLatencyHistogram:
         left_values = rng.lognormal(-2.0, 1.0, 3000)
         right_values = rng.lognormal(-1.0, 0.5, 2000)
         left, right, union = (
-            LatencyHistogram(),
-            LatencyHistogram(),
-            LatencyHistogram(),
+            Histogram(),
+            Histogram(),
+            Histogram(),
         )
         for v in left_values:
             left.observe(v)
@@ -113,7 +111,7 @@ class TestLatencyHistogram:
         # The rollup's histogram and the obs registry's are one class.
         rng = np.random.default_rng(9)
         values = rng.lognormal(-2.0, 1.2, 20000)
-        for hist in (LatencyHistogram(), MetricsRegistry().histogram("latency")):
+        for hist in (Histogram(), MetricsRegistry().histogram("latency")):
             for v in values:
                 hist.observe(v)
             for q in (0.50, 0.99):
@@ -126,7 +124,7 @@ class TestLatencyHistogram:
                 assert summary[f"p{p}"] == pytest.approx(exact, rel=0.08)
 
     def test_empty_histogram(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         assert math.isnan(hist.quantile(0.5))
         assert math.isnan(hist.mean)
 
@@ -171,8 +169,6 @@ class TestRollupConsistency:
             met_tokens = 0
             generated_tokens = 0
 
-        from repro.engine.request import Phase
-
         Stub.phase = Phase.FAILED
         stats.fold(Stub())
         assert stats.tokens_expected == 100
@@ -197,9 +193,8 @@ class TestFleetRuns:
         assert result.submitted > 0
         assert result.drained and result.unaccounted == 0
         for shard in fleet.shards:
-            assert shard.system.finished == []  # nothing retained
+            assert shard.system.proxy.requests == []  # nothing retained
             assert shard.system.proxy.live == {}
-            assert shard.system.registry.statuses == {}
             assert shard.system.accounted == shard.stats.requests
         assert result.requests is None
         with pytest.raises(RuntimeError, match=r"retain_requests=True"):
@@ -236,7 +231,11 @@ class TestFleetRuns:
             FleetConfig(shards=2, spec=small_spec(), retain_requests=True)
         )
         result = fleet.run(market_stream(12, 60.0, seed=8, total_rate=2.0))
-        kept = sum(len(s.system.finished) for s in fleet.shards)
+        kept = sum(
+            r.phase is Phase.FINISHED
+            for s in fleet.shards
+            for r in s.system.proxy.requests
+        )
         assert kept == result.rollup.total.finished > 0
         # The result's figure inputs are every shard's ledger, in order.
         assert result.requests == [

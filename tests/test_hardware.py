@@ -96,16 +96,6 @@ class TestLink:
         env.run()
         assert link.bytes_moved == 500
 
-    def test_utilization(self, env):
-        link = Link(env, bandwidth=1e9, latency=0.0)
-
-        def mover():
-            yield env.process(link.transfer(int(1e9)))
-
-        env.process(mover())
-        env.run(until=2.0)
-        assert link.utilization() == pytest.approx(0.5)
-
     def test_negative_bytes_rejected(self, env):
         link = Link(env, bandwidth=1e9)
         with pytest.raises(ValueError):

@@ -158,6 +158,26 @@ class TestPlantedBugs:
         assert violations[0].invariant == "slo-accounting"
         assert "disposed of" in violations[0].detail
 
+    def test_double_disposal_is_flagged_at_the_second_disposal(self, monkeypatch):
+        disposals = []
+        note_finished = ServingSystemBase.note_finished
+
+        def disposes_twice(self, request):
+            note_finished(self, request)
+            if not disposals:
+                # The first finished request is disposed of once more.
+                checker = self.invariant_checker
+                disposals.append((self.env.now, len(checker.violations)))
+                note_finished(self, request)
+
+        monkeypatch.setattr(ServingSystemBase, "note_finished", disposes_twice)
+        env, system = _checked_system()
+        violations = _serve_with_violations(system)
+        ((disposed_at, flagged_before),) = disposals
+        assert flagged_before == 0
+        assert violations[0].time == disposed_at
+        assert violations[0].invariant == "slo-accounting"
+
 
 # -- the bracketed met-token recount -----------------------------------------
 def per_token_met(runs, base, tbt):

@@ -21,7 +21,7 @@ from repro.core import (
 )
 from repro.core.instance import DecodeInstance, PrefillInstance
 from repro.core.prefill_sched import PrefillGroup
-from repro.engine import AegaeonEngine, EngineConfig
+from repro.engine import AegaeonEngine, EngineConfig, Phase
 from repro.hardware import Cluster, H800, Node
 from repro.memory import HostModelCache, KvTooLargeError, SlabAllocator
 from repro.models import get_model, kv_shape, market_mix
@@ -339,9 +339,10 @@ class TestDrains:
         result = server.serve(trace)
         checker.assert_clean()
         assert result.drained and result.unaccounted == 0
-        assert result.finished_requests + len(server.failed) == len(trace)
+        failed = [r for r in server.proxy.requests if r.phase is Phase.FAILED]
+        assert result.finished_requests + len(failed) == len(trace)
         # The only failures allowed are prompts the CPU cache can never hold.
-        assert all(exceeds_region(r, server.cpu_kv_cache) for r in server.failed)
+        assert all(exceeds_region(r, server.cpu_kv_cache) for r in failed)
         assert sum(d.kept_resident for d in server.decode_instances) > 0
 
     def test_fig12c_aegaeon_ix2_32_models_drains(self):

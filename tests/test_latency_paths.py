@@ -155,7 +155,7 @@ class TestBatchEqualsScalar:
         expected = (
             model._prefill_per_token * t
             + model._prefill_per_sq_token * t2
-            + model.constants["C3"]
+            + model._c3
         )
         assert model.prefill_time(lengths).hex() == expected.hex()
 

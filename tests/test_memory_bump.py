@@ -54,7 +54,7 @@ class TestReset:
     def test_reset_to_mark_keeps_below(self):
         allocator = BumpAllocator(capacity=1024, alignment=1)
         keep = allocator.alloc(100, tag="keep")
-        mark = allocator.mark()
+        mark = allocator.used
         allocator.alloc(100, tag="drop")
         dropped = allocator.reset(mark)
         assert [d.tag for d in dropped] == ["drop"]
@@ -80,7 +80,7 @@ class TestCompact:
         # behind it; after dropping the front model, compact the prefetch.
         allocator = BumpAllocator(capacity=64 * KiB, alignment=1)
         running = allocator.alloc(10 * KiB, tag="running")
-        mark = allocator.mark()
+        mark = allocator.used
         prefetched = allocator.alloc(20 * KiB, tag="prefetched")
         # Scale-down: drop the running model only.
         allocator._live.remove(running)
@@ -129,7 +129,7 @@ class TestBumpProperties:
         allocator = BumpAllocator(capacity=1_000_000, alignment=1)
         marks = []
         for size in sizes:
-            marks.append(allocator.mark())
+            marks.append(allocator.used)
             allocator.alloc(size)
         index = min(reset_at, len(marks) - 1)
         allocator.reset(marks[index])

@@ -138,7 +138,3 @@ class TestServiceTime:
         long = model.estimate_service_time(256, 512)
         assert long > short
 
-    def test_constants_exposed(self, qwen7b):
-        constants = LatencyModel(qwen7b, H800).constants
-        assert set(constants) == {"C1", "C2", "C3", "C4", "C5"}
-        assert all(value > 0 for value in constants.values())

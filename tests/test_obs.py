@@ -205,8 +205,10 @@ class TestObservability:
         assert ObsConfig.from_env({}) == ObsConfig.off()
         assert ObsConfig.from_env({"REPRO_OBS": "metrics"}) == ObsConfig.metrics_only()
         assert ObsConfig.from_env({"REPRO_OBS": "full"}) == ObsConfig.full()
-        with pytest.raises(ValueError):
-            ObsConfig.from_env({"REPRO_OBS": "loud"})
+        # One spelling per level: the old ``trace`` alias of ``full`` is gone.
+        for level in ("loud", "trace"):
+            with pytest.raises(ValueError):
+                ObsConfig.from_env({"REPRO_OBS": level})
 
 
 # -- exporters ----------------------------------------------------------------

@@ -7,6 +7,8 @@ overrides; and the stock :class:`~repro.policy.WeightedRoundPolicy` must
 obey the Eq. 2-3 invariants over the shared quota parameter space.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,10 @@ from repro.core import (
     SystemSpec,
     build_system,
 )
+from repro.engine import Request
 from repro.fleet import FleetConfig, build_fleet
 from repro.hardware import H800, Cluster
+from repro.models import LatencyModel, get_model
 from repro.obs import ObsConfig
 from repro.policy import (
     AdmissionPolicy,
@@ -37,6 +41,7 @@ from repro.policy import (
     resolve_bundle,
 )
 from repro.sim import Environment
+from repro.workload import TraceRequest
 
 from .strategies import step_times, switch_costs
 from .test_serving_api import small_config, small_trace
@@ -120,6 +125,35 @@ class TestBundleShape:
             assert callable(bundle.dispatch.place)
         assert isinstance(bundle.scaling, ScalingPolicy)
         assert isinstance(bundle.placement, PlacementPolicy)
+
+    @pytest.mark.parametrize("name", available_bundles())
+    def test_scaling_orders_a_queue_in_place(self, name):
+        # A request-level pool asks its bundle's scaling policy to order
+        # the waiting queue: token-level scaling keeps it as it is, FCFS
+        # sorts by arrival, oracle SJF by estimated service time.
+        scaling = get_bundle(name).scaling
+        model = get_model("Qwen-7B")
+        engine = SimpleNamespace(
+            latency_model=lambda spec: LatencyModel(spec, H800)
+        )
+        waiting = [
+            Request(
+                trace=TraceRequest(
+                    request_id=index, model=model.name, arrival=arrival,
+                    input_tokens=64, output_tokens=output,
+                ),
+                spec=model,
+            )
+            for index, (arrival, output) in enumerate(
+                [(2.0, 8), (1.0, 512), (3.0, 64)]
+            )
+        ]
+        queued = list(waiting)
+        assert scaling.order_queue(waiting, engine) is None
+        order = [request.request_id for request in waiting]
+        expected = {"fcfs": [1, 0, 2], "sjf": [0, 2, 1]}
+        assert order == expected.get(getattr(scaling, "order", None), [0, 1, 2])
+        assert sorted(map(id, waiting)) == sorted(map(id, queued))
 
     @pytest.mark.parametrize("name", available_bundles())
     def test_system_is_buildable(self, name):

@@ -102,13 +102,6 @@ class TestEvents:
         env.run(until=1.0)
         assert log == [0.0]
 
-    def test_ipc_handles(self, env):
-        event = CudaEvent(env, name="shared")
-        handle = event.ipc_handle()
-        assert CudaEvent.from_ipc_handle(handle) is event
-        with pytest.raises(ValueError):
-            CudaEvent.from_ipc_handle(999_999_999)
-
 
 class TestSynchronize:
     def test_stream_synchronize(self, env, link):

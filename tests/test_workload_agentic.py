@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import AegaeonConfig, SessionCoordinator, SystemSpec
+from repro.engine import Phase
 from repro.fleet import ControllerConfig, FleetConfig, build_fleet
 from repro.workload import (
     AgenticConfig,
@@ -214,9 +215,13 @@ class TestReplayConservation:
     def test_stage_ordering_respects_dag_edges(self):
         system, coordinator, result = replay(small_stream(seed=21), retain=True)
         assert_conserved(system, coordinator, result)
-        settled = system.finished + system.failed + system.rejected
+        settled = system.proxy.requests
         by_id = {request.request_id: request for request in settled}
-        finished = {request.request_id for request in system.finished}
+        finished = {
+            request.request_id
+            for request in settled
+            if request.phase is Phase.FINISHED
+        }
         non_roots = 0
         for request in settled:
             plan = request.trace.plan

@@ -3,11 +3,13 @@
 Runs each workload below in its own Python process under a
 ``sys.settrace`` hook that records every function entered (``call``
 events only; no line tracing), then sorts the functions of ``src/repro``
-into four groups by line count:
+into five groups by line count:
 
 * **protocol** — a method of a class that subclasses ``typing.Protocol``:
   a signature stub no workload is meant to enter, so it is left out of
-  the other three groups whether or not anything enters it;
+  the last three groups whether or not anything enters it;
+* **display** — a ``__repr__`` or ``__str__``: it runs only when
+  something is printed, so it is left out of the last three groups too;
 * **unreached** — no workload enters the function;
 * **test-only** — only the tier-1 suite (``tests/``) enters it;
 * **reached** — some example, bench, simbench worker or entry point does.
@@ -15,9 +17,8 @@ into four groups by line count:
 A function's lines are its source span minus the spans of functions
 defined inside it, so nested functions are counted once.  Module and
 class bodies run at import and are not counted.  The census is
-approximate: ``__repr__`` methods count as unreached, and code that
-runs only in a subprocess a workload starts itself is missed (simbench
-workers are therefore run directly).
+approximate: code that runs only in a subprocess a workload starts
+itself is missed (simbench workers are therefore run directly).
 
 Workloads: the tier-1 suite; the eight examples (plus the ``--compare
 --quick`` modes of the two replay examples); quickstart under every
@@ -73,6 +74,8 @@ BUNDLES = (
     "unified-prefill-first",
 )
 SIMBENCH_WORKLOADS = ("fleet_market", "fleet_control", "pool_sweep")
+#: Methods that only render an object; the census's "display" group.
+DISPLAY = ("__repr__", "__str__")
 
 
 def workloads() -> list[tuple[str, list[str], dict[str, str]]]:
@@ -228,11 +231,14 @@ def census(only: set[str] | None, log) -> dict:
                 for rel, line in json.load(handle):
                     reached.setdefault((rel, line), set()).add(group)
     table = functions()
-    rows = {"protocol": [], "unreached": [], "test-only": [], "reached": []}
+    kinds = ("protocol", "display", "unreached", "test-only", "reached")
+    rows = {kind: [] for kind in kinds}
     for key, (name, lines, protocol) in sorted(table.items()):
         groups = reached.get(key, set())
         if protocol:
             kind = "protocol"
+        elif name.rpartition(".")[2] in DISPLAY:
+            kind = "display"
         elif not groups:
             kind = "unreached"
         else:
