@@ -242,7 +242,15 @@ class InvariantChecker:
             self.system.fail_instance = fail_checked
 
     def check_now(self) -> list[Violation]:
-        """Sweep every invariant once; returns violations found this pass."""
+        """Sweep every invariant once; returns violations found this pass.
+
+        Every live decode run settles first, so the sweep sees the
+        tokens and KV growth of each chunk that has ended.
+        """
+        for engine in self._engines():
+            run = engine.gpu_kv_cache._run
+            if run is not None:
+                run.settle()
         before = len(self.violations)
         self._check_kv_conservation()
         self._check_tokens()

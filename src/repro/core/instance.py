@@ -40,20 +40,226 @@ from ..policy.base import ScalingPolicy, policy_event
 from ..policy.decode_turn import WeightedRoundPolicy
 from ..policy.scaling import TokenLevelScaling
 from ..policy.tunables import DEFAULT_TUNABLES, Tunables
-from ..obs.tracer import NULL_SPAN
-from ..sim import Environment, Event, Interrupt
+from ..obs.tracer import NULL_SPAN, Tracer
+from ..sim import Environment, Event, Interrupt, Run
 from ..transfer.kv_transfer import RequestKv
 from ..transfer.loader import CheckpointFetchError
 from .decode_sched import DecodeBatch
 from .prefill_sched import PrefillGroup
 from .slo import SloSpec
 
-__all__ = ["PrefillInstance", "DecodeInstance"]
+__all__ = ["PrefillInstance", "DecodeInstance", "DecodeRun"]
 
 # Decode chunking: token timestamps within a chunk are computed
 # arithmetically; the chunk size bounds how stale the batch composition
 # can get (finished/grown requests are reconciled at chunk boundaries).
 DECODE_CHUNK_STEPS = 16
+
+
+class DecodeRun(Run):
+    """Consecutive decode chunks of one turn, retired with one timeout.
+
+    At a chunk start the decode loop gathers its batch's ready set
+    (rule ❶).  While nothing changes that set, each later chunk follows
+    from the one before, so a run lays out every chunk the per-chunk
+    loop would decode, with the loop's own arithmetic: each chunk's step
+    is ``engine.decode_step_time`` at that chunk's context, its length
+    ``max(1, min(DECODE_CHUNK_STEPS, remaining_quota // step,
+    min_remaining))``, its end ``start + steps * step``.  The layout ends
+    at the first member finish or at the quota, and before any chunk
+    whose KV growth the GPU cache cannot hold at formation
+    (``SlabAllocator.capacity_for``), so a growth that fails does so in
+    a run's last chunk, where the loop's swap-out path takes over.
+
+    Landing a chunk does what the loop did after a chunk timeout:
+    ``commit_chunk``, each request's KV growth when it crosses a block,
+    and ``engine.busy_time``.  A traced run records each chunk's
+    ``decode`` exec span ahead, with the chunk's own start and end
+    (``Tracer.defer``), so spans keep the order the per-chunk loop
+    recorded them in; a chunk that never lands withdraws its span.
+
+    The run is its engine's GPU cache's ``_run`` while it is live.  Any
+    of these splits it at the first chunk end at or after ``now``
+    (:meth:`Run.split`): a join to its batch
+    (:meth:`DecodeInstance.kick`), a pending member's KV transfer
+    completing (``CudaEvent._complete``), an ``engine.perf_factor``
+    change, or an alloc on that cache.  A free on that cache, an
+    invariant sweep and result collection settle it first
+    (:meth:`Run.settle`); :meth:`DecodeInstance.fail` halts it
+    (:meth:`halt`).
+    """
+
+    __slots__ = ("instance", "batch", "ready", "size", "chunks", "spans")
+
+    def __init__(
+        self,
+        instance: "DecodeInstance",
+        batch: DecodeBatch,
+        ready: list[Request],
+        context: int,
+        remaining: int,
+        quota: float,
+        turn_start: float,
+        pending: list,
+    ):
+        engine = instance.engine
+        spec = batch.spec
+        count = len(ready)
+        # engine.decode_step_time, with the model and factor looked up once.
+        step_time = engine.latency_model(spec).decode_step_time
+        factor = engine.perf_factor
+        t = instance.env.now
+        chunks = []
+        ends = []
+        left = remaining
+        while True:
+            step = step_time(count, context) * factor
+            # max(1, min(DECODE_CHUNK_STEPS, quota left // step, left))
+            steps = (
+                int((quota - (t - turn_start)) // step) if step > 0 else DECODE_CHUNK_STEPS
+            )
+            if steps > DECODE_CHUNK_STEPS:
+                steps = DECODE_CHUNK_STEPS
+            if steps > left:
+                steps = left
+            if steps < 1:
+                steps = 1
+            t = t + steps * step
+            chunks.append((step, steps))
+            ends.append(t)
+            left -= steps
+            context += count * steps
+            if left <= 0 or not t - turn_start < quota:
+                break
+        if len(chunks) > 1:
+            cut = _growth_cut(engine.gpu_kv_cache, ready, chunks, remaining - left)
+            del chunks[cut:], ends[cut:]
+        Run.__init__(self, instance.env, ends)
+        self.instance = instance
+        self.batch = batch
+        self.ready = ready
+        self.size = len(batch.requests)
+        self.chunks = chunks
+        tracer = engine._tracer
+        self.spans = None
+        if tracer.enabled:
+            parent = tracer.innermost(engine.name)
+            start = self.start
+            self.spans = spans = []
+            for end in ends:
+                spans.append(tracer.defer(
+                    "decode", "exec", engine.name, start, end,
+                    parent=parent, model=spec.name,
+                ))
+                start = end
+        engine.gpu_kv_cache._run = self
+        for transfer in pending:
+            transfer._run = self
+
+    def land(self, first: int, stop: int) -> None:
+        instance = self.instance
+        engine = instance.engine
+        gpu_cache = engine.gpu_kv_cache
+        ready = self.ready
+        ends = self.ends
+        start = ends[first - 1] if first else self.start
+        for step, steps in self.chunks[first:stop]:
+            engine.busy_time += steps * step
+            commit_chunk(ready, start, step, steps)
+            # Grow each request's KV (RequestKv.grow only when a block
+            # boundary is crossed): steps never exceed any ready
+            # request's remaining tokens.
+            for request in ready:
+                kv = request.kv
+                tokens = kv.tokens + steps
+                if tokens <= kv.capacity_tokens:
+                    kv.tokens = tokens
+                    continue
+                try:
+                    kv.grow(steps, gpu_cache)
+                except MemoryError:
+                    instance._grow_failed(self.batch, request)
+            start = ends[first]
+            first += 1
+
+    def hand(self, index: int) -> Optional[Event]:
+        """Cut the layout after chunk ``index``, in flight; the loop
+        resumes at its end unless it already ends the run."""
+        ends = self.ends
+        if index == len(ends) - 1:
+            return None
+        self._drop(index + 1)
+        return self.env.timeout_at(ends[index])
+
+    def _drop(self, index: int) -> None:
+        """Cut the layout before chunk ``index``, withdrawing the spans
+        of the chunks cut."""
+        del self.ends[index:], self.chunks[index:]
+        if self.spans is not None:
+            for entry in self.spans[index:]:
+                Tracer.withdraw(entry)
+            del self.spans[index:]
+
+    def finish(self) -> None:
+        """Leave the GPU cache, then land every chunk left."""
+        engine = self.instance.engine
+        cache = engine.gpu_kv_cache
+        if cache._run is self:
+            cache._run = None
+        Run.finish(self)
+        if self.spans is not None:
+            engine._tracer.flush()
+
+    def halt(self) -> None:
+        """The instance fails at ``now``: land the chunks that ended
+        before it and drop the rest.  The chunk in flight is cut short,
+        as the interrupted loop's was: its span ends at ``now``, and its
+        tokens and busy time never land.  The interrupt that follows
+        cancels the run's timeout."""
+        ends = self.ends
+        now = self.env.now
+        cut = self.landed
+        while cut < len(ends) and ends[cut] < now:
+            cut += 1
+        cut_span = None
+        if cut < len(ends) and self.spans is not None:
+            cut_span = self.spans[cut][2]
+        self._drop(cut)
+        self.finish()
+        if cut_span is not None:
+            engine = self.instance.engine
+            engine._tracer.complete(
+                cut_span.name, cut_span.cat, cut_span.track, cut_span.start, now,
+                parent=cut_span.parent, **cut_span.args,
+            )
+
+
+def _growth_cut(
+    gpu_cache: SlabAllocator, ready: list[Request], chunks: list, total: int
+) -> int:
+    """How many of ``chunks`` (``total`` steps) the cache's free room
+    holds the KV growth of, at least one: the blocks each chunk adds,
+    summed from the first chunk on, against ``capacity_for`` now.  A
+    grow only takes blocks and a free only adds them, so growth within
+    that prefix never fails.
+    """
+    kv = ready[0].kv
+    room = gpu_cache.capacity_for(kv.shape, kv.block_bytes)
+    # A request gains at most one block per token.
+    if len(ready) * total <= room:
+        return len(chunks)
+    added = 0
+    for index, (_, steps) in enumerate(chunks):
+        added += steps
+        need = 0
+        for request in ready:
+            kv = request.kv
+            tokens = kv.tokens + added
+            if tokens > kv.capacity_tokens:
+                need += -(-tokens // kv.block_tokens) - kv.capacity_tokens // kv.block_tokens
+        if need > room:
+            return max(1, index)
+    return len(chunks)
 
 
 class PrefillInstance:
@@ -151,8 +357,10 @@ class PrefillInstance:
         A job whose KV allocation or swap-out finds its cache full parks
         on that cache's next ``free`` (never on a timer) and retries at
         that instant; a KV larger than the whole empty region fails its
-        request, like an unreachable checkpoint.  An instance failure
-        ends the loop quietly.
+        request, like an unreachable checkpoint.  A request whose only
+        output token is the one prefill makes is handed over finished,
+        its KV freed instead of offloaded.  An instance failure ends the
+        loop quietly.
         """
         env = self.env
         engine = self.engine
@@ -217,6 +425,14 @@ class PrefillInstance:
                         now = env.now
                         request.prefill_end = now
                         request.record_tokens([now])  # the first output token
+                        if request.finished:
+                            # Its only token came from prefill: no decode
+                            # turn, and its KV goes at once.
+                            manager.free_gpu(request.kv)
+                            request.complete(now)
+                            self.on_prefilled(request)
+                            self._inflight = None
+                            continue
                         # Offload the prompt KV to the unified CPU cache.
                         # Under fine-grained sync this overlaps with the
                         # next prefill; the unoptimized path drains first.
@@ -316,19 +532,30 @@ class DecodeInstance:
         return max(1, min(MAX_BATCH_SIZE, capacity_tokens // (2 * typical_context)))
 
     def kick(self) -> None:
-        """Wake the instance loop after new work arrives."""
+        """Wake the instance loop after new work arrives.
+
+        A join to the batch a decode run is decoding splits the run: the
+        loop swaps the joiner in at the next chunk boundary.
+        """
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
+        run = self.engine.gpu_kv_cache._run
+        if run is not None and len(run.batch.requests) != run.size:
+            run.split()
 
     def fail(self) -> list[Request]:
         """Take this instance offline (its GPUs died); returns orphans.
 
+        A decode run in flight halts first (``DecodeRun.halt``).
         Finished requests still sitting in a batch complete normally;
         every other request is harvested for the server to reschedule.
         """
         if self.dead:
             return []
         self.dead = True
+        run = self.engine.gpu_kv_cache._run
+        if run is not None:
+            run.halt()
         orphans: list[Request] = []
         for batch in self.work_list:
             for request in list(batch.requests):
@@ -393,6 +620,19 @@ class DecodeInstance:
         if self.on_failed is not None:
             self.on_failed(request)
 
+    def _grow_failed(self, batch: DecodeBatch, request: Request) -> None:
+        """A chunk's KV growth found the GPU cache full (the tokens stay
+        counted).  A finished request retires with its blocks; any other
+        is demoted until space frees, or fails when the CPU cache cannot
+        take it either."""
+        if request.generated_tokens >= request.output_tokens:
+            return
+        try:
+            self.engine.kv.swap_out(request.kv)
+        except MemoryError:
+            batch.requests.remove(request)
+            self._fail(request)
+
     def _retire_finished(self, batch: DecodeBatch) -> None:
         finished = None
         for r in batch.requests:
@@ -446,8 +686,9 @@ class DecodeInstance:
         Each turn scales the engine to its batch's model, swaps the
         batch's KV in, decodes in chunks of up to ``DECODE_CHUNK_STEPS``
         steps until its quota is spent, and swaps the KV out again.  The
-        chunk timeout, the rule-❶ stall and the idle waits resume this
-        frame directly; only the model switch and the KV drains run
+        chunks that follow one ready set go as one :class:`DecodeRun`.
+        The run's timeout, the rule-❶ stall and the idle waits resume
+        this frame directly; only the model switch and the KV drains run
         through ``yield from``.
 
         The loop never waits for KV space: its own other batches hold
@@ -463,9 +704,7 @@ class DecodeInstance:
         env = self.env
         engine = self.engine
         manager = engine.kv
-        gpu_cache = engine.gpu_kv_cache
         tracer = self._tracer
-        exec_tracer = engine._tracer
         try:
             while True:
                 self._prune()
@@ -540,11 +779,13 @@ class DecodeInstance:
                                 # mid-round still sit in the CPU cache and
                                 # must be pulled in before the turn decodes;
                                 # the same pass gathers the ready set (rule
-                                # ❶) plus the context total and the minimum
-                                # remaining tokens it implies.  This loop
-                                # runs once per decode chunk.
+                                # ❶), the context total and the minimum
+                                # remaining tokens it implies, and the
+                                # transfers still pending.  This loop runs
+                                # once per decode run.
                                 ready = []
                                 ready_append = ready.append
+                                pending = []
                                 context_total = 0
                                 min_remaining = 0
                                 swap = False
@@ -571,6 +812,8 @@ class DecodeInstance:
                                             remaining = r.output_tokens - generated
                                             if remaining < min_remaining or len(ready) == 1:
                                                 min_remaining = remaining
+                                        else:
+                                            pending.append(transfer)
                                 if swap:
                                     left = self._swap_in(batch, left)
                                     if not engine.config.fine_grained_sync:
@@ -581,64 +824,29 @@ class DecodeInstance:
                                     # yet.  With nothing in transit either,
                                     # waiting cannot help this turn: it ends,
                                     # and the batches holding the GPU decode.
-                                    pending = [
+                                    waits = [
                                         r.kv.last_transfer.wait()
                                         for r in batch.requests
                                         if r.kv is not None and r.kv.last_transfer is not None
                                         and not r.kv.last_transfer.query()
                                     ]
-                                    if not pending:
+                                    if not waits:
                                         break
                                     stall_start = env.now
-                                    yield env.any_of(pending)
+                                    yield env.any_of(waits)
                                     if batch.requests:
                                         manager.stats.charge_wait(
                                             batch.requests[0].request_id,
                                             env.now - stall_start,
                                         )
                                     continue
-                                step = engine.decode_step_time(spec, len(ready), context_total)
-                                remaining_time = quota - (env.now - turn_start)
-                                steps = max(1, min(
-                                    DECODE_CHUNK_STEPS,
-                                    int(remaining_time // step) if step > 0 else DECODE_CHUNK_STEPS,
-                                    min_remaining,
-                                ))
-                                chunk_start = env.now
-                                duration = steps * step
                                 engine._require_active(spec)
-                                with (
-                                    exec_tracer.span(
-                                        "decode", cat="exec", track=engine.name, model=spec.name
-                                    )
-                                    if exec_tracer.enabled else NULL_SPAN
-                                ):
-                                    yield env.timeout(duration)
-                                engine.busy_time += duration
-                                commit_chunk(ready, chunk_start, step, steps)
-                                # Grow each request's KV (RequestKv.grow only
-                                # when a block boundary is crossed): steps
-                                # never exceed any ready request's remaining
-                                # tokens.
-                                for request in ready:
-                                    kv = request.kv
-                                    tokens = kv.tokens + steps
-                                    if tokens <= kv.capacity_tokens:
-                                        kv.tokens = tokens
-                                        continue
-                                    try:
-                                        kv.grow(steps, gpu_cache)
-                                    except MemoryError:
-                                        if request.generated_tokens >= request.output_tokens:
-                                            continue  # retires below with its blocks
-                                        # Cache pressure: demote this request
-                                        # until space frees, or fail it when
-                                        # the CPU cache cannot take it either.
-                                        try:
-                                            manager.swap_out(kv)
-                                        except MemoryError:
-                                            batch.requests.remove(request)
-                                            self._fail(request)
+                                run = DecodeRun(
+                                    self, batch, ready, context_total, min_remaining,
+                                    quota, turn_start, pending,
+                                )
+                                yield run.timeout
+                                run.finish()
                                 self._retire_finished(batch)
                             else:
                                 # The quota is spent (or the batch is): swap

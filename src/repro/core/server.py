@@ -202,6 +202,10 @@ class AegaeonServer(ServingSystemBase):
             self.note_rejected(request)
 
     def _on_prefilled(self, request: Request) -> None:
+        if request.phase is Phase.FINISHED:
+            # Its only output token was the first: done at prefill.
+            self.note_finished(request)
+            return
         try:
             self.decode_scheduler.dispatch(request)
         except LookupError:

@@ -343,16 +343,21 @@ class ServingSystemBase:
         for request in self.proxy.live.values():
             fold(request)
 
-    def settle_links(self) -> None:
-        """Land the chunks every live weight load has finished by now.
+    def settle_runs(self) -> None:
+        """Land what every live weight-load and decode run has finished
+        by now, and record the spans that have ended.
 
-        Called with :meth:`fold_in_flight` when a run ends: a load run
-        retires its chunks only when it ends or splits, so without this
-        a run the deadline cut short would lose the link counters and
-        stream spans of its chunks that had already landed.
+        Called before :meth:`fold_in_flight` when a run ends: a run
+        retires its intervals only when it ends or splits, so without
+        this a run the deadline cut short would lose the link counters,
+        stream spans, tokens and KV growth it had already done.
         """
         for engine in self.engines():
             engine.link.h2d.settle()
+            decode = engine.gpu_kv_cache._run
+            if decode is not None:
+                decode.settle()
+        self.obs.tracer.flush()
 
     def serve(self, workload: RequestStream, until: Optional[float] = None) -> "ServingResult":
         """Replay ``workload`` to completion or the drain deadline.

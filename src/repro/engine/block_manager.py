@@ -85,10 +85,3 @@ class BlockManager:
     def holds(self, request_id: int) -> bool:
         """True if the request currently owns a block table."""
         return request_id in self._tables
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the pool currently allocated."""
-        if self.total_blocks == 0:
-            return 0.0
-        return 1.0 - self.free_blocks / self.total_blocks

@@ -166,15 +166,31 @@ class AegaeonEngine:
         self._fresh_boot_done = pre_initialized and config.reuse_components
         self.scale_history: list[ScaleRecord] = []
         self.busy_time = 0.0
-        # Chaos surface: compute-latency multiplier (thermal throttling /
-        # noisy neighbours).  Scales prefill and decode-step times, so
-        # the schedulers see the slowdown through their estimates.
-        self.perf_factor = 1.0
+        self._perf_factor = 1.0
         self._tracer = obs.tracer
         scope = obs.scoped(name)
         self._switch_counter = scope.counter("switches")
         self._prefetch_hit_counter = scope.counter("prefetch_hits")
         self._switch_hist = scope.histogram("switch_latency_s")
+
+    @property
+    def perf_factor(self) -> float:
+        """Chaos surface: compute-latency multiplier (thermal throttling /
+        noisy neighbours).
+
+        Scales prefill and decode-step times, so the schedulers see the
+        slowdown through their estimates.  Setting it splits a decode
+        run on this engine: its chunks after the one in flight would
+        have been timed with the old factor.
+        """
+        return self._perf_factor
+
+    @perf_factor.setter
+    def perf_factor(self, factor: float) -> None:
+        run = self.gpu_kv_cache._run
+        if run is not None:
+            run.split()
+        self._perf_factor = factor
 
     # -- latency models -----------------------------------------------------
     def latency_model(self, spec: ModelSpec) -> LatencyModel:
@@ -391,7 +407,7 @@ class AegaeonEngine:
 
     def decode_step_time(self, spec: ModelSpec, batch: int, context: int) -> float:
         """Predicted duration of one decode step (Eq. 6)."""
-        return self.latency_model(spec).decode_step_time(batch, context) * self.perf_factor
+        return self.latency_model(spec).decode_step_time(batch, context) * self._perf_factor
 
     # The two batch methods are loops over the scalar predictions; no
     # simulation path calls them, they stay as simbench span targets.

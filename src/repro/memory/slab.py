@@ -217,6 +217,11 @@ class SlabAllocator:
         self.blocks_freed = 0
         # Events parked by callers waiting for space (wake_on_free).
         self._free_waiters: list[Event] = []
+        # The decode run landing KV growth on this cache
+        # (``core.instance.DecodeRun``), or None.  An alloc could take
+        # the room its growth counts on, so it splits the run; a free
+        # settles it, so the run's growth lands in time order with it.
+        self._run = None
         self.name = name
         if obs.enabled:
             scope = obs.scoped(name)
@@ -235,6 +240,8 @@ class SlabAllocator:
         """
         if count <= 0:
             raise ValueError("count must be positive")
+        if self._run is not None:
+            self._run.split()
         rec = self._shapes.get(shape)
         if rec is None:
             rec = _ShapeRec(block_bytes, self.slab_bytes // block_bytes)
@@ -359,6 +366,8 @@ class SlabAllocator:
             raise ValueError(f"{extent!r} belongs to another allocator")
         if not extent.live:
             raise ValueError(f"double free of {extent!r}")
+        if self._run is not None:
+            self._run.settle()
         extent.live = False
         slabs = self._slabs
         for slab_index, n in extent.runs:

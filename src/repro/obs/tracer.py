@@ -20,6 +20,7 @@ instrumented hot paths pay one attribute test and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 __all__ = ["Tracer", "SpanRecord", "InstantRecord", "CounterSample", "NULL_SPAN"]
@@ -95,12 +96,15 @@ class _Span:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
+        tracer = self._tracer
         record = self._record
-        record.end = self._tracer._clock()
-        stack = self._tracer._stacks.get(record.track)
+        record.end = tracer._clock()
+        stack = tracer._stacks.get(record.track)
         if stack and stack[-1] is record:
             stack.pop()
-        self._tracer.spans.append(record)
+        if tracer._deferred:
+            tracer.flush()
+        tracer.spans.append(record)
 
 
 class _NullSpan:
@@ -135,6 +139,10 @@ class Tracer:
         self.counters: list[CounterSample] = []
         # Per-track stacks of currently-open spans (for parent linkage).
         self._stacks: dict[str, list[SpanRecord]] = {}
+        # Spans recorded ahead of their end (defer): a heap of
+        # [end, order, record] entries, the record None once withdrawn.
+        self._deferred: list[list] = []
+        self._deferrals = 0
 
     # -- recording ----------------------------------------------------------
     def span(self, name: str, cat: str = "", track: str = "", **args: Any):
@@ -159,12 +167,59 @@ class Tracer:
         """Record an already-measured interval (retroactive span)."""
         if not self.enabled:
             return
+        if self._deferred:
+            self.flush()
         self.spans.append(
             SpanRecord(
                 name=name, cat=cat, track=track, start=start, end=end,
                 args=args, parent=parent,
             )
         )
+
+    def defer(
+        self,
+        name: str,
+        cat: str,
+        track: str,
+        start: float,
+        end: float,
+        parent: Optional[str] = None,
+        **args: Any,
+    ) -> list:
+        """Record an interval that ends later, at ``end``.
+
+        It joins :attr:`spans` where a span closed at ``end`` would
+        have: before the first record made once the clock has reached
+        ``end`` (deferred spans go in end order), or at :meth:`flush`.
+        Returns a handle for :meth:`withdraw`.
+        """
+        entry = [end, self._deferrals, SpanRecord(
+            name=name, cat=cat, track=track, start=start, end=end,
+            args=args, parent=parent,
+        )]
+        self._deferrals += 1
+        heappush(self._deferred, entry)
+        return entry
+
+    @staticmethod
+    def withdraw(entry: list) -> None:
+        """Drop a deferred span that will not happen after all."""
+        entry[2] = None
+
+    def flush(self) -> None:
+        """Record every deferred span whose end the clock has reached."""
+        deferred = self._deferred
+        now = self._clock()
+        while deferred and deferred[0][0] <= now:
+            record = heappop(deferred)[2]
+            if record is not None:
+                self.spans.append(record)
+
+    def innermost(self, track: str) -> Optional[str]:
+        """The innermost span open on ``track``: the parent a span opened
+        there now would record (a retroactive span passes it on)."""
+        stack = self._stacks.get(track)
+        return stack[-1].name if stack else None
 
     def instant(self, name: str, cat: str = "", track: str = "", **args: Any) -> None:
         """Record a point event at the current simulated time."""

@@ -2,7 +2,8 @@
 
 The kernel is the substrate on which every simulated hardware and software
 component of the Aegaeon reproduction runs.  See :mod:`repro.sim.core` for
-the event loop, processes and conditions.
+the event loop, processes and conditions, and :mod:`repro.sim.run`
+for runs of intervals retired with one timeout.
 """
 
 from .core import (
@@ -16,6 +17,7 @@ from .core import (
     SimulationError,
     Timeout,
 )
+from .run import Run
 
 __all__ = [
     "AllOf",
@@ -25,6 +27,7 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
+    "Run",
     "SimulationError",
     "Timeout",
 ]

@@ -32,12 +32,15 @@ chunk op by chunk op until its next stall start finds the link free.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
 from typing import Callable, Generator, Optional
 
 from ..hardware.interconnect import DuplexLink, Link
 from ..memory.model_cache import HostModelCache
 from ..models.latency import NAIVE_LOAD_BANDWIDTH, PCIE_BETA
-from ..sim import Environment, Event
+from ..sim import Environment, Event, Run
 from .streams import CudaEvent, CudaStream
 
 __all__ = ["CheckpointFetchError", "LoadRun", "QuickLoader", "NaiveLoader"]
@@ -199,29 +202,30 @@ class QuickLoader:
         )
 
 
-class LoadRun:
+class LoadRun(Run):
     """One uncontended run of a weight load's chunks on one link.
 
     A load is a chunk tuple ``(count, nbytes, stall, last_nbytes,
     last_stall)``: every chunk stalls, then copies over the link; all
     but the last stall ``stall`` seconds and copy ``nbytes``.  A run
     forms at the start of chunk ``first``'s stall when the link is free
-    with no queued claim.  It marks the link held, replays every chunk
-    time the per-chunk chain would schedule (``t + stall``, then
-    ``t + link.transfer_time(chunk)``), and arms one ``env.timeout_at``
-    at the last copy's end.  The owner waits on :attr:`timeout` and
-    calls :meth:`finish` when it fires.
+    with no queued claim.  It marks the link held and lays out each
+    chunk's stall and copy as two intervals of a :class:`~repro.sim.Run`
+    (``t + stall``, then ``t + link.transfer_time(chunk)``, the per-chunk
+    chain's arithmetic), so one timeout at the last copy's end retires
+    them all.  The owner waits on :attr:`timeout` and calls
+    :meth:`finish` when it fires.
 
     :meth:`split` ends the run early at ``now``: ``Link.acquire``,
     ``Link.throttle`` and ``Link.restore`` call it through the link's
     ``_run`` slot, and a synchronous owner calls it when an interrupt
-    unwinds it.  A boundary at exactly ``now`` counts as passed.  The
-    split lands every finished chunk in chunk order, cancels the
-    timeout, and hands the owner the op in flight: a stall that ends at
-    its boundary (the link free meanwhile), or a copy that holds the
-    link until its end.  A run split at its very end keeps its timeout,
-    which is due at ``now``.  :meth:`settle` lands the same chunks
-    without ending the run.
+    unwinds it.  A boundary at exactly ``now`` counts as passed (the
+    split settles first).  The split lands every finished op in order
+    and hands the owner the op in flight: a stall that ends at its
+    boundary (the link free meanwhile), or a copy that holds the link
+    until its end.  A run split at its very end keeps its timeout,
+    which is due at ``now``.  :meth:`settle` lands the same ops without
+    ending the run.
 
     ``owner`` is the :class:`CudaStream` whose lane drives a prefetch
     (it also counts the lane's ops and traces their spans as they
@@ -230,135 +234,109 @@ class LoadRun:
     handed op's end, and reads :attr:`handed` when it resumes.
     """
 
-    __slots__ = (
-        "link", "chunks", "first", "start", "duration", "last_duration",
-        "timeout", "owner", "handed", "stalled",
-    )
+    __slots__ = ("link", "chunks", "base", "duration", "last_duration", "owner", "handed")
 
     def __init__(self, link: Link, chunks: tuple, first: int, owner=None):
         count, nbytes, stall, last_nbytes, last_stall = chunks
-        env = link.env
         self.link = link
         self.chunks = chunks
-        self.first = first
+        self.base = first
         self.owner = owner
         #: ``(chunk index, in copy)`` of the op a split handed over.
         self.handed: Optional[tuple[int, bool]] = None
-        #: Chunk ``first``'s stall has landed (:meth:`settle`); ``start``
-        #: is then its end.
-        self.stalled = False
-        self.start = t = env.now
         # The bandwidth cannot change inside a run (a throttle splits it
         # first), so each chunk size has one duration.
         self.duration = duration = link.transfer_time(nbytes)
-        self.last_duration = link.transfer_time(last_nbytes)
-        for _ in range(first, count - 1):
-            t += stall
-            t += duration
-        t += last_stall
-        self.timeout = env.timeout_at(t + self.last_duration)
+        self.last_duration = last_duration = link.transfer_time(last_nbytes)
+        # ``t + stall``, then ``t + duration``, chunk by chunk: a left
+        # fold, so accumulate gives each end the chain's own float.
+        steps = [stall, duration] * (count - 1 - first) + [last_stall, last_duration]
+        ends = list(accumulate(steps, initial=link.env.now))
+        del ends[0]
+        Run.__init__(self, link.env, ends)
         link._busy = True
         link._run = self
 
-    def _replay(self):
-        """Each chunk's ``(index, stall start, stall end, copy end, nbytes,
-        duration)``, with the arithmetic :meth:`__init__` used; the stall
-        start is None for a stall that has already landed."""
-        count, nbytes, stall, last_nbytes, last_stall = self.chunks
-        duration = self.duration
-        t = self.start
-        stalled = self.stalled
-        for index in range(self.first, count):
-            if index == count - 1:
-                nbytes, stall, duration = last_nbytes, last_stall, self.last_duration
-            if stalled:
-                stall_start, stall_end, stalled = None, t, False
-            else:
-                stall_start, stall_end = t, t + stall
-            copy_end = stall_end + duration
-            yield index, stall_start, stall_end, copy_end, nbytes, duration
-            t = copy_end
+    @property
+    def first(self) -> int:
+        """The first chunk not wholly landed."""
+        return self.base + (self.landed >> 1)
 
-    def _land(self, stall_start, stall_end, copy_end, nbytes, duration) -> None:
+    @property
+    def stalled(self) -> bool:
+        """Chunk :attr:`first`'s stall has landed (:meth:`settle`)."""
+        return bool(self.landed & 1)
+
+    def _op(self, op: int) -> tuple:
+        """Op ``op``'s ``(chunk index, start, end, nbytes, duration)``:
+        chunk ``base + op // 2``'s stall for an even ``op``, its copy
+        for an odd one."""
+        index = self.base + (op >> 1)
+        if index == self.chunks[0] - 1:
+            nbytes, duration = self.chunks[3], self.last_duration
+        else:
+            nbytes, duration = self.chunks[1], self.duration
+        start = self.ends[op - 1] if op else self.start
+        return index, start, self.ends[op], nbytes, duration
+
+    def _replay(self):
+        """Each chunk not wholly landed: ``(index, stall start, stall end,
+        copy end, nbytes, duration)``, the stall start None for a stall
+        that has already landed."""
+        op = self.landed & ~1
+        stalled = self.stalled
+        while op < len(self.ends):
+            index, start, stall_end, nbytes, duration = self._op(op)
+            yield (index, None if stalled else start, stall_end,
+                   self.ends[op + 1], nbytes, duration)
+            stalled = False
+            op += 2
+
+    def land(self, first: int, stop: int) -> None:
         link = self.link
-        link.bytes_moved += nbytes
-        link.busy_time += duration
+        copies = len(range(first | 1, stop, 2))
+        if copies:
+            # Ops ``first`` to ``stop - 1`` hold ``copies`` copies, the
+            # load's last (shorter) one among them if ``stop`` is the end.
+            last = stop == len(self.ends)
+            full = copies - last
+            link.bytes_moved += full * self.chunks[1] + (self.chunks[3] if last else 0)
+            busy = reduce(add, repeat(self.duration, full), link.busy_time)
+            link.busy_time = busy + self.last_duration if last else busy
         if self.owner is not None:
-            self.owner._landed(stall_start, stall_end, copy_end, nbytes)
+            self.owner._landed_ops(self, first, stop)
+
+    def hand(self, op: int) -> Optional[Event]:
+        index, start, end, nbytes, duration = self._op(op)
+        in_copy = bool(op & 1)
+        self.handed = (index, in_copy)
+        owner = self.owner
+        if owner is not None:
+            if in_copy:
+                return owner._take_copy(start, end, nbytes, duration)
+            return owner._take_stall(start, end)
+        env = self.link.env
+        if in_copy:
+            return _hold(self.link, nbytes, duration, env.timeout_at(end))
+        return None if self.timeout._waiter is None else env.timeout_at(end)
 
     def finish(self) -> None:
-        """Land every chunk and free the link; the owner calls this when
+        """Land every op and free the link; the owner calls this when
         :attr:`timeout` fires (a no-op after a split at the run's end)."""
-        self.timeout = None
         link = self.link
-        if link._run is not self:
-            return
-        link._run = None
-        link._busy = False
-        for _, stall_start, stall_end, copy_end, nbytes, duration in self._replay():
-            self._land(stall_start, stall_end, copy_end, nbytes, duration)
-
-    def settle(self) -> None:
-        """Land what has finished by ``now`` and leave the run going.
-
-        Every chunk whose copy has ended lands, as in :meth:`split`, and
-        so does the stall in flight if it has ended; nothing is handed
-        over and the timeout stands.  :meth:`Link.settle` calls this
-        when a serve collects its results, so counters and spans read
-        after a deadline cut the serve short match the per-chunk chain.
-        """
-        now = self.link.env.now
-        for index, stall_start, stall_end, copy_end, nbytes, duration in self._replay():
-            if copy_end > now:
-                break
-            self._land(stall_start, stall_end, copy_end, nbytes, duration)
-            self.first = index + 1
-            self.start = copy_end
-            self.stalled = False
-        else:
-            return
-        if stall_start is not None and now >= stall_end:
-            if self.owner is not None:
-                self.owner._landed_stall(stall_start, stall_end)
-            self.start = stall_end
-            self.stalled = True
+        if link._run is self:
+            link._run = None
+            link._busy = False
+        Run.finish(self)
 
     def split(self) -> None:
         """End the run at ``now``; see the class docstring."""
         link = self.link
         link._run = None
-        now = link.env.now
-        for index, stall_start, stall_end, copy_end, nbytes, duration in self._replay():
-            if copy_end > now:
-                break
-            self._land(stall_start, stall_end, copy_end, nbytes, duration)
-        else:
+        Run.settle(self)
+        Run.split(self)
+        if self.handed is None or not self.handed[1]:
             link._busy = False
-            return
-        timeout = self.timeout
-        self.timeout = None
-        waiter = timeout._waiter
-        in_copy = now >= stall_end
-        self.handed = (index, in_copy)
-        if not in_copy:
-            link._busy = False
-        owner = self.owner
-        env = link.env
-        if owner is not None:
-            if in_copy:
-                event = owner._take_copy(stall_start, stall_end, copy_end,
-                                         nbytes, duration)
-            else:
-                event = owner._take_stall(stall_start, stall_end)
-        elif in_copy:
-            event = _hold(link, nbytes, duration, env.timeout_at(copy_end))
-        elif waiter is not None:
-            event = env.timeout_at(stall_end)
-        if waiter is not None:
-            waiter._wait_instead(event)
-        else:
-            # An interrupt already detached (and cancelled) the wait.
-            timeout.cancel()
 
 
 def _drive(link: Link, chunks: tuple) -> Generator:

@@ -44,7 +44,8 @@ class CudaEvent:
     events are never waited on: a swap-in's event only guards its source
     blocks on a move list, which completion notifies with a plain call,
     and a completion nobody waits on would still cost the kernel one
-    heap entry.
+    heap entry.  A decode run that could see the transfer's request
+    join its ready set is told the same way, and split.
     """
 
     def __init__(self, env: Environment, name: str = ""):
@@ -56,6 +57,9 @@ class CudaEvent:
         # The move list whose blocks this event guards (set by
         # MoveList.add), told when the work completes.
         self._move_list = None
+        # The decode run whose batch waits on this transfer (rule ❶),
+        # split when it completes (``core.instance.DecodeRun``).
+        self._run = None
 
     # -- Table 2 API ------------------------------------------------------
     def query(self) -> bool:
@@ -89,6 +93,8 @@ class CudaEvent:
                 self._completion.succeed()
             if self._move_list is not None:
                 self._move_list._completed(self)
+            if self._run is not None:
+                self._run.split()
 
     def __repr__(self) -> str:
         state = "done" if self.query() else "pending"
@@ -208,17 +214,25 @@ class CudaStream:
         self._finish_op()
 
     # -- LoadRun owner protocol ------------------------------------------------
-    def _landed(self, stall_start, stall_end, copy_end, nbytes) -> None:
-        """A run landed one chunk: its stall op (unless a settle landed
-        it already, ``stall_start`` None) and its copy op are done."""
-        if stall_start is not None:
-            self._landed_stall(stall_start, stall_end)
-        self._finish_op()
-        if self._tracer.enabled:
-            self._tracer.complete(
-                "copy", cat="stream", track=self.name,
-                start=stall_end, end=copy_end, nbytes=nbytes,
-            )
+    def _landed_ops(self, run, first: int, stop: int) -> None:
+        """A load run landed its ops ``first`` to ``stop - 1`` (even ones
+        stalls, odd ones copies): count them, and trace each in order."""
+        count = stop - first
+        self._depth -= count
+        self.ops_executed += count
+        tracer = self._tracer
+        if tracer.enabled:
+            for op in range(first, stop):
+                _, start, end, nbytes, _ = run._op(op)
+                if op & 1:
+                    tracer.complete(
+                        "copy", cat="stream", track=self.name,
+                        start=start, end=end, nbytes=nbytes,
+                    )
+                else:
+                    tracer.complete(
+                        "compute", cat="stream", track=self.name, start=start, end=end,
+                    )
 
     def _landed_stall(self, stall_start, stall_end) -> None:
         """A stall op of a load is done (landed by a run, or run plainly)."""
@@ -235,14 +249,12 @@ class CudaStream:
         self._handed = (stall_start, 0, 0.0)
         return self.env.timeout_at(stall_end)
 
-    def _take_copy(self, stall_start, stall_end, copy_end, nbytes, duration) -> Event:
-        """A split handed over a copy in flight: its stall lands now
-        (unless a settle landed it already), and the lane resumes at the
-        copy's end and finishes it, holding the link until then."""
-        if stall_start is not None:
-            self._landed_stall(stall_start, stall_end)
-        self._handed = (stall_end, nbytes, duration)
-        return self.env.timeout_at(copy_end)
+    def _take_copy(self, start, end, nbytes, duration) -> Event:
+        """A split handed over a copy in flight (its stall has landed):
+        the lane resumes at the copy's end and finishes it, holding the
+        link until then."""
+        self._handed = (start, nbytes, duration)
+        return self.env.timeout_at(end)
 
     def _enqueue(self, op: tuple, count: int = 1) -> None:
         self._depth += count

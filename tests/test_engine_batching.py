@@ -70,12 +70,6 @@ class TestBlockManager:
         with pytest.raises(MemoryError):
             BlockManager(pool_bytes=1, model=get_model("Qwen-7B"))
 
-    def test_utilization(self):
-        spec = get_model("Qwen-7B")
-        manager = BlockManager(kv_block_bytes(spec) * 10, spec)
-        manager.allocate(1, tokens=16 * 5)
-        assert manager.utilization == pytest.approx(0.5)
-
 
 class TestContinuousBatcher:
     def make(self, pool_gib=8, **policy):

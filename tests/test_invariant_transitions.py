@@ -19,10 +19,11 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.chaos import FaultPlan, InvariantViolation
+from repro.chaos import FaultPlan, InvariantViolation, InstanceFailure, LatencySpike
 from repro.chaos.invariants import met_in_runs
 from repro.core import AegaeonConfig, AegaeonServer, ServingSystemBase, SystemSpec
 from repro.core import instance as instance_module
+from repro.core.instance import DecodeRun
 from repro.engine.request import commit_chunk
 from repro.fleet import FleetConfig, build_fleet
 from repro.models import market_mix
@@ -274,6 +275,33 @@ def _faulted_fleet(invariants):
     )
 
 
+def _split_serve(invariants):
+    """An Aegaeon serve whose decode runs split: latency spikes on every
+    engine and on one decode engine, and a decode instance failing
+    mid-run, on top of the joins and KV arrivals of a busy trace."""
+    spec = SystemSpec(
+        config=AegaeonConfig(
+            prefill_instances=1, decode_instances=2, cluster="h800-quad"
+        ),
+        faults=FaultPlan.of(
+            LatencySpike(at=6.0, engine="*", factor=3.0, duration=0.7),
+            LatencySpike(at=13.3, engine="decode0", factor=1.5, duration=2.1),
+            InstanceFailure(at=17.9, instance="decode1"),
+        ),
+        invariants=invariants,
+    )
+    env = Environment()
+    system = spec.build(env)
+    result = system.serve(_trace(horizon=30.0))
+    return (
+        env.steps_executed,
+        env.steps_inlined,
+        result.digest(),
+        request_rows(result.requests),
+        json.dumps(result.summary(), sort_keys=True, default=str),
+    )
+
+
 class TestObserveOnly:
     @pytest.fixture(autouse=True)
     def _no_suite_wide_checker(self, monkeypatch):
@@ -288,3 +316,20 @@ class TestObserveOnly:
     def test_faulted_fleet_with_checker_equals_without(self):
         unchecked = _faulted_fleet(False)
         assert _faulted_fleet(True) == unchecked
+
+    def test_serve_whose_runs_split_with_checker_equals_without(self, monkeypatch):
+        # The checker settles live decode runs at each sweep; settling
+        # lands what has ended and schedules nothing, so the step count
+        # stays the same while runs split around it.
+        cuts = []
+        hand = DecodeRun.hand
+
+        def counted(run, index):
+            event = hand(run, index)
+            cuts.append(event is not None)
+            return event
+
+        monkeypatch.setattr(DecodeRun, "hand", counted)
+        unchecked = _split_serve(False)
+        assert any(cuts)
+        assert _split_serve(True) == unchecked

@@ -100,7 +100,7 @@ class TestServesAtThresholdSizes:
         assert len(trace) == 167
         assert result.drained and result.finished_requests == 167
         assert sizes == {"groups": 19, "rounds": 8}
-        assert env.steps_executed == 3798
+        assert env.steps_executed == 3067
         assert disposition_digest(result) == "eadfe187cc4c6050"
 
 
