@@ -242,15 +242,20 @@ def collect_result(
     """Build the result of a run that has just ended.
 
     ``systems`` are the run's serving systems (one for ``serve``, a
-    fleet's shards in order).  Each settles its live runs, then folds
-    what it still has in flight.  ``obs`` is a fleet's own
-    observability: its rollup gauges are set and its snapshot is the
-    result's ``metrics``.  Without it the one system's registry is the
-    run's, and gains no keys.  ``controller`` and ``sessions`` are a
-    fleet's, summarized into the result.
+    fleet's shards in order).  Every live run on the clock settles
+    first (``env.settle_runs()``): a run retires its intervals only
+    when it ends or splits, so without this a run the deadline cut
+    short would lose the link counters, stream spans, tokens and KV
+    growth it had already done.  Each system then records the spans
+    that have ended and folds what it still has in flight.  ``obs`` is
+    a fleet's own observability: its rollup gauges are set and its
+    snapshot is the result's ``metrics``.  Without it the one system's
+    registry is the run's, and gains no keys.  ``controller`` and
+    ``sessions`` are a fleet's, summarized into the result.
     """
+    env.settle_runs()
     for system in systems:
-        system.settle_runs()
+        system.obs.tracer.flush()
         system.fold_in_flight()
     now = env.now
     gpu_count = sum(system.gpu_count for system in systems)

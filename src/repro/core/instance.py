@@ -78,15 +78,16 @@ class DecodeRun(Run):
     (``Tracer.defer``), so spans keep the order the per-chunk loop
     recorded them in; a chunk that never lands withdraws its span.
 
-    The run is its engine's GPU cache's ``_run`` while it is live.  Any
-    of these splits it at the first chunk end at or after ``now``
-    (:meth:`Run.split`): a join to its batch
-    (:meth:`DecodeInstance.kick`), a pending member's KV transfer
+    The run watches its engine's GPU cache and its batch's pending KV
+    transfers (their :class:`~repro.transfer.CudaEvent`): it is their
+    ``_run`` while it is live.  Any of these splits it at the first
+    chunk end at or after ``now`` (:meth:`Run.split`): a join to its
+    batch (:meth:`DecodeInstance.kick`), a pending member's KV transfer
     completing (``CudaEvent._complete``), an ``engine.perf_factor``
-    change, or an alloc on that cache.  A free on that cache, an
-    invariant sweep and result collection settle it first
-    (:meth:`Run.settle`); :meth:`DecodeInstance.fail` halts it
-    (:meth:`halt`).
+    change, or an alloc on that cache.  A free on that cache settles it
+    first (:meth:`Run.settle`), as do an invariant sweep and result
+    collection (``env.settle_runs()``); :meth:`DecodeInstance.fail`
+    halts it (:meth:`halt`).
     """
 
     __slots__ = ("instance", "batch", "ready", "size", "chunks", "spans")
@@ -134,7 +135,7 @@ class DecodeRun(Run):
         if len(chunks) > 1:
             cut = _growth_cut(engine.gpu_kv_cache, ready, chunks, remaining - left)
             del chunks[cut:], ends[cut:]
-        Run.__init__(self, instance.env, ends)
+        Run.__init__(self, instance.env, ends, (engine.gpu_kv_cache, *pending))
         self.instance = instance
         self.batch = batch
         self.ready = ready
@@ -152,9 +153,6 @@ class DecodeRun(Run):
                     parent=parent, model=spec.name,
                 ))
                 start = end
-        engine.gpu_kv_cache._run = self
-        for transfer in pending:
-            transfer._run = self
 
     def land(self, first: int, stop: int) -> None:
         instance = self.instance
@@ -201,14 +199,10 @@ class DecodeRun(Run):
             del self.spans[index:]
 
     def finish(self) -> None:
-        """Leave the GPU cache, then land every chunk left."""
-        engine = self.instance.engine
-        cache = engine.gpu_kv_cache
-        if cache._run is self:
-            cache._run = None
+        """Retire, then land every chunk left."""
         Run.finish(self)
         if self.spans is not None:
-            engine._tracer.flush()
+            self.instance.engine._tracer.flush()
 
     def halt(self) -> None:
         """The instance fails at ``now``: land the chunks that ended

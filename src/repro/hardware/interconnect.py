@@ -42,8 +42,9 @@ class Link:
         self._busy = False
         self._grants: deque[Event] = deque()
         # The weight-load run retiring its chunks on this channel with one
-        # timeout (``transfer.loader.LoadRun``), or None.  Anything that
-        # could observe a chunk boundary splits it at ``now`` first.
+        # timeout (``transfer.loader.LoadRun``), or None; the run sets and
+        # clears it.  Anything that could observe a chunk boundary splits
+        # it at ``now`` first.
         self._run = None
         self.bytes_moved = 0
         self.busy_time = 0.0
@@ -91,15 +92,6 @@ class Link:
         grant = self.env.event()
         self._grants.append(grant)
         return grant
-
-    def settle(self) -> None:
-        """Land what a load run on the channel has finished by ``now``.
-
-        The run goes on untouched; only its landed chunks' counters and
-        spans are brought up to date (``LoadRun.settle``).
-        """
-        if self._run is not None:
-            self._run.settle()
 
     def release(self) -> None:
         """Hand the channel to the oldest waiting claim, or free it."""

@@ -465,6 +465,7 @@ class Environment:
         "steps_executed",
         "steps_inlined",
         "events_cancelled",
+        "runs",
     )
 
     # Always 0 (nothing is recycled); simbench reads it.
@@ -482,6 +483,9 @@ class Environment:
         self.steps_executed = 0
         self.steps_inlined = 0
         self.events_cancelled = 0
+        # Every live run (``repro.sim.Run``), in formation order: a dict
+        # used as an insertion-ordered set.
+        self.runs: dict = {}
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -496,6 +500,16 @@ class Environment:
         derived instead of maintained on the hot path.
         """
         return self._sequence
+
+    def settle_runs(self) -> None:
+        """Land what every live run has finished by ``now``, in formation
+        order; each run goes on (``Run.settle``).
+
+        For a reader that must see every interval that has ended: an
+        invariant sweep, or the result collection at the end of a run.
+        """
+        for run in self.runs:
+            run.settle()
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:

@@ -46,16 +46,30 @@ class Run:
     before the interval began.  A run whose observers come after the
     end instead (a claim on a load's link) calls :meth:`settle` first,
     which lands an interval ending at ``now``.
+
+    Registry: a run registers itself, in formation order, in
+    ``env.runs``, so a reader that must see every ended interval calls
+    ``env.settle_runs()`` without knowing where runs live.  ``watch``
+    names the resources whose operations could observe a boundary; the
+    run becomes each one's ``_run``, and the resource splits or settles
+    it before such an operation.  :meth:`retire` takes the run out of
+    both again: :meth:`finish` calls it, and so does an owner whose
+    split ends the run at once.  A retired run is reachable from no
+    resource.
     """
 
-    __slots__ = ("env", "start", "ends", "landed", "timeout")
+    __slots__ = ("env", "start", "ends", "landed", "timeout", "watch")
 
-    def __init__(self, env: Environment, ends: list):
+    def __init__(self, env: Environment, ends: list, watch: tuple):
         self.env = env
         self.start = env.now
         self.ends = ends
         self.landed = 0
         self.timeout = env.timeout_at(ends[-1])
+        self.watch = watch
+        env.runs[self] = None
+        for resource in watch:
+            resource._run = self
 
     # -- owner hooks -----------------------------------------------------------
     def land(self, first: int, stop: int) -> None:
@@ -69,9 +83,18 @@ class Run:
         raise NotImplementedError
 
     # -- retiring ----------------------------------------------------------------
+    def retire(self) -> None:
+        """Leave ``env.runs`` and every watched resource that still
+        names this run; idempotent."""
+        for resource in self.watch:
+            if resource._run is self:
+                resource._run = None
+        self.env.runs.pop(self, None)
+
     def finish(self) -> None:
-        """Land every interval left; the owner calls this when the
-        timeout it waits on fires."""
+        """Retire, then land every interval left; the owner calls this
+        when the timeout it waits on fires."""
+        self.retire()
         self.timeout = None
         first = self.landed
         stop = self.landed = len(self.ends)

@@ -217,13 +217,13 @@ class LoadRun(Run):
     :meth:`finish` when it fires.
 
     :meth:`split` ends the run early at ``now``: ``Link.acquire``,
-    ``Link.throttle`` and ``Link.restore`` call it through the link's
-    ``_run`` slot, and a synchronous owner calls it when an interrupt
-    unwinds it.  A boundary at exactly ``now`` counts as passed (the
-    split settles first).  The split lands every finished op in order
-    and hands the owner the op in flight: a stall that ends at its
-    boundary (the link free meanwhile), or a copy that holds the link
-    until its end.  A run split at its very end keeps its timeout,
+    ``Link.throttle`` and ``Link.restore`` call it (the run watches its
+    link), and a synchronous owner calls it when an interrupt unwinds
+    it.  A boundary at exactly ``now`` counts as passed (the split
+    settles first).  The split retires the run, lands every finished op
+    in order and hands the owner the op in flight: a stall that ends at
+    its boundary (the link free meanwhile), or a copy that holds the
+    link until its end.  A run split at its very end keeps its timeout,
     which is due at ``now``.  :meth:`settle` lands the same ops without
     ending the run.
 
@@ -242,8 +242,9 @@ class LoadRun(Run):
         self.chunks = chunks
         self.base = first
         self.owner = owner
-        #: ``(chunk index, in copy)`` of the op a split handed over.
-        self.handed: Optional[tuple[int, bool]] = None
+        #: The op a split handed over: ``(chunk index, in copy, start,
+        #: nbytes, duration)``, the last two its chunk's copy's.
+        self.handed: Optional[tuple] = None
         # The bandwidth cannot change inside a run (a throttle splits it
         # first), so each chunk size has one duration.
         self.duration = duration = link.transfer_time(nbytes)
@@ -253,19 +254,8 @@ class LoadRun(Run):
         steps = [stall, duration] * (count - 1 - first) + [last_stall, last_duration]
         ends = list(accumulate(steps, initial=link.env.now))
         del ends[0]
-        Run.__init__(self, link.env, ends)
+        Run.__init__(self, link.env, ends, (link,))
         link._busy = True
-        link._run = self
-
-    @property
-    def first(self) -> int:
-        """The first chunk not wholly landed."""
-        return self.base + (self.landed >> 1)
-
-    @property
-    def stalled(self) -> bool:
-        """Chunk :attr:`first`'s stall has landed (:meth:`settle`)."""
-        return bool(self.landed & 1)
 
     def _op(self, op: int) -> tuple:
         """Op ``op``'s ``(chunk index, start, end, nbytes, duration)``:
@@ -278,19 +268,6 @@ class LoadRun(Run):
             nbytes, duration = self.chunks[1], self.duration
         start = self.ends[op - 1] if op else self.start
         return index, start, self.ends[op], nbytes, duration
-
-    def _replay(self):
-        """Each chunk not wholly landed: ``(index, stall start, stall end,
-        copy end, nbytes, duration)``, the stall start None for a stall
-        that has already landed."""
-        op = self.landed & ~1
-        stalled = self.stalled
-        while op < len(self.ends):
-            index, start, stall_end, nbytes, duration = self._op(op)
-            yield (index, None if stalled else start, stall_end,
-                   self.ends[op + 1], nbytes, duration)
-            stalled = False
-            op += 2
 
     def land(self, first: int, stop: int) -> None:
         link = self.link
@@ -309,34 +286,29 @@ class LoadRun(Run):
     def hand(self, op: int) -> Optional[Event]:
         index, start, end, nbytes, duration = self._op(op)
         in_copy = bool(op & 1)
-        self.handed = (index, in_copy)
-        owner = self.owner
-        if owner is not None:
+        self.handed = (index, in_copy, start, nbytes, duration)
+        env = self.env
+        if self.owner is None:
             if in_copy:
-                return owner._take_copy(start, end, nbytes, duration)
-            return owner._take_stall(start, end)
-        env = self.link.env
-        if in_copy:
-            return _hold(self.link, nbytes, duration, env.timeout_at(end))
-        return None if self.timeout._waiter is None else env.timeout_at(end)
+                return _hold(self.link, nbytes, duration, env.timeout_at(end))
+            if self.timeout._waiter is None:
+                return None
+        return env.timeout_at(end)
 
     def finish(self) -> None:
-        """Land every op and free the link; the owner calls this when
+        """Free the link and land every op; the owner calls this when
         :attr:`timeout` fires (a no-op after a split at the run's end)."""
-        link = self.link
-        if link._run is self:
-            link._run = None
-            link._busy = False
+        if self in self.env.runs:
+            self.link._busy = False
         Run.finish(self)
 
     def split(self) -> None:
         """End the run at ``now``; see the class docstring."""
-        link = self.link
-        link._run = None
+        self.retire()
         Run.settle(self)
         Run.split(self)
         if self.handed is None or not self.handed[1]:
-            link._busy = False
+            self.link._busy = False
 
 
 def _drive(link: Link, chunks: tuple) -> Generator:
@@ -359,13 +331,13 @@ def _drive(link: Link, chunks: tuple) -> Generator:
                 # The loader unwinds (an interrupt): the chunks landed
                 # so far count, and a copy in flight still holds the
                 # link until it ends.
-                if link._run is run:
+                if run in env.runs:
                     run.split()
                 raise
             if run.handed is None:
                 run.finish()
                 return
-            index, in_copy = run.handed
+            index, in_copy = run.handed[:2]
             last = index == count - 1
             if in_copy:
                 index += 1

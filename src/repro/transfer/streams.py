@@ -58,7 +58,8 @@ class CudaEvent:
         # MoveList.add), told when the work completes.
         self._move_list = None
         # The decode run whose batch waits on this transfer (rule ❶),
-        # split when it completes (``core.instance.DecodeRun``).
+        # split when it completes; it watches the event while it is live
+        # (``core.instance.DecodeRun``).
         self._run = None
 
     # -- Table 2 API ------------------------------------------------------
@@ -123,8 +124,6 @@ class CudaStream:
         self._depth = 0
         self.ops_executed = 0
         self._tracer = obs.tracer
-        #: The op a load run's split handed back: (start, bytes, seconds).
-        self._handed: Optional[tuple] = None
         env.process(_lane(env, self))
 
     # -- enqueue API --------------------------------------------------------
@@ -243,19 +242,6 @@ class CudaStream:
                 start=stall_start, end=stall_end,
             )
 
-    def _take_stall(self, stall_start, stall_end) -> Event:
-        """A split handed over a stall in flight: the lane resumes at its
-        end and finishes it (``run.handed`` names the chunk)."""
-        self._handed = (stall_start, 0, 0.0)
-        return self.env.timeout_at(stall_end)
-
-    def _take_copy(self, start, end, nbytes, duration) -> Event:
-        """A split handed over a copy in flight (its stall has landed):
-        the lane resumes at the copy's end and finishes it, holding the
-        link until then."""
-        self._handed = (start, nbytes, duration)
-        return self.env.timeout_at(end)
-
     def _enqueue(self, op: tuple, count: int = 1) -> None:
         self._depth += count
         parked = self._parked
@@ -362,8 +348,7 @@ def _load(env: Environment, stream: CudaStream, op: tuple) -> Generator:
                 if on_done is not None:
                     on_done()
                 return
-            chunk, in_copy = run.handed
-            start, nbytes, duration = stream._handed
+            chunk, in_copy, start, nbytes, duration = run.handed
             if in_copy:
                 index = 2 * chunk + 1
                 stream._copied(link, nbytes, duration, start,

@@ -154,9 +154,7 @@ class _Harness:
 
     def settle(self) -> None:
         """What result collection does to a live run."""
-        run = self.engine.gpu_kv_cache._run
-        if run is not None:
-            run.settle()
+        self.env.settle_runs()
         self.obs.tracer.flush()
 
     def outcome(self) -> tuple:
@@ -249,6 +247,7 @@ class TestDecodeRunDifferential:
             harness.env.run()
         assert harness.outcome() == reference.outcome()
         assert harness.engine.gpu_kv_cache._run is None
+        assert not harness.env.runs
         assert _steps(reference.env) - _steps(harness.env) == tally.saved_steps()
 
     @settings(max_examples=40, deadline=None)

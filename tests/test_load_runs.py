@@ -14,8 +14,9 @@ instants, end them at the same instants, land the same bytes, busy
 time and stream spans, and complete the same loads, records and
 unpins at the same instants.  The steps the runs save must match the
 identity in DESIGN.md ("Run-length weight loads").  A second property
-settles the link (``Link.settle``, as serve collection does) at random
-cuts and requires what a reader sees there to match the chain.
+settles every live run (``env.settle_runs()``, as serve collection
+does) at random cuts and requires what a reader sees there to match
+the chain.
 
 Every foreign action sits on a quarter-second grid and every load start
 on its own offset from it, while chunk times are sums of stalls and
@@ -310,17 +311,17 @@ class _RunTally:
 
         def tallied_init(run, link, chunks, first, owner=None):
             init(run, link, chunks, first, owner)
-            bounds = set()
-            for _, _, stall_end, copy_end, _, _ in run._replay():
-                bounds.update((stall_end, copy_end))
-            self.runs[run] = (link.env.active_process, bounds)
+            self.runs[run] = (link.env.active_process, set(run.ends))
 
         def tallied_split(run):
             kind = "lane" if run.owner is not None else "sync"
             now = run.link.env.now
             landed, in_copy = 0, False
             bounds = self.runs[run][1]
-            for _, _, stall_end, copy_end, _, _ in run._replay():
+            ends = run.ends
+            # Each chunk not wholly landed: its stall's and copy's ends.
+            for op in range(run.landed & ~1, len(ends), 2):
+                stall_end, copy_end = ends[op], ends[op + 1]
                 if copy_end > now:
                     in_copy = now >= stall_end
                     # Only the op handed over still ends where the run
@@ -337,10 +338,12 @@ class _RunTally:
             split(run)
 
         def tallied_finish(run):
-            if run.link._run is run:
+            if run in run.env.runs:
                 kind = "lane" if run.owner is not None else "sync"
                 self.tally[f"fired {kind}"] += 1
-                self.tally[f"retired {kind}"] += 2 * (run.chunks[0] - run.first)
+                # Every op of the chunks not wholly landed.
+                unlanded = run.chunks[0] - run.base - (run.landed >> 1)
+                self.tally[f"retired {kind}"] += 2 * unlanded
             finish(run)
 
         monkeypatch.setattr(LoadRun, "__init__", tallied_init)
@@ -386,7 +389,7 @@ class TestLoadRunDifferential:
                       max_size=8, unique=True),
     )
     def test_settled_cuts_match_the_per_chunk_reference(self, program, cuts):
-        # A serve cut short settles its links before it collects: at
+        # A serve cut short settles its runs before it collects: at
         # each cut, what the runs have landed must be what the chain had
         # landed, and the runs must go on as if nothing happened.
         with pytest.MonkeyPatch.context() as monkeypatch:
@@ -399,8 +402,8 @@ class TestLoadRunDifferential:
                 with reference_loader.per_chunk():
                     reference.env.run(until=until)
                 harness.env.run(until=until)
-                harness.h2d.settle()
-                harness.h2d.settle()  # idempotent
+                harness.env.settle_runs()
+                harness.env.settle_runs()  # idempotent
                 harness.actions.append((until, self))
                 assert tally.ties(harness.actions) == []
                 assert harness.cut() == reference.cut()
@@ -552,8 +555,8 @@ class TestTieRule:
 
 
 class TestSettle:
-    """``Link.settle`` lands what a run has finished by ``now`` and leaves
-    it going.  The :func:`_exact_loader` chunks again: chunk k stalls
+    """``env.settle_runs()`` lands what a run has finished by ``now`` and
+    leaves it going.  The :func:`_exact_loader` chunks again: chunk k stalls
     over [2k, 2k + 1] and copies over [2k + 1, 2k + 2]."""
 
     @staticmethod
@@ -575,7 +578,7 @@ class TestSettle:
         seen = []
         for when in settle_at:
             env.run(until=when)
-            h2d.settle()
+            env.settle_runs()
             seen.append((
                 h2d.bytes_moved, h2d.busy_time, stream.ops_executed,
                 stream.pending_ops, sorted((s.name, s.start, s.end) for s in obs.tracer.spans),
@@ -620,7 +623,7 @@ class TestSettle:
         done = env.process(loader.load("m", 3000))
         env.run(until=3.5)
         assert h2d.bytes_moved == 0
-        h2d.settle()
+        env.settle_runs()
         assert (h2d.bytes_moved, h2d.busy_time, h2d._busy) == (1000, 1.0, True)
         env.run(until=done)
         assert (env.now, h2d.bytes_moved, h2d.busy_time) == (6.0, 3000, 3.0)
@@ -632,7 +635,7 @@ class TestTracedServe:
     def test_stream_spans_match_the_per_chunk_reference(self, monkeypatch, until):
         # Tracing keeps the runs: each chunk's stall and copy spans land
         # when its run ends or splits, with the chain's own times.  A
-        # serve the deadline cuts short (8 s) settles its links as it
+        # serve the deadline cuts short (8 s) settles its runs as it
         # collects, so the runs still live then land what they finished.
         from repro.core import AegaeonConfig, SystemSpec
         from repro.models import market_mix
@@ -667,10 +670,11 @@ class TestTracedServe:
             formed.append(run.owner is None)
 
         def watched(run):
-            now = run.link.env.now
-            landed = sum(copy_end <= now for _, _, _, copy_end, _, _ in run._replay())
+            now = run.env.now
+            # Copies ended by now, of the chunks not wholly landed.
+            landed = sum(end <= now for end in run.ends[run.landed | 1::2])
             settle(run)
-            settled.append((run.owner is None, landed, run.stalled))
+            settled.append((run.owner is None, landed, bool(run.landed & 1)))
 
         monkeypatch.setattr(LoadRun, "__init__", counted)
         monkeypatch.setattr(LoadRun, "settle", watched)

@@ -50,7 +50,9 @@ def _served(bundle: str, obs: ObsConfig):
     )
 
 
-def _fleet(obs: ObsConfig):
+def fleet_run(obs: ObsConfig):
+    """The 3-shard forecast-controller fleet under seeded faults, run:
+    ``(env, fleet, result)``."""
     spec = SystemSpec(
         config=AegaeonConfig(
             prefill_instances=1, decode_instances=3, cluster="h800-quad", obs=obs
@@ -74,7 +76,11 @@ def _fleet(obs: ObsConfig):
     stream = market_stream(12, 40.0, seed=4, total_rate=4.0)
     for model in stream.models:
         fleet.partitioner.pin(model.name, 0)
-    result = fleet.run(stream)
+    return env, fleet, fleet.run(stream)
+
+
+def _fleet(obs: ObsConfig):
+    env, fleet, result = fleet_run(obs)
     rows = [request_rows(shard.system.proxy.requests) for shard in fleet.shards]
     return env.steps_executed, env.events_scheduled, result.digest(), rows
 

@@ -5,9 +5,11 @@ Runs each workload below in its own Python process under a
 events only; no line tracing), then sorts the functions of ``src/repro``
 into five groups by line count:
 
-* **protocol** — a method of a class that subclasses ``typing.Protocol``:
-  a signature stub no workload is meant to enter, so it is left out of
-  the last three groups whether or not anything enters it;
+* **protocol** — a method of a class that subclasses ``typing.Protocol``,
+  or one whose body is only a docstring and ``raise
+  NotImplementedError`` (a hook each subclass overrides): a signature
+  stub no workload is meant to enter, so it is left out of the last
+  three groups whether or not anything enters it;
 * **display** — a ``__repr__`` or ``__str__``: it runs only when
   something is printed, so it is left out of the last three groups too;
 * **unreached** — no workload enters the function;
@@ -185,7 +187,8 @@ def _collect(
             first = min([item.lineno] + [d.lineno for d in item.decorator_list])
             span = item.end_lineno - first + 1
             inner = _collect(item, rel, f"{scope}{item.name}.", table, protocol)
-            table[(rel, first)] = (f"{scope}{item.name}", span - inner, protocol)
+            stub = protocol or _is_stub(item)
+            table[(rel, first)] = (f"{scope}{item.name}", span - inner, stub)
             spanned += span
         elif isinstance(item, ast.ClassDef):
             spanned += _collect(
@@ -205,6 +208,23 @@ def _is_protocol(node: ast.ClassDef) -> bool:
         if name == "Protocol":
             return True
     return False
+
+
+def _is_stub(node: ast.FunctionDef) -> bool:
+    """True when the body is only an optional docstring and ``raise
+    NotImplementedError`` (or ``raise NotImplementedError(...)``)."""
+    body = node.body
+    if (
+        body and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+    ):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
 
 
 # -- the driver -------------------------------------------------------------------

@@ -147,16 +147,21 @@ def load_taps(loads: Counter) -> list:
 
     def landing(run) -> tuple:
         """What a split or settle at ``now`` lands: (whole chunks, ops,
-        whether a copy is in flight).  A stall start of None is a stall
-        an earlier settle already landed."""
-        now = run.link.env.now
+        whether a copy is in flight).  Ops ``2 * i`` and ``2 * i + 1`` of
+        ``run.ends`` are chunk ``run.base + i``'s stall and copy; an odd
+        ``run.landed`` means an earlier settle landed the first unlanded
+        chunk's stall."""
+        now = run.env.now
+        ends = run.ends
+        stalled = run.landed & 1
         landed = ops = 0
-        for _, stall_start, stall_end, copy_end, _, _ in run._replay():
-            if copy_end > now:
-                in_copy = now >= stall_end
-                return landed, ops + (in_copy and stall_start is not None), in_copy
+        for op in range(run.landed & ~1, len(ends), 2):
+            if ends[op + 1] > now:
+                in_copy = now >= ends[op]
+                return landed, ops + (in_copy and not stalled), in_copy
             landed += 1
-            ops += 1 + (stall_start is not None)
+            ops += 2 - stalled
+            stalled = 0
         return landed, ops, None
 
     def split(run):
@@ -165,23 +170,22 @@ def load_taps(loads: Counter) -> list:
         if in_copy is None:
             loads[f"runs fired ({owner})"] += 1
             loads[f"splits at a run's end ({cause[0]})"] += 1
-        loads[f"splits by {cause[0]}"] += landed < run.chunks[0] - run.first
+        loads[f"splits by {cause[0]}"] += (
+            landed < run.chunks[0] - run.base - (run.landed >> 1)
+        )
         loads[f"ops retired in runs ({owner})"] += ops
 
-    def settled(link):
-        # A run still live when a serve collects: what it landed by then
-        # cost the per-chunk chain its steps too.
-        run = link._run
-        if run is not None:
-            loads[f"ops retired in runs ({_owner(run.owner)})"] += landing(run)[1]
+    def settled(run):
+        # A run still live when an invariant sweep or the collection at
+        # the end settles it (``Environment.settle_runs``): what it lands
+        # then cost the per-chunk chain its steps too.
+        loads[f"ops retired in runs ({_owner(run.owner)})"] += landing(run)[1]
 
     def finished(run):
-        if run.link._run is run:
+        if run in run.env.runs:  # not split at its end already
             owner = _owner(run.owner)
             loads[f"runs fired ({owner})"] += 1
-            loads[f"ops retired in runs ({owner})"] += (
-                2 * (run.chunks[0] - run.first) - run.stalled
-            )
+            loads[f"ops retired in runs ({owner})"] += len(run.ends) - run.landed
 
     def caused(label):
         def tap(link, *args):
@@ -194,7 +198,7 @@ def load_taps(loads: Counter) -> list:
         _wrap(LoadRun, "__init__", formed),
         _wrap(LoadRun, "split", split),
         _wrap(LoadRun, "finish", finished),
-        _wrap(Link, "settle", settled),
+        _wrap(LoadRun, "settle", settled),
     ]
     for name, label in (("acquire", "claim"), ("throttle", "throttle/restore"),
                         ("restore", "throttle/restore")):
