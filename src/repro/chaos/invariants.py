@@ -44,7 +44,8 @@ nothing:
   ``add`` / ``reclaim``), which feed per-allocator ownership counters
   and check that they add up to the live count;
 * I2 on every committed run: each admitted request's ``runs`` list
-  checks the run that ``commit_chunk`` or ``record_tokens`` appends;
+  checks, chunk by chunk, the run that ``commit_stretch``,
+  ``commit_chunk`` or ``record_tokens`` appends;
 * I3 on ``fail_instance``;
 * I4 and the met-token recount in :meth:`~InvariantChecker.vet_terminal`,
   as the system disposes of a request.
@@ -61,10 +62,11 @@ not crash" and "provably preserved the invariants under chaos".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..engine.request import Phase
+from ..engine.request import Phase, Stretch, run_chunks
 
 __all__ = ["InvariantChecker", "InvariantViolation", "Violation", "met_in_runs"]
 
@@ -88,34 +90,64 @@ class Violation:
         return f"[t={self.time:.3f}] {self.invariant}: {self.detail}"
 
 
-def met_in_runs(
-    runs: Sequence[tuple[float, float, int]], base: float, tbt: float
-) -> int:
-    """How many tokens of ``runs`` meet their deadlines, token k being
-    due at ``base + tbt * k``; equal to the per-token count.
+def met_in_runs(runs: Sequence, base: float, tbt: float) -> int:
+    """How many tokens of ``runs`` (triples or stretches) meet their
+    deadlines, token k being due at ``base + tbt * k``; equal to the
+    per-token count (see :func:`_walk_runs`)."""
+    return _walk_runs(runs, base, tbt)[0]
 
-    A run's token times (``step >= 0``) and its tokens' deadlines
+
+def _walk_runs(runs: Sequence, base: float, tbt: float) -> tuple:
+    """One pass over ``runs``, chunk by chunk: ``(met, tokens, last,
+    decrease)``, the tokens that meet their deadlines (token k due at
+    ``base + tbt * k``), the token count, the last token's time (-inf
+    for no token) and the index of the first token of the first chunk
+    that has ``step < 0`` or starts before the token ahead of it (None
+    if no chunk does).
+
+    A chunk's token times (``step >= 0``) and its tokens' deadlines
     (``tbt >= 0``) are both non-decreasing, and float rounding keeps
-    that order.  So a run whose last token meets its first token's
+    that order.  So a chunk whose last token meets its first token's
     deadline is all met, and one whose first token misses its last
-    token's deadline is all missed; only a run straddling a deadline,
+    token's deadline is all missed; only a chunk straddling a deadline,
     or one with ``step < 0``, is counted token by token.
     """
+    # ``n`` stays a float from a stretch's schedule: the counts are
+    # whole numbers, exact in a double, so every product and comparison
+    # is the one an int count gives.
     met = index = 0
+    last = -math.inf
+    decrease = None
     bracket = tbt >= 0.0
-    for start, step, n in runs:
-        if bracket and step >= 0.0:
-            if start + n * step <= base + tbt * index:
+    for run in runs:
+        chunks = run_chunks(run)
+        for k in range(0, len(chunks), 3):
+            start = chunks[k]
+            step = chunks[k + 1]
+            n = chunks[k + 2]
+            first = start + step
+            if (step < 0.0 or first < last) and decrease is None:
+                decrease = int(index)
+            last = start + n * step
+            if step < 0.0 or not bracket:
+                met += _met_by_token(start, step, n, base, tbt, index)
+            elif last <= base + tbt * index:
                 met += n
-                index += n
-                continue
-            if start + step > base + tbt * (index + n - 1):
-                index += n
-                continue
-        for i in range(1, n + 1):
-            if start + i * step <= base + tbt * index:
-                met += 1
-            index += 1
+            elif first <= base + tbt * (index + n - 1):
+                met += _met_by_token(start, step, n, base, tbt, index)
+            index += n
+    return int(met), int(index), last, decrease
+
+
+def _met_by_token(
+    start: float, step: float, n: float, base: float, tbt: float, index: float
+) -> int:
+    """Met tokens of the chunk ``(start, step, n)`` whose first token is
+    token ``index``, compared one token at a time."""
+    met = 0
+    for i in range(int(n)):
+        if start + (i + 1) * step <= base + tbt * (index + i):
+            met += 1
     return met
 
 
@@ -132,10 +164,12 @@ class _Books:
 
 
 class _WatchedRuns(list):
-    """An admitted request's token runs: each appended run is checked (I2).
+    """An admitted request's token runs: each appended run is checked
+    chunk by chunk (I2).
 
-    ``commit_chunk`` appends one run per request and ``record_tokens``
-    extends by one run per token.  The list keeps its own token count
+    ``commit_stretch`` appends one stretch per request, ``commit_chunk``
+    one triple and ``record_tokens`` extends by one triple per token.
+    The list keeps its own token count
     and last token time, so it holds no reference back to its request
     (which would make every request a reference cycle, freed only by
     the cyclic collector).
@@ -152,24 +186,31 @@ class _WatchedRuns(list):
         self.request_id = request.request_id
         self.arrival = request.arrival
         self.output_tokens = request.output_tokens
-        self.tokens = sum(run[2] for run in self)
+        self.tokens = sum(run.tokens if type(run) is Stretch else run[2] for run in self)
         self.last = request.last_token_time if self else request.arrival
 
-    def append(self, run: tuple[float, float, int]) -> None:
-        start, step, n = run
-        end = start + n * step
-        self.tokens += n
-        if (
-            step < 0
-            or start + step < self.last
-            or end > self.env.now + 1e-9
-            or self.tokens > self.output_tokens
-        ):
-            self.checker._flag_run(self, run)
-        self.last = end
+    def append(self, run) -> None:
+        chunks = run_chunks(run)
+        limit = self.env.now + 1e-9
+        output = self.output_tokens
+        tokens = self.tokens
+        last = self.last
+        for k in range(0, len(chunks), 3):
+            start = chunks[k]
+            step = chunks[k + 1]
+            n = chunks[k + 2]  # a whole number, exact as a float
+            end = start + n * step
+            tokens += n
+            if step < 0 or start + step < last or end > limit or tokens > output:
+                self.tokens = int(tokens)
+                self.last = last
+                self.checker._flag_run(self, (start, step, int(n)))
+            last = end
+        self.tokens = int(tokens)
+        self.last = last
         list.append(self, run)
 
-    def extend(self, runs: Iterable[tuple[float, float, int]]) -> None:
+    def extend(self, runs: Iterable) -> None:
         for run in runs:
             self.append(run)
 
@@ -541,7 +582,8 @@ class InvariantChecker:
 
     # -- I2: token monotonicity --------------------------------------------
     def _flag_run(self, runs: _WatchedRuns, run: tuple) -> None:
-        """Name what is wrong with ``run``, about to be appended to ``runs``."""
+        """Name what is wrong with ``run``, a chunk ``(start, step, n)``
+        about to be appended to ``runs``."""
         start, step, n = run
         rid = runs.request_id
         if step < 0 or start + step < runs.last:
@@ -580,43 +622,38 @@ class InvariantChecker:
                 f"request {request.request_id} generated {count} "
                 f"tokens of {request.output_tokens}",
             )
-        index = 0
+        # Token k is due at arrival + TTFT + k * TBT, the system's SLO
+        # (the same float expression as the commits' deadlines).
+        met, tokens, last, decrease = _walk_runs(
+            runs, request.arrival + self._slo.ttft, self._slo.tbt
+        )
         if runs:
-            start, step, _ = runs[0]
-            previous = start + step
-            if previous < request.arrival:
+            if request.first_token_time < request.arrival:
                 self._flag(
                     "token-monotonicity",
                     f"request {request.request_id} token before arrival",
                 )
-            # A run with ``step >= 0`` whose first token is not before
-            # the previous run's last is non-decreasing throughout.
-            decreasing = False
-            for start, step, n in runs:
-                if not decreasing and (step < 0 or start + step < previous):
-                    decreasing = True
-                    self._flag(
-                        "token-monotonicity",
-                        f"request {request.request_id} timestamps decrease "
-                        f"in the run from index {index}",
-                    )
-                index += n
-                previous = start + n * step
-            if previous > now + 1e-9:
+            # A chunk with ``step >= 0`` whose first token is not before
+            # the previous chunk's last is non-decreasing throughout.
+            if decrease is not None:
+                self._flag(
+                    "token-monotonicity",
+                    f"request {request.request_id} timestamps decrease "
+                    f"in the run from index {decrease}",
+                )
+            if last > now + 1e-9:
                 self._flag(
                     "token-monotonicity",
                     f"request {request.request_id} token in the future "
-                    f"({previous:.3f} > {now:.3f})",
+                    f"({last:.3f} > {now:.3f})",
                 )
-        if index != count:
+        if tokens != count:
             self._flag(
                 "token-monotonicity",
-                f"request {request.request_id} runs hold {index} tokens, "
+                f"request {request.request_id} runs hold {tokens} tokens, "
                 f"generated_tokens says {count}",
             )
-        # Token k is due at arrival + TTFT + k * TBT, the system's SLO
-        # (the same float expression as ``commit_chunk``'s deadlines).
-        return met_in_runs(runs, request.arrival + self._slo.ttft, self._slo.tbt)
+        return met
 
     def _flag_met(self, request, met: int) -> None:
         self._flag(

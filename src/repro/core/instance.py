@@ -31,7 +31,7 @@ from typing import Callable, Generator, Optional
 
 from ..engine.batching import MAX_BATCH_SIZE
 from ..engine.engine import AegaeonEngine
-from ..engine.request import Phase, Request, commit_chunk
+from ..engine.request import Phase, Request, Stretch, commit_stretch
 from ..memory.slab import KvTooLargeError, SlabAllocator
 from ..models.catalog import ModelSpec
 from ..models.kv import kv_shape
@@ -69,11 +69,17 @@ class DecodeRun(Run):
     at the first member finish or at the quota, and before any chunk
     whose KV growth the GPU cache cannot hold at formation
     (``SlabAllocator.capacity_for``), so a growth that fails does so in
-    a run's last chunk, where the loop's swap-out path takes over.
+    a run's last chunk, where the loop's swap-out path takes over.  The
+    layout is kept as one flat list, ``start, step, steps`` per chunk,
+    the values the loop computes.
 
-    Landing a chunk does what the loop did after a chunk timeout:
-    ``commit_chunk``, each request's KV growth when it crosses a block,
-    and ``engine.busy_time``.  A traced run records each chunk's
+    Landing a stretch of chunks does what the loop did after each of
+    their timeouts.  The stretch's tokens go to every ready request as
+    one shared record, a :class:`~repro.engine.request.Stretch` that
+    copies the stretch's slice of the layout into an exactly sized
+    ``array('d')`` (:func:`~repro.engine.request.commit_stretch`); then,
+    chunk by chunk, ``engine.busy_time`` and each request's KV growth
+    when it crosses a block.  A traced run records each chunk's
     ``decode`` exec span ahead, with the chunk's own start and end
     (``Tracer.defer``), so spans keep the order the per-chunk loop
     recorded them in; a chunk that never lands withdraws its span.
@@ -90,7 +96,7 @@ class DecodeRun(Run):
     halts it (:meth:`halt`).
     """
 
-    __slots__ = ("instance", "batch", "ready", "size", "chunks", "spans")
+    __slots__ = ("instance", "batch", "ready", "size", "layout", "spans")
 
     def __init__(
         self,
@@ -110,7 +116,7 @@ class DecodeRun(Run):
         step_time = engine.latency_model(spec).decode_step_time
         factor = engine.perf_factor
         t = instance.env.now
-        chunks = []
+        layout = []  # start, step, steps per chunk
         ends = []
         left = remaining
         while True:
@@ -125,22 +131,22 @@ class DecodeRun(Run):
                 steps = left
             if steps < 1:
                 steps = 1
+            layout += (t, step, steps)
             t = t + steps * step
-            chunks.append((step, steps))
             ends.append(t)
             left -= steps
             context += count * steps
             if left <= 0 or not t - turn_start < quota:
                 break
-        if len(chunks) > 1:
-            cut = _growth_cut(engine.gpu_kv_cache, ready, chunks, remaining - left)
-            del chunks[cut:], ends[cut:]
+        if len(ends) > 1:
+            cut = _growth_cut(engine.gpu_kv_cache, ready, layout, remaining - left)
+            del layout[3 * cut:], ends[cut:]
         Run.__init__(self, instance.env, ends, (engine.gpu_kv_cache, *pending))
         self.instance = instance
         self.batch = batch
         self.ready = ready
         self.size = len(batch.requests)
-        self.chunks = chunks
+        self.layout = layout
         tracer = engine._tracer
         self.spans = None
         if tracer.enabled:
@@ -159,11 +165,12 @@ class DecodeRun(Run):
         engine = instance.engine
         gpu_cache = engine.gpu_kv_cache
         ready = self.ready
-        ends = self.ends
-        start = ends[first - 1] if first else self.start
-        for step, steps in self.chunks[first:stop]:
+        layout = self.layout
+        commit_stretch(ready, Stretch(layout[3 * first : 3 * stop]))
+        for k in range(3 * first + 1, 3 * stop, 3):
+            step = layout[k]
+            steps = layout[k + 1]
             engine.busy_time += steps * step
-            commit_chunk(ready, start, step, steps)
             # Grow each request's KV (RequestKv.grow only when a block
             # boundary is crossed): steps never exceed any ready
             # request's remaining tokens.
@@ -177,8 +184,6 @@ class DecodeRun(Run):
                     kv.grow(steps, gpu_cache)
                 except MemoryError:
                     instance._grow_failed(self.batch, request)
-            start = ends[first]
-            first += 1
 
     def hand(self, index: int) -> Optional[Event]:
         """Cut the layout after chunk ``index``, in flight; the loop
@@ -192,7 +197,7 @@ class DecodeRun(Run):
     def _drop(self, index: int) -> None:
         """Cut the layout before chunk ``index``, withdrawing the spans
         of the chunks cut."""
-        del self.ends[index:], self.chunks[index:]
+        del self.ends[index:], self.layout[3 * index:]
         if self.spans is not None:
             for entry in self.spans[index:]:
                 Tracer.withdraw(entry)
@@ -229,10 +234,11 @@ class DecodeRun(Run):
 
 
 def _growth_cut(
-    gpu_cache: SlabAllocator, ready: list[Request], chunks: list, total: int
+    gpu_cache: SlabAllocator, ready: list[Request], layout: list, total: int
 ) -> int:
-    """How many of ``chunks`` (``total`` steps) the cache's free room
-    holds the KV growth of, at least one: the blocks each chunk adds,
+    """How many chunks of ``layout`` (``start, step, steps`` each;
+    ``total`` steps) the cache's free room holds the KV growth of, at
+    least one: the blocks each chunk adds,
     summed from the first chunk on, against ``capacity_for`` now.  A
     grow only takes blocks and a free only adds them, so growth within
     that prefix never fails.
@@ -240,10 +246,11 @@ def _growth_cut(
     kv = ready[0].kv
     room = gpu_cache.capacity_for(kv.shape, kv.block_bytes)
     # A request gains at most one block per token.
+    chunks = len(layout) // 3
     if len(ready) * total <= room:
-        return len(chunks)
+        return chunks
     added = 0
-    for index, (_, steps) in enumerate(chunks):
+    for index, steps in enumerate(layout[2::3]):
         added += steps
         need = 0
         for request in ready:
@@ -253,7 +260,7 @@ def _growth_cut(
                 need += -(-tokens // kv.block_tokens) - kv.capacity_tokens // kv.block_tokens
         if need > room:
             return max(1, index)
-    return len(chunks)
+    return chunks
 
 
 class PrefillInstance:

@@ -286,7 +286,6 @@ class AegaeonServer(ServingSystemBase):
         request.prefill_start = None
         request.prefill_end = None
         request.decode_enqueue = None
-        request.decode_exec_time = 0.0
         try:
             self.prefill_scheduler.dispatch(request)
         except LookupError:

@@ -6,17 +6,29 @@ completion timestamps, the count of those tokens that met their
 deadlines (per-token SLO attainment, §2.1 and Figure 3), and the
 request's KV-cache handle.
 
-Token times are kept as runs, not one float per token: a run
-``(start, step, n)`` holds ``n`` tokens, token ``i`` of it done at
-``start + (i + 1) * step``.  A decode chunk is one run object shared by
-every request of its batch; a first token at ``t`` is ``(t, 0.0, 1)``.
-:class:`TokenTimes` reads them back as a sequence of floats.
+Token times are kept as runs, not one float per token.  A run is one
+of two records:
+
+* a triple ``(start, step, n)``: ``n`` tokens, token ``i`` of it done at
+  ``start + (i + 1) * step``.  A first token at ``t`` is ``(t, 0.0, 1)``,
+  and the baselines' per-chunk loops commit one triple per decode chunk
+  (:func:`commit_chunk`), shared by every request of the batch;
+* a :class:`Stretch`: the chunks one landing of a decode run commits,
+  as a flat, exactly sized ``array('d')`` of ``start, step, steps`` per
+  chunk, each chunk read as the triple above.  Aegaeon's decode runs
+  land a stretch of chunks at a time (:func:`commit_stretch`), and every
+  member of the batch shares the one record.
+
+:class:`TokenTimes` reads them back as a sequence of floats, and
+``Request.decode_exec_time`` folds them.  A reader walks a run's chunks
+through :func:`run_chunks`.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
+from array import array
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -28,7 +40,15 @@ from ..workload.stream import TraceRequest
 if TYPE_CHECKING:
     from ..core.slo import SloSpec
 
-__all__ = ["Phase", "Request", "TokenTimes", "commit_chunk"]
+__all__ = [
+    "Phase",
+    "Request",
+    "Stretch",
+    "TokenTimes",
+    "commit_chunk",
+    "commit_stretch",
+    "run_chunks",
+]
 
 
 class Phase(enum.Enum):
@@ -42,7 +62,7 @@ class Phase(enum.Enum):
     REJECTED = "rejected"  # turned away at admission (no live capacity)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Request:
     """One in-flight request.
 
@@ -59,9 +79,6 @@ class Request:
     prefill_end: Optional[float] = None
     decode_enqueue: Optional[float] = None
     finish_time: Optional[float] = None
-    # Time this request's batch actually spent decoding while the
-    # request was in it (feeds the Figure 14 latency breakdown).
-    decode_exec_time: float = 0.0
     # Flattened hot fields.  ``request_id``, ``input_tokens`` and
     # ``output_tokens`` are copied out of the trace and
     # ``generated_tokens`` is maintained as tokens are committed so the
@@ -72,12 +89,10 @@ class Request:
     input_tokens: int = field(init=False, repr=False)
     output_tokens: int = field(init=False, repr=False)
     generated_tokens: int = field(init=False, repr=False, default=0)
-    # Token completion times as ``(start, step, n)`` runs (see the
+    # Token completion times as runs, triples or stretches (see the
     # module docstring); ``token_times`` views them.  A decode chunk's
-    # run is shared with its batch-mates and never mutated.
-    runs: list[tuple[float, float, int]] = field(
-        init=False, repr=False, default_factory=list
-    )
+    # or stretch's run is shared with its batch-mates and never mutated.
+    runs: list = field(init=False, repr=False, default_factory=list)
     # Per-token SLO accounting, kept as tokens are committed: token k
     # meets its deadline iff ``token_times[k] <= slo_base + slo_tbt * k``
     # (exactly ``core.slo.tokens_met``'s float expression).
@@ -89,6 +104,9 @@ class Request:
     slo_tbt: float = field(init=False, repr=False, default=0.0)
     met_tokens: int = field(init=False, repr=False, default=0)
     met_until: float = field(init=False, repr=False, default=0.0)
+    # Set by a policy that rejects the request on purpose (the cost
+    # router's session budget): the fleet must not spill it elsewhere.
+    no_spill: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self, slo: Optional["SloSpec"]) -> None:
         trace = self.trace
@@ -135,16 +153,33 @@ class Request:
         runs = self.runs
         if not runs:
             return None
-        start, step, _ = runs[0]
-        return start + step
+        run = runs[0]
+        if type(run) is Stretch:
+            run = run.schedule
+        return run[0] + run[1]
 
     @property
     def last_token_time(self) -> Optional[float]:
         runs = self.runs
         if not runs:
             return None
-        start, step, n = runs[-1]
-        return start + n * step
+        run = runs[-1]
+        if type(run) is Stretch:
+            run = run.schedule
+        return run[-3] + run[-1] * run[-2]
+
+    @property
+    def decode_exec_time(self) -> float:
+        """Time this request's batch spent decoding while the request was
+        in it (Figure 14's latency breakdown): each chunk's ``steps *
+        step``, folded left in commit order (a prefill token's run adds
+        ``+0.0``)."""
+        total = 0.0
+        for run in self.runs:
+            chunks = run_chunks(run)
+            for k in range(1, len(chunks), 3):
+                total += chunks[k + 1] * chunks[k]
+        return total
 
     # -- mutation ----------------------------------------------------------
     def record_tokens(self, times: Sequence[float]) -> None:
@@ -205,8 +240,7 @@ def commit_chunk(
     # for a straddling chunk, at most once.
     run = (chunk_start, step, steps)
     first_time = chunk_start + step
-    chunk_time = steps * step
-    last_time = chunk_start + chunk_time
+    last_time = chunk_start + steps * step
     times = None
     for request in requests:
         generated = request.generated_tokens
@@ -224,7 +258,111 @@ def commit_chunk(
                 request.met_tokens += count_met(times, base, tbt, generated)
         request.runs.append(run)
         request.generated_tokens = generated + steps
-        request.decode_exec_time += chunk_time
+
+
+class Stretch:
+    """The decode chunks one landing commits, as one token record.
+
+    ``schedule`` is an exactly sized ``array('d')`` copied from a
+    layout of back-to-back chunks, ``start, step, steps`` each: chunk
+    ``c``'s token ``i`` is done at ``schedule[3c] + (i + 1) *
+    schedule[3c + 1]``, the expression :func:`commit_chunk` uses for a
+    triple, and chunk ``c + 1`` starts where chunk ``c`` ends.  A double
+    holds each value exactly, so every token time keeps its bits.
+    ``tokens`` counts the stretch's tokens.  Every member of the batch
+    shares one stretch, and nothing changes it.
+    """
+
+    __slots__ = ("schedule", "tokens")
+
+    def __init__(self, layout: Sequence) -> None:
+        self.schedule = array("d", layout)
+        self.tokens = int(sum(layout[2::3]))
+
+
+def run_chunks(run) -> Sequence:
+    """``run``'s chunks as one flat sequence, ``start, step, steps`` per
+    chunk: a triple is its own one-chunk sequence, and a stretch's is its
+    schedule, where ``steps`` is a float."""
+    return run.schedule if type(run) is Stretch else run
+
+
+def commit_stretch(requests: Sequence[Request], stretch: Stretch) -> None:
+    """Commit a landed stretch of a decode run's chunks to every request
+    of its ready set: each request appends the one shared ``stretch``
+    and gains its tokens.
+
+    Met tokens and ``met_until`` end exactly as :func:`commit_chunk`
+    leaves them, chunk after chunk, with its brackets over the rest of
+    the stretch; a run's token times do not decrease.  The chunks ending
+    by ``met_until`` are met; the first chunk ending after it, found by
+    bisecting the chunk ends, brings ``met_until`` up to its first
+    token's deadline.  Every token from there on is met when the
+    stretch's last time meets that deadline, and none is when that
+    chunk's first time misses the stretch's last token's deadline (each
+    later chunk then moves ``met_until`` on, to the final chunk's first
+    deadline).  Otherwise the chunk is counted as :func:`commit_chunk`
+    counts it, and the same brackets are tried again at the next chunk
+    that ends after ``met_until``.
+    """
+    schedule = stretch.schedule
+    tokens = stretch.tokens
+    final = len(schedule) // 3 - 1
+    k = 3 * final
+    last_time = schedule[k] + schedule[k + 2] * schedule[k + 1]
+    last_steps = int(schedule[k + 2])
+    first_end = schedule[3] if final else last_time
+    for request in requests:
+        generated = request.generated_tokens
+        met_until = request.met_until
+        if last_time <= met_until:
+            request.met_tokens += tokens
+        else:
+            base = request.slo_base
+            tbt = request.slo_tbt
+            # The first chunk ending after ``met_until`` (chunk c ends
+            # where chunk c + 1 starts, and the final chunk ends after
+            # it); the chunks before it are met.
+            lo = met = 0
+            if first_end <= met_until:
+                lo, hi = 1, final
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    if schedule[3 * mid + 3] <= met_until:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                met = int(sum(schedule[2 : 3 * lo + 2 : 3]))
+            # Then chunk by chunk, as commit_chunk: a chunk ending after
+            # ``due`` brings it up to its first token's deadline, and
+            # the brackets settle every chunk from there on at once.
+            count = generated + met
+            due = met_until
+            for k in range(3 * lo, 3 * final + 3, 3):
+                start = schedule[k]
+                step = schedule[k + 1]
+                steps = int(schedule[k + 2])
+                end = start + steps * step
+                if end > due:
+                    due = base + tbt * count
+                    if last_time <= due:
+                        met += generated + tokens - count
+                        break
+                    if start + step > base + tbt * (generated + tokens - 1):
+                        due = base + tbt * (generated + tokens - last_steps)
+                        break
+                    if end > due:
+                        if start + step <= base + tbt * (count + steps - 1):
+                            times = [start + (i + 1) * step for i in range(steps)]
+                            met += count_met(times, base, tbt, count)
+                        count += steps
+                        continue
+                met += steps
+                count += steps
+            request.met_until = due
+            request.met_tokens += met
+        request.runs.append(stretch)
+        request.generated_tokens = generated + tokens
 
 
 def count_met(times: Sequence[float], base: float, tbt: float, first: int) -> int:
@@ -261,25 +399,36 @@ class TokenTimes(Sequence):
         if isinstance(index, slice):
             return list(self)[index]
         index = operator.index(index)
-        count = self._request.generated_tokens
+        request = self._request
+        count = request.generated_tokens
         if index < 0:
             index += count
         if not 0 <= index < count:
             raise IndexError("token index out of range")
-        runs = self._request.runs
         if index == count - 1:
-            start, step, n = runs[-1]
-            return start + n * step
-        for start, step, n in runs:
-            if index < n:
-                return start + (index + 1) * step
-            index -= n
+            return request.last_token_time
+        if not index:
+            return request.first_token_time
+        for run in request.runs:
+            if type(run) is Stretch and index >= run.tokens:
+                index -= run.tokens
+                continue
+            chunks = run_chunks(run)
+            for k in range(0, len(chunks), 3):
+                n = chunks[k + 2]
+                if index < n:
+                    return chunks[k] + (index + 1) * chunks[k + 1]
+                index -= int(n)
         raise AssertionError("runs hold fewer tokens than generated_tokens")
 
     def __iter__(self) -> Iterator[float]:
-        for start, step, n in self._request.runs:
-            for i in range(1, n + 1):
-                yield start + i * step
+        for run in self._request.runs:
+            chunks = run_chunks(run)
+            for k in range(0, len(chunks), 3):
+                start = chunks[k]
+                step = chunks[k + 1]
+                for i in range(1, int(chunks[k + 2]) + 1):
+                    yield start + i * step
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TokenTimes):

@@ -240,7 +240,7 @@ class FleetController:
         # A policy can mark a rejection as final (the cost router's
         # session-budget shedding): re-routing it to another shard would
         # evade the decision, not the capacity problem.
-        if getattr(request, "no_spill", False):
+        if request.no_spill:
             return False
         if not self.ledger.can_spill(request.request_id):
             if self.config.max_spill_hops:

@@ -11,10 +11,15 @@ opening a batch of their own, each swapped in, so its KV arrives
 mid-run), latency spikes, a GPU cache small enough that growth fails
 and swaps requests out, an instance failure, and a deadline cut that
 settles the live run as result collection does, with the engine traced
-in half of them.  Both must commit the same token runs (by
-``float.hex``), met tokens, finishes and failures at the same instants,
-leave the GPU cache in the same state slab for slab, and add the same
-``busy_time`` and traced ``decode`` spans.  The steps the runs save must
+in half of them.  The runs land a stretch of chunks as one shared
+record per request (``commit_stretch``), the reference one triple per
+chunk (``commit_chunk``); expanded to ``(start, step, n)`` chunks, both
+must commit the same token runs (by ``float.hex``), the same met tokens,
+``met_until`` and derived ``decode_exec_time`` (by ``float.hex``), the
+same finishes and failures at the same instants, leave the GPU cache in
+the same state slab for slab, and add the same ``busy_time`` and traced
+``decode`` spans.  The differential also runs at a grain of one step
+per chunk (``DECODE_CHUNK_STEPS = 1`` on both sides).  The steps the runs save must
 match the identity in DESIGN.md ("Decode runs"):
 
     reference steps - run steps = chunks landed in runs - runs fired
@@ -33,9 +38,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DEFAULT_SLO, DecodeBatch, SystemSpec
+from repro.core import DEFAULT_SLO, DecodeBatch, SloSpec, SystemSpec
+from repro.core import instance as instance_module
 from repro.core.instance import DecodeInstance, DecodeRun
 from repro.engine import AegaeonEngine, EngineConfig
+from repro.engine.request import Request, Stretch
 from repro.hardware import H800, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import get_model
@@ -45,7 +52,7 @@ from repro.sim import Environment
 from repro.workload import Trace, TraceRequest
 
 from . import reference_decode
-from .test_core_instances import make_request, prefilled_request
+from .test_core_instances import prefilled_request
 from .test_serving_api import small_config
 
 GiB = 1024**3
@@ -73,7 +80,29 @@ def decode_programs(draw) -> dict:
         "fail": draw(st.one_of(st.none(), _when)),
         "tiny": draw(st.booleans()),
         "traced": draw(st.booleans()),
+        # Tight SLOs put deadlines inside chunks and stretches.
+        "slo": draw(st.one_of(
+            st.just(DEFAULT_SLO),
+            st.builds(SloSpec, ttft=st.floats(0.05, 2.0), tbt=st.floats(0.004, 0.08)),
+        )),
     }
+
+
+def _chunks(request) -> list:
+    """``request``'s token runs expanded to ``(start, step, n)`` chunks,
+    the floats by ``float.hex``: a triple is one chunk, and a stretch
+    the chunks of its schedule."""
+    chunks = []
+    for run in request.runs:
+        if isinstance(run, Stretch):
+            schedule = run.schedule
+            for k in range(0, len(schedule), 3):
+                start, step, n = schedule[k : k + 3]
+                chunks.append((start.hex(), step.hex(), int(n)))
+        else:
+            start, step, n = run
+            chunks.append((start.hex(), step.hex(), n))
+    return chunks
 
 
 class _Harness:
@@ -98,8 +127,9 @@ class _Harness:
         )
         self.log: list = []
         self.requests: list = []
+        self.slo = program["slo"]
         self.instance = DecodeInstance(
-            env, engine, DEFAULT_SLO,
+            env, engine, self.slo,
             lambda r: self.log.append(("finished", r.request_id, env.now.hex())),
             on_failed=lambda r: self.log.append(("failed", r.request_id, env.now.hex())),
             obs=self.obs,
@@ -129,9 +159,9 @@ class _Harness:
         instance = self.instance
         if instance.dead:
             return
+        trace = TraceRequest(len(self.requests), model, self.env.now, inp, out)
         request = prefilled_request(
-            self.env, self.engine,
-            make_request(len(self.requests), model, self.env.now, inp, out),
+            self.env, self.engine, Request(trace, get_model(model), slo=self.slo)
         )
         self.requests.append(request)
         for batch in instance.work_list:
@@ -164,7 +194,7 @@ class _Harness:
             kv = r.kv
             rows.append((
                 r.request_id, r.phase.value, r.generated_tokens, r.met_tokens,
-                [(start.hex(), step.hex(), n) for start, step, n in r.runs],
+                r.met_until.hex(), r.decode_exec_time.hex(), _chunks(r),
                 None if r.finish_time is None else r.finish_time.hex(),
                 None if kv is None else (
                     kv.location, kv.tokens,
@@ -236,19 +266,34 @@ def _steps(env) -> int:
     return env.steps_executed + env.steps_inlined
 
 
+def _differential(program: dict) -> None:
+    """Run ``program`` on runs and on the per-chunk reference, to the end."""
+    reference = _reference(program)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        tally = _RunTally(monkeypatch)
+        harness = _Harness(program)
+        harness.env.run()
+    assert harness.outcome() == reference.outcome()
+    assert harness.engine.gpu_kv_cache._run is None
+    assert not harness.env.runs
+    assert _steps(reference.env) - _steps(harness.env) == tally.saved_steps()
+
+
 class TestDecodeRunDifferential:
     @settings(max_examples=60, deadline=None)
     @given(program=decode_programs())
     def test_runs_match_the_per_chunk_reference(self, program):
-        reference = _reference(program)
+        _differential(program)
+
+    @settings(max_examples=25, deadline=None)
+    @given(program=decode_programs())
+    def test_grain_one_matches_the_per_chunk_reference(self, program):
+        # One step per chunk: the longest runs and stretches, and a
+        # deadline crossed inside nearly every stretch that is late.
         with pytest.MonkeyPatch.context() as monkeypatch:
-            tally = _RunTally(monkeypatch)
-            harness = _Harness(program)
-            harness.env.run()
-        assert harness.outcome() == reference.outcome()
-        assert harness.engine.gpu_kv_cache._run is None
-        assert not harness.env.runs
-        assert _steps(reference.env) - _steps(harness.env) == tally.saved_steps()
+            monkeypatch.setattr(instance_module, "DECODE_CHUNK_STEPS", 1)
+            monkeypatch.setattr(reference_decode, "DECODE_CHUNK_STEPS", 1)
+            _differential(program)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -285,6 +330,7 @@ def _boundaries(program: dict) -> list:
 _LONG = {
     "initial": [("Qwen-7B", 800, 150), ("Qwen-7B", 1200, 120)],
     "joins": [], "spikes": [], "fail": None, "tiny": False, "traced": True,
+    "slo": DEFAULT_SLO,
 }
 
 

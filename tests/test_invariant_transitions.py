@@ -24,7 +24,7 @@ from repro.chaos.invariants import met_in_runs
 from repro.core import AegaeonConfig, AegaeonServer, ServingSystemBase, SystemSpec
 from repro.core import instance as instance_module
 from repro.core.instance import DecodeRun
-from repro.engine.request import commit_chunk
+from repro.engine.request import Stretch, commit_stretch
 from repro.fleet import FleetConfig, build_fleet
 from repro.models import market_mix
 from repro.policy import available_bundles, get_bundle
@@ -99,15 +99,17 @@ class TestPlantedBugs:
         env, system = _checked_system()
         commits = []
 
-        def backwards(requests, chunk_start, step, steps):
+        def backwards(requests, stretch):
             if not commits and all(r.generated_tokens for r in requests):
-                # The first chunk starts one step before its batch's
-                # latest token.
+                # The first landed stretch starts one step before its
+                # batch's latest token.
                 commits.append(env.now)
-                chunk_start = max(r.last_token_time for r in requests) - 2 * step
-            commit_chunk(requests, chunk_start, step, steps)
+                layout = stretch.schedule.tolist()
+                layout[0] = max(r.last_token_time for r in requests) - 2 * layout[1]
+                stretch = Stretch(layout)
+            commit_stretch(requests, stretch)
 
-        monkeypatch.setattr(instance_module, "commit_chunk", backwards)
+        monkeypatch.setattr(instance_module, "commit_stretch", backwards)
         violations = _serve_with_violations(system)
         (committed_at,) = commits
         assert violations[0].time == committed_at

@@ -2,13 +2,15 @@
 
 Every :class:`~repro.engine.request.Request` keeps ``met_tokens``, the
 number of its generated tokens that met their deadlines, updated where
-tokens are committed: :func:`~repro.engine.request.commit_chunk` (the
-decode loops) and :meth:`Request.record_tokens` (first tokens and the
-batcher baselines).  ``core.slo.tokens_met`` recomputes the same count
-from ``token_times`` with numpy and is the oracle here: the two must
-agree exactly, request by request, on every serving system, under
+tokens are committed: :func:`~repro.engine.request.commit_stretch`
+(Aegaeon's decode runs), :func:`~repro.engine.request.commit_chunk` (the
+baselines' decode loops) and :meth:`Request.record_tokens` (first tokens
+and the batcher baselines).  ``core.slo.tokens_met`` recomputes the same
+count from ``token_times`` with numpy and is the oracle here: the two
+must agree exactly, request by request, on every serving system, under
 faults that restart requests from prefill, and on single chunks built
-to straddle a deadline.
+to straddle a deadline.  A stretch must also leave ``met_tokens`` and
+``met_until`` exactly as committing its chunks one by one does.
 """
 
 import pytest
@@ -23,7 +25,7 @@ from repro.core import (
     available_systems,
     tokens_met,
 )
-from repro.engine.request import Request, commit_chunk
+from repro.engine.request import Request, Stretch, commit_chunk, commit_stretch
 from repro.fleet import FleetConfig, ShardStats, build_fleet
 from repro.models import get_model, market_mix
 from repro.workload import TraceRequest, market_stream, materialize_trace, sharegpt
@@ -205,3 +207,55 @@ class TestChunkCommit:
             assert request.token_times[-steps:] == times
         assert len({id(request.runs) for request in batch}) == len(batch)
         assert all(request.runs[-1] is anchor.runs[-1] for request in batch)
+
+
+class TestStretchCommit:
+    """``commit_stretch`` against ``commit_chunk`` chunk by chunk: a
+    schedule of back-to-back chunks around the TBT, landed in stretches
+    cut at random, must leave each batch-mate's met tokens, ``met_until``
+    and token times bit-identical to its twin's."""
+
+    @given(
+        data=st.data(),
+        ttft=st.floats(0.05, 5.0),
+        tbt=st.floats(0.005, 0.5),
+        arrival=st.floats(0.0, 50.0),
+    )
+    def test_stretches_match_their_chunks(self, data, ttft, tbt, arrival):
+        slo = SloSpec(ttft=ttft, tbt=tbt)
+        chunks = data.draw(st.lists(
+            st.tuples(st.floats(0.05, 4.0), st.integers(1, 16)), min_size=1, max_size=12,
+        ), label="chunks (step/tbt, steps)")
+        start = arrival + data.draw(st.floats(0.0, 2.0), label="lag") * ttft
+        layout = []
+        for ratio, steps in chunks:
+            step = ratio * tbt
+            layout += (start, step, steps)
+            start = start + steps * step
+        total = sum(steps for _, steps in chunks)
+        cuts = sorted(set(data.draw(
+            st.lists(st.integers(1, len(chunks) - 1), max_size=4), label="cuts"
+        ) if len(chunks) > 1 else []))
+        bounds = [0, *cuts, len(chunks)]
+        pairs = []
+        for index in range(data.draw(st.integers(1, 3), label="mates")):
+            generated = data.draw(st.integers(1, 20), label="generated")
+            offset = data.draw(st.floats(0.0, 1.0), label="offset") * ttft
+            twins = [
+                batch_request(index, arrival + offset, slo, generated, total, layout[0], tbt)
+                for _ in range(2)
+            ]
+            pairs.append(twins)
+        for first, stop in zip(bounds, bounds[1:]):
+            commit_stretch([pair[0] for pair in pairs], Stretch(layout[3 * first : 3 * stop]))
+            for chunk in range(first, stop):
+                chunk_start, step, steps = layout[3 * chunk : 3 * chunk + 3]
+                commit_chunk([pair[1] for pair in pairs], chunk_start, step, steps)
+        for stretched, chunked in pairs:
+            assert stretched.met_tokens == chunked.met_tokens == recount(stretched, slo)
+            assert stretched.met_until.hex() == chunked.met_until.hex()
+            assert stretched.generated_tokens == chunked.generated_tokens
+            assert [t.hex() for t in stretched.token_times] == [
+                t.hex() for t in chunked.token_times
+            ]
+            assert stretched.decode_exec_time.hex() == chunked.decode_exec_time.hex()

@@ -1,12 +1,17 @@
 """Token times are stored as runs and read through a view.
 
-A request keeps ``(start, step, n)`` runs: a decode chunk is one run
-object shared by its batch, a first token at ``t`` is ``(t, 0.0, 1)``.
-``Request.token_times`` is a :class:`~repro.engine.request.TokenTimes`
-view computing each time as ``start + (i + 1) * step``, the expression
-the decode loops used to expand per token.  The property here holds the
-view to that per-token list bit for bit; the structural test checks that
-a serve shares one run per chunk across the batch; the last tests feed
+A request keeps runs of two kinds: a triple ``(start, step, n)`` (a
+baseline's decode chunk, shared by its batch; a first token at ``t`` is
+``(t, 0.0, 1)``), or a :class:`~repro.engine.request.Stretch`, the
+chunks of an Aegaeon decode run one landing commits, shared by its
+batch.  ``Request.token_times`` is a
+:class:`~repro.engine.request.TokenTimes` view computing each time as
+``start + (i + 1) * step`` chunk by chunk, the expression the decode
+loops used to expand per token.  The property here holds the view, and
+the derived ``decode_exec_time``, to the per-token list and the
+per-chunk fold bit for bit; the structural test checks that a serve
+shares one record per commit across the batch (one per chunk on the
+baselines, one per landed stretch on Aegaeon); the last tests feed
 invariant I2 runs that go backwards.
 """
 
@@ -25,7 +30,14 @@ from repro.core import (
 from repro.core import batcher as batcher_module
 from repro.core import instance as instance_module
 from repro.core import unified as unified_module
-from repro.engine.request import Phase, Request, TokenTimes, commit_chunk
+from repro.engine.request import (
+    Phase,
+    Request,
+    Stretch,
+    TokenTimes,
+    commit_chunk,
+    commit_stretch,
+)
 from repro.models import get_model, market_mix
 from repro.workload import TraceRequest, materialize_trace, sharegpt
 
@@ -42,16 +54,54 @@ def make_request(output_tokens, request_id=0, arrival=0.0):
 
 
 times_st = st.floats(0.0, 1e5, allow_nan=False, allow_infinity=False)
-#: A chunk ``(start, step, n)`` with ``step`` 0 or positive, or a single
-#: time committed through ``record_tokens`` (``n`` is None).
-segment_st = st.one_of(
-    st.tuples(
-        times_st,
-        st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
-        st.integers(1, 16),
-    ),
-    st.tuples(times_st, st.none(), st.none()),
+chunk_st = st.tuples(
+    times_st,
+    st.one_of(st.just(0.0), st.floats(1e-6, 2.0)),
+    st.integers(1, 16),
 )
+#: A chunk ``(start, step, n)`` with ``step`` 0 or positive, committed
+#: through ``commit_chunk``; a single time committed through
+#: ``record_tokens`` (``n`` is None); or a stretch of chunks committed
+#: through ``commit_stretch`` (a list of chunks).
+segment_st = st.one_of(
+    chunk_st,
+    st.tuples(times_st, st.none(), st.none()),
+    st.tuples(st.lists(chunk_st, min_size=1, max_size=5), st.none(), st.just("stretch")),
+)
+
+
+def commit_segments(request, segments) -> tuple[list, float]:
+    """Commit ``segments`` to ``request``; the per-token times and the
+    per-chunk ``steps * step`` fold they should read back as."""
+    expected = []
+    exec_time = 0.0
+    for start, step, n in segments:
+        if n is None:
+            request.record_tokens([start])
+            expected.append(start)
+            continue
+        chunks = [(start, step, n)]
+        if n == "stretch":
+            chunks = start
+            commit_stretch([request], Stretch([value for chunk in chunks for value in chunk]))
+        else:
+            commit_chunk([request], start, step, n)
+        for start, step, n in chunks:
+            expected += [start + (i + 1) * step for i in range(n)]
+            exec_time += n * step
+    return expected, exec_time
+
+
+def segment_tokens(segments) -> int:
+    total = 0
+    for start, step, n in segments:
+        if n is None:
+            total += 1
+        elif n == "stretch":
+            total += sum(chunk[2] for chunk in start)
+        else:
+            total += n
+    return total
 
 
 def hexes(values):
@@ -61,16 +111,10 @@ def hexes(values):
 class TestTokenTimesView:
     @given(segments=st.lists(segment_st, max_size=12), data=st.data())
     def test_view_equals_the_per_token_list(self, segments, data):
-        total = sum(1 if n is None else n for _, _, n in segments)
+        total = segment_tokens(segments)
         request = make_request(max(total, 1))
-        expected = []
-        for start, step, n in segments:
-            if n is None:
-                request.record_tokens([start])
-                expected.append(start)
-            else:
-                commit_chunk([request], start, step, n)
-                expected += [start + (i + 1) * step for i in range(n)]
+        expected, exec_time = commit_segments(request, segments)
+        assert request.decode_exec_time.hex() == exec_time.hex()
         view = request.token_times
         assert isinstance(view, TokenTimes)
         assert len(view) == len(expected) == request.generated_tokens
@@ -104,9 +148,11 @@ class TestTokenTimesView:
         request = make_request(8)
         request.record_tokens([1.0])
         commit_chunk([request], 1.0, 0.1, 3)
+        commit_stretch([request], Stretch([1.3, 0.1, 2, 1.5, 0.1, 2]))
         request.reset_progress()
         assert request.runs == [] and request.token_times == []
         assert request.first_token_time is None
+        assert request.decode_exec_time == 0.0
 
 
 def config(name):
@@ -125,18 +171,26 @@ def small_trace():
 
 @pytest.mark.parametrize("name", available_systems())
 def test_batch_mates_share_one_run_per_chunk(name, monkeypatch):
-    chunks = {}
+    # The baselines commit one triple per decode chunk (commit_chunk);
+    # Aegaeon's decode runs commit one stretch per landing, however many
+    # chunks it covers (commit_stretch).  Either way the batch shares
+    # the one record, and each commit appends exactly one per member.
+    records = {}
     commits = []
 
-    def spy(requests, chunk_start, step, steps):
-        before = [len(request.runs) for request in requests]
-        commit_chunk(requests, chunk_start, step, steps)
-        commits.append((list(requests), before))
-        for request in requests:
-            chunks[request.request_id] = chunks.get(request.request_id, 0) + 1
+    def spy(commit):
+        def committed(requests, *args):
+            before = [len(request.runs) for request in requests]
+            commit(requests, *args)
+            assert all(len(r.runs) == b + 1 for r, b in zip(requests, before))
+            commits.append((list(requests), before))
+            for request in requests:
+                records[request.request_id] = records.get(request.request_id, 0) + 1
+        return committed
 
-    for module in (instance_module, unified_module, batcher_module):
-        monkeypatch.setattr(module, "commit_chunk", spy)
+    monkeypatch.setattr(instance_module, "commit_stretch", spy(commit_stretch))
+    for module in (unified_module, batcher_module):
+        monkeypatch.setattr(module, "commit_chunk", spy(commit_chunk))
     result = SystemSpec(system=name, config=config(name)).build().serve(small_trace())
     assert result.drained and commits
     # Decoding-first drains each prompt's output before the next prefill,
@@ -147,8 +201,14 @@ def test_batch_mates_share_one_run_per_chunk(name, monkeypatch):
     for batch, before in commits:
         run = batch[0].runs[before[0]]
         assert all(r.runs[b] is run for r, b in zip(batch, before))
+        assert isinstance(run, Stretch) == (name == "aegaeon")
+    if name == "aegaeon":
+        # Some landing covers several chunks with the one record.
+        assert any(
+            len(batch[0].runs[before[0]].schedule) > 3 for batch, before in commits
+        )
     for request in result.requests:
-        assert len(request.runs) <= chunks.get(request.request_id, 0) + 1
+        assert len(request.runs) <= records.get(request.request_id, 0) + 1
 
 
 class TestI2WalksRuns:
@@ -204,3 +264,20 @@ class TestI2WalksRuns:
         assert [v.invariant for v in checker.violations] == ["token-monotonicity"]
         assert "decrease" in checker.violations[0].detail
         assert checker.violations[0].time == checker.env.now == 5.0
+
+    def test_each_chunk_of_a_stretch_is_checked(self):
+        # A stretch is checked chunk by chunk as it is appended: a
+        # second chunk starting before the first one ends is flagged.
+        checker = self.checker()
+        request = make_request(8, request_id=7)
+        request.runs = _WatchedRuns(checker, request)
+        request.record_tokens([1.0])
+        commit_stretch([request], Stretch([1.0, 0.25, 2, 1.5, 0.25, 2]))
+        assert checker.violations == []
+        assert checker._check_request_tokens(request, 5.0) == request.met_tokens
+        # The second chunk of this stretch goes back before the first.
+        commit_stretch([request], Stretch([2.0, 0.25, 1, 1.25, 0.25, 2]))
+        assert [v.invariant for v in checker.violations] == ["token-monotonicity"]
+        assert "decrease" in checker.violations[0].detail
+        request.runs = _WatchedRuns(checker, request)  # rebuilt from the runs
+        assert request.runs.tokens == request.generated_tokens == 8

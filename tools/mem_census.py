@@ -8,7 +8,9 @@ workload:
   ``rss_peak_mb``, taken here in phases; and
 * the top-N allocation sites, by ``file:line``, of the memory still
   allocated after the replay while the built workload is alive:
-  what the run keeps, not what it churned through.
+  what the run keeps, not what it churned through; and
+* that retained memory per retained request (``Request`` objects still
+  alive) and per decode chunk landed (``DecodeRun.land``) in the replay.
 
 Each workload runs in two fresh child processes, so one workload's peak
 never reads as another's: a plain one for the RSS phases, and one under
@@ -25,6 +27,7 @@ hand::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import resource
@@ -66,14 +69,40 @@ def rss_pass(name: str, seed: int, scale: float) -> dict:
     }
 
 
+def _land_tap():
+    """Count the decode chunks ``DecodeRun.land`` lands; returns the
+    count cell and the undo."""
+    if SRC not in sys.path:
+        sys.path.insert(0, SRC)
+    from repro.core.instance import DecodeRun
+
+    land = DecodeRun.land
+    landed = [0]
+
+    def counted(run, first, stop):
+        landed[0] += stop - first
+        land(run, first, stop)
+
+    DecodeRun.land = counted
+    return landed, lambda: setattr(DecodeRun, "land", land)
+
+
 def sites_pass(name: str, seed: int, scale: float, top: int) -> dict:
-    """Allocations still live after the replay, grouped by site."""
+    """Allocations still live after the replay, grouped by site, and the
+    retained requests and landed decode chunks they are shared over."""
+    landed, undo = _land_tap()
+    from repro.engine.request import Request
+
     tracemalloc.start()
-    with built(name, seed, scale) as replay:
-        replay.replay()
-        snapshot = tracemalloc.take_snapshot()
-        _, traced_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    try:
+        with built(name, seed, scale) as replay:
+            replay.replay()
+            snapshot = tracemalloc.take_snapshot()
+            _, traced_peak = tracemalloc.get_traced_memory()
+            requests = sum(type(obj) is Request for obj in gc.get_objects())
+    finally:
+        tracemalloc.stop()
+        undo()
     snapshot = snapshot.filter_traces(
         (
             tracemalloc.Filter(False, tracemalloc.__file__),
@@ -84,6 +113,8 @@ def sites_pass(name: str, seed: int, scale: float, top: int) -> dict:
     return {
         "retained_mb": sum(stat.size for stat in stats) / 2**20,
         "traced_peak_mb": traced_peak / 2**20,
+        "retained_requests": requests,
+        "landed_chunks": landed[0],
         "sites": [
             {"site": _site(stat.traceback[0]), "kb": stat.size / 1024,
              "count": stat.count}
@@ -106,6 +137,17 @@ def census(name: str, seed: int, scale: float, top: int) -> dict:
     return result
 
 
+def _shares(sites: dict) -> str:
+    """Retained bytes per retained request and per landed decode chunk."""
+    retained = sites["retained_mb"] * 2**20
+    parts = []
+    for label, count in (("retained request", sites["retained_requests"]),
+                         ("landed decode chunk", sites["landed_chunks"])):
+        per = f"{retained / count:,.0f} B" if count else "n/a"
+        parts.append(f"{per} per {label} ({count:,})")
+    return "retained: " + ", ".join(parts)
+
+
 def table(result: dict) -> str:
     rss, sites = result["rss"], result["sites"]
     lines = [
@@ -115,6 +157,7 @@ def table(result: dict) -> str:
         f"{rss['after_replay']:.1f} MB after the replay",
         f"traced: {sites['retained_mb']:.1f} MB retained after the replay, "
         f"{sites['traced_peak_mb']:.1f} MB peak",
+        _shares(sites),
         f"{'KiB':>10} {'blocks':>9}  site (retained)",
     ]
     for row in sites["sites"]:

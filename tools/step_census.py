@@ -47,10 +47,14 @@ which also saves the dispatch of every op after a run's first.
 checks the identity against it.
 
 ``--decode`` also counts, per workload, the decode chunks committed,
-the runs they went in, the run-length histogram (chunks per run) and
-what ended each run: a member finishing, the quota, a join, a KV
-arrival, a perf-factor change, the growth limit, an alloc on the GPU
-cache, a failure, or the replay's end (collect).  On a tree with
+the runs they went in, the run-length histogram (chunks per run), the
+member-chunks and member-stretches landed, and what ended each run: a
+member finishing, the quota, a join, a KV arrival, a perf-factor
+change, the growth limit, an alloc on the GPU cache, a failure, or the
+replay's end (collect).  A landing of ``c`` chunks on a ready set of
+``m`` requests is ``c * m`` member-chunks and ``m`` member-stretches:
+the token records its members append at one record per chunk and at
+one per landed stretch.  On a tree with
 ``core.instance.DecodeRun`` these are the runs formed; on one without,
 the chunks the per-chunk loop commits are grouped into the runs it
 could have formed: a run goes on while the next chunk of the same turn
@@ -267,6 +271,8 @@ def _run_taps(instance, decode: Counter, lengths: Counter) -> tuple:
     def land(run, first, stop):
         live[run][0] += stop - first
         decode["chunks"] += stop - first
+        decode["member-chunks landed"] += (stop - first) * len(run.ready)
+        decode["member-stretches landed"] += len(run.ready)
         originals["land"](run, first, stop)
 
     def hand(run, index):
@@ -513,6 +519,12 @@ def table(result: dict, top: int) -> str:
         lines.append(f"decode chunks and runs ({kind}):")
         for label, count in result["decode"].items():
             lines.append(f"{count:>9,}  {label}")
+        stretches = result["decode"].get("member-stretches landed")
+        if stretches:
+            lines.append(
+                f"{result['decode']['member-chunks landed'] / stretches:>9.2f}  "
+                "member-chunks per member-stretch"
+            )
         lengths = result["run_lengths"]
         runs = sum(lengths.values())
         if runs:
