@@ -103,10 +103,15 @@ def fleet_replay_1m() -> dict:
     """Opt-in (``--full``): a 10^6-request fleet replay.
 
     One process, one simulation clock, a million requests streamed
-    through 8 testbed shards (128 GPUs) with bounded memory.  Requests
-    are generated lazily and dropped at disposal, so RSS tracks
-    in-flight concurrency, not trace length — the report records the
-    process RSS high-water mark (``ru_maxrss``) as evidence.
+    through 8 testbed shards (128 GPUs).  Requests are generated lazily
+    and dropped at disposal, so per-request state tracks in-flight
+    concurrency, not trace length.  One thing still grows with the
+    trace: every engine keeps a ``ScaleRecord`` per model switch in its
+    ``scale_history``, about 273 bytes each (the slotted record, its
+    stage tuple, their floats and the list slot), and this replay
+    switches about 17,900 times per 50,000 requests.  Between 50,000
+    and 100,000 requests RSS grows 5.5 MB; the report records the
+    process RSS high-water mark (``ru_maxrss``).
     ``ru_maxrss`` is a process-lifetime maximum, so the pair gate runs
     every scenario in a fresh process.
     """

@@ -837,7 +837,7 @@ class DecodeInstance:
                                     yield env.any_of(waits)
                                     if batch.requests:
                                         manager.stats.charge_wait(
-                                            batch.requests[0].request_id,
+                                            batch.requests[0],
                                             env.now - stall_start,
                                         )
                                     continue

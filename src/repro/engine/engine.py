@@ -28,7 +28,7 @@ the ablation benchmarks can flip them independently:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 import numpy as np
@@ -83,16 +83,28 @@ class EngineConfig:
         return cls(**defaults)
 
 
-@dataclass
+@dataclass(slots=True)
 class ScaleRecord:
-    """Timing of one preemptive scale operation."""
+    """Timing of one preemptive scale operation.
+
+    An engine keeps every switch's record for its lifetime, so a record
+    is slotted and holds its stage durations as one flat tuple,
+    ``(name, seconds, name, seconds, ...)`` in execution order;
+    :attr:`stages` views it as a mapping.
+    """
 
     model_from: Optional[str]
     model_to: str
     started: float
-    stages: dict[str, float] = field(default_factory=dict)
     ended: float = 0.0
     prefetch_hit: bool = False
+    stage_log: tuple = ()
+
+    @property
+    def stages(self) -> dict[str, float]:
+        """Seconds per stage label, in execution order."""
+        log = self.stage_log
+        return dict(zip(log[::2], log[1::2]))
 
     @property
     def total(self) -> float:
@@ -270,19 +282,17 @@ class AegaeonEngine:
 
         Returns the :class:`ScaleRecord` with the per-stage breakdown.
         """
-        record = ScaleRecord(
-            model_from=self.current_model.name if self.current_model else None,
-            model_to=spec.name,
-            started=self.env.now,
-        )
-        if self.current_model is not None and self.current_model.name == spec.name:
-            record.ended = self.env.now
-            return record
+        started = self.env.now
+        model_from = self.current_model.name if self.current_model else None
+        if model_from == spec.name:
+            return ScaleRecord(model_from, spec.name, started, started)
 
+        stages: tuple = ()
+        prefetch_hit = False
         tracer = self._tracer
         with tracer.span(
             "model_switch", cat="switch", track=self.name,
-            model_from=record.model_from, model_to=spec.name,
+            model_from=model_from, model_to=spec.name,
         ) as switch_span:
             # Stage 1 — KV-out synchronization.  With fine-grained sync the
             # offloads proceed on their own stream and nothing blocks here.
@@ -290,7 +300,7 @@ class AegaeonEngine:
                 start = self.env.now
                 with tracer.span("kv_out_sync", cat="switch.stage", track=self.name):
                     yield from self.kv.drain()
-                record.stages["kv_out_sync"] = self.env.now - start
+                stages += ("kv_out_sync", self.env.now - start)
 
             # Stage 2 — VRAM reclamation.
             had_model = self.current_model is not None
@@ -303,7 +313,7 @@ class AegaeonEngine:
                     start = self.env.now
                     with tracer.span("gc", cat="switch.stage", track=self.name):
                         yield self.env.timeout(self.init_costs.gc_pass)
-                    record.stages["gc"] = self.env.now - start
+                    stages += ("gc", self.env.now - start)
                     self.weights.reset(0)
                     self._current_weights = None
 
@@ -312,7 +322,7 @@ class AegaeonEngine:
             if self.config.reuse_components and self._fresh_boot_done:
                 with tracer.span("reinit", cat="switch.stage", track=self.name):
                     yield self.env.timeout(self.init_costs.reconfigure)
-                record.stages["reinit"] = self.env.now - start
+                stages += ("reinit", self.env.now - start)
             else:
                 for stage, cost in [
                     ("dist_executor_init", self.init_costs.dist_executor(self.config.tp)),
@@ -322,7 +332,7 @@ class AegaeonEngine:
                 ]:
                     with tracer.span(stage, cat="switch.stage", track=self.name):
                         yield self.env.timeout(cost)
-                    record.stages[stage] = cost
+                    stages += (stage, cost)
                 self._fresh_boot_done = True
 
             # Stage 4 — model weights.
@@ -337,7 +347,7 @@ class AegaeonEngine:
                 # copy is cheaper than starting over.
                 with tracer.span("prefetch_wait", cat="switch.stage", track=self.name):
                     yield self._prefetched[2].wait()
-                record.stages["prefetch_wait"] = self.env.now - start
+                stages += ("prefetch_wait", self.env.now - start)
             if self._prefetch_ready(spec):
                 # Promote the prefetched weights with a cheap on-device copy
                 # (Figure 9, step 3.b).
@@ -348,8 +358,8 @@ class AegaeonEngine:
                     yield self.env.timeout(on_device_copy)
                 self.weights.compact_to_front(allocation)
                 self._current_weights = allocation
-                record.prefetch_hit = True
-                record.stages["model_promote"] = self.env.now - start
+                prefetch_hit = True
+                stages += ("model_promote", self.env.now - start)
             else:
                 # An in-flight prefetch of another model is abandoned.
                 self._drop_prefetch()
@@ -373,16 +383,18 @@ class AegaeonEngine:
                         allocation = self.weights.alloc(nbytes, tag=f"weights:{spec.name}")
                         yield from self.naive_loader.load(spec.name, nbytes)
                         self._current_weights = allocation
-                record.stages["model_load"] = self.env.now - start
+                stages += ("model_load", self.env.now - start)
 
-            switch_span.set(prefetch_hit=record.prefetch_hit)
+            switch_span.set(prefetch_hit=prefetch_hit)
 
         self.current_model = spec
-        record.ended = self.env.now
+        record = ScaleRecord(
+            model_from, spec.name, started, self.env.now, prefetch_hit, stages
+        )
         self.scale_history.append(record)
         self._switch_counter.inc()
         self._switch_hist.observe(record.total)
-        if record.prefetch_hit:
+        if prefetch_hit:
             self._prefetch_hit_counter.inc()
         return record
 

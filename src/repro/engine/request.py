@@ -107,6 +107,10 @@ class Request:
     # Set by a policy that rejects the request on purpose (the cost
     # router's session budget): the fleet must not spill it elsewhere.
     no_spill: bool = field(init=False, repr=False, default=False)
+    # Seconds a decode turn stalled on this request's KV transfers
+    # (``TransferStats.charge_wait``): Figure 14's data overhead and
+    # Figure 15's per-request KV sync.
+    kv_sync: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self, slo: Optional["SloSpec"]) -> None:
         trace = self.trace

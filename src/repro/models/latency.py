@@ -21,7 +21,6 @@ is the total context (KV) tokens the step attends over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from .kv import kv_bytes_per_token
 __all__ = [
     "LatencyModel",
     "switch_time",
-    "LATENCY_CACHE_SIZE",
     "PCIE_BETA",
     "NAIVE_LOAD_BANDWIDTH",
 ]
@@ -50,12 +48,6 @@ NAIVE_LOAD_BANDWIDTH = 2.83e9
 
 # FlashAttention kernel block size (Table 1 of the appendix).
 FLASH_ATTENTION_BLOCK = 128
-
-# Per-model LRU size for memoized prefill predictions.  Schedulers estimate
-# queue loads from one-prompt batches whose lengths recur, so most Eq. 5
-# calls are hits.  Eq. 6 is not memoized: its (batch, context) keys
-# rarely repeat, and computing it is cheaper than holding the entries.
-LATENCY_CACHE_SIZE = 4096
 
 
 def switch_time(
@@ -78,8 +70,11 @@ class LatencyModel:
     """Token-generation latency for one (model, GPU, TP) combination.
 
     Each equation is written once: Eq. 5 in ``_prefill_uncached``,
-    behind a per-instance LRU, and Eq. 6 in ``decode_step_time``.
-    Every prediction, single or many, goes through them.
+    whose one-prompt case ``prefill_time_single`` writes out with the
+    same operations, and Eq. 6 in ``decode_step_time``.  Every
+    prediction, single or many, goes through them.  Nothing is
+    memoized: a prediction is a few flops, and a model keeps no state
+    that grows with the calls it answers.
     """
 
     model: ModelSpec
@@ -126,14 +121,9 @@ class LatencyModel:
         self._prefill_per_sq_token = self._c2 * (3.0 * h) / FLASH_ATTENTION_BLOCK
         self._decode_weights_time = self._c4 * (4.0 * h * h + 2.0 * h * m)
         self._decode_per_context_token = self._c5 * 3.0 * h
-        # Memoization (true LRU): keyed on the exact batch signature, so
-        # cached and uncached predictions are bit-identical.
-        self._prefill_cached = lru_cache(maxsize=LATENCY_CACHE_SIZE)(
-            self._prefill_uncached
-        )
 
     # -- predictions --------------------------------------------------------
-    def _prefill_uncached(self, lengths: tuple[int, ...]) -> float:
+    def _prefill_uncached(self, lengths: Sequence[int]) -> float:
         t = 0
         t2 = 0
         for length in lengths:
@@ -145,16 +135,18 @@ class LatencyModel:
         """Eq. 5: wall time of one prefill batch."""
         if not input_lengths:
             return 0.0
-        return self._prefill_cached(tuple(input_lengths))
+        return self._prefill_uncached(input_lengths)
 
     def prefill_time_single(self, input_length: int) -> float:
         """Eq. 5 for a batch of one prompt (the Algorithm 1 common case).
 
         Identical to ``prefill_time([input_length])`` without building a
         throwaway batch list — schedulers estimate queue loads with this
-        in a tight loop.
+        in a tight loop.  ``_prefill_uncached``'s expression with
+        ``t = n`` and ``t2 = n * n``: both exact, so the bits agree.
         """
-        return self._prefill_cached((input_length,))
+        n = input_length
+        return self._prefill_per_token * n + self._prefill_per_sq_token * (n * n) + self._c3
 
     def decode_step_time(self, batch_size: int, context_tokens: int) -> float:
         """Eq. 6: wall time of one decoding step for the whole batch.
@@ -202,8 +194,11 @@ class LatencyModel:
         )
 
     def cache_info(self) -> dict[str, object]:
-        """LRU hit/miss statistics for the memoized (prefill) predictions."""
-        return {"prefill": self._prefill_cached.cache_info()}
+        """Memo statistics: always ``{}``, nothing is memoized.
+
+        Kept because simbench's ``models.memo_hit_share`` reads it.
+        """
+        return {}
 
     def switch_time(self, beta: float = PCIE_BETA) -> float:
         """Eq. 4 for this binding's model/GPU/TP."""

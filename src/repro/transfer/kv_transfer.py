@@ -24,9 +24,9 @@ in a device-wide synchronize, and frees happen inline on the host.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Generator, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from ..memory.slab import KvExtent, SlabAllocator
 from ..models.kv import DEFAULT_BLOCK_TOKENS, KvShape
@@ -34,6 +34,9 @@ from ..obs import NULL_OBS, Observability
 from ..sim import Environment, Timeout
 from ..hardware.interconnect import DuplexLink
 from .streams import CudaEvent, CudaStream
+
+if TYPE_CHECKING:
+    from ..engine.request import Request  # the engine imports this module
 
 __all__ = ["RequestKv", "MoveList", "KvTransferManager", "TransferStats"]
 
@@ -284,18 +287,17 @@ class TransferStats:
     bytes_in: int = 0
     control_overhead: float = 0.0  # host-side event/index manipulation
     data_wait: float = 0.0  # explicit waiting for KV transfers
-    per_request_sync: dict[int, float] = field(default_factory=dict)
 
     def charge_control(self, ops: int) -> None:
         """Account host-side event/index manipulation cost."""
         self.control_overhead += ops * CONTROL_OP_COST
 
-    def charge_wait(self, request_id: int, seconds: float) -> None:
-        """Account explicit waiting time for one request's KV transfer."""
+    def charge_wait(self, request: Optional[Request], seconds: float) -> None:
+        """Account explicit waiting time for a KV transfer, and charge it
+        to ``request`` (its ``kv_sync``) when there is one to charge."""
         self.data_wait += seconds
-        self.per_request_sync[request_id] = (
-            self.per_request_sync.get(request_id, 0.0) + seconds
-        )
+        if request is not None:
+            request.kv_sync += seconds
 
 
 class KvTransferManager:
@@ -466,8 +468,11 @@ class KvTransferManager:
         return event
 
     # -- host-side waits -----------------------------------------------------
-    def wait_ready(self, kv: RequestKv) -> Generator:
-        """Process: block until ``kv`` is usable on the GPU (rule ❶)."""
+    def wait_ready(self, kv: RequestKv, request: Optional[Request] = None) -> Generator:
+        """Process: block until ``kv`` is usable on the GPU (rule ❶).
+
+        The wait is charged to ``request``, the owner of ``kv``, if given.
+        """
         if kv.location != "gpu":
             raise ValueError(f"request {kv.request_id} is not headed to the GPU")
         if kv.last_transfer is None or kv.last_transfer.query():
@@ -475,7 +480,7 @@ class KvTransferManager:
         start = self.env.now
         yield kv.last_transfer.wait()
         waited = self.env.now - start
-        self.stats.charge_wait(kv.request_id, waited)
+        self.stats.charge_wait(request, waited)
         self._wait_hist.observe(waited)
         if self._tracer.enabled:
             self._tracer.complete(

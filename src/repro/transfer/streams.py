@@ -99,7 +99,8 @@ class CudaEvent:
 
     def __repr__(self) -> str:
         state = "done" if self.query() else "pending"
-        return f"<CudaEvent {self.name or id(self):#x} {state}>"
+        label = self.name or f"{id(self):#x}"
+        return f"<CudaEvent {label} {state}>"
 
 
 class CudaStream:

@@ -183,7 +183,7 @@ def loop(self) -> Generator:
                                 yield env.any_of(pending)
                                 if batch.requests:
                                     manager.stats.charge_wait(
-                                        batch.requests[0].request_id,
+                                        batch.requests[0],
                                         env.now - stall_start,
                                     )
                                 continue

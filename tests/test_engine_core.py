@@ -6,6 +6,7 @@ from repro.engine import (
     AegaeonEngine,
     DEFAULT_INIT_COSTS,
     EngineConfig,
+    ScaleRecord,
 )
 from repro.hardware import H800, Node
 from repro.memory import HostModelCache, SlabAllocator
@@ -118,6 +119,7 @@ class TestScaleTo:
         record = run_scale(env, engine, "Qwen-7B")
         assert record.total == 0.0
         assert record.stages == {}
+        assert len(engine.scale_history) == 1  # a no-op is not a switch
 
     def test_scale_history_recorded(self):
         env = Environment()
@@ -126,6 +128,114 @@ class TestScaleTo:
         run_scale(env, engine, "Yi-6B")
         assert len(engine.scale_history) == 2
         assert engine.scale_history[1].model_from == "Qwen-7B"
+
+
+class TestStageRecords:
+    """Each switch path's exact ``stages`` mapping: labels in execution
+    order, and the seconds the engine measured, rebuilt here with the
+    clock's own float arithmetic (``now + delay`` per timeout)."""
+
+    FRESH = (
+        ("dist_executor_init", DEFAULT_INIT_COSTS.dist_executor(1)),
+        ("profiling", DEFAULT_INIT_COSTS.profiling),
+        ("kv_init", DEFAULT_INIT_COSTS.kv_pin_init),
+        ("misc", DEFAULT_INIT_COSTS.misc),
+    )
+
+    @staticmethod
+    def after(start, *delays):
+        for delay in delays:
+            start = start + delay
+        return start
+
+    def test_fresh_boot(self):
+        env = Environment()
+        engine = make_engine(env, warm_models=["Qwen-7B"])
+        record = run_scale(env, engine, "Qwen-7B")
+        load_start = self.after(record.started, *(cost for _, cost in self.FRESH))
+        assert record.stages == {
+            **dict(self.FRESH), "model_load": record.ended - load_start,
+        }
+        assert list(record.stages) == [name for name, _ in self.FRESH] + ["model_load"]
+        assert record.model_from is None and not record.prefetch_hit
+
+    def test_reinit_and_quick_load(self):
+        env = Environment()
+        engine = make_engine(
+            env, config=EngineConfig(prefetch=False), warm_models=["Qwen-7B", "Yi-6B"]
+        )
+        run_scale(env, engine, "Qwen-7B")
+        record = run_scale(env, engine, "Yi-6B")
+        reinit_end = self.after(record.started, DEFAULT_INIT_COSTS.reconfigure)
+        assert list(record.stages) == ["reinit", "model_load"]
+        assert record.stages == {
+            "reinit": reinit_end - record.started,
+            "model_load": record.ended - reinit_end,
+        }
+
+    def test_prefetch_hit(self):
+        env = Environment()
+        engine = make_engine(env, warm_models=["Qwen-7B", "Yi-6B"])
+        run_scale(env, engine, "Qwen-7B")
+        yi = get_model("Yi-6B")
+        assert engine.prefetch(yi)
+        env.run(until=env.now + 5.0)
+        record = run_scale(env, engine, "Yi-6B")
+        reinit_end = self.after(record.started, DEFAULT_INIT_COSTS.reconfigure)
+        promote = engine.shard_bytes(yi) / H800.effective_hbm_bandwidth
+        assert list(record.stages) == ["reinit", "model_promote"]
+        assert record.stages == {
+            "reinit": reinit_end - record.started,
+            "model_promote": self.after(reinit_end, promote) - reinit_end,
+        }
+        assert record.prefetch_hit
+
+    def test_prefetch_wait(self):
+        env = Environment()
+        engine = make_engine(env, warm_models=["Qwen-7B", "Yi-6B"])
+        run_scale(env, engine, "Qwen-7B")
+        assert engine.prefetch(get_model("Yi-6B"))
+        done = engine._prefetched[2]
+        record = run_scale(env, engine, "Yi-6B")
+        reinit_end = self.after(record.started, DEFAULT_INIT_COSTS.reconfigure)
+        assert list(record.stages) == ["reinit", "prefetch_wait", "model_promote"]
+        # Both weight stages are timed from the weights stage's start,
+        # so the promote's seconds include the wait.
+        assert record.stages == {
+            "reinit": reinit_end - record.started,
+            "prefetch_wait": done.completed_at - reinit_end,
+            "model_promote": record.ended - reinit_end,
+        }
+
+    def test_naive_model_load(self):
+        env = Environment()
+        engine = make_engine(
+            env, config=EngineConfig.unoptimized(), warm_models=["Qwen-7B", "Yi-6B"]
+        )
+        run_scale(env, engine, "Qwen-7B")
+        record = run_scale(env, engine, "Yi-6B")
+        # Nothing was in flight: the blocking drain returns at once.
+        gc_end = self.after(record.started, DEFAULT_INIT_COSTS.gc_pass)
+        load_start = self.after(gc_end, *(cost for _, cost in self.FRESH))
+        assert list(record.stages) == (
+            ["kv_out_sync", "gc"] + [name for name, _ in self.FRESH] + ["model_load"]
+        )
+        assert record.stages == {
+            "kv_out_sync": 0.0,
+            "gc": gc_end - record.started,
+            **dict(self.FRESH),
+            "model_load": record.ended - load_start,
+        }
+        assert record.stages["model_load"] == pytest.approx(
+            DEFAULT_INIT_COSTS.naive_load(get_model("Yi-6B"), 1), rel=0.01
+        )
+
+    def test_record_is_slotted(self):
+        record = ScaleRecord(model_from="a", model_to="b", started=1.0, ended=2.5)
+        assert not hasattr(record, "__dict__")
+        assert record.stages == {} and record.total == 1.5
+        with pytest.raises(AttributeError):
+            record.note = "x"
 
 
 class TestPrefetch:

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.engine import Request
 from repro.hardware import pcie_pair
 from repro.memory import SlabAllocator
 from repro.models import get_model, kv_shape
 from repro.sim import Environment
 from repro.transfer import KvTransferManager, MoveList, RequestKv
+from repro.workload import TraceRequest
 
 MiB = 1024**2
 GiB = 1024**3
@@ -146,15 +148,18 @@ class TestSwapIn:
         manager.swap_out(kv)
         env.run(until=2.0)
         manager.swap_in(kv)
+        request = Request(TraceRequest(kv.request_id, "Qwen-7B", 0.0, 1024, 8),
+                          get_model("Qwen-7B"), kv=kv)
 
         def consumer():
-            yield from manager.wait_ready(kv)
+            yield from manager.wait_ready(kv, request)
             return env.now
 
         finished = env.run(until=env.process(consumer()))
         assert finished > 2.0
         assert manager.stats.data_wait > 0
-        assert kv.request_id in manager.stats.per_request_sync
+        # The whole wait is the request's KV sync time.
+        assert request.kv_sync == manager.stats.data_wait
 
 
 class TestMoveList:

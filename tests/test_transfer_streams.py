@@ -102,6 +102,21 @@ class TestEvents:
         env.run(until=1.0)
         assert log == [0.0]
 
+    def test_repr_names_the_event_or_its_id(self, env, link):
+        stream = CudaStream(env)
+        named = CudaEvent(env, name="out.r7")
+        unnamed = CudaEvent(env)
+        stream.copy(link, int(1e9))
+        stream.record(named)
+        stream.record(unnamed)
+        assert repr(named) == "<CudaEvent out.r7 pending>"
+        assert repr(unnamed) == f"<CudaEvent {id(unnamed):#x} pending>"
+        # A container's repr reprs its events too.
+        assert repr([named]) == "[<CudaEvent out.r7 pending>]"
+        env.run(until=2.0)
+        assert repr(named) == "<CudaEvent out.r7 done>"
+        assert repr(unnamed) == f"<CudaEvent {id(unnamed):#x} done>"
+
 
 class TestSynchronize:
     def test_stream_synchronize(self, env, link):

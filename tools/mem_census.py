@@ -10,7 +10,18 @@ workload:
   allocated after the replay while the built workload is alive:
   what the run keeps, not what it churned through; and
 * that retained memory per retained request (``Request`` objects still
-  alive) and per decode chunk landed (``DecodeRun.land``) in the replay.
+  alive), per decode chunk landed (``DecodeRun.land``) in the replay and
+  per model switch (``ScaleRecord`` objects still alive: every engine
+  keeps its switch history).
+
+A site is where a block was first allocated, not what holds it now.
+CPython keeps freed dict key tables on a free list and hands them to
+the next dict that needs one, so a table first allocated for, say, a
+short-lived ``BumpAllocation``'s attributes (``memory/bump.py``) and
+later reused by a long-lived record's own dict is credited to
+``bump.py`` for as long as that record lives.  A
+site that makes no sense for its size usually is such a reuse: confirm
+by removing the suspected holder and seeing the site go.
 
 Each workload runs in two fresh child processes, so one workload's peak
 never reads as another's: a plain one for the RSS phases, and one under
@@ -89,8 +100,10 @@ def _land_tap():
 
 def sites_pass(name: str, seed: int, scale: float, top: int) -> dict:
     """Allocations still live after the replay, grouped by site, and the
-    retained requests and landed decode chunks they are shared over."""
+    retained requests, landed decode chunks and model switches they are
+    shared over."""
     landed, undo = _land_tap()
+    from repro.engine.engine import ScaleRecord
     from repro.engine.request import Request
 
     tracemalloc.start()
@@ -99,7 +112,9 @@ def sites_pass(name: str, seed: int, scale: float, top: int) -> dict:
             replay.replay()
             snapshot = tracemalloc.take_snapshot()
             _, traced_peak = tracemalloc.get_traced_memory()
-            requests = sum(type(obj) is Request for obj in gc.get_objects())
+            kinds = [type(obj) for obj in gc.get_objects()]
+            requests = kinds.count(Request)
+            switches = kinds.count(ScaleRecord)
     finally:
         tracemalloc.stop()
         undo()
@@ -115,6 +130,7 @@ def sites_pass(name: str, seed: int, scale: float, top: int) -> dict:
         "traced_peak_mb": traced_peak / 2**20,
         "retained_requests": requests,
         "landed_chunks": landed[0],
+        "model_switches": switches,
         "sites": [
             {"site": _site(stat.traceback[0]), "kb": stat.size / 1024,
              "count": stat.count}
@@ -138,11 +154,13 @@ def census(name: str, seed: int, scale: float, top: int) -> dict:
 
 
 def _shares(sites: dict) -> str:
-    """Retained bytes per retained request and per landed decode chunk."""
+    """Retained bytes per retained request, per landed decode chunk and
+    per model switch."""
     retained = sites["retained_mb"] * 2**20
     parts = []
     for label, count in (("retained request", sites["retained_requests"]),
-                         ("landed decode chunk", sites["landed_chunks"])):
+                         ("landed decode chunk", sites["landed_chunks"]),
+                         ("model switch", sites["model_switches"])):
         per = f"{retained / count:,.0f} B" if count else "n/a"
         parts.append(f"{per} per {label} ({count:,})")
     return "retained: " + ", ".join(parts)
