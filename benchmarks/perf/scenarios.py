@@ -105,13 +105,13 @@ def fleet_replay_1m() -> dict:
     One process, one simulation clock, a million requests streamed
     through 8 testbed shards (128 GPUs).  Requests are generated lazily
     and dropped at disposal, so per-request state tracks in-flight
-    concurrency, not trace length.  One thing still grows with the
-    trace: every engine keeps a ``ScaleRecord`` per model switch in its
-    ``scale_history``, about 273 bytes each (the slotted record, its
-    stage tuple, their floats and the list slot), and this replay
-    switches about 17,900 times per 50,000 requests.  Between 50,000
-    and 100,000 requests RSS grows 5.5 MB; the report records the
-    process RSS high-water mark (``ru_maxrss``).
+    concurrency, not trace length.  Only the switch history still grows
+    with the trace: every engine logs each model switch in the ``array``
+    columns of its ``scale_history`` (a ``SwitchLog``), about 44 bytes
+    a switch, and this replay switches about 17,900 times per 50,000
+    requests.  Between 50,000 and 100,000 requests RSS grows about
+    1 MB; the report records the process RSS high-water mark
+    (``ru_maxrss``).
     ``ru_maxrss`` is a process-lifetime maximum, so the pair gate runs
     every scenario in a fresh process.
     """

@@ -168,7 +168,7 @@ class _WatchedRuns(list):
     chunk by chunk (I2).
 
     ``commit_stretch`` appends one stretch per request, ``commit_chunk``
-    one triple and ``record_tokens`` extends by one triple per token.
+    one triple and ``record_tokens`` extends by one bare float per token.
     The list keeps its own token count
     and last token time, so it holds no reference back to its request
     (which would make every request a reference cycle, freed only by
@@ -186,7 +186,10 @@ class _WatchedRuns(list):
         self.request_id = request.request_id
         self.arrival = request.arrival
         self.output_tokens = request.output_tokens
-        self.tokens = sum(run.tokens if type(run) is Stretch else run[2] for run in self)
+        self.tokens = sum(
+            1 if type(run) is float else run.tokens if type(run) is Stretch else run[2]
+            for run in self
+        )
         self.last = request.last_token_time if self else request.arrival
 
     def append(self, run) -> None:

@@ -18,11 +18,12 @@ and the observability layer attach to all of them uniformly.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Mapping, Optional, Protocol, runtime_checkable
 
-from ..engine.engine import AegaeonEngine, ScaleRecord
+from ..engine.engine import AegaeonEngine, ScaleRecord, SwitchRecords
 from ..engine.request import Phase, Request
 from ..hardware.cluster import Cluster
 from ..hardware.gpu import H800
@@ -87,7 +88,7 @@ class ServingSystem(Protocol):
     def serve(self, workload: RequestStream, until: Optional[float] = None) -> "ServingResult":
         """Replay ``workload`` to completion or the drain deadline."""
 
-    def scale_records(self) -> list[ScaleRecord]:
+    def scale_records(self) -> Sequence[ScaleRecord]:
         """Auto-scaling history across the system's engines."""
 
 
@@ -195,11 +196,10 @@ class ServingSystemBase:
         """The system's engines, for scaling/transfer statistics; optional."""
         return []
 
-    def scale_records(self) -> list[ScaleRecord]:
-        """Auto-scaling history, aggregated across :meth:`engines`."""
-        return [
-            record for engine in self.engines() for record in engine.scale_history
-        ]
+    def scale_records(self) -> SwitchRecords:
+        """Auto-scaling history across :meth:`engines`: a read-only view
+        of their switch logs as they are now."""
+        return SwitchRecords(engine.scale_history for engine in self.engines())
 
     def transfer_stats(self) -> list[TransferStats]:
         """KV transfer statistics, aggregated across :meth:`engines`."""

@@ -2,7 +2,7 @@
 
 from .batching import BatchingPolicy, ContinuousBatcher
 from .block_manager import BlockManager
-from .engine import AegaeonEngine, EngineConfig, ScaleRecord
+from .engine import AegaeonEngine, EngineConfig, ScaleRecord, SwitchLog, SwitchRecords
 from .init_stages import DEFAULT_INIT_COSTS, SWITCH_STAGES, InitStageCosts
 from .request import Phase, Request
 
@@ -18,4 +18,6 @@ __all__ = [
     "Request",
     "ScaleRecord",
     "SWITCH_STAGES",
+    "SwitchLog",
+    "SwitchRecords",
 ]

@@ -9,7 +9,8 @@ shell.  It owns:
 * the quick/naive loaders and a prefetch stream, onto which a prefetch
   enqueues its chunk copies with a plain call (no process);
 * the preemptive scale-down/scale-up state machine, recording a
-  per-stage latency breakdown for every switch (Figures 7/8/15).
+  per-stage latency breakdown for every switch (Figures 7/8/15) in a
+  columnar :class:`SwitchLog`.
 
 Optimization flags in :class:`EngineConfig` gate each §5 technique so
 the ablation benchmarks can flip them independently:
@@ -28,7 +29,10 @@ the ablation benchmarks can flip them independently:
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Generator, Optional
 
 import numpy as np
@@ -45,9 +49,9 @@ from ..sim import Environment
 from ..transfer.kv_transfer import KvTransferManager, MoveList
 from ..transfer.loader import CheckpointFetchError, NaiveLoader, QuickLoader
 from ..transfer.streams import CudaEvent, CudaStream
-from .init_stages import DEFAULT_INIT_COSTS, InitStageCosts
+from .init_stages import DEFAULT_INIT_COSTS, SWITCH_STAGES, InitStageCosts
 
-__all__ = ["EngineConfig", "ScaleRecord", "AegaeonEngine"]
+__all__ = ["EngineConfig", "ScaleRecord", "SwitchLog", "SwitchRecords", "AegaeonEngine"]
 
 GiB = 1024**3
 # Slab size of the GPU KV cache.
@@ -87,10 +91,10 @@ class EngineConfig:
 class ScaleRecord:
     """Timing of one preemptive scale operation.
 
-    An engine keeps every switch's record for its lifetime, so a record
-    is slotted and holds its stage durations as one flat tuple,
-    ``(name, seconds, name, seconds, ...)`` in execution order;
-    :attr:`stages` views it as a mapping.
+    Engines log their switches in a :class:`SwitchLog` and build a
+    record only when one is read.  A record holds its stage durations as
+    one flat tuple, ``(name, seconds, name, seconds, ...)`` in execution
+    order; :attr:`stages` views it as a mapping.
     """
 
     model_from: Optional[str]
@@ -109,6 +113,153 @@ class ScaleRecord:
     @property
     def total(self) -> float:
         return self.ended - self.started
+
+
+_STAGE_CODES = {name: code for code, name in enumerate(SWITCH_STAGES)}
+
+
+class SwitchLog(Sequence):
+    """An engine's model switches, one ``array`` column per field.
+
+    An engine keeps every switch for its lifetime, so a switch is a few
+    numbers appended to columns, not an object: ``started`` and
+    ``ended``; ``model_from`` and ``model_to`` as codes into ``names``
+    (code 0 is None, a boot's ``model_from``); ``prefetch_hit``; and its
+    stages, ``stage_codes`` (indexes into ``SWITCH_STAGES``) and
+    ``stage_seconds`` from ``stage_offsets[i]`` to ``stage_offsets[i +
+    1]``.  Reading switch ``i`` builds a new :class:`ScaleRecord` with
+    the same values, bit for bit.
+
+    A switch logs its stages with :meth:`stage` as they end and closes
+    with :meth:`close`; :meth:`open` drops the stages of a switch that
+    raised or was interrupted before closing.
+    """
+
+    __slots__ = (
+        "started",
+        "ended",
+        "model_from",
+        "model_to",
+        "prefetch_hit",
+        "stage_codes",
+        "stage_seconds",
+        "stage_offsets",
+        "names",
+        "_codes",
+    )
+
+    def __init__(self) -> None:
+        self.started = array("d")
+        self.ended = array("d")
+        self.model_from = array("H")
+        self.model_to = array("H")
+        self.prefetch_hit = array("B")
+        self.stage_codes = array("B")
+        self.stage_seconds = array("d")
+        self.stage_offsets = array("I", (0,))
+        self.names: list[Optional[str]] = [None]
+        self._codes: dict[Optional[str], int] = {None: 0}
+
+    # -- logging -------------------------------------------------------------
+    def open(self) -> None:
+        """Start a switch: drop any stage logged since the last close."""
+        logged = self.stage_offsets[-1]
+        del self.stage_codes[logged:], self.stage_seconds[logged:]
+
+    def stage(self, name: str, seconds: float) -> None:
+        """Log one stage of the open switch."""
+        self.stage_codes.append(_STAGE_CODES[name])
+        self.stage_seconds.append(seconds)
+
+    def close(
+        self,
+        model_from: Optional[str],
+        model_to: str,
+        started: float,
+        ended: float,
+        prefetch_hit: bool,
+    ) -> None:
+        """Log the open switch, with the stages logged since it opened."""
+        self.started.append(started)
+        self.ended.append(ended)
+        self.model_from.append(self._code(model_from))
+        self.model_to.append(self._code(model_to))
+        self.prefetch_hit.append(prefetch_hit)
+        self.stage_offsets.append(len(self.stage_codes))
+
+    def _code(self, name: Optional[str]) -> int:
+        code = self._codes.get(name)
+        if code is None:
+            code = self._codes[name] = len(self.names)
+            self.names.append(name)
+        return code
+
+    # -- reading -------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.started)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        count = len(self.started)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("switch index out of range")
+        offsets = self.stage_offsets
+        codes = self.stage_codes
+        seconds = self.stage_seconds
+        stage_log = ()
+        for k in range(offsets[index], offsets[index + 1]):
+            stage_log += (SWITCH_STAGES[codes[k]], seconds[k])
+        names = self.names
+        return ScaleRecord(
+            names[self.model_from[index]],
+            names[self.model_to[index]],
+            self.started[index],
+            self.ended[index],
+            self.prefetch_hit[index] == 1,
+            stage_log,
+        )
+
+
+class SwitchRecords(Sequence):
+    """A read-only view of switch logs in order, each frozen at the
+    length it had when the view was made: a later switch is not in it.
+
+    Records are built on read, as :class:`SwitchLog` builds them; a
+    slice is a new list.  A view is a fixed-length sequence itself, so a
+    view of views (a fleet's, over its systems') is frozen too.
+    """
+
+    __slots__ = ("_parts", "_len")
+
+    def __init__(self, logs: Iterable[Sequence[ScaleRecord]] = ()) -> None:
+        self._parts = [(log, len(log)) for log in logs]
+        self._len = sum(count for _, count in self._parts)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("switch index out of range")
+        for log, count in self._parts:
+            if index < count:
+                return log[index]
+            index -= count
+        raise AssertionError("parts hold fewer switches than the view")
+
+    def __iter__(self):
+        for log, count in self._parts:
+            yield from islice(log, count)
+
+    def __repr__(self) -> str:
+        return f"<SwitchRecords of {self._len} switches>"
 
 
 class AegaeonEngine:
@@ -176,7 +327,7 @@ class AegaeonEngine:
         # pools, tokenizers) before taking traffic; only engines without
         # component reuse re-pay that cost on every switch.
         self._fresh_boot_done = pre_initialized and config.reuse_components
-        self.scale_history: list[ScaleRecord] = []
+        self.scale_history = SwitchLog()
         self.busy_time = 0.0
         self._perf_factor = 1.0
         self._tracer = obs.tracer
@@ -280,14 +431,18 @@ class AegaeonEngine:
     def scale_to(self, spec: ModelSpec) -> Generator:
         """Process: make ``spec`` the active model (Figures 8/10).
 
-        Returns the :class:`ScaleRecord` with the per-stage breakdown.
+        Logs the switch in :attr:`scale_history` and returns its
+        :class:`ScaleRecord` with the per-stage breakdown; a switch to the
+        active model is a no-op, returned but not logged.  A failed
+        weight load leaves no model active.
         """
         started = self.env.now
         model_from = self.current_model.name if self.current_model else None
         if model_from == spec.name:
             return ScaleRecord(model_from, spec.name, started, started)
 
-        stages: tuple = ()
+        log = self.scale_history
+        log.open()
         prefetch_hit = False
         tracer = self._tracer
         with tracer.span(
@@ -300,7 +455,7 @@ class AegaeonEngine:
                 start = self.env.now
                 with tracer.span("kv_out_sync", cat="switch.stage", track=self.name):
                     yield from self.kv.drain()
-                stages += ("kv_out_sync", self.env.now - start)
+                log.stage("kv_out_sync", self.env.now - start)
 
             # Stage 2 — VRAM reclamation.
             had_model = self.current_model is not None
@@ -313,7 +468,7 @@ class AegaeonEngine:
                     start = self.env.now
                     with tracer.span("gc", cat="switch.stage", track=self.name):
                         yield self.env.timeout(self.init_costs.gc_pass)
-                    stages += ("gc", self.env.now - start)
+                    log.stage("gc", self.env.now - start)
                     self.weights.reset(0)
                     self._current_weights = None
 
@@ -322,7 +477,7 @@ class AegaeonEngine:
             if self.config.reuse_components and self._fresh_boot_done:
                 with tracer.span("reinit", cat="switch.stage", track=self.name):
                     yield self.env.timeout(self.init_costs.reconfigure)
-                stages += ("reinit", self.env.now - start)
+                log.stage("reinit", self.env.now - start)
             else:
                 for stage, cost in [
                     ("dist_executor_init", self.init_costs.dist_executor(self.config.tp)),
@@ -332,7 +487,7 @@ class AegaeonEngine:
                 ]:
                     with tracer.span(stage, cat="switch.stage", track=self.name):
                         yield self.env.timeout(cost)
-                    stages += (stage, cost)
+                    log.stage(stage, cost)
                 self._fresh_boot_done = True
 
             # Stage 4 — model weights.
@@ -347,7 +502,7 @@ class AegaeonEngine:
                 # copy is cheaper than starting over.
                 with tracer.span("prefetch_wait", cat="switch.stage", track=self.name):
                     yield self._prefetched[2].wait()
-                stages += ("prefetch_wait", self.env.now - start)
+                log.stage("prefetch_wait", self.env.now - start)
             if self._prefetch_ready(spec):
                 # Promote the prefetched weights with a cheap on-device copy
                 # (Figure 9, step 3.b).
@@ -359,7 +514,7 @@ class AegaeonEngine:
                 self.weights.compact_to_front(allocation)
                 self._current_weights = allocation
                 prefetch_hit = True
-                stages += ("model_promote", self.env.now - start)
+                log.stage("model_promote", self.env.now - start)
             else:
                 # An in-flight prefetch of another model is abandoned.
                 self._drop_prefetch()
@@ -375,7 +530,10 @@ class AegaeonEngine:
                         except CheckpointFetchError:
                             # Abandoned switch: give the extent back so
                             # repeated failures cannot bleed the buffer.
+                            # The old model's weights went in stage 2,
+                            # so no model is active any more.
                             self.weights.retire(allocation)
+                            self.current_model = None
                             raise
                         self._current_weights = allocation
                     else:
@@ -383,20 +541,18 @@ class AegaeonEngine:
                         allocation = self.weights.alloc(nbytes, tag=f"weights:{spec.name}")
                         yield from self.naive_loader.load(spec.name, nbytes)
                         self._current_weights = allocation
-                stages += ("model_load", self.env.now - start)
+                log.stage("model_load", self.env.now - start)
 
             switch_span.set(prefetch_hit=prefetch_hit)
 
         self.current_model = spec
-        record = ScaleRecord(
-            model_from, spec.name, started, self.env.now, prefetch_hit, stages
-        )
-        self.scale_history.append(record)
+        ended = self.env.now
+        log.close(model_from, spec.name, started, ended, prefetch_hit)
         self._switch_counter.inc()
-        self._switch_hist.observe(record.total)
+        self._switch_hist.observe(ended - started)
         if prefetch_hit:
             self._prefetch_hit_counter.inc()
-        return record
+        return log[-1]
 
     # -- execution ----------------------------------------------------------
     def prefill(self, spec: ModelSpec, input_lengths: list[int]) -> Generator:

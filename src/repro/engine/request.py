@@ -7,14 +7,17 @@ deadlines (per-token SLO attainment, §2.1 and Figure 3), and the
 request's KV-cache handle.
 
 Token times are kept as runs, not one float per token.  A run is one
-of two records:
+of three records:
 
+* a bare float ``t``: one token done at ``t``, read as the triple
+  ``(t, 0.0, 1)``.  :meth:`Request.record_tokens` commits first tokens
+  so;
 * a triple ``(start, step, n)``: ``n`` tokens, token ``i`` of it done at
-  ``start + (i + 1) * step``.  A first token at ``t`` is ``(t, 0.0, 1)``,
-  and the baselines' per-chunk loops commit one triple per decode chunk
-  (:func:`commit_chunk`), shared by every request of the batch;
+  ``start + (i + 1) * step``.  The baselines' per-chunk loops commit one
+  triple per decode chunk (:func:`commit_chunk`), shared by every
+  request of the batch;
 * a :class:`Stretch`: the chunks one landing of a decode run commits,
-  as a flat, exactly sized ``array('d')`` of ``start, step, steps`` per
+  a flat, exactly sized ``array('d')`` of ``start, step, steps`` per
   chunk, each chunk read as the triple above.  Aegaeon's decode runs
   land a stretch of chunks at a time (:func:`commit_stretch`), and every
   member of the batch shares the one record.
@@ -89,8 +92,8 @@ class Request:
     input_tokens: int = field(init=False, repr=False)
     output_tokens: int = field(init=False, repr=False)
     generated_tokens: int = field(init=False, repr=False, default=0)
-    # Token completion times as runs, triples or stretches (see the
-    # module docstring); ``token_times`` views them.  A decode chunk's
+    # Token completion times as runs, floats, triples or stretches (see
+    # the module docstring); ``token_times`` views them.  A decode chunk's
     # or stretch's run is shared with its batch-mates and never mutated.
     runs: list = field(init=False, repr=False, default_factory=list)
     # Per-token SLO accounting, kept as tokens are committed: token k
@@ -158,8 +161,8 @@ class Request:
         if not runs:
             return None
         run = runs[0]
-        if type(run) is Stretch:
-            run = run.schedule
+        if type(run) is float:
+            return run
         return run[0] + run[1]
 
     @property
@@ -168,8 +171,8 @@ class Request:
         if not runs:
             return None
         run = runs[-1]
-        if type(run) is Stretch:
-            run = run.schedule
+        if type(run) is float:
+            return run
         return run[-3] + run[-1] * run[-2]
 
     @property
@@ -187,8 +190,8 @@ class Request:
 
     # -- mutation ----------------------------------------------------------
     def record_tokens(self, times: Sequence[float]) -> None:
-        """Append completion timestamps for newly generated tokens, a run
-        of one each."""
+        """Append completion timestamps for newly generated tokens, a
+        bare float run each."""
         first = self.generated_tokens
         generated = first + len(times)
         if generated > self.output_tokens:
@@ -196,7 +199,7 @@ class Request:
                 f"request {self.request_id}: generated past output length"
             )
         self.met_tokens += count_met(times, self.slo_base, self.slo_tbt, first)
-        self.runs.extend([(t, 0.0, 1) for t in times])
+        self.runs.extend([float(t) for t in times])
         self.generated_tokens = generated
 
     def reset_progress(self) -> None:
@@ -264,31 +267,39 @@ def commit_chunk(
         request.generated_tokens = generated + steps
 
 
-class Stretch:
+class Stretch(array):
     """The decode chunks one landing commits, as one token record.
 
-    ``schedule`` is an exactly sized ``array('d')`` copied from a
-    layout of back-to-back chunks, ``start, step, steps`` each: chunk
-    ``c``'s token ``i`` is done at ``schedule[3c] + (i + 1) *
-    schedule[3c + 1]``, the expression :func:`commit_chunk` uses for a
-    triple, and chunk ``c + 1`` starts where chunk ``c`` ends.  A double
-    holds each value exactly, so every token time keeps its bits.
-    ``tokens`` counts the stretch's tokens.  Every member of the batch
-    shares one stretch, and nothing changes it.
+    A stretch is an exactly sized ``array('d')`` copied from a layout of
+    back-to-back chunks, ``start, step, steps`` each: chunk ``c``'s
+    token ``i`` is done at ``stretch[3c] + (i + 1) * stretch[3c + 1]``,
+    the expression :func:`commit_chunk` uses for a triple, and chunk
+    ``c + 1`` starts where chunk ``c`` ends.  A double holds each value
+    exactly, so every token time keeps its bits.  ``schedule`` is the
+    stretch itself and ``tokens`` counts its tokens.  Every member of
+    the batch shares one stretch, and nothing changes it.
     """
 
-    __slots__ = ("schedule", "tokens")
+    __slots__ = ()
 
-    def __init__(self, layout: Sequence) -> None:
-        self.schedule = array("d", layout)
-        self.tokens = int(sum(layout[2::3]))
+    def __new__(cls, layout: Sequence) -> "Stretch":
+        return array.__new__(cls, "d", layout)
+
+    @property
+    def schedule(self) -> "Stretch":
+        return self
+
+    @property
+    def tokens(self) -> int:
+        return int(sum(self[2::3]))
 
 
 def run_chunks(run) -> Sequence:
     """``run``'s chunks as one flat sequence, ``start, step, steps`` per
-    chunk: a triple is its own one-chunk sequence, and a stretch's is its
-    schedule, where ``steps`` is a float."""
-    return run.schedule if type(run) is Stretch else run
+    chunk: a bare float ``t`` is ``(t, 0.0, 1)``, a triple is its own
+    one-chunk sequence, and a stretch is itself, where ``steps`` is a
+    float."""
+    return (run, 0.0, 1) if type(run) is float else run
 
 
 def commit_stretch(requests: Sequence[Request], stretch: Stretch) -> None:
@@ -309,13 +320,12 @@ def commit_stretch(requests: Sequence[Request], stretch: Stretch) -> None:
     counts it, and the same brackets are tried again at the next chunk
     that ends after ``met_until``.
     """
-    schedule = stretch.schedule
     tokens = stretch.tokens
-    final = len(schedule) // 3 - 1
+    final = len(stretch) // 3 - 1
     k = 3 * final
-    last_time = schedule[k] + schedule[k + 2] * schedule[k + 1]
-    last_steps = int(schedule[k + 2])
-    first_end = schedule[3] if final else last_time
+    last_time = stretch[k] + stretch[k + 2] * stretch[k + 1]
+    last_steps = int(stretch[k + 2])
+    first_end = stretch[3] if final else last_time
     for request in requests:
         generated = request.generated_tokens
         met_until = request.met_until
@@ -332,20 +342,20 @@ def commit_stretch(requests: Sequence[Request], stretch: Stretch) -> None:
                 lo, hi = 1, final
                 while lo < hi:
                     mid = (lo + hi) >> 1
-                    if schedule[3 * mid + 3] <= met_until:
+                    if stretch[3 * mid + 3] <= met_until:
                         lo = mid + 1
                     else:
                         hi = mid
-                met = int(sum(schedule[2 : 3 * lo + 2 : 3]))
+                met = int(sum(stretch[2 : 3 * lo + 2 : 3]))
             # Then chunk by chunk, as commit_chunk: a chunk ending after
             # ``due`` brings it up to its first token's deadline, and
             # the brackets settle every chunk from there on at once.
             count = generated + met
             due = met_until
             for k in range(3 * lo, 3 * final + 3, 3):
-                start = schedule[k]
-                step = schedule[k + 1]
-                steps = int(schedule[k + 2])
+                start = stretch[k]
+                step = stretch[k + 1]
+                steps = int(stretch[k + 2])
                 end = start + steps * step
                 if end > due:
                     due = base + tbt * count
@@ -414,9 +424,11 @@ class TokenTimes(Sequence):
         if not index:
             return request.first_token_time
         for run in request.runs:
-            if type(run) is Stretch and index >= run.tokens:
-                index -= run.tokens
-                continue
+            if type(run) is Stretch:
+                tokens = run.tokens
+                if index >= tokens:
+                    index -= tokens
+                    continue
             chunks = run_chunks(run)
             for k in range(0, len(chunks), 3):
                 n = chunks[k + 2]

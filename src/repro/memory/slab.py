@@ -89,7 +89,7 @@ class KvExtent:
         return f"KvExtent({self.shape!r}, {self.runs}, {state})"
 
 
-@dataclass
+@dataclass(slots=True)
 class Slab:
     """A fixed-size chunk of the cache region, bound to one shape at a time."""
 

@@ -42,7 +42,7 @@ from repro.core import DEFAULT_SLO, DecodeBatch, SloSpec, SystemSpec
 from repro.core import instance as instance_module
 from repro.core.instance import DecodeInstance, DecodeRun
 from repro.engine import AegaeonEngine, EngineConfig
-from repro.engine.request import Request, Stretch
+from repro.engine.request import Request, run_chunks
 from repro.hardware import H800, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import get_model
@@ -90,18 +90,13 @@ def decode_programs(draw) -> dict:
 
 def _chunks(request) -> list:
     """``request``'s token runs expanded to ``(start, step, n)`` chunks,
-    the floats by ``float.hex``: a triple is one chunk, and a stretch
-    the chunks of its schedule."""
+    the floats by ``float.hex``, each run read through ``run_chunks``."""
     chunks = []
     for run in request.runs:
-        if isinstance(run, Stretch):
-            schedule = run.schedule
-            for k in range(0, len(schedule), 3):
-                start, step, n = schedule[k : k + 3]
-                chunks.append((start.hex(), step.hex(), int(n)))
-        else:
-            start, step, n = run
-            chunks.append((start.hex(), step.hex(), n))
+        run = run_chunks(run)
+        for k in range(0, len(run), 3):
+            start, step, n = run[k : k + 3]
+            chunks.append((start.hex(), step.hex(), int(n)))
     return chunks
 
 

@@ -14,8 +14,10 @@ from repro.engine import AegaeonEngine, EngineConfig, Phase
 from repro.hardware import Cluster, H800, Node
 from repro.memory import HostModelCache, SlabAllocator
 from repro.models import get_model, market_mix
+from repro.policy.scaling import TokenLevelScaling
 from repro.sim import Environment
-from repro.workload import sharegpt, materialize_trace
+from repro.transfer.loader import CheckpointFetchError
+from repro.workload import Trace, TraceRequest, sharegpt, materialize_trace
 
 GiB = 1024**3
 MiB = 1024**2
@@ -95,6 +97,96 @@ class TestColdCheckpoints:
             == registry.submitted
             == len(trace)
         )
+        assert result.drained and result.unaccounted == 0
+
+
+class TestFailedSwitch:
+    """A switch whose weight load fails leaves no model active: the old
+    model's weights were retired before the load, so its next batch must
+    switch back instead of decoding on weights that are gone."""
+
+    def test_engine_has_no_active_model_after_a_failed_load(self):
+        env = Environment()
+        node = Node(env, H800, gpu_count=1)
+        a, b = get_model("Qwen-7B"), get_model("Yi-6B")
+        cache = HostModelCache(640 * GiB)
+        cache.insert(a.name, a.weight_bytes)  # b must come from the registry
+        engine = AegaeonEngine(
+            env, node, node.gpus[:1], cache,
+            SlabAllocator(region_bytes=320 * GiB, slab_bytes=256 * MiB),
+            config=EngineConfig(prefetch=False),
+        )
+        loader = engine.quick_loader
+        loader.max_fetch_retries = 0
+        loader.fetch_disruptor = ArmedFetchFailures()
+        loader.fetch_disruptor.arm(count=1, wasted=0.1)
+        aborted = []
+
+        def switches():
+            yield from engine.scale_to(a)
+            try:
+                yield from engine.scale_to(b)
+            except CheckpointFetchError:
+                aborted.append(env.now)
+
+        env.run(until=env.process(switches()))
+        assert aborted and loader.fetch_disruptor.tripped == 1
+        assert engine.current_model is None
+        assert engine._current_weights is None
+        assert TokenLevelScaling().should_switch(engine, a)
+        assert [r.model_to for r in engine.scale_history] == [a.name]  # not logged
+
+        def back():
+            return (yield from engine.scale_to(a))
+
+        record = env.run(until=env.process(back()))
+        assert record == engine.scale_history[-1]
+        assert (record.model_from, record.model_to) == (None, a.name)
+        assert list(record.stages) == ["reinit", "model_load"]
+        assert engine.current_model is a
+
+    def test_a_b_a_serve_conserves_requests(self):
+        # One decode instance whose host cache holds only A: B's fetch
+        # fails once, and A's later batches switch back to A.
+        env = Environment()
+        server = AegaeonServer(
+            env,
+            Cluster.homogeneous(env, H800, 1, 2),
+            AegaeonConfig(prefill_instances=1, decode_instances=1),
+        )
+        a, b = market_mix(2)
+        (decode,) = server.decode_instances
+        engine = decode.engine
+        loader = engine.quick_loader
+        loader.max_fetch_retries = 0
+        loader.model_cache = HostModelCache(server.config.model_cache_bytes)
+        loader.model_cache.insert(a.name, engine.shard_bytes(a))
+        loader.fetch_disruptor = ArmedFetchFailures()
+        loader.fetch_disruptor.arm(count=1, wasted=0.1)
+        arrivals = [(a, 0.0), (b, 0.2), (a, 0.4), (a, 4.0), (a, 8.0)]
+        trace = Trace(
+            [
+                TraceRequest(index, spec.name, at, 200, 60)
+                for index, (spec, at) in enumerate(arrivals)
+            ],
+            [a, b],
+            horizon=20.0,
+        )
+        result = server.serve(trace)
+
+        assert decode.fetch_aborts == 1
+        # A booted twice on the decode engine: once at the start and once
+        # after B's failed load left no model active.
+        boots = [r for r in engine.scale_history if r.model_from is None]
+        assert [r.model_to for r in boots] == [a.name, a.name]
+        registry = server.registry
+        assert registry.failed >= 1 and registry.finished > 0
+        assert (
+            registry.finished + registry.failed + registry.rejected
+            == registry.submitted
+            == len(trace)
+        )
+        assert registry.in_flight == 0
         assert result.drained and result.unaccounted == 0
 
 

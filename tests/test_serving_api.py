@@ -2,6 +2,7 @@
 same :class:`ServingSystem` protocol and is measured identically."""
 
 import json
+from collections.abc import Sequence
 from dataclasses import replace
 
 import pytest
@@ -113,7 +114,10 @@ class TestConformance:
         assert result.label == system.label
         assert len(result.requests) == len(trace)
         assert result.finished_requests > 0
-        assert isinstance(result.scale_records, list)
+        assert isinstance(result.scale_records, Sequence)
+        assert list(result.scale_records) == [
+            record for engine in system.engines() for record in engine.scale_history
+        ]
         assert isinstance(result.transfer_stats, list)
         # Metrics were enabled, so every system attaches a snapshot with
         # the shared proxy/sim gauges.

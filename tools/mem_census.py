@@ -11,8 +11,9 @@ workload:
   what the run keeps, not what it churned through; and
 * that retained memory per retained request (``Request`` objects still
   alive), per decode chunk landed (``DecodeRun.land``) in the replay and
-  per model switch (``ScaleRecord`` objects still alive: every engine
-  keeps its switch history).
+  per model switch (the length of every live engine's ``scale_history``:
+  an engine keeps its switches for its lifetime, as ``array`` columns,
+  not objects).
 
 A site is where a block was first allocated, not what holds it now.
 CPython keeps freed dict key tables on a free list and hands them to
@@ -103,7 +104,7 @@ def sites_pass(name: str, seed: int, scale: float, top: int) -> dict:
     retained requests, landed decode chunks and model switches they are
     shared over."""
     landed, undo = _land_tap()
-    from repro.engine.engine import ScaleRecord
+    from repro.engine.engine import AegaeonEngine
     from repro.engine.request import Request
 
     tracemalloc.start()
@@ -112,9 +113,11 @@ def sites_pass(name: str, seed: int, scale: float, top: int) -> dict:
             replay.replay()
             snapshot = tracemalloc.take_snapshot()
             _, traced_peak = tracemalloc.get_traced_memory()
-            kinds = [type(obj) for obj in gc.get_objects()]
-            requests = kinds.count(Request)
-            switches = kinds.count(ScaleRecord)
+            objects = gc.get_objects()
+            requests = sum(type(obj) is Request for obj in objects)
+            switches = sum(
+                len(obj.scale_history) for obj in objects if type(obj) is AegaeonEngine
+            )
     finally:
         tracemalloc.stop()
         undo()
