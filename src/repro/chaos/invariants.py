@@ -22,10 +22,10 @@ arrival, and never lie in the simulation's future.
 **I3 — No work on dead instances.**  A failed instance holds no queued
 groups or batches and is absent from every scheduler's dispatch list.
 
-**I4 — SLO-accounting consistency.**  The registry saw exactly the
-proxy's admissions, the proxy's in-flight map mirrors the registry's
-in-flight arithmetic, the system's disposal count equals the registry's
-finished + failed + rejected tally, a request disposed as FINISHED
+**I4 — SLO-accounting consistency.**  The proxy's in-flight map mirrors
+the registry's in-flight arithmetic (submitted − finished − failed −
+rejected; the proxy's admissions and the system's disposals are those
+registry counters), a request disposed as FINISHED
 has a complete token stream and a finish timestamp, and every disposed
 request's committed met-token count (``Request.met_tokens``) equals a
 recount of its token stream against the system's SLO.
@@ -44,8 +44,8 @@ nothing:
   ``add`` / ``reclaim``), which feed per-allocator ownership counters
   and check that they add up to the live count;
 * I2 on every committed run: each admitted request's ``runs`` list
-  checks, chunk by chunk, the run that ``commit_stretch``,
-  ``commit_chunk`` or ``record_tokens`` appends;
+  checks, chunk by chunk, the run that ``commit_stretch`` or
+  ``record_tokens`` appends;
 * I3 on ``fail_instance``;
 * I4 and the met-token recount in :meth:`~InvariantChecker.vet_terminal`,
   as the system disposes of a request.
@@ -66,7 +66,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..engine.request import Phase, Stretch, run_chunks
+from ..engine.request import Phase, run_chunks
 
 __all__ = ["InvariantChecker", "InvariantViolation", "Violation", "met_in_runs"]
 
@@ -91,7 +91,7 @@ class Violation:
 
 
 def met_in_runs(runs: Sequence, base: float, tbt: float) -> int:
-    """How many tokens of ``runs`` (triples or stretches) meet their
+    """How many tokens of ``runs`` (bare floats or stretches) meet their
     deadlines, token k being due at ``base + tbt * k``; equal to the
     per-token count (see :func:`_walk_runs`)."""
     return _walk_runs(runs, base, tbt)[0]
@@ -112,9 +112,9 @@ def _walk_runs(runs: Sequence, base: float, tbt: float) -> tuple:
     token's deadline is all missed; only a chunk straddling a deadline,
     or one with ``step < 0``, is counted token by token.
     """
-    # ``n`` stays a float from a stretch's schedule: the counts are
-    # whole numbers, exact in a double, so every product and comparison
-    # is the one an int count gives.
+    # ``n`` stays a float from a stretch: the counts are whole numbers,
+    # exact in a double, so every product and comparison is the one an
+    # int count gives.
     met = index = 0
     last = -math.inf
     decrease = None
@@ -167,9 +167,9 @@ class _WatchedRuns(list):
     """An admitted request's token runs: each appended run is checked
     chunk by chunk (I2).
 
-    ``commit_stretch`` appends one stretch per request, ``commit_chunk``
-    one triple and ``record_tokens`` extends by one bare float per token.
-    The list keeps its own token count
+    ``commit_stretch`` appends one stretch per request and
+    ``record_tokens`` extends by one bare float per token.  The list
+    keeps its own token count
     and last token time, so it holds no reference back to its request
     (which would make every request a reference cycle, freed only by
     the cyclic collector).
@@ -186,10 +186,7 @@ class _WatchedRuns(list):
         self.request_id = request.request_id
         self.arrival = request.arrival
         self.output_tokens = request.output_tokens
-        self.tokens = sum(
-            1 if type(run) is float else run.tokens if type(run) is Stretch else run[2]
-            for run in self
-        )
+        self.tokens = sum(1 if type(run) is float else run.tokens for run in self)
         self.last = request.last_token_time if self else request.arrival
 
     def append(self, run) -> None:
@@ -715,12 +712,6 @@ class InvariantChecker:
         proxy = getattr(system, "proxy", None)
         if registry is None or proxy is None:
             return
-        if registry.submitted != proxy.submitted:
-            self._flag(
-                "slo-accounting",
-                f"registry saw {registry.submitted} submissions, proxy "
-                f"admitted {proxy.submitted} requests",
-            )
         live = len(proxy.live)
         if disposing is not None and disposing.request_id in proxy.live:
             live -= 1
@@ -729,20 +720,6 @@ class InvariantChecker:
                 "slo-accounting",
                 f"proxy tracks {live} live requests, registry "
                 f"arithmetic says {registry.in_flight} in flight",
-            )
-        accounted = getattr(system, "accounted", 0)
-        terminal = registry.finished + registry.failed + registry.rejected
-        if accounted != terminal:
-            self._flag(
-                "slo-accounting",
-                f"system disposed of {accounted} requests, registry counts "
-                f"{terminal} terminal",
-            )
-        if accounted > registry.submitted:
-            self._flag(
-                "slo-accounting",
-                f"{accounted} requests accounted for, only "
-                f"{registry.submitted} submitted",
             )
         if registry.in_flight < 0:
             self._flag(
@@ -758,8 +735,8 @@ class InvariantChecker:
         disposal, so a leak is named at the request that caused it),
         its token stream gets a full I2 walk, a FINISHED request must
         be complete, its committed met-token count must equal the
-        bracketed recount, and the system's disposal counters must
-        agree with the registry's (I4).
+        bracketed recount, and the proxy's in-flight map must agree
+        with the registry's counters (I4).
         """
         kv = request.kv
         if kv is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional, Sequence
 
 from ..engine.batching import ContinuousBatcher
-from ..engine.request import Phase, Request, commit_chunk
+from ..engine.request import Phase, Request, Stretch, commit_stretch
 from ..sim import Environment, Event
 
 __all__ = ["BatcherInstanceBase"]
@@ -96,7 +96,7 @@ class BatcherInstanceBase:
         vLLM-style: blocks released, moved to the head of the waiting
         queue for recomputation.
         """
-        commit_chunk(running, chunk_start, step, steps)
+        commit_stretch(running, Stretch((chunk_start, step, steps)))
         for request in running:
             try:
                 batcher.block_manager.append_tokens(

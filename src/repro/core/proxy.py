@@ -70,15 +70,18 @@ class ProxyLayer:
         self.requests: list[Request] = []
         #: In-flight requests (id -> request).
         self.live: dict[int, Request] = {}
-        #: Total requests ever admitted (== len(requests) when retaining).
-        self.submitted = 0
+
+    @property
+    def submitted(self) -> int:
+        """Total requests ever admitted (== len(requests) when retaining):
+        the registry's count."""
+        return self.registry.submitted
 
     def admit(self, request: Request) -> None:
         """Record one arriving request and hand it to the dispatcher."""
         if self.retain:
             self.requests.append(request)
         self.live[request.request_id] = request
-        self.submitted += 1
         self.registry.submitted += 1
         self.dispatch(request)
 

@@ -147,7 +147,6 @@ class ServingSystemBase:
         #: paths/:meth:`register_models` and added to on every submit.
         #: Routing policies resolve variant names through this.
         self.spec_index: dict[str, object] = {}
-        self._disposed = 0
         scope = self.obs.scoped("serving")
         self._failed_counter = scope.counter("requests_failed")
         self._rejected_counter = scope.counter("requests_rejected")
@@ -267,7 +266,6 @@ class ServingSystemBase:
 
     def _dispose(self, request: Request) -> None:
         """Final accounting shared by every terminal disposition."""
-        self._disposed += 1
         registry = self.registry
         phase = request.phase
         if phase is Phase.FINISHED:
@@ -328,8 +326,10 @@ class ServingSystemBase:
 
     @property
     def accounted(self) -> int:
-        """Requests with a final disposition: finished, failed, rejected."""
-        return self._disposed
+        """Requests with a final disposition: finished, failed, rejected,
+        as the registry counts them."""
+        registry = self.registry
+        return registry.finished + registry.failed + registry.rejected
 
     def fold_in_flight(self) -> None:
         """Fold every request still in flight into :attr:`stats`.

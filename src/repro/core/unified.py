@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..engine.engine import AegaeonEngine, EngineConfig
-from ..engine.request import Phase, Request, commit_chunk
+from ..engine.request import Phase, Request, Stretch, commit_stretch
 from ..hardware.cluster import Cluster
 from ..memory.model_cache import HostModelCache
 from ..memory.slab import SlabAllocator
@@ -132,8 +132,8 @@ class UnifiedInstance(BatcherInstanceBase):
         steps = max(1, min(_CHUNK_STEPS, min(r.remaining_tokens for r in batch)))
         chunk_start = self.env.now
         yield from self.engine.decode_for(spec, steps * step)
-        commit_chunk(batch, chunk_start, step, steps)
-        # Grow each request's KV, as _DecodeTask._chunk_done does:
+        commit_stretch(batch, Stretch((chunk_start, step, steps)))
+        # Grow each request's KV, as DecodeRun.land does:
         # RequestKv.grow runs only when a block boundary is crossed.
         gpu_cache = self.engine.gpu_kv_cache
         for request in batch:

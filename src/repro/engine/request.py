@@ -7,20 +7,18 @@ deadlines (per-token SLO attainment, §2.1 and Figure 3), and the
 request's KV-cache handle.
 
 Token times are kept as runs, not one float per token.  A run is one
-of three records:
+of two records:
 
-* a bare float ``t``: one token done at ``t``, read as the triple
+* a bare float ``t``: one token done at ``t``, read as the chunk
   ``(t, 0.0, 1)``.  :meth:`Request.record_tokens` commits first tokens
   so;
-* a triple ``(start, step, n)``: ``n`` tokens, token ``i`` of it done at
-  ``start + (i + 1) * step``.  The baselines' per-chunk loops commit one
-  triple per decode chunk (:func:`commit_chunk`), shared by every
-  request of the batch;
-* a :class:`Stretch`: the chunks one landing of a decode run commits,
-  a flat, exactly sized ``array('d')`` of ``start, step, steps`` per
-  chunk, each chunk read as the triple above.  Aegaeon's decode runs
-  land a stretch of chunks at a time (:func:`commit_stretch`), and every
-  member of the batch shares the one record.
+* a :class:`Stretch`: the decode chunks one commit lands, a flat,
+  exactly sized ``array('d')`` of ``start, step, steps`` per chunk,
+  token ``i`` of a chunk done at ``start + (i + 1) * step``.  Every
+  pool's decode loop commits through :func:`commit_stretch`: Aegaeon's
+  decode runs a stretch of chunks per landing, the baselines' and
+  unified foils' loops one chunk at a time, and every member of the
+  batch shares the one record.
 
 :class:`TokenTimes` reads them back as a sequence of floats, and
 ``Request.decode_exec_time`` folds them.  A reader walks a run's chunks
@@ -48,7 +46,6 @@ __all__ = [
     "Request",
     "Stretch",
     "TokenTimes",
-    "commit_chunk",
     "commit_stretch",
     "run_chunks",
 ]
@@ -92,9 +89,9 @@ class Request:
     input_tokens: int = field(init=False, repr=False)
     output_tokens: int = field(init=False, repr=False)
     generated_tokens: int = field(init=False, repr=False, default=0)
-    # Token completion times as runs, floats, triples or stretches (see
-    # the module docstring); ``token_times`` views them.  A decode chunk's
-    # or stretch's run is shared with its batch-mates and never mutated.
+    # Token completion times as runs, floats or stretches (see the
+    # module docstring); ``token_times`` views them.  A stretch is shared
+    # with the request's batch-mates and never mutated.
     runs: list = field(init=False, repr=False, default_factory=list)
     # Per-token SLO accounting, kept as tokens are committed: token k
     # meets its deadline iff ``token_times[k] <= slo_base + slo_tbt * k``
@@ -223,61 +220,17 @@ class Request:
         )
 
 
-def commit_chunk(
-    requests: Sequence[Request], chunk_start: float, step: float, steps: int
-) -> None:
-    """Commit one decode chunk to every request of a batch: ``steps``
-    tokens, ``step`` seconds apart, the first done at ``chunk_start +
-    step``, appended to each request as the one shared run ``(chunk_start,
-    step, steps)`` (``steps`` never exceeds a request's remaining
-    tokens).
-
-    Met tokens are bracketed by the chunk's ends.  A chunk's times are
-    non-decreasing and so are a request's deadlines (float rounding is
-    monotone), so the last time meeting the first token's deadline means
-    every token is met, and the first time missing the last token's
-    deadline means none is.  Only a chunk straddling a deadline is
-    counted token by token.  ``met_until`` is an earlier deadline than
-    the first token's, so a chunk done by then needs no arithmetic; it
-    is brought up to the first token's deadline only when the chunk
-    ends after it.
-    """
-    # One run object shared across the batch: token i of the chunk is
-    # ``chunk_start + (i + 1) * step``.  The per-token list is built only
-    # for a straddling chunk, at most once.
-    run = (chunk_start, step, steps)
-    first_time = chunk_start + step
-    last_time = chunk_start + steps * step
-    times = None
-    for request in requests:
-        generated = request.generated_tokens
-        if last_time <= request.met_until:
-            request.met_tokens += steps
-        else:
-            base = request.slo_base
-            tbt = request.slo_tbt
-            due = request.met_until = base + tbt * generated
-            if last_time <= due:
-                request.met_tokens += steps
-            elif first_time <= base + tbt * (generated + steps - 1):
-                if times is None:
-                    times = [chunk_start + (i + 1) * step for i in range(steps)]
-                request.met_tokens += count_met(times, base, tbt, generated)
-        request.runs.append(run)
-        request.generated_tokens = generated + steps
-
-
 class Stretch(array):
-    """The decode chunks one landing commits, as one token record.
+    """The decode chunks one commit lands, as one token record.
 
     A stretch is an exactly sized ``array('d')`` copied from a layout of
-    back-to-back chunks, ``start, step, steps`` each: chunk ``c``'s
+    back-to-back chunks (one chunk for a baseline's commit), ``start,
+    step, steps`` each: chunk ``c``'s
     token ``i`` is done at ``stretch[3c] + (i + 1) * stretch[3c + 1]``,
-    the expression :func:`commit_chunk` uses for a triple, and chunk
-    ``c + 1`` starts where chunk ``c`` ends.  A double holds each value
-    exactly, so every token time keeps its bits.  ``schedule`` is the
-    stretch itself and ``tokens`` counts its tokens.  Every member of
-    the batch shares one stretch, and nothing changes it.
+    and chunk ``c + 1`` starts where chunk ``c`` ends.  A double holds
+    each value exactly, so every token time keeps its bits.  ``tokens``
+    counts its tokens.  Every member of the batch shares one stretch,
+    and nothing changes it.
     """
 
     __slots__ = ()
@@ -286,45 +239,51 @@ class Stretch(array):
         return array.__new__(cls, "d", layout)
 
     @property
-    def schedule(self) -> "Stretch":
-        return self
-
-    @property
     def tokens(self) -> int:
         return int(sum(self[2::3]))
 
 
 def run_chunks(run) -> Sequence:
     """``run``'s chunks as one flat sequence, ``start, step, steps`` per
-    chunk: a bare float ``t`` is ``(t, 0.0, 1)``, a triple is its own
-    one-chunk sequence, and a stretch is itself, where ``steps`` is a
-    float."""
+    chunk: a bare float ``t`` is ``(t, 0.0, 1)``, and a stretch is
+    itself, where ``steps`` is a float."""
     return (run, 0.0, 1) if type(run) is float else run
 
 
 def commit_stretch(requests: Sequence[Request], stretch: Stretch) -> None:
-    """Commit a landed stretch of a decode run's chunks to every request
-    of its ready set: each request appends the one shared ``stretch``
-    and gains its tokens.
+    """Commit a stretch of decode chunks to every request of a batch:
+    each request appends the one shared ``stretch`` and gains its tokens
+    (which never exceed its remaining ones).  A decode run's landing
+    commits every chunk it lands; a baseline's loop one chunk at a time.
 
-    Met tokens and ``met_until`` end exactly as :func:`commit_chunk`
-    leaves them, chunk after chunk, with its brackets over the rest of
-    the stretch; a run's token times do not decrease.  The chunks ending
-    by ``met_until`` are met; the first chunk ending after it, found by
+    Met tokens are bracketed per chunk.  A chunk's times are
+    non-decreasing and so are a request's deadlines (float rounding is
+    monotone), so a chunk whose last time meets its first token's
+    deadline is all met, and one whose first time misses its last
+    token's deadline is all missed; only a chunk straddling a deadline
+    is counted token by token.  ``met_until`` is an earlier deadline
+    than the next token's, so a chunk done by then needs no arithmetic;
+    it is brought up to the chunk's first token's deadline only when the
+    chunk ends after it.
+
+    Across a stretch the same brackets cover the rest of it at once; a
+    run's token times do not decrease.  The chunks ending by
+    ``met_until`` are met; the first chunk ending after it, found by
     bisecting the chunk ends, brings ``met_until`` up to its first
     token's deadline.  Every token from there on is met when the
     stretch's last time meets that deadline, and none is when that
     chunk's first time misses the stretch's last token's deadline (each
     later chunk then moves ``met_until`` on, to the final chunk's first
-    deadline).  Otherwise the chunk is counted as :func:`commit_chunk`
-    counts it, and the same brackets are tried again at the next chunk
-    that ends after ``met_until``.
+    deadline).  Otherwise the chunk is counted on its own, and the same
+    brackets are tried again at the next chunk that ends after
+    ``met_until``.  A one-chunk stretch takes that per-chunk path
+    directly.
     """
-    tokens = stretch.tokens
     final = len(stretch) // 3 - 1
     k = 3 * final
     last_time = stretch[k] + stretch[k + 2] * stretch[k + 1]
     last_steps = int(stretch[k + 2])
+    tokens = stretch.tokens if final else last_steps
     first_end = stretch[3] if final else last_time
     for request in requests:
         generated = request.generated_tokens
@@ -347,9 +306,9 @@ def commit_stretch(requests: Sequence[Request], stretch: Stretch) -> None:
                     else:
                         hi = mid
                 met = int(sum(stretch[2 : 3 * lo + 2 : 3]))
-            # Then chunk by chunk, as commit_chunk: a chunk ending after
-            # ``due`` brings it up to its first token's deadline, and
-            # the brackets settle every chunk from there on at once.
+            # Then chunk by chunk: a chunk ending after ``due`` brings it
+            # up to its first token's deadline, and the brackets settle
+            # every chunk from there on at once.
             count = generated + met
             due = met_until
             for k in range(3 * lo, 3 * final + 3, 3):

@@ -13,21 +13,72 @@ the production loop, so the differential test in
 ``test_decode_runs.py`` can check that runs commit the same tokens,
 grow the same KV and record the same spans.  The function's own
 docstring is its original description.
+
+``commit_chunk`` is the per-chunk token commit that loop made, kept
+verbatim too apart from its run record: it appends the chunk as a
+one-chunk :class:`~repro.engine.request.Stretch` where it once appended
+the tuple ``(chunk_start, step, steps)``.  It is the met-token oracle
+for ``commit_stretch``, which brackets a whole stretch of chunks at
+once.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Generator, Iterator
+from typing import Generator, Iterator, Sequence
 
 from repro.core.instance import DECODE_CHUNK_STEPS, DecodeInstance
-from repro.engine.request import commit_chunk
+from repro.engine.request import Request, Stretch, count_met
 from repro.obs.tracer import NULL_SPAN
 from repro.policy.base import policy_event
 from repro.sim import Interrupt
 from repro.transfer.loader import CheckpointFetchError
 
-__all__ = ["loop", "per_chunk"]
+__all__ = ["commit_chunk", "loop", "per_chunk"]
+
+
+def commit_chunk(
+    requests: Sequence[Request], chunk_start: float, step: float, steps: int
+) -> None:
+    """Commit one decode chunk to every request of a batch: ``steps``
+    tokens, ``step`` seconds apart, the first done at ``chunk_start +
+    step``, appended to each request as the one shared run ``(chunk_start,
+    step, steps)`` (``steps`` never exceeds a request's remaining
+    tokens).
+
+    Met tokens are bracketed by the chunk's ends.  A chunk's times are
+    non-decreasing and so are a request's deadlines (float rounding is
+    monotone), so the last time meeting the first token's deadline means
+    every token is met, and the first time missing the last token's
+    deadline means none is.  Only a chunk straddling a deadline is
+    counted token by token.  ``met_until`` is an earlier deadline than
+    the first token's, so a chunk done by then needs no arithmetic; it
+    is brought up to the first token's deadline only when the chunk
+    ends after it.
+    """
+    # One run object shared across the batch: token i of the chunk is
+    # ``chunk_start + (i + 1) * step``.  The per-token list is built only
+    # for a straddling chunk, at most once.
+    run = Stretch((chunk_start, step, steps))
+    first_time = chunk_start + step
+    last_time = chunk_start + steps * step
+    times = None
+    for request in requests:
+        generated = request.generated_tokens
+        if last_time <= request.met_until:
+            request.met_tokens += steps
+        else:
+            base = request.slo_base
+            tbt = request.slo_tbt
+            due = request.met_until = base + tbt * generated
+            if last_time <= due:
+                request.met_tokens += steps
+            elif first_time <= base + tbt * (generated + steps - 1):
+                if times is None:
+                    times = [chunk_start + (i + 1) * step for i in range(steps)]
+                request.met_tokens += count_met(times, base, tbt, generated)
+        request.runs.append(run)
+        request.generated_tokens = generated + steps
 
 
 def loop(self) -> Generator:

@@ -12,9 +12,10 @@ mid-run), latency spikes, a GPU cache small enough that growth fails
 and swaps requests out, an instance failure, and a deadline cut that
 settles the live run as result collection does, with the engine traced
 in half of them.  The runs land a stretch of chunks as one shared
-record per request (``commit_stretch``), the reference one triple per
-chunk (``commit_chunk``); expanded to ``(start, step, n)`` chunks, both
-must commit the same token runs (by ``float.hex``), the same met tokens,
+record per request (``commit_stretch``), the reference a one-chunk
+stretch per chunk (its ``commit_chunk``); expanded to ``(start, step,
+n)`` chunks, both must commit the same token runs (by ``float.hex``),
+the same met tokens,
 ``met_until`` and derived ``decode_exec_time`` (by ``float.hex``), the
 same finishes and failures at the same instants, leave the GPU cache in
 the same state slab for slab, and add the same ``busy_time`` and traced
@@ -45,10 +46,11 @@ from repro.engine import AegaeonEngine, EngineConfig
 from repro.engine.request import Request, run_chunks
 from repro.hardware import H800, Node
 from repro.memory import HostModelCache, SlabAllocator
-from repro.models import get_model
+from repro.models import get_model, kv_shape
 from repro.obs import ObsConfig, Observability
 from repro.policy import available_bundles, get_bundle
 from repro.sim import Environment
+from repro.transfer import RequestKv
 from repro.workload import Trace, TraceRequest
 
 from . import reference_decode
@@ -373,6 +375,54 @@ class TestHandBuilt:
         assert harness.outcome() == reference.outcome()
         assert tally.tally["cut"] >= 1
         assert _steps(reference.env) - _steps(harness.env) == tally.saved_steps()
+
+    def test_a_foreign_free_lands_after_the_growth_before_it(self):
+        # A request outside the batch holds one whole GPU slab and is
+        # swapped out mid-run, after a chunk whose growth took a fresh
+        # slab has ended: its copy's source free settles the run first,
+        # so that growth lands before the free, as the per-chunk loop's
+        # did.  Landed after it instead, the growth would take the
+        # freed slab.
+        def with_foreign(harness, when):
+            manager = harness.engine.kv
+            shape = kv_shape(get_model("Qwen-7B"))
+            kv = RequestKv(request_id=-1, shape=shape, tokens=512)
+            manager.alloc_gpu(kv)
+            cache = harness.engine.gpu_kv_cache
+            assert len(kv.gpu_blocks.runs) == 1 and kv.gpu_blocks.blocks == 32
+            release = manager._release_source
+            frees = []
+
+            def released(blocks):
+                frees.append((harness.env.now, cache._run is not None))
+                release(blocks)
+
+            manager._release_source = released
+            harness.at(when, lambda: manager.swap_out(kv))
+            return frees
+
+        ends = _boundaries(_LONG)
+        when = (ends[2] + ends[3]) / 2
+        with reference_decode.per_chunk():
+            reference = _Harness(_LONG)
+        with_foreign(reference, when)
+        harness = _Harness(_LONG)
+        frees = with_foreign(harness, when)
+        cut = ends[3] - 1e-6
+        reference.env.run(until=cut)
+        harness.env.run(until=cut)
+        # The free landed inside a live run, before the chunk in flight
+        # ended, with the fresh slab's growth already in.
+        ((freed_at, live),) = frees
+        assert live and ends[2] < freed_at < cut
+        harness.settle()
+        reference.obs.tracer.flush()
+        extents = [row[-1][2] for row in harness.outcome()[0]]
+        assert extents == [row[-1][2] for row in reference.outcome()[0]]
+        assert harness.outcome() == reference.outcome()
+        reference.env.run()
+        harness.env.run()
+        assert harness.outcome() == reference.outcome()
 
 
 @pytest.mark.parametrize("bundle", sorted(available_bundles()))

@@ -104,7 +104,7 @@ class TestPlantedBugs:
                 # The first landed stretch starts one step before its
                 # batch's latest token.
                 commits.append(env.now)
-                layout = stretch.schedule.tolist()
+                layout = stretch.tolist()
                 layout[0] = max(r.last_token_time for r in requests) - 2 * layout[1]
                 stretch = Stretch(layout)
             commit_stretch(requests, stretch)
@@ -151,7 +151,7 @@ class TestPlantedBugs:
             if not disposals:
                 # The first finish is counted as two disposals.
                 disposals.append(self.env.now)
-                self._disposed += 1
+                self.registry.finished += 1
             note_finished(self, request)
 
         monkeypatch.setattr(ServingSystemBase, "note_finished", counts_twice)
@@ -159,7 +159,7 @@ class TestPlantedBugs:
         violations = _serve_with_violations(system)
         assert violations[0].time == disposals[0]
         assert violations[0].invariant == "slo-accounting"
-        assert "disposed of" in violations[0].detail
+        assert "in flight" in violations[0].detail
 
     def test_double_disposal_is_flagged_at_the_second_disposal(self, monkeypatch):
         disposals = []

@@ -3,14 +3,15 @@
 Every :class:`~repro.engine.request.Request` keeps ``met_tokens``, the
 number of its generated tokens that met their deadlines, updated where
 tokens are committed: :func:`~repro.engine.request.commit_stretch`
-(Aegaeon's decode runs), :func:`~repro.engine.request.commit_chunk` (the
-baselines' decode loops) and :meth:`Request.record_tokens` (first tokens
-and the batcher baselines).  ``core.slo.tokens_met`` recomputes the same
+(every pool's decode chunks: a stretch of them per landing of Aegaeon's
+decode runs, one per chunk in the baselines' loops) and
+:meth:`Request.record_tokens` (first tokens).  ``core.slo.tokens_met`` recomputes the same
 count from ``token_times`` with numpy and is the oracle here: the two
 must agree exactly, request by request, on every serving system, under
 faults that restart requests from prefill, and on single chunks built
 to straddle a deadline.  A stretch must also leave ``met_tokens`` and
-``met_until`` exactly as committing its chunks one by one does.
+``met_until`` exactly as the reference's per-chunk commit
+(``tests/reference_decode.py``) leaves them chunk by chunk.
 """
 
 import pytest
@@ -25,10 +26,12 @@ from repro.core import (
     available_systems,
     tokens_met,
 )
-from repro.engine.request import Request, Stretch, commit_chunk, commit_stretch
+from repro.engine.request import Request, Stretch, commit_stretch
 from repro.fleet import FleetConfig, ShardStats, build_fleet
 from repro.models import get_model, market_mix
 from repro.workload import TraceRequest, market_stream, materialize_trace, sharegpt
+
+from .reference_decode import commit_chunk
 
 #: Tight enough that every system misses some deadlines and many
 #: requests straddle one, so both brackets and the per-token loop run.
@@ -152,9 +155,10 @@ def batch_request(request_id, arrival, slo, generated, steps, chunk_start, step)
 
 
 class TestChunkCommit:
-    """``commit_chunk`` on chunks that straddle a deadline: the brackets
-    must fall through to the per-token loop, and the count must equal
-    the oracle's, whether the batch decodes faster or slower than TBT."""
+    """``commit_stretch`` on one-chunk stretches that straddle a
+    deadline, the baselines' commit: the brackets must fall through to
+    the per-token loop, and the count must equal the oracle's, whether
+    the batch decodes faster or slower than TBT."""
 
     @pytest.mark.parametrize(
         "ratios",
@@ -196,7 +200,7 @@ class TestChunkCommit:
                     step,
                 )
             )
-        commit_chunk(batch, chunk_start, step, steps)
+        commit_stretch(batch, Stretch((chunk_start, step, steps)))
         times = anchor.token_times[generated:]
         base = arrival + slo.ttft
         assume(times[-1] > base + tbt * generated)
@@ -210,10 +214,10 @@ class TestChunkCommit:
 
 
 class TestStretchCommit:
-    """``commit_stretch`` against ``commit_chunk`` chunk by chunk: a
-    schedule of back-to-back chunks around the TBT, landed in stretches
-    cut at random, must leave each batch-mate's met tokens, ``met_until``
-    and token times bit-identical to its twin's."""
+    """``commit_stretch`` against the reference's ``commit_chunk``
+    chunk by chunk: a schedule of back-to-back chunks around the TBT,
+    landed in stretches cut at random, must leave each batch-mate's met
+    tokens, ``met_until`` and token times bit-identical to its twin's."""
 
     @given(
         data=st.data(),

@@ -1,10 +1,11 @@
 """Token times are stored as runs and read through a view.
 
-A request keeps runs of two kinds: a triple ``(start, step, n)`` (a
-baseline's decode chunk, shared by its batch; a first token at ``t`` is
-``(t, 0.0, 1)``), or a :class:`~repro.engine.request.Stretch`, the
-chunks of an Aegaeon decode run one landing commits, shared by its
-batch.  ``Request.token_times`` is a
+A request keeps runs of two kinds: a bare float ``t`` (a first token,
+read as the chunk ``(t, 0.0, 1)``), or a
+:class:`~repro.engine.request.Stretch` of chunks ``(start, step, n)``,
+shared by its batch: one chunk per commit of a baseline's decode loop,
+or the chunks of an Aegaeon decode run one landing commits.
+``Request.token_times`` is a
 :class:`~repro.engine.request.TokenTimes` view computing each time as
 ``start + (i + 1) * step`` chunk by chunk, the expression the decode
 loops used to expand per token.  The property here holds the view, and
@@ -35,7 +36,6 @@ from repro.engine.request import (
     Request,
     Stretch,
     TokenTimes,
-    commit_chunk,
     commit_stretch,
 )
 from repro.models import get_model, market_mix
@@ -60,9 +60,9 @@ chunk_st = st.tuples(
     st.integers(1, 16),
 )
 #: A chunk ``(start, step, n)`` with ``step`` 0 or positive, committed
-#: through ``commit_chunk``; a single time committed through
-#: ``record_tokens`` (``n`` is None); or a stretch of chunks committed
-#: through ``commit_stretch`` (a list of chunks).
+#: as a one-chunk stretch, as the baselines commit; a single time
+#: committed through ``record_tokens`` (``n`` is None); or a stretch of
+#: chunks committed through ``commit_stretch`` (a list of chunks).
 segment_st = st.one_of(
     chunk_st,
     st.tuples(times_st, st.none(), st.none()),
@@ -85,7 +85,7 @@ def commit_segments(request, segments) -> tuple[list, float]:
             chunks = start
             commit_stretch([request], Stretch([value for chunk in chunks for value in chunk]))
         else:
-            commit_chunk([request], start, step, n)
+            commit_stretch([request], Stretch((start, step, n)))
         for start, step, n in chunks:
             expected += [start + (i + 1) * step for i in range(n)]
             exec_time += n * step
@@ -147,7 +147,7 @@ class TestTokenTimesView:
     def test_reset_progress_clears_the_runs(self):
         request = make_request(8)
         request.record_tokens([1.0])
-        commit_chunk([request], 1.0, 0.1, 3)
+        commit_stretch([request], Stretch((1.0, 0.1, 3)))
         commit_stretch([request], Stretch([1.3, 0.1, 2, 1.5, 0.1, 2]))
         request.reset_progress()
         assert request.runs == [] and request.token_times == []
@@ -171,10 +171,10 @@ def small_trace():
 
 @pytest.mark.parametrize("name", available_systems())
 def test_batch_mates_share_one_run_per_chunk(name, monkeypatch):
-    # The baselines commit one triple per decode chunk (commit_chunk);
-    # Aegaeon's decode runs commit one stretch per landing, however many
-    # chunks it covers (commit_stretch).  Either way the batch shares
-    # the one record, and each commit appends exactly one per member.
+    # The baselines commit one stretch per decode chunk; Aegaeon's decode
+    # runs commit one stretch per landing, however many chunks it covers.
+    # Either way the batch shares the one record, and each commit appends
+    # exactly one per member.
     records = {}
     commits = []
 
@@ -188,9 +188,8 @@ def test_batch_mates_share_one_run_per_chunk(name, monkeypatch):
                 records[request.request_id] = records.get(request.request_id, 0) + 1
         return committed
 
-    monkeypatch.setattr(instance_module, "commit_stretch", spy(commit_stretch))
-    for module in (unified_module, batcher_module):
-        monkeypatch.setattr(module, "commit_chunk", spy(commit_chunk))
+    for module in (instance_module, unified_module, batcher_module):
+        monkeypatch.setattr(module, "commit_stretch", spy(commit_stretch))
     result = SystemSpec(system=name, config=config(name)).build().serve(small_trace())
     assert result.drained and commits
     # Decoding-first drains each prompt's output before the next prefill,
@@ -201,12 +200,10 @@ def test_batch_mates_share_one_run_per_chunk(name, monkeypatch):
     for batch, before in commits:
         run = batch[0].runs[before[0]]
         assert all(r.runs[b] is run for r, b in zip(batch, before))
-        assert isinstance(run, Stretch) == (name == "aegaeon")
+        assert isinstance(run, Stretch)
     if name == "aegaeon":
         # Some landing covers several chunks with the one record.
-        assert any(
-            len(batch[0].runs[before[0]].schedule) > 3 for batch, before in commits
-        )
+        assert any(len(batch[0].runs[before[0]]) > 3 for batch, before in commits)
     for request in result.requests:
         assert len(request.runs) <= records.get(request.request_id, 0) + 1
 
@@ -224,7 +221,7 @@ class TestI2WalksRuns:
     def vet(self, runs, output_tokens=8):
         checker = self.checker()
         request = make_request(output_tokens, request_id=7)
-        request.runs.extend(runs)
+        request.runs.extend(Stretch(run) for run in runs)
         request.generated_tokens = sum(n for _, _, n in runs)
         request.met_tokens = tokens_met(
             request.arrival, list(request.token_times), checker._slo
@@ -256,11 +253,11 @@ class TestI2WalksRuns:
         request = make_request(8, request_id=7)
         request.runs = _WatchedRuns(checker, request)
         request.record_tokens([1.0])
-        commit_chunk([request], 1.0, 0.25, 3)
-        commit_chunk([request], 2.0, 0.25, 2)
+        commit_stretch([request], Stretch((1.0, 0.25, 3)))
+        commit_stretch([request], Stretch((2.0, 0.25, 2)))
         assert checker.violations == []
         assert checker._check_request_tokens(request, 5.0) == request.met_tokens
-        commit_chunk([request], 1.0, 0.25, 1)
+        commit_stretch([request], Stretch((1.0, 0.25, 1)))
         assert [v.invariant for v in checker.violations] == ["token-monotonicity"]
         assert "decrease" in checker.violations[0].detail
         assert checker.violations[0].time == checker.env.now == 5.0

@@ -54,13 +54,9 @@ change, the growth limit, an alloc on the GPU cache, a failure, or the
 replay's end (collect).  A landing of ``c`` chunks on a ready set of
 ``m`` requests is ``c * m`` member-chunks and ``m`` member-stretches:
 the token records its members append at one record per chunk and at
-one per landed stretch.  On a tree with
-``core.instance.DecodeRun`` these are the runs formed; on one without,
-the chunks the per-chunk loop commits are grouped into the runs it
-could have formed: a run goes on while the next chunk of the same turn
-starts where the last one ended, with the same ready set and no join to
-its batch in between (perf-factor changes are not seen).  The steps saved satisfy, against a ``--json`` census of a
-tree without decode runs (``--baseline``):
+one per landed stretch.  The runs are those ``core.instance.DecodeRun``
+forms.  The steps saved satisfy, against a ``--json`` census of a tree
+without decode runs (``--baseline``):
 
     (steps + steps_inlined) before - (steps + steps_inlined) now
         = chunks landed in runs - runs fired
@@ -232,15 +228,13 @@ def saved_steps(loads: Counter) -> int:
     )
 
 
-def decode_taps(decode: Counter, lengths: Counter) -> list:
+def decode_taps(decode: Counter, lengths: Counter) -> tuple:
     """Fill ``decode`` with chunk and run counts and the causes that
     ended runs, and ``lengths`` with chunks per run; returns the undos
     and a hook that closes the runs still open when the replay ends."""
     from repro.core import instance
 
-    if hasattr(instance, "DecodeRun"):
-        return _run_taps(instance, decode, lengths)
-    return _chunk_taps(instance, decode, lengths)
+    return _run_taps(instance, decode, lengths)
 
 
 def _close(decode: Counter, lengths: Counter, chunks: int, cause: str) -> None:
@@ -337,87 +331,6 @@ def _run_taps(instance, decode: Counter, lengths: Counter) -> tuple:
         live.clear()
 
     return undos, collect
-
-
-def _chunk_taps(instance, decode: Counter, lengths: Counter) -> tuple:
-    """Group the per-chunk loop's chunks into the runs it could have
-    formed (see the module docstring)."""
-    from repro.engine.engine import AegaeonEngine
-
-    DecodeInstance = instance.DecodeInstance
-    commit = instance.commit_chunk
-    require, fail = AegaeonEngine._require_active, DecodeInstance.fail
-    # instance -> the run its chunks are in: ready ids and requests,
-    # turn start and quota, end, chunks.
-    open_runs: dict = {}
-    started: dict = {}  # instance -> its batch's size as the chunk began
-
-    def end_run(owner, cause: str) -> None:
-        run = open_runs.pop(owner, None)
-        if run is not None:
-            _close(decode, lengths, run["chunks"], cause)
-
-    def natural(run: dict, ids: tuple) -> str:
-        if any(r.generated_tokens >= r.output_tokens for r in run["ready"]):
-            return "member finish"
-        if not run["end"] - run["turn_start"] < run["quota"]:
-            return "quota"
-        if set(ids) > set(run["ids"]):
-            return "KV arrival"
-        return "growth limit"
-
-    def chunk_began(engine, spec):
-        # The loop checks the model right before each chunk's timeout.
-        frame = sys._getframe(1)
-        owner = frame.f_locals.get("self")
-        if isinstance(owner, DecodeInstance):
-            started[owner] = len(frame.f_locals["batch"].requests)
-        return require(engine, spec)
-
-    def committed(requests, chunk_start, step, steps):
-        frame = sys._getframe(1)
-        owner = frame.f_locals.get("self")
-        if isinstance(owner, DecodeInstance):
-            decode["chunks"] += 1
-            ids = tuple(r.request_id for r in requests)
-            turn_start = frame.f_locals["turn_start"]
-            run = open_runs.get(owner)
-            if (
-                run is None or run["ids"] != ids or run["end"] != chunk_start
-                or run["turn_start"] != turn_start
-            ):
-                if run is not None:
-                    end_run(owner, natural(run, ids))
-                run = open_runs[owner] = {
-                    "ids": ids, "ready": list(requests), "chunks": 0,
-                    "quota": frame.f_locals["quota"], "turn_start": turn_start,
-                }
-            run["chunks"] += 1
-            run["end"] = chunk_start + steps * step
-            if len(frame.f_locals["batch"].requests) > started[owner]:
-                # A join while the chunk ran: the loop sees it next.
-                end_run(owner, "join")
-        return commit(requests, chunk_start, step, steps)
-
-    def failed(owner):
-        end_run(owner, "failure")
-        return fail(owner)
-
-    instance.commit_chunk = committed
-    AegaeonEngine._require_active = chunk_began
-    DecodeInstance.fail = failed
-
-    def undo() -> None:
-        instance.commit_chunk = commit
-        AegaeonEngine._require_active = require
-        DecodeInstance.fail = fail
-
-    def collect() -> None:
-        for owner, run in list(open_runs.items()):
-            cause = natural(run, ())
-            end_run(owner, "collect" if cause == "growth limit" else cause)
-
-    return [undo], collect
 
 
 def census(
